@@ -62,6 +62,10 @@ VERDICTS = (
 
 _FALLBACK_PERM_CAP = 4096
 
+# The identity gate solves every constraint, so an empty class list means the
+# search matched nothing (for example under a NaN tolerance), not a group.
+_NO_CLASS = "no gate class survives on {}, not even the identity gate"
+
 
 class ClassificationError(ValueError):
     pass
@@ -391,6 +395,8 @@ def classify_punctured_sphere(
         )
         flags.append("generic fallback path; result is an upper bound")
 
+    if not report_classes:
+        raise ClassificationError(_NO_CLASS.format(desc))
     verdict, order = _sphere_verdict(
         model, surface, basis, report_classes, details, flags
     )
@@ -621,6 +627,8 @@ def classify_torus(
             }
         )
     classes.sort(key=lambda c: json.dumps(_round_floats(c), sort_keys=True))
+    if not classes:
+        raise ClassificationError(_NO_CLASS.format(surface.describe(model)))
 
     verdict, order = "upper_bound_only", None
     if not rigid:

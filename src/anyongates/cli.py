@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -35,6 +36,17 @@ from .tolerances import DEFAULT_TOL
 
 class UsageError(Exception):
     pass
+
+
+def _tolerance(text: str) -> float:
+    """argparse type for --tol: a finite, non-negative number."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(f"must be finite and non-negative, not {text}")
+    return value
 
 
 def _load_model(spec: str) -> AnyonModel:
@@ -191,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
         if words:
             p.add_argument("--words", default=None,
                            help="comma-separated mapping class words")
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+        p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
         p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("validate", help="run consistency checks on a model")
@@ -209,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lattice", help="qudit lattice commutation cross-check")
     p.add_argument("--qudit", type=int, required=True, help="qudit dimension N")
     p.add_argument("--size", type=int, required=True, help="lattice side length L")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_lattice)
     return parser

@@ -14,14 +14,12 @@ component, (3) rejection on cycle inconsistencies.  Each feasible
 permutation pair therefore contributes exactly one connected family with one
 free phase per graph component.
 
-Delta sets (all monomial gates compatible with a word), their
-intersections, and the label equivalence relation used to recognize
-trivially-acting gates live here too.
+Delta sets (all monomial gates compatible with a word) and their
+intersections live here too.
 """
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
@@ -29,10 +27,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from . import _kernels
 from .mcg import evaluate_word
 from .models import AnyonModel
-from .surfaces import SurfaceSpec, enumerate_labelings
+from .surfaces import SurfaceSpec
 from .tolerances import CYCLE_TOL, DEFAULT_TOL, ZERO_THRESHOLD
 
 _MATCHING_CAP = 20000
@@ -386,6 +383,68 @@ def _propagate_phases(
     return tuple(comp), tuple(rel)
 
 
+def _column_perms(absv, absvo, cands_in, tol):
+    """Yield (perm_in, compat) for the candidate gate permutations.
+
+    ``compat[m, r]`` says that row m of |V| equals row r of |V_out| with its
+    columns permuted by perm_in, so perm_out must map m to some r with
+    ``compat[m, r]``.  An explicit candidate list costs O(n^3) per entry.
+    The wildcard assigns perm_in(0), perm_in(1), ... in ascending order,
+    narrowing ``compat`` one column at a time, and drops a prefix as soon as
+    some row or column of ``compat`` is empty.
+    """
+    n = absv.shape[0]
+    if cands_in is not None:
+        for pi in cands_in:
+            target = absvo[:, list(pi)]
+            yield pi, (np.abs(target[None, :, :] - absv[:, None, :]) <= tol).all(axis=2)
+        return
+    # agree[l, c][m, r]: |V[m, l]| equals |V_out[r, c]|
+    agree = np.abs(absvo.T[None, :, None, :] - absv.T[:, None, :, None]) <= tol
+    pi: list[int] = []
+
+    def extend(compat):
+        if len(pi) == n:
+            yield tuple(pi), compat
+            return
+        for c in range(n):
+            if c in pi:
+                continue
+            nxt = compat & agree[len(pi), c]
+            if nxt.any(axis=0).all() and nxt.any(axis=1).all():
+                pi.append(c)
+                yield from extend(nxt)
+                pi.pop()
+
+    yield from extend(np.ones((n, n), dtype=bool))
+
+
+def _matchings(compat):
+    """Perfect matchings m -> pip[m] inside ``compat``, in lexicographic order."""
+    n = compat.shape[0]
+    options = [np.flatnonzero(row).tolist() for row in compat]
+    found: list[tuple[int, ...]] = []
+    pip: list[int] = []
+
+    def extend():
+        if len(pip) == n:
+            if len(found) == _MATCHING_CAP:
+                raise ValueError(
+                    "too many output-permutation matchings "
+                    f"(more than {_MATCHING_CAP}); restrict perm_out"
+                )
+            found.append(tuple(pip))
+            return
+        for r in options[len(pip)]:
+            if r not in pip:
+                pip.append(r)
+                extend()
+                pip.pop()
+
+    extend()
+    return found
+
+
 def solve_intertwiner(
     v: np.ndarray,
     perm_in=None,
@@ -400,8 +459,15 @@ def solve_intertwiner(
 
     ``perm_in``/``perm_out`` may each be a single permutation, an iterable of
     candidate permutations, or None for a full wildcard (dimension <= 8).
-    Families are returned in lexicographic (perm_in, perm_out) order; each is
-    the complete connected solution set for its permutation pair.
+    A pair (perm_in, perm_out) is feasible when every row m of |V| equals
+    row perm_out(m) of |V_out| with columns permuted by perm_in.  The
+    wildcard perm_in search builds perm_in column by column and prunes a
+    prefix once some row of |V| has no matching row of |V_out| left, or the
+    reverse; a wildcard perm_out enumerates the perfect row matchings, an
+    explicit list is filtered in the order given.  Families are returned in
+    (perm_in, perm_out) order: lexicographic for a wildcard, list order
+    otherwise.  Each is the complete connected solution set for its pair,
+    with one free phase per component of its constraint graph.
     """
     v = np.asarray(v, dtype=np.complex128)
     if v.ndim != 2 or v.shape[0] != v.shape[1]:
@@ -419,7 +485,6 @@ def solve_intertwiner(
             raise ValueError(f"{name} is not unitary (residual {uni:.2e})")
 
     absv = np.abs(v)
-    absvo = np.abs(v_out)
     nz = absv[absv > zero_tol]
     if nz.size and nz.min() < 100 * zero_tol:
         warnings.warn(
@@ -431,56 +496,23 @@ def solve_intertwiner(
 
     cands_in = _normalize_perm_arg(perm_in, n)
     cands_out = _normalize_perm_arg(perm_out, n)
-    if cands_in is None:
-        if n > 8:
-            raise ValueError(
-                "wildcard permutation search is factorial; dimension > 8 needs "
-                "an explicit candidate set"
-            )
-        cands_in = [tuple(p) for p in itertools.permutations(range(n))]
+    if cands_in is None and n > 8:
+        raise ValueError(
+            "wildcard permutation search is factorial; dimension > 8 needs "
+            "an explicit candidate set"
+        )
 
-    match_tol = max(tol, 1e-9)
+    rows = np.arange(n)
     solutions: list[IntertwinerSolution] = []
-
-    if cands_out is None:
-        perms_arr = np.array(cands_in, dtype=np.int64)
-        status, match = _kernels.scan_column_perms(absv, absvo, perms_arr, match_tol)
-        for idx, pi in enumerate(cands_in):
-            if status[idx] == _kernels.SCAN_NO_MATCH:
-                continue
-            if status[idx] == _kernels.SCAN_UNIQUE:
-                pip_list = [tuple(int(x) for x in match[idx])]
-            else:
-                target = absvo[:, list(pi)]
-                compat = (
-                    np.abs(target[None, :, :] - absv[:, None, :]) <= match_tol
-                ).all(axis=2)
-                matchings = _kernels.enumerate_matchings(compat)
-                if len(matchings) > _MATCHING_CAP:
-                    raise ValueError(
-                        "too many output-permutation matchings "
-                        f"({len(matchings)}); restrict perm_out"
-                    )
-                pip_list = sorted(matchings)
-            for pip in pip_list:
-                res = _propagate_phases(v, v_out, pi, pip, support, tol, cycle_tol)
-                if res is not None:
-                    solutions.append(
-                        IntertwinerSolution(pi, pip, res[0], res[1])
-                    )
-    else:
-        for pi in cands_in:
-            for pip in cands_out:
-                target = absvo[:, list(pi)]
-                ok = all(
-                    np.abs(target[pip[m]] - absv[m]).max() <= match_tol
-                    for m in range(n)
-                )
-                if not ok:
-                    continue
-                res = _propagate_phases(v, v_out, pi, pip, support, tol, cycle_tol)
-                if res is not None:
-                    solutions.append(IntertwinerSolution(pi, pip, res[0], res[1]))
+    for pi, compat in _column_perms(absv, np.abs(v_out), cands_in, max(tol, 1e-9)):
+        if cands_out is None:
+            pips = _matchings(compat)
+        else:
+            pips = (pip for pip in cands_out if compat[rows, pip].all())
+        for pip in pips:
+            res = _propagate_phases(v, v_out, pi, pip, support, tol, cycle_tol)
+            if res is not None:
+                solutions.append(IntertwinerSolution(pi, pip, res[0], res[1]))
     return solutions
 
 
@@ -596,62 +628,3 @@ def intersect_delta(sets: list[DeltaSet], tol: float = CYCLE_TOL) -> DeltaSet:
         current = nxt
         words.extend(s.words)
     return DeltaSet(dim=dim, words=tuple(words), families=current)
-
-
-# ---------------------------------------------------------------------------
-# Equivalence classes of basis labels
-
-
-def equivalence_classes(
-    model: AnyonModel,
-    surface: SurfaceSpec,
-    words: list[str],
-    zero_tol: float = ZERO_THRESHOLD,
-) -> list[tuple[int, ...]]:
-    """Partition of basis indices generated by shared word-matrix support.
-
-    Two indices are related when some row of some word matrix is nonzero at
-    both columns; the partition is the transitive closure, returned as
-    sorted tuples in sorted order.
-    """
-    basis = enumerate_labelings(model, surface)
-    n = basis.dim
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-
-    for word in words:
-        mat = evaluate_word(model, surface, word).matrix
-        for row in np.abs(mat) > zero_tol:
-            cols = np.nonzero(row)[0]
-            for c in cols[1:]:
-                union(int(cols[0]), int(c))
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return sorted(tuple(sorted(g)) for g in groups.values())
-
-
-def check_sim_trivial(
-    gate: MonomialMatrix,
-    classes: list[tuple[int, ...]],
-    tol: float = DEFAULT_TOL,
-) -> bool:
-    """True iff the gate is diagonal with a constant phase on each class."""
-    if not gate.is_identity_perm():
-        return False
-    for cls in classes:
-        ref = gate.phases[cls[0]]
-        for i in cls[1:]:
-            if abs(gate.phases[i] - ref) > max(tol, 1e-9) * 100:
-                return False
-    return True

@@ -263,3 +263,21 @@ def test_unknown_words_raise():
         classify_torus(FIB, mcg_words=["sq"])
     with pytest.raises(ClassificationError):
         classify_torus(Z2, mcg_words=["t", "tt"])
+
+
+@pytest.mark.parametrize(
+    "model, surface",
+    [
+        (ISING, sphere_surface(ISING, "sigma", 6)),
+        (FIB, sphere_surface(FIB, "tau", 7)),
+        (FIB, torus_surface()),
+        (ISING, torus_surface()),
+    ],
+    ids=["sphere-factorized", "sphere-diagonal", "torus-fibonacci", "torus-ising"],
+)
+def test_empty_class_list_is_an_error(model, surface):
+    # the identity gate always survives, so an empty class list means the
+    # search itself failed (here a NaN tolerance matches nothing); no group
+    # may be named for it
+    with pytest.raises(ClassificationError, match="no gate class"):
+        classify(model, surface, tol=float("nan"))

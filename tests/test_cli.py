@@ -209,6 +209,24 @@ def test_bad_format_choice_exits_with_usage():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("validate", "--model", "ising"),
+        ("classify", "--model", "ising", "--surface", "sphere:sigma:6"),
+        ("delta", "--model", "fibonacci", "--surface", "torus", "--words", "s"),
+        ("lattice", "--qudit", "2", "--size", "2"),
+    ],
+    ids=lambda a: a[0] if isinstance(a, tuple) else a,
+)
+def test_tol_must_be_finite_and_non_negative(argv, tol, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, f"--tol={tol}"])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+
+
 def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "anyongates.cli", "validate", "--model", "fibonacci"],

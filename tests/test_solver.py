@@ -15,13 +15,7 @@ from anyongates import (
     solve_intertwiner,
     torus_surface,
 )
-from anyongates._kernels import (
-    SCAN_UNIQUE,
-    _scan_column_perms_numpy,
-    all_permutations,
-    enumerate_matchings,
-    scan_column_perms,
-)
+from anyongates import solver
 from anyongates.solver import (
     IntertwinerSolution,
     free_coset,
@@ -315,62 +309,75 @@ def test_delta_set_contains_gate():
 
 
 # ---------------------------------------------------------------------------
-# Kernel dispatch
+# The pruned pair search against brute force
 
 
-def test_scan_paths_agree():
-    rng = np.random.default_rng(9)
-    for n in (3, 4):
-        v = random_unitary(n, seed=int(rng.integers(1 << 30)))
-        vo = random_unitary(n, seed=int(rng.integers(1 << 30)))
-        absv = np.abs(v)
-        absvo = np.abs(vo)
-        perms = all_permutations(n)
-        s_fast, m_fast = scan_column_perms(absv, absvo, perms, 1e-9)
-        s_ref, m_ref = _scan_column_perms_numpy(absv, absvo, perms, 1e-9)
-        assert np.array_equal(s_fast, s_ref)
-        assert np.array_equal(m_fast, m_ref)
+def _searched_pairs(monkeypatch, v, v_out, perm_in=None, perm_out=None):
+    """The (perm_in, perm_out) sequence solve_intertwiner hands to propagation."""
+    seen = []
+    propagate = solver._propagate_phases
+
+    def record(v, v_out, pi, pip, *args):
+        seen.append((pi, pip))
+        return propagate(v, v_out, pi, pip, *args)
+
+    monkeypatch.setattr(solver, "_propagate_phases", record)
+    solve_intertwiner(v, perm_in, perm_out, v_out=v_out)
+    monkeypatch.undo()
+    return seen
 
 
-def test_scan_detects_unique_match():
-    v = np.abs(evaluate_word(FIB, torus_surface(), "s").matrix)
-    perms = all_permutations(2)
-    status, match = scan_column_perms(v, v, perms, 1e-9)
-    assert SCAN_UNIQUE in status
-    k = list(status).index(SCAN_UNIQUE)
-    # matched rows form a permutation
-    assert sorted(match[k]) == [0, 1]
-
-
-def test_enumerate_matchings():
-    compat = np.array([[1, 1, 0], [1, 1, 0], [0, 0, 1]], dtype=bool)
-    got = set(enumerate_matchings(compat))
-    assert got == {(0, 1, 2), (1, 0, 2)}
-    none = enumerate_matchings(np.zeros((2, 2), dtype=bool))
-    assert none == []
-
-
-def test_numba_flag_subprocess():
-    """The numpy fallback produces the same families as the default path."""
-    import json
-    import os
-    import subprocess
-    import sys
-
-    code = (
-        "import json, numpy as np\n"
-        "from anyongates import load_builtin, evaluate_word, torus_surface, solve_intertwiner\n"
-        "m = load_builtin('ising')\n"
-        "v = evaluate_word(m, torus_surface(), 'st').matrix\n"
-        "sols = solve_intertwiner(v)\n"
-        "print(json.dumps(sorted([list(s.perm_in) + list(s.perm_out) for s in sols])))\n"
-    )
-    outs = []
-    for flag in ("0", "1"):
-        env = dict(os.environ, ANYONGATES_NO_NUMBA=flag)
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env
+def _brute_force_pairs(v, v_out, perm_in=None, perm_out=None, tol=1e-9):
+    n = v.shape[0]
+    absv, absvo = np.abs(v), np.abs(v_out)
+    perms = list(itertools.permutations(range(n)))
+    return [
+        (pi, pip)
+        for pi, pip in itertools.product(perm_in or perms, perm_out or perms)
+        if all(
+            abs(absvo[pip[m], pi[l]] - absv[m, l]) <= tol
+            for m in range(n)
+            for l in range(n)
         )
-        assert proc.returncode == 0, proc.stderr
-        outs.append(json.loads(proc.stdout))
-    assert outs[0] == outs[1]
+    ]
+
+
+def _monomial_twist(v, seed):
+    """P D V D' P' for random permutations P, P' and unit phases D, D'."""
+    rng = np.random.default_rng(seed)
+    n = v.shape[0]
+    left = MonomialMatrix(tuple(rng.permutation(n)), tuple(np.exp(2j * np.pi * rng.random(n))))
+    right = MonomialMatrix(tuple(rng.permutation(n)), tuple(np.exp(2j * np.pi * rng.random(n))))
+    return left.matrix() @ v @ right.matrix()
+
+
+def test_pair_search_matches_brute_force(monkeypatch):
+    cases = []
+    for n in (3, 4):
+        v = random_unitary(n, seed=20 + n)
+        cases.append((v, v))
+        cases.append((v, random_unitary(n, seed=30 + n)))
+        cases.append((v, _monomial_twist(v, seed=40 + n)))
+    # equal-modulus blocks: many feasible pairs per column permutation
+    kron = np.kron(random_unitary(2, seed=50), random_unitary(2, seed=51))
+    cases.append((kron, kron))
+    cases.append((kron, _monomial_twist(kron, seed=52)))
+    s = evaluate_word(load_builtin("zn_toric:2"), torus_surface(), "s").matrix
+    cases.append((s, s))
+    counts = []
+    for v, v_out in cases:
+        want = _brute_force_pairs(v, v_out)
+        assert _searched_pairs(monkeypatch, v, v_out) == want
+        counts.append(len(want))
+    # a generic unitary only matches itself; a twisted copy matches once
+    assert counts[:3] == [1, 0, 1]
+    # the flat-modulus S matrix accepts every pair of the 4! x 4! grid
+    assert counts[-1] == 576
+    # explicit candidate lists keep their own order on either side
+    rng = np.random.default_rng(53)
+    perms = list(itertools.permutations(range(4)))
+    some = [perms[i] for i in rng.permutation(len(perms))[:9]]
+    for v, v_out in (cases[-1], cases[-2]):
+        for perm_in, perm_out in ((some, None), (None, some), (some, some[::-1])):
+            want = _brute_force_pairs(v, v_out, perm_in, perm_out)
+            assert _searched_pairs(monkeypatch, v, v_out, perm_in, perm_out) == want
