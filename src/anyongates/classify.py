@@ -19,7 +19,10 @@ Three execution paths cover the built-in models:
 * diagonal path: when only identity curve permutations survive the
   dimension-profile test, gates are diagonal and the word constraints
   collapse them to one phase per label equivalence class.
-* closed-form abelian torus path, delegated to the abelian module.
+* closed-form abelian torus path: the abelian module lists the families
+  of every single-s word in one pass over the affine permutations, and every
+  resulting class is checked for Clifford-star membership from its
+  permutation and phases.
 """
 
 from __future__ import annotations
@@ -570,10 +573,15 @@ def classify_torus(
 ) -> ClassificationReport:
     """Classify monomial gates compatible with the given torus words.
 
-    Abelian models route single-s words through the closed-form character
-    enumeration (complete at any dimension); other models use the wildcard
-    solver, which needs the label count to stay at most 8.  Families are
-    reported modulo a global phase.
+    Abelian models route all single-s words together through the
+    closed-form character enumeration (complete at any dimension), which
+    joins them per affine permutation; its result takes the place of the
+    first such word among the delta sets that are intersected.  Other words
+    and models use the wildcard solver, which needs the label count to stay
+    at most 8.  Families are reported modulo a global phase.  When an
+    abelian model's families are rigid, every class is checked for
+    Clifford-star membership, so ``details["clifford_star_checked"]`` equals
+    the class count.
     """
     if mcg_words is None:
         mcg_words = ["s", "st"]
@@ -584,13 +592,16 @@ def classify_torus(
     details: dict = {"words": list(mcg_words)}
 
     sets: list[DeltaSet] = []
+    closed_words: list[str] = []
+    closed_at = 0
     for word in mcg_words:
         if abel and _ab.word_is_unconstraining(model, word):
             details.setdefault("unconstraining_words", []).append(word)
             continue
         if abel and _ab.torus_word_supported(model, word):
-            fams = _ab.torus_word_families(model, word, tol=tol)
-            sets.append(DeltaSet(dim=n, words=(word,), families=fams))
+            if not closed_words:
+                closed_at = len(sets)
+            closed_words.append(word)
         elif n <= 8:
             sets.append(delta_set(model, surface, word, tol=tol))
         elif abel:
@@ -610,14 +621,23 @@ def classify_torus(
                 f"cannot search {n} labels for word {word!r}: "
                 "not abelian and beyond the wildcard limit"
             )
+    if closed_words:
+        # Intersection order decides which coset a class keeps, down to the
+        # sign of an angle at pi, so the joined set takes the first
+        # single-s word's place.
+        fams = _ab.torus_word_families(model, closed_words, tol=tol)
+        closed = DeltaSet(dim=n, words=tuple(closed_words), families=fams)
+        sets.insert(closed_at, closed)
     if not sets:
         raise ClassificationError("no constraining words given")
     inter = intersect_delta(sets)
 
     classes = []
+    phases = []
     rigid = True
     for fam in inter.families:
         d = fam.coset.instantiate()
+        phases.append(d)
         rigid = rigid and fam.n_free == 1
         classes.append(
             {
@@ -638,14 +658,18 @@ def classify_torus(
         if max(abs(p - ph[0]) for p in ph) < 1e-8:
             verdict, order = "trivial", 1
     if verdict == "upper_bound_only" and rigid and abel:
-        contains, membership = _torus_abelian_structure(model, inter, tol)
+        contains = _contains_logical_paulis(model, inter)
+        member, _ = _ab.clifford_star_batch(
+            model, [fam.perm for fam in inter.families], phases
+        )
+        all_passed = bool(member.all())
         details["contains_logical_paulis"] = contains
-        details["clifford_star_checked"] = membership["checked"]
-        if contains and membership["all_passed"]:
+        details["clifford_star_checked"] = len(member)
+        if contains and all_passed:
             verdict, order = "clifford_star_subgroup", len(classes)
         else:
             verdict, order = "finite_group", len(classes)
-        if not membership["all_passed"]:
+        if not all_passed:
             flags.append("a family representative left the Clifford-star set")
     elif verdict == "upper_bound_only" and rigid:
         order = len(classes)
@@ -662,26 +686,14 @@ def classify_torus(
     )
 
 
-def _torus_abelian_structure(model, inter: DeltaSet, tol: float):
-    """Check Pauli containment and Clifford-star membership of families."""
-    n = model.n_labels
+def _contains_logical_paulis(model, inter: DeltaSet) -> bool:
+    """Every string operator on either cycle lies in some family."""
     f1, f2 = _ab.string_operator_matrices(model)
-    contains = True
-    for a in range(n):
-        g1 = monomial_from_matrix(f1[a])
-        g2 = monomial_from_matrix(f2[a])
-        if not (inter.contains(g1) and inter.contains(g2)):
-            contains = False
-            break
-    cap = 128
-    fams = inter.families[:cap] if len(inter.families) > cap else inter.families
-    all_passed = True
-    for fam in fams:
-        ok, _ = _ab.clifford_star_membership(model, fam.gate())
-        if not ok:
-            all_passed = False
-            break
-    return contains, {"checked": len(fams), "all_passed": all_passed}
+    return all(
+        inter.contains(monomial_from_matrix(f[a]))
+        for a in range(model.n_labels)
+        for f in (f1, f2)
+    )
 
 
 def classify(

@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .classify import ClassificationError, classify
+from .mcg import parse_word
 from .models import AnyonModel, ModelError, load_builtin, parse_model, validate
 from .solver import delta_set, intersect_delta
 from .surfaces import (
@@ -69,18 +70,31 @@ def _parse_surface(spec: str, model: AnyonModel) -> SurfaceSpec:
             m = int(count)
         except ValueError:
             raise UsageError(f"puncture count {count!r} is not an integer")
+        if m < 0:
+            raise UsageError(f"puncture count {m} is negative")
         return sphere_surface(model, label, m)
     raise UsageError(
         f"bad surface {spec!r}; expected 'torus' or 'sphere:<label>:<M>'"
     )
 
 
-def _split_words(arg: str | None) -> list[str] | None:
+def _split_words(arg: str | None, surface: SurfaceSpec) -> list[str] | None:
     if arg is None:
         return None
     words = [w.strip() for w in arg.split(",") if w.strip()]
     if not words:
         raise UsageError("empty word list")
+    for word in words:
+        try:
+            tokens = parse_word(word, surface)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
+        if surface.kind == "torus":
+            continue
+        m = surface.punctures
+        for sym, _ in tokens:  # sphere tokens are s<k>, sigma_k needs 1 <= k < M
+            if not 1 <= int(sym[1:]) < m:
+                raise UsageError(f"generator {sym} out of range for M={m}")
     return words
 
 
@@ -112,7 +126,7 @@ def _cmd_validate(args) -> int:
 def _cmd_classify(args) -> int:
     model = _load_model(args.model)
     surface = _parse_surface(args.surface, model)
-    words = _split_words(args.words)
+    words = _split_words(args.words, surface)
     report = classify(model, surface, words, tol=args.tol)
     print(report.to_json() if args.format == "json" else report.to_text())
     return 0
@@ -121,7 +135,7 @@ def _cmd_classify(args) -> int:
 def _cmd_delta(args) -> int:
     model = _load_model(args.model)
     surface = _parse_surface(args.surface, model)
-    words = _split_words(args.words)
+    words = _split_words(args.words, surface)
     if not words:
         raise UsageError("delta needs --words")
     if surface.kind != "torus" and len(set(surface.boundary_labels)) > 1:

@@ -23,3 +23,31 @@ PROJECTIVE_TOL = 1e-8
 # Residual bound when substituting a concrete solution back into an
 # intertwiner equation.
 RESIDUAL_TOL = 1e-8
+
+# A model is abelian when every quantum dimension is 1 within this bound.
+QDIM_TOL = 1e-9
+
+# Entries below this magnitude count as zero when a closed-form torus family
+# is verified monomial under its word matrix.
+VERIFY_ZERO_THRESHOLD = 1e-8
+
+# Unit-modulus bound for the entries of a conjugated monomial: 100 tol, but
+# never below the floor, so a tight tol still absorbs the rounding of a
+# product of several unitaries.
+UNIT_MODULUS_FACTOR = 100.0
+UNIT_MODULUS_FLOOR = 1e-6
+
+# Clifford-star membership: a string coefficient is nonzero above this
+# magnitude and must have unit modulus within it.
+CLIFFORD_TOL = 1e-8
+
+# Bound for the string operators' structure: the C1 characters orthogonal
+# with norm sqrt(n), the C2 strings permutations with phase 1.
+STRING_BASIS_TOL = 1e-6
+
+# Bound for a phase being a root of unity of the group exponent.
+ROOT_TOL = 1e-6
+
+
+def unit_modulus_tol(tol: float) -> float:
+    return max(UNIT_MODULUS_FACTOR * tol, UNIT_MODULUS_FLOOR)

@@ -3,9 +3,10 @@
 Everything here deliberately avoids the code paths under test: dimensions
 come from recursions instead of the labeling enumerator, idempotents from
 eigendecompositions instead of the S-matrix formula, intertwiner families
-from a brute-force phase-grid search instead of graph propagation, and the
-lattice commutation phases from dense state-space matrices instead of
-exponent vectors.
+from a brute-force phase-grid search instead of graph propagation,
+Clifford-star membership from the dense expansion in the string basis instead
+of gate permutations and phases, and the lattice commutation phases from
+dense state-space matrices instead of exponent vectors.
 """
 
 from __future__ import annotations
@@ -288,6 +289,41 @@ def membership_by_search(model, gate_matrix, tol=1e-8):
             if not matched:
                 return False
     return True
+
+
+def clifford_star_membership_dense(model, gate_matrix, tol=1e-8):
+    """(maps strings to strings up to phase, phases are exponent roots).
+
+    The string operators F_a(C1) F_b(C2) are an orthogonal basis of the
+    label-space matrix algebra, so U F U^dag expands with coefficients
+    tr(basis^dag X) / n.  Membership in the monomial Clifford analogue
+    needs exactly one unit-modulus coefficient per conjugated generator.
+    """
+    from anyongates.abelian import group_coordinates, string_operator_matrices
+
+    n = model.n_labels
+    f1, f2 = string_operator_matrices(model)
+    basis = np.array([f1[a] @ f2[b] for a in range(n) for b in range(n)])
+    norms = np.einsum("kij,kij->k", np.conj(basis), basis).real
+    if np.abs(norms - n).max() > 1e-6:
+        raise RuntimeError("string basis is not orthogonal with norm sqrt(n)")
+    u = gate_matrix
+    uh = u.conj().T
+    nexp = group_coordinates(model).exponent
+    roots_ok = True
+    for a in range(n):
+        for gen in (f1[a], f2[a]):
+            x = u @ gen @ uh
+            coeffs = np.einsum("kij,ij->k", np.conj(basis), x) / n
+            big = np.abs(coeffs) > tol
+            if big.sum() != 1:
+                return False, False
+            c = coeffs[big][0]
+            if abs(abs(c) - 1.0) > tol:
+                return False, False
+            if abs(c**nexp - 1.0) > 1e-6:
+                roots_ok = False
+    return True, roots_ok
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from anyongates.abelian import (
     automorphisms,
     characters,
     check_lambda_monomial,
+    clifford_star_batch,
     clifford_star_membership,
     commutation_phase_exponent,
     dyon_loop,
@@ -31,9 +32,13 @@ from anyongates.abelian import (
     torus_word_families,
     word_is_unconstraining,
 )
-from anyongates.solver import delta_set
+from anyongates.solver import DeltaSet, delta_set, intersect_delta
 
-from oracles import dense_lattice_operator, membership_by_search
+from oracles import (
+    clifford_star_membership_dense,
+    dense_lattice_operator,
+    membership_by_search,
+)
 
 Z2 = load_builtin("zn_toric:2")
 Z3 = load_builtin("zn_toric:3")
@@ -137,6 +142,53 @@ def test_z2_families_match_generic_solver():
             assert any(
                 fc.perm == fg.perm and fc.coset.same_as(fg.coset) for fc in closed
             )
+
+
+def _pairwise(model, words):
+    sets = [
+        DeltaSet(dim=model.n_labels, words=(w,), families=torus_word_families(model, w))
+        for w in words
+    ]
+    return intersect_delta(sets).families
+
+
+@pytest.mark.parametrize("words", [("s", "st"), ("st", "s", "stt")])
+@pytest.mark.parametrize("model", [Z2, Z3], ids=["z2", "z3"])
+def test_joint_families_match_pairwise_intersection(model, words):
+    joint = torus_word_families(model, list(words))
+    pairwise = _pairwise(model, words)
+    assert len(joint) == len(pairwise) > 0
+    assert [f.perm for f in joint] == [f.perm for f in pairwise]
+    for fj, fp in zip(joint, pairwise):
+        assert fj.coset.same_as(fp.coset)
+
+
+def test_joint_families_match_wildcard_intersection():
+    joint = torus_word_families(Z2, ["s", "st"])
+    generic = intersect_delta(
+        [delta_set(Z2, torus_surface(), w) for w in ("s", "st")]
+    ).families
+    assert len(joint) == len(generic) == 96
+    for fj in joint:
+        assert sum(
+            fj.perm == fg.perm and fj.coset.same_as(fg.coset) for fg in generic
+        ) == 1
+
+
+@pytest.mark.parametrize("angle", [0.3, 1e-4])
+def test_verification_rejects_a_wrong_closed_form(monkeypatch, angle):
+    # a small skew leaves every unit entry within the modulus bound but
+    # spreads weight above the zero threshold
+    import anyongates.abelian as ab
+
+    def skewed(model):  # one label's column is no longer multiplicative
+        chi = np.sqrt(model.n_labels) * model.smatrix
+        chi[:, 1] *= np.exp(1j * angle)
+        return chi
+
+    monkeypatch.setattr(ab, "characters", skewed)
+    with pytest.raises(RuntimeError, match="failed verification"):
+        torus_word_families(Z3, ["s", "st"])
 
 
 def test_family_counts_scale_with_group():
@@ -261,6 +313,76 @@ def test_family_gates_from_classification_are_members():
         ok, roots = clifford_star_membership(Z2, gate)
         assert ok
         assert roots
+
+
+def _negative_controls(model):
+    """Gates outside the Clifford-star set, as (perm, phases) pairs.
+
+    An irrational diagonal; a class gate with one phase perturbed by 1e-3
+    (no coefficient has modulus 1) and by 1e-4 (the top one has modulus 1
+    within 1e-8 but others exceed it); half the identity, whose one
+    coefficient is not of modulus 1; and, where one exists (every
+    permutation of Z2 x Z2 is affine), a non-affine permutation.
+    """
+    n = model.n_labels
+    ident = tuple(range(n))
+    irrational = np.ones(n, dtype=complex)
+    irrational[-1] = np.exp(0.7j)
+    fam = torus_word_families(model, ["s", "st"])[n + 1]
+    controls = [(ident, irrational), (ident, np.full(n, 0.5, dtype=complex))]
+    for eps in (1e-3, 1e-4):
+        perturbed = fam.coset.instantiate()
+        perturbed[1] *= np.exp(1j * eps)
+        controls.append((fam.perm, perturbed))
+    swap = (0, 2, 1) + tuple(range(3, n))
+    if swap not in affine_permutations(model):
+        controls.append((swap, np.ones(n, dtype=complex)))
+    return controls
+
+
+def _monomial(perm, phases):
+    return MonomialMatrix(perm=tuple(perm), phases=tuple(phases)).matrix()
+
+
+def test_batched_clifford_matches_search_on_every_z2_class():
+    fams = torus_word_families(Z2, ["s", "st"])
+    gates = [(f.perm, f.coset.instantiate()) for f in fams] + _negative_controls(Z2)
+    member, _ = clifford_star_batch(Z2, *zip(*gates))
+    assert member[: len(fams)].all() and not member[len(fams) :].any()
+    for (perm, phases), ok in zip(gates, member):
+        assert ok == membership_by_search(Z2, _monomial(perm, phases))
+
+
+def test_batched_clifford_matches_dense_oracle_on_every_z3_class():
+    fams = torus_word_families(Z3, ["s", "st"])
+    assert len(fams) == 324
+    gates = [(f.perm, f.coset.instantiate()) for f in fams] + _negative_controls(Z3)
+    member, roots = clifford_star_batch(Z3, *zip(*gates))
+    assert member[: len(fams)].all() and not member[len(fams) :].any()
+    for (perm, phases), ok, root in zip(gates, member, roots):
+        assert (ok, root) == clifford_star_membership_dense(
+            Z3, _monomial(perm, phases)
+        )
+
+
+def test_batched_clifford_matches_dense_oracle_on_quarter_phase_gates():
+    """Every Z2 monomial gate with phases in {1, i, -1, -i}, d_0 = 1.
+
+    The set holds members, members whose string phases are no exponent
+    roots (U X U^dag = i X Z), and non-members, all in one batch.
+    """
+    gates = [
+        (perm, np.array(phases))
+        for perm in itertools.permutations(range(4))
+        for phases in itertools.product((1, 1j, -1, -1j), repeat=4)
+        if phases[0] == 1
+    ]
+    member, roots = clifford_star_batch(Z2, *zip(*gates))
+    assert 0 < roots.sum() < member.sum() < len(gates)
+    for (perm, phases), ok, root in zip(gates, member, roots):
+        assert (ok, root) == clifford_star_membership_dense(
+            Z2, _monomial(perm, phases)
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,9 @@ from anyongates import (
     sphere_surface,
     torus_surface,
 )
-from anyongates.classify import VERDICTS
+from anyongates.abelian import torus_word_families
+from anyongates.classify import VERDICTS, _round_floats
+from anyongates.solver import DeltaSet, delta_set, intersect_delta
 
 FIB = load_builtin("fibonacci")
 ISING = load_builtin("ising")
@@ -200,7 +202,7 @@ def test_zn_torus_clifford(name, count):
     assert rep.n_classes == count
     assert rep.group_order == count
     assert rep.details["contains_logical_paulis"] is True
-    assert rep.details["clifford_star_checked"] >= 1
+    assert rep.details["clifford_star_checked"] == count
 
 
 def test_torus_word_list_affects_result():
@@ -215,6 +217,28 @@ def test_finiteness_stable_under_word_doubling():
     doubled = classify_torus(Z2, mcg_words=["s", "st", "ss", "stst"])
     assert doubled.verdict == base.verdict
     assert doubled.n_classes == base.n_classes == 96
+
+
+@pytest.mark.parametrize("words", [["stst", "s", "st"], ["s", "stst", "st"]])
+def test_closed_form_keeps_its_place_among_the_words(words):
+    # which coset a class keeps depends on the intersection order, down to
+    # the sign of a phase angle at pi; classify must match the word order
+    sets = [
+        delta_set(Z2, torus_surface(), w)
+        if w == "stst"
+        else DeltaSet(dim=4, words=(w,), families=torus_word_families(Z2, w))
+        for w in words
+    ]
+
+    def key(perm, angles):
+        return json.dumps(_round_floats([list(perm), list(angles)]))
+
+    want = sorted(
+        key(f.perm, [float(np.angle(x)) for x in f.coset.instantiate()])
+        for f in intersect_delta(sets).families
+    )
+    rep = classify_torus(Z2, mcg_words=words)
+    assert sorted(key(c["basis_perm"], c["phases"]) for c in rep.classes) == want
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +296,15 @@ def test_unknown_words_raise():
         (FIB, sphere_surface(FIB, "tau", 7)),
         (FIB, torus_surface()),
         (ISING, torus_surface()),
+        (Z2, torus_surface()),
     ],
-    ids=["sphere-factorized", "sphere-diagonal", "torus-fibonacci", "torus-ising"],
+    ids=[
+        "sphere-factorized",
+        "sphere-diagonal",
+        "torus-fibonacci",
+        "torus-ising",
+        "torus-abelian-closed-form",
+    ],
 )
 def test_empty_class_list_is_an_error(model, surface):
     # the identity gate always survives, so an empty class list means the

@@ -131,6 +131,21 @@ def test_classify_empty_word_list(capsys):
     assert "empty word list" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "--model", "ising", "--surface", "torus", "--words", "x"),
+        ("delta", "--model", "ising", "--surface", "sphere:sigma:6", "--words", "s9"),
+        ("classify", "--model", "ising", "--surface", "sphere:sigma:-2"),
+    ],
+    ids=["unparseable-word", "generator-out-of-range", "negative-punctures"],
+)
+def test_malformed_input_exits_2(argv, capsys):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "error:" in err
+
+
 # ---------------------------------------------------------------------------
 # delta
 
