@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mcg import evaluate_word, parse_word
-from .models import AnyonModel, quantum_dimensions, total_quantum_dimension
+from .models import AnyonModel, quantum_dimensions
 from .solver import (
     GateFamily,
     MonomialMatrix,
@@ -51,16 +51,29 @@ def is_abelian(model: AnyonModel, tol: float = QDIM_TOL) -> bool:
     return bool(np.abs(quantum_dimensions(model) - 1.0).max() < tol)
 
 
-@functools.lru_cache(maxsize=None)
-def fusion_table(model: AnyonModel) -> np.ndarray:
-    """mul[a, b] = the unique product label; abelian models only."""
+# The fusion-group helpers below are memoised on the content they read (the
+# fusion support, or the S matrix), not on the mutable model object: a
+# mutated model then gets fresh answers, and the caches keep no model alive.
+
+
+def _fusion_key(model: AnyonModel) -> tuple[int, bytes]:
     if not is_abelian(model):
         raise ValueError("fusion is multivalued for non-abelian models")
-    n = model.n_labels
+    return model.n_labels, np.asarray(model.fusion, dtype=bool).tobytes()
+
+
+def fusion_table(model: AnyonModel) -> np.ndarray:
+    """mul[a, b] = the unique product label; abelian models only."""
+    return _fusion_table(*_fusion_key(model))
+
+
+@functools.lru_cache(maxsize=None)
+def _fusion_table(n: int, support: bytes) -> np.ndarray:
+    fusion = np.frombuffer(support, dtype=bool).reshape(n, n, n)
     mul = np.zeros((n, n), dtype=np.int64)
     for a in range(n):
         for b in range(n):
-            prods = model.fusion_product(a, b)
+            prods = np.nonzero(fusion[a, b])[0]
             if len(prods) != 1:
                 raise ValueError("abelian model has a multivalued product")
             mul[a, b] = prods[0]
@@ -110,8 +123,13 @@ def _order(mul: np.ndarray, g: int) -> int:
     return k
 
 
-@functools.lru_cache(maxsize=None)
 def group_coordinates(model: AnyonModel) -> GroupCoordinates:
+    """Greedy cyclic decomposition of the fusion group, largest order first."""
+    return _group_coordinates(*_fusion_key(model))
+
+
+@functools.lru_cache(maxsize=None)
+def _group_coordinates(n: int, support: bytes) -> GroupCoordinates:
     """Greedy cyclic decomposition, largest order first.
 
     Repeatedly pick the element of maximal order modulo the subgroup
@@ -119,8 +137,7 @@ def group_coordinates(model: AnyonModel) -> GroupCoordinates:
     the full group equals its order in the quotient.  Group sizes here are
     small (<= 36 labels), so the searches are plain loops.
     """
-    mul = fusion_table(model)
-    n = model.n_labels
+    mul = _fusion_table(n, support)
     subgroup = {0}
     generators: list[int] = []
     orders: list[int] = []
@@ -160,12 +177,15 @@ def group_coordinates(model: AnyonModel) -> GroupCoordinates:
     )
 
 
-@functools.lru_cache(maxsize=None)
 def automorphisms(model: AnyonModel) -> list[tuple[int, ...]]:
     """All fusion-group automorphisms as label permutations."""
-    mul = fusion_table(model)
-    n = model.n_labels
-    gc = group_coordinates(model)
+    return _automorphisms(*_fusion_key(model))
+
+
+@functools.lru_cache(maxsize=None)
+def _automorphisms(n: int, support: bytes) -> list[tuple[int, ...]]:
+    mul = _fusion_table(n, support)
+    gc = _group_coordinates(n, support)
     elem_order = [_order(mul, x) for x in range(n)]
     candidates = [
         [h for h in range(n) if gc.orders[i] % elem_order[h] == 0]
@@ -184,12 +204,15 @@ def automorphisms(model: AnyonModel) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
-@functools.lru_cache(maxsize=None)
 def affine_permutations(model: AnyonModel) -> list[tuple[int, ...]]:
     """Label maps x -> c + alpha(x) with alpha an automorphism, c any label."""
-    mul = fusion_table(model)
-    n = model.n_labels
-    autos = automorphisms(model)
+    return _affine_permutations(*_fusion_key(model))
+
+
+@functools.lru_cache(maxsize=None)
+def _affine_permutations(n: int, support: bytes) -> list[tuple[int, ...]]:
+    mul = _fusion_table(n, support)
+    autos = _automorphisms(n, support)
     out = []
     for c in range(n):
         for alpha in autos:
@@ -323,16 +346,20 @@ def word_is_unconstraining(model: AnyonModel, word: str) -> bool:
 # String operators and the Pauli group
 
 
-@functools.lru_cache(maxsize=None)
 def string_operator_matrices(model: AnyonModel) -> tuple[np.ndarray, np.ndarray]:
     """[F_a(C1)] and [F_a(C2)] in the C1 fusion-tree basis, stacked over a.
 
     F_a(C1) is diagonal with entries D S_{a x}; C2 strings are the S
     conjugates of the same diagonals.
     """
-    n = model.n_labels
-    dtotal = total_quantum_dimension(model)
-    s = model.smatrix
+    s = np.asarray(model.smatrix, dtype=np.complex128)
+    return _string_operator_matrices(s.shape[0], s.tobytes())
+
+
+@functools.lru_cache(maxsize=None)
+def _string_operator_matrices(n: int, smatrix: bytes) -> tuple[np.ndarray, np.ndarray]:
+    s = np.frombuffer(smatrix, dtype=np.complex128).reshape(n, n)
+    dtotal = float(np.real(1.0 / s[0, 0]))
     f1 = np.zeros((n, n, n), dtype=np.complex128)
     for a in range(n):
         np.fill_diagonal(f1[a], dtotal * s[a])

@@ -15,7 +15,11 @@ Three execution paths cover the built-in models:
   single-label curves, so candidate gates are direct products of per-curve
   (permutation, phase function) choices; used for the Ising spheres, where
   the result is the Pauli group on the encoded qubits, and for 4-punctured
-  spheres.
+  spheres.  A braid generator sigma_k acts on one curve's slot only, so each
+  one-letter word is checked once per curve option on that curve's local
+  block, and the survivors are the product of the per-curve survivor lists;
+  no dim x dim matrix is built unless a word has more than one letter, in
+  which case that word conjugates each surviving product densely.
 * diagonal path: when only identity curve permutations survive the
   dimension-profile test, gates are diagonal and the word constraints
   collapse them to one phase per label equivalence class.
@@ -29,16 +33,16 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import abelian as _ab
-from .mcg import evaluate_word
+from .mcg import braid_letters, braid_slot, evaluate_word, local_braid_block
 from .models import AnyonModel
 from .solver import (
     DeltaSet,
-    MonomialMatrix,
     delta_set,
     intersect_delta,
     is_monomial,
@@ -53,7 +57,7 @@ from .surfaces import (
     enumerate_labelings,
     standard_dap,
 )
-from .tolerances import DEFAULT_TOL
+from .tolerances import DEFAULT_TOL, PAULI_ANGLE_TOL
 
 VERDICTS = (
     "trivial",
@@ -270,45 +274,14 @@ def _word_list_for_sphere(surface: SurfaceSpec) -> list[str]:
     return [f"s{k}" for k in range(1, surface.punctures)]
 
 
-def _gate_from_curve_choices(
-    model: AnyonModel,
-    basis,
-    choices: dict[int, tuple[dict[int, int], dict[int, float]]],
-) -> MonomialMatrix | None:
-    """Assemble the basis-level monomial gate from per-curve data.
-
-    ``choices`` maps slot position -> (label permutation, label angles);
-    unlisted slots are fixed pointwise.  Returns None if some permuted
-    labeling leaves the basis (the combination is then inconsistent).
-    """
-    n = basis.dim
-    perm = [0] * n
-    phases = [0j] * n
-    for i, lab in enumerate(basis.labelings):
-        target = list(lab)
-        angle = 0.0
-        for pos, (pmap, fmap) in choices.items():
-            angle += fmap[lab[pos]]
-            target[pos] = pmap[lab[pos]]
-        key = tuple(target)
-        if key not in basis.index:
-            return None
-        perm[i] = basis.index[key]
-        phases[i] = np.exp(1j * angle)
-    if sorted(perm) != list(range(n)):
-        return None
-    return MonomialMatrix(perm=tuple(perm), phases=tuple(phases))
-
-
 def _survives_words(
-    gate: MonomialMatrix,
+    gate: np.ndarray,
     word_matrices: list[np.ndarray],
     tol: float,
 ) -> bool:
     """Transporting the gate through every word must keep it monomial."""
-    g = gate.matrix()
     for v in word_matrices:
-        if not is_monomial(v @ g @ v.conj().T, tol):
+        if not is_monomial(v @ gate @ v.conj().T, tol):
             return False
     return True
 
@@ -350,36 +323,27 @@ def classify_punctured_sphere(
 
     dap = standard_dap(surface)
     allowed = allowed_curve_permutations(model, surface, dap)
-    curve_labels = {
-        c: sorted(a for a, cnt in cut_dimensions(model, surface, dap, c).items() if cnt)
-        for c in dap.curves
-    }
-    free_curves = [c for c in dap.curves if len(curve_labels[c]) > 1]
+    # Curve C_{s+1} carries slot s of every labeling; labels[s] lists the
+    # labels occurring there in increasing order.
     n_curves = len(dap.curves)
+    labels = [sorted({lab[s] for lab in basis.labelings}) for s in range(n_curves)]
+    free = [s for s in range(n_curves) if len(labels[s]) > 1]
 
-    def neighbors_fixed(cname: str) -> bool:
-        j = int(cname[1:])
-        for k in (j - 1, j + 1):
-            if 1 <= k <= n_curves and len(curve_labels[f"C{k}"]) > 1:
-                return False
-        return True
+    def neighbors_fixed(s: int) -> bool:
+        return all(len(labels[t]) == 1 for t in (s - 1, s + 1) if 0 <= t < n_curves)
 
-    product_dim = int(np.prod([len(curve_labels[c]) for c in dap.curves]))
-    factorized = product_dim == basis.dim and all(
-        neighbors_fixed(c) for c in free_curves
-    )
+    product_dim = math.prod(len(x) for x in labels)
+    factorized = product_dim == basis.dim and all(neighbors_fixed(s) for s in free)
     identity_only = all(
         len(allowed[c]) == 1 and all(a == b for a, b in allowed[c][0])
         for c in dap.curves
     )
 
-    word_matrices = [evaluate_word(model, surface, w).matrix for w in mcg_words]
     flags: list[str] = []
 
     if factorized:
         report_classes, details = _classify_factorized(
-            model, surface, basis, dap, allowed, curve_labels, free_curves,
-            word_matrices, tol,
+            model, surface, dap, allowed, labels, free, mcg_words, tol
         )
         if surface.punctures == 4 and any(
             len(allowed[c]) > 1 for c in dap.curves
@@ -394,7 +358,7 @@ def classify_punctured_sphere(
         )
     else:
         report_classes, details = _classify_fallback(
-            model, surface, basis, dap, allowed, curve_labels, mcg_words, tol
+            model, surface, basis, dap, allowed, mcg_words, tol
         )
         flags.append("generic fallback path; result is an upper bound")
 
@@ -414,49 +378,144 @@ def classify_punctured_sphere(
     )
 
 
-def _classify_factorized(
-    model, surface, basis, dap, allowed, curve_labels, free_curves,
-    word_matrices, tol,
-):
-    """Direct-product candidates from per-curve permutations and phases."""
-    options: dict[str, list] = {}
-    for cname in free_curves:
-        j = int(cname[1:])
-        pos = j - 1
-        left = curve_labels[f"C{j-1}"][0] if j > 1 else None
-        right = curve_labels[f"C{j+1}"][0] if j < len(dap.curves) else None
-        boundary = curve_boundary(model, surface, j, (left, right))
-        opts = []
-        for perm in allowed[cname]:
-            iso = iso_phase_set(model, boundary, None, perm, tol)
-            for f in iso.phase_functions:
-                pmap = dict(perm)
-                fmap = dict(zip(iso.curve_labels, f))
-                opts.append((pos, pmap, fmap, perm, f, iso.curve_labels))
-        options[cname] = opts
+def _generator_blocks(model, surface, labels, k):
+    """The slot sigma_k acts on and its local matrices, one per context.
 
+    On a product basis sigma_k is the identity off one slot, so it acts by
+    the local block of each neighbor context that occurs there; a slot with
+    one label gets 1 x 1 blocks.
+    """
+    z = surface.boundary_labels[0]
+    slot = braid_slot(surface.punctures, k)
+    lefts = labels[slot - 1] if slot > 0 else [z]
+    rights = labels[slot + 1] if slot < len(labels) - 1 else [model.dual[z]]
+    blocks = []
+    for a, b in itertools.product(lefts, rights):
+        rows, mat = local_braid_block(model, z, surface.punctures, k, a, b)
+        if list(rows) != labels[slot]:
+            raise AssertionError(
+                f"slot {slot} labels {labels[slot]} disagree with the braid "
+                f"block channels {list(rows)} in context {(a, b)}"
+            )
+        blocks.append(mat)
+    return slot, blocks
+
+
+def _classify_factorized(
+    model, surface, dap, allowed, labels, free, mcg_words, tol
+):
+    """Direct-product candidates from per-curve permutations and phases.
+
+    Every free curve sits between single-label curves, so the basis is the
+    product of the curve label sets and a candidate is a tensor product of
+    one monomial option per free curve.  A one-letter word acts on a single
+    slot (see ``_generator_blocks``), and conjugating a tensor product of
+    monomials changes entry moduli only in that slot's factor: a candidate
+    survives the word exactly when its option there keeps every local block
+    monomial.  Those words are therefore checked once per curve option, and
+    the survivors are the product of the per-curve survivor lists.  Longer
+    words conjugate each surviving product densely.
+    """
+    n_curves = len(labels)
+    # Per slot: options as (class entry, permutation and angles by digit,
+    # local gate); a slot with one label has the single identity option.
+    options: list[list] = []
+    for s in range(n_curves):
+        if s not in free:
+            options.append([(None, [0], [0.0], np.ones((1, 1), dtype=np.complex128))])
+            continue
+        left = labels[s - 1][0] if s > 0 else None
+        right = labels[s + 1][0] if s < n_curves - 1 else None
+        boundary = curve_boundary(model, surface, s + 1, (left, right))
+        digit = {a: d for d, a in enumerate(labels[s])}
+        opts = []
+        for perm in allowed[dap.curves[s]]:
+            iso = iso_phase_set(model, boundary, None, perm, tol)
+            pmap = dict(perm)
+            for f in iso.phase_functions:
+                fmap = dict(zip(iso.curve_labels, f))
+                entry = {
+                    "perm": {model.labels[a]: model.labels[b] for a, b in perm},
+                    "phases": {
+                        model.labels[a]: float(v) for a, v in zip(iso.curve_labels, f)
+                    },
+                }
+                images = [digit[pmap[a]] for a in labels[s]]
+                angles = [fmap[a] for a in labels[s]]
+                local = np.zeros((len(images), len(images)), dtype=np.complex128)
+                local[images, range(len(images))] = np.exp(1j * np.array(angles))
+                opts.append((entry, images, angles, local))
+        options.append(opts)
+
+    kept = [list(range(len(opts))) for opts in options]
+    dense_words = []
+    for word in mcg_words:
+        letters = braid_letters(surface, word)
+        if len(letters) != 1:
+            dense_words.append(word)
+            continue
+        ((k, sign),) = letters
+        slot, blocks = _generator_blocks(model, surface, labels, k)
+        for blk in blocks:
+            if sign < 0:
+                blk = blk.conj().T
+            kept[slot] = [
+                i for i in kept[slot]
+                if is_monomial(blk @ options[slot][i][3] @ blk.conj().T, tol)
+            ]
+
+    # Mixed-radix arithmetic over the product basis, which enumerate_labelings
+    # lists in lexicographic order: slot s of basis index i has digit
+    # (i // stride_s) % size_s.  Angles add per free curve in curve order.
+    sizes = [len(x) for x in labels]
+    dim = math.prod(sizes)
+    strides = [math.prod(sizes[s + 1:]) for s in range(n_curves)]
+    combos = np.array(
+        list(itertools.product(*(kept[s] for s in range(n_curves)))),
+        dtype=np.intp,
+    ).reshape(-1, n_curves)
+    index = np.arange(dim)
+    target = np.zeros((len(combos), dim), dtype=np.intp)
+    angle = np.zeros((len(combos), dim))
+    for s in free:
+        digit = (index // strides[s]) % sizes[s]
+        perm_tab = np.array(
+            [images for _, images, _, _ in options[s]], dtype=np.intp
+        ).reshape(-1, sizes[s])
+        angle_tab = np.array([angles for _, _, angles, _ in options[s]]).reshape(-1, sizes[s])
+        target += perm_tab[combos[:, s]][:, digit] * strides[s]
+        angle += angle_tab[combos[:, s]][:, digit]
+    gate_phases = np.exp(1j * angle)
+
+    survivors = range(len(combos))
+    if dense_words:
+        word_matrices = [evaluate_word(model, surface, w).matrix for w in dense_words]
+        gate = np.zeros((dim, dim), dtype=np.complex128)
+        dense_kept = []
+        for r in survivors:
+            gate[:] = 0.0
+            gate[target[r], index] = gate_phases[r]
+            if _survives_words(gate, word_matrices, tol):
+                dense_kept.append(r)
+        survivors = dense_kept
+
+    phases = np.angle(gate_phases)
     classes = []
-    for combo in itertools.product(*(options[c] for c in free_curves)):
-        choices = {pos: (pmap, fmap) for pos, pmap, fmap, _, _, _ in combo}
-        gate = _gate_from_curve_choices(model, basis, choices)
-        if gate is None:
-            continue
-        if not _survives_words(gate, word_matrices, tol):
-            continue
+    for r in survivors:
         entry = {"curves": {}}
-        for (pos, pmap, fmap, perm, f, labels), cname in zip(combo, free_curves):
-            entry["curves"][cname] = {
-                "perm": {model.labels[a]: model.labels[b] for a, b in perm},
-                "phases": {model.labels[a]: float(v) for a, v in zip(labels, f)},
+        for s in free:
+            curve = options[s][combos[r, s]][0]
+            entry["curves"][dap.curves[s]] = {
+                "perm": dict(curve["perm"]), "phases": dict(curve["phases"])
             }
-        entry["basis_perm"] = list(gate.perm)
-        entry["phases"] = [float(np.angle(p)) for p in gate.phases]
+        entry["basis_perm"] = target[r].tolist()
+        entry["phases"] = phases[r].tolist()
         classes.append(entry)
     classes.sort(key=lambda c: json.dumps(_round_floats(c), sort_keys=True))
     details = {
         "path": "factorized",
-        "free_curves": list(free_curves),
-        "candidates_per_curve": {c: len(options[c]) for c in free_curves},
+        "free_curves": [dap.curves[s] for s in free],
+        "candidates_per_curve": {dap.curves[s]: len(options[s]) for s in free},
     }
     return classes, details
 
@@ -484,9 +543,7 @@ def _classify_diagonal(model, surface, basis, mcg_words, tol):
     return classes, details
 
 
-def _classify_fallback(
-    model, surface, basis, dap, allowed, curve_labels, mcg_words, tol
-):
+def _classify_fallback(model, surface, basis, dap, allowed, mcg_words, tol):
     """Products of per-curve permutations as explicit basis candidates."""
     per_curve_maps = []
     for cname in dap.curves:
@@ -557,7 +614,7 @@ def _classes_are_pauli(classes) -> bool:
         for data in cls.get("curves", {}).values():
             for a, v in data["phases"].items():
                 r = v % (2.0 * np.pi)
-                if min(r, abs(r - np.pi), abs(r - 2.0 * np.pi)) > 1e-6:
+                if min(r, abs(r - np.pi), abs(r - 2.0 * np.pi)) > PAULI_ANGLE_TOL:
                     return False
     return True
 

@@ -84,17 +84,38 @@ def braid_block(model: AnyonModel, z: int, a: int, b: int):
     return rows, bmat
 
 
+def braid_slot(M: int, k: int) -> int:
+    """Array position of the slot sigma_k acts on, for M >= 4 punctures."""
+    return max(0, min(k - 2, M - 4))
+
+
+def local_braid_block(model: AnyonModel, z: int, M: int, k: int, a: int, b: int):
+    """sigma_k on the values of its slot, between neighbor labels a and b.
+
+    Returns (slot_values, matrix): B(a, b) for an interior generator, the
+    diagonal R-phases R^{zz}_{x_1} for sigma_1 and R^{zz}_{dual(x_N)} for
+    sigma_{M-1} (the channel of the exchanged pair; the charge of punctures
+    1..M-2 is x_N, so the last two fuse to its dual).  The braid relations
+    pin this down; see docs/conventions.md.  Neighbors past either end of
+    the slot chain are z and dual(z).
+    """
+    rows, bmat = braid_block(model, z, a, b)
+    if k == 1:
+        return rows, np.diag([model.rsymbol(z, z, x) for x in rows])
+    if k == M - 1:
+        return rows, np.diag([model.rsymbol(z, z, model.dual[x]) for x in rows])
+    return rows, bmat
+
+
 def braid_generator(model: AnyonModel, M: int, z: int | str, k: int) -> RepMatrix:
     """Matrix of sigma_k on the standard basis of S^2(z^M)."""
     z = model.label_index(z)
     if M < 3:
         raise ValueError("braid generators need at least 3 punctures")
-    if not 1 <= k <= M - 1:
-        raise ValueError(f"generator index {k} out of range for M={M}")
+    _check_generator(M, k)
     surface = sphere_surface(model, z, M)
     basis = enumerate_labelings(model, surface)
     dim = basis.dim
-    n_slots = M - 3
     word = f"s{k}"
 
     if dim == 0:
@@ -107,18 +128,9 @@ def braid_generator(model: AnyonModel, M: int, z: int | str, k: int) -> RepMatri
         phase = model.rsymbol(z, z, c)
         return RepMatrix(word, np.array([[phase]], dtype=np.complex128), basis)
 
-    if k == 1 or k == M - 1:
-        # Diagonal action by the R-phase of the exchanged punctures' fusion
-        # channel: x_1 for the first pair, dual(x_N) for the last pair (the
-        # charge of punctures 1..M-2 is x_N, so the last two fuse to its
-        # dual).  The braid relations pin this down; see docs/conventions.md.
-        phases = np.empty(dim, dtype=np.complex128)
-        for i, lab in enumerate(basis.labelings):
-            c = lab[0] if k == 1 else model.dual[lab[n_slots - 1]]
-            phases[i] = model.rsymbol(z, z, c)
-        return RepMatrix(word, np.diag(phases), basis)
-
-    pos = k - 2  # slot x_{k-1} at array position k-2
+    # sigma_k is the identity off one slot: labelings that agree elsewhere
+    # form a group, and the local block of their context acts inside it.
+    pos = braid_slot(M, k)
     mat = np.zeros((dim, dim), dtype=np.complex128)
     groups: dict[tuple, list[int]] = {}
     for i, lab in enumerate(basis.labelings):
@@ -128,7 +140,7 @@ def braid_generator(model: AnyonModel, M: int, z: int | str, k: int) -> RepMatri
     for key, members in groups.items():
         a, b = _slot_context(model, z, basis.labelings[members[0]], pos)
         if (a, b) not in block_cache:
-            block_cache[(a, b)] = braid_block(model, z, a, b)
+            block_cache[(a, b)] = local_braid_block(model, z, M, k, a, b)
         slot_values, bmat = block_cache[(a, b)]
         present = {basis.labelings[i][pos]: i for i in members}
         if sorted(present) != sorted(slot_values):
@@ -171,6 +183,28 @@ def parse_word(word: str, surface: SurfaceSpec) -> list[tuple[str, int]]:
     return out
 
 
+def _check_generator(m: int, k: int) -> None:
+    if not 1 <= k <= m - 1:
+        raise ValueError(f"generator index {k} out of range for M={m}")
+
+
+def braid_letters(
+    surface: SurfaceSpec, word: str | list[tuple[str, int]]
+) -> list[tuple[int, int]]:
+    """(k, +1/-1) per letter of a sphere braid word, checked against the surface.
+
+    Every puncture must carry the same label and every generator index must
+    satisfy 1 <= k < M; no matrix is built.
+    """
+    tokens = parse_word(word, surface) if isinstance(word, str) else list(word)
+    if len(set(surface.boundary_labels)) > 1:
+        raise ValueError("braid words need equal boundary labels")
+    letters = [(int(sym[1:]), exp) for sym, exp in tokens]
+    for k, _ in letters:
+        _check_generator(surface.punctures, k)
+    return letters
+
+
 def evaluate_word(
     model: AnyonModel,
     surface: SurfaceSpec,
@@ -183,8 +217,7 @@ def evaluate_word(
         s, t = torus_generators(model)
         gens = {"s": s.matrix, "t": t.matrix}
     else:
-        if len(set(surface.boundary_labels)) > 1:
-            raise ValueError("braid words need equal boundary labels")
+        braid_letters(surface, tokens)
         m = surface.punctures
         z = surface.boundary_labels[0]
         gens = {}

@@ -30,7 +30,7 @@ from scipy.optimize import linear_sum_assignment
 from .mcg import evaluate_word
 from .models import AnyonModel
 from .surfaces import SurfaceSpec
-from .tolerances import CYCLE_TOL, DEFAULT_TOL, ZERO_THRESHOLD
+from .tolerances import CYCLE_TOL, DEFAULT_TOL, ZERO_THRESHOLD, unit_modulus_tol
 
 _MATCHING_CAP = 20000
 
@@ -67,7 +67,7 @@ def is_monomial(mat: np.ndarray, tol: float = DEFAULT_TOL, zero_tol: float = ZER
     if not ((big.sum(axis=0) == 1).all() and (big.sum(axis=1) == 1).all()):
         return False
     vals = absm[big]
-    return bool(np.abs(vals - 1.0).max() < max(tol * 100, 1e-6))
+    return bool(np.abs(vals - 1.0).max() < unit_modulus_tol(tol))
 
 
 def monomial_from_matrix(

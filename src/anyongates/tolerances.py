@@ -37,6 +37,10 @@ VERIFY_ZERO_THRESHOLD = 1e-8
 UNIT_MODULUS_FACTOR = 100.0
 UNIT_MODULUS_FLOOR = 1e-6
 
+# A per-curve phase angle of a sphere class counts as 0 or pi (a Pauli
+# factor) within this bound.
+PAULI_ANGLE_TOL = 1e-6
+
 # Clifford-star membership: a string coefficient is nonzero above this
 # magnitude and must have unit modulus within it.
 CLIFFORD_TOL = 1e-8

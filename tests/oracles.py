@@ -3,8 +3,9 @@
 Everything here deliberately avoids the code paths under test: dimensions
 come from recursions instead of the labeling enumerator, idempotents from
 eigendecompositions instead of the S-matrix formula, intertwiner families
-from a brute-force phase-grid search instead of graph propagation,
-Clifford-star membership from the dense expansion in the string basis instead
+from a brute-force phase-grid search instead of graph propagation, the
+sphere word filter from dense conjugation of every product gate instead of
+per-curve local blocks, Clifford-star membership from the dense expansion in the string basis instead
 of gate permutations and phases, and the lattice commutation phases from
 dense state-space matrices instead of exponent vectors.
 """
@@ -259,6 +260,70 @@ def grid_intertwiner_solutions(v, v_out=None, coarse_tol=0.12, cap=200):
         for _, d in sols:
             out.append((pi, d))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Sphere word filter by dense conjugation
+
+
+def dense_sphere_word_filter(model, surface, words, tol=1e-9):
+    """Product candidates of the factorized sphere path that survive ``words``.
+
+    Every combination of per-curve options (a cut-dimension-preserving label
+    permutation with one of its local phase functions) is built as a dense
+    dim x dim monomial gate on the labeling basis, and every word matrix
+    conjugates it; the gate survives when all conjugates stay monomial.
+    Returns the survivors as (basis_perm, phase angles) tuples, with angles
+    summed per free curve in curve order as the classifier does, and the
+    number of candidates.
+    """
+    from anyongates import (
+        allowed_curve_permutations,
+        enumerate_labelings,
+        evaluate_word,
+        iso_phase_set,
+    )
+    from anyongates.classify import curve_boundary
+    from anyongates.solver import is_monomial
+
+    basis = enumerate_labelings(model, surface)
+    allowed = allowed_curve_permutations(model, surface)
+    n_curves = surface.punctures - 3
+    occurring = [sorted({lab[s] for lab in basis.labelings}) for s in range(n_curves)]
+    options = []
+    for s in range(n_curves):
+        if len(occurring[s]) == 1:
+            continue
+        left = occurring[s - 1][0] if s > 0 else None
+        right = occurring[s + 1][0] if s < n_curves - 1 else None
+        boundary = curve_boundary(model, surface, s + 1, (left, right))
+        opts = []
+        for perm in allowed[f"C{s + 1}"]:
+            iso = iso_phase_set(model, boundary, None, perm, tol)
+            for f in iso.phase_functions:
+                opts.append((s, dict(perm), dict(zip(iso.curve_labels, f))))
+        options.append(opts)
+    word_matrices = [evaluate_word(model, surface, w).matrix for w in words]
+    n = basis.dim
+    survivors = []
+    n_candidates = 0
+    for combo in itertools.product(*options):
+        n_candidates += 1
+        gate = np.zeros((n, n), dtype=np.complex128)
+        angles = []
+        for i, lab in enumerate(basis.labelings):
+            target = list(lab)
+            angle = 0.0
+            for s, pmap, fmap in combo:
+                angle += fmap[lab[s]]
+                target[s] = pmap[lab[s]]
+            gate[basis.index[tuple(target)], i] = np.exp(1j * angle)
+            angles.append(angle)
+        if all(is_monomial(v @ gate @ v.conj().T, tol) for v in word_matrices):
+            perm = tuple(int(np.argmax(np.abs(gate[:, i]))) for i in range(n))
+            phases = tuple(float(np.angle(np.exp(1j * a))) for a in angles)
+            survivors.append((perm, phases))
+    return survivors, n_candidates
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
 
 from anyongates import (
     MonomialMatrix,
+    classify_torus,
     evaluate_word,
     load_builtin,
     solve_intertwiner,
@@ -22,6 +25,7 @@ from anyongates.abelian import (
     commutation_phase_exponent,
     dyon_loop,
     eq_consistency_residual,
+    fusion_table,
     group_coordinates,
     induced_cycle_permutations,
     is_abelian,
@@ -108,6 +112,45 @@ def test_affine_perms_respect_group_law():
                 lhs = mul[perm[mul[x, y]], inv_base]
                 rhs = mul[mul[perm[x], inv_base], mul[perm[y], inv_base]]
                 assert lhs == rhs
+
+
+def test_group_helpers_follow_a_mutated_fusion_tensor():
+    # the cached helpers must read the model's current fusion data, not
+    # answers remembered for the same model object
+    model = load_builtin("zn_toric:2")
+    assert group_coordinates(model).orders == (2, 2)
+    assert len(automorphisms(model)) == 6
+    assert len(affine_permutations(model)) == 24
+    cyclic = np.zeros_like(model.fusion)
+    for a, b in itertools.product(range(4), repeat=2):
+        cyclic[a, b, (a + b) % 4] = 1
+    model.fusion[...] = cyclic  # Z4 instead of Z2 x Z2; S still abelian
+    want = np.add.outer(np.arange(4), np.arange(4)) % 4
+    assert np.array_equal(fusion_table(model), want)
+    assert group_coordinates(model).orders == (4,)
+    assert len(automorphisms(model)) == 2
+    assert len(affine_permutations(model)) == 8
+
+
+def test_string_operators_follow_a_mutated_s_matrix():
+    model = load_builtin("zn_toric:2")
+    before, _ = string_operator_matrices(model)
+    model.smatrix *= np.exp(0.3j)
+    f1, f2 = string_operator_matrices(model)
+    want = total_quantum_dimension(model) * model.smatrix
+    assert np.abs(f1 - before).max() > 0.1
+    assert np.abs(np.diagonal(f1, axis1=1, axis2=2) - want).max() < 1e-12
+    s = model.smatrix
+    assert np.abs(f2 - np.einsum("xy,ayz,wz->axw", s, f1, s.conj())).max() < 1e-12
+
+
+def test_classify_torus_lets_the_model_go():
+    model = load_builtin("zn_toric:2")
+    ref = weakref.ref(model)
+    assert classify_torus(model).verdict == "clifford_star_subgroup"
+    del model
+    gc.collect()
+    assert ref() is None
 
 
 def test_characters_multiplicative():

@@ -1,3 +1,5 @@
+import dataclasses
+import importlib
 import json
 
 import numpy as np
@@ -20,6 +22,8 @@ from anyongates import (
 from anyongates.abelian import torus_word_families
 from anyongates.classify import VERDICTS, _round_floats
 from anyongates.solver import DeltaSet, delta_set, intersect_delta
+
+from oracles import dense_sphere_word_filter
 
 FIB = load_builtin("fibonacci")
 ISING = load_builtin("ising")
@@ -153,6 +157,72 @@ def test_ising_classes_are_distinct_paulis():
         )
         assert key not in seen
         seen.add(key)
+
+
+def _ising_with_r_sigma_sigma(name, one, psi):
+    """Ising with R^{sigma sigma}_1 and R^{sigma sigma}_psi multiplied by the
+    given factors: an invalid model, used only to exercise the word filter.
+    """
+    rsym = dict(ISING.rsymbols)
+    rsym[(2, 2, 0)] *= one
+    rsym[(2, 2, 1)] *= psi
+    return dataclasses.replace(ISING, name=name, rsymbols=rsym)
+
+
+# The elementary braid stops being a Clifford gate on each qubit, so the
+# interior generators veto the Z and XZ options of every curve.
+TWISTED = _ising_with_r_sigma_sigma("ising-twisted", 1.0, np.exp(0.3j))
+# The end generators' R-phases lose unit modulus, |R_1 R_psi| = 1 apart:
+# s_1 and s_{M-1} keep only the X and XZ options of their curve.
+SCALED = _ising_with_r_sigma_sigma("ising-scaled", 1 / 1.1, 1.1)
+
+
+@pytest.mark.parametrize(
+    "model, label, m, words",
+    [(ISING, "sigma", m, None) for m in (4, 6, 8, 10, 12)]
+    + [
+        (FIB, "tau", 4, None),
+        (TWISTED, "sigma", 4, None),
+        (TWISTED, "sigma", 8, None),
+        (ISING, "sigma", 8, ["s2", "s2s3"]),
+        (TWISTED, "sigma", 8, ["s2", "s2s3"]),
+        (TWISTED, "sigma", 8, ["s3'", "s1,s1", "s4s5'"]),
+        (SCALED, "sigma", 8, ["s1", "s7'"]),
+    ],
+    ids=lambda v: v.name if hasattr(v, "name") else str(v),
+)
+def test_local_word_filter_matches_dense_oracle(model, label, m, words, monkeypatch):
+    """Per-curve word checks keep exactly the products the dense check keeps."""
+    classify_mod = importlib.import_module("anyongates.classify")
+    mcg_mod = importlib.import_module("anyongates.mcg")
+    surf = sphere_surface(model, label, m)
+    built = []
+    with monkeypatch.context() as patch:
+        for mod, fname in ((mcg_mod, "braid_generator"), (classify_mod, "evaluate_word")):
+            original = getattr(mod, fname)
+
+            def counted(*args, _original=original, _name=fname, **kwargs):
+                built.append(_name)
+                return _original(*args, **kwargs)
+
+            patch.setattr(mod, fname, counted)
+        rep = classify_punctured_sphere(model, surf, words)
+    if words is None:
+        words = [f"s{k}" for k in range(1, m)]
+        assert built == []  # no dim x dim word matrix on one-letter words
+    else:
+        assert built.count("evaluate_word") == sum(
+            len(mcg_mod.parse_word(w, surf)) > 1 for w in words
+        )
+    assert rep.details["path"] == "factorized"
+    want, n_candidates = dense_sphere_word_filter(model, surf, words)
+    got = [(tuple(c["basis_perm"]), tuple(c["phases"])) for c in rep.classes]
+    assert sorted(got) == sorted(want)  # same gates, phase floats bit for bit
+    assert n_candidates == np.prod(list(rep.details["candidates_per_curve"].values()))
+    if model is FIB:
+        assert (len(want), n_candidates) == (1, 2)  # the label swap is vetoed
+    if model in (TWISTED, SCALED):
+        assert 0 < len(want) < n_candidates
 
 
 @pytest.mark.parametrize("m", [4, 5, 6, 7, 8])
