@@ -57,7 +57,7 @@ from .surfaces import (
     enumerate_labelings,
     standard_dap,
 )
-from .tolerances import DEFAULT_TOL, PAULI_ANGLE_TOL
+from .tolerances import DEFAULT_TOL, PAULI_ANGLE_TOL, TRIVIAL_PHASE_TOL
 
 VERDICTS = (
     "trivial",
@@ -712,7 +712,7 @@ def classify_torus(
         flags.append("some families keep more than one free phase")
     elif len(classes) == 1 and classes[0]["basis_perm"] == list(range(n)):
         ph = classes[0]["phases"]
-        if max(abs(p - ph[0]) for p in ph) < 1e-8:
+        if max(abs(p - ph[0]) for p in ph) < TRIVIAL_PHASE_TOL:
             verdict, order = "trivial", 1
     if verdict == "upper_bound_only" and rigid and abel:
         contains = _contains_logical_paulis(model, inter)

@@ -148,6 +148,10 @@ def _cmd_delta(args) -> int:
         )
     sets = [delta_set(model, surface, w, tol=args.tol) for w in words]
     inter = intersect_delta(sets)
+    angles = np.angle(
+        np.array([f.coset.instantiate() for f in inter.families], dtype=np.complex128)
+        .reshape(len(inter.families), dim)
+    )
     if args.format == "json":
         payload = {
             "model": model.name,
@@ -156,13 +160,10 @@ def _cmd_delta(args) -> int:
             "intersection": [
                 {
                     "perm": list(f.perm),
-                    "phases": [
-                        round(float(np.angle(x)), 10) + 0.0
-                        for x in f.coset.instantiate()
-                    ],
+                    "phases": [round(a, 10) + 0.0 for a in ph.tolist()],
                     "free_phases": f.n_free,
                 }
-                for f in inter.families
+                for f, ph in zip(inter.families, angles)
             ],
         }
         print(json.dumps(payload, sort_keys=True, indent=2))
@@ -172,9 +173,9 @@ def _cmd_delta(args) -> int:
         for w, s in zip(words, sets):
             print(f"word {w!r}: {len(s.families)} families")
         print(f"intersection: {len(inter.families)} families")
-        for f in inter.families:
-            ph = ",".join(f"{float(np.angle(x)):.4f}" for x in f.coset.instantiate())
-            print(f"  perm={list(f.perm)} phases=[{ph}] free={f.n_free}")
+        for f, ph in zip(inter.families, angles):
+            text = ",".join(f"{a:.4f}" for a in ph.tolist())
+            print(f"  perm={list(f.perm)} phases=[{text}] free={f.n_free}")
     return 0
 
 

@@ -8,11 +8,14 @@ entrywise it forces, for every support entry (m, l) of V,
     d_l * conj(d'_m) = V[m, l] / V~[perm_out(m), perm_in(l)],
 
 so the phases live on a bipartite constraint graph whose edges carry fixed
-unit ratios.  Solving is: (1) modulus/zero-pattern feasibility of the
-permutation pair, (2) spanning-tree phase propagation per connected
-component, (3) rejection on cycle inconsistencies.  Each feasible
-permutation pair therefore contributes exactly one connected family with one
-free phase per graph component.
+unit ratios.  The graph has one edge per support entry of V whatever the
+pair, so one breadth-first spanning forest serves every pair of a call.
+Solving is: (1) modulus/zero-pattern feasibility of the permutation pairs,
+(2) phase propagation along the forest for a chunk of pairs at once, one
+array operation per forest level, (3) rejection of pairs with a vanishing
+denominator, an off-modulus ratio or an inconsistent cycle (non-tree edge).
+Each feasible permutation pair therefore contributes at most one connected
+family with one free phase per graph component.
 
 Delta sets (all monomial gates compatible with a word) and their
 intersections live here too.
@@ -30,9 +33,24 @@ from scipy.optimize import linear_sum_assignment
 from .mcg import evaluate_word
 from .models import AnyonModel
 from .surfaces import SurfaceSpec
-from .tolerances import CYCLE_TOL, DEFAULT_TOL, ZERO_THRESHOLD, unit_modulus_tol
+from .tolerances import (
+    CYCLE_TOL,
+    DEFAULT_TOL,
+    MEMBERSHIP_TOL,
+    MONOMIAL_READ_TOL,
+    SUPPORT_WARNING_FACTOR,
+    UNITARITY_TOL,
+    ZERO_THRESHOLD,
+    modulus_match_tol,
+    ratio_modulus_tol,
+    unit_modulus_tol,
+)
 
 _MATCHING_CAP = 20000
+
+# Feasible permutation pairs are propagated this many at a time, which keeps
+# the (edges, pairs) work arrays to a few megabytes.
+_PAIR_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -83,7 +101,7 @@ def monomial_from_matrix(
         p = int(col.argmax())
         if col[p] <= zero_tol or (col > zero_tol).sum() != 1:
             raise ValueError(f"column {l} is not monomial")
-        if abs(col[p] - 1.0) > 1e-6:
+        if abs(col[p] - 1.0) > MONOMIAL_READ_TOL:
             raise ValueError(f"column {l} entry has modulus {col[p]:.3e}, not 1")
         perm[l] = p
         phases[l] = mat[p, l] / col[p]
@@ -140,7 +158,7 @@ class PhaseCoset:
             dtype=np.complex128,
         )
 
-    def contains(self, d: np.ndarray, tol: float = 1e-6) -> bool:
+    def contains(self, d: np.ndarray, tol: float = MEMBERSHIP_TOL) -> bool:
         d = np.asarray(d, dtype=np.complex128)
         if d.shape[0] != self.dim:
             return False
@@ -204,7 +222,7 @@ class PhaseCoset:
             rel.append(f / root_val[r])
         return PhaseCoset(components=tuple(components), rel=tuple(rel))
 
-    def is_subset_of(self, other: "PhaseCoset", tol: float = 1e-6) -> bool:
+    def is_subset_of(self, other: "PhaseCoset", tol: float = MEMBERSHIP_TOL) -> bool:
         """Every constraint of ``other`` is implied by this coset."""
         for c in range(other.n_free):
             idx = [i for i in range(other.dim) if other.components[i] == c]
@@ -218,7 +236,7 @@ class PhaseCoset:
                     return False
         return True
 
-    def same_as(self, other: "PhaseCoset", tol: float = 1e-6) -> bool:
+    def same_as(self, other: "PhaseCoset", tol: float = MEMBERSHIP_TOL) -> bool:
         return self.is_subset_of(other, tol) and other.is_subset_of(self, tol)
 
 
@@ -322,67 +340,6 @@ def _normalize_perm_arg(arg, n: int):
     return seq
 
 
-def _propagate_phases(
-    v: np.ndarray,
-    v_out: np.ndarray,
-    pi: tuple[int, ...],
-    pip: tuple[int, ...],
-    support: np.ndarray,
-    tol: float,
-    cycle_tol: float,
-):
-    """Solve the phase constraints for a fixed permutation pair.
-
-    Returns (phase_classes, relative_phases) over the 2n joint variables, or
-    None if a ratio is off-modulus or a cycle is inconsistent.
-    """
-    n = v.shape[0]
-    adj: list[list[tuple[int, complex]]] = [[] for _ in range(2 * n)]
-    for m in range(n):
-        row_t = v_out[pip[m]]
-        for l in np.nonzero(support[m])[0]:
-            denom = row_t[pi[l]]
-            if abs(denom) <= 0.0:
-                return None
-            rho = v[m, l] / denom
-            if abs(abs(rho) - 1.0) > max(tol * 10, 1e-7):
-                return None
-            rho /= abs(rho)
-            # d_l = rho * d'_m
-            adj[l].append((n + m, rho))
-            adj[n + m].append((l, rho.conjugate()))
-    comp = [-1] * (2 * n)
-    val = [0j] * (2 * n)
-    n_comp = 0
-    for start in range(2 * n):
-        if comp[start] != -1:
-            continue
-        comp[start] = n_comp
-        val[start] = 1.0 + 0j
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w, factor in adj[u]:
-                # val[u] = factor * val[w] <=> val[w] = conj(factor) * val[u]
-                implied = factor.conjugate() * val[u]
-                if comp[w] == -1:
-                    comp[w] = n_comp
-                    val[w] = implied
-                    queue.append(w)
-                elif abs(val[w] - implied) > cycle_tol:
-                    return None
-        n_comp += 1
-    # Normalize each component to its lowest index.
-    root_val: dict[int, complex] = {}
-    rel = [0j] * (2 * n)
-    for i in range(2 * n):
-        c = comp[i]
-        if c not in root_val:
-            root_val[c] = val[i]
-        rel[i] = val[i] / root_val[c]
-    return tuple(comp), tuple(rel)
-
-
 def _column_perms(absv, absvo, cands_in, tol):
     """Yield (perm_in, compat) for the candidate gate permutations.
 
@@ -445,6 +402,147 @@ def _matchings(compat):
     return found
 
 
+def _candidate_pairs(absv, absvo, cands_in, cands_out, tol):
+    """Yield the feasible (perm_in, perm_out) pairs as (perm_in, perm_outs) blocks.
+
+    ``perm_outs`` is an int array with one permutation per row, never empty:
+    the perfect matchings of compat for a wildcard perm_out, else the
+    explicit candidates compat admits, in list order.  Blocks come in the
+    perm_in order of ``_column_perms``.
+    """
+    n = absv.shape[0]
+    rows = np.arange(n)
+    outs = None
+    if cands_out is not None:
+        outs = np.array(cands_out, dtype=np.intp).reshape(len(cands_out), n)
+    for pi, compat in _column_perms(absv, absvo, cands_in, tol):
+        if outs is None:
+            found = _matchings(compat)
+            pips = np.array(found, dtype=np.intp).reshape(len(found), n)
+        else:
+            pips = outs[compat[rows, outs].all(axis=1)]
+        if len(pips):
+            yield pi, pips
+
+
+def _pair_chunks(blocks):
+    """Regroup (perm_in, perm_outs) blocks into (perm_ins, perm_outs) arrays.
+
+    Order is kept; every chunk but the last has ``_PAIR_CHUNK`` rows.
+    """
+    pis: list[np.ndarray] = []
+    pips: list[np.ndarray] = []
+    count = 0
+    for pi, outs in blocks:
+        pis.append(np.broadcast_to(np.array(pi, dtype=np.intp), outs.shape))
+        pips.append(outs)
+        count += len(outs)
+        while count >= _PAIR_CHUNK:
+            a, b = np.concatenate(pis), np.concatenate(pips)
+            yield a[:_PAIR_CHUNK], b[:_PAIR_CHUNK]
+            pis, pips, count = [a[_PAIR_CHUNK:]], [b[_PAIR_CHUNK:]], count - _PAIR_CHUNK
+    if count:
+        yield np.concatenate(pis), np.concatenate(pips)
+
+
+@dataclass(frozen=True)
+class _ConstraintForest:
+    """Breadth-first spanning forest of the constraint graph of V.
+
+    Node l < n is the gate phase d_l, node n + m the output phase d'_m; edge
+    e joins l and n + m for the e-th support entry (m, l) of V in row-major
+    order and carries d_l = rho_e d'_m.  The graph, and so the forest, is the
+    same for every permutation pair.  Steps are arrays (w, u, e, sign): node
+    w follows from node u across edge e, times conj(rho_e) when u is a gate
+    node (sign -1) and times rho_e otherwise (sign +1).  ``levels[k]`` holds
+    the steps that reach the nodes at depth k + 1, ``checks`` the steps that
+    reach nodes already visited, which must agree with the value there.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    components: tuple[int, ...]
+    roots: np.ndarray
+    levels: tuple[tuple[np.ndarray, ...], ...]
+    checks: tuple[np.ndarray, ...]
+
+
+def _constraint_forest(support: np.ndarray) -> _ConstraintForest:
+    n = support.shape[0]
+    rows, cols = np.nonzero(support)
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(2 * n)]
+    for e, (m, l) in enumerate(zip(rows.tolist(), cols.tolist())):
+        adj[l].append((n + m, e))
+        adj[n + m].append((l, e))
+    comp = [-1] * (2 * n)
+    depth = [0] * (2 * n)
+    starts: list[int] = []
+    levels: list[list[tuple[int, int, int]]] = []
+    checks: list[tuple[int, int, int]] = []
+    for start in range(2 * n):
+        if comp[start] != -1:
+            continue
+        comp[start] = len(starts)
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            for w, e in adj[u]:
+                if comp[w] == -1:
+                    comp[w] = len(starts)
+                    depth[w] = depth[u] + 1
+                    queue.append(w)
+                    if len(levels) < depth[w]:
+                        levels.append([])
+                    levels[depth[w] - 1].append((w, u, e))
+                else:
+                    checks.append((w, u, e))
+        starts.append(start)
+
+    def steps(found):
+        w, u, e = np.array(found, dtype=np.intp).reshape(-1, 3).T
+        return w, u, e, np.where(u < n, -1.0, 1.0)[:, None]
+
+    return _ConstraintForest(
+        rows, cols, tuple(comp), np.array(starts, dtype=np.intp)[comp],
+        tuple(steps(found) for found in levels), steps(checks),
+    )
+
+
+def _implied(rho, vr, vi, steps):
+    """(real, imag) of the values ``steps`` carry from nodes u to nodes w."""
+    _, u, e, sign = steps
+    ar, ai = rho.real[e], sign * rho.imag[e]
+    br, bi = vr[u], vi[u]
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _propagate_chunk(v, v_out, pis, pips, forest, tol, cycle_tol):
+    """Phases of a chunk of permutation pairs on the shared forest.
+
+    Row p of ``pis``/``pips`` is one pair.  Returns (ok, rel): ok[p] is False
+    when a denominator vanishes, a ratio is off unit modulus or a cycle
+    disagrees; rel[p] holds the 2n phases divided by their component's root
+    value.  Products use explicit real arithmetic and moduli ``np.hypot``,
+    so every float equals the one-pair scalar computation bit for bit.
+    """
+    f = forest
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        den = v_out[pips.T[f.rows], pis.T[f.cols]]  # (edges, pairs)
+        ok = ~(den == 0).any(axis=0)
+        rho = v[f.rows, f.cols][:, None] / den
+        mod = np.hypot(rho.real, rho.imag)
+        ok &= ~(np.abs(mod - 1.0) > ratio_modulus_tol(tol)).any(axis=0)
+        rho /= mod + 0j
+        val = np.ones((len(f.components), len(pis)), dtype=np.complex128)
+        vr, vi = val.real, val.imag
+        for level in f.levels:
+            vr[level[0]], vi[level[0]] = _implied(rho, vr, vi, level)
+        ir, ii = _implied(rho, vr, vi, f.checks)
+        w = f.checks[0]
+        ok &= ~(np.hypot(vr[w] - ir, vi[w] - ii) > cycle_tol).any(axis=0)
+    return ok, (val / val[f.roots]).T
+
+
 def solve_intertwiner(
     v: np.ndarray,
     perm_in=None,
@@ -464,10 +562,13 @@ def solve_intertwiner(
     wildcard perm_in search builds perm_in column by column and prunes a
     prefix once some row of |V| has no matching row of |V_out| left, or the
     reverse; a wildcard perm_out enumerates the perfect row matchings, an
-    explicit list is filtered in the order given.  Families are returned in
-    (perm_in, perm_out) order: lexicographic for a wildcard, list order
-    otherwise.  Each is the complete connected solution set for its pair,
-    with one free phase per component of its constraint graph.
+    explicit list is filtered in the order given.  The constraint graph does
+    not depend on the pair, so its spanning forest is built once per call
+    and the feasible pairs are propagated in chunks of ``_PAIR_CHUNK``, all
+    edges of a chunk at once.  Families are returned in (perm_in, perm_out)
+    order: lexicographic for a wildcard, list order otherwise.  Each is the
+    complete connected solution set for its pair, with one free phase per
+    component of its constraint graph.
     """
     v = np.asarray(v, dtype=np.complex128)
     if v.ndim != 2 or v.shape[0] != v.shape[1]:
@@ -481,18 +582,18 @@ def solve_intertwiner(
             raise ValueError("V_out must match V's shape")
     for name, mat in (("V", v), ("V_out", v_out)):
         uni = np.abs(mat @ mat.conj().T - np.eye(n)).max() if n else 0.0
-        if uni > 1e-6:
+        if uni > UNITARITY_TOL:
             raise ValueError(f"{name} is not unitary (residual {uni:.2e})")
 
     absv = np.abs(v)
     nz = absv[absv > zero_tol]
-    if nz.size and nz.min() < 100 * zero_tol:
+    if nz.size and nz.min() < SUPPORT_WARNING_FACTOR * zero_tol:
         warnings.warn(
             "smallest nonzero |V| entry is close to the zero threshold; "
             "support detection may be unreliable",
             stacklevel=2,
         )
-    support = absv > zero_tol
+    forest = _constraint_forest(absv > zero_tol)
 
     cands_in = _normalize_perm_arg(perm_in, n)
     cands_out = _normalize_perm_arg(perm_out, n)
@@ -502,17 +603,17 @@ def solve_intertwiner(
             "an explicit candidate set"
         )
 
-    rows = np.arange(n)
+    pairs = _candidate_pairs(absv, np.abs(v_out), cands_in, cands_out, modulus_match_tol(tol))
     solutions: list[IntertwinerSolution] = []
-    for pi, compat in _column_perms(absv, np.abs(v_out), cands_in, max(tol, 1e-9)):
-        if cands_out is None:
-            pips = _matchings(compat)
-        else:
-            pips = (pip for pip in cands_out if compat[rows, pip].all())
-        for pip in pips:
-            res = _propagate_phases(v, v_out, pi, pip, support, tol, cycle_tol)
-            if res is not None:
-                solutions.append(IntertwinerSolution(pi, pip, res[0], res[1]))
+    perms_in: dict[tuple[int, ...], tuple[int, ...]] = {}  # families of a perm share it
+    for pis, pips in _pair_chunks(pairs):
+        ok, rel = _propagate_chunk(v, v_out, pis, pips, forest, tol, cycle_tol)
+        for p in np.flatnonzero(ok):
+            pi = tuple(pis[p].tolist())
+            solutions.append(IntertwinerSolution(
+                perms_in.setdefault(pi, pi), tuple(pips[p].tolist()),
+                forest.components, tuple(rel[p]),
+            ))
     return solutions
 
 
@@ -535,7 +636,7 @@ class GateFamily:
     def gate(self, free=None) -> MonomialMatrix:
         return MonomialMatrix(perm=self.perm, phases=tuple(self.coset.instantiate(free)))
 
-    def contains(self, gate: MonomialMatrix, tol: float = 1e-6) -> bool:
+    def contains(self, gate: MonomialMatrix, tol: float = MEMBERSHIP_TOL) -> bool:
         return gate.perm == self.perm and self.coset.contains(
             np.array(gate.phases), tol
         )
@@ -552,7 +653,7 @@ class DeltaSet:
     def __len__(self) -> int:
         return len(self.families)
 
-    def contains(self, gate: MonomialMatrix, tol: float = 1e-6) -> bool:
+    def contains(self, gate: MonomialMatrix, tol: float = MEMBERSHIP_TOL) -> bool:
         return any(f.contains(gate, tol) for f in self.families)
 
 

@@ -52,6 +52,41 @@ STRING_BASIS_TOL = 1e-6
 # Bound for a phase being a root of unity of the group exponent.
 ROOT_TOL = 1e-6
 
+# A word matrix handed to the intertwiner solver counts as unitary when
+# max |V V^dagger - I| stays within this bound.
+UNITARITY_TOL = 1e-6
+
+# The solver warns when the smallest support entry of |V| lies within this
+# factor of the zero threshold.
+SUPPORT_WARNING_FACTOR = 100.0
+
+# Two entries of |V| and |V_out| match (one permutation pair feasible) within
+# max(tol, MODULUS_MATCH_FLOOR).
+MODULUS_MATCH_FLOOR = 1e-9
+
+# An edge ratio V[m, l] / V_out[perm_out(m), perm_in(l)] must have unit
+# modulus within max(RATIO_MODULUS_FACTOR * tol, RATIO_MODULUS_FLOOR).
+RATIO_MODULUS_FACTOR = 10.0
+RATIO_MODULUS_FLOOR = 1e-7
+
+# Default bound for phase-coset and gate-family membership and comparison.
+MEMBERSHIP_TOL = 1e-6
+
+# Unit-modulus bound for the entries read off a numerically monomial matrix.
+MONOMIAL_READ_TOL = 1e-6
+
+# The torus classes all differ by a global phase (a trivial verdict) when
+# their relative phases agree within this bound.
+TRIVIAL_PHASE_TOL = 1e-8
+
 
 def unit_modulus_tol(tol: float) -> float:
     return max(UNIT_MODULUS_FACTOR * tol, UNIT_MODULUS_FLOOR)
+
+
+def modulus_match_tol(tol: float) -> float:
+    return max(tol, MODULUS_MATCH_FLOOR)
+
+
+def ratio_modulus_tol(tol: float) -> float:
+    return max(RATIO_MODULUS_FACTOR * tol, RATIO_MODULUS_FLOOR)

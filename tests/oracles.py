@@ -4,6 +4,8 @@ Everything here deliberately avoids the code paths under test: dimensions
 come from recursions instead of the labeling enumerator, idempotents from
 eigendecompositions instead of the S-matrix formula, intertwiner families
 from a brute-force phase-grid search instead of graph propagation, the
+phases of a permutation pair from a scalar walk over that pair's own
+constraint graph instead of the batched walk over a shared forest, the
 sphere word filter from dense conjugation of every product gate instead of
 per-curve local blocks, Clifford-star membership from the dense expansion in the string basis instead
 of gate permutations and phases, and the lattice commutation phases from
@@ -13,6 +15,7 @@ dense state-space matrices instead of exponent vectors.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 
 import numpy as np
 
@@ -260,6 +263,65 @@ def grid_intertwiner_solutions(v, v_out=None, coarse_tol=0.12, cap=200):
         for _, d in sols:
             out.append((pi, d))
     return out
+
+
+# ---------------------------------------------------------------------------
+# One-pair phase propagation (scalar)
+
+
+def propagate_phases_scalar(v, v_out, pi, pip, support, tol, cycle_tol):
+    """Solve the phase constraints for one fixed permutation pair.
+
+    Builds the pair's constraint graph edge by edge and walks it breadth
+    first with numpy scalars, rejecting on the first zero denominator,
+    off-modulus ratio or inconsistent cycle.  Returns (phase_classes,
+    relative_phases) over the 2n joint variables, or None.
+    """
+    n = v.shape[0]
+    adj: list[list[tuple[int, complex]]] = [[] for _ in range(2 * n)]
+    for m in range(n):
+        row_t = v_out[pip[m]]
+        for l in np.nonzero(support[m])[0]:
+            denom = row_t[pi[l]]
+            if abs(denom) <= 0.0:
+                return None
+            rho = v[m, l] / denom
+            if abs(abs(rho) - 1.0) > max(tol * 10, 1e-7):
+                return None
+            rho /= abs(rho)
+            # d_l = rho * d'_m
+            adj[l].append((n + m, rho))
+            adj[n + m].append((l, rho.conjugate()))
+    comp = [-1] * (2 * n)
+    val = [0j] * (2 * n)
+    n_comp = 0
+    for start in range(2 * n):
+        if comp[start] != -1:
+            continue
+        comp[start] = n_comp
+        val[start] = 1.0 + 0j
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            for w, factor in adj[u]:
+                # val[u] = factor * val[w] <=> val[w] = conj(factor) * val[u]
+                implied = factor.conjugate() * val[u]
+                if comp[w] == -1:
+                    comp[w] = n_comp
+                    val[w] = implied
+                    queue.append(w)
+                elif abs(val[w] - implied) > cycle_tol:
+                    return None
+        n_comp += 1
+    # Normalize each component to its lowest index.
+    root_val: dict[int, complex] = {}
+    rel = [0j] * (2 * n)
+    for i in range(2 * n):
+        c = comp[i]
+        if c not in root_val:
+            root_val[c] = val[i]
+        rel[i] = val[i] / root_val[c]
+    return tuple(comp), tuple(rel)
 
 
 # ---------------------------------------------------------------------------

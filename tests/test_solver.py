@@ -13,6 +13,7 @@ from anyongates import (
     load_builtin,
     monomial_from_matrix,
     solve_intertwiner,
+    sphere_surface,
     torus_surface,
 )
 from anyongates import solver
@@ -22,8 +23,9 @@ from anyongates.solver import (
     intertwiner_residual,
     nearest_monomial,
 )
+from anyongates.tolerances import CYCLE_TOL, DEFAULT_TOL, ZERO_THRESHOLD
 
-from oracles import grid_intertwiner_solutions
+from oracles import grid_intertwiner_solutions, propagate_phases_scalar
 
 FIB = load_builtin("fibonacci")
 ISING = load_builtin("ising")
@@ -312,17 +314,18 @@ def test_delta_set_contains_gate():
 # The pruned pair search against brute force
 
 
-def _searched_pairs(monkeypatch, v, v_out, perm_in=None, perm_out=None):
+def _searched_pairs(monkeypatch, v, v_out, perm_in=None, perm_out=None, tol=DEFAULT_TOL):
     """The (perm_in, perm_out) sequence solve_intertwiner hands to propagation."""
     seen = []
-    propagate = solver._propagate_phases
+    candidate_pairs = solver._candidate_pairs
 
-    def record(v, v_out, pi, pip, *args):
-        seen.append((pi, pip))
-        return propagate(v, v_out, pi, pip, *args)
+    def record(*args):
+        for pi, pips in candidate_pairs(*args):
+            seen.extend((pi, tuple(pip)) for pip in pips.tolist())
+            yield pi, pips
 
-    monkeypatch.setattr(solver, "_propagate_phases", record)
-    solve_intertwiner(v, perm_in, perm_out, v_out=v_out)
+    monkeypatch.setattr(solver, "_candidate_pairs", record)
+    solve_intertwiner(v, perm_in, perm_out, v_out=v_out, tol=tol)
     monkeypatch.undo()
     return seen
 
@@ -381,3 +384,106 @@ def test_pair_search_matches_brute_force(monkeypatch):
         for perm_in, perm_out in ((some, None), (None, some), (some, some[::-1])):
             want = _brute_force_pairs(v, v_out, perm_in, perm_out)
             assert _searched_pairs(monkeypatch, v, v_out, perm_in, perm_out) == want
+
+
+# ---------------------------------------------------------------------------
+# Batched phase propagation against the scalar one-pair oracle
+
+
+def _oracle_solutions(monkeypatch, v, v_out, perm_in=None, perm_out=None, tol=DEFAULT_TOL):
+    """Solutions of the scalar oracle over the pairs solve_intertwiner searches."""
+    pairs = _searched_pairs(monkeypatch, v, v_out, perm_in, perm_out, tol)
+    support = np.abs(v) > ZERO_THRESHOLD
+    sols = []
+    for pi, pip in pairs:
+        res = propagate_phases_scalar(v, v_out, pi, pip, support, tol, CYCLE_TOL)
+        if res is not None:
+            sols.append(IntertwinerSolution(pi, pip, res[0], res[1]))
+    return pairs, sols
+
+
+def _bits(values):
+    return np.array(values, dtype=np.complex128).view(np.float64).tobytes()
+
+
+def _assert_same_solutions(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.perm_in == b.perm_in and a.perm_out == b.perm_out
+        assert a.phase_classes == b.phase_classes
+        assert _bits(a.relative_phases) == _bits(b.relative_phases)
+        ca, cb = a.gate_coset(), b.gate_coset()
+        assert ca.components == cb.components
+        assert _bits(ca.rel) == _bits(cb.rel)
+
+
+def _word(model, surface, word):
+    return evaluate_word(load_builtin(model), surface, word).matrix
+
+
+def test_batched_propagation_matches_scalar_oracle(monkeypatch):
+    from anyongates.abelian import affine_permutations
+
+    ising, fib = load_builtin("ising"), load_builtin("fibonacci")
+    sig8 = sphere_surface(ising, "sigma", 8)
+    tau7 = sphere_surface(fib, "tau", 7)
+    cases = [
+        (evaluate_word(ising, sig8, "s2").matrix, None, None, None),
+        (evaluate_word(fib, tau7, "s2").matrix, None, None, None),
+        (evaluate_word(fib, tau7, "s3").matrix, None, None, None),
+    ]
+    for word in ("s", "st", "stst"):
+        cases.append((_word("zn_toric:2", torus_surface(), word), None, None, None))
+    for n in (3, 4):
+        v = random_unitary(n, seed=20 + n)
+        cases.append((v, v, None, None))
+        cases.append((v, _monomial_twist(v, seed=40 + n), None, None))
+    kron = np.kron(random_unitary(2, seed=50), random_unitary(2, seed=51))
+    cases.append((kron, kron, None, None))
+    cases.append((kron, _monomial_twist(kron, seed=52), None, None))
+    z3 = load_builtin("zn_toric:3")
+    affs = affine_permutations(z3)
+    cases.append((_word("zn_toric:3", torus_surface(), "stst"), None, affs[:40], affs))
+    kept = []
+    for v, v_out, perm_in, perm_out in cases:
+        v_out = v if v_out is None else v_out
+        got = solve_intertwiner(v, perm_in, perm_out, v_out=v_out)
+        pairs, want = _oracle_solutions(monkeypatch, v, v_out, perm_in, perm_out)
+        _assert_same_solutions(got, want)
+        kept.append((len(pairs), len(got)))
+    assert kept[0][1] == 6144
+    # zn_toric:2 s, st, stst: the cycle check rejects most of the 576 pairs
+    assert kept[3:6] == [(576, 96), (576, 96), (576, 96)]
+    # the explicit lists: every one of the 40 x 432 pairs is searched
+    assert kept[-1][0] == 40 * len(affs) and len(affs) == 432
+
+
+def _near_identity(entry):
+    """A 2x2 unitary up to O(|entry|^2) with off-diagonal support ``entry``."""
+    return np.array([[1.0, entry], [-np.conj(entry), 1.0]], dtype=np.complex128)
+
+
+@pytest.mark.filterwarnings("ignore:smallest nonzero")
+def test_batched_propagation_rejects_like_the_oracle(monkeypatch):
+    v = _near_identity(5e-10)
+    eye = np.eye(2, dtype=np.complex128)
+    controls = [
+        # a support entry of V matched against an exact zero of V_out
+        (v, eye, DEFAULT_TOL, 0),
+        # the same with the ratio bound switched off: only the zero check
+        # rejects, every pair now passing the modulus filter
+        (v, eye, np.inf, 0),
+        # tiny entries of equal size within tol but a ratio of modulus 1/2
+        (v, _near_identity(1e-9), DEFAULT_TOL, 0),
+        # the same tiny entries with equal modulus and another phase pass,
+        # through the identity and the swap
+        (v, _near_identity(5e-10 * np.exp(0.3j)), DEFAULT_TOL, 2),
+    ]
+    for v, v_out, tol, n_sols in controls:
+        got = solve_intertwiner(v, v_out=v_out, tol=tol)
+        pairs, want = _oracle_solutions(monkeypatch, v, v_out, tol=tol)
+        assert pairs
+        _assert_same_solutions(got, want)
+        assert len(got) == n_sols
+    # d_1 = (V[0, 1] / V_out[0, 1]) d'_0 = exp(-0.3i) d_0 for the identity
+    assert np.angle(got[0].relative_phases[1]) == pytest.approx(-0.3)
