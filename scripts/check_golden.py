@@ -1,0 +1,93 @@
+"""Check the CLI's stdout bytes and exit codes against a committed table.
+
+    python scripts/check_golden.py          # run the grid, exit 1 on a difference
+    python scripts/check_golden.py --write  # record the table from this checkout
+
+``tests/golden/cli_sha256.json`` maps each command of a fixed grid to its
+exit code and the sha256 of its stdout.  Every command runs as a fresh
+``python -m anyongates.cli`` process on this checkout's ``src``.  The tier-1
+test ``tests/test_golden.py`` checks the fast part of the same table in
+process; this script also runs the slow commands.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TABLE = ROOT / "tests" / "golden" / "cli_sha256.json"
+
+GRID = (
+    [f"classify --model ising --surface sphere:sigma:{m} --format json"
+     for m in (4, 6, 8, 10, 12, 14)]
+    + [f"classify --model fibonacci --surface sphere:tau:{m} --format json"
+       for m in (4, 7, 11)]
+    + [f"classify --model {model} --surface torus --format json"
+       for model in ("fibonacci", "ising", "zn_toric:2", "zn_toric:3", "zn_toric:4")]
+    + [
+        "classify --model zn_toric:3 --surface torus --words s,st,stst --format json",
+        "classify --model ising --surface sphere:sigma:8 --words s1s2 --format json",
+        "classify --model ising --surface sphere:sigma:8 --format text",
+        "classify --model zn_toric:2 --surface torus --format text",
+        "delta --model ising --surface sphere:sigma:8 --words s2 --format json",
+        "delta --model fibonacci --surface sphere:tau:7 --words s2,s3 --format json",
+        "delta --model zn_toric:2 --surface torus --words s,st --format json",
+        "delta --model ising --surface torus --words s,st --format json",
+        "delta --model fibonacci --surface torus --words s,st --format json",
+    ]
+    + [f"validate --model {model} --format json"
+       for model in ("fibonacci", "ising", "zn_toric:2", "zn_toric:3", "zn_toric:4")]
+    + ["lattice --qudit 4 --size 6 --format json"]
+)
+
+
+def run(command: str) -> tuple[int, str, float]:
+    """Exit code, stdout sha256 and wall seconds of one CLI command."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "anyongates.cli", *command.split()],
+        stdout=subprocess.PIPE, env=env, check=False,
+    )
+    seconds = time.perf_counter() - start
+    return proc.returncode, hashlib.sha256(proc.stdout).hexdigest(), seconds
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--write", action="store_true",
+                        help="record the table instead of checking it")
+    args = parser.parse_args(argv)
+    want = {} if args.write else json.loads(TABLE.read_text())
+    got = {}
+    bad = 0
+    for command in GRID:
+        rc, digest, seconds = run(command)
+        got[command] = {"exit": rc, "sha256": digest}
+        ok = args.write or want.get(command) == got[command]
+        bad += not ok
+        print(f"{'ok ' if ok else 'DIFF'} {seconds:6.2f}s  {command}", flush=True)
+    if args.write:
+        TABLE.parent.mkdir(parents=True, exist_ok=True)
+        TABLE.write_text(json.dumps(got, indent=2, sort_keys=True) + "\n")
+        print(f"wrote {len(got)} commands to {TABLE.relative_to(ROOT)}")
+        return 0
+    missing = sorted(set(want) - set(got))
+    for command in missing:
+        print(f"MISSING from the grid: {command}")
+    print(f"{len(GRID) - bad} of {len(GRID)} commands match")
+    return 1 if bad or missing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

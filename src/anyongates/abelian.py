@@ -37,12 +37,15 @@ from .solver import (
 from .surfaces import SurfaceSpec
 from .tolerances import (
     CLIFFORD_TOL,
+    COMMUTATION_TOL,
     CYCLE_TOL,
     DEFAULT_TOL,
+    LATTICE_TOL,
     QDIM_TOL,
     ROOT_TOL,
     STRING_BASIS_TOL,
     VERIFY_ZERO_THRESHOLD,
+    check_tol,
     unit_modulus_tol,
 )
 
@@ -394,9 +397,9 @@ def _commutation_exponent(model: AnyonModel) -> np.ndarray:
             idx = np.unravel_index(np.abs(rhs).argmax(), rhs.shape)
             ratio = lhs[idx] / rhs[idx]
             k = round(np.angle(ratio) * nexp / (2 * np.pi)) % nexp
-            if abs(ratio - np.exp(2j * np.pi * k / nexp)) > 1e-8:
+            if abs(ratio - np.exp(2j * np.pi * k / nexp)) > COMMUTATION_TOL:
                 raise RuntimeError("commutation phase is not an exponent root")
-            if np.abs(lhs - np.exp(2j * np.pi * k / nexp) * rhs).max() > 1e-8:
+            if np.abs(lhs - np.exp(2j * np.pi * k / nexp) * rhs).max() > COMMUTATION_TOL:
                 raise RuntimeError("string operators do not commute projectively")
             c[a, b] = k
     return c
@@ -644,7 +647,7 @@ def dyon_loop(
     return LatticeOperator(modulus=nmod, x_exp=tuple(x_exp), z_exp=tuple(z_exp))
 
 
-def lattice_commutation_check(nmod: int, l: int, tol: float = 1e-9) -> dict:
+def lattice_commutation_check(nmod: int, l: int, tol: float = LATTICE_TOL) -> dict:
     """Compare crossing-loop commutation phases against the Z_N torus S matrix.
 
     For dyons (a, a') on a horizontal cycle and (b, b') on a vertical one the
@@ -656,6 +659,7 @@ def lattice_commutation_check(nmod: int, l: int, tol: float = 1e-9) -> dict:
     """
     from .models import zn_toric
 
+    check_tol(tol)
     model = zn_toric(nmod)
     s = model.smatrix
     worst = 0.0

@@ -32,13 +32,13 @@ Three execution paths cover the built-in models:
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import abelian as _ab
+from .jsonwriter import dumps, sort_by_json
 from .mcg import braid_letters, braid_slot, evaluate_word, local_braid_block
 from .models import AnyonModel
 from .solver import (
@@ -57,7 +57,7 @@ from .surfaces import (
     enumerate_labelings,
     standard_dap,
 )
-from .tolerances import DEFAULT_TOL, PAULI_ANGLE_TOL, TRIVIAL_PHASE_TOL
+from .tolerances import DEFAULT_TOL, PAULI_ANGLE_TOL, TRIVIAL_PHASE_TOL, check_tol
 
 VERDICTS = (
     "trivial",
@@ -221,7 +221,7 @@ class ClassificationReport:
             "flags": sorted(self.flags),
             "details": self.details,
         }
-        return json.dumps(_round_floats(payload), sort_keys=True, indent=2)
+        return dumps(payload)
 
     def to_text(self) -> str:
         lines = [
@@ -236,16 +236,6 @@ class ClassificationReport:
         for i, cls in enumerate(self.classes):
             lines.append(f"  class {i}: {_class_text(cls)}")
         return "\n".join(lines)
-
-
-def _round_floats(obj):
-    if isinstance(obj, float):
-        return round(obj, 10) + 0.0
-    if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
-    return obj
 
 
 def _class_text(cls: dict) -> str:
@@ -299,6 +289,7 @@ def classify_punctured_sphere(
     class words (all elementary braids by default) then act as filters.
     What survives is grouped into classes modulo a global phase.
     """
+    check_tol(tol)
     if surface.kind != "punctured_sphere":
         raise ClassificationError("expected a punctured sphere surface")
     if mcg_words is None:
@@ -502,16 +493,14 @@ def _classify_factorized(
     phases = np.angle(gate_phases)
     classes = []
     for r in survivors:
-        entry = {"curves": {}}
-        for s in free:
-            curve = options[s][combos[r, s]][0]
-            entry["curves"][dap.curves[s]] = {
-                "perm": dict(curve["perm"]), "phases": dict(curve["phases"])
-            }
+        # Classes with the same option on a curve share its entry dict.
+        entry = {
+            "curves": {dap.curves[s]: options[s][combos[r, s]][0] for s in free}
+        }
         entry["basis_perm"] = target[r].tolist()
         entry["phases"] = phases[r].tolist()
         classes.append(entry)
-    classes.sort(key=lambda c: json.dumps(_round_floats(c), sort_keys=True))
+    sort_by_json(classes)
     details = {
         "path": "factorized",
         "free_curves": [dap.curves[s] for s in free],
@@ -528,17 +517,7 @@ def _classify_diagonal(model, surface, basis, mcg_words, tol):
         for w in mcg_words
     ]
     inter = intersect_delta(sets)
-    classes = []
-    for fam in inter.families:
-        d = fam.coset.instantiate()
-        classes.append(
-            {
-                "basis_perm": list(fam.perm),
-                "phases": [float(np.angle(x)) for x in d],
-                "free_phases": fam.n_free,
-            }
-        )
-    classes.sort(key=lambda c: json.dumps(_round_floats(c), sort_keys=True))
+    classes, _ = _family_classes(inter.families, basis.dim)
     details = {"path": "diagonal", "families": len(inter.families)}
     return classes, details
 
@@ -570,19 +549,25 @@ def _classify_fallback(model, surface, basis, dap, allowed, mcg_words, tol):
         for w in mcg_words
     ]
     inter = intersect_delta(sets)
-    classes = []
-    for fam in inter.families:
-        d = fam.coset.instantiate()
-        classes.append(
-            {
-                "basis_perm": list(fam.perm),
-                "phases": [float(np.angle(x)) for x in d],
-                "free_phases": fam.n_free,
-            }
-        )
-    classes.sort(key=lambda c: json.dumps(_round_floats(c), sort_keys=True))
+    classes, _ = _family_classes(inter.families, basis.dim)
     details = {"path": "fallback", "candidate_perms": len(cand)}
     return classes, details
+
+
+def _family_classes(families, dim: int) -> tuple[list[dict], list[np.ndarray]]:
+    """Sorted class dicts of gate families, and each family's instantiated phases.
+
+    One np.angle over all families gives the same floats as one call per
+    entry.
+    """
+    phases = [fam.coset.instantiate() for fam in families]
+    angles = np.angle(np.array(phases, dtype=np.complex128).reshape(len(phases), dim))
+    classes = [
+        {"basis_perm": list(fam.perm), "phases": row, "free_phases": fam.n_free}
+        for fam, row in zip(families, angles.tolist())
+    ]
+    sort_by_json(classes)
+    return classes, phases
 
 
 def _sphere_verdict(model, surface, basis, classes, details, flags):
@@ -640,6 +625,7 @@ def classify_torus(
     Clifford-star membership, so ``details["clifford_star_checked"]`` equals
     the class count.
     """
+    check_tol(tol)
     if mcg_words is None:
         mcg_words = ["s", "st"]
     surface = SurfaceSpec(kind="torus")
@@ -689,21 +675,8 @@ def classify_torus(
         raise ClassificationError("no constraining words given")
     inter = intersect_delta(sets)
 
-    classes = []
-    phases = []
-    rigid = True
-    for fam in inter.families:
-        d = fam.coset.instantiate()
-        phases.append(d)
-        rigid = rigid and fam.n_free == 1
-        classes.append(
-            {
-                "basis_perm": list(fam.perm),
-                "phases": [float(np.angle(x)) for x in d],
-                "free_phases": fam.n_free,
-            }
-        )
-    classes.sort(key=lambda c: json.dumps(_round_floats(c), sort_keys=True))
+    classes, phases = _family_classes(inter.families, n)
+    rigid = all(fam.n_free == 1 for fam in inter.families)
     if not classes:
         raise ClassificationError(_NO_CLASS.format(surface.describe(model)))
 
@@ -760,6 +733,7 @@ def classify(
     tol: float = DEFAULT_TOL,
 ) -> ClassificationReport:
     """Dispatch on surface kind."""
+    check_tol(tol)
     if surface.kind == "torus":
         return classify_torus(model, mcg_words, tol)
     return classify_punctured_sphere(model, surface, mcg_words, tol)

@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from .classify import ClassificationError, classify
+from .jsonwriter import dumps
 from .mcg import parse_word
 from .models import AnyonModel, ModelError, load_builtin, parse_model, validate
 from .solver import delta_set, intersect_delta
@@ -32,7 +32,7 @@ from .surfaces import (
     sphere_surface,
     torus_surface,
 )
-from .tolerances import DEFAULT_TOL
+from .tolerances import DEFAULT_TOL, LATTICE_TOL, check_tol
 
 
 class UsageError(Exception):
@@ -45,9 +45,10 @@ def _tolerance(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    if not math.isfinite(value) or value < 0:
-        raise argparse.ArgumentTypeError(f"must be finite and non-negative, not {text}")
-    return value
+    try:
+        return check_tol(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _load_model(spec: str) -> AnyonModel:
@@ -160,13 +161,13 @@ def _cmd_delta(args) -> int:
             "intersection": [
                 {
                     "perm": list(f.perm),
-                    "phases": [round(a, 10) + 0.0 for a in ph.tolist()],
+                    "phases": ph,
                     "free_phases": f.n_free,
                 }
-                for f, ph in zip(inter.families, angles)
+                for f, ph in zip(inter.families, angles.tolist())
             ],
         }
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(dumps(payload))
     else:
         print(f"model:   {model.name}")
         print(f"surface: {surface.describe(model)}")
@@ -236,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lattice", help="qudit lattice commutation cross-check")
     p.add_argument("--qudit", type=int, required=True, help="qudit dimension N")
     p.add_argument("--size", type=int, required=True, help="lattice side length L")
-    p.add_argument("--tol", type=_tolerance, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=LATTICE_TOL)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_lattice)
     return parser

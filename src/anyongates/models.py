@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tolerances import DEFAULT_TOL
+from .tolerances import DEFAULT_TOL, check_tol
 
 
 class ModelError(ValueError):
@@ -548,7 +548,11 @@ def verlinde_fusion(model: AnyonModel) -> np.ndarray:
 
 
 def validate(model: AnyonModel, tol: float = DEFAULT_TOL) -> ModelValidationReport:
-    """Semantic consistency checks; failures are reported, never raised."""
+    """Semantic consistency checks; failures are reported, never raised.
+
+    A NaN, infinite or negative ``tol`` is a ValueError.
+    """
+    check_tol(tol)
     rep = ModelValidationReport(model_name=model.name)
     n = model.n_labels
     s = model.smatrix

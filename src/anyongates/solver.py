@@ -41,6 +41,7 @@ from .tolerances import (
     SUPPORT_WARNING_FACTOR,
     UNITARITY_TOL,
     ZERO_THRESHOLD,
+    check_tol,
     modulus_match_tol,
     ratio_modulus_tol,
     unit_modulus_tol,
@@ -570,6 +571,7 @@ def solve_intertwiner(
     complete connected solution set for its pair, with one free phase per
     component of its constraint graph.
     """
+    check_tol(tol)
     v = np.asarray(v, dtype=np.complex128)
     if v.ndim != 2 or v.shape[0] != v.shape[1]:
         raise ValueError("V must be a square matrix")
@@ -677,6 +679,7 @@ def delta_set(
     which word matrices with many equal-modulus entries may need to keep
     the matching enumeration finite.
     """
+    check_tol(tol)
     rep = evaluate_word(model, surface, word)
     sols = solve_intertwiner(
         rep.matrix,

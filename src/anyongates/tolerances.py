@@ -4,6 +4,8 @@ All comparisons against these bounds are absolute (the matrices involved are
 unitary, so entries are O(1) and relative error adds nothing).
 """
 
+import math
+
 # Default bound for matrix-element comparisons; CLI flag --tol overrides it.
 DEFAULT_TOL = 1e-9
 
@@ -78,6 +80,22 @@ MONOMIAL_READ_TOL = 1e-6
 # The torus classes all differ by a global phase (a trivial verdict) when
 # their relative phases agree within this bound.
 TRIVIAL_PHASE_TOL = 1e-8
+
+# Abelian string operators commute up to omega^k: the ratio of F_b(C2) F_a(C1)
+# to F_a(C1) F_b(C2) is an exponent root, and the two agree entrywise after
+# that phase, within this bound.
+COMMUTATION_TOL = 1e-8
+
+# Default bound for the lattice commutation phases against the Z_N S matrix
+# (the library call and the CLI's lattice --tol).
+LATTICE_TOL = 1e-9
+
+
+def check_tol(tol: float) -> float:
+    """``tol`` itself; a NaN, infinite or negative bound is a ValueError."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tolerance must be finite and non-negative, not {tol!r}")
+    return tol
 
 
 def unit_modulus_tol(tol: float) -> float:

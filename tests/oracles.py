@@ -8,13 +8,16 @@ phases of a permutation pair from a scalar walk over that pair's own
 constraint graph instead of the batched walk over a shared forest, the
 sphere word filter from dense conjugation of every product gate instead of
 per-curve local blocks, Clifford-star membership from the dense expansion in the string basis instead
-of gate permutations and phases, and the lattice commutation phases from
-dense state-space matrices instead of exponent vectors.
+of gate permutations and phases, the lattice commutation phases from
+dense state-space matrices instead of exponent vectors, and the report JSON
+from the standard library encoder after a rounding walk instead of the
+package's writer.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 from collections import deque
 
 import numpy as np
@@ -477,3 +480,23 @@ def dense_lattice_operator(op) -> np.ndarray:
         factor = np.linalg.matrix_power(x, xe) @ np.linalg.matrix_power(z, ze)
         out = np.kron(out, factor)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Report JSON through the standard library encoder
+
+
+def _round_floats(obj):
+    """Every float x as round(x, 10) + 0.0, every tuple as a list."""
+    if isinstance(obj, float):
+        return round(obj, 10) + 0.0
+    if isinstance(obj, dict):
+        return {k: _round_floats(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_round_floats(v) for v in obj]
+    return obj
+
+
+def reference_report_json(payload, indent: int | None = 2) -> str:
+    """Sorted-key JSON from the standard library encoder after _round_floats."""
+    return json.dumps(_round_floats(payload), sort_keys=True, indent=indent)

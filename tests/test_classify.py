@@ -20,10 +20,10 @@ from anyongates import (
     torus_surface,
 )
 from anyongates.abelian import torus_word_families
-from anyongates.classify import VERDICTS, _round_floats
+from anyongates.classify import VERDICTS
 from anyongates.solver import DeltaSet, delta_set, intersect_delta
 
-from oracles import dense_sphere_word_filter
+from oracles import _round_floats, dense_sphere_word_filter
 
 FIB = load_builtin("fibonacci")
 ISING = load_builtin("ising")
@@ -376,9 +376,17 @@ def test_unknown_words_raise():
         "torus-abelian-closed-form",
     ],
 )
-def test_empty_class_list_is_an_error(model, surface):
+def test_empty_class_list_is_an_error(model, surface, monkeypatch):
     # the identity gate always survives, so an empty class list means the
-    # search itself failed (here a NaN tolerance matches nothing); no group
-    # may be named for it
+    # search itself failed; no group may be named for it.  A NaN tolerance
+    # is refused up front (test_tolerances.py), so the search is stubbed to
+    # match nothing: every word vetoes every curve option and every
+    # intersection comes out empty.
+    mod = importlib.import_module("anyongates.classify")
+    monkeypatch.setattr(mod, "is_monomial", lambda *args, **kwargs: False)
+    monkeypatch.setattr(
+        mod, "intersect_delta",
+        lambda sets, *args, **kwargs: DeltaSet(dim=sets[0].dim, words=(), families=[]),
+    )
     with pytest.raises(ClassificationError, match="no gate class"):
-        classify(model, surface, tol=float("nan"))
+        classify(model, surface)

@@ -1,0 +1,116 @@
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from anyongates.jsonwriter import JsonWriter, dumps, sort_by_json
+
+from oracles import reference_report_json
+
+
+def assert_same_text(value):
+    writer = JsonWriter()
+    assert writer.indented(value) == reference_report_json(value)
+    assert writer.compact(value) == reference_report_json(value, indent=None)
+    assert dumps(value) == reference_report_json(value)
+
+
+leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text()
+)
+payloads = st.recursive(
+    leaves,
+    lambda children: (
+        st.lists(children, max_size=6)
+        | st.lists(children, max_size=6).map(tuple)
+        | st.dictionaries(st.text(max_size=6), children, max_size=6)
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(payloads)
+def test_writer_matches_the_standard_encoder(value):
+    assert_same_text(value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.floats(allow_nan=False), max_size=4)
+                | st.lists(st.integers(), max_size=4), max_size=12))
+def test_sort_by_json_orders_by_the_compact_reference_text(items):
+    got = list(items)
+    sort_by_json(got)
+    assert got == sorted(items, key=lambda x: reference_report_json(x, indent=None))
+
+
+@pytest.mark.parametrize("x", [-0.0, -1e-12, 1e-12, -4.9e-11])
+def test_negative_zero_and_tiny_values_print_as_zero(x):
+    assert dumps([x]) == "[\n  0.0\n]"
+    assert dumps({"a": x}) == '{\n  "a": 0.0\n}'
+    assert_same_text([x, [x], {"x": x}])
+
+
+def test_values_next_to_a_rounding_tie():
+    ties = (5e-11, -5e-11, 1.5e-10, 0.12345678905, -2.00000000005, 3.14159265355)
+    values = [
+        y
+        for t in ties
+        for y in (math.nextafter(t, -math.inf), t, math.nextafter(t, math.inf))
+    ]
+    assert_same_text(values)
+    assert_same_text({"v": values, "w": [[v] for v in values]})
+
+
+def test_nan_and_infinities():
+    value = [math.nan, math.inf, -math.inf, {"k": math.nan}, [math.inf, 1.0]]
+    assert_same_text(value)
+    assert JsonWriter().compact([math.nan, math.inf, -math.inf]) == (
+        "[NaN, Infinity, -Infinity]"
+    )
+
+
+def test_int_float_and_bool_stay_apart():
+    writer = JsonWriter()
+    assert writer.compact([1.0, 1]) == "[1.0, 1]"
+    assert writer.compact([1, 1.0, True]) == "[1, 1.0, true]"
+    assert writer.compact([True, 1, 1.0]) == "[true, 1, 1.0]"
+    assert writer.compact([1, 2]) == "[1, 2]"
+    assert writer.compact([1.0, 2.0]) == "[1.0, 2.0]"
+    assert_same_text([1, 1.0, True, False, 0, 0.0, None])
+
+
+def test_non_ascii_keys_and_strings():
+    assert_same_text({"σ": 1, "ß": ["é", "→"], "a\nb": {"\ud83d": 2}})
+
+
+def test_empty_containers():
+    for value in ([], {}, (), [[]], [{}], {"a": {}, "b": [], "c": ()}, [(), [[], {}]]):
+        assert_same_text(value)
+
+
+def test_float_subclasses_round_by_their_own_round():
+    assert_same_text([np.float64(0.1 + 0.2), {"x": np.float64(-1e-13)}])
+
+
+def test_a_dict_met_twice_renders_the_same_at_every_depth():
+    shared = {"perm": {"1": "1", "psi": "psi"}, "phases": {"1": 0.0, "psi": math.pi}}
+    value = {
+        "classes": [{"curves": {"C2": shared, "C4": shared, "C6": shared}}, shared],
+        "nested": {"deeper": shared},
+        "top": shared,
+    }
+    assert_same_text(value)
+
+
+def test_unsupported_values_raise_type_error():
+    with pytest.raises(TypeError):
+        dumps([np.int64(3)])
+    with pytest.raises(TypeError):
+        dumps({1: "a key that is not a string"})

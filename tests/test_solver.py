@@ -470,9 +470,10 @@ def test_batched_propagation_rejects_like_the_oracle(monkeypatch):
     controls = [
         # a support entry of V matched against an exact zero of V_out
         (v, eye, DEFAULT_TOL, 0),
-        # the same with the ratio bound switched off: only the zero check
+        # the same with the ratio bound switched off (a bound no finite
+        # ratio reaches; an infinite tol is refused): only the zero check
         # rejects, every pair now passing the modulus filter
-        (v, eye, np.inf, 0),
+        (v, eye, 1e300, 0),
         # tiny entries of equal size within tol but a ratio of modulus 1/2
         (v, _near_identity(1e-9), DEFAULT_TOL, 0),
         # the same tiny entries with equal modulus and another phase pass,

@@ -1,0 +1,51 @@
+import math
+
+import numpy as np
+import pytest
+
+from anyongates import (
+    classify,
+    classify_punctured_sphere,
+    classify_torus,
+    delta_set,
+    load_builtin,
+    solve_intertwiner,
+    sphere_surface,
+    torus_surface,
+    validate,
+)
+from anyongates.abelian import lattice_commutation_check
+from anyongates.tolerances import check_tol
+
+ISING = load_builtin("ising")
+BAD = [math.nan, math.inf, -math.inf, -1.0, -1e-300]
+
+ENTRY_POINTS = {
+    "classify": lambda tol: classify(ISING, torus_surface(), tol=tol),
+    "classify_torus": lambda tol: classify_torus(ISING, tol=tol),
+    "classify_punctured_sphere": lambda tol: classify_punctured_sphere(
+        ISING, sphere_surface(ISING, "sigma", 6), tol=tol
+    ),
+    "delta_set": lambda tol: delta_set(ISING, torus_surface(), "s", tol=tol),
+    "solve_intertwiner": lambda tol: solve_intertwiner(np.eye(2), tol=tol),
+    "validate": lambda tol: validate(ISING, tol=tol),
+    "lattice_commutation_check": lambda tol: lattice_commutation_check(2, 2, tol=tol),
+}
+
+
+@pytest.mark.parametrize("tol", BAD, ids=repr)
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_library_entry_points_refuse_a_bad_tolerance(name, tol):
+    with pytest.raises(ValueError, match="tolerance must be finite and non-negative"):
+        ENTRY_POINTS[name](tol)
+
+
+def test_negative_tolerance_no_longer_classifies_the_ising_torus():
+    assert classify_torus(ISING).n_classes == 4
+    with pytest.raises(ValueError):
+        classify_torus(ISING, tol=-1.0)
+
+
+@pytest.mark.parametrize("tol", [0, 0.0, 1e-12, 1e-9, 1.0])
+def test_check_tol_returns_a_valid_bound(tol):
+    assert check_tol(tol) == tol
