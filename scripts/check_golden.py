@@ -43,7 +43,8 @@ GRID = (
         "delta --model fibonacci --surface torus --words s,st --format json",
     ]
     + [f"validate --model {model} --format json"
-       for model in ("fibonacci", "ising", "zn_toric:2", "zn_toric:3", "zn_toric:4")]
+       for model in ("fibonacci", "ising", "zn_toric:2", "zn_toric:3", "zn_toric:4",
+                     "zn_toric:5", "dg_abelian:2,2")]
     + ["lattice --qudit 4 --size 6 --format json"]
 )
 

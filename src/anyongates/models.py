@@ -20,6 +20,7 @@ import cmath
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -32,6 +33,14 @@ class ModelError(ValueError):
 
 @dataclass(eq=False)
 class AnyonModel:
+    """One anyon model's data; see the module docstring for the conventions.
+
+    A model is treated as immutable once an F-block has been read: the
+    blocks are built once, on the first read, into :attr:`fblocks`, and are
+    not rebuilt when the fusion tensor or the F dict changes afterwards.  A
+    tampered model is a new instance (``dataclasses.replace``).
+    """
+
     name: str
     labels: tuple[str, ...]
     dual: tuple[int, ...]
@@ -72,10 +81,12 @@ class AnyonModel:
         try:
             return self.fsymbols[(i, j, m, k, l, n)]
         except KeyError:
-            raise ModelError(
-                "missing F-symbol F^{%s,%s,%s}_{%s,%s,%s}"
-                % tuple(self.labels[x] for x in (i, j, m, k, l, n))
-            ) from None
+            raise ModelError(_missing_fsymbol(self.labels, (i, j, m, k, l, n))) from None
+
+    @cached_property
+    def fblocks(self) -> FBlockStore:
+        """Every admissible F-block, built once on the first read."""
+        return FBlockStore(self)
 
     def fmove_block(self, i: int, j: int, k: int, l: int):
         """F-move block for boundary (i,j,k,l).
@@ -83,23 +94,116 @@ class AnyonModel:
         Returns ``(rows, cols, block)`` where ``rows`` are the labels m with
         N^m_{ij} N^k_{ml} = 1, ``cols`` the labels n with N^n_{il} N^k_{jn} = 1,
         and ``block[r, c] = F^{ij rows[r]}_{kl cols[c]}``.  Associativity
-        guarantees len(rows) == len(cols).
+        guarantees len(rows) == len(cols).  A boundary that is not admissible
+        gives empty label tuples and a 0x0 block.  The block is a read-only
+        view into :attr:`fblocks`.
         """
-        rows = [
-            m
-            for m in range(self.n_labels)
-            if self.fusion[i, j, m] and self.fusion[m, l, k]
-        ]
-        cols = [
-            n
-            for n in range(self.n_labels)
-            if self.fusion[i, l, n] and self.fusion[j, n, k]
-        ]
-        block = np.array(
-            [[self.fsymbol(i, j, m, k, l, n) for n in cols] for m in rows],
-            dtype=np.complex128,
-        ).reshape(len(rows), len(cols))
-        return tuple(rows), tuple(cols), block
+        store = self.fblocks
+        key = (i, j, k, l)
+        if key in store.missing:
+            raise ModelError(store.missing[key])
+        return store.blocks.get(key, _NO_BLOCK)
+
+
+def _missing_fsymbol(labels, key) -> str:
+    return "missing F-symbol F^{%s,%s,%s}_{%s,%s,%s}" % tuple(labels[x] for x in key)
+
+
+def _join(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (a, b) with left[a] == right[b], ordered by a, then by b."""
+    order = np.argsort(right, kind="stable")
+    ordered = right[order]
+    lo = np.searchsorted(ordered, left, "left")
+    counts = np.searchsorted(ordered, left, "right") - lo
+    a = np.repeat(np.arange(left.size), counts)
+    shift = np.repeat(np.cumsum(counts) - counts - lo, counts)
+    return a, order[np.arange(a.size) - shift]
+
+
+def _fblock_layout(fusion: np.ndarray):
+    """Every admissible boundary of a fusion tensor, its channels and F-symbol keys.
+
+    A row channel m of boundary (i,j,k,l) pairs the fusion triples (i,j,m)
+    and (m,l,k), a column channel n pairs (i,l,n) and (j,n,k); both come
+    from joining the nonzero triples of the fusion tensor, the keys from
+    joining the rows and columns of each boundary.  Returns four integer
+    arrays: ``bounds`` (B, 4), the boundaries (i,j,k,l) with a row or a
+    column channel, in (i, j, l, k) order; ``rows`` (R, 2) and ``cols``
+    (C, 2), the pairs (boundary position, channel), sorted; ``keys`` (K, 7),
+    the rows (boundary position, i, j, m, k, l, n) in boundary order, each
+    block in row-major order.
+    """
+    n = fusion.shape[0]
+    shape = (n, n, n, n)
+    t = np.argwhere(fusion)  # (a, b, c) with N^c_{ab} = 1
+    a, b = _join(t[:, 2], t[:, 0])
+    row_code = np.ravel_multi_index((t[a, 0], t[a, 1], t[b, 1], t[b, 2]), shape)
+    row_m = t[a, 2]
+    a, b = _join(t[:, 2], t[:, 1])
+    col_code = np.ravel_multi_index((t[a, 0], t[b, 0], t[a, 1], t[b, 2]), shape)
+    col_n = t[a, 2]
+
+    codes = np.union1d(row_code, col_code)
+    bounds = np.column_stack(np.unravel_index(codes, shape))[:, [0, 1, 3, 2]]
+    rows = np.column_stack((np.searchsorted(codes, row_code), row_m))
+    rows = rows[np.lexsort(rows.T[::-1])]
+    cols = np.column_stack((np.searchsorted(codes, col_code), col_n))
+    cols = cols[np.lexsort(cols.T[::-1])]
+    a, b = _join(rows[:, 0], cols[:, 0])
+    i, j, k, l = bounds[rows[a, 0]].T
+    keys = np.column_stack((rows[a, 0], i, j, rows[a, 1], k, l, cols[b, 1]))
+    return bounds, rows, cols, keys
+
+
+_NO_BLOCK = ((), (), np.zeros((0, 0), dtype=np.complex128))
+_NO_BLOCK[2].flags.writeable = False
+
+
+class FBlockStore:
+    """Every admissible F-block of one model, built once.
+
+    ``blocks`` maps each admissible boundary (i,j,k,l) to what
+    :meth:`AnyonModel.fmove_block` returns for it; ``missing`` maps a
+    boundary whose block reads an absent F-symbol to the error text for the
+    first one in row-major order.  ``boundaries`` lists the admissible
+    boundaries in (i, j, l, k) order, the order of ``missing`` too, and
+    ``stacks`` pairs, per block shape, the positions of its boundaries in
+    that list with the read-only stack of their blocks.
+    """
+
+    def __init__(self, model: AnyonModel):
+        bounds, rows, cols, keys = _fblock_layout(model.fusion)
+        self.boundaries = list(map(tuple, bounds.tolist()))
+        fkeys = list(map(tuple, keys[:, 1:].tolist()))
+        values = list(map(model.fsymbols.get, fkeys))
+        self.missing: dict[tuple[int, int, int, int], str] = {}
+        if None in values:
+            for e in [e for e, v in enumerate(values) if v is None]:
+                self.missing.setdefault(
+                    self.boundaries[keys[e, 0]], _missing_fsymbol(model.labels, fkeys[e])
+                )
+                values[e] = math.nan
+        values = np.array(values, dtype=np.complex128)
+
+        n_bound = len(self.boundaries)
+        n_rows = np.bincount(rows[:, 0], minlength=n_bound)
+        n_cols = np.bincount(cols[:, 0], minlength=n_bound)
+        row_off = np.cumsum(n_rows) - n_rows
+        col_off = np.cumsum(n_cols) - n_cols
+        entry_off = np.cumsum(n_rows * n_cols) - n_rows * n_cols
+        self.blocks = {}
+        self.stacks: list[tuple[np.ndarray, np.ndarray]] = []
+        for r, c in sorted(set(zip(n_rows.tolist(), n_cols.tolist()))):
+            pos = np.flatnonzero((n_rows == r) & (n_cols == c))
+            stack = values[(entry_off[pos, None] + np.arange(r * c)).ravel()]
+            stack = stack.reshape(pos.size, r, c)
+            stack.flags.writeable = False
+            self.stacks.append((pos, stack))
+            row_sets = map(tuple, rows[row_off[pos, None] + np.arange(r), 1].tolist())
+            col_sets = map(tuple, cols[col_off[pos, None] + np.arange(c), 1].tolist())
+            self.blocks.update(
+                zip([self.boundaries[p] for p in pos.tolist()], zip(row_sets, col_sets, stack))
+            )
 
 
 def quantum_dimensions(model: AnyonModel) -> np.ndarray:
@@ -123,28 +227,14 @@ def _fill_fsymbols(fusion: np.ndarray, entry) -> dict:
     ``entry(i, j, m, k, l, n)`` supplies the value; admissibility is read
     off the fusion tensor.
     """
-    n_lab = fusion.shape[0]
-    out = {}
-    for i in range(n_lab):
-        for j in range(n_lab):
-            for l in range(n_lab):
-                for m in np.nonzero(fusion[i, j])[0]:
-                    for k in np.nonzero(fusion[m, l])[0]:
-                        for n in np.nonzero(fusion[i, l])[0]:
-                            if fusion[j, n, k]:
-                                key = (i, j, int(m), int(k), l, int(n))
-                                out[key] = complex(entry(*key))
-    return out
+    keys = _fblock_layout(fusion)[3][:, 1:]
+    return {key: complex(entry(*key)) for key in map(tuple, keys.tolist())}
 
 
 def _fill_rsymbols(fusion: np.ndarray, entry) -> dict:
-    n_lab = fusion.shape[0]
-    out = {}
-    for a in range(n_lab):
-        for b in range(n_lab):
-            for c in np.nonzero(fusion[a, b])[0]:
-                out[(a, b, int(c))] = complex(entry(a, b, int(c)))
-    return out
+    return {
+        (a, b, c): complex(entry(a, b, c)) for a, b, c in np.argwhere(fusion).tolist()
+    }
 
 
 def fibonacci() -> AnyonModel:
@@ -379,13 +469,7 @@ def serialize_model(model: AnyonModel) -> str:
         "name": model.name,
         "labels": list(model.labels),
         "dual": list(model.dual),
-        "fusion": sorted(
-            [int(a), int(b), int(c)]
-            for a in range(n)
-            for b in range(n)
-            for c in range(n)
-            if model.fusion[a, b, c]
-        ),
+        "fusion": np.argwhere(model.fusion).tolist(),
         "smatrix": [
             [float(model.smatrix[a, b].real), float(model.smatrix[a, b].imag)]
             for a in range(n)
@@ -581,9 +665,7 @@ def validate(model: AnyonModel, tol: float = DEFAULT_TOL) -> ModelValidationRepo
     dual_ok = all(model.dual[model.dual[a]] == a for a in range(n))
     if not dual_ok:
         details.append("dual involution")
-    vac = np.array(
-        [[model.fusion[a, b, 0] for b in range(n)] for a in range(n)], dtype=float
-    )
+    vac = model.fusion[:, :, 0].astype(float)
     want = np.zeros((n, n))
     for a in range(n):
         want[a, model.dual[a]] = 1.0
@@ -609,32 +691,28 @@ def validate(model: AnyonModel, tol: float = DEFAULT_TOL) -> ModelValidationRepo
     rep.checks["dual_rows_conjugate"] = CheckResult(res < tol, res)
 
     # Every admissible F-block must be unitary (square by associativity).
-    worst = 0.0
-    bad = ""
-    try:
-        for i in range(n):
-            for j in range(n):
-                for l in range(n):
-                    for k in range(n):
-                        rows, cols, block = model.fmove_block(i, j, k, l)
-                        if not rows and not cols:
-                            continue
-                        if len(rows) != len(cols):
-                            worst = max(worst, 1.0)
-                            bad = f"non-square block at {(i, j, k, l)}"
-                            continue
-                        r = float(
-                            np.abs(
-                                block @ block.conj().T - np.eye(len(rows))
-                            ).max()
-                        )
-                        if r > worst:
-                            worst = r
-                            if r >= tol:
-                                bad = f"block {(i, j, k, l)}"
-    except ModelError as exc:
-        worst = float("inf")
-        bad = str(exc)
+    # The residuals come from one batched B B^dagger - I per block shape, the
+    # detail from a walk over the boundaries in (i, j, l, k) order.
+    store = model.fblocks
+    res = np.empty(len(store.boundaries))
+    for pos, stack in store.stacks:
+        r, c = stack.shape[1:]
+        if r != c:
+            res[pos] = -1.0
+        else:
+            gram = stack @ stack.conj().transpose(0, 2, 1)
+            res[pos] = np.abs(gram - np.eye(r)).max(axis=(1, 2))
+    worst, bad = 0.0, ""
+    for boundary, r in zip(store.boundaries, res.tolist()):
+        if r < 0:
+            worst = max(worst, 1.0)
+            bad = f"non-square block at {boundary}"
+        elif r > worst:
+            worst = r
+            if r >= tol:
+                bad = f"block {boundary}"
+    if store.missing:
+        worst, bad = float("inf"), next(iter(store.missing.values()))
     rep.checks["fblocks_unitary"] = CheckResult(worst < tol, worst, bad)
 
     # R completeness/unit modulus plus the twist consistency

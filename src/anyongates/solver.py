@@ -569,9 +569,11 @@ def solve_intertwiner(
     edges of a chunk at once.  Families are returned in (perm_in, perm_out)
     order: lexicographic for a wildcard, list order otherwise.  Each is the
     complete connected solution set for its pair, with one free phase per
-    component of its constraint graph.
+    component of its constraint graph.  A NaN, infinite or negative
+    ``tol``, ``zero_tol`` or ``cycle_tol`` is a ValueError.
     """
-    check_tol(tol)
+    for bound in (tol, zero_tol, cycle_tol):
+        check_tol(bound)
     v = np.asarray(v, dtype=np.complex128)
     if v.ndim != 2 or v.shape[0] != v.shape[1]:
         raise ValueError("V must be a square matrix")
@@ -677,9 +679,11 @@ def delta_set(
     restricts the searched gate permutations (required above dimension 8);
     ``restrict_perms_out`` restricts the conjugated gate's permutation,
     which word matrices with many equal-modulus entries may need to keep
-    the matching enumeration finite.
+    the matching enumeration finite.  The bounds are checked as in
+    :func:`solve_intertwiner`, before the word is evaluated.
     """
-    check_tol(tol)
+    for bound in (tol, zero_tol, cycle_tol):
+        check_tol(bound)
     rep = evaluate_word(model, surface, word)
     sols = solve_intertwiner(
         rep.matrix,
@@ -706,8 +710,10 @@ def intersect_delta(sets: list[DeltaSet], tol: float = CYCLE_TOL) -> DeltaSet:
     Families intersect pairwise: same gate permutation, conjoined phase
     cosets.  Within one set, families with equal permutation are disjoint
     (the output monomial is a function of the gate), so no deduplication is
-    needed; empty conjunctions are dropped.
+    needed; empty conjunctions are dropped.  A NaN, infinite or negative
+    ``tol`` is a ValueError.
     """
+    check_tol(tol)
     if not sets:
         raise ValueError("need at least one delta set")
     dim = sets[0].dim

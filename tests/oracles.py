@@ -4,6 +4,8 @@ Everything here deliberately avoids the code paths under test: dimensions
 come from recursions instead of the labeling enumerator, idempotents from
 eigendecompositions instead of the S-matrix formula, intertwiner families
 from a brute-force phase-grid search instead of graph propagation, the
+F-blocks and their unitarity check from a per-boundary walk over all labels
+instead of the model's block store, the
 phases of a permutation pair from a scalar walk over that pair's own
 constraint graph instead of the batched walk over a shared forest, the
 sphere word filter from dense conjugation of every product gate instead of
@@ -21,6 +23,8 @@ import json
 from collections import deque
 
 import numpy as np
+
+from anyongates.models import CheckResult, ModelError
 
 
 def njit(**_options):  # identity decorator: the oracles run as plain Python
@@ -56,6 +60,61 @@ def brute_force_labelings(model, boundary: tuple[int, ...]) -> list[tuple[int, .
         if ok and model.fusion[prev, boundary[m - 2], model.dual[boundary[m - 1]]]:
             out.append(cand)
     return out
+
+
+# ---------------------------------------------------------------------------
+# F-blocks boundary by boundary
+
+
+def reference_fmove_block(model, i: int, j: int, k: int, l: int):
+    """The block of boundary (i,j,k,l) from scans over all labels."""
+    rows = [
+        m
+        for m in range(model.n_labels)
+        if model.fusion[i, j, m] and model.fusion[m, l, k]
+    ]
+    cols = [
+        n
+        for n in range(model.n_labels)
+        if model.fusion[i, l, n] and model.fusion[j, n, k]
+    ]
+    block = np.array(
+        [[model.fsymbol(i, j, m, k, l, n) for n in cols] for m in rows],
+        dtype=np.complex128,
+    ).reshape(len(rows), len(cols))
+    return tuple(rows), tuple(cols), block
+
+
+def reference_fblocks_unitary(model, tol: float) -> CheckResult:
+    """``validate``'s F-block unitarity check as one walk over all boundaries."""
+    n = model.n_labels
+    worst = 0.0
+    bad = ""
+    try:
+        for i in range(n):
+            for j in range(n):
+                for l in range(n):
+                    for k in range(n):
+                        rows, cols, block = reference_fmove_block(model, i, j, k, l)
+                        if not rows and not cols:
+                            continue
+                        if len(rows) != len(cols):
+                            worst = max(worst, 1.0)
+                            bad = f"non-square block at {(i, j, k, l)}"
+                            continue
+                        r = float(
+                            np.abs(
+                                block @ block.conj().T - np.eye(len(rows))
+                            ).max()
+                        )
+                        if r > worst:
+                            worst = r
+                            if r >= tol:
+                                bad = f"block {(i, j, k, l)}"
+    except ModelError as exc:
+        worst = float("inf")
+        bad = str(exc)
+    return CheckResult(worst < tol, worst, bad)
 
 
 # ---------------------------------------------------------------------------

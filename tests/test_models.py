@@ -1,4 +1,8 @@
+import dataclasses
+import functools
+import itertools
 import json
+import time
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from anyongates import (
     validate,
     zn_toric,
 )
+from oracles import reference_fblocks_unitary, reference_fmove_block
 
 PHI = (1 + np.sqrt(5)) / 2
 
@@ -285,3 +290,173 @@ def test_validate_flags_corrupted_fusion():
         twists=m.twists,
     )
     assert not validate(bad).passed
+
+
+# ---------------------------------------------------------------------------
+# F-block store against the per-boundary oracle
+
+SMALL_MODEL_NAMES = [
+    "fibonacci", "ising", "zn_toric:2", "zn_toric:3", "zn_toric:4", "dg_abelian:2,2"
+]
+
+
+def _served(fmove_block, boundary):
+    """The block of a boundary, or the text of the ModelError raised for it."""
+    try:
+        return fmove_block(*boundary)
+    except ModelError as exc:
+        return str(exc)
+
+
+def _assert_same_block(got, want):
+    if isinstance(want, str):
+        assert got == want
+        return
+    rows, cols, block = got
+    assert (rows, cols) == want[:2]
+    assert all(type(x) is int for x in rows + cols)
+    assert block.shape == want[2].shape and block.dtype == np.complex128
+    assert np.array_equal(block, want[2])
+
+
+def _all_boundaries(model):
+    return itertools.product(range(model.n_labels), repeat=4)
+
+
+def _without_fsymbol(model, key):
+    fsymbols = dict(model.fsymbols)
+    del fsymbols[key]
+    return dataclasses.replace(model, fsymbols=fsymbols)
+
+
+@pytest.mark.parametrize("name", SMALL_MODEL_NAMES)
+def test_fblock_store_matches_the_per_boundary_oracle(name):
+    m = load_builtin(name)
+    for boundary in _all_boundaries(m):
+        _assert_same_block(m.fmove_block(*boundary), reference_fmove_block(m, *boundary))
+
+
+def test_fblock_store_is_built_once_and_read_only():
+    m = ising()
+    assert m.fblocks is m.fblocks
+    _, _, block = m.fmove_block(2, 2, 2, 2)
+    assert m.fmove_block(2, 2, 2, 2)[2] is block
+    with pytest.raises(ValueError):
+        block[0, 0] = 0
+    rows, cols, empty = m.fmove_block(1, 1, 2, 0)  # psi x psi holds no sigma
+    assert rows == () and cols == () and empty.shape == (0, 0)
+
+
+@pytest.mark.parametrize(
+    "name, key",
+    [
+        ("ising", (2, 2, 1, 2, 2, 0)),
+        ("fibonacci", (1, 1, 0, 1, 1, 1)),
+        ("zn_toric:3", (4, 5, 6, 4, 7, 2)),
+    ],
+)
+def test_a_missing_fsymbol_fails_only_the_boundaries_that_read_it(name, key):
+    m = load_builtin(name)
+    assert key in m.fsymbols
+    bad = _without_fsymbol(m, key)
+    failed = []
+    for boundary in _all_boundaries(bad):
+        got = _served(bad.fmove_block, boundary)
+        _assert_same_block(got, _served(functools.partial(reference_fmove_block, bad), boundary))
+        if isinstance(got, str):
+            assert "missing F-symbol" in got
+            failed.append(boundary)
+    i, j, _, k, l, _ = key
+    assert failed == [(i, j, k, l)]
+
+
+def test_a_model_with_a_missing_fsymbol_still_loads():
+    doc = json.loads(serialize_model(ising()))
+    doc["fsymbols"] = [
+        e for e in doc["fsymbols"] if [e[x] for x in "abcdef"] != [2, 2, 1, 2, 2, 0]
+    ]
+    m = parse_model(doc)
+    assert m.fmove_block(2, 1, 2, 1)[0] == (2,)
+    with pytest.raises(ModelError, match="missing F-symbol"):
+        m.fmove_block(2, 2, 2, 2)
+    assert not validate(m).checks["fblocks_unitary"].passed
+
+
+# ---------------------------------------------------------------------------
+# validate's batched unitarity check against the per-boundary oracle
+
+
+def _scaled_fibonacci():
+    m = fibonacci()
+    fsymbols = {
+        key: val * 1.1 if (key[0], key[1], key[3], key[4]) == (1, 1, 1, 1) else val
+        for key, val in m.fsymbols.items()
+    }
+    return dataclasses.replace(m, fsymbols=fsymbols)
+
+
+def _corrupted_fusion_ising():
+    m = ising()
+    fusion = m.fusion.copy()
+    fusion[1, 1, 1] = 1
+    return dataclasses.replace(m, fusion=fusion)
+
+
+def _completed_corrupted_fusion_ising(sigma_scale=1.0):
+    """The corrupted fusion with every symbol it admits: non-square blocks."""
+    model = _corrupted_fusion_ising()
+    f = model.fusion
+    fsymbols = {}
+    for key in itertools.product(range(3), repeat=6):
+        i, j, m, k, l, n = key
+        if f[i, j, m] and f[m, l, k] and f[i, l, n] and f[j, n, k]:
+            scale = sigma_scale if (i, j, k, l) == (2, 2, 2, 2) else 1.0
+            fsymbols[key] = model.fsymbols.get(key, 1.0) * scale
+    return dataclasses.replace(model, fsymbols=fsymbols)
+
+
+def _nan_and_scaled_ising():
+    m = ising()
+    fsymbols = dict(m.fsymbols)
+    fsymbols[(1, 2, 2, 1, 2, 2)] = complex("nan")
+    fsymbols[(2, 2, 0, 2, 2, 0)] *= 2.0
+    return dataclasses.replace(m, fsymbols=fsymbols)
+
+
+BROKEN_MODELS = {
+    "scaled fibonacci": _scaled_fibonacci,
+    "corrupted-fusion ising": _corrupted_fusion_ising,
+    "corrupted-fusion ising, all symbols": _completed_corrupted_fusion_ising,
+    "corrupted-fusion ising, all symbols, scaled sigma block": functools.partial(
+        _completed_corrupted_fusion_ising, 2.0
+    ),
+    "ising with a NaN symbol": _nan_and_scaled_ising,
+    "ising without a symbol": lambda: _without_fsymbol(ising(), (2, 2, 1, 2, 2, 0)),
+    "zn_toric:3 without a symbol": lambda: _without_fsymbol(zn_toric(3), (4, 5, 6, 4, 7, 2)),
+}
+PARITY_MODELS = {name: functools.partial(load_builtin, name) for name in SMALL_MODEL_NAMES}
+PARITY_MODELS.update(BROKEN_MODELS)
+# the builtins at the default bound, the broken models also at bounds that
+# move the tie-breaks between block residuals, non-square blocks and tol
+PARITY_CASES = [(name, 1e-9) for name in SMALL_MODEL_NAMES] + [
+    (name, tol) for name in BROKEN_MODELS for tol in (0.0, 1e-9, 0.5, 10.0)
+]
+
+
+@pytest.mark.parametrize("name, tol", PARITY_CASES)
+def test_fblocks_unitary_matches_the_per_boundary_walk(name, tol):
+    m = PARITY_MODELS[name]()
+    assert validate(m, tol=tol).checks["fblocks_unitary"] == reference_fblocks_unitary(m, tol)
+
+
+@pytest.mark.parametrize("name", list(BROKEN_MODELS))
+def test_broken_models_fail_the_fblock_check(name):
+    assert not validate(BROKEN_MODELS[name]()).checks["fblocks_unitary"].passed
+
+
+def test_validate_zn_toric_5_in_under_a_second():
+    m = load_builtin("zn_toric:5")
+    start = time.perf_counter()
+    rep = validate(m)
+    assert rep.passed
+    assert time.perf_counter() - start < 1.0

@@ -8,6 +8,7 @@ from anyongates import (
     classify_punctured_sphere,
     classify_torus,
     delta_set,
+    intersect_delta,
     load_builtin,
     solve_intertwiner,
     sphere_surface,
@@ -44,6 +45,35 @@ def test_negative_tolerance_no_longer_classifies_the_ising_torus():
     assert classify_torus(ISING).n_classes == 4
     with pytest.raises(ValueError):
         classify_torus(ISING, tol=-1.0)
+
+
+SECONDARY_BOUNDS = {
+    "solve_intertwiner(zero_tol)": lambda tol: solve_intertwiner(np.eye(2), zero_tol=tol),
+    "solve_intertwiner(cycle_tol)": lambda tol: solve_intertwiner(np.eye(2), cycle_tol=tol),
+    "delta_set(zero_tol)": lambda tol: delta_set(ISING, torus_surface(), "s", zero_tol=tol),
+    "delta_set(cycle_tol)": lambda tol: delta_set(ISING, torus_surface(), "s", cycle_tol=tol),
+}
+
+
+@pytest.mark.parametrize("tol", BAD, ids=repr)
+@pytest.mark.parametrize("name", sorted(SECONDARY_BOUNDS))
+def test_secondary_bounds_refuse_a_bad_tolerance(name, tol):
+    with pytest.raises(ValueError, match="tolerance must be finite and non-negative"):
+        SECONDARY_BOUNDS[name](tol)
+
+
+def test_a_negative_zero_tol_no_longer_empties_the_solution_list():
+    assert len(solve_intertwiner(np.eye(2))) == 2
+    with pytest.raises(ValueError):
+        solve_intertwiner(np.eye(2), zero_tol=-1.0)
+
+
+@pytest.mark.parametrize("tol", BAD, ids=repr)
+def test_intersect_delta_refuses_a_bad_tolerance(tol):
+    sets = [delta_set(ISING, torus_surface(), word) for word in ("s", "st")]
+    assert len(intersect_delta(sets)) == 4
+    with pytest.raises(ValueError, match="tolerance must be finite and non-negative"):
+        intersect_delta(sets, tol=tol)
 
 
 @pytest.mark.parametrize("tol", [0, 0.0, 1e-12, 1e-9, 1.0])
