@@ -8,9 +8,9 @@ That gives three things the generic solver cannot:
   torus words that each contain a single s letter (affine label
   permutation, character diagonal, twist dressing), valid at dimensions far
   beyond the wildcard search limit;
-* string (Wilson loop) operators along the two torus cycles, their Pauli
-  group, and a batched membership test for the generalized Clifford
-  hierarchy's second level restricted to monomial representatives;
+* string (Wilson loop) operators along the two torus cycles and a batched
+  membership test for the generalized Clifford hierarchy's second level
+  restricted to monomial representatives;
 * an exponent-vector model of the same string operators on an L x L qudit
   lattice, for cross-checking commutation phases against the S matrix
   without building 2^(2 L^2)-dimensional state vectors.
@@ -37,7 +37,6 @@ from .solver import (
 from .surfaces import SurfaceSpec
 from .tolerances import (
     CLIFFORD_TOL,
-    COMMUTATION_TOL,
     CYCLE_TOL,
     DEFAULT_TOL,
     LATTICE_TOL,
@@ -346,7 +345,7 @@ def word_is_unconstraining(model: AnyonModel, word: str) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# String operators and the Pauli group
+# String operators and Clifford-star membership
 
 
 def string_operator_matrices(model: AnyonModel) -> tuple[np.ndarray, np.ndarray]:
@@ -368,97 +367,6 @@ def _string_operator_matrices(n: int, smatrix: bytes) -> tuple[np.ndarray, np.nd
         np.fill_diagonal(f1[a], dtotal * s[a])
     f2 = np.einsum("xy,ayz,wz->axw", s, f1, np.conj(s))
     return f1, f2
-
-
-@dataclass(frozen=True)
-class PauliElement:
-    """omega^phase F_a(C1) F_b(C2) as exponent data, omega = exp(2 pi i / N)."""
-
-    a: int
-    b: int
-    phase: int
-    modulus: int
-
-    def key(self):
-        return (self.a, self.b, self.phase % self.modulus)
-
-
-def _commutation_exponent(model: AnyonModel) -> np.ndarray:
-    """c[a, b] with F_b(C2) F_a(C1) = omega^{c[a,b]} F_a(C1) F_b(C2)."""
-    n = model.n_labels
-    gc = group_coordinates(model)
-    nexp = gc.exponent
-    f1, f2 = string_operator_matrices(model)
-    c = np.zeros((n, n), dtype=np.int64)
-    for a in range(n):
-        for b in range(n):
-            lhs = f2[b] @ f1[a]
-            rhs = f1[a] @ f2[b]
-            idx = np.unravel_index(np.abs(rhs).argmax(), rhs.shape)
-            ratio = lhs[idx] / rhs[idx]
-            k = round(np.angle(ratio) * nexp / (2 * np.pi)) % nexp
-            if abs(ratio - np.exp(2j * np.pi * k / nexp)) > COMMUTATION_TOL:
-                raise RuntimeError("commutation phase is not an exponent root")
-            if np.abs(lhs - np.exp(2j * np.pi * k / nexp) * rhs).max() > COMMUTATION_TOL:
-                raise RuntimeError("string operators do not commute projectively")
-            c[a, b] = k
-    return c
-
-
-def pauli_group_orders(model: AnyonModel) -> tuple[int, int]:
-    """(single-loop, full) Pauli group orders by explicit closure.
-
-    Elements are tracked as (a, b, phase) exponent triples with phases in
-    the group generated by omega = exp(2 pi i / N), N the group exponent.
-    The closure is taken over products of the generators and omega itself.
-    """
-    mul = fusion_table(model)
-    n = model.n_labels
-    gc = group_coordinates(model)
-    nexp = gc.exponent
-    comm = _commutation_exponent(model)
-
-    def multiply(x: PauliElement, y: PauliElement) -> PauliElement:
-        # (F_a F_b)(F_a' F_b') = omega^{comm[a', b]} F_{a a'} F_{b b'}
-        return PauliElement(
-            a=int(mul[x.a, y.a]),
-            b=int(mul[x.b, y.b]),
-            phase=(x.phase + y.phase + comm[y.a, x.b]) % nexp,
-            modulus=nexp,
-        )
-
-    def closure(gens: list[PauliElement]) -> int:
-        ident = PauliElement(0, 0, 0, nexp)
-        seen = {ident.key()}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens:
-                    y = multiply(x, g)
-                    if y.key() not in seen:
-                        seen.add(y.key())
-                        nxt.append(y)
-            frontier = nxt
-        return len(seen)
-
-    omega = PauliElement(0, 0, 1, nexp)
-    single_gens = [omega] + [PauliElement(a, 0, 0, nexp) for a in range(n)]
-    full_gens = single_gens + [PauliElement(0, b, 0, nexp) for b in range(n)]
-    return closure(single_gens), closure(full_gens)
-
-
-def pauli_element_orders_divide_exponent(model: AnyonModel) -> bool:
-    """Every label's fusion power cycle closes within the group exponent."""
-    mul = fusion_table(model)
-    nexp = group_coordinates(model).exponent
-    for a in range(model.n_labels):
-        x = 0
-        for _ in range(nexp):
-            x = int(mul[x, a])
-        if x != 0:
-            return False
-    return True
 
 
 def clifford_star_batch(
@@ -512,16 +420,6 @@ def clifford_star_batch(
         member &= ((absc > tol).sum(axis=1) == 1) & (np.abs(np.abs(top) - 1.0) <= tol)
         roots &= np.abs(top**nexp - 1.0) <= ROOT_TOL
     return member, member & roots
-
-
-def clifford_star_membership(
-    model: AnyonModel,
-    gate: MonomialMatrix,
-    tol: float = CLIFFORD_TOL,
-) -> tuple[bool, bool]:
-    """(maps strings to strings up to phase, phases are exponent roots)."""
-    member, roots = clifford_star_batch(model, [gate.perm], [gate.phases], tol)
-    return bool(member[0]), bool(roots[0])
 
 
 # ---------------------------------------------------------------------------
@@ -602,14 +500,6 @@ class LatticeOperator:
     modulus: int
     x_exp: tuple[int, ...]
     z_exp: tuple[int, ...]
-
-    def compose(self, other: "LatticeOperator") -> "LatticeOperator":
-        nmod = self.modulus
-        return LatticeOperator(
-            modulus=nmod,
-            x_exp=tuple((a + b) % nmod for a, b in zip(self.x_exp, other.x_exp)),
-            z_exp=tuple((a + b) % nmod for a, b in zip(self.z_exp, other.z_exp)),
-        )
 
 
 def commutation_phase_exponent(op1: LatticeOperator, op2: LatticeOperator) -> int:

@@ -582,11 +582,7 @@ def _sphere_verdict(model, surface, basis, classes, details, flags):
         )
         if diag:
             return "trivial", 1
-    if (
-        model.labels == ("1", "psi", "sigma")
-        and details.get("path") == "factorized"
-        and _classes_are_pauli(classes)
-    ):
+    if details.get("path") == "factorized" and _classes_are_pauli(classes):
         return "pauli_group", n_cls
     if details.get("path") == "fallback":
         return "upper_bound_only", n_cls
@@ -594,10 +590,16 @@ def _sphere_verdict(model, surface, basis, classes, details, flags):
 
 
 def _classes_are_pauli(classes) -> bool:
-    """Every per-curve action is 1, Z, X or XZ up to phase."""
+    """Every curve is a qubit (two labels) acted on by 1, Z, X or XZ up to phase.
+
+    Only the class data is read, so a model is recognised by its structure,
+    not by the names or the order of its labels.
+    """
     for cls in classes:
         for data in cls.get("curves", {}).values():
-            for a, v in data["phases"].items():
+            if len(data["phases"]) != 2:
+                return False
+            for v in data["phases"].values():
                 r = v % (2.0 * np.pi)
                 if min(r, abs(r - np.pi), abs(r - 2.0 * np.pi)) > PAULI_ANGLE_TOL:
                     return False
@@ -669,7 +671,7 @@ def classify_torus(
         # sign of an angle at pi, so the joined set takes the first
         # single-s word's place.
         fams = _ab.torus_word_families(model, closed_words, tol=tol)
-        closed = DeltaSet(dim=n, words=tuple(closed_words), families=fams)
+        closed = DeltaSet(dim=n, families=fams)
         sets.insert(closed_at, closed)
     if not sets:
         raise ClassificationError("no constraining words given")

@@ -17,8 +17,8 @@ standard basis (x_1..x_N), N = M-3:
   placement.
 
 Words multiply left to right; an inverse generator contributes the conjugate
-transpose.  The representation is projective, so comparisons between word
-matrices should use :func:`projective_distance`.
+transpose.  The representation is projective: two words for the same
+mapping class give matrices that agree up to a global phase.
 """
 
 from __future__ import annotations
@@ -37,23 +37,6 @@ class RepMatrix:
     word: str
     matrix: np.ndarray
     basis: BasisIndex
-
-
-def projective_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Max-norm distance between a and b after best-fit global phase alignment.
-
-    The phase is read off at a's largest-magnitude entry, so equal matrices
-    up to a global phase give ~0 regardless of that phase.
-    """
-    idx = np.unravel_index(np.argmax(np.abs(a)), a.shape)
-    ref = a[idx]
-    if abs(ref) == 0.0:
-        return float(np.abs(a - b).max())
-    lam = b[idx] / ref
-    mag = abs(lam)
-    if mag > 0:
-        lam /= mag
-    return float(np.abs(a * lam - b).max())
 
 
 def torus_generators(model: AnyonModel) -> tuple[RepMatrix, RepMatrix]:

@@ -25,10 +25,9 @@ from __future__ import annotations
 
 import warnings
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .mcg import evaluate_word
 from .models import AnyonModel
@@ -72,9 +71,6 @@ class MonomialMatrix:
             out[p, l] = self.phases[l]
         return out
 
-    def is_identity_perm(self) -> bool:
-        return all(p == i for i, p in enumerate(self.perm))
-
 
 def is_monomial(mat: np.ndarray, tol: float = DEFAULT_TOL, zero_tol: float = ZERO_THRESHOLD) -> bool:
     """One unit-modulus entry per row and column, everything else below zero_tol."""
@@ -109,20 +105,6 @@ def monomial_from_matrix(
     if sorted(perm) != list(range(n)):
         raise ValueError("column maxima do not form a permutation")
     return MonomialMatrix(perm=tuple(perm), phases=tuple(phases))
-
-
-def nearest_monomial(mat: np.ndarray) -> tuple[MonomialMatrix, float]:
-    """Closest monomial matrix (max-norm residual) via optimal assignment."""
-    n = mat.shape[0]
-    rows, cols = linear_sum_assignment(-np.abs(mat))
-    perm = [0] * n
-    phases = [0j] * n
-    for r, c in zip(rows, cols):
-        perm[c] = int(r)
-        v = mat[r, c]
-        phases[c] = v / abs(v) if abs(v) > 0 else 1.0
-    mono = MonomialMatrix(perm=tuple(perm), phases=tuple(phases))
-    return mono, float(np.abs(mat - mono.matrix()).max())
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +142,8 @@ class PhaseCoset:
         )
 
     def contains(self, d: np.ndarray, tol: float = MEMBERSHIP_TOL) -> bool:
+        """A NaN, infinite or negative ``tol`` is a ValueError."""
+        check_tol(tol)
         d = np.asarray(d, dtype=np.complex128)
         if d.shape[0] != self.dim:
             return False
@@ -223,27 +207,6 @@ class PhaseCoset:
             rel.append(f / root_val[r])
         return PhaseCoset(components=tuple(components), rel=tuple(rel))
 
-    def is_subset_of(self, other: "PhaseCoset", tol: float = MEMBERSHIP_TOL) -> bool:
-        """Every constraint of ``other`` is implied by this coset."""
-        for c in range(other.n_free):
-            idx = [i for i in range(other.dim) if other.components[i] == c]
-            j0 = idx[0]
-            for i in idx[1:]:
-                if self.components[i] != self.components[j0]:
-                    return False
-                want = other.rel[i] / other.rel[j0]
-                have = self.rel[i] / self.rel[j0]
-                if abs(want - have) > tol:
-                    return False
-        return True
-
-    def same_as(self, other: "PhaseCoset", tol: float = MEMBERSHIP_TOL) -> bool:
-        return self.is_subset_of(other, tol) and other.is_subset_of(self, tol)
-
-
-def free_coset(n: int) -> PhaseCoset:
-    return PhaseCoset(components=tuple(range(n)), rel=(1.0 + 0j,) * n)
-
 
 # ---------------------------------------------------------------------------
 # Intertwiner solving
@@ -301,29 +264,6 @@ class IntertwinerSolution:
             components.append(comp_ids[c])
             rel.append(self.relative_phases[i] / first_val[c])
         return PhaseCoset(components=tuple(components), rel=tuple(rel))
-
-
-def intertwiner_residual(
-    v: np.ndarray,
-    sol: IntertwinerSolution,
-    free=None,
-    v_out: np.ndarray | None = None,
-) -> float:
-    """Max-norm of V_out (Pi D) - (Pi' D') V for an instantiated family."""
-    if v_out is None:
-        v_out = v
-    d, dp = sol.instantiate(free)
-    lhs = v_out @ _monomial_array(sol.perm_in, d)
-    rhs = _monomial_array(sol.perm_out, dp) @ v
-    return float(np.abs(lhs - rhs).max())
-
-
-def _monomial_array(perm, d) -> np.ndarray:
-    n = len(perm)
-    out = np.zeros((n, n), dtype=np.complex128)
-    for l, p in enumerate(perm):
-        out[p, l] = d[l]
-    return out
 
 
 def _normalize_perm_arg(arg, n: int):
@@ -631,7 +571,6 @@ class GateFamily:
 
     perm: tuple[int, ...]
     coset: PhaseCoset
-    perm_out_by_word: dict[str, tuple[int, ...]] = field(default_factory=dict)
 
     @property
     def n_free(self) -> int:
@@ -641,6 +580,7 @@ class GateFamily:
         return MonomialMatrix(perm=self.perm, phases=tuple(self.coset.instantiate(free)))
 
     def contains(self, gate: MonomialMatrix, tol: float = MEMBERSHIP_TOL) -> bool:
+        check_tol(tol)
         return gate.perm == self.perm and self.coset.contains(
             np.array(gate.phases), tol
         )
@@ -651,13 +591,13 @@ class DeltaSet:
     """Union of gate families compatible with one or more word matrices."""
 
     dim: int
-    words: tuple[str, ...]
     families: list[GateFamily]
 
     def __len__(self) -> int:
         return len(self.families)
 
     def contains(self, gate: MonomialMatrix, tol: float = MEMBERSHIP_TOL) -> bool:
+        check_tol(tol)
         return any(f.contains(gate, tol) for f in self.families)
 
 
@@ -693,15 +633,8 @@ def delta_set(
         zero_tol=zero_tol,
         cycle_tol=cycle_tol,
     )
-    families = [
-        GateFamily(
-            perm=s.perm_in,
-            coset=s.gate_coset(),
-            perm_out_by_word={rep.word: s.perm_out},
-        )
-        for s in sols
-    ]
-    return DeltaSet(dim=rep.basis.dim, words=(rep.word,), families=families)
+    families = [GateFamily(perm=s.perm_in, coset=s.gate_coset()) for s in sols]
+    return DeltaSet(dim=rep.basis.dim, families=families)
 
 
 def intersect_delta(sets: list[DeltaSet], tol: float = CYCLE_TOL) -> DeltaSet:
@@ -721,7 +654,6 @@ def intersect_delta(sets: list[DeltaSet], tol: float = CYCLE_TOL) -> DeltaSet:
         if s.dim != dim:
             raise ValueError("delta sets over different bases")
     current = sets[0].families
-    words = list(sets[0].words)
     for s in sets[1:]:
         by_perm: dict[tuple[int, ...], list[GateFamily]] = {}
         for fam_b in s.families:
@@ -730,11 +662,7 @@ def intersect_delta(sets: list[DeltaSet], tol: float = CYCLE_TOL) -> DeltaSet:
         for fam_a in current:
             for fam_b in by_perm.get(fam_a.perm, ()):
                 coset = fam_a.coset.intersect(fam_b.coset, tol)
-                if coset is None:
-                    continue
-                merged = dict(fam_a.perm_out_by_word)
-                merged.update(fam_b.perm_out_by_word)
-                nxt.append(GateFamily(perm=fam_a.perm, coset=coset, perm_out_by_word=merged))
+                if coset is not None:
+                    nxt.append(GateFamily(perm=fam_a.perm, coset=coset))
         current = nxt
-        words.extend(s.words)
-    return DeltaSet(dim=dim, words=tuple(words), families=current)
+    return DeltaSet(dim=dim, families=current)

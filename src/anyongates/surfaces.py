@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .models import AnyonModel, ModelError
+from .models import AnyonModel
 
 
 class InfeasibleSurfaceError(ValueError):
@@ -95,12 +95,6 @@ def standard_dap(surface: SurfaceSpec) -> DapDecomposition:
     return DapDecomposition(curves=curves, adjacency=adjacency)
 
 
-@dataclass(frozen=True)
-class Labeling:
-    surface: SurfaceSpec
-    values: tuple[int, ...]  # label index per internal curve, in curve order
-
-
 @dataclass
 class BasisIndex:
     surface: SurfaceSpec
@@ -111,9 +105,6 @@ class BasisIndex:
     @property
     def dim(self) -> int:
         return len(self.labelings)
-
-    def labeling(self, i: int) -> Labeling:
-        return Labeling(surface=self.surface, values=self.labelings[i])
 
 
 def enumerate_labelings(
@@ -184,33 +175,3 @@ def cut_dimensions(
     for lab in basis.labelings:
         out[lab[pos]] += 1
     return out
-
-
-def _is_ising_model(model: AnyonModel) -> bool:
-    return model.labels == ("1", "psi", "sigma")
-
-
-def ising_qubit_isomorphism(model: AnyonModel, labeling: Labeling) -> str:
-    """Bit string of an Ising sphere labeling: odd slots map 1 -> 0, psi -> 1.
-
-    Defined for S^2(sigma^M) with even M >= 4, where even slots are forced to
-    sigma and the M/2 - 1 odd slots carry the qubits.
-    """
-    if not _is_ising_model(model):
-        raise ModelError("qubit isomorphism is defined for the ising model only")
-    surf = labeling.surface
-    if surf.kind != "punctured_sphere":
-        raise ModelError("qubit isomorphism needs a punctured sphere")
-    m = surf.punctures
-    sigma = 2
-    if m < 4 or m % 2 or any(x != sigma for x in surf.boundary_labels):
-        raise ModelError("qubit isomorphism needs S^2(sigma^M) with even M >= 4")
-    bits = []
-    for k, x in enumerate(labeling.values):
-        if k % 2 == 0:
-            if x == sigma:
-                raise ModelError("odd slot carries sigma; not a valid basis labeling")
-            bits.append("0" if x == 0 else "1")
-        elif x != sigma:
-            raise ModelError("even slot must carry sigma")
-    return "".join(bits)

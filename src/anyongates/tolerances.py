@@ -18,14 +18,6 @@ ZERO_THRESHOLD = 1e-10
 # error from every edge it traverses.
 CYCLE_TOL = 1e-8
 
-# Bound for projective matrix identities (braid relations), where a best-fit
-# global phase has been divided out first.
-PROJECTIVE_TOL = 1e-8
-
-# Residual bound when substituting a concrete solution back into an
-# intertwiner equation.
-RESIDUAL_TOL = 1e-8
-
 # A model is abelian when every quantum dimension is 1 within this bound.
 QDIM_TOL = 1e-9
 
@@ -80,11 +72,6 @@ MONOMIAL_READ_TOL = 1e-6
 # The torus classes all differ by a global phase (a trivial verdict) when
 # their relative phases agree within this bound.
 TRIVIAL_PHASE_TOL = 1e-8
-
-# Abelian string operators commute up to omega^k: the ratio of F_b(C2) F_a(C1)
-# to F_a(C1) F_b(C2) is an exponent root, and the two agree entrywise after
-# that phase, within this bound.
-COMMUTATION_TOL = 1e-8
 
 # Default bound for the lattice commutation phases against the Z_N S matrix
 # (the library call and the CLI's lattice --tol).

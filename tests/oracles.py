@@ -14,6 +14,12 @@ of gate permutations and phases, the lattice commutation phases from
 dense state-space matrices instead of exponent vectors, and the report JSON
 from the standard library encoder after a rounding walk instead of the
 package's writer.
+
+The module also holds the helpers only tests need, which the package does not
+export: the residual of an instantiated intertwiner family, phase-coset
+comparison, the projective distance of two word matrices, the Ising qubit
+dictionary, the abelian Pauli group by explicit closure, and products of
+lattice operators.
 """
 
 from __future__ import annotations
@@ -21,10 +27,23 @@ from __future__ import annotations
 import itertools
 import json
 from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 
+from anyongates.abelian import (
+    LatticeOperator,
+    fusion_table,
+    group_coordinates,
+    string_operator_matrices,
+)
 from anyongates.models import CheckResult, ModelError
+from anyongates.tolerances import MEMBERSHIP_TOL
+
+# Abelian string operators commute up to omega^k: the ratio of F_b(C2) F_a(C1)
+# to F_a(C1) F_b(C2) is an exponent root, and the two agree entrywise after
+# that phase, within this bound.
+COMMUTATION_TOL = 1e-8
 
 
 def njit(**_options):  # identity decorator: the oracles run as plain Python
@@ -328,6 +347,64 @@ def grid_intertwiner_solutions(v, v_out=None, coarse_tol=0.12, cap=200):
 
 
 # ---------------------------------------------------------------------------
+# Substitution checks for intertwiner families and phase cosets
+
+
+def intertwiner_residual(v, sol, free=None, v_out=None) -> float:
+    """Max-norm of V_out (Pi D) - (Pi' D') V for an instantiated family."""
+    if v_out is None:
+        v_out = v
+    d, dp = sol.instantiate(free)
+    lhs = v_out @ _monomial_array(sol.perm_in, d)
+    rhs = _monomial_array(sol.perm_out, dp) @ v
+    return float(np.abs(lhs - rhs).max())
+
+
+def _monomial_array(perm, d) -> np.ndarray:
+    n = len(perm)
+    out = np.zeros((n, n), dtype=np.complex128)
+    for l, p in enumerate(perm):
+        out[p, l] = d[l]
+    return out
+
+
+def coset_is_subset_of(coset, other, tol: float = MEMBERSHIP_TOL) -> bool:
+    """Every constraint of the phase coset ``other`` is implied by ``coset``."""
+    for c in range(other.n_free):
+        idx = [i for i in range(other.dim) if other.components[i] == c]
+        j0 = idx[0]
+        for i in idx[1:]:
+            if coset.components[i] != coset.components[j0]:
+                return False
+            want = other.rel[i] / other.rel[j0]
+            have = coset.rel[i] / coset.rel[j0]
+            if abs(want - have) > tol:
+                return False
+    return True
+
+
+def coset_same_as(a, b, tol: float = MEMBERSHIP_TOL) -> bool:
+    return coset_is_subset_of(a, b, tol) and coset_is_subset_of(b, a, tol)
+
+
+def projective_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Max-norm distance between a and b after best-fit global phase alignment.
+
+    The phase is read off at a's largest-magnitude entry, so equal matrices
+    up to a global phase give ~0 regardless of that phase.
+    """
+    idx = np.unravel_index(np.argmax(np.abs(a)), a.shape)
+    ref = a[idx]
+    if abs(ref) == 0.0:
+        return float(np.abs(a - b).max())
+    lam = b[idx] / ref
+    mag = abs(lam)
+    if mag > 0:
+        lam /= mag
+    return float(np.abs(a * lam - b).max())
+
+
+# ---------------------------------------------------------------------------
 # One-pair phase propagation (scalar)
 
 
@@ -384,6 +461,40 @@ def propagate_phases_scalar(v, v_out, pi, pip, support, tol, cycle_tol):
             root_val[c] = val[i]
         rel[i] = val[i] / root_val[c]
     return tuple(comp), tuple(rel)
+
+
+# ---------------------------------------------------------------------------
+# Ising qubit dictionary
+
+
+def _is_ising_model(model) -> bool:
+    return model.labels == ("1", "psi", "sigma")
+
+
+def ising_qubit_isomorphism(model, surface, values) -> str:
+    """Bit string of an Ising sphere labeling: odd slots map 1 -> 0, psi -> 1.
+
+    ``values`` is one labeling of ``surface``, a label index per internal
+    curve.  Defined for S^2(sigma^M) with even M >= 4, where even slots are
+    forced to sigma and the M/2 - 1 odd slots carry the qubits.
+    """
+    if not _is_ising_model(model):
+        raise ModelError("qubit isomorphism is defined for the ising model only")
+    if surface.kind != "punctured_sphere":
+        raise ModelError("qubit isomorphism needs a punctured sphere")
+    m = surface.punctures
+    sigma = 2
+    if m < 4 or m % 2 or any(x != sigma for x in surface.boundary_labels):
+        raise ModelError("qubit isomorphism needs S^2(sigma^M) with even M >= 4")
+    bits = []
+    for k, x in enumerate(values):
+        if k % 2 == 0:
+            if x == sigma:
+                raise ModelError("odd slot carries sigma; not a valid basis labeling")
+            bits.append("0" if x == 0 else "1")
+        elif x != sigma:
+            raise ModelError("even slot must carry sigma")
+    return "".join(bits)
 
 
 # ---------------------------------------------------------------------------
@@ -451,13 +562,104 @@ def dense_sphere_word_filter(model, surface, words, tol=1e-9):
 
 
 # ---------------------------------------------------------------------------
+# Abelian Pauli group by explicit closure
+
+
+@dataclass(frozen=True)
+class PauliElement:
+    """omega^phase F_a(C1) F_b(C2) as exponent data, omega = exp(2 pi i / N)."""
+
+    a: int
+    b: int
+    phase: int
+    modulus: int
+
+    def key(self):
+        return (self.a, self.b, self.phase % self.modulus)
+
+
+def _commutation_exponent(model) -> np.ndarray:
+    """c[a, b] with F_b(C2) F_a(C1) = omega^{c[a,b]} F_a(C1) F_b(C2)."""
+    n = model.n_labels
+    nexp = group_coordinates(model).exponent
+    f1, f2 = string_operator_matrices(model)
+    c = np.zeros((n, n), dtype=np.int64)
+    for a in range(n):
+        for b in range(n):
+            lhs = f2[b] @ f1[a]
+            rhs = f1[a] @ f2[b]
+            idx = np.unravel_index(np.abs(rhs).argmax(), rhs.shape)
+            ratio = lhs[idx] / rhs[idx]
+            k = round(np.angle(ratio) * nexp / (2 * np.pi)) % nexp
+            if abs(ratio - np.exp(2j * np.pi * k / nexp)) > COMMUTATION_TOL:
+                raise RuntimeError("commutation phase is not an exponent root")
+            if np.abs(lhs - np.exp(2j * np.pi * k / nexp) * rhs).max() > COMMUTATION_TOL:
+                raise RuntimeError("string operators do not commute projectively")
+            c[a, b] = k
+    return c
+
+
+def pauli_group_orders(model) -> tuple[int, int]:
+    """(single-loop, full) Pauli group orders by explicit closure.
+
+    Elements are tracked as (a, b, phase) exponent triples with phases in
+    the group generated by omega = exp(2 pi i / N), N the group exponent.
+    The closure is taken over products of the generators and omega itself.
+    """
+    mul = fusion_table(model)
+    n = model.n_labels
+    nexp = group_coordinates(model).exponent
+    comm = _commutation_exponent(model)
+
+    def multiply(x: PauliElement, y: PauliElement) -> PauliElement:
+        # (F_a F_b)(F_a' F_b') = omega^{comm[a', b]} F_{a a'} F_{b b'}
+        return PauliElement(
+            a=int(mul[x.a, y.a]),
+            b=int(mul[x.b, y.b]),
+            phase=(x.phase + y.phase + comm[y.a, x.b]) % nexp,
+            modulus=nexp,
+        )
+
+    def closure(gens: list[PauliElement]) -> int:
+        ident = PauliElement(0, 0, 0, nexp)
+        seen = {ident.key()}
+        frontier = [ident]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for g in gens:
+                    y = multiply(x, g)
+                    if y.key() not in seen:
+                        seen.add(y.key())
+                        nxt.append(y)
+            frontier = nxt
+        return len(seen)
+
+    omega = PauliElement(0, 0, 1, nexp)
+    single_gens = [omega] + [PauliElement(a, 0, 0, nexp) for a in range(n)]
+    full_gens = single_gens + [PauliElement(0, b, 0, nexp) for b in range(n)]
+    return closure(single_gens), closure(full_gens)
+
+
+def pauli_element_orders_divide_exponent(model) -> bool:
+    """Every label's fusion power cycle closes within the group exponent."""
+    mul = fusion_table(model)
+    nexp = group_coordinates(model).exponent
+    for a in range(model.n_labels):
+        x = 0
+        for _ in range(nexp):
+            x = int(mul[x, a])
+        if x != 0:
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
 # Clifford-star membership by exhaustive Pauli matching
 
 
 def membership_by_search(model, gate_matrix, tol=1e-8):
     """Does U map every string generator to phase * string, by direct search."""
-    from anyongates.abelian import string_operator_matrices
-
     f1, f2 = string_operator_matrices(model)
     n = model.n_labels
     paulis = [f1[a] @ f2[b] for a in range(n) for b in range(n)]
@@ -488,8 +690,6 @@ def clifford_star_membership_dense(model, gate_matrix, tol=1e-8):
     tr(basis^dag X) / n.  Membership in the monomial Clifford analogue
     needs exactly one unit-modulus coefficient per conjugated generator.
     """
-    from anyongates.abelian import group_coordinates, string_operator_matrices
-
     n = model.n_labels
     f1, f2 = string_operator_matrices(model)
     basis = np.array([f1[a] @ f2[b] for a in range(n) for b in range(n)])
@@ -539,6 +739,16 @@ def dense_lattice_operator(op) -> np.ndarray:
         factor = np.linalg.matrix_power(x, xe) @ np.linalg.matrix_power(z, ze)
         out = np.kron(out, factor)
     return out
+
+
+def compose_lattice_operators(a, b):
+    """The product of two lattice operators: exponent vectors add mod N."""
+    nmod = a.modulus
+    return LatticeOperator(
+        modulus=nmod,
+        x_exp=tuple((p + q) % nmod for p, q in zip(a.x_exp, b.x_exp)),
+        z_exp=tuple((p + q) % nmod for p, q in zip(a.z_exp, b.z_exp)),
+    )
 
 
 # ---------------------------------------------------------------------------

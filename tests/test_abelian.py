@@ -21,7 +21,6 @@ from anyongates.abelian import (
     characters,
     check_lambda_monomial,
     clifford_star_batch,
-    clifford_star_membership,
     commutation_phase_exponent,
     dyon_loop,
     eq_consistency_residual,
@@ -30,8 +29,6 @@ from anyongates.abelian import (
     induced_cycle_permutations,
     is_abelian,
     lattice_commutation_check,
-    pauli_element_orders_divide_exponent,
-    pauli_group_orders,
     string_operator_matrices,
     torus_word_families,
     word_is_unconstraining,
@@ -40,8 +37,12 @@ from anyongates.solver import DeltaSet, delta_set, intersect_delta
 
 from oracles import (
     clifford_star_membership_dense,
+    compose_lattice_operators,
+    coset_same_as,
     dense_lattice_operator,
     membership_by_search,
+    pauli_element_orders_divide_exponent,
+    pauli_group_orders,
 )
 
 Z2 = load_builtin("zn_toric:2")
@@ -179,17 +180,17 @@ def test_z2_families_match_generic_solver():
         assert len(closed) == len(generic) == 96
         for fc in closed:
             assert any(
-                fc.perm == fg.perm and fc.coset.same_as(fg.coset) for fg in generic
+                fc.perm == fg.perm and coset_same_as(fc.coset, fg.coset) for fg in generic
             )
         for fg in generic:
             assert any(
-                fc.perm == fg.perm and fc.coset.same_as(fg.coset) for fc in closed
+                fc.perm == fg.perm and coset_same_as(fc.coset, fg.coset) for fc in closed
             )
 
 
 def _pairwise(model, words):
     sets = [
-        DeltaSet(dim=model.n_labels, words=(w,), families=torus_word_families(model, w))
+        DeltaSet(dim=model.n_labels, families=torus_word_families(model, w))
         for w in words
     ]
     return intersect_delta(sets).families
@@ -203,7 +204,7 @@ def test_joint_families_match_pairwise_intersection(model, words):
     assert len(joint) == len(pairwise) > 0
     assert [f.perm for f in joint] == [f.perm for f in pairwise]
     for fj, fp in zip(joint, pairwise):
-        assert fj.coset.same_as(fp.coset)
+        assert coset_same_as(fj.coset, fp.coset)
 
 
 def test_joint_families_match_wildcard_intersection():
@@ -214,7 +215,7 @@ def test_joint_families_match_wildcard_intersection():
     assert len(joint) == len(generic) == 96
     for fj in joint:
         assert sum(
-            fj.perm == fg.perm and fj.coset.same_as(fg.coset) for fg in generic
+            fj.perm == fg.perm and coset_same_as(fj.coset, fg.coset) for fg in generic
         ) == 1
 
 
@@ -323,12 +324,18 @@ def _as_gate(mat):
     return monomial_from_matrix(mat)
 
 
+def _membership(model, gate):
+    """clifford_star_batch for one gate: (member, member with root phases)."""
+    member, roots = clifford_star_batch(model, [gate.perm], [gate.phases])
+    return bool(member[0]), bool(roots[0])
+
+
 def test_string_gates_are_members():
     f1, f2 = string_operator_matrices(Z2)
     for a in range(4):
-        ok, roots = clifford_star_membership(Z2, _as_gate(f1[a]))
+        ok, roots = _membership(Z2, _as_gate(f1[a]))
         assert ok and roots
-        ok, roots = clifford_star_membership(Z2, _as_gate(f2[a] @ f1[a]))
+        ok, roots = _membership(Z2, _as_gate(f2[a] @ f1[a]))
         assert ok and roots
 
 
@@ -336,14 +343,14 @@ def test_membership_matches_search_oracle():
     f1, f2 = string_operator_matrices(Z2)
     gates = [f1[1], f2[2] @ f1[3], np.eye(4, dtype=complex)]
     for g in gates:
-        ok, _ = clifford_star_membership(Z2, _as_gate(g))
+        ok, _ = _membership(Z2, _as_gate(g))
         assert ok == membership_by_search(Z2, g)
 
 
 def test_irrational_diagonal_is_not_member():
     d = np.diag(np.exp(1j * np.array([0.0, 0.0, 0.0, 0.7])))
     gate = _as_gate(d)
-    ok, _ = clifford_star_membership(Z2, gate)
+    ok, _ = _membership(Z2, gate)
     assert not ok
     assert not membership_by_search(Z2, d)
 
@@ -353,7 +360,7 @@ def test_family_gates_from_classification_are_members():
     rng = np.random.default_rng(7)
     for fam in [fams[i] for i in rng.choice(len(fams), size=8, replace=False)]:
         gate = MonomialMatrix(perm=fam.perm, phases=tuple(fam.coset.instantiate()))
-        ok, roots = clifford_star_membership(Z2, gate)
+        ok, roots = _membership(Z2, gate)
         assert ok
         assert roots
 
@@ -533,7 +540,7 @@ def test_parallel_loops_commute():
 def test_compose_adds_exponents():
     a = dyon_loop(3, 2, flux=1, charge=1, horizontal=True)
     b = dyon_loop(3, 2, flux=2, charge=2, horizontal=True)
-    c = a.compose(b)
+    c = compose_lattice_operators(a, b)
     assert all(x == 0 for x in c.x_exp)
     assert all(z == 0 for z in c.z_exp)
 

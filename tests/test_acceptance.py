@@ -18,7 +18,6 @@ from anyongates import (
     enumerate_labelings,
     evaluate_word,
     intersect_delta,
-    ising_qubit_isomorphism,
     iso_phase_set,
     load_builtin,
     solve_intertwiner,
@@ -31,7 +30,6 @@ from anyongates.abelian import (
     induced_cycle_permutations,
     lattice_commutation_check,
 )
-from anyongates.mcg import projective_distance
 from anyongates.models import verlinde_fusion
 from anyongates.solver import MonomialMatrix
 from anyongates.surfaces import cut_dimensions, standard_dap
@@ -42,7 +40,9 @@ from oracles import (
     fibonacci_number,
     grid_intertwiner_solutions,
     idempotents_by_eigendecomposition,
+    ising_qubit_isomorphism,
     match_projector_sets,
+    projective_distance,
 )
 
 FIB = load_builtin("fibonacci")
@@ -156,7 +156,7 @@ def test_05_ising_larger_spheres_factorize():
         assert rep.n_classes == 4 ** (m // 2 - 1), m
         basis = enumerate_labelings(ISING, surf)
         reg = [
-            int(ising_qubit_isomorphism(ISING, basis.labeling(i)), 2)
+            int(ising_qubit_isomorphism(ISING, surf, basis.labelings[i]), 2)
             for i in range(basis.dim)
         ]
         curves = [f"C{j}" for j in range(1, m - 2, 2)]

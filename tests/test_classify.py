@@ -13,17 +13,19 @@ from anyongates import (
     classify_punctured_sphere,
     classify_torus,
     enumerate_labelings,
-    ising_qubit_isomorphism,
     iso_phase_set,
     load_builtin,
+    parse_model,
+    serialize_model,
     sphere_surface,
     torus_surface,
+    validate,
 )
 from anyongates.abelian import torus_word_families
 from anyongates.classify import VERDICTS
 from anyongates.solver import DeltaSet, delta_set, intersect_delta
 
-from oracles import _round_floats, dense_sphere_word_filter
+from oracles import _round_floats, dense_sphere_word_filter, ising_qubit_isomorphism
 
 FIB = load_builtin("fibonacci")
 ISING = load_builtin("ising")
@@ -127,7 +129,7 @@ def test_ising_classes_factorize_exactly(m):
     basis = enumerate_labelings(ISING, surf)
     # map basis index to qubit-register index via the bit strings
     reg = [
-        int(ising_qubit_isomorphism(ISING, basis.labeling(i)), 2)
+        int(ising_qubit_isomorphism(ISING, surf, basis.labelings[i]), 2)
         for i in range(basis.dim)
     ]
     qubit_curves = [f"C{j}" for j in range(1, m - 2, 2)]
@@ -157,6 +159,41 @@ def test_ising_classes_are_distinct_paulis():
         )
         assert key not in seen
         seen.add(key)
+
+
+def _ising_reordered():
+    """Ising with its labels in the order 1, sigma, psi, through the JSON schema."""
+    swap = [0, 2, 1]  # old index -> new index, its own inverse
+    doc = json.loads(serialize_model(ISING))
+    doc["name"] = "ising-reordered"
+    for key in ("labels", "twists"):
+        doc[key] = [doc[key][old] for old in swap]
+    doc["dual"] = [swap[doc["dual"][old]] for old in swap]
+    doc["fusion"] = [[swap[x] for x in triple] for triple in doc["fusion"]]
+    doc["smatrix"] = [
+        doc["smatrix"][3 * swap[a] + swap[b]] for a in range(3) for b in range(3)
+    ]
+    for sym in doc["fsymbols"] + doc["rsymbols"]:
+        for key in "abcdef":
+            if key in sym:
+                sym[key] = swap[sym[key]]
+    return parse_model(doc)
+
+
+@pytest.mark.parametrize(
+    "model, label",
+    [
+        (dataclasses.replace(ISING, name="ising-renamed", labels=("vac", "f", "s")), "s"),
+        (_ising_reordered(), "sigma"),
+    ],
+    ids=["renamed", "reordered"],
+)
+def test_pauli_verdict_reads_structure_not_label_names(model, label):
+    """An Ising model under other label names or another label order is still
+    recognised: the verdict comes from the per-curve qubit actions."""
+    assert validate(model).passed
+    rep = classify_punctured_sphere(model, sphere_surface(model, label, 8))
+    assert (rep.verdict, rep.group_order, rep.n_classes) == ("pauli_group", 64, 64)
 
 
 def _ising_with_r_sigma_sigma(name, one, psi):
@@ -296,7 +333,7 @@ def test_closed_form_keeps_its_place_among_the_words(words):
     sets = [
         delta_set(Z2, torus_surface(), w)
         if w == "stst"
-        else DeltaSet(dim=4, words=(w,), families=torus_word_families(Z2, w))
+        else DeltaSet(dim=4, families=torus_word_families(Z2, w))
         for w in words
     ]
 
@@ -386,7 +423,7 @@ def test_empty_class_list_is_an_error(model, surface, monkeypatch):
     monkeypatch.setattr(mod, "is_monomial", lambda *args, **kwargs: False)
     monkeypatch.setattr(
         mod, "intersect_delta",
-        lambda sets, *args, **kwargs: DeltaSet(dim=sets[0].dim, words=(), families=[]),
+        lambda sets, *args, **kwargs: DeltaSet(dim=sets[0].dim, families=[]),
     )
     with pytest.raises(ClassificationError, match="no gate class"):
         classify(model, surface)

@@ -5,12 +5,13 @@ from anyongates import (
     braid_generator,
     evaluate_word,
     load_builtin,
-    projective_distance,
     sphere_surface,
     torus_generators,
     torus_surface,
 )
 from anyongates.mcg import braid_block, parse_word
+
+from oracles import projective_distance
 
 FIB = load_builtin("fibonacci")
 ISING = load_builtin("ising")

@@ -1,0 +1,75 @@
+"""The package's public surface: what it exports and what importing it loads."""
+
+import ast
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import anyongates
+
+PACKAGE = Path(anyongates.__file__).parent
+README = Path(__file__).parents[1] / "README.md"
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # A fresh interpreter: the test process may hold scipy through the oracles.
+    code = (
+        "import sys, anyongates.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
+
+
+def _src_references() -> set[str]:
+    """Names and attributes read in the package modules, ``__init__`` aside.
+
+    A top-level function or class does not count as a caller of itself.
+    """
+    found: set[str] = set()
+
+    def walk(node, owner):
+        for child in ast.iter_child_nodes(node):
+            inner = owner
+            if owner is None and isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                inner = child.name
+            name = None
+            if isinstance(child, ast.Name):
+                name = child.id
+            elif isinstance(child, ast.Attribute):
+                name = child.attr
+            if name is not None and name != inner:
+                found.add(name)
+            walk(child, inner)
+
+    for path in PACKAGE.glob("*.py"):
+        if path.name != "__init__.py":
+            walk(ast.parse(path.read_text()), None)
+    return found
+
+
+def _readme_library_section() -> str:
+    text = README.read_text()
+    start = text.index("\n## Library\n")
+    end = text.find("\n## ", start + 1)
+    return text[start : end if end != -1 else len(text)]
+
+
+def test_every_export_has_a_caller_or_is_documented():
+    """Named in the Library section means in backticks or called in its example."""
+    called = _src_references()
+    library = _readme_library_section()
+    orphans = [
+        name
+        for name in anyongates.__all__
+        if name not in called
+        and not re.search(rf"`{name}`|(?<![\w.]){name}\(", library)
+    ]
+    assert orphans == []

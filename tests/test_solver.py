@@ -17,15 +17,16 @@ from anyongates import (
     torus_surface,
 )
 from anyongates import solver
-from anyongates.solver import (
-    IntertwinerSolution,
-    free_coset,
-    intertwiner_residual,
-    nearest_monomial,
-)
+from anyongates.solver import IntertwinerSolution
 from anyongates.tolerances import CYCLE_TOL, DEFAULT_TOL, ZERO_THRESHOLD
 
-from oracles import grid_intertwiner_solutions, propagate_phases_scalar
+from oracles import (
+    coset_is_subset_of,
+    coset_same_as,
+    grid_intertwiner_solutions,
+    intertwiner_residual,
+    propagate_phases_scalar,
+)
 
 FIB = load_builtin("fibonacci")
 ISING = load_builtin("ising")
@@ -36,6 +37,11 @@ def random_unitary(n, seed):
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     q, r = np.linalg.qr(a)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def free_coset(n):
+    """The phase coset with one free phase per index."""
+    return PhaseCoset(components=tuple(range(n)), rel=(1.0 + 0j,) * n)
 
 
 # ---------------------------------------------------------------------------
@@ -66,17 +72,6 @@ def test_monomial_matrix_action():
     m = gate.matrix()
     # column l carries phase l at row perm[l]
     assert m[1, 0] == 1.0 and m[0, 1] == -1.0
-    assert gate.is_identity_perm() is False
-    assert MonomialMatrix(perm=(0, 1), phases=(1, 1)).is_identity_perm()
-
-
-def test_nearest_monomial_recovers_noisy_input():
-    rng = np.random.default_rng(5)
-    gate = MonomialMatrix(perm=(1, 2, 0), phases=(1j, 1.0, -1j))
-    noisy = gate.matrix() + 0.01 * rng.normal(size=(3, 3))
-    back, resid = nearest_monomial(noisy)
-    assert back.perm == gate.perm
-    assert resid < 0.05
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +96,7 @@ def test_coset_intersect_equal_and_disjoint():
     b = PhaseCoset(components=(0, 0), rel=(1.0, 1j))
     c = PhaseCoset(components=(0, 0), rel=(1.0, -1j))
     assert a.intersect(b) is not None
-    assert a.intersect(b).same_as(a)
+    assert coset_same_as(a.intersect(b), a)
     assert a.intersect(c) is None
 
 
@@ -110,7 +105,7 @@ def test_coset_intersect_free_with_rigid():
     got = free_coset(3).intersect(rigid)
     assert got is not None
     assert got.n_free == 1
-    assert got.same_as(rigid)
+    assert coset_same_as(got, rigid)
 
 
 def test_coset_partial_intersection():
@@ -126,8 +121,8 @@ def test_coset_partial_intersection():
 
 def test_coset_subset():
     rigid = PhaseCoset(components=(0, 0), rel=(1.0, 1j))
-    assert rigid.is_subset_of(free_coset(2))
-    assert not free_coset(2).is_subset_of(rigid)
+    assert coset_is_subset_of(rigid, free_coset(2))
+    assert not coset_is_subset_of(free_coset(2), rigid)
 
 
 def test_coset_instantiate():
@@ -290,8 +285,6 @@ def test_delta_set_families_close_under_words():
     ds = delta_set(FIB, torus_surface(), "s")
     assert ds.dim == 2
     assert len(ds.families) == 2
-    for fam in ds.families:
-        assert fam.perm_out_by_word["s"] in (fam.perm, tuple(fam.perm))
 
 
 def test_intersect_delta_pins_fibonacci_to_identity():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from anyongates import (
+    MonomialMatrix,
     classify,
     classify_punctured_sphere,
     classify_torus,
@@ -79,3 +80,27 @@ def test_intersect_delta_refuses_a_bad_tolerance(tol):
 @pytest.mark.parametrize("tol", [0, 0.0, 1e-12, 1e-9, 1.0])
 def test_check_tol_returns_a_valid_bound(tol):
     assert check_tol(tol) == tol
+
+
+FIB_S = delta_set(load_builtin("fibonacci"), torus_surface(), "s")
+Z_GATE = MonomialMatrix(perm=(0, 1), phases=(1.0, -1.0))
+MEMBERSHIP_BOUNDS = {
+    "PhaseCoset.contains": lambda tol: FIB_S.families[0].coset.contains(
+        np.array(Z_GATE.phases), tol
+    ),
+    "GateFamily.contains": lambda tol: FIB_S.families[0].contains(Z_GATE, tol),
+    "DeltaSet.contains": lambda tol: FIB_S.contains(Z_GATE, tol),
+}
+
+
+@pytest.mark.parametrize("tol", BAD, ids=repr)
+@pytest.mark.parametrize("name", sorted(MEMBERSHIP_BOUNDS))
+def test_membership_bounds_refuse_a_bad_tolerance(name, tol):
+    with pytest.raises(ValueError, match="tolerance must be finite and non-negative"):
+        MEMBERSHIP_BOUNDS[name](tol)
+
+
+def test_a_nan_membership_bound_no_longer_admits_every_gate():
+    assert not FIB_S.contains(Z_GATE, 1e-8)
+    with pytest.raises(ValueError):
+        FIB_S.contains(Z_GATE, math.nan)
