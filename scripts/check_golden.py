@@ -30,7 +30,8 @@ GRID = (
     + [f"classify --model fibonacci --surface sphere:tau:{m} --format json"
        for m in (4, 7, 11)]
     + [f"classify --model {model} --surface torus --format json"
-       for model in ("fibonacci", "ising", "zn_toric:2", "zn_toric:3", "zn_toric:4")]
+       for model in ("fibonacci", "ising", "zn_toric:2", "zn_toric:3", "zn_toric:4",
+                     "zn_toric:5")]
     + [
         "classify --model zn_toric:3 --surface torus --words s,st,stst --format json",
         "classify --model ising --surface sphere:sigma:8 --words s1s2 --format json",

@@ -719,12 +719,18 @@ def classify_torus(
 
 
 def _contains_logical_paulis(model, inter: DeltaSet) -> bool:
-    """Every string operator on either cycle lies in some family."""
+    """Every string operator on either cycle lies in some family.
+
+    A gate can only lie in a family with its permutation, so each string is
+    tested against the families of its permutation alone.
+    """
+    by_perm: dict[tuple[int, ...], list] = {}
+    for fam in inter.families:
+        by_perm.setdefault(fam.perm, []).append(fam)
     f1, f2 = _ab.string_operator_matrices(model)
+    gates = (monomial_from_matrix(f[a]) for a in range(model.n_labels) for f in (f1, f2))
     return all(
-        inter.contains(monomial_from_matrix(f[a]))
-        for a in range(model.n_labels)
-        for f in (f1, f2)
+        any(fam.contains(gate) for fam in by_perm.get(gate.perm, ())) for gate in gates
     )
 
 

@@ -25,6 +25,20 @@ QDIM_TOL = 1e-9
 # is verified monomial under its word matrix.
 VERIFY_ZERO_THRESHOLD = 1e-8
 
+# A closed-form torus family is verified one factor at a time:
+# V Pi D V^dag = (V Pi diag(dress) V^dag)(V diag(chi_b) V^dag) for
+# D = chi_b * dress.  Let z = VERIFY_ZERO_THRESHOLD and u = unit_modulus_tol(tol),
+# and check each n x n factor with zero bound d = z/4 and unit bound
+# e = min(u, 1)/4 <= 1/4.  In the product an off entry gets at most one term
+# from each factor's main entry and n - 2 terms of two off entries, so it is at
+# most 2 (1 + e) d + n d^2 <= 5z/8 + n z^2/16 < z.  A main entry m is a product
+# of two main entries plus n - 1 terms of two off entries, so
+# ||m| - 1| <= 2e + e^2 + n d^2 <= 9u/16 + n z^2/16 < u, and |m| > 7/16 - n d^2
+# stays above z.  Both bounds hold for n < 6/z and n < 7u/z^2
+# (u >= UNIT_MODULUS_FLOOR), far beyond any label count, so two passing
+# factors make a product that passes the per-family test with bounds z and u.
+FACTOR_ZERO_THRESHOLD = VERIFY_ZERO_THRESHOLD / 4
+
 # Unit-modulus bound for the entries of a conjugated monomial: 100 tol, but
 # never below the floor, so a tight tol still absorbs the rounding of a
 # product of several unitaries.
@@ -87,6 +101,11 @@ def check_tol(tol: float) -> float:
 
 def unit_modulus_tol(tol: float) -> float:
     return max(UNIT_MODULUS_FACTOR * tol, UNIT_MODULUS_FLOOR)
+
+
+def factor_unit_modulus_tol(tol: float) -> float:
+    """Unit bound e of one factor of a closed-form torus family (see above)."""
+    return min(unit_modulus_tol(tol), 1.0) / 4
 
 
 def modulus_match_tol(tol: float) -> float:

@@ -9,7 +9,10 @@ instead of the model's block store, the
 phases of a permutation pair from a scalar walk over that pair's own
 constraint graph instead of the batched walk over a shared forest, the
 sphere word filter from dense conjugation of every product gate instead of
-per-curve local blocks, Clifford-star membership from the dense expansion in the string basis instead
+per-curve local blocks, the closed-form torus families verified by one dense
+product per family instead of one check per character and per permutation
+factor, the logical-Pauli test by a scan over every family instead of a lookup
+by permutation, Clifford-star membership from the dense expansion in the string basis instead
 of gate permutations and phases, the lattice commutation phases from
 dense state-space matrices instead of exponent vectors, and the report JSON
 from the standard library encoder after a rounding walk instead of the
@@ -33,12 +36,23 @@ import numpy as np
 
 from anyongates.abelian import (
     LatticeOperator,
+    affine_permutations,
+    characters,
     fusion_table,
     group_coordinates,
     string_operator_matrices,
 )
+from anyongates.mcg import evaluate_word, parse_word
 from anyongates.models import CheckResult, ModelError
-from anyongates.tolerances import MEMBERSHIP_TOL
+from anyongates.solver import GateFamily, PhaseCoset, monomial_from_matrix
+from anyongates.surfaces import SurfaceSpec
+from anyongates.tolerances import (
+    CYCLE_TOL,
+    DEFAULT_TOL,
+    MEMBERSHIP_TOL,
+    VERIFY_ZERO_THRESHOLD,
+    unit_modulus_tol,
+)
 
 # Abelian string operators commute up to omega^k: the ratio of F_b(C2) F_a(C1)
 # to F_a(C1) F_b(C2) is an exponent root, and the two agree entrywise after
@@ -652,6 +666,82 @@ def pauli_element_orders_divide_exponent(model) -> bool:
         if x != 0:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Closed-form torus families, verified one dense product per family
+
+
+def dense_torus_word_families(model, words, tol=DEFAULT_TOL):
+    """``torus_word_families`` with one permutation per loop turn.
+
+    Each (word, pi, b) family is verified by its dense product V (Pi D) V^dag
+    against ``VERIFY_ZERO_THRESHOLD`` and ``unit_modulus_tol(tol)``, not by
+    its character and permutation factors; the cosets are built and joined
+    by the same formulas, so they are equal value for value.
+    """
+    if isinstance(words, str):
+        words = [words]
+    surface = SurfaceSpec(kind="torus")
+    n = model.n_labels
+    suffixes, vmats = [], []
+    for word in words:
+        tokens = parse_word(word, surface)
+        s_at = [i for i, (g, _) in enumerate(tokens) if g == "s"]
+        if len(s_at) != 1:
+            raise ValueError(f"word {word!r} does not contain exactly one s letter")
+        suffix_diag = np.ones(n, dtype=np.complex128)
+        for _, sign in tokens[s_at[0] + 1 :]:
+            suffix_diag *= model.twists if sign > 0 else np.conj(model.twists)
+        suffixes.append(suffix_diag)
+        vmats.append(evaluate_word(model, surface, tokens).matrix)
+    suffix = np.array(suffixes)
+    vmat = np.array(vmats)
+    vh = np.conj(vmat).transpose(0, 2, 1)[:, None]
+    chi = characters(model)
+    mul = fusion_table(model)
+    unit_tol = unit_modulus_tol(tol)
+    later = np.arange(1, len(words))[:, None]
+
+    families = []
+    for pi in affine_permutations(model):
+        pi_arr = np.array(pi)
+        dress = suffix * np.conj(suffix[:, pi_arr])
+        diags = chi[None] * dress[:, None, :]
+        w = (vmat[:, None, :, pi_arr] * diags[:, :, None, :]) @ vh
+        absw = np.abs(w)
+        big = absw > VERIFY_ZERO_THRESHOLD
+        ok = (
+            (big.sum(axis=3) == 1).all(axis=2)
+            & (big.sum(axis=2) == 1).all(axis=2)
+            & (np.abs(np.where(big, absw, 1.0) - 1.0).max(axis=(2, 3)) < unit_tol)
+        )
+        if not ok.all():
+            k, b = (int(i) for i in np.argwhere(~ok)[0])
+            raise RuntimeError(
+                f"derived family (word={words[k]!r}, pi={pi}, b={b}) "
+                "failed verification"
+            )
+        rel = diags / diags[:, :, :1]
+        q = rel[0, 0] * np.conj(rel[1:, 0])
+        c = np.abs(q @ np.conj(chi).T).argmax(axis=1)
+        partner = mul[:, c].T
+        gap = np.abs(rel[0][None] - rel[later, partner]).max(axis=2)
+        for b in np.flatnonzero((gap <= CYCLE_TOL).all(axis=0)):
+            coset = PhaseCoset(components=(0,) * n, rel=tuple(rel[0, b]))
+            families.append(GateFamily(perm=pi, coset=coset))
+    return families
+
+
+def contains_logical_paulis_by_scan(model, inter) -> bool:
+    """Every string operator on either cycle lies in some family of ``inter``,
+    each tested against every family."""
+    f1, f2 = string_operator_matrices(model)
+    return all(
+        inter.contains(monomial_from_matrix(f[a]))
+        for a in range(model.n_labels)
+        for f in (f1, f2)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,7 @@ from oracles import (
     compose_lattice_operators,
     coset_same_as,
     dense_lattice_operator,
+    dense_torus_word_families,
     membership_by_search,
     pauli_element_orders_divide_exponent,
     pauli_group_orders,
@@ -233,6 +234,30 @@ def test_verification_rejects_a_wrong_closed_form(monkeypatch, angle):
     monkeypatch.setattr(ab, "characters", skewed)
     with pytest.raises(RuntimeError, match="failed verification"):
         torus_word_families(Z3, ["s", "st"])
+
+
+def test_verification_rejects_a_non_affine_permutation(monkeypatch):
+    # the permutation factor V Pi V^dag of the word s is monomial only for
+    # affine Pi, so one slipped-in transposition must fail its check
+    import anyongates.abelian as ab
+
+    affine = ab.affine_permutations(Z3)
+    swap = (0, 1, 2, 3, 4, 5, 6, 8, 7)
+    assert swap not in affine
+    monkeypatch.setattr(ab, "affine_permutations", lambda model: affine + [swap])
+    with pytest.raises(RuntimeError, match=r"pi=\(0, 1, .*, 8, 7\)\) failed verification"):
+        torus_word_families(Z3, ["s", "st"])
+
+
+@pytest.mark.parametrize("words", ["s", ["s", "st"], ["st", "s", "stt"]], ids=str)
+@pytest.mark.parametrize("model", [Z2, Z3, Z4], ids=["z2", "z3", "z4"])
+def test_factored_families_equal_the_dense_oracle(model, words):
+    got = torus_word_families(model, words)
+    want = dense_torus_word_families(model, words)
+    assert len(got) == len(want) > 0
+    assert [f.perm for f in got] == [f.perm for f in want]
+    assert [f.coset.rel for f in got] == [f.coset.rel for f in want]
+    assert all(f.coset.components == (0,) * model.n_labels for f in got)
 
 
 def test_family_counts_scale_with_group():

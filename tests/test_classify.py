@@ -21,11 +21,16 @@ from anyongates import (
     torus_surface,
     validate,
 )
-from anyongates.abelian import torus_word_families
-from anyongates.classify import VERDICTS
-from anyongates.solver import DeltaSet, delta_set, intersect_delta
+from anyongates.abelian import string_operator_matrices, torus_word_families
+from anyongates.classify import VERDICTS, _contains_logical_paulis
+from anyongates.solver import DeltaSet, delta_set, intersect_delta, monomial_from_matrix
 
-from oracles import _round_floats, dense_sphere_word_filter, ising_qubit_isomorphism
+from oracles import (
+    _round_floats,
+    contains_logical_paulis_by_scan,
+    dense_sphere_word_filter,
+    ising_qubit_isomorphism,
+)
 
 FIB = load_builtin("fibonacci")
 ISING = load_builtin("ising")
@@ -310,6 +315,22 @@ def test_zn_torus_clifford(name, count):
     assert rep.group_order == count
     assert rep.details["contains_logical_paulis"] is True
     assert rep.details["clifford_star_checked"] == count
+
+
+@pytest.mark.parametrize("name", ["zn_toric:2", "zn_toric:3"])
+def test_logical_pauli_lookup_matches_a_linear_scan(name):
+    model = load_builtin(name)
+    n = model.n_labels
+    inter = DeltaSet(dim=n, families=torus_word_families(model, ["s", "st"]))
+    assert _contains_logical_paulis(model, inter)
+    assert contains_logical_paulis_by_scan(model, inter)
+    for strings in string_operator_matrices(model):
+        gate = monomial_from_matrix(strings[1])
+        kept = [f for f in inter.families if not f.contains(gate)]
+        assert len(kept) == len(inter.families) - 1
+        cut = DeltaSet(dim=n, families=kept)
+        assert not _contains_logical_paulis(model, cut)
+        assert not contains_logical_paulis_by_scan(model, cut)
 
 
 def test_torus_word_list_affects_result():

@@ -20,6 +20,7 @@ TABLE = json.loads((Path(__file__).parent / "golden" / "cli_sha256.json").read_t
 SLOW = {
     "classify --model ising --surface sphere:sigma:14 --format json",
     "classify --model zn_toric:3 --surface torus --words s,st,stst --format json",
+    "classify --model zn_toric:5 --surface torus --format json",
 }
 
 

@@ -16,7 +16,7 @@ from anyongates import (
     torus_surface,
     validate,
 )
-from anyongates.abelian import lattice_commutation_check
+from anyongates.abelian import lattice_commutation_check, torus_word_families
 from anyongates.tolerances import check_tol
 
 ISING = load_builtin("ising")
@@ -32,6 +32,9 @@ ENTRY_POINTS = {
     "solve_intertwiner": lambda tol: solve_intertwiner(np.eye(2), tol=tol),
     "validate": lambda tol: validate(ISING, tol=tol),
     "lattice_commutation_check": lambda tol: lattice_commutation_check(2, 2, tol=tol),
+    "torus_word_families": lambda tol: torus_word_families(
+        load_builtin("zn_toric:2"), ["s", "st"], tol=tol
+    ),
 }
 
 
