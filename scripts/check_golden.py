@@ -35,6 +35,9 @@ GRID = (
     + [
         "classify --model zn_toric:3 --surface torus --words s,st,stst --format json",
         "classify --model ising --surface sphere:sigma:8 --words s1s2 --format json",
+        "classify --model ising --surface sphere:sigma:10 --words s2s3,s4s5' --format json",
+        "classify --model ising --surface sphere:sigma:10 --words s1s2s3s4s5s6s7s8s9 "
+        "--format json",
         "classify --model ising --surface sphere:sigma:8 --format text",
         "classify --model zn_toric:2 --surface torus --format text",
         "delta --model ising --surface sphere:sigma:8 --words s2 --format json",

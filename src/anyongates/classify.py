@@ -9,20 +9,21 @@ monomial.  The per-curve offsets that a global phase convention introduces
 cancel in differences, so phase functions are always reported normalized to
 zero on the first label.
 
-Three execution paths cover the built-in models:
+Two sphere paths and one torus path cover the built-in models:
 
-* factorized path: every multi-label curve is isolated between
+* factorized sphere path: every multi-label curve is isolated between
   single-label curves, so candidate gates are direct products of per-curve
   (permutation, phase function) choices; used for the Ising spheres, where
   the result is the Pauli group on the encoded qubits, and for 4-punctured
-  spheres.  A braid generator sigma_k acts on one curve's slot only, so each
-  one-letter word is checked once per curve option on that curve's local
-  block, and the survivors are the product of the per-curve survivor lists;
-  no dim x dim matrix is built unless a word has more than one letter, in
-  which case that word conjugates each surviving product densely.
-* diagonal path: when only identity curve permutations survive the
-  dimension-profile test, gates are diagonal and the word constraints
-  collapse them to one phase per label equivalence class.
+  spheres.  A braid word acts only on the window of slots its letters and
+  their neighbors occupy, so each word is checked on its window matrix
+  against the tuples of options of the free curves there; no dim x dim
+  matrix is built for any word.
+* delta-set sphere path: on any other basis the words' delta sets are
+  intersected over the basis-preserving products of per-curve label
+  permutations.  When every curve allows only the identity the gates are
+  diagonal and the classes exact ("diagonal"); otherwise the list is an
+  upper bound ("fallback").
 * closed-form abelian torus path: the abelian module lists the families
   of every single-s word in one pass over the affine permutations, and every
   resulting class is checked for Clifford-star membership from its
@@ -39,14 +40,14 @@ import numpy as np
 
 from . import abelian as _ab
 from .jsonwriter import dumps, sort_by_json
-from .mcg import braid_letters, braid_slot, evaluate_word, local_braid_block
+from .mcg import braid_letters, braid_matrix, braid_slot
 from .models import AnyonModel
 from .solver import (
     DeltaSet,
     delta_set,
     intersect_delta,
-    is_monomial,
     monomial_from_matrix,
+    monomial_mask,
     solve_intertwiner,
 )
 from .surfaces import (
@@ -57,7 +58,16 @@ from .surfaces import (
     enumerate_labelings,
     standard_dap,
 )
-from .tolerances import DEFAULT_TOL, PAULI_ANGLE_TOL, TRIVIAL_PHASE_TOL, check_tol
+from .tolerances import (
+    DEFAULT_TOL,
+    PAULI_ANGLE_TOL,
+    TRIVIAL_PHASE_TOL,
+    WINDOW_ZERO_THRESHOLD,
+    ZERO_THRESHOLD,
+    check_tol,
+    factor_unit_modulus_tol,
+    unit_modulus_tol,
+)
 
 VERDICTS = (
     "trivial",
@@ -67,7 +77,14 @@ VERDICTS = (
     "upper_bound_only",
 )
 
-_FALLBACK_PERM_CAP = 4096
+# Most entries one enumeration of sphere candidates may fill: the class
+# arrays (classes x dim), a window's conjugates (option tuples x window dim^2)
+# or the delta-set candidate permutations (products x dim).  Ising
+# sphere:sigma:16 fills 2^21 class-array entries, sphere:sigma:24 would 2^33.
+_ENTRY_BUDGET = 1 << 24
+# Window conjugates are checked this many entries at a time, so a window
+# near the budget holds tens of MB at once, not GB.
+_CHUNK_ENTRIES = 1 << 20
 
 # The identity gate solves every constraint, so an empty class list means the
 # search matched nothing (for example under a NaN tolerance), not a group.
@@ -138,7 +155,6 @@ class IsoPhaseSet:
     """
 
     boundary: tuple[int, int, int, int]
-    targets: tuple[int, int, int, int]
     curve_labels: tuple[int, ...]
     perm: tuple[tuple[int, int], ...]
     phase_functions: tuple[tuple[float, ...], ...]
@@ -147,7 +163,6 @@ class IsoPhaseSet:
 def iso_phase_set(
     model: AnyonModel,
     boundary: tuple[int, int, int, int],
-    targets: tuple[int, int, int, int] | None = None,
     perm: tuple[tuple[int, int], ...] | None = None,
     tol: float = DEFAULT_TOL,
 ) -> IsoPhaseSet:
@@ -158,26 +173,19 @@ def iso_phase_set(
     the punctures must again give a monomial matrix, which quantizes the
     relative phases.  The returned functions are the complete solution set.
     """
-    if targets is None:
-        targets = boundary
     rows, _, block = model.fmove_block(*boundary)
-    rows_t, _, block_t = model.fmove_block(*targets)
     if not rows:
         raise ClassificationError(f"no fusion channels for boundary {boundary}")
     if perm is None:
         perm = tuple((a, a) for a in rows)
     pmap = dict(perm)
-    if sorted(pmap) != list(rows) or sorted(pmap.values()) != list(rows_t):
-        raise ClassificationError(
-            f"permutation {perm} does not map channels {rows} onto {rows_t}"
-        )
-    pos_t = {a: i for i, a in enumerate(rows_t)}
-    basis_perm = tuple(pos_t[pmap[a]] for a in rows)
+    if sorted(pmap) != list(rows) or sorted(pmap.values()) != list(rows):
+        raise ClassificationError(f"{perm} is not a permutation of channels {rows}")
+    pos = {a: i for i, a in enumerate(rows)}
+    basis_perm = tuple(pos[pmap[a]] for a in rows)
     # Coefficient transform: the block maps row-channel kets to column-channel
     # kets, so coordinates transform by the transpose.
-    sols = solve_intertwiner(
-        block.T, perm_in=[basis_perm], v_out=block_t.T, tol=tol
-    )
+    sols = solve_intertwiner(block.T, perm_in=[basis_perm], v_out=block.T, tol=tol)
     funcs = []
     for s in sols:
         d, _ = s.instantiate()
@@ -185,7 +193,6 @@ def iso_phase_set(
         funcs.append(tuple(float(a) for a in np.mod(ang, 2.0 * np.pi)))
     return IsoPhaseSet(
         boundary=tuple(boundary),
-        targets=tuple(targets),
         curve_labels=rows,
         perm=perm,
         phase_functions=tuple(sorted(set(funcs))),
@@ -260,22 +267,6 @@ def _class_text(cls: dict) -> str:
 # Sphere classification
 
 
-def _word_list_for_sphere(surface: SurfaceSpec) -> list[str]:
-    return [f"s{k}" for k in range(1, surface.punctures)]
-
-
-def _survives_words(
-    gate: np.ndarray,
-    word_matrices: list[np.ndarray],
-    tol: float,
-) -> bool:
-    """Transporting the gate through every word must keep it monomial."""
-    for v in word_matrices:
-        if not is_monomial(v @ gate @ v.conj().T, tol):
-            return False
-    return True
-
-
 def classify_punctured_sphere(
     model: AnyonModel,
     surface: SurfaceSpec,
@@ -293,7 +284,7 @@ def classify_punctured_sphere(
     if surface.kind != "punctured_sphere":
         raise ClassificationError("expected a punctured sphere surface")
     if mcg_words is None:
-        mcg_words = _word_list_for_sphere(surface)
+        mcg_words = [f"s{k}" for k in range(1, surface.punctures)]
     basis = enumerate_labelings(model, surface)
     name = model.name
     desc = surface.describe(model)
@@ -325,10 +316,6 @@ def classify_punctured_sphere(
 
     product_dim = math.prod(len(x) for x in labels)
     factorized = product_dim == basis.dim and all(neighbors_fixed(s) for s in free)
-    identity_only = all(
-        len(allowed[c]) == 1 and all(a == b for a, b in allowed[c][0])
-        for c in dap.curves
-    )
 
     flags: list[str] = []
 
@@ -343,21 +330,16 @@ def classify_punctured_sphere(
                 "four-puncture case: non-identity permutations excluded only "
                 "by the supplied word list"
             )
-    elif identity_only:
-        report_classes, details = _classify_diagonal(
-            model, surface, basis, mcg_words, tol
-        )
     else:
-        report_classes, details = _classify_fallback(
+        report_classes, details = _classify_delta(
             model, surface, basis, dap, allowed, mcg_words, tol
         )
-        flags.append("generic fallback path; result is an upper bound")
+        if details["path"] == "fallback":
+            flags.append("generic fallback path; result is an upper bound")
 
     if not report_classes:
         raise ClassificationError(_NO_CLASS.format(desc))
-    verdict, order = _sphere_verdict(
-        model, surface, basis, report_classes, details, flags
-    )
+    verdict, order = _sphere_verdict(report_classes, details)
     return ClassificationReport(
         model=name,
         surface=desc,
@@ -369,27 +351,58 @@ def classify_punctured_sphere(
     )
 
 
-def _generator_blocks(model, surface, labels, k):
-    """The slot sigma_k acts on and its local matrices, one per context.
+def _check_budget(count: int, width: int, what: str) -> None:
+    """Refuse to enumerate ``count`` candidates of ``width`` entries each above the budget."""
+    if count * width > _ENTRY_BUDGET:
+        raise ClassificationError(
+            f"{what}: {count:,} x {width:,} = {count * width:,} entries, above the "
+            f"budget of {_ENTRY_BUDGET:,}; this input is out of reach"
+        )
 
-    On a product basis sigma_k is the identity off one slot, so it acts by
-    the local block of each neighbor context that occurs there; a slot with
-    one label gets 1 x 1 blocks.
+
+def _option_tuples(kept, curves, width, what):
+    """Every tuple of kept options of ``curves``, one per row; each fills
+    ``width`` entries in the step that ``what`` names."""
+    _check_budget(math.prod(len(kept[s]) for s in curves), width, what)
+    rows = list(itertools.product(*(kept[s] for s in curves)))
+    return np.array(rows, dtype=np.intp).reshape(-1, len(curves))
+
+
+def _product_action(curves, images, angles, combos):
+    """Basis images and angle sums of product gates on the product of ``curves``.
+
+    Row r of ``combos`` picks option ``combos[r, j]`` on curve ``curves[j]``,
+    whose digit images and angles are rows of ``images[c]`` and ``angles[c]``.
+    The product basis is lexicographic, so curve j's digit of index i is
+    (i // stride_j) % size_j; angles add per curve in curve order from 0.0.
     """
+    sizes = [images[c].shape[1] for c in curves]
+    dim = math.prod(sizes)
+    index = np.arange(dim)
+    target = np.zeros((len(combos), dim), dtype=np.intp)
+    angle = np.zeros((len(combos), dim))
+    stride = dim
+    for j, c in enumerate(curves):
+        stride //= sizes[j]
+        digit = (index // stride) % sizes[j]
+        target += images[c][combos[:, j]][:, digit] * stride
+        angle += angles[c][combos[:, j]][:, digit]
+    return target, angle
+
+
+def _window_matrix(model, surface, labels, window, letters):
+    """A braid word on the slots in ``window``, the others held at their first label."""
+    labelings = list(itertools.product(
+        *(x if s in window else x[:1] for s, x in enumerate(labels))
+    ))
     z = surface.boundary_labels[0]
-    slot = braid_slot(surface.punctures, k)
-    lefts = labels[slot - 1] if slot > 0 else [z]
-    rights = labels[slot + 1] if slot < len(labels) - 1 else [model.dual[z]]
-    blocks = []
-    for a, b in itertools.product(lefts, rights):
-        rows, mat = local_braid_block(model, z, surface.punctures, k, a, b)
-        if list(rows) != labels[slot]:
-            raise AssertionError(
-                f"slot {slot} labels {labels[slot]} disagree with the braid "
-                f"block channels {list(rows)} in context {(a, b)}"
-            )
-        blocks.append(mat)
-    return slot, blocks
+    gens = {}
+    v = np.eye(len(labelings), dtype=np.complex128)
+    for k, sign in letters:
+        if k not in gens:
+            gens[k] = braid_matrix(model, z, surface.punctures, k, labelings)
+        v = v @ (gens[k] if sign > 0 else gens[k].conj().T)
+    return v
 
 
 def _classify_factorized(
@@ -398,104 +411,83 @@ def _classify_factorized(
     """Direct-product candidates from per-curve permutations and phases.
 
     Every free curve sits between single-label curves, so the basis is the
-    product of the curve label sets and a candidate is a tensor product of
-    one monomial option per free curve.  A one-letter word acts on a single
-    slot (see ``_generator_blocks``), and conjugating a tensor product of
-    monomials changes entry moduli only in that slot's factor: a candidate
-    survives the word exactly when its option there keeps every local block
-    monomial.  Those words are therefore checked once per curve option, and
-    the survivors are the product of the per-curve survivor lists.  Longer
-    words conjugate each surviving product densely.
+    product of the curve label sets and a candidate is a tensor product G of
+    one monomial option per free curve.  A letter sigma_k acts on one slot
+    with its two neighbors as context, so a word is V_W x I for its window W,
+    the union of those three slots over its letters, and it keeps
+    G = G_W x G_rest monomial exactly when V_W G_W V_W^dagger is monomial.
+    Each word is checked once per tuple of kept options of the free curves
+    in its window.  The survivors prune each curve's options, and a window
+    with several free curves also leaves a relation that filters the
+    products.  A window matrix that is already monomial vetoes nothing and
+    is skipped.
     """
     n_curves = len(labels)
-    # Per slot: options as (class entry, permutation and angles by digit,
-    # local gate); a slot with one label has the single identity option.
-    options: list[list] = []
-    for s in range(n_curves):
-        if s not in free:
-            options.append([(None, [0], [0.0], np.ones((1, 1), dtype=np.complex128))])
-            continue
+    # Per free curve: each option's class entry, and its image digit and
+    # angle for every digit of the curve.
+    entries, images, angles = {}, {}, {}
+    for s in free:
         left = labels[s - 1][0] if s > 0 else None
         right = labels[s + 1][0] if s < n_curves - 1 else None
         boundary = curve_boundary(model, surface, s + 1, (left, right))
         digit = {a: d for d, a in enumerate(labels[s])}
-        opts = []
+        ent, img, ang = [], [], []
         for perm in allowed[dap.curves[s]]:
-            iso = iso_phase_set(model, boundary, None, perm, tol)
+            iso = iso_phase_set(model, boundary, perm, tol)
             pmap = dict(perm)
             for f in iso.phase_functions:
                 fmap = dict(zip(iso.curve_labels, f))
-                entry = {
-                    "perm": {model.labels[a]: model.labels[b] for a, b in perm},
-                    "phases": {
-                        model.labels[a]: float(v) for a, v in zip(iso.curve_labels, f)
-                    },
-                }
-                images = [digit[pmap[a]] for a in labels[s]]
-                angles = [fmap[a] for a in labels[s]]
-                local = np.zeros((len(images), len(images)), dtype=np.complex128)
-                local[images, range(len(images))] = np.exp(1j * np.array(angles))
-                opts.append((entry, images, angles, local))
-        options.append(opts)
+                ent.append({"perm": {model.labels[a]: model.labels[b] for a, b in perm},
+                            "phases": {model.labels[a]: v for a, v in fmap.items()}})
+                img.append([digit[pmap[a]] for a in labels[s]])
+                ang.append([fmap[a] for a in labels[s]])
+        entries[s] = ent
+        images[s] = np.array(img, dtype=np.intp).reshape(-1, len(labels[s]))
+        angles[s] = np.array(ang).reshape(-1, len(labels[s]))
 
-    kept = [list(range(len(opts))) for opts in options]
-    dense_words = []
+    kept = {s: list(range(len(entries[s]))) for s in free}
+    relations = []  # (columns of free curves, table over their option tuples)
     for word in mcg_words:
         letters = braid_letters(surface, word)
-        if len(letters) != 1:
-            dense_words.append(word)
+        slots = {braid_slot(surface.punctures, k) for k, _ in letters}
+        window = {t for p in slots for t in (p - 1, p, p + 1) if 0 <= t < n_curves}
+        v = _window_matrix(model, surface, labels, window, letters)
+        if monomial_mask(v[None], factor_unit_modulus_tol(tol), WINDOW_ZERO_THRESHOLD)[0]:
             continue
-        ((k, sign),) = letters
-        slot, blocks = _generator_blocks(model, surface, labels, k)
-        for blk in blocks:
-            if sign < 0:
-                blk = blk.conj().T
-            kept[slot] = [
-                i for i in kept[slot]
-                if is_monomial(blk @ options[slot][i][3] @ blk.conj().T, tol)
-            ]
+        curves = [s for s in free if s in window]
+        what = f"word {word!r}, option tuples x window entries"
+        tuples = _option_tuples(kept, curves, v.size, what)
+        target, angle = _product_action(curves, images, angles, tuples)
+        ok = np.empty(len(tuples), dtype=bool)
+        step = max(1, _CHUNK_ENTRIES // v.size)
+        for lo in range(0, len(tuples), step):
+            # (V G)[i, c] = V[i, target[c]] * phase[c] for G[target[c], c] = phase[c]
+            vg = np.swapaxes(v.T[target[lo:lo + step]], 1, 2)
+            vg *= np.exp(1j * angle[lo:lo + step])[:, None, :]
+            ok[lo:lo + step] = monomial_mask(
+                vg @ v.conj().T, unit_modulus_tol(tol), ZERO_THRESHOLD
+            )
+        survivors = tuples[ok]
+        if not len(survivors):  # also covers a window without free curves
+            kept = {s: [] for s in free}
+        for j, s in enumerate(curves):
+            kept[s] = np.unique(survivors[:, j]).tolist()
+        if len(curves) > 1:
+            table = np.zeros([len(entries[s]) for s in curves], dtype=bool)
+            table[tuple(survivors.T)] = True
+            relations.append(([free.index(s) for s in curves], table))
 
-    # Mixed-radix arithmetic over the product basis, which enumerate_labelings
-    # lists in lexicographic order: slot s of basis index i has digit
-    # (i // stride_s) % size_s.  Angles add per free curve in curve order.
-    sizes = [len(x) for x in labels]
-    dim = math.prod(sizes)
-    strides = [math.prod(sizes[s + 1:]) for s in range(n_curves)]
-    combos = np.array(
-        list(itertools.product(*(kept[s] for s in range(n_curves)))),
-        dtype=np.intp,
-    ).reshape(-1, n_curves)
-    index = np.arange(dim)
-    target = np.zeros((len(combos), dim), dtype=np.intp)
-    angle = np.zeros((len(combos), dim))
-    for s in free:
-        digit = (index // strides[s]) % sizes[s]
-        perm_tab = np.array(
-            [images for _, images, _, _ in options[s]], dtype=np.intp
-        ).reshape(-1, sizes[s])
-        angle_tab = np.array([angles for _, _, angles, _ in options[s]]).reshape(-1, sizes[s])
-        target += perm_tab[combos[:, s]][:, digit] * strides[s]
-        angle += angle_tab[combos[:, s]][:, digit]
-    gate_phases = np.exp(1j * angle)
-
-    survivors = range(len(combos))
-    if dense_words:
-        word_matrices = [evaluate_word(model, surface, w).matrix for w in dense_words]
-        gate = np.zeros((dim, dim), dtype=np.complex128)
-        dense_kept = []
-        for r in survivors:
-            gate[:] = 0.0
-            gate[target[r], index] = gate_phases[r]
-            if _survives_words(gate, word_matrices, tol):
-                dense_kept.append(r)
-        survivors = dense_kept
-
-    phases = np.angle(gate_phases)
+    dim = math.prod(len(x) for x in labels)
+    combos = _option_tuples(kept, free, dim, "classes x dimension")
+    for cols, table in relations:
+        combos = combos[table[tuple(combos[:, cols].T)]]
+    target, angle = _product_action(free, images, angles, combos)
+    phases = np.angle(np.exp(1j * angle))
     classes = []
-    for r in survivors:
+    for r in range(len(combos)):
         # Classes with the same option on a curve share its entry dict.
         entry = {
-            "curves": {dap.curves[s]: options[s][combos[r, s]][0] for s in free}
+            "curves": {dap.curves[s]: entries[s][combos[r, j]] for j, s in enumerate(free)}
         }
         entry["basis_perm"] = target[r].tolist()
         entry["phases"] = phases[r].tolist()
@@ -504,54 +496,39 @@ def _classify_factorized(
     details = {
         "path": "factorized",
         "free_curves": [dap.curves[s] for s in free],
-        "candidates_per_curve": {dap.curves[s]: len(options[s]) for s in free},
+        "candidates_per_curve": {dap.curves[s]: len(entries[s]) for s in free},
     }
     return classes, details
 
 
-def _classify_diagonal(model, surface, basis, mcg_words, tol):
-    """Identity curve permutations: intersect diagonal-gate delta sets."""
-    ident = [tuple(range(basis.dim))]
-    sets = [
-        delta_set(model, surface, w, restrict_perms=ident, tol=tol)
-        for w in mcg_words
-    ]
-    inter = intersect_delta(sets)
-    classes, _ = _family_classes(inter.families, basis.dim)
-    details = {"path": "diagonal", "families": len(inter.families)}
-    return classes, details
+def _classify_delta(model, surface, basis, dap, allowed, mcg_words, tol):
+    """Intersect the words' delta sets over the products of curve permutations.
 
-
-def _classify_fallback(model, surface, basis, dap, allowed, mcg_words, tol):
-    """Products of per-curve permutations as explicit basis candidates."""
-    per_curve_maps = []
-    for cname in dap.curves:
-        per_curve_maps.append([dict(p) for p in allowed[cname]])
-    count = int(np.prod([len(x) for x in per_curve_maps]))
-    if count > _FALLBACK_PERM_CAP:
-        raise ClassificationError(
-            f"{count} candidate permutations exceeds the search cap"
+    The candidates are the products of allowed per-curve label permutations
+    that map the basis onto itself.  When every curve allows the identity
+    alone, the identity is the one candidate and the classes are the exact
+    diagonal gates; otherwise they bound the gates from above.
+    """
+    maps = [[dict(p) for p in allowed[c]] for c in dap.curves]
+    count = math.prod(len(m) for m in maps)
+    _check_budget(count, basis.dim, "curve permutation products x dimension")
+    cands = set()
+    for combo in itertools.product(*maps):
+        perm = tuple(
+            basis.index.get(tuple(m[x] for m, x in zip(combo, lab)))
+            for lab in basis.labelings
         )
-    cand = set()
-    for combo in itertools.product(*per_curve_maps):
-        perm = []
-        ok = True
-        for lab in basis.labelings:
-            target = tuple(combo[k][lab[k]] for k in range(len(lab)))
-            if target not in basis.index:
-                ok = False
-                break
-            perm.append(basis.index[target])
-        if ok and sorted(perm) == list(range(basis.dim)):
-            cand.add(tuple(perm))
+        if None not in perm and len(set(perm)) == basis.dim:
+            cands.add(perm)
     sets = [
-        delta_set(model, surface, w, restrict_perms=sorted(cand), tol=tol)
+        delta_set(model, surface, w, restrict_perms=sorted(cands), tol=tol)
         for w in mcg_words
     ]
     inter = intersect_delta(sets)
     classes, _ = _family_classes(inter.families, basis.dim)
-    details = {"path": "fallback", "candidate_perms": len(cand)}
-    return classes, details
+    if count == 1:
+        return classes, {"path": "diagonal", "families": len(inter.families)}
+    return classes, {"path": "fallback", "candidate_perms": len(cands)}
 
 
 def _family_classes(families, dim: int) -> tuple[list[dict], list[np.ndarray]]:
@@ -570,7 +547,7 @@ def _family_classes(families, dim: int) -> tuple[list[dict], list[np.ndarray]]:
     return classes, phases
 
 
-def _sphere_verdict(model, surface, basis, classes, details, flags):
+def _sphere_verdict(classes, details):
     """Name the classified group when it matches a known pattern."""
     n_cls = len(classes)
     if any(c.get("free_phases", 1) > 1 for c in classes):

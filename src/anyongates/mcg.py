@@ -46,13 +46,6 @@ def torus_generators(model: AnyonModel) -> tuple[RepMatrix, RepMatrix]:
     return s, t
 
 
-def _slot_context(model: AnyonModel, z: int, values: tuple[int, ...], pos: int) -> tuple[int, int]:
-    """Neighbor labels (a, b) = (x_{s-1}, x_{s+1}) around slot array position pos."""
-    a = values[pos - 1] if pos >= 1 else z
-    b = values[pos + 1] if pos + 1 < len(values) else model.dual[z]
-    return a, b
-
-
 def braid_block(model: AnyonModel, z: int, a: int, b: int):
     """B(a,b) on the slot values between neighbors a and b.
 
@@ -111,21 +104,29 @@ def braid_generator(model: AnyonModel, M: int, z: int | str, k: int) -> RepMatri
         phase = model.rsymbol(z, z, c)
         return RepMatrix(word, np.array([[phase]], dtype=np.complex128), basis)
 
-    # sigma_k is the identity off one slot: labelings that agree elsewhere
-    # form a group, and the local block of their context acts inside it.
+    return RepMatrix(word, braid_matrix(model, z, M, k, basis.labelings), basis)
+
+
+def braid_matrix(model: AnyonModel, z: int, M: int, k: int, labelings) -> np.ndarray:
+    """sigma_k on the span of ``labelings`` (the basis, or any part of it closed under sigma_k).
+
+    sigma_k is the identity off one slot: labelings that agree elsewhere form
+    a group, and the local block of their context acts inside it.
+    """
     pos = braid_slot(M, k)
-    mat = np.zeros((dim, dim), dtype=np.complex128)
+    mat = np.zeros((len(labelings), len(labelings)), dtype=np.complex128)
     groups: dict[tuple, list[int]] = {}
-    for i, lab in enumerate(basis.labelings):
-        key = lab[:pos] + lab[pos + 1 :]
-        groups.setdefault(key, []).append(i)
+    for i, lab in enumerate(labelings):
+        groups.setdefault(lab[:pos] + lab[pos + 1 :], []).append(i)
     block_cache: dict[tuple[int, int], tuple] = {}
-    for key, members in groups.items():
-        a, b = _slot_context(model, z, basis.labelings[members[0]], pos)
+    for members in groups.values():
+        lab = labelings[members[0]]
+        a = lab[pos - 1] if pos >= 1 else z
+        b = lab[pos + 1] if pos + 1 < len(lab) else model.dual[z]
         if (a, b) not in block_cache:
             block_cache[(a, b)] = local_braid_block(model, z, M, k, a, b)
         slot_values, bmat = block_cache[(a, b)]
-        present = {basis.labelings[i][pos]: i for i in members}
+        present = {labelings[i][pos]: i for i in members}
         if sorted(present) != sorted(slot_values):
             raise AssertionError(
                 "basis slot values disagree with F-block admissibility "
@@ -133,10 +134,10 @@ def braid_generator(model: AnyonModel, M: int, z: int | str, k: int) -> RepMatri
             )
         val_pos = {v: p for p, v in enumerate(slot_values)}
         for i in members:
-            x_old = basis.labelings[i][pos]
+            x_old = labelings[i][pos]
             for x_new, j in present.items():
                 mat[j, i] = bmat[val_pos[x_new], val_pos[x_old]]
-    return RepMatrix(word, mat, basis)
+    return mat
 
 
 _TORUS_TOKEN = re.compile(r"\s*([st])(')?\s*,?")

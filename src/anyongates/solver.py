@@ -74,15 +74,19 @@ class MonomialMatrix:
 
 def is_monomial(mat: np.ndarray, tol: float = DEFAULT_TOL, zero_tol: float = ZERO_THRESHOLD) -> bool:
     """One unit-modulus entry per row and column, everything else below zero_tol."""
-    n = mat.shape[0]
     if mat.shape[0] != mat.shape[1]:
         return False
-    absm = np.abs(mat)
+    return bool(monomial_mask(mat[None], unit_modulus_tol(tol), zero_tol)[0])
+
+
+def monomial_mask(stack: np.ndarray, unit_tol: float, zero_tol: float = ZERO_THRESHOLD) -> np.ndarray:
+    """Per square matrix of a stack: one entry above zero_tol per row and
+    column, each within unit_tol of modulus 1."""
+    absm = np.abs(stack)
     big = absm > zero_tol
-    if not ((big.sum(axis=0) == 1).all() and (big.sum(axis=1) == 1).all()):
-        return False
-    vals = absm[big]
-    return bool(np.abs(vals - 1.0).max() < unit_modulus_tol(tol))
+    pattern = (big.sum(axis=-2) == 1).all(axis=-1) & (big.sum(axis=-1) == 1).all(axis=-1)
+    off_unit = np.where(big, np.abs(absm - 1.0), 0.0).max(axis=(-2, -1))
+    return pattern & (off_unit < unit_tol)
 
 
 def monomial_from_matrix(

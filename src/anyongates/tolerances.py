@@ -39,6 +39,12 @@ VERIFY_ZERO_THRESHOLD = 1e-8
 # factors make a product that passes the per-family test with bounds z and u.
 FACTOR_ZERO_THRESHOLD = VERIFY_ZERO_THRESHOLD / 4
 
+# A sphere word's window matrix V vetoes no product gate G when V passes the
+# factor bounds above with z = ZERO_THRESHOLD: V G (G monomial with
+# unit-modulus entries) and V^dag then pass them too, so every conjugate
+# V G V^dag passes is_monomial with bounds ZERO_THRESHOLD and u.
+WINDOW_ZERO_THRESHOLD = ZERO_THRESHOLD / 4
+
 # Unit-modulus bound for the entries of a conjugated monomial: 100 tol, but
 # never below the floor, so a tight tol still absorbs the rounding of a
 # product of several unitaries.
@@ -104,7 +110,7 @@ def unit_modulus_tol(tol: float) -> float:
 
 
 def factor_unit_modulus_tol(tol: float) -> float:
-    """Unit bound e of one factor of a closed-form torus family (see above)."""
+    """Unit bound e of one factor of a product checked per factor (see above)."""
     return min(unit_modulus_tol(tol), 1.0) / 4
 
 

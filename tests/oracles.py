@@ -21,8 +21,8 @@ package's writer.
 The module also holds the helpers only tests need, which the package does not
 export: the residual of an instantiated intertwiner family, phase-coset
 comparison, the projective distance of two word matrices, the Ising qubit
-dictionary, the abelian Pauli group by explicit closure, and products of
-lattice operators.
+dictionary, the abelian Pauli group by explicit closure, products of
+lattice operators, and Deligne products of two models.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from anyongates.abelian import (
     string_operator_matrices,
 )
 from anyongates.mcg import evaluate_word, parse_word
-from anyongates.models import CheckResult, ModelError
+from anyongates.models import AnyonModel, CheckResult, ModelError
 from anyongates.solver import GateFamily, PhaseCoset, monomial_from_matrix
 from anyongates.surfaces import SurfaceSpec
 from anyongates.tolerances import (
@@ -62,6 +62,37 @@ COMMUTATION_TOL = 1e-8
 
 def njit(**_options):  # identity decorator: the oracles run as plain Python
     return lambda func: func
+
+
+# ---------------------------------------------------------------------------
+# Deligne products
+
+
+def deligne_product(a: AnyonModel, b: AnyonModel) -> AnyonModel:
+    """The stacked model A x B: label (x, y) is ``"x.y"`` at index x*n_B + y.
+
+    Fusion, S-matrix and twists are tensor products, and every F- and
+    R-symbol is the product of one symbol from each layer.
+    """
+    nb = b.n_labels
+
+    def pair(keys_a, keys_b):
+        return tuple(x * nb + y for x, y in zip(keys_a, keys_b))
+
+    n = a.n_labels * nb
+    fusion = np.einsum("ace,bdf->abcdef", a.fusion, b.fusion).reshape(n, n, n)
+    return AnyonModel(
+        name=f"{a.name}*{b.name}",
+        labels=tuple(f"{x}.{y}" for x in a.labels for y in b.labels),
+        dual=tuple(da * nb + db for da in a.dual for db in b.dual),
+        fusion=fusion.astype(np.uint8),
+        smatrix=np.kron(a.smatrix, b.smatrix),
+        fsymbols={pair(ka, kb): va * vb for ka, va in a.fsymbols.items()
+                  for kb, vb in b.fsymbols.items()},
+        rsymbols={pair(ka, kb): va * vb for ka, va in a.rsymbols.items()
+                  for kb, vb in b.rsymbols.items()},
+        twists=np.kron(a.twists, b.twists),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +579,7 @@ def dense_sphere_word_filter(model, surface, words, tol=1e-9):
         boundary = curve_boundary(model, surface, s + 1, (left, right))
         opts = []
         for perm in allowed[f"C{s + 1}"]:
-            iso = iso_phase_set(model, boundary, None, perm, tol)
+            iso = iso_phase_set(model, boundary, perm, tol)
             for f in iso.phase_functions:
                 opts.append((s, dict(perm), dict(zip(iso.curve_labels, f))))
         options.append(opts)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import importlib
 import json
 
@@ -28,6 +29,7 @@ from anyongates.solver import DeltaSet, delta_set, intersect_delta, monomial_fro
 from oracles import (
     _round_floats,
     contains_logical_paulis_by_scan,
+    deligne_product,
     dense_sphere_word_filter,
     ising_qubit_isomorphism,
 )
@@ -230,17 +232,29 @@ SCALED = _ising_with_r_sigma_sigma("ising-scaled", 1 / 1.1, 1.1)
         (TWISTED, "sigma", 8, ["s2", "s2s3"]),
         (TWISTED, "sigma", 8, ["s3'", "s1,s1", "s4s5'"]),
         (SCALED, "sigma", 8, ["s1", "s7'"]),
+        # an interior generator on a single-label slot scales each context by
+        # 1/1.1 or 1.1, so only gates that swap the two kinds survive (1 of 64)
+        (SCALED, "sigma", 8, None),
+        # windows of two or more free curves, and one over the whole chain
+        (TWISTED, "sigma", 8, ["s2s3"]),
+        (TWISTED, "sigma", 8, ["s2s3s4"]),
+        (TWISTED, "sigma", 8, ["s1s2s3s4s5s6s7"]),
+        (ISING, "sigma", 10, ["s2s3", "s4s5'"]),
     ],
     ids=lambda v: v.name if hasattr(v, "name") else str(v),
 )
 def test_local_word_filter_matches_dense_oracle(model, label, m, words, monkeypatch):
-    """Per-curve word checks keep exactly the products the dense check keeps."""
-    classify_mod = importlib.import_module("anyongates.classify")
+    """Window word checks keep exactly the products the dense check keeps."""
     mcg_mod = importlib.import_module("anyongates.mcg")
+    solver_mod = importlib.import_module("anyongates.solver")
     surf = sphere_surface(model, label, m)
     built = []
     with monkeypatch.context() as patch:
-        for mod, fname in ((mcg_mod, "braid_generator"), (classify_mod, "evaluate_word")):
+        for mod, fname in (
+            (mcg_mod, "braid_generator"),
+            (mcg_mod, "evaluate_word"),
+            (solver_mod, "evaluate_word"),
+        ):
             original = getattr(mod, fname)
 
             def counted(*args, _original=original, _name=fname, **kwargs):
@@ -249,13 +263,9 @@ def test_local_word_filter_matches_dense_oracle(model, label, m, words, monkeypa
 
             patch.setattr(mod, fname, counted)
         rep = classify_punctured_sphere(model, surf, words)
+    assert built == []  # no dim x dim word matrix for any word
     if words is None:
         words = [f"s{k}" for k in range(1, m)]
-        assert built == []  # no dim x dim word matrix on one-letter words
-    else:
-        assert built.count("evaluate_word") == sum(
-            len(mcg_mod.parse_word(w, surf)) > 1 for w in words
-        )
     assert rep.details["path"] == "factorized"
     want, n_candidates = dense_sphere_word_filter(model, surf, words)
     got = [(tuple(c["basis_perm"]), tuple(c["phases"])) for c in rep.classes]
@@ -265,6 +275,39 @@ def test_local_word_filter_matches_dense_oracle(model, label, m, words, monkeypa
         assert (len(want), n_candidates) == (1, 2)  # the label swap is vetoed
     if model in (TWISTED, SCALED):
         assert 0 < len(want) < n_candidates
+
+
+FIB_ISING = deligne_product(FIB, ISING)
+
+
+def test_fallback_path_on_a_deligne_product():
+    """Curves of fibonacci x ising allow label swaps that no product basis
+    isolates, so the delta sets are intersected over 16 candidate
+    permutations and the class list is an upper bound."""
+    assert validate(FIB_ISING).passed
+    rep = classify_punctured_sphere(FIB_ISING, sphere_surface(FIB_ISING, "tau.sigma", 6))
+    assert (rep.verdict, rep.n_classes) == ("upper_bound_only", 32)
+    assert rep.details == {"path": "fallback", "candidate_perms": 16}
+    assert rep.flags == ["generic fallback path; result is an upper bound"]
+    # recorded when the diagonal and fallback paths were still two functions
+    assert hashlib.sha256(rep.to_json().encode()).hexdigest() == (
+        "8590eaf850a38652c07fae0626efa7fbdd7e21131cfff04e02407b10cbad5678"
+    )
+
+
+def test_enumeration_budget_refuses_before_building(monkeypatch):
+    """Each enumeration of sphere candidates names its estimate when it is
+    above the budget: a window's conjugates, the class arrays, and the
+    delta-set candidate permutations."""
+    whole_chain = "".join(f"s{k}" for k in range(1, 18))
+    with pytest.raises(ClassificationError, match="65,536 x 65,536 = 4,294,967,296 entries"):
+        classify_punctured_sphere(ISING, sphere_surface(ISING, "sigma", 18), [whole_chain])
+    mod = importlib.import_module("anyongates.classify")
+    monkeypatch.setattr(mod, "_ENTRY_BUDGET", 100)
+    with pytest.raises(ClassificationError, match="classes x dimension: 256 x 16 = 4,096 entries"):
+        classify_punctured_sphere(ISING, sphere_surface(ISING, "sigma", 10), ["s2"])
+    with pytest.raises(ClassificationError, match="curve permutation products x dimension: 16 x "):
+        classify_punctured_sphere(FIB_ISING, sphere_surface(FIB_ISING, "tau.sigma", 6))
 
 
 @pytest.mark.parametrize("m", [4, 5, 6, 7, 8])
@@ -441,7 +484,10 @@ def test_empty_class_list_is_an_error(model, surface, monkeypatch):
     # match nothing: every word vetoes every curve option and every
     # intersection comes out empty.
     mod = importlib.import_module("anyongates.classify")
-    monkeypatch.setattr(mod, "is_monomial", lambda *args, **kwargs: False)
+    monkeypatch.setattr(
+        mod, "monomial_mask",
+        lambda stack, *args, **kwargs: np.zeros(len(stack), dtype=bool),
+    )
     monkeypatch.setattr(
         mod, "intersect_delta",
         lambda sets, *args, **kwargs: DeltaSet(dim=sets[0].dim, families=[]),

@@ -1,6 +1,8 @@
 import json
 import subprocess
 import sys
+import time
+import tracemalloc
 
 import pytest
 
@@ -107,6 +109,24 @@ def test_classify_infeasible_surface(capsys):
                        "--surface", "sphere:sigma:5")
     assert code == 1
     assert "error:" in err
+
+
+def test_classify_out_of_reach_sphere_fails_fast(capsys):
+    """sphere:sigma:24 would fill 4^11 x 2048 class-array entries; the
+    classifier names that estimate and exits 1 before allocating them."""
+    argv = ("classify", "--model", "ising", "--surface", "sphere:sigma:24")
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (1, "")
+    assert "4,194,304 x 2,048 = 8,589,934,592 entries" in err
+    tracemalloc.start()
+    try:
+        assert run(capsys, *argv)[0] == 1
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_classify_bad_surface_spec(capsys):
