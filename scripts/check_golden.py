@@ -41,8 +41,10 @@ GRID = (
         "classify --model ising --surface sphere:sigma:8 --format text",
         "classify --model zn_toric:2 --surface torus --format text",
         "delta --model ising --surface sphere:sigma:8 --words s2 --format json",
+        "delta --model ising --surface sphere:sigma:8 --words s2 --format text",
         "delta --model fibonacci --surface sphere:tau:7 --words s2,s3 --format json",
         "delta --model zn_toric:2 --surface torus --words s,st --format json",
+        "delta --model zn_toric:2 --surface torus --words s,st,stst --format json",
         "delta --model ising --surface torus --words s,st --format json",
         "delta --model fibonacci --surface torus --words s,st --format json",
     ]

@@ -45,16 +45,17 @@ from .models import AnyonModel
 from .solver import (
     DeltaSet,
     delta_set,
+    instantiate_families,
     intersect_delta,
     monomial_from_matrix,
     monomial_mask,
     solve_intertwiner,
 )
 from .surfaces import (
+    BasisIndex,
     DapDecomposition,
     InfeasibleSurfaceError,
     SurfaceSpec,
-    cut_dimensions,
     enumerate_labelings,
     standard_dap,
 )
@@ -103,6 +104,7 @@ def allowed_curve_permutations(
     model: AnyonModel,
     surface: SurfaceSpec,
     dap: DapDecomposition | None = None,
+    basis: BasisIndex | None = None,
 ) -> dict[str, list[tuple[tuple[int, int], ...]]]:
     """Per curve, the label bijections preserving all cut dimensions.
 
@@ -110,16 +112,28 @@ def allowed_curve_permutations(
     over the labels that actually occur on that curve.  A valid gate must
     act on curve labels by such a bijection: cutting along the curve splits
     the space into flux sectors whose dimensions the gate cannot change.
+    The per-curve label counts (the cut dimensions) are read off ``basis``,
+    the surface's labelings, in one array pass; it is enumerated when not
+    given.
     """
     if dap is None:
         dap = standard_dap(surface)
+    if basis is None:
+        basis = enumerate_labelings(model, surface, dap)
+    n_labels = model.n_labels
+    n_curves = len(dap.curves)
+    slots = np.array(basis.labelings, dtype=np.intp).reshape(basis.dim, n_curves)
+    # counts[s, a]: labelings with label a in slot s, the slot of curve s + 1
+    counts = np.bincount(
+        (slots + n_labels * np.arange(n_curves)).ravel(),
+        minlength=n_curves * n_labels,
+    ).reshape(n_curves, n_labels).tolist()
     out: dict[str, list[tuple[tuple[int, int], ...]]] = {}
-    for curve in dap.curves:
-        counts = cut_dimensions(model, surface, dap, curve)
-        occurring = sorted(a for a, c in counts.items() if c > 0)
+    for curve, count in zip(dap.curves, counts):
+        occurring = [a for a in range(n_labels) if count[a] > 0]
         perms = []
         for images in itertools.permutations(occurring):
-            if all(counts[a] == counts[b] for a, b in zip(occurring, images)):
+            if all(count[a] == count[b] for a, b in zip(occurring, images)):
                 perms.append(tuple(zip(occurring, images)))
         out[curve] = perms
     return out
@@ -304,7 +318,7 @@ def classify_punctured_sphere(
         )
 
     dap = standard_dap(surface)
-    allowed = allowed_curve_permutations(model, surface, dap)
+    allowed = allowed_curve_permutations(model, surface, dap, basis)
     # Curve C_{s+1} carries slot s of every labeling; labels[s] lists the
     # labels occurring there in increasing order.
     n_curves = len(dap.curves)
@@ -531,14 +545,15 @@ def _classify_delta(model, surface, basis, dap, allowed, mcg_words, tol):
     return classes, {"path": "fallback", "candidate_perms": len(cands)}
 
 
-def _family_classes(families, dim: int) -> tuple[list[dict], list[np.ndarray]]:
-    """Sorted class dicts of gate families, and each family's instantiated phases.
+def _family_classes(families, dim: int) -> tuple[list[dict], np.ndarray]:
+    """Sorted class dicts of gate families, and the families' instantiated
+    phases, one row per family.
 
-    One np.angle over all families gives the same floats as one call per
-    entry.
+    One batched instantiate and one np.angle over all families give the
+    same floats as one call per family.
     """
-    phases = [fam.coset.instantiate() for fam in families]
-    angles = np.angle(np.array(phases, dtype=np.complex128).reshape(len(phases), dim))
+    phases = instantiate_families(families, dim)
+    angles = np.angle(phases)
     classes = [
         {"basis_perm": list(fam.perm), "phases": row, "free_phases": fam.n_free}
         for fam, row in zip(families, angles.tolist())

@@ -24,7 +24,7 @@ from .classify import ClassificationError, classify
 from .jsonwriter import dumps
 from .mcg import parse_word
 from .models import AnyonModel, ModelError, load_builtin, parse_model, validate
-from .solver import delta_set, intersect_delta
+from .solver import delta_set, instantiate_families, intersect_delta
 from .surfaces import (
     InfeasibleSurfaceError,
     SurfaceSpec,
@@ -149,10 +149,7 @@ def _cmd_delta(args) -> int:
         )
     sets = [delta_set(model, surface, w, tol=args.tol) for w in words]
     inter = intersect_delta(sets)
-    angles = np.angle(
-        np.array([f.coset.instantiate() for f in inter.families], dtype=np.complex128)
-        .reshape(len(inter.families), dim)
-    )
+    angles = np.angle(instantiate_families(inter.families, dim))
     if args.format == "json":
         payload = {
             "model": model.name,

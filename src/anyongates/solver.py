@@ -10,19 +10,33 @@ entrywise it forces, for every support entry (m, l) of V,
 so the phases live on a bipartite constraint graph whose edges carry fixed
 unit ratios.  The graph has one edge per support entry of V whatever the
 pair, so one breadth-first spanning forest serves every pair of a call.
-Solving is: (1) modulus/zero-pattern feasibility of the permutation pairs,
+Solving is:
+
+(1) modulus/zero-pattern feasibility of the permutation pairs, found as int
+    arrays: a wildcard perm_in grows as an array frontier, every live
+    prefix gaining one column per level in bounded blocks taken depth
+    first, and each distinct compat matrix has its perfect matchings (the
+    perm_outs) enumerated once and memoised;
 (2) phase propagation along the forest for a chunk of pairs at once, one
-array operation per forest level, (3) rejection of pairs with a vanishing
-denominator, an off-modulus ratio or an inconsistent cycle (non-tree edge).
+    array operation per forest level;
+(3) rejection of pairs with a vanishing denominator, an off-modulus ratio
+    or an inconsistent cycle (non-tree edge); the first few cycle checks run
+    on the whole chunk and the rest on its survivors only.
+
 Each feasible permutation pair therefore contributes at most one connected
 family with one free phase per graph component.
 
 Delta sets (all monomial gates compatible with a word) and their
-intersections live here too.
+intersections live here too.  A delta set reads its gate cosets straight
+off the accepted arrays: the forest, and so the gate components and their
+renumbering, is shared by every family, and each family's phases are one
+row of one array division by the component roots.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import warnings
 from collections import deque
 from dataclasses import dataclass
@@ -51,6 +65,16 @@ _MATCHING_CAP = 20000
 # Feasible permutation pairs are propagated this many at a time, which keeps
 # the (edges, pairs) work arrays to a few megabytes.
 _PAIR_CHUNK = 2048
+# Most booleans one step of the pair search holds at once: a frontier level's
+# (prefixes, columns, n, n) narrowing, or a block's (perm_ins, perm_outs, n)
+# filter of an explicit perm_out list.
+_BLOCK_ENTRIES = 1 << 20
+# Up to this many rows, perfect matchings come from one pass over all n!
+# permutations (120 at most), which is cheaper than n frontier levels.
+_TABLE_MAX = 5
+# This many cycle checks run on a whole chunk before it is compressed to its
+# survivors; a chunk of at most this many pairs runs every check at once.
+_EARLY_CHECKS = 8
 
 
 @dataclass(frozen=True)
@@ -254,21 +278,6 @@ class IntertwinerSolution:
         d, _ = self.instantiate(free)
         return MonomialMatrix(perm=self.perm_in, phases=tuple(d))
 
-    def gate_coset(self) -> PhaseCoset:
-        """Projection onto the gate phases d (the d' side is determined)."""
-        comp_ids: dict[int, int] = {}
-        components = []
-        rel = []
-        first_val: dict[int, complex] = {}
-        for i in range(self.n):
-            c = self.phase_classes[i]
-            if c not in comp_ids:
-                comp_ids[c] = len(comp_ids)
-                first_val[c] = self.relative_phases[i]
-            components.append(comp_ids[c])
-            rel.append(self.relative_phases[i] / first_val[c])
-        return PhaseCoset(components=tuple(components), rel=tuple(rel))
-
 
 def _normalize_perm_arg(arg, n: int):
     """None (wildcard) | single permutation | iterable of permutations."""
@@ -285,109 +294,169 @@ def _normalize_perm_arg(arg, n: int):
     return seq
 
 
-def _column_perms(absv, absvo, cands_in, tol):
-    """Yield (perm_in, compat) for the candidate gate permutations.
+def _frontier(state, expand):
+    """Complete permutations of a search that fixes position 0, 1, ... in turn.
 
-    ``compat[m, r]`` says that row m of |V| equals row r of |V_out| with its
-    columns permuted by perm_in, so perm_out must map m to some r with
-    ``compat[m, r]``.  An explicit candidate list costs O(n^3) per entry.
-    The wildcard assigns perm_in(0), perm_in(1), ... in ascending order,
-    narrowing ``compat`` one column at a time, and drops a prefix as soon as
-    some row or column of ``compat`` is empty.
+    ``state`` holds one (n, n) boolean matrix per root.  ``expand(depth,
+    prefix, state)`` returns, for a block of partial permutations of length
+    ``depth``, the parent row and the value of every child in row-major
+    (parent, value) order, and the children's states.  Each level is one
+    array pass over a block of at most ``_BLOCK_ENTRIES // n**3`` partial
+    permutations, and blocks are expanded depth first, so memory stays flat
+    and complete permutations come in (root, lexicographic) order.  Yields
+    (root, permutations, states) blocks.
+    """
+    n = state.shape[1]
+    step = max(1, _BLOCK_ENTRIES // max(1, n) ** 3)
+    stack: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+
+    def push(root, prefix, state):
+        for lo in reversed(range(0, len(prefix), step)):
+            stack.append((root[lo:lo + step], prefix[lo:lo + step], state[lo:lo + step]))
+
+    push(np.arange(len(state)), np.empty((len(state), 0), dtype=np.intp), state)
+    while stack:
+        root, prefix, state = stack.pop()
+        depth = prefix.shape[1]
+        if depth == n:
+            yield root, prefix, state
+            continue
+        parent, value, state = expand(depth, prefix, state)
+        push(root[parent], np.column_stack((prefix[parent], value)), state)
+
+
+def _perm_in_blocks(absv, absvo, cands_in, tol):
+    """Yield (perms, compat) blocks for the candidate gate permutations.
+
+    ``compat[p, m, r]`` says that row m of |V| equals row r of |V_out| with
+    its columns permuted by ``perms[p]``, so perm_out must map m to some r
+    with ``compat[p, m, r]``.  An explicit candidate list is checked in list
+    order, O(n^3) per entry.  The wildcard assigns perm_in(0), perm_in(1),
+    ... as an array frontier, narrowing each prefix's ``compat`` by one
+    column of the n^4 ``agree`` table per level, and drops a prefix as soon
+    as some row or column of its ``compat`` is empty.
     """
     n = absv.shape[0]
     if cands_in is not None:
-        for pi in cands_in:
-            target = absvo[:, list(pi)]
-            yield pi, (np.abs(target[None, :, :] - absv[:, None, :]) <= tol).all(axis=2)
+        perms = np.array(cands_in, dtype=np.intp).reshape(len(cands_in), n)
+        step = max(1, _BLOCK_ENTRIES // max(1, n) ** 3)
+        for lo in range(0, len(perms), step):
+            block = perms[lo:lo + step]
+            # target[p, r, l] = |V_out[r, perms[p][l]]|
+            target = absvo[:, block].transpose(1, 0, 2)
+            diff = np.abs(target[:, None, :, :] - absv[None, :, None, :])
+            yield block, (diff <= tol).all(axis=3)
         return
     # agree[l, c][m, r]: |V[m, l]| equals |V_out[r, c]|
     agree = np.abs(absvo.T[None, :, None, :] - absv.T[:, None, :, None]) <= tol
-    pi: list[int] = []
 
-    def extend(compat):
-        if len(pi) == n:
-            yield tuple(pi), compat
-            return
-        for c in range(n):
-            if c in pi:
-                continue
-            nxt = compat & agree[len(pi), c]
-            if nxt.any(axis=0).all() and nxt.any(axis=1).all():
-                pi.append(c)
-                yield from extend(nxt)
-                pi.pop()
+    def expand(depth, prefix, compat):
+        nxt = compat[:, None] & agree[depth]  # [prefix, column, m, r]
+        ok = nxt.any(axis=2).all(axis=2) & nxt.any(axis=3).all(axis=2)
+        ok[np.arange(len(prefix))[:, None], prefix] = False
+        parent, col = np.nonzero(ok)
+        return parent, col, nxt[parent, col]
 
-    yield from extend(np.ones((n, n), dtype=bool))
+    for _, perms, compat in _frontier(np.ones((1, n, n), dtype=bool), expand):
+        yield perms, compat
 
 
-def _matchings(compat):
-    """Perfect matchings m -> pip[m] inside ``compat``, in lexicographic order."""
-    n = compat.shape[0]
-    options = [np.flatnonzero(row).tolist() for row in compat]
-    found: list[tuple[int, ...]] = []
-    pip: list[int] = []
+def _expand_matching(depth, prefix, avail):
+    """Assign row ``depth`` to every still-free column its ``avail`` row allows."""
+    parent, col = np.nonzero(avail[:, depth])
+    avail = avail[parent]
+    avail[np.arange(len(col)), :, col] = False
+    return parent, col, avail
 
-    def extend():
-        if len(pip) == n:
-            if len(found) == _MATCHING_CAP:
+
+@functools.cache
+def _all_perms(n: int) -> np.ndarray:
+    """The n! permutations of range(n), one per row, in lexicographic order."""
+    perms = list(itertools.permutations(range(n)))
+    table = np.array(perms, dtype=np.intp).reshape(len(perms), n)
+    table.setflags(write=False)  # shared by every call
+    return table
+
+
+def _row_matchings(sub):
+    """The perfect row matchings of each compat matrix of ``sub``, in
+    lexicographic order, as one (count, n) int array per matrix.
+
+    Up to ``_TABLE_MAX`` rows one pass over all n! permutations finds them.
+    Above, a matrix with n entries covering every row and column has its one
+    matching read off, and the others are enumerated together by one
+    frontier.  A matrix with more than ``_MATCHING_CAP`` matchings is a
+    ValueError, raised as soon as its count passes the cap.
+    """
+    n = sub.shape[1]
+    out: list[np.ndarray | None] = [None] * len(sub)
+    if n <= _TABLE_MAX:
+        table = _all_perms(n)
+        root, which = np.nonzero(sub[:, np.arange(n), table].all(axis=2))
+        roots, found = [root], [table[which]]
+    else:
+        forced = (sub.sum(axis=2) == 1).all(axis=1) & sub.any(axis=1).all(axis=1)
+        for j in np.flatnonzero(forced).tolist():
+            out[j] = sub[j].argmax(axis=1)[None]
+        if forced.all():
+            return out
+        rest = np.flatnonzero(~forced)
+        counts = np.zeros(len(rest), dtype=np.intp)
+        roots, found = [np.empty(0, dtype=np.intp)], [np.empty((0, n), dtype=np.intp)]
+        for root, perms, _ in _frontier(sub[rest], _expand_matching):
+            counts += np.bincount(root, minlength=len(rest))
+            if counts.max() > _MATCHING_CAP:
                 raise ValueError(
                     "too many output-permutation matchings "
                     f"(more than {_MATCHING_CAP}); restrict perm_out"
                 )
-            found.append(tuple(pip))
-            return
-        for r in options[len(pip)]:
-            if r not in pip:
-                pip.append(r)
-                extend()
-                pip.pop()
-
-    extend()
-    return found
+            roots.append(rest[root])
+            found.append(perms)
+    perms = np.concatenate(found)
+    bounds = np.searchsorted(np.concatenate(roots), np.arange(len(sub) + 1))
+    return [
+        perms[bounds[j]:bounds[j + 1]] if o is None else o for j, o in enumerate(out)
+    ]
 
 
 def _candidate_pairs(absv, absvo, cands_in, cands_out, tol):
-    """Yield the feasible (perm_in, perm_out) pairs as (perm_in, perm_outs) blocks.
+    """Yield the feasible (perm_in, perm_out) pairs as (pis, pips) int arrays.
 
-    ``perm_outs`` is an int array with one permutation per row, never empty:
-    the perfect matchings of compat for a wildcard perm_out, else the
-    explicit candidates compat admits, in list order.  Blocks come in the
-    perm_in order of ``_column_perms``.
+    Row p of a chunk is one pair; a chunk holds at most ``_PAIR_CHUNK``
+    rows.  Pairs come in the perm_in order of ``_perm_in_blocks``, and for
+    each perm_in, the perfect matchings of its compat in lexicographic order
+    for a wildcard perm_out (found once per distinct compat matrix of the
+    call), else the explicit candidates it admits, in list order.
     """
     n = absv.shape[0]
-    rows = np.arange(n)
     outs = None
     if cands_out is not None:
         outs = np.array(cands_out, dtype=np.intp).reshape(len(cands_out), n)
-    for pi, compat in _column_perms(absv, absvo, cands_in, tol):
+        cols = np.arange(n)
+        step = max(1, _BLOCK_ENTRIES // max(1, len(outs) * n))
+    memo: dict[bytes, np.ndarray] = {}  # compat matrix -> its perm_outs
+    for perms, compat in _perm_in_blocks(absv, absvo, cands_in, tol):
         if outs is None:
-            found = _matchings(compat)
-            pips = np.array(found, dtype=np.intp).reshape(len(found), n)
+            keys = [c.tobytes() for c in compat]
+            new: dict[bytes, int] = {}
+            for i, key in enumerate(keys):
+                if key not in memo:
+                    new.setdefault(key, i)
+            if new:
+                memo.update(zip(new, _row_matchings(compat[list(new.values())])))
+            found = [memo[key] for key in keys]
+            rows = np.repeat(np.arange(len(keys)), [len(f) for f in found])
+            pips = np.concatenate(found)
         else:
-            pips = outs[compat[rows, outs].all(axis=1)]
-        if len(pips):
-            yield pi, pips
-
-
-def _pair_chunks(blocks):
-    """Regroup (perm_in, perm_outs) blocks into (perm_ins, perm_outs) arrays.
-
-    Order is kept; every chunk but the last has ``_PAIR_CHUNK`` rows.
-    """
-    pis: list[np.ndarray] = []
-    pips: list[np.ndarray] = []
-    count = 0
-    for pi, outs in blocks:
-        pis.append(np.broadcast_to(np.array(pi, dtype=np.intp), outs.shape))
-        pips.append(outs)
-        count += len(outs)
-        while count >= _PAIR_CHUNK:
-            a, b = np.concatenate(pis), np.concatenate(pips)
-            yield a[:_PAIR_CHUNK], b[:_PAIR_CHUNK]
-            pis, pips, count = [a[_PAIR_CHUNK:]], [b[_PAIR_CHUNK:]], count - _PAIR_CHUNK
-    if count:
-        yield np.concatenate(pis), np.concatenate(pips)
+            rows, which = [], []
+            for lo in range(0, len(compat), step):
+                p, q = np.nonzero(compat[lo:lo + step][:, cols, outs].all(axis=2))
+                rows.append(p + lo)
+                which.append(q)
+            rows, pips = np.concatenate(rows), outs[np.concatenate(which)]
+        pis = perms[rows]
+        for lo in range(0, len(pis), _PAIR_CHUNK):
+            yield pis[lo:lo + _PAIR_CHUNK], pips[lo:lo + _PAIR_CHUNK]
 
 
 @dataclass(frozen=True)
@@ -464,11 +533,14 @@ def _implied(rho, vr, vi, steps):
 def _propagate_chunk(v, v_out, pis, pips, forest, tol, cycle_tol):
     """Phases of a chunk of permutation pairs on the shared forest.
 
-    Row p of ``pis``/``pips`` is one pair.  Returns (ok, rel): ok[p] is False
-    when a denominator vanishes, a ratio is off unit modulus or a cycle
-    disagrees; rel[p] holds the 2n phases divided by their component's root
-    value.  Products use explicit real arithmetic and moduli ``np.hypot``,
-    so every float equals the one-pair scalar computation bit for bit.
+    Row p of ``pis``/``pips`` is one pair.  A pair is rejected when a
+    denominator vanishes, a ratio is off unit modulus or a cycle disagrees.
+    In a chunk of more than ``_EARLY_CHECKS`` pairs the first
+    ``_EARLY_CHECKS`` cycle checks run on every pair and the rest on the
+    survivors only.  Returns the accepted rows of ``pis`` and ``pips``
+    and their (pairs, 2n) node values, each component's root exactly 1.
+    Products use explicit real arithmetic and moduli ``np.hypot``, so every
+    float equals the one-pair scalar computation bit for bit.
     """
     f = forest
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -482,40 +554,25 @@ def _propagate_chunk(v, v_out, pis, pips, forest, tol, cycle_tol):
         vr, vi = val.real, val.imag
         for level in f.levels:
             vr[level[0]], vi[level[0]] = _implied(rho, vr, vi, level)
-        ir, ii = _implied(rho, vr, vi, f.checks)
-        w = f.checks[0]
-        ok &= ~(np.hypot(vr[w] - ir, vi[w] - ii) > cycle_tol).any(axis=0)
-    return ok, (val / val[f.roots]).T
+        groups = [f.checks]
+        if len(pis) > _EARLY_CHECKS:
+            groups = [tuple(a[:_EARLY_CHECKS] for a in f.checks),
+                      tuple(a[_EARLY_CHECKS:] for a in f.checks)]
+        for checks in groups:
+            ir, ii = _implied(rho, vr, vi, checks)
+            w = checks[0]
+            ok &= ~(np.hypot(vr[w] - ir, vi[w] - ii) > cycle_tol).any(axis=0)
+            if not ok.all():
+                keep = np.flatnonzero(ok)
+                ok, rho, val, pis, pips = ok[keep], rho[:, keep], val[:, keep], pis[keep], pips[keep]
+                vr, vi = val.real, val.imag
+    return pis, pips, val.T
 
 
-def solve_intertwiner(
-    v: np.ndarray,
-    perm_in=None,
-    perm_out=None,
-    *,
-    v_out: np.ndarray | None = None,
-    tol: float = DEFAULT_TOL,
-    zero_tol: float = ZERO_THRESHOLD,
-    cycle_tol: float = CYCLE_TOL,
-) -> list[IntertwinerSolution]:
-    """All monomial-intertwiner families for the given permutation sets.
-
-    ``perm_in``/``perm_out`` may each be a single permutation, an iterable of
-    candidate permutations, or None for a full wildcard (dimension <= 8).
-    A pair (perm_in, perm_out) is feasible when every row m of |V| equals
-    row perm_out(m) of |V_out| with columns permuted by perm_in.  The
-    wildcard perm_in search builds perm_in column by column and prunes a
-    prefix once some row of |V| has no matching row of |V_out| left, or the
-    reverse; a wildcard perm_out enumerates the perfect row matchings, an
-    explicit list is filtered in the order given.  The constraint graph does
-    not depend on the pair, so its spanning forest is built once per call
-    and the feasible pairs are propagated in chunks of ``_PAIR_CHUNK``, all
-    edges of a chunk at once.  Families are returned in (perm_in, perm_out)
-    order: lexicographic for a wildcard, list order otherwise.  Each is the
-    complete connected solution set for its pair, with one free phase per
-    component of its constraint graph.  A NaN, infinite or negative
-    ``tol``, ``zero_tol`` or ``cycle_tol`` is a ValueError.
-    """
+def _solve(v, perm_in, perm_out, v_out, tol, zero_tol, cycle_tol):
+    """Check the input, then return the constraint forest of V and an iterator
+    over (pis, pips, val) chunks of the accepted pairs, as
+    :func:`_propagate_chunk` returns them."""
     for bound in (tol, zero_tol, cycle_tol):
         check_tol(bound)
     v = np.asarray(v, dtype=np.complex128)
@@ -539,7 +596,7 @@ def solve_intertwiner(
         warnings.warn(
             "smallest nonzero |V| entry is close to the zero threshold; "
             "support detection may be unreliable",
-            stacklevel=2,
+            stacklevel=3,
         )
     forest = _constraint_forest(absv > zero_tol)
 
@@ -550,17 +607,53 @@ def solve_intertwiner(
             "wildcard permutation search is factorial; dimension > 8 needs "
             "an explicit candidate set"
         )
-
     pairs = _candidate_pairs(absv, np.abs(v_out), cands_in, cands_out, modulus_match_tol(tol))
+    return forest, (
+        _propagate_chunk(v, v_out, pis, pips, forest, tol, cycle_tol) for pis, pips in pairs
+    )
+
+
+def solve_intertwiner(
+    v: np.ndarray,
+    perm_in=None,
+    perm_out=None,
+    *,
+    v_out: np.ndarray | None = None,
+    tol: float = DEFAULT_TOL,
+    zero_tol: float = ZERO_THRESHOLD,
+    cycle_tol: float = CYCLE_TOL,
+) -> list[IntertwinerSolution]:
+    """All monomial-intertwiner families for the given permutation sets.
+
+    ``perm_in``/``perm_out`` may each be a single permutation, an iterable of
+    candidate permutations, or None for a full wildcard (dimension <= 8).
+    A pair (perm_in, perm_out) is feasible when every row m of |V| equals
+    row perm_out(m) of |V_out| with columns permuted by perm_in.  The
+    wildcard perm_in search is an array frontier: all live prefixes gain one
+    column per level, and a prefix is pruned once some row of |V| has no
+    matching row of |V_out| left, or the reverse.  A wildcard perm_out takes
+    the perfect row matchings, enumerated once per distinct compat matrix
+    and memoised for the call; an explicit list is filtered in the order
+    given.  The constraint graph does not depend on the pair, so its
+    spanning forest is built once per call and the feasible pairs are
+    propagated in chunks of ``_PAIR_CHUNK``, all edges of a chunk at once;
+    the first ``_EARLY_CHECKS`` cycle checks run on the whole chunk and the
+    rest on its survivors.  This function wraps the array solve that
+    :func:`delta_set` reads directly, building one IntertwinerSolution per
+    accepted pair.  Families are returned in (perm_in, perm_out) order:
+    lexicographic for a wildcard, list order otherwise.  Each is the
+    complete connected solution set for its pair, with one free phase per
+    component of its constraint graph.  A NaN, infinite or negative
+    ``tol``, ``zero_tol`` or ``cycle_tol`` is a ValueError.
+    """
+    forest, accepted = _solve(v, perm_in, perm_out, v_out, tol, zero_tol, cycle_tol)
     solutions: list[IntertwinerSolution] = []
     perms_in: dict[tuple[int, ...], tuple[int, ...]] = {}  # families of a perm share it
-    for pis, pips in _pair_chunks(pairs):
-        ok, rel = _propagate_chunk(v, v_out, pis, pips, forest, tol, cycle_tol)
-        for p in np.flatnonzero(ok):
-            pi = tuple(pis[p].tolist())
+    for pis, pips, val in accepted:
+        rel = val / val[:, forest.roots]
+        for pi, pip, r in zip(map(tuple, pis.tolist()), map(tuple, pips.tolist()), rel):
             solutions.append(IntertwinerSolution(
-                perms_in.setdefault(pi, pi), tuple(pips[p].tolist()),
-                forest.components, tuple(rel[p]),
+                perms_in.setdefault(pi, pi), pip, forest.components, tuple(r),
             ))
     return solutions
 
@@ -625,20 +718,42 @@ def delta_set(
     which word matrices with many equal-modulus entries may need to keep
     the matching enumeration finite.  The bounds are checked as in
     :func:`solve_intertwiner`, before the word is evaluated.
+
+    The families come straight from the solver's arrays of accepted pairs,
+    in the solver's order.  The constraint forest is shared, so the gate
+    components, renumbered in first-seen order, are computed once for all
+    families; each family's ``rel`` is its row of one array division of the
+    gate phases by their component roots (exactly 1 + 0j, which also turns
+    -1 - 0j into -1 + 0j as a per-family division would).  Entries stay
+    numpy complex128 scalars.
     """
     for bound in (tol, zero_tol, cycle_tol):
         check_tol(bound)
     rep = evaluate_word(model, surface, word)
-    sols = solve_intertwiner(
-        rep.matrix,
-        perm_in=restrict_perms,
-        perm_out=restrict_perms_out,
-        tol=tol,
-        zero_tol=zero_tol,
-        cycle_tol=cycle_tol,
+    forest, accepted = _solve(
+        rep.matrix, restrict_perms, restrict_perms_out, None, tol, zero_tol, cycle_tol
     )
-    families = [GateFamily(perm=s.perm_in, coset=s.gate_coset()) for s in sols]
-    return DeltaSet(dim=rep.basis.dim, families=families)
+    n = rep.basis.dim
+    # The forest is shared, so every family has the same gate components,
+    # renumbered in first-seen order, and the same root per gate phase.
+    ids: dict[int, int] = {}
+    components = tuple(ids.setdefault(c, len(ids)) for c in forest.components[:n])
+    roots = forest.roots[:n]
+    families: list[GateFamily] = []
+    perms: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for pis, _, val in accepted:
+        # Iterating the flat array keeps every entry a numpy complex128.
+        rel = list((val[:, :n] / val[:, roots]).ravel())
+        for i, pi in enumerate(map(tuple, pis.tolist())):
+            coset = PhaseCoset(components, tuple(rel[i * n:(i + 1) * n]))
+            families.append(GateFamily(perms.setdefault(pi, pi), coset))
+    return DeltaSet(dim=n, families=families)
+
+
+def instantiate_families(families: list[GateFamily], dim: int) -> np.ndarray:
+    """Row f is ``families[f].coset.instantiate()``, all in one array product."""
+    rel = np.array([f.coset.rel for f in families], dtype=np.complex128)
+    return rel.reshape(len(families), dim) * np.ones(1, dtype=np.complex128)
 
 
 def intersect_delta(sets: list[DeltaSet], tol: float = CYCLE_TOL) -> DeltaSet:

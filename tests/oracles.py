@@ -4,6 +4,10 @@ Everything here deliberately avoids the code paths under test: dimensions
 come from recursions instead of the labeling enumerator, idempotents from
 eigendecompositions instead of the S-matrix formula, intertwiner families
 from a brute-force phase-grid search instead of graph propagation, the
+feasible permutation pairs from a recursive search instead of array
+frontiers, the allowed curve permutations from one cut-dimension enumeration
+per curve instead of one pass over the classifier's basis, each family's gate coset from its own solution instead of the
+solver's shared arrays, the
 F-blocks and their unitarity check from a per-boundary walk over all labels
 instead of the model's block store, the
 phases of a permutation pair from a scalar walk over that pair's own
@@ -45,7 +49,7 @@ from anyongates.abelian import (
 from anyongates.mcg import evaluate_word, parse_word
 from anyongates.models import AnyonModel, CheckResult, ModelError
 from anyongates.solver import GateFamily, PhaseCoset, monomial_from_matrix
-from anyongates.surfaces import SurfaceSpec
+from anyongates.surfaces import SurfaceSpec, cut_dimensions, standard_dap
 from anyongates.tolerances import (
     CYCLE_TOL,
     DEFAULT_TOL,
@@ -447,6 +451,130 @@ def projective_distance(a: np.ndarray, b: np.ndarray) -> float:
     if mag > 0:
         lam /= mag
     return float(np.abs(a * lam - b).max())
+
+
+# ---------------------------------------------------------------------------
+# Curve permutations from one cut-dimension enumeration per curve
+
+
+def cut_dimension_permutations(model, surface):
+    """Per curve, the label bijections that keep ``cut_dimensions`` of every
+    label, each curve's counts from its own enumeration of the labelings."""
+    dap = standard_dap(surface)
+    out = {}
+    for curve in dap.curves:
+        counts = cut_dimensions(model, surface, dap, curve)
+        occurring = sorted(a for a, c in counts.items() if c > 0)
+        out[curve] = [
+            tuple(zip(occurring, images))
+            for images in itertools.permutations(occurring)
+            if all(counts[a] == counts[b] for a, b in zip(occurring, images))
+        ]
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Permutation-pair search (recursive) and gate cosets (per solution)
+
+
+def _reference_column_perms(absv, absvo, cands_in, tol):
+    """Yield (perm_in, compat) by a recursive search, one column per level.
+
+    ``compat[m, r]`` says that row m of |V| equals row r of |V_out| with its
+    columns permuted by perm_in.  The wildcard assigns perm_in(0),
+    perm_in(1), ... in ascending order and drops a prefix as soon as some
+    row or column of ``compat`` is empty.
+    """
+    n = absv.shape[0]
+    if cands_in is not None:
+        for pi in cands_in:
+            target = absvo[:, list(pi)]
+            yield pi, (np.abs(target[None, :, :] - absv[:, None, :]) <= tol).all(axis=2)
+        return
+    agree = np.abs(absvo.T[None, :, None, :] - absv.T[:, None, :, None]) <= tol
+    pi: list[int] = []
+
+    def extend(compat):
+        if len(pi) == n:
+            yield tuple(pi), compat
+            return
+        for c in range(n):
+            if c in pi:
+                continue
+            nxt = compat & agree[len(pi), c]
+            if nxt.any(axis=0).all() and nxt.any(axis=1).all():
+                pi.append(c)
+                yield from extend(nxt)
+                pi.pop()
+
+    yield from extend(np.ones((n, n), dtype=bool))
+
+
+def _reference_matchings(compat, cap):
+    """Perfect matchings m -> pip[m] inside ``compat``, in lexicographic order."""
+    n = compat.shape[0]
+    options = [np.flatnonzero(row).tolist() for row in compat]
+    found: list[tuple[int, ...]] = []
+    pip: list[int] = []
+
+    def extend():
+        if len(pip) == n:
+            if len(found) == cap:
+                raise ValueError(
+                    f"too many output-permutation matchings (more than {cap}); "
+                    "restrict perm_out"
+                )
+            found.append(tuple(pip))
+            return
+        for r in options[len(pip)]:
+            if r not in pip:
+                pip.append(r)
+                extend()
+                pip.pop()
+
+    extend()
+    return found
+
+
+def reference_candidate_pairs(absv, absvo, cands_in, cands_out, tol, cap=20000):
+    """The feasible (perm_in, perm_out) pairs of the intertwiner search, in order.
+
+    The recursive search the solver's array frontier replaced: perm_in in
+    the order of the recursion (lexicographic for a wildcard, list order
+    otherwise), and for each the perfect matchings of its compat in
+    lexicographic order, or the explicit perm_out candidates it admits in
+    list order.  More than ``cap`` matchings for one perm_in is a ValueError.
+    """
+    n = absv.shape[0]
+    rows = list(range(n))
+    pairs = []
+    for pi, compat in _reference_column_perms(absv, absvo, cands_in, tol):
+        if cands_out is None:
+            outs = _reference_matchings(compat, cap)
+        else:
+            outs = [tuple(p) for p in cands_out if compat[rows, list(p)].all()]
+        pairs.extend((tuple(pi), pip) for pip in outs)
+    return pairs
+
+
+def reference_gate_coset(sol) -> PhaseCoset:
+    """Projection of an intertwiner family onto the gate phases d, per solution.
+
+    Components are renumbered in first-seen order over the gate phases, and
+    each phase is divided by the first phase of its component.
+    """
+    comp_ids: dict[int, int] = {}
+    components = []
+    rel = []
+    first_val: dict[int, complex] = {}
+    for i in range(sol.n):
+        c = sol.phase_classes[i]
+        if c not in comp_ids:
+            comp_ids[c] = len(comp_ids)
+            first_val[c] = sol.relative_phases[i]
+        components.append(comp_ids[c])
+        rel.append(sol.relative_phases[i] / first_val[c])
+    return PhaseCoset(components=tuple(components), rel=tuple(rel))
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from anyongates.solver import DeltaSet, delta_set, intersect_delta, monomial_fro
 from oracles import (
     _round_floats,
     contains_logical_paulis_by_scan,
+    cut_dimension_permutations,
     deligne_product,
     dense_sphere_word_filter,
     ising_qubit_isomorphism,
@@ -64,6 +65,39 @@ def test_allowed_curve_permutations_respect_multiplicity():
     for perms in allowed.values():
         assert len(perms) == 1
         assert all(a == b for a, b in perms[0])
+
+
+@pytest.mark.parametrize("m", [6, 8, 24])
+def test_one_basis_enumeration_per_sphere_classify(monkeypatch, m):
+    """The classifier enumerates the labelings once and reads the curve
+    permutations off that basis; sphere:sigma:24 is refused after it."""
+    surfaces = importlib.import_module("anyongates.surfaces")
+    real = surfaces.enumerate_labelings
+    calls = []
+
+    def counting(model, surface, *args, **kwargs):
+        calls.append(surface)
+        return real(model, surface, *args, **kwargs)
+
+    for name in ("surfaces", "mcg", "classify"):
+        module = importlib.import_module(f"anyongates.{name}")
+        monkeypatch.setattr(module, "enumerate_labelings", counting)
+    surf = sphere_surface(ISING, "sigma", m)
+    if m == 24:
+        with pytest.raises(ClassificationError, match="out of reach"):
+            classify_punctured_sphere(ISING, surf)
+    else:
+        assert classify_punctured_sphere(ISING, surf).verdict == "pauli_group"
+    assert calls == [surf]
+
+
+def test_curve_permutations_from_a_given_basis_match_cut_dimensions():
+    for model, label, m in ((ISING, "sigma", 9), (FIB, "tau", 8), (ISING, "psi", 6)):
+        surf = sphere_surface(model, label, m)
+        basis = enumerate_labelings(model, surf)
+        assert allowed_curve_permutations(model, surf, basis=basis) == (
+            cut_dimension_permutations(model, surf)
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,8 +18,8 @@ from anyongates import (
     torus_surface,
 )
 from anyongates import solver
-from anyongates.solver import IntertwinerSolution
-from anyongates.tolerances import CYCLE_TOL, DEFAULT_TOL, ZERO_THRESHOLD
+from anyongates.solver import IntertwinerSolution, instantiate_families
+from anyongates.tolerances import CYCLE_TOL, DEFAULT_TOL, ZERO_THRESHOLD, modulus_match_tol
 
 from oracles import (
     coset_is_subset_of,
@@ -26,6 +27,8 @@ from oracles import (
     grid_intertwiner_solutions,
     intertwiner_residual,
     propagate_phases_scalar,
+    reference_candidate_pairs,
+    reference_gate_coset,
 )
 
 FIB = load_builtin("fibonacci")
@@ -140,7 +143,7 @@ def test_identity_word_leaves_everything_free():
     assert len(sols) == 6
     for sol in sols:
         assert sol.perm_in == sol.perm_out
-        assert sol.gate_coset().n_free == 3
+        assert reference_gate_coset(sol).n_free == 3
 
 
 def test_fibonacci_s_families():
@@ -149,17 +152,17 @@ def test_fibonacci_s_families():
     by_perm = {sol.perm_in: sol for sol in sols}
     assert set(by_perm) == {(0, 1), (1, 0)}
     ident = by_perm[(0, 1)]
-    assert ident.gate_coset().n_free == 1
-    assert ident.gate_coset().contains(np.array([1.0, 1.0]))
+    assert reference_gate_coset(ident).n_free == 1
+    assert reference_gate_coset(ident).contains(np.array([1.0, 1.0]))
     swap = by_perm[(1, 0)]
-    assert swap.gate_coset().contains(np.array([1.0, -1.0]))
+    assert reference_gate_coset(swap).contains(np.array([1.0, -1.0]))
 
 
 def test_fibonacci_st_swap_ratio():
     v = evaluate_word(FIB, torus_surface(), "st").matrix
     sols = solve_intertwiner(v)
     swap = next(s for s in sols if s.perm_in == (1, 0))
-    coset = swap.gate_coset()
+    coset = reference_gate_coset(swap)
     assert coset.n_free == 1
     ratio = coset.rel[1] / coset.rel[0]
     assert abs(ratio - np.exp(0.6j * np.pi)) < 1e-9
@@ -197,13 +200,13 @@ def test_solver_matches_grid_oracle_small():
         assert {pi for pi, _ in oracle} == {s.perm_in for s in impl}
         for pi, d in oracle:
             owners = [
-                s for s in impl if s.perm_in == pi and s.gate_coset().contains(d)
+                s for s in impl if s.perm_in == pi and reference_gate_coset(s).contains(d)
             ]
             assert owners, (pi, d)
         # every family is hit by at least one oracle point
         for s in impl:
             assert any(
-                pi == s.perm_in and s.gate_coset().contains(d) for pi, d in oracle
+                pi == s.perm_in and reference_gate_coset(s).contains(d) for pi, d in oracle
             )
 
 
@@ -259,7 +262,7 @@ def test_generic_unitary_only_global_phase():
     assert len(sols) == 1
     sol = sols[0]
     assert sol.perm_in == (0, 1, 2) and sol.perm_out == (0, 1, 2)
-    coset = sol.gate_coset()
+    coset = reference_gate_coset(sol)
     assert coset.n_free == 1
     assert coset.contains(np.array([1.0, 1.0, 1.0]))
 
@@ -313,9 +316,9 @@ def _searched_pairs(monkeypatch, v, v_out, perm_in=None, perm_out=None, tol=DEFA
     candidate_pairs = solver._candidate_pairs
 
     def record(*args):
-        for pi, pips in candidate_pairs(*args):
-            seen.extend((pi, tuple(pip)) for pip in pips.tolist())
-            yield pi, pips
+        for pis, pips in candidate_pairs(*args):
+            seen.extend(zip(map(tuple, pis.tolist()), map(tuple, pips.tolist())))
+            yield pis, pips
 
     monkeypatch.setattr(solver, "_candidate_pairs", record)
     solve_intertwiner(v, perm_in, perm_out, v_out=v_out, tol=tol)
@@ -405,7 +408,7 @@ def _assert_same_solutions(got, want):
         assert a.perm_in == b.perm_in and a.perm_out == b.perm_out
         assert a.phase_classes == b.phase_classes
         assert _bits(a.relative_phases) == _bits(b.relative_phases)
-        ca, cb = a.gate_coset(), b.gate_coset()
+        ca, cb = reference_gate_coset(a), reference_gate_coset(b)
         assert ca.components == cb.components
         assert _bits(ca.rel) == _bits(cb.rel)
 
@@ -481,3 +484,195 @@ def test_batched_propagation_rejects_like_the_oracle(monkeypatch):
         assert len(got) == n_sols
     # d_1 = (V[0, 1] / V_out[0, 1]) d'_0 = exp(-0.3i) d_0 for the identity
     assert np.angle(got[0].relative_phases[1]) == pytest.approx(-0.3)
+
+
+# ---------------------------------------------------------------------------
+# The array pair search against the recursive search it replaced
+
+
+def _surface(model, text):
+    """``torus`` or ``sphere:<label>:<M>``."""
+    if text == "torus":
+        return torus_surface()
+    _, label, m = text.split(":")
+    return sphere_surface(model, label, int(m))
+
+
+def _kron(*factors):
+    out = np.eye(1, dtype=np.complex128)
+    for f in factors:
+        out = np.kron(out, f)
+    return out
+
+
+def _shuffled_perms(n, count, seed):
+    rng = np.random.default_rng(seed)
+    perms = list(itertools.permutations(range(n)))
+    return [perms[i] for i in rng.permutation(len(perms))[:count]]
+
+
+def _pair_search_case(name):
+    """(V, V_out, perm_in, perm_out) of one named pair-search case."""
+    kind, _, arg = name.partition(":")
+    if kind == "random":
+        v = random_unitary(int(arg), seed=60 + int(arg))
+        return v, v, None, None
+    if kind == "random-twisted":
+        v = random_unitary(int(arg), seed=60 + int(arg))
+        return v, _monomial_twist(v, seed=70 + int(arg)), None, None
+    if kind in ("kron", "kron-twisted"):
+        v = _kron(*(random_unitary(2, seed=80 + k) for k in range(int(arg))))
+        return v, (v if kind == "kron" else _monomial_twist(v, seed=90)), None, None
+    if kind == "word":
+        model, surface, word = arg.split("/")
+        mod = load_builtin(model)
+        v = evaluate_word(mod, _surface(mod, surface), word).matrix
+        return v, v, None, None
+    # explicit candidate lists in shuffled order on a flat and a kron matrix
+    v = _word("zn_toric:2", torus_surface(), "s") if arg == "flat" else _kron(
+        random_unitary(2, seed=80), random_unitary(2, seed=81))
+    some, other = _shuffled_perms(4, 11, seed=95), _shuffled_perms(4, 13, seed=96)
+    return v, v, (some if "in" in kind else None), (other if "out" in kind else None)
+
+
+@pytest.mark.parametrize("name", [
+    *(f"random:{n}" for n in range(3, 9)),
+    *(f"random-twisted:{n}" for n in range(3, 9)),
+    "kron:2", "kron-twisted:2", "kron:3", "kron-twisted:3",
+    "word:ising/sphere:sigma:8/s2",
+    "word:fibonacci/sphere:tau:7/s2",
+    "word:fibonacci/sphere:tau:7/s3",
+    "word:zn_toric:2/torus/s",
+    "word:zn_toric:2/torus/st",
+    *(f"{sides}:{m}" for sides in ("in", "out", "in-out") for m in ("flat", "kron")),
+])
+@pytest.mark.parametrize("tiny", [False, True], ids=["blocks", "tiny-blocks"])
+def test_pair_arrays_match_the_recursive_search(monkeypatch, name, tiny):
+    if tiny:  # one partial permutation per frontier block, 7 pairs per chunk
+        monkeypatch.setattr(solver, "_BLOCK_ENTRIES", 1)
+        monkeypatch.setattr(solver, "_PAIR_CHUNK", 7)
+    v, v_out, perm_in, perm_out = _pair_search_case(name)
+    absv, absvo, tol = np.abs(v), np.abs(v_out), modulus_match_tol(DEFAULT_TOL)
+    n = v.shape[0]
+    chunks = list(solver._candidate_pairs(absv, absvo, perm_in, perm_out, tol))
+    assert all(0 < len(pis) == len(pips) <= solver._PAIR_CHUNK for pis, pips in chunks)
+    empty = [(np.empty((0, n), dtype=np.intp),) * 2]
+    pis, pips = (np.concatenate(side) for side in zip(*(chunks or empty)))
+    want = reference_candidate_pairs(absv, absvo, perm_in, perm_out, tol)
+    assert want
+    assert np.array_equal(pis, np.array([p for p, _ in want], dtype=np.intp).reshape(-1, n))
+    assert np.array_equal(pips, np.array([q for _, q in want], dtype=np.intp).reshape(-1, n))
+
+
+def test_matching_cap_fails_fast_on_a_flat_matrix():
+    """A flat 8 x 8 matrix admits 8! matchings per perm_in; the search stops
+    once the first perm_in passes the cap, without listing them all."""
+    k = np.arange(8)
+    dft = np.exp(2j * np.pi * np.outer(k, k) / 8) / np.sqrt(8)
+    message = r"too many output-permutation matchings \(more than 20000\); restrict perm_out"
+    for perm_in in (None, [tuple(range(8))]):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=message):
+                solve_intertwiner(dft, perm_in)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+    flat = np.abs(dft)
+    with pytest.raises(ValueError, match=message):
+        reference_candidate_pairs(flat, flat, None, None, modulus_match_tol(DEFAULT_TOL))
+
+
+# ---------------------------------------------------------------------------
+# Gate families from the solver's arrays against per-solution gate cosets
+
+
+def _family_case(name):
+    """(model, surface, word, restrict_perms, restrict_perms_out)."""
+    model_name, surface, word = name.split(" ")
+    model = load_builtin(model_name)
+    surf = _surface(model, surface)
+    if word.endswith("@id"):  # the delta-set sphere path's candidate list
+        word = word[:-3]
+        ident = [tuple(range(evaluate_word(model, surf, word).matrix.shape[0]))]
+        return model, surf, word, ident, None
+    if word.endswith("@affine"):
+        from anyongates.abelian import affine_permutations
+
+        affs = affine_permutations(model)
+        return model, surf, word[:-7], affs, affs
+    return model, surf, word, None, None
+
+
+FAMILY_CASES = [
+    "ising sphere:sigma:8 s2",
+    "fibonacci sphere:tau:7 s2",
+    "fibonacci sphere:tau:7 s3",
+    *(f"{m} torus {w}" for m in ("zn_toric:2", "ising", "fibonacci") for w in ("s", "st")),
+    *(f"fibonacci sphere:tau:7 s{k}@id" for k in range(1, 7)),
+    "fibonacci sphere:tau:11 s5@id",
+    "zn_toric:3 torus stst@affine",
+]
+
+
+@pytest.mark.parametrize("name", FAMILY_CASES)
+def test_delta_families_match_per_solution_gate_cosets(name):
+    """delta_set divides the solver's arrays once; the old path built one
+    IntertwinerSolution per family and projected it.  Same perms, same
+    components, the same rel bytes (signed zeros included), numpy scalars."""
+    model, surf, word, perm_in, perm_out = _family_case(name)
+    got = delta_set(model, surf, word, restrict_perms=perm_in, restrict_perms_out=perm_out)
+    v = evaluate_word(model, surf, word).matrix
+    sols = solve_intertwiner(v, perm_in, perm_out)
+    assert len(got.families) == len(sols) > 0
+    for fam, sol in zip(got.families, sols):
+        want = reference_gate_coset(sol)
+        assert fam.perm == sol.perm_in
+        assert fam.coset.components == want.components
+        assert _bits(fam.coset.rel) == _bits(want.rel)
+        assert all(type(x) is np.complex128 for x in fam.coset.rel)
+    rows = instantiate_families(got.families, got.dim)
+    assert _bits(rows) == _bits([fam.coset.instantiate() for fam in got.families])
+
+
+@pytest.mark.parametrize("model, surface, words", [
+    ("ising", "sphere:sigma:8", ["s2"]),
+    ("fibonacci", "sphere:tau:7", ["s2", "s3"]),
+    ("zn_toric:2", "torus", ["s", "st", "stst"]),
+    ("ising", "torus", ["s", "st"]),
+    ("fibonacci", "torus", ["s", "st"]),
+])
+def test_batched_instantiate_matches_per_family_bytes(model, surface, words):
+    """Intersected cosets mix numpy and Python complex entries; the batched
+    product gives each family's instantiate() bytes either way."""
+    mod = load_builtin(model)
+    surf = _surface(mod, surface)
+    inter = intersect_delta([delta_set(mod, surf, w) for w in words])
+    rows = instantiate_families(inter.families, inter.dim)
+    assert rows.shape == (len(inter.families), inter.dim)
+    assert _bits(rows) == _bits([fam.coset.instantiate() for fam in inter.families])
+
+
+def test_batched_instantiate_keeps_signed_zero_bytes():
+    """Multiplying by the free phase 1 + 0j turns 1 - 0j into 1 + 0j; the
+    batched product must do the same as the per-family one."""
+    zeros = [complex(a, b) for a in (1.0, -1.0, 0.0, -0.0) for b in (0.0, -0.0, 1.0, -1.0)]
+    families = [
+        solver.GateFamily((0, 1, 2, 3), PhaseCoset((0, 0, 1, 1), tuple(row)))
+        for rows in (zeros, [np.complex128(z) for z in zeros])
+        for row in np.reshape(np.array(rows, dtype=object), (4, 4))
+    ]
+    rows = instantiate_families(families, 4)
+    assert _bits(rows) == _bits([fam.coset.instantiate() for fam in families])
+    assert _bits(rows) != _bits([fam.coset.rel for fam in families])
+
+
+def test_empty_matrix_has_one_empty_family():
+    """A zero-dimensional space has one (empty) permutation pair and family."""
+    empty = np.zeros((0, 0), dtype=np.complex128)
+    sols = solve_intertwiner(empty)
+    assert [(s.perm_in, s.perm_out, s.relative_phases) for s in sols] == [((), (), ())]
+    pairs = list(solver._candidate_pairs(empty.real, empty.real, None, None, 0.0))
+    assert [(pis.shape, pips.shape) for pis, pips in pairs] == [((1, 0), (1, 0))]
+    assert reference_candidate_pairs(empty.real, empty.real, None, None, 0.0) == [((), ())]
