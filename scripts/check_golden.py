@@ -47,6 +47,8 @@ GRID = (
         "delta --model zn_toric:2 --surface torus --words s,st,stst --format json",
         "delta --model ising --surface torus --words s,st --format json",
         "delta --model fibonacci --surface torus --words s,st --format json",
+        "delta --model fibonacci --surface sphere:tau:8 --words s2 --format json",
+        "delta --model ising --surface sphere:sigma:10 --words s2 --format json",
     ]
     + [f"validate --model {model} --format json"
        for model in ("fibonacci", "ising", "zn_toric:2", "zn_toric:3", "zn_toric:4",

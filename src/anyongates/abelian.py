@@ -7,7 +7,7 @@ That gives three things the generic solver cannot:
 * a complete closed form for the monomial gates compatible with any set of
   torus words that each contain a single s letter (affine label
   permutation, character diagonal, twist dressing), valid at dimensions far
-  beyond the wildcard search limit;
+  beyond the reach of the wildcard search;
 * string (Wilson loop) operators along the two torus cycles and a batched
   membership test for the generalized Clifford hierarchy's second level
   restricted to monomial representatives;
@@ -32,6 +32,7 @@ from .solver import (
     PhaseCoset,
     is_monomial,
     monomial_from_matrix,
+    monomial_mask,
 )
 from .surfaces import SurfaceSpec
 from .tolerances import (
@@ -249,17 +250,6 @@ def _single_s_split(tokens: list[tuple[str, int]]):
 _CHUNK_ENTRIES = 1 << 16
 
 
-def _monomial_stack(mats: np.ndarray, zero_tol: float, unit_tol: float) -> np.ndarray:
-    """Per matrix: one entry above zero_tol per row and column, of unit modulus within unit_tol."""
-    absm = np.abs(mats)
-    big = absm > zero_tol
-    return (
-        (big.sum(axis=-1) == 1).all(axis=-1)
-        & (big.sum(axis=-2) == 1).all(axis=-1)
-        & (np.abs(np.where(big, absm, 1.0) - 1.0).max(axis=(-2, -1)) < unit_tol)
-    )
-
-
 def torus_word_families(
     model: AnyonModel,
     words: str | list[str],
@@ -327,10 +317,10 @@ def torus_word_families(
     unit_tol = factor_unit_modulus_tol(tol)
 
     # (word, b, y, z): the character factor V_w diag(chi_b) V_w^dag
-    ok = _monomial_stack(
+    ok = monomial_mask(
         (vmat[:, None] * chi[None, :, None, :]) @ vh[:, None],
-        FACTOR_ZERO_THRESHOLD,
         unit_tol,
+        FACTOR_ZERO_THRESHOLD,
     )
     if not ok.all():
         k, b = (int(i) for i in np.argwhere(~ok)[0])
@@ -349,7 +339,7 @@ def torus_word_families(
         dress = suffix * suffix_conj[:, pi].transpose(1, 0, 2)  # (p, word, x)
         # (p, word, y, z): the permutation factor V_w Pi diag(dress) V_w^dag
         w = (vmat[:, :, pi].transpose(2, 0, 1, 3) * dress[:, :, None, :]) @ vh
-        ok = _monomial_stack(w, FACTOR_ZERO_THRESHOLD, unit_tol)
+        ok = monomial_mask(w, unit_tol, FACTOR_ZERO_THRESHOLD)
         if not ok.all():
             i, k = (int(i) for i in np.argwhere(~ok)[0])
             raise RuntimeError(

@@ -612,12 +612,14 @@ def classify_torus(
     Abelian models route all single-s words together through the
     closed-form character enumeration (complete at any dimension), which
     joins them per affine permutation; its result takes the place of the
-    first such word among the delta sets that are intersected.  Other words
-    and models use the wildcard solver, which needs the label count to stay
-    at most 8.  Families are reported modulo a global phase.  When an
-    abelian model's families are rigid, every class is checked for
-    Clifford-star membership, so ``details["clifford_star_checked"]`` equals
-    the class count.
+    first such word among the delta sets that are intersected.  Their other
+    words search the affine permutations only, flagged as an upper bound
+    when those are fewer than all n! permutations.  Every word of a
+    non-abelian model uses the wildcard solver, which refuses a search over
+    its budget with a ValueError.  Families are reported modulo a global
+    phase.  When an abelian model's families are rigid, every class is
+    checked for Clifford-star membership, so
+    ``details["clifford_star_checked"]`` equals the class count.
     """
     check_tol(tol)
     if mcg_words is None:
@@ -639,8 +641,6 @@ def classify_torus(
             if not closed_words:
                 closed_at = len(sets)
             closed_words.append(word)
-        elif n <= 8:
-            sets.append(delta_set(model, surface, word, tol=tol))
         elif abel:
             perms = _ab.affine_permutations(model)
             sets.append(
@@ -649,15 +649,13 @@ def classify_torus(
                     restrict_perms=perms, restrict_perms_out=perms, tol=tol,
                 )
             )
-            flags.append(
-                f"word {word!r}: permutations restricted to affine maps; "
-                "result is an upper bound"
-            )
+            if len(perms) < math.factorial(n):
+                flags.append(
+                    f"word {word!r}: permutations restricted to affine maps; "
+                    "result is an upper bound"
+                )
         else:
-            raise ClassificationError(
-                f"cannot search {n} labels for word {word!r}: "
-                "not abelian and beyond the wildcard limit"
-            )
+            sets.append(delta_set(model, surface, word, tol=tol))
     if closed_words:
         # Intersection order decides which coset a class keeps, down to the
         # sign of an angle at pi, so the joined set takes the first

@@ -7,8 +7,8 @@
     anyongates lattice --qudit 3 --size 4
 
 Exit codes: 0 success, 1 domain failure (validation failed, infeasible
-surface, classification out of reach), 2 usage or input errors.  Structured
-output is deterministic for fixed inputs.
+surface, classification out of reach, a gate search over its budget), 2
+usage or input errors.  Structured output is deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .solver import delta_set, instantiate_families, intersect_delta
 from .surfaces import (
     InfeasibleSurfaceError,
     SurfaceSpec,
-    enumerate_labelings,
     sphere_surface,
     torus_surface,
 )
@@ -141,15 +140,9 @@ def _cmd_delta(args) -> int:
         raise UsageError("delta needs --words")
     if surface.kind != "torus" and len(set(surface.boundary_labels)) > 1:
         raise UsageError("delta supports equal-label spheres and the torus")
-    dim = enumerate_labelings(model, surface).dim
-    if dim > 8:
-        raise UsageError(
-            f"basis dimension {dim} exceeds the wildcard search limit (8); "
-            "use classify for structured models"
-        )
     sets = [delta_set(model, surface, w, tol=args.tol) for w in words]
     inter = intersect_delta(sets)
-    angles = np.angle(instantiate_families(inter.families, dim))
+    angles = np.angle(instantiate_families(inter.families, inter.dim))
     if args.format == "json":
         payload = {
             "model": model.name,

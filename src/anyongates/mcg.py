@@ -85,26 +85,20 @@ def local_braid_block(model: AnyonModel, z: int, M: int, k: int, a: int, b: int)
 
 def braid_generator(model: AnyonModel, M: int, z: int | str, k: int) -> RepMatrix:
     """Matrix of sigma_k on the standard basis of S^2(z^M)."""
-    z = model.label_index(z)
+    return evaluate_word(model, sphere_surface(model, z, M), f"s{k}")
+
+
+def _generator_matrix(model: AnyonModel, z: int, M: int, k: int, basis: BasisIndex):
+    """sigma_k on ``basis``, the standard basis of S^2(z^M), for 1 <= k < M."""
     if M < 3:
         raise ValueError("braid generators need at least 3 punctures")
-    _check_generator(M, k)
-    surface = sphere_surface(model, z, M)
-    basis = enumerate_labelings(model, surface)
-    dim = basis.dim
-    word = f"s{k}"
-
-    if dim == 0:
-        return RepMatrix(word, np.zeros((0, 0), dtype=np.complex128), basis)
-
+    if basis.dim == 0:
+        return np.zeros((0, 0), dtype=np.complex128)
     if M == 3:
         # Single basis state; the pair channel of either exchange is forced
         # to dual(z) because the three punctures carry total vacuum charge.
-        c = model.dual[z]
-        phase = model.rsymbol(z, z, c)
-        return RepMatrix(word, np.array([[phase]], dtype=np.complex128), basis)
-
-    return RepMatrix(word, braid_matrix(model, z, M, k, basis.labelings), basis)
+        return np.array([[model.rsymbol(z, z, model.dual[z])]], dtype=np.complex128)
+    return braid_matrix(model, z, M, k, basis.labelings)
 
 
 def braid_matrix(model: AnyonModel, z: int, M: int, k: int, labelings) -> np.ndarray:
@@ -194,7 +188,8 @@ def evaluate_word(
     surface: SurfaceSpec,
     word: str | list[tuple[str, int]],
 ) -> RepMatrix:
-    """Ordered product of generator matrices for ``word`` on ``surface``."""
+    """Ordered product of generator matrices for ``word`` on ``surface``;
+    braid generators are built on its one enumeration of the labelings."""
     tokens = parse_word(word, surface) if isinstance(word, str) else list(word)
     basis = enumerate_labelings(model, surface)
     if surface.kind == "torus":
@@ -208,7 +203,7 @@ def evaluate_word(
         for sym, _ in tokens:
             if sym not in gens:
                 k = int(sym[1:])
-                gens[sym] = braid_generator(model, m, z, k).matrix
+                gens[sym] = _generator_matrix(model, z, m, k, basis)
     mat = np.eye(basis.dim, dtype=np.complex128)
     for sym, exp in tokens:
         if sym not in gens:

@@ -26,6 +26,9 @@ Solving is:
 Each feasible permutation pair therefore contributes at most one connected
 family with one free phase per graph component.
 
+Step (1) counts what it materialises against one budget per call, and a
+search that passes ``_SEARCH_BUDGET`` is a ValueError naming its count.
+
 Delta sets (all monomial gates compatible with a word) and their
 intersections live here too.  A delta set reads its gate cosets straight
 off the accepted arrays: the forest, and so the gate components and their
@@ -60,8 +63,9 @@ from .tolerances import (
     unit_modulus_tol,
 )
 
-_MATCHING_CAP = 20000
-
+# Most entries one pair search may materialise: each frontier or explicit
+# perm_in block costs rows x n^3, each block's pairs cost pairs x edges.
+_SEARCH_BUDGET = 1 << 30
 # Feasible permutation pairs are propagated this many at a time, which keeps
 # the (edges, pairs) work arrays to a few megabytes.
 _PAIR_CHUNK = 2048
@@ -294,7 +298,23 @@ def _normalize_perm_arg(arg, n: int):
     return seq
 
 
-def _frontier(state, expand):
+class _Budget:
+    """The running cost of one pair search; a pair costs one entry per edge."""
+
+    def __init__(self, edges: int):
+        self.edges = edges
+        self.spent = 0
+
+    def charge(self, entries: int) -> None:
+        self.spent += entries
+        if self.spent > _SEARCH_BUDGET:
+            raise ValueError(
+                f"pair search over budget: {self.spent:,} entries against a budget "
+                f"of {_SEARCH_BUDGET:,}; restrict perm_in or perm_out"
+            )
+
+
+def _frontier(state, expand, budget):
     """Complete permutations of a search that fixes position 0, 1, ... in turn.
 
     ``state`` holds one (n, n) boolean matrix per root.  ``expand(depth,
@@ -304,7 +324,8 @@ def _frontier(state, expand):
     array pass over a block of at most ``_BLOCK_ENTRIES // n**3`` partial
     permutations, and blocks are expanded depth first, so memory stays flat
     and complete permutations come in (root, lexicographic) order.  Yields
-    (root, permutations, states) blocks.
+    (root, permutations, states) blocks.  Each block charges rows x n^3
+    to ``budget``.
     """
     n = state.shape[1]
     step = max(1, _BLOCK_ENTRIES // max(1, n) ** 3)
@@ -317,6 +338,7 @@ def _frontier(state, expand):
     push(np.arange(len(state)), np.empty((len(state), 0), dtype=np.intp), state)
     while stack:
         root, prefix, state = stack.pop()
+        budget.charge(len(prefix) * n**3)
         depth = prefix.shape[1]
         if depth == n:
             yield root, prefix, state
@@ -325,16 +347,17 @@ def _frontier(state, expand):
         push(root[parent], np.column_stack((prefix[parent], value)), state)
 
 
-def _perm_in_blocks(absv, absvo, cands_in, tol):
+def _perm_in_blocks(absv, absvo, cands_in, tol, budget):
     """Yield (perms, compat) blocks for the candidate gate permutations.
 
     ``compat[p, m, r]`` says that row m of |V| equals row r of |V_out| with
     its columns permuted by ``perms[p]``, so perm_out must map m to some r
     with ``compat[p, m, r]``.  An explicit candidate list is checked in list
-    order, O(n^3) per entry.  The wildcard assigns perm_in(0), perm_in(1),
-    ... as an array frontier, narrowing each prefix's ``compat`` by one
-    column of the n^4 ``agree`` table per level, and drops a prefix as soon
-    as some row or column of its ``compat`` is empty.
+    order, O(n^3) per entry, each block charging rows x n^3 to ``budget``.
+    The wildcard assigns perm_in(0), perm_in(1), ... as an array frontier
+    (charging likewise), narrowing each prefix's ``compat`` by one column of
+    the n^4 ``agree`` table per level, and drops a prefix as soon as some
+    row or column of its ``compat`` is empty.
     """
     n = absv.shape[0]
     if cands_in is not None:
@@ -342,6 +365,7 @@ def _perm_in_blocks(absv, absvo, cands_in, tol):
         step = max(1, _BLOCK_ENTRIES // max(1, n) ** 3)
         for lo in range(0, len(perms), step):
             block = perms[lo:lo + step]
+            budget.charge(len(block) * n**3)
             # target[p, r, l] = |V_out[r, perms[p][l]]|
             target = absvo[:, block].transpose(1, 0, 2)
             diff = np.abs(target[:, None, :, :] - absv[None, :, None, :])
@@ -357,7 +381,7 @@ def _perm_in_blocks(absv, absvo, cands_in, tol):
         parent, col = np.nonzero(ok)
         return parent, col, nxt[parent, col]
 
-    for _, perms, compat in _frontier(np.ones((1, n, n), dtype=bool), expand):
+    for _, perms, compat in _frontier(np.ones((1, n, n), dtype=bool), expand, budget):
         yield perms, compat
 
 
@@ -378,15 +402,14 @@ def _all_perms(n: int) -> np.ndarray:
     return table
 
 
-def _row_matchings(sub):
+def _row_matchings(sub, budget):
     """The perfect row matchings of each compat matrix of ``sub``, in
     lexicographic order, as one (count, n) int array per matrix.
 
     Up to ``_TABLE_MAX`` rows one pass over all n! permutations finds them.
     Above, a matrix with n entries covering every row and column has its one
     matching read off, and the others are enumerated together by one
-    frontier.  A matrix with more than ``_MATCHING_CAP`` matchings is a
-    ValueError, raised as soon as its count passes the cap.
+    frontier, which charges ``budget``.
     """
     n = sub.shape[1]
     out: list[np.ndarray | None] = [None] * len(sub)
@@ -401,15 +424,8 @@ def _row_matchings(sub):
         if forced.all():
             return out
         rest = np.flatnonzero(~forced)
-        counts = np.zeros(len(rest), dtype=np.intp)
         roots, found = [np.empty(0, dtype=np.intp)], [np.empty((0, n), dtype=np.intp)]
-        for root, perms, _ in _frontier(sub[rest], _expand_matching):
-            counts += np.bincount(root, minlength=len(rest))
-            if counts.max() > _MATCHING_CAP:
-                raise ValueError(
-                    "too many output-permutation matchings "
-                    f"(more than {_MATCHING_CAP}); restrict perm_out"
-                )
+        for root, perms, _ in _frontier(sub[rest], _expand_matching, budget):
             roots.append(rest[root])
             found.append(perms)
     perms = np.concatenate(found)
@@ -419,14 +435,15 @@ def _row_matchings(sub):
     ]
 
 
-def _candidate_pairs(absv, absvo, cands_in, cands_out, tol):
+def _candidate_pairs(absv, absvo, cands_in, cands_out, tol, budget):
     """Yield the feasible (perm_in, perm_out) pairs as (pis, pips) int arrays.
 
     Row p of a chunk is one pair; a chunk holds at most ``_PAIR_CHUNK``
     rows.  Pairs come in the perm_in order of ``_perm_in_blocks``, and for
     each perm_in, the perfect matchings of its compat in lexicographic order
     for a wildcard perm_out (found once per distinct compat matrix of the
-    call), else the explicit candidates it admits, in list order.
+    call), else the explicit candidates it admits, in list order.  A
+    block's pairs are charged to ``budget`` before their arrays are built.
     """
     n = absv.shape[0]
     outs = None
@@ -435,7 +452,7 @@ def _candidate_pairs(absv, absvo, cands_in, cands_out, tol):
         cols = np.arange(n)
         step = max(1, _BLOCK_ENTRIES // max(1, len(outs) * n))
     memo: dict[bytes, np.ndarray] = {}  # compat matrix -> its perm_outs
-    for perms, compat in _perm_in_blocks(absv, absvo, cands_in, tol):
+    for perms, compat in _perm_in_blocks(absv, absvo, cands_in, tol, budget):
         if outs is None:
             keys = [c.tobytes() for c in compat]
             new: dict[bytes, int] = {}
@@ -443,9 +460,11 @@ def _candidate_pairs(absv, absvo, cands_in, cands_out, tol):
                 if key not in memo:
                     new.setdefault(key, i)
             if new:
-                memo.update(zip(new, _row_matchings(compat[list(new.values())])))
+                memo.update(zip(new, _row_matchings(compat[list(new.values())], budget)))
             found = [memo[key] for key in keys]
-            rows = np.repeat(np.arange(len(keys)), [len(f) for f in found])
+            counts = [len(f) for f in found]
+            budget.charge(sum(counts) * budget.edges)
+            rows = np.repeat(np.arange(len(keys)), counts)
             pips = np.concatenate(found)
         else:
             rows, which = [], []
@@ -453,6 +472,7 @@ def _candidate_pairs(absv, absvo, cands_in, cands_out, tol):
                 p, q = np.nonzero(compat[lo:lo + step][:, cols, outs].all(axis=2))
                 rows.append(p + lo)
                 which.append(q)
+            budget.charge(sum(map(len, rows)) * budget.edges)
             rows, pips = np.concatenate(rows), outs[np.concatenate(which)]
         pis = perms[rows]
         for lo in range(0, len(pis), _PAIR_CHUNK):
@@ -602,12 +622,10 @@ def _solve(v, perm_in, perm_out, v_out, tol, zero_tol, cycle_tol):
 
     cands_in = _normalize_perm_arg(perm_in, n)
     cands_out = _normalize_perm_arg(perm_out, n)
-    if cands_in is None and n > 8:
-        raise ValueError(
-            "wildcard permutation search is factorial; dimension > 8 needs "
-            "an explicit candidate set"
-        )
-    pairs = _candidate_pairs(absv, np.abs(v_out), cands_in, cands_out, modulus_match_tol(tol))
+    budget = _Budget(edges=len(forest.rows))
+    pairs = _candidate_pairs(
+        absv, np.abs(v_out), cands_in, cands_out, modulus_match_tol(tol), budget
+    )
     return forest, (
         _propagate_chunk(v, v_out, pis, pips, forest, tol, cycle_tol) for pis, pips in pairs
     )
@@ -626,19 +644,20 @@ def solve_intertwiner(
     """All monomial-intertwiner families for the given permutation sets.
 
     ``perm_in``/``perm_out`` may each be a single permutation, an iterable of
-    candidate permutations, or None for a full wildcard (dimension <= 8).
-    A pair (perm_in, perm_out) is feasible when every row m of |V| equals
-    row perm_out(m) of |V_out| with columns permuted by perm_in.  The
-    wildcard perm_in search is an array frontier: all live prefixes gain one
-    column per level, and a prefix is pruned once some row of |V| has no
-    matching row of |V_out| left, or the reverse.  A wildcard perm_out takes
-    the perfect row matchings, enumerated once per distinct compat matrix
-    and memoised for the call; an explicit list is filtered in the order
-    given.  The constraint graph does not depend on the pair, so its
-    spanning forest is built once per call and the feasible pairs are
-    propagated in chunks of ``_PAIR_CHUNK``, all edges of a chunk at once;
-    the first ``_EARLY_CHECKS`` cycle checks run on the whole chunk and the
-    rest on its survivors.  This function wraps the array solve that
+    candidate permutations, or None for a full wildcard.  A pair (perm_in,
+    perm_out) is feasible when every row m of |V| equals row perm_out(m) of
+    |V_out| with columns permuted by perm_in.  The wildcard perm_in search
+    is an array frontier: all live prefixes gain one column per level, and
+    a prefix is pruned once some row of |V| has no matching row of |V_out|
+    left, or the reverse.  A wildcard perm_out takes the perfect row
+    matchings, enumerated once per distinct compat matrix and memoised for
+    the call; an explicit list is filtered in the order given.  The search
+    runs under ``_SEARCH_BUDGET``: one that passes it is a ValueError naming
+    the running count and the budget.  The constraint graph does not depend
+    on the pair, so its spanning forest is built once per call and the
+    feasible pairs are propagated in chunks of ``_PAIR_CHUNK``, all edges of
+    a chunk at once; the first ``_EARLY_CHECKS`` cycle checks run on the
+    whole chunk and the rest on its survivors.  This function wraps the array solve that
     :func:`delta_set` reads directly, building one IntertwinerSolution per
     accepted pair.  Families are returned in (perm_in, perm_out) order:
     lexicographic for a wildcard, list order otherwise.  Each is the
@@ -713,10 +732,11 @@ def delta_set(
 
     G = Pi D lies in Delta_word iff (Pi', D') with V Pi D = Pi' D' V exist,
     which is the intertwiner equation with V_out = V.  ``restrict_perms``
-    restricts the searched gate permutations (required above dimension 8);
-    ``restrict_perms_out`` restricts the conjugated gate's permutation,
-    which word matrices with many equal-modulus entries may need to keep
-    the matching enumeration finite.  The bounds are checked as in
+    restricts the searched gate permutations; ``restrict_perms_out``
+    restricts the conjugated gate's permutation, which word matrices with
+    many equal-modulus entries may need to keep the matching enumeration
+    within the search budget.  A search over the budget is a ValueError, as
+    in :func:`solve_intertwiner`.  The bounds are checked as in
     :func:`solve_intertwiner`, before the word is evaluated.
 
     The families come straight from the solver's arrays of accepted pairs,

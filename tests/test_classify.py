@@ -67,10 +67,8 @@ def test_allowed_curve_permutations_respect_multiplicity():
         assert all(a == b for a, b in perms[0])
 
 
-@pytest.mark.parametrize("m", [6, 8, 24])
-def test_one_basis_enumeration_per_sphere_classify(monkeypatch, m):
-    """The classifier enumerates the labelings once and reads the curve
-    permutations off that basis; sphere:sigma:24 is refused after it."""
+def _count_enumerations(monkeypatch) -> list:
+    """The surfaces enumerate_labelings is called on, from now on."""
     surfaces = importlib.import_module("anyongates.surfaces")
     real = surfaces.enumerate_labelings
     calls = []
@@ -82,6 +80,14 @@ def test_one_basis_enumeration_per_sphere_classify(monkeypatch, m):
     for name in ("surfaces", "mcg", "classify"):
         module = importlib.import_module(f"anyongates.{name}")
         monkeypatch.setattr(module, "enumerate_labelings", counting)
+    return calls
+
+
+@pytest.mark.parametrize("m", [6, 8, 24])
+def test_one_basis_enumeration_per_sphere_classify(monkeypatch, m):
+    """The classifier enumerates the labelings once and reads the curve
+    permutations off that basis; sphere:sigma:24 is refused after it."""
+    calls = _count_enumerations(monkeypatch)
     surf = sphere_surface(ISING, "sigma", m)
     if m == 24:
         with pytest.raises(ClassificationError, match="out of reach"):
@@ -89,6 +95,17 @@ def test_one_basis_enumeration_per_sphere_classify(monkeypatch, m):
     else:
         assert classify_punctured_sphere(ISING, surf).verdict == "pauli_group"
     assert calls == [surf]
+
+
+@pytest.mark.parametrize("m", [7, 11])
+def test_one_basis_enumeration_per_word_matrix(monkeypatch, m):
+    """On the delta-set path each of the M - 1 braid words is evaluated on
+    one enumeration of the labelings, its generator built on that basis; the
+    classifier's own enumeration makes M in all."""
+    calls = _count_enumerations(monkeypatch)
+    surf = sphere_surface(FIB, "tau", m)
+    assert classify_punctured_sphere(FIB, surf).details["path"] == "diagonal"
+    assert calls == [surf] * m
 
 
 def test_curve_permutations_from_a_given_basis_match_cut_dimensions():
@@ -312,6 +329,8 @@ def test_local_word_filter_matches_dense_oracle(model, label, m, words, monkeypa
 
 
 FIB_ISING = deligne_product(FIB, ISING)
+ISING_ISING = deligne_product(ISING, ISING)
+FIB_FIB = deligne_product(FIB, FIB)
 
 
 def test_fallback_path_on_a_deligne_product():
@@ -383,6 +402,30 @@ def test_ising_torus_upper_bound():
     assert any("structure theorem" in f for f in rep.flags)
 
 
+@pytest.mark.parametrize(
+    "model, n_classes, n_perms", [(ISING_ISING, 64, 16), (FIB_ISING, 4, 2), (FIB_FIB, 2, 2)],
+    ids=lambda v: v.name if hasattr(v, "name") else str(v),
+)
+def test_deligne_products_on_the_torus_by_the_wildcard(monkeypatch, model, n_classes, n_perms):
+    """Non-abelian models search every word by the wildcard, under the
+    search budget alone; ising x ising has 9 labels."""
+    mod = importlib.import_module("anyongates.classify")
+    restricted = []
+
+    def spy(*args, restrict_perms=None, **kwargs):
+        restricted.append(restrict_perms)
+        return delta_set(*args, restrict_perms=restrict_perms, **kwargs)
+
+    monkeypatch.setattr(mod, "delta_set", spy)
+    rep = classify_torus(model)
+    assert restricted == [None, None]
+    assert rep.n_classes == n_classes
+    assert len({tuple(c["basis_perm"]) for c in rep.classes}) == n_perms
+    assert (rep.verdict, rep.flags) == (
+        "upper_bound_only", ["finite family list; no matching structure theorem applied"]
+    )
+
+
 @pytest.mark.parametrize("name,count", [("zn_toric:2", 96), ("zn_toric:3", 324)])
 def test_zn_torus_clifford(name, count):
     model = load_builtin(name)
@@ -422,6 +465,8 @@ def test_finiteness_stable_under_word_doubling():
     doubled = classify_torus(Z2, mcg_words=["s", "st", "ss", "stst"])
     assert doubled.verdict == base.verdict
     assert doubled.n_classes == base.n_classes == 96
+    # the affine maps of Z_2 x Z_2 are all 4! permutations: nothing is flagged
+    assert doubled.flags == base.flags
 
 
 @pytest.mark.parametrize("words", [["stst", "s", "st"], ["s", "stst", "st"]])

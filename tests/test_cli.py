@@ -188,11 +188,14 @@ def test_delta_needs_words(capsys):
     assert "error:" in err
 
 
-def test_delta_dimension_guard(capsys):
-    code, _, err = run(capsys, "delta", "--model", "zn_toric:3",
-                       "--surface", "torus", "--words", "s")
-    assert code == 2
-    assert "wildcard" in err
+def test_delta_over_budget_exits_1(capsys):
+    """The flat 9 x 9 S matrix of zn_toric:3 makes 9! matchings for every
+    gate permutation; the search names its count and budget, and exits 1."""
+    code, out, err = run(capsys, "delta", "--model", "zn_toric:3",
+                         "--surface", "torus", "--words", "s")
+    assert (code, out) == (1, "")
+    assert "pair search over budget: " in err
+    assert "entries against a budget of 1,073,741,824" in err
 
 
 def test_delta_text_lists_families(capsys):

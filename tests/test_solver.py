@@ -19,7 +19,13 @@ from anyongates import (
 )
 from anyongates import solver
 from anyongates.solver import IntertwinerSolution, instantiate_families
-from anyongates.tolerances import CYCLE_TOL, DEFAULT_TOL, ZERO_THRESHOLD, modulus_match_tol
+from anyongates.tolerances import (
+    CYCLE_TOL,
+    DEFAULT_TOL,
+    ZERO_THRESHOLD,
+    modulus_match_tol,
+    unit_modulus_tol,
+)
 
 from oracles import (
     coset_is_subset_of,
@@ -33,6 +39,8 @@ from oracles import (
 
 FIB = load_builtin("fibonacci")
 ISING = load_builtin("ising")
+
+OVER_BUDGET = r"pair search over budget: "
 
 
 def random_unitary(n, seed):
@@ -231,7 +239,7 @@ def test_restricting_perm_out_prevents_matching_blowup():
 
     model = load_builtin("zn_toric:3")
     affs = affine_permutations(model)[:40]
-    with pytest.raises(ValueError, match="matchings"):
+    with pytest.raises(ValueError, match=OVER_BUDGET):
         delta_set(model, torus_surface(), "stst", restrict_perms=affs)
     ds = delta_set(model, torus_surface(), "stst",
                    restrict_perms=affs, restrict_perms_out=affs)
@@ -241,11 +249,26 @@ def test_restricting_perm_out_prevents_matching_blowup():
         assert fam.perm in aff_set
 
 
-def test_wildcard_guard_above_dim_8():
+def test_small_search_budget_refuses_before_building_pairs(monkeypatch):
+    """The flat 6 x 6 Fourier matrix has 720 x 720 feasible pairs (50 MB of
+    pair arrays).  Its frontiers fit a budget of 10^7 entries, its pairs do
+    not, so the search stops with the count before any pair array exists."""
+    monkeypatch.setattr(solver, "_SEARCH_BUDGET", 10**7)
+    k = np.arange(6)
+    dft = np.exp(2j * np.pi * np.outer(k, k) / 6) / np.sqrt(6)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=OVER_BUDGET + r"\d[\d,]* entries against a "
+                           r"budget of 10,000,000; restrict perm_in or perm_out"):
+            solve_intertwiner(dft)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
     v = np.eye(9, dtype=complex)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=OVER_BUDGET):
         solve_intertwiner(v)
-    # fixed perms stay fine at larger dimension
+    # a fixed perm stays within the same budget at dimension 9
     sols = solve_intertwiner(v, perm_in=[tuple(range(9))])
     assert len(sols) == 1
 
@@ -554,7 +577,8 @@ def test_pair_arrays_match_the_recursive_search(monkeypatch, name, tiny):
     v, v_out, perm_in, perm_out = _pair_search_case(name)
     absv, absvo, tol = np.abs(v), np.abs(v_out), modulus_match_tol(DEFAULT_TOL)
     n = v.shape[0]
-    chunks = list(solver._candidate_pairs(absv, absvo, perm_in, perm_out, tol))
+    budget = solver._Budget(edges=n * n)
+    chunks = list(solver._candidate_pairs(absv, absvo, perm_in, perm_out, tol, budget))
     assert all(0 < len(pis) == len(pips) <= solver._PAIR_CHUNK for pis, pips in chunks)
     empty = [(np.empty((0, n), dtype=np.intp),) * 2]
     pis, pips = (np.concatenate(side) for side in zip(*(chunks or empty)))
@@ -564,24 +588,57 @@ def test_pair_arrays_match_the_recursive_search(monkeypatch, name, tiny):
     assert np.array_equal(pips, np.array([q for _, q in want], dtype=np.intp).reshape(-1, n))
 
 
-def test_matching_cap_fails_fast_on_a_flat_matrix():
-    """A flat 8 x 8 matrix admits 8! matchings per perm_in; the search stops
-    once the first perm_in passes the cap, without listing them all."""
+def test_search_budget_fails_fast_on_a_flat_matrix():
+    """A flat 8 x 8 matrix admits 8! matchings per perm_in.  The wildcard's
+    first block of perm_ins would make 2048 x 8! pairs, which the budget
+    refuses before they are built; the identity alone makes 8! pairs, and
+    the 8 characters of Z_8 survive propagation."""
     k = np.arange(8)
     dft = np.exp(2j * np.pi * np.outer(k, k) / 8) / np.sqrt(8)
-    message = r"too many output-permutation matchings \(more than 20000\); restrict perm_out"
-    for perm_in in (None, [tuple(range(8))]):
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match=message):
-                solve_intertwiner(dft, perm_in)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 32 * 2**20
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=OVER_BUDGET):
+            solve_intertwiner(dft)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    ident = tuple(range(8))
+    sols = solve_intertwiner(dft, [ident])
+    # V diag(conj(chi_b)) V^dag is the cyclic shift m -> m + b, so the
+    # families are the 8 characters, in the lexicographic order of shifts
+    assert [s.perm_out for s in sols] == [tuple(np.roll(k, -b).tolist()) for b in k]
+    support = np.abs(dft) > ZERO_THRESHOLD
+    for b, sol in zip(k, sols):
+        assert sol.perm_in == ident
+        assert intertwiner_residual(dft, sol) < 1e-12
+        d, _ = sol.instantiate()
+        assert np.abs(d - np.exp(-2j * np.pi * b * k / 8)).max() < 1e-12
+        want = propagate_phases_scalar(
+            dft, dft, ident, sol.perm_out, support, DEFAULT_TOL, CYCLE_TOL
+        )
+        assert want == (sol.phase_classes, sol.relative_phases)
     flat = np.abs(dft)
+    message = r"too many output-permutation matchings \(more than 20000\); restrict perm_out"
     with pytest.raises(ValueError, match=message):
         reference_candidate_pairs(flat, flat, None, None, modulus_match_tol(DEFAULT_TOL))
+
+
+def test_fibonacci_tau_8_delta_set_within_budget():
+    """dim 13: 23,040 gate families, each kept monomial by V(s2)."""
+    surf = sphere_surface(FIB, "tau", 8)
+    ds = delta_set(FIB, surf, "s2")
+    assert (ds.dim, len(ds)) == (13, 23040)
+    v = evaluate_word(FIB, surf, "s2").matrix
+    perms = np.array([f.perm for f in ds.families])
+    phases = instantiate_families(ds.families, 13)
+    cols = np.arange(13)
+    for lo in range(0, len(perms), 2048):
+        perm, d = perms[lo:lo + 2048], phases[lo:lo + 2048]
+        gates = np.zeros((len(perm), 13, 13), dtype=np.complex128)
+        gates[np.arange(len(perm))[:, None], perm, cols] = d  # G[perm(l), l] = d_l
+        conj = v @ gates @ v.conj().T
+        assert solver.monomial_mask(conj, unit_modulus_tol(DEFAULT_TOL)).all()
 
 
 # ---------------------------------------------------------------------------
@@ -673,6 +730,7 @@ def test_empty_matrix_has_one_empty_family():
     empty = np.zeros((0, 0), dtype=np.complex128)
     sols = solve_intertwiner(empty)
     assert [(s.perm_in, s.perm_out, s.relative_phases) for s in sols] == [((), (), ())]
-    pairs = list(solver._candidate_pairs(empty.real, empty.real, None, None, 0.0))
+    budget = solver._Budget(edges=0)
+    pairs = list(solver._candidate_pairs(empty.real, empty.real, None, None, 0.0, budget))
     assert [(pis.shape, pips.shape) for pis, pips in pairs] == [((1, 0), (1, 0))]
     assert reference_candidate_pairs(empty.real, empty.real, None, None, 0.0) == [((), ())]
