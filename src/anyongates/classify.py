@@ -44,6 +44,7 @@ from .mcg import braid_letters, braid_matrix, braid_slot
 from .models import AnyonModel
 from .solver import (
     DeltaSet,
+    SearchBudgetError,
     delta_set,
     instantiate_families,
     intersect_delta,
@@ -612,11 +613,11 @@ def classify_torus(
     Abelian models route all single-s words together through the
     closed-form character enumeration (complete at any dimension), which
     joins them per affine permutation; its result takes the place of the
-    first such word among the delta sets that are intersected.  Their other
-    words search the affine permutations only, flagged as an upper bound
-    when those are fewer than all n! permutations.  Every word of a
-    non-abelian model uses the wildcard solver, which refuses a search over
-    its budget with a ValueError.  Families are reported modulo a global
+    first such word among the delta sets that are intersected.  Every other
+    word uses the wildcard solver, which refuses a search over its budget
+    with a SearchBudgetError.  An abelian model's word then searches the
+    affine permutations only, flagged as an upper bound when those are
+    fewer than all n! permutations.  Families are reported modulo a global
     phase.  When an abelian model's families are rigid, every class is
     checked for Clifford-star membership, so
     ``details["clifford_star_checked"]`` equals the class count.
@@ -641,21 +642,24 @@ def classify_torus(
             if not closed_words:
                 closed_at = len(sets)
             closed_words.append(word)
-        elif abel:
-            perms = _ab.affine_permutations(model)
-            sets.append(
-                delta_set(
-                    model, surface, word,
-                    restrict_perms=perms, restrict_perms_out=perms, tol=tol,
-                )
-            )
-            if len(perms) < math.factorial(n):
-                flags.append(
-                    f"word {word!r}: permutations restricted to affine maps; "
-                    "result is an upper bound"
-                )
         else:
-            sets.append(delta_set(model, surface, word, tol=tol))
+            try:
+                sets.append(delta_set(model, surface, word, tol=tol))
+            except SearchBudgetError:
+                if not abel:
+                    raise
+                perms = _ab.affine_permutations(model)
+                sets.append(
+                    delta_set(
+                        model, surface, word,
+                        restrict_perms=perms, restrict_perms_out=perms, tol=tol,
+                    )
+                )
+                if len(perms) < math.factorial(n):
+                    flags.append(
+                        f"word {word!r}: permutations restricted to affine maps; "
+                        "result is an upper bound"
+                    )
     if closed_words:
         # Intersection order decides which coset a class keeps, down to the
         # sign of an angle at pi, so the joined set takes the first

@@ -188,10 +188,19 @@ def evaluate_word(
     surface: SurfaceSpec,
     word: str | list[tuple[str, int]],
 ) -> RepMatrix:
-    """Ordered product of generator matrices for ``word`` on ``surface``;
-    braid generators are built on its one enumeration of the labelings."""
+    """Ordered product of generator matrices for ``word`` on ``surface``."""
+    return evaluate_on_basis(model, enumerate_labelings(model, surface), word)
+
+
+def evaluate_on_basis(
+    model: AnyonModel,
+    basis: BasisIndex,
+    word: str | list[tuple[str, int]],
+) -> RepMatrix:
+    """:func:`evaluate_word` on ``basis``, the enumerated labelings of its
+    surface; braid generators are built on it."""
+    surface = basis.surface
     tokens = parse_word(word, surface) if isinstance(word, str) else list(word)
-    basis = enumerate_labelings(model, surface)
     if surface.kind == "torus":
         s, t = torus_generators(model)
         gens = {"s": s.matrix, "t": t.matrix}

@@ -26,8 +26,10 @@ Solving is:
 Each feasible permutation pair therefore contributes at most one connected
 family with one free phase per graph component.
 
-Step (1) counts what it materialises against one budget per call, and a
-search that passes ``_SEARCH_BUDGET`` is a ValueError naming its count.
+Each call counts what it materialises against one budget: the word
+matrix and the unitarity checks at n^3 per product, then step (1).  A call
+that passes ``_SEARCH_BUDGET`` raises :class:`SearchBudgetError` (a
+ValueError) naming its count.
 
 Delta sets (all monomial gates compatible with a word) and their
 intersections live here too.  A delta set reads its gate cosets straight
@@ -38,17 +40,18 @@ row of one array division by the component roots.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import warnings
 from collections import deque
 from dataclasses import dataclass
 
+import functools
+import itertools
+
 import numpy as np
 
-from .mcg import evaluate_word
+from .mcg import evaluate_on_basis, parse_word
 from .models import AnyonModel
-from .surfaces import SurfaceSpec
+from .surfaces import SurfaceSpec, enumerate_labelings
 from .tolerances import (
     CYCLE_TOL,
     DEFAULT_TOL,
@@ -63,8 +66,9 @@ from .tolerances import (
     unit_modulus_tol,
 )
 
-# Most entries one pair search may materialise: each frontier or explicit
-# perm_in block costs rows x n^3, each block's pairs cost pairs x edges.
+# Most entries one solve may materialise: each n x n matrix product costs
+# n^3, each frontier or explicit perm_in block rows x n^3, and each block's
+# pairs cost pairs x edges.
 _SEARCH_BUDGET = 1 << 30
 # Feasible permutation pairs are propagated this many at a time, which keeps
 # the (edges, pairs) work arrays to a few megabytes.
@@ -298,53 +302,64 @@ def _normalize_perm_arg(arg, n: int):
     return seq
 
 
-class _Budget:
-    """The running cost of one pair search; a pair costs one entry per edge."""
+class SearchBudgetError(ValueError):
+    """A solve passed ``_SEARCH_BUDGET``."""
 
-    def __init__(self, edges: int):
+
+class _Budget:
+    """The running cost of one solve; a pair costs one entry per edge."""
+
+    def __init__(self, edges: int = 0):
         self.edges = edges
         self.spent = 0
 
     def charge(self, entries: int) -> None:
         self.spent += entries
         if self.spent > _SEARCH_BUDGET:
-            raise ValueError(
-                f"pair search over budget: {self.spent:,} entries against a budget "
+            raise SearchBudgetError(
+                f"search over budget: {self.spent:,} entries against a budget "
                 f"of {_SEARCH_BUDGET:,}; restrict perm_in or perm_out"
             )
 
 
-def _frontier(state, expand, budget):
+def _frontier(state, expand, narrow, budget):
     """Complete permutations of a search that fixes position 0, 1, ... in turn.
 
     ``state`` holds one (n, n) boolean matrix per root.  ``expand(depth,
     prefix, state)`` returns, for a block of partial permutations of length
-    ``depth``, the parent row and the value of every child in row-major
-    (parent, value) order, and the children's states.  Each level is one
-    array pass over a block of at most ``_BLOCK_ENTRIES // n**3`` partial
-    permutations, and blocks are expanded depth first, so memory stays flat
-    and complete permutations come in (root, lexicographic) order.  Yields
-    (root, permutations, states) blocks.  Each block charges rows x n^3
-    to ``budget``.
+    ``depth``, the parent row and the value of every viable child in
+    row-major (parent, value) order; ``narrow(depth, states, values)``
+    returns the children's states from their parents' states.  Each level
+    is one array pass over a block of at most ``_BLOCK_ENTRIES // n**3``
+    partial permutations, and blocks are expanded depth first, so complete
+    permutations come in (root, lexicographic) order.  A block's states are
+    built when it is taken, so the stack holds one parent block's states per
+    level, not every waiting child's.  Yields (root, permutations, states)
+    blocks.  Each block charges rows x n^3 to ``budget``.
     """
     n = state.shape[1]
     step = max(1, _BLOCK_ENTRIES // max(1, n) ** 3)
-    stack: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    stack: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
 
-    def push(root, prefix, state):
+    def push(root, prefix, states, parent):
         for lo in reversed(range(0, len(prefix), step)):
-            stack.append((root[lo:lo + step], prefix[lo:lo + step], state[lo:lo + step]))
+            sl = slice(lo, lo + step)
+            stack.append((root[sl], prefix[sl], states, parent[sl]))
 
-    push(np.arange(len(state)), np.empty((len(state), 0), dtype=np.intp), state)
+    roots = np.arange(len(state))
+    push(roots, np.empty((len(state), 0), dtype=np.intp), state, roots)
     while stack:
-        root, prefix, state = stack.pop()
+        root, prefix, states, parent = stack.pop()
         budget.charge(len(prefix) * n**3)
         depth = prefix.shape[1]
+        state = states[parent]
+        if depth:
+            state = narrow(depth - 1, state, prefix[:, -1])
         if depth == n:
             yield root, prefix, state
             continue
-        parent, value, state = expand(depth, prefix, state)
-        push(root[parent], np.column_stack((prefix[parent], value)), state)
+        parent, value = expand(depth, prefix, state)
+        push(root[parent], np.column_stack((prefix[parent], value)), state, parent)
 
 
 def _perm_in_blocks(absv, absvo, cands_in, tol, budget):
@@ -355,9 +370,10 @@ def _perm_in_blocks(absv, absvo, cands_in, tol, budget):
     with ``compat[p, m, r]``.  An explicit candidate list is checked in list
     order, O(n^3) per entry, each block charging rows x n^3 to ``budget``.
     The wildcard assigns perm_in(0), perm_in(1), ... as an array frontier
-    (charging likewise), narrowing each prefix's ``compat`` by one column of
-    the n^4 ``agree`` table per level, and drops a prefix as soon as some
-    row or column of its ``compat`` is empty.
+    (charging likewise), narrowing each prefix's ``compat`` per level by
+    the n^3 table of where column ``depth`` of |V| agrees with the columns
+    of |V_out|, and drops a prefix as soon as some row or column of its
+    ``compat`` is empty.
     """
     n = absv.shape[0]
     if cands_in is not None:
@@ -371,26 +387,38 @@ def _perm_in_blocks(absv, absvo, cands_in, tol, budget):
             diff = np.abs(target[:, None, :, :] - absv[None, :, None, :])
             yield block, (diff <= tol).all(axis=3)
         return
-    # agree[l, c][m, r]: |V[m, l]| equals |V_out[r, c]|
-    agree = np.abs(absvo.T[None, :, None, :] - absv.T[:, None, :, None]) <= tol
+
+    def agree(values, cols):
+        """[c, m, r]: ``values[m]`` equals |V_out[r, cols[c]]|."""
+        diff = absvo.T[cols][:, None, :] - values[None, :, None]
+        return np.abs(diff, out=diff) <= tol
 
     def expand(depth, prefix, compat):
-        nxt = compat[:, None] & agree[depth]  # [prefix, column, m, r]
+        # comparing each distinct value of the column once keeps the float
+        # temporary at (distinct values) x n^2, not n^3
+        vals, inv = np.unique(absv[:, depth], return_inverse=True)
+        nxt = compat[:, None] & agree(vals, slice(None))[:, inv]  # [prefix, column, m, r]
         ok = nxt.any(axis=2).all(axis=2) & nxt.any(axis=3).all(axis=2)
         ok[np.arange(len(prefix))[:, None], prefix] = False
-        parent, col = np.nonzero(ok)
-        return parent, col, nxt[parent, col]
+        return np.nonzero(ok)
 
-    for _, perms, compat in _frontier(np.ones((1, n, n), dtype=bool), expand, budget):
+    def narrow(depth, compat, cols):
+        return compat & agree(absv[:, depth], cols)
+
+    start = np.ones((1, n, n), dtype=bool)
+    for _, perms, compat in _frontier(start, expand, narrow, budget):
         yield perms, compat
 
 
 def _expand_matching(depth, prefix, avail):
     """Assign row ``depth`` to every still-free column its ``avail`` row allows."""
-    parent, col = np.nonzero(avail[:, depth])
-    avail = avail[parent]
-    avail[np.arange(len(col)), :, col] = False
-    return parent, col, avail
+    return np.nonzero(avail[:, depth])
+
+
+def _narrow_matching(depth, avail, cols):
+    """Take the assigned columns out of a block of (copied) ``avail`` states."""
+    avail[np.arange(len(cols)), :, cols] = False
+    return avail
 
 
 @functools.cache
@@ -425,7 +453,9 @@ def _row_matchings(sub, budget):
             return out
         rest = np.flatnonzero(~forced)
         roots, found = [np.empty(0, dtype=np.intp)], [np.empty((0, n), dtype=np.intp)]
-        for root, perms, _ in _frontier(sub[rest], _expand_matching, budget):
+        for root, perms, _ in _frontier(
+            sub[rest], _expand_matching, _narrow_matching, budget
+        ):
             roots.append(rest[root])
             found.append(perms)
     perms = np.concatenate(found)
@@ -442,8 +472,9 @@ def _candidate_pairs(absv, absvo, cands_in, cands_out, tol, budget):
     rows.  Pairs come in the perm_in order of ``_perm_in_blocks``, and for
     each perm_in, the perfect matchings of its compat in lexicographic order
     for a wildcard perm_out (found once per distinct compat matrix of the
-    call), else the explicit candidates it admits, in list order.  A
-    block's pairs are charged to ``budget`` before their arrays are built.
+    call), else the explicit candidates it admits, in list order.  Pairs
+    are charged to ``budget`` as they are found, before a block's pair
+    arrays are joined.
     """
     n = absv.shape[0]
     outs = None
@@ -470,9 +501,9 @@ def _candidate_pairs(absv, absvo, cands_in, cands_out, tol, budget):
             rows, which = [], []
             for lo in range(0, len(compat), step):
                 p, q = np.nonzero(compat[lo:lo + step][:, cols, outs].all(axis=2))
+                budget.charge(len(p) * budget.edges)
                 rows.append(p + lo)
                 which.append(q)
-            budget.charge(sum(map(len, rows)) * budget.edges)
             rows, pips = np.concatenate(rows), outs[np.concatenate(which)]
         pis = perms[rows]
         for lo in range(0, len(pis), _PAIR_CHUNK):
@@ -589,10 +620,11 @@ def _propagate_chunk(v, v_out, pis, pips, forest, tol, cycle_tol):
     return pis, pips, val.T
 
 
-def _solve(v, perm_in, perm_out, v_out, tol, zero_tol, cycle_tol):
+def _solve(v, perm_in, perm_out, v_out, tol, zero_tol, cycle_tol, budget):
     """Check the input, then return the constraint forest of V and an iterator
     over (pis, pips, val) chunks of the accepted pairs, as
-    :func:`_propagate_chunk` returns them."""
+    :func:`_propagate_chunk` returns them.  Every pair is found, and so
+    charged to ``budget``, before the first is propagated."""
     for bound in (tol, zero_tol, cycle_tol):
         check_tol(bound)
     v = np.asarray(v, dtype=np.complex128)
@@ -606,6 +638,7 @@ def _solve(v, perm_in, perm_out, v_out, tol, zero_tol, cycle_tol):
         if v_out.shape != v.shape:
             raise ValueError("V_out must match V's shape")
     for name, mat in (("V", v), ("V_out", v_out)):
+        budget.charge(n**3)
         uni = np.abs(mat @ mat.conj().T - np.eye(n)).max() if n else 0.0
         if uni > UNITARITY_TOL:
             raise ValueError(f"{name} is not unitary (residual {uni:.2e})")
@@ -622,10 +655,14 @@ def _solve(v, perm_in, perm_out, v_out, tol, zero_tol, cycle_tol):
 
     cands_in = _normalize_perm_arg(perm_in, n)
     cands_out = _normalize_perm_arg(perm_out, n)
-    budget = _Budget(edges=len(forest.rows))
-    pairs = _candidate_pairs(
-        absv, np.abs(v_out), cands_in, cands_out, modulus_match_tol(tol), budget
-    )
+    budget.edges = len(forest.rows)
+    # Every pair is held until the search ends, in the narrowest index type.
+    small = np.min_scalar_type(n)
+    pairs = [
+        (pis.astype(small), pips.astype(small)) for pis, pips in _candidate_pairs(
+            absv, np.abs(v_out), cands_in, cands_out, modulus_match_tol(tol), budget
+        )
+    ]
     return forest, (
         _propagate_chunk(v, v_out, pis, pips, forest, tol, cycle_tol) for pis, pips in pairs
     )
@@ -646,26 +683,18 @@ def solve_intertwiner(
     ``perm_in``/``perm_out`` may each be a single permutation, an iterable of
     candidate permutations, or None for a full wildcard.  A pair (perm_in,
     perm_out) is feasible when every row m of |V| equals row perm_out(m) of
-    |V_out| with columns permuted by perm_in.  The wildcard perm_in search
-    is an array frontier: all live prefixes gain one column per level, and
-    a prefix is pruned once some row of |V| has no matching row of |V_out|
-    left, or the reverse.  A wildcard perm_out takes the perfect row
-    matchings, enumerated once per distinct compat matrix and memoised for
-    the call; an explicit list is filtered in the order given.  The search
-    runs under ``_SEARCH_BUDGET``: one that passes it is a ValueError naming
-    the running count and the budget.  The constraint graph does not depend
-    on the pair, so its spanning forest is built once per call and the
-    feasible pairs are propagated in chunks of ``_PAIR_CHUNK``, all edges of
-    a chunk at once; the first ``_EARLY_CHECKS`` cycle checks run on the
-    whole chunk and the rest on its survivors.  This function wraps the array solve that
-    :func:`delta_set` reads directly, building one IntertwinerSolution per
-    accepted pair.  Families are returned in (perm_in, perm_out) order:
+    |V_out| with columns permuted by perm_in; the module docstring describes
+    the search.  A call that passes ``_SEARCH_BUDGET`` raises
+    :class:`SearchBudgetError` naming its count, before any pair is
+    propagated.  Families are returned in (perm_in, perm_out) order:
     lexicographic for a wildcard, list order otherwise.  Each is the
     complete connected solution set for its pair, with one free phase per
     component of its constraint graph.  A NaN, infinite or negative
     ``tol``, ``zero_tol`` or ``cycle_tol`` is a ValueError.
     """
-    forest, accepted = _solve(v, perm_in, perm_out, v_out, tol, zero_tol, cycle_tol)
+    forest, accepted = _solve(
+        v, perm_in, perm_out, v_out, tol, zero_tol, cycle_tol, _Budget()
+    )
     solutions: list[IntertwinerSolution] = []
     perms_in: dict[tuple[int, ...], tuple[int, ...]] = {}  # families of a perm share it
     for pis, pips, val in accepted:
@@ -735,25 +764,28 @@ def delta_set(
     restricts the searched gate permutations; ``restrict_perms_out``
     restricts the conjugated gate's permutation, which word matrices with
     many equal-modulus entries may need to keep the matching enumeration
-    within the search budget.  A search over the budget is a ValueError, as
-    in :func:`solve_intertwiner`.  The bounds are checked as in
+    within the search budget.  The word matrix is charged to the same budget
+    as the search, n^3 per letter, before it is built; a call over the
+    budget raises :class:`SearchBudgetError`.  The bounds are checked as in
     :func:`solve_intertwiner`, before the word is evaluated.
 
-    The families come straight from the solver's arrays of accepted pairs,
-    in the solver's order.  The constraint forest is shared, so the gate
-    components, renumbered in first-seen order, are computed once for all
-    families; each family's ``rel`` is its row of one array division of the
-    gate phases by their component roots (exactly 1 + 0j, which also turns
-    -1 - 0j into -1 + 0j as a per-family division would).  Entries stay
-    numpy complex128 scalars.
+    Families come in the solver's order, each ``rel`` a row of one array
+    division of the gate phases by their component roots (exactly 1 + 0j,
+    which turns -1 - 0j into -1 + 0j as a per-family division would);
+    entries stay numpy complex128 scalars.
     """
     for bound in (tol, zero_tol, cycle_tol):
         check_tol(bound)
-    rep = evaluate_word(model, surface, word)
+    basis = enumerate_labelings(model, surface)
+    tokens = parse_word(word, surface)
+    budget = _Budget()
+    budget.charge(len(tokens) * basis.dim**3)  # one product per letter
+    rep = evaluate_on_basis(model, basis, tokens)
     forest, accepted = _solve(
-        rep.matrix, restrict_perms, restrict_perms_out, None, tol, zero_tol, cycle_tol
+        rep.matrix, restrict_perms, restrict_perms_out, None, tol, zero_tol, cycle_tol,
+        budget,
     )
-    n = rep.basis.dim
+    n = basis.dim
     # The forest is shared, so every family has the same gate components,
     # renumbered in first-seen order, and the same root per gate phase.
     ids: dict[int, int] = {}

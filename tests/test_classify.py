@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from anyongates import (
+    AnyonModel,
     ClassificationError,
     InfeasibleSurfaceError,
     allowed_curve_permutations,
@@ -22,8 +23,14 @@ from anyongates import (
     torus_surface,
     validate,
 )
-from anyongates.abelian import string_operator_matrices, torus_word_families
+from anyongates import solver
+from anyongates.abelian import (
+    affine_permutations,
+    string_operator_matrices,
+    torus_word_families,
+)
 from anyongates.classify import VERDICTS, _contains_logical_paulis
+from anyongates.models import _fill_fsymbols, _fill_rsymbols
 from anyongates.solver import DeltaSet, delta_set, intersect_delta, monomial_from_matrix
 
 from oracles import (
@@ -77,7 +84,7 @@ def _count_enumerations(monkeypatch) -> list:
         calls.append(surface)
         return real(model, surface, *args, **kwargs)
 
-    for name in ("surfaces", "mcg", "classify"):
+    for name in ("surfaces", "mcg", "classify", "solver"):
         module = importlib.import_module(f"anyongates.{name}")
         monkeypatch.setattr(module, "enumerate_labelings", counting)
     return calls
@@ -304,7 +311,8 @@ def test_local_word_filter_matches_dense_oracle(model, label, m, words, monkeypa
         for mod, fname in (
             (mcg_mod, "braid_generator"),
             (mcg_mod, "evaluate_word"),
-            (solver_mod, "evaluate_word"),
+            (mcg_mod, "evaluate_on_basis"),
+            (solver_mod, "evaluate_on_basis"),
         ):
             original = getattr(mod, fname)
 
@@ -467,6 +475,50 @@ def test_finiteness_stable_under_word_doubling():
     assert doubled.n_classes == base.n_classes == 96
     # the affine maps of Z_2 x Z_2 are all 4! permutations: nothing is flagged
     assert doubled.flags == base.flags
+
+
+def _z5_anyons():
+    """Z_5 anyons: trivial F, R^{ab} = w^{ab} and theta_a = w^{a^2} with
+    w = exp(2 pi i / 5).  Its affine maps are 20 of the 5! permutations."""
+    n = 5
+    a = np.arange(n)
+    fusion = np.zeros((n, n, n), dtype=np.uint8)
+    fusion[a[:, None], a[None, :], (a[:, None] + a[None, :]) % n] = 1
+    w = np.exp(2j * np.pi / n)
+    return AnyonModel(
+        name="z5", labels=tuple(map(str, a)), dual=tuple((-a % n).tolist()), fusion=fusion,
+        smatrix=w ** (-2 * np.outer(a, a)) / np.sqrt(n),
+        fsymbols=_fill_fsymbols(fusion, lambda *key: 1.0),
+        rsymbols=_fill_rsymbols(fusion, lambda x, y, _: w ** (x * y)),
+        twists=w ** (a * a),
+    )
+
+
+def test_abelian_words_search_every_permutation_within_budget(monkeypatch):
+    """A word outside the closed form is searched by the wildcard while the
+    budget allows (401,500 entries for stst on Z_5), and over the affine
+    maps only, flagged as an upper bound, once it does not."""
+    model = _z5_anyons()
+    assert validate(model).passed
+    mod = importlib.import_module("anyongates.classify")
+    restricted = []
+
+    def spy(*args, restrict_perms=None, **kwargs):
+        restricted.append(restrict_perms)
+        return delta_set(*args, restrict_perms=restrict_perms, **kwargs)
+
+    monkeypatch.setattr(mod, "delta_set", spy)
+    exact = classify_torus(model, ["s", "stst"])
+    assert restricted == [None]
+    assert (exact.verdict, exact.n_classes, exact.flags) == ("clifford_star_subgroup", 100, [])
+    monkeypatch.setattr(solver, "_SEARCH_BUDGET", 10**5)
+    bounded = classify_torus(model, ["s", "stst"])
+    assert restricted[1:] == [None, affine_permutations(model)]
+    assert len(restricted[2]) == 20
+    assert bounded.flags == [
+        "word 'stst': permutations restricted to affine maps; result is an upper bound"
+    ]
+    assert bounded.classes == exact.classes
 
 
 @pytest.mark.parametrize("words", [["stst", "s", "st"], ["s", "stst", "st"]])

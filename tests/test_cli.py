@@ -194,7 +194,7 @@ def test_delta_over_budget_exits_1(capsys):
     code, out, err = run(capsys, "delta", "--model", "zn_toric:3",
                          "--surface", "torus", "--words", "s")
     assert (code, out) == (1, "")
-    assert "pair search over budget: " in err
+    assert "search over budget: " in err
     assert "entries against a budget of 1,073,741,824" in err
 
 

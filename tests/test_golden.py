@@ -22,7 +22,6 @@ SLOW = {
     "classify --model zn_toric:3 --surface torus --words s,st,stst --format json",
     "classify --model zn_toric:5 --surface torus --format json",
     "delta --model fibonacci --surface sphere:tau:8 --words s2 --format json",
-    "delta --model ising --surface sphere:sigma:10 --words s2 --format json",
 }
 
 

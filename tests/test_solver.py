@@ -1,4 +1,5 @@
 import itertools
+import time
 import tracemalloc
 
 import numpy as np
@@ -40,7 +41,7 @@ from oracles import (
 FIB = load_builtin("fibonacci")
 ISING = load_builtin("ising")
 
-OVER_BUDGET = r"pair search over budget: "
+OVER_BUDGET = r"search over budget: "
 
 
 def random_unitary(n, seed):
@@ -639,6 +640,51 @@ def test_fibonacci_tau_8_delta_set_within_budget():
         gates[np.arange(len(perm))[:, None], perm, cols] = d  # G[perm(l), l] = d_l
         conj = v @ gates @ v.conj().T
         assert solver.monomial_mask(conj, unit_modulus_tol(DEFAULT_TOL)).all()
+
+
+def _traced_peak(call):
+    """Run ``call`` under tracemalloc; return (its exception, peak bytes)."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(solver.SearchBudgetError) as err:
+            call()
+        return err.value, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_wildcard_on_a_large_matrix_is_refused_in_flat_memory():
+    """n = 256: a table of every column pair would take 4 GiB and the
+    waiting children's states of the frontier about 1 GiB before the count
+    passes the budget; one step at a time takes a few tens of MB."""
+    err, peak = _traced_peak(lambda: solve_intertwiner(np.eye(256, dtype=complex)))
+    assert "entries against a budget of 1,073,741,824" in str(err)
+    assert peak < 64 * 2**20
+
+
+def test_delta_set_refuses_a_word_matrix_over_budget_before_building_it():
+    """sphere:sigma:30 has dimension 2^14: one 2^42-entry product for the
+    word, where the dense matrix alone would take 4 GiB."""
+    surf = sphere_surface(ISING, "sigma", 30)
+    err, peak = _traced_peak(lambda: delta_set(ISING, surf, "s2"))
+    assert str(err).startswith("search over budget: 4,398,046,511,104 entries")
+    assert peak < 16 * 2**20
+
+
+def test_refused_search_propagates_no_pair(monkeypatch):
+    """Every pair is found, and charged, before the first is propagated, so
+    sphere:sigma:10 s2 is refused after the pair search alone."""
+    propagated = []
+    real = solver._propagate_chunk
+    monkeypatch.setattr(solver, "_propagate_chunk",
+                        lambda *args: propagated.append(1) or real(*args))
+    start = time.perf_counter()
+    with pytest.raises(solver.SearchBudgetError, match=OVER_BUDGET):
+        delta_set(ISING, sphere_surface(ISING, "sigma", 10), "s2")
+    assert time.perf_counter() - start < 2.0
+    assert propagated == []
+    assert len(delta_set(ISING, sphere_surface(ISING, "sigma", 8), "s2")) == 6144
+    assert propagated
 
 
 # ---------------------------------------------------------------------------
