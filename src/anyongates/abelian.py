@@ -27,9 +27,9 @@ import numpy as np
 from .mcg import evaluate_word, parse_word
 from .models import AnyonModel, quantum_dimensions
 from .solver import (
-    GateFamily,
+    DeltaSet,
     MonomialMatrix,
-    PhaseCoset,
+    row_keys,
     is_monomial,
     monomial_from_matrix,
     monomial_mask,
@@ -179,47 +179,61 @@ def _group_coordinates(n: int, support: bytes) -> GroupCoordinates:
     )
 
 
-def automorphisms(model: AnyonModel) -> list[tuple[int, ...]]:
-    """All fusion-group automorphisms as label permutations."""
+def automorphisms(model: AnyonModel) -> np.ndarray:
+    """All fusion-group automorphisms as label permutations, one per row, in
+    lexicographic order."""
     return _automorphisms(*_fusion_key(model))
 
 
+def _lex_order(perms: np.ndarray) -> np.ndarray:
+    """Stable lexicographic order of label rows.  numpy sorts raw bytes as
+    memcmp does, which on big-endian unsigned entries is the order of the
+    numbers."""
+    big = perms.astype(np.dtype(np.min_scalar_type(perms.shape[1])).newbyteorder(">"))
+    return np.argsort(row_keys(big), kind="stable")
+
+
 @functools.lru_cache(maxsize=None)
-def _automorphisms(n: int, support: bytes) -> list[tuple[int, ...]]:
+def _automorphisms(n: int, support: bytes) -> np.ndarray:
+    """Every choice of generator images h_i whose order divides orders[i]
+    gives the homomorphism x -> prod_i h_i^(e_i(x)) on the exponent vectors
+    e(x); the bijective ones are the automorphisms."""
     mul = _fusion_table(n, support)
     gc = _group_coordinates(n, support)
-    elem_order = [_order(mul, x) for x in range(n)]
-    candidates = [
-        [h for h in range(n) if gc.orders[i] % elem_order[h] == 0]
-        for i in range(len(gc.generators))
-    ]
-    out = []
-    for images in itertools.product(*candidates):
-        perm = []
-        for x in range(n):
-            y = 0
-            for img, e in zip(images, gc.coords[x]):
-                y = int(mul[y, _pow(mul, img, e)])
-            perm.append(y)
-        if len(set(perm)) == n:
-            out.append(tuple(perm))
-    return sorted(out)
+    coords = np.array(gc.coords, dtype=np.intp).reshape(n, len(gc.orders))
+    orders = np.array(gc.orders, dtype=np.intp)
+    # order of x: lcm over i of orders[i] / gcd(e_i(x), orders[i])
+    elem_order = np.lcm.reduce(orders // np.gcd(coords, orders), axis=1, initial=1)
+    candidates = [np.flatnonzero(m % elem_order == 0).tolist() for m in gc.orders]
+    images = np.array(list(itertools.product(*candidates)), dtype=np.intp)  # (choice, i)
+    top = max(gc.orders, default=1)
+    powers = np.zeros((n, top), dtype=np.intp)  # powers[h, e] = h^e
+    for e in range(1, top):
+        powers[:, e] = mul[powers[:, e - 1], np.arange(n)]
+    perms = np.zeros((len(images), n), dtype=np.intp)
+    for i, e in enumerate(coords.T):
+        perms = mul[perms, powers[images[:, i]][:, e]]
+    perms = perms[(np.sort(perms, axis=1) == np.arange(n)).all(axis=1)]
+    out = perms[_lex_order(perms)]
+    out.flags.writeable = False
+    return out
 
 
-def affine_permutations(model: AnyonModel) -> list[tuple[int, ...]]:
-    """Label maps x -> c + alpha(x) with alpha an automorphism, c any label."""
+def affine_permutations(model: AnyonModel) -> np.ndarray:
+    """Label maps x -> c + alpha(x) with alpha an automorphism, c any label,
+    one per row, in lexicographic order."""
     return _affine_permutations(*_fusion_key(model))
 
 
 @functools.lru_cache(maxsize=None)
-def _affine_permutations(n: int, support: bytes) -> list[tuple[int, ...]]:
+def _affine_permutations(n: int, support: bytes) -> np.ndarray:
     mul = _fusion_table(n, support)
     autos = _automorphisms(n, support)
-    out = []
-    for c in range(n):
-        for alpha in autos:
-            out.append(tuple(int(mul[c, alpha[x]]) for x in range(n)))
-    return sorted(set(out))
+    # alpha(0) = 0, so row c + alpha starts with c: the maps are distinct
+    perms = mul[:, autos].reshape(-1, n)
+    out = perms[_lex_order(perms)]
+    out.flags.writeable = False
+    return out
 
 
 def characters(model: AnyonModel) -> np.ndarray:
@@ -245,8 +259,9 @@ def _single_s_split(tokens: list[tuple[str, int]]):
     return tokens[:i], tokens[i][1], tokens[i + 1 :]
 
 
-# Affine permutations per array pass of torus_word_families: each
-# (permutation, word, n, n) complex stack holds about this many entries (1 MB).
+# Permutations per array pass of torus_word_families and of the C1 half of
+# clifford_star_batch: each (permutation, [word,] n, n) complex stack holds
+# about this many entries (1 MB).
 _CHUNK_ENTRIES = 1 << 16
 
 
@@ -255,10 +270,11 @@ def torus_word_families(
     words: str | list[str],
     *,
     tol: float = DEFAULT_TOL,
-) -> list[GateFamily]:
-    """Complete gate family list for one or several single-s torus words.
+) -> DeltaSet:
+    """Complete gate family set for one or several single-s torus words.
 
-    Abelian models only.  Write V = A S^{+-1} B with A, B diagonal twist
+    Abelian models only; the set has one phase component, and its length is
+    the family count.  Write V = A S^{+-1} B with A, B diagonal twist
     products.  V Pi D V^dag is monomial iff Pi is affine and B (Pi D) B^dag
     has a character diagonal: the vacuum row of S (Pi D~) S^dag is the
     Fourier transform of the diagonal, so a unit-modulus diagonal must be a
@@ -329,13 +345,13 @@ def torus_word_families(
         )
 
     perms = affine_permutations(model)
-    perm_arr = np.array(perms, dtype=np.intp)
     suffix_conj = np.conj(suffix)
     later = np.arange(1, len(words))[:, None]
     chunk = max(1, _CHUNK_ENTRIES // (len(words) * n * n))
-    families = []
+    found_perms = [np.zeros((0, n), dtype=np.intp)]
+    found_rel = [np.zeros((0, n), dtype=np.complex128)]
     for start in range(0, len(perms), chunk):
-        pi = perm_arr[start : start + chunk]  # (p, x)
+        pi = perms[start : start + chunk]  # (p, x)
         dress = suffix * suffix_conj[:, pi].transpose(1, 0, 2)  # (p, word, x)
         # (p, word, y, z): the permutation factor V_w Pi diag(dress) V_w^dag
         w = (vmat[:, :, pi].transpose(2, 0, 1, 3) * dress[:, :, None, :]) @ vh
@@ -343,7 +359,7 @@ def torus_word_families(
         if not ok.all():
             i, k = (int(i) for i in np.argwhere(~ok)[0])
             raise RuntimeError(
-                f"derived family (word={words[k]!r}, pi={perms[start + i]}) "
+                f"derived family (word={words[k]!r}, pi={tuple(pi[i].tolist())}) "
                 "failed verification"
             )
         diags = chi * dress[:, :, None, :]  # [p, word, b] holds D for chi_b
@@ -355,10 +371,10 @@ def torus_word_families(
         partner = mul[:, c].transpose(1, 2, 0)  # (p, later word, b)
         rows = np.arange(len(pi))[:, None, None]
         gap = np.abs(rel[:, :1] - rel[rows, later, partner]).max(axis=3)
-        for i, b in np.argwhere((gap <= CYCLE_TOL).all(axis=1)):
-            coset = PhaseCoset(components=(0,) * n, rel=tuple(rel[i, 0, b]))
-            families.append(GateFamily(perm=perms[start + i], coset=coset))
-    return families
+        i, b = np.nonzero((gap <= CYCLE_TOL).all(axis=1))
+        found_perms.append(pi[i])
+        found_rel.append(rel[i, 0, b])
+    return DeltaSet(np.concatenate(found_perms), np.concatenate(found_rel), (0,) * n)
 
 
 def torus_word_supported(model: AnyonModel, word: str) -> bool:
@@ -420,8 +436,17 @@ def clifford_star_batch(
     Reading perms and phases suffices: if Pi is not affine, some
     chi_a o Pi^-1 is no character and a C1 generator fails, and an affine Pi
     conjugates each fusion permutation to another one.
+
+    A C1 generator is diagonal, so D cancels from its conjugate,
+    Pi D F_a(C1) D^dag Pi^dag = Pi F_a(C1) Pi^dag, once |d| = 1; the C1 half
+    is therefore checked once per distinct permutation, all generators in
+    one product.  The C2 half is checked per gate, in blocks of gates with
+    every generator in one product; it includes the vacuum string
+    F_0(C2) = 1, whose conjugate diag(|d|^2) passes only when every
+    |d| = 1 within ``tol``.  Each block holds about ``_CHUNK_ENTRIES``
+    coefficients.
     """
-    perms = np.asarray(perms, dtype=np.int64)
+    perms = np.asarray(perms)
     d = np.asarray(phases, dtype=np.complex128)
     n = model.n_labels
     f1, f2 = string_operator_matrices(model)
@@ -435,18 +460,39 @@ def clifford_star_batch(
     ):
         raise RuntimeError("string operators are not characters and permutations")
     nexp = group_coordinates(model).exponent
-    rows = np.arange(len(perms))[:, None]
-    member = np.ones(len(perms), dtype=bool)
-    roots = np.ones(len(perms), dtype=bool)
-    for gen in gens:
-        g = np.array(gen.perm)
-        y = np.zeros_like(d)  # phases of U G U^dag, by row
-        y[rows, perms[:, g]] = np.conj(d) * np.array(gen.phases) * d[:, g]
-        coeffs = y @ np.conj(chi).T / n
+
+    def passes(y):
+        """Per phase vector of a (gates, generators, n) stack: (one unit
+        coefficient in the character basis, and it is an exponent root)."""
+        coeffs = (y.reshape(-1, n) @ np.conj(chi).T / n).reshape(y.shape)
         absc = np.abs(coeffs)
-        top = coeffs[rows[:, 0], absc.argmax(axis=1)]
-        member &= ((absc > tol).sum(axis=1) == 1) & (np.abs(np.abs(top) - 1.0) <= tol)
-        roots &= np.abs(top**nexp - 1.0) <= ROOT_TOL
+        top = np.take_along_axis(coeffs, absc.argmax(axis=-1)[..., None], -1)[..., 0]
+        member = ((absc > tol).sum(axis=-1) == 1) & (np.abs(np.abs(top) - 1.0) <= tol)
+        return member, np.abs(top**nexp - 1.0) <= ROOT_TOL
+
+    # C1 half: row r of Pi F_a(C1) Pi^dag holds chi_a(Pi^-1(r)).
+    distinct, which = np.unique(row_keys(perms), return_inverse=True)
+    pis = distinct.view(perms.dtype).reshape(-1, n)
+    c1 = np.empty((2, len(pis)), dtype=bool)
+    step = max(1, _CHUNK_ENTRIES // (n * n))
+    for lo in range(0, len(pis), step):
+        inverse = np.argsort(pis[lo : lo + step], axis=1)
+        y = chi[:, inverse].transpose(1, 0, 2)  # (pi, a, row)
+        c1[:, lo : lo + step] = [x.all(axis=1) for x in passes(y)]
+    member, roots = c1[:, which.ravel()]
+
+    # C2 half, per gate: row pi(g_a(w)) of U F_a(C2) U^dag holds
+    # conj(d_w) e_a(w) d_{g_a(w)}; every generator of a block of gates at once.
+    g2 = np.array([g.perm for g in gens[n:]])  # (a, w)
+    for lo in range(0, len(perms), step):
+        pi, dd = perms[lo : lo + step], d[lo : lo + step]
+        y = np.zeros((len(pi), n, n), dtype=np.complex128)  # (gate, a, row)
+        y[np.arange(len(pi))[:, None, None], np.arange(n)[:, None], pi[:, g2]] = (
+            np.conj(dd)[:, None, :] * c2_phases * dd[:, g2]
+        )
+        ok, root = passes(y)
+        member[lo : lo + step] &= ok.all(axis=1)
+        roots[lo : lo + step] &= root.all(axis=1)
     return member, member & roots
 
 

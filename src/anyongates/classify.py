@@ -28,6 +28,12 @@ Two sphere paths and one torus path cover the built-in models:
   of every single-s word in one pass over the affine permutations, and every
   resulting class is checked for Clifford-star membership from its
   permutation and phases.
+
+Delta sets hold their families as arrays (permutation rows, relative-phase
+rows, one shared phase-component tuple), and the classes of a delta-set
+path are built from those rows: their order is that of their compact JSON,
+computed from per-column ranks of the number texts (``json_order``), and
+the logical strings are looked up among the permutation rows.
 """
 
 from __future__ import annotations
@@ -39,14 +45,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import abelian as _ab
-from .jsonwriter import dumps, sort_by_json
+from .jsonwriter import dumps, json_order, sort_by_json
 from .mcg import braid_letters, braid_matrix, braid_slot
 from .models import AnyonModel
 from .solver import (
     DeltaSet,
     SearchBudgetError,
     delta_set,
-    instantiate_families,
     intersect_delta,
     monomial_from_matrix,
     monomial_mask,
@@ -540,26 +545,30 @@ def _classify_delta(model, surface, basis, dap, allowed, mcg_words, tol):
         for w in mcg_words
     ]
     inter = intersect_delta(sets)
-    classes, _ = _family_classes(inter.families, basis.dim)
+    classes, _ = _family_classes(inter)
     if count == 1:
-        return classes, {"path": "diagonal", "families": len(inter.families)}
+        return classes, {"path": "diagonal", "families": len(inter)}
     return classes, {"path": "fallback", "candidate_perms": len(cands)}
 
 
-def _family_classes(families, dim: int) -> tuple[list[dict], np.ndarray]:
-    """Sorted class dicts of gate families, and the families' instantiated
-    phases, one row per family.
+def _family_classes(inter: DeltaSet) -> tuple[list[dict], np.ndarray]:
+    """Class dicts of a delta set's families in the order of their compact
+    JSON, and the families' instantiated phases, one row per family in set
+    order.
 
     One batched instantiate and one np.angle over all families give the
-    same floats as one call per family.
+    same floats as one call per family.  Every class has the same
+    ``free_phases``, so the permutations and then the angles decide the
+    order (``json_order``).
     """
-    phases = instantiate_families(families, dim)
+    phases = inter.instantiate_families()
     angles = np.angle(phases)
+    order = json_order(inter.perms, angles)
+    free = inter.n_free
     classes = [
-        {"basis_perm": list(fam.perm), "phases": row, "free_phases": fam.n_free}
-        for fam, row in zip(families, angles.tolist())
+        {"basis_perm": perm, "phases": row, "free_phases": free}
+        for perm, row in zip(inter.perms[order].tolist(), angles[order].tolist())
     ]
-    sort_by_json(classes)
     return classes, phases
 
 
@@ -664,15 +673,13 @@ def classify_torus(
         # Intersection order decides which coset a class keeps, down to the
         # sign of an angle at pi, so the joined set takes the first
         # single-s word's place.
-        fams = _ab.torus_word_families(model, closed_words, tol=tol)
-        closed = DeltaSet(dim=n, families=fams)
-        sets.insert(closed_at, closed)
+        sets.insert(closed_at, _ab.torus_word_families(model, closed_words, tol=tol))
     if not sets:
         raise ClassificationError("no constraining words given")
     inter = intersect_delta(sets)
 
-    classes, phases = _family_classes(inter.families, n)
-    rigid = all(fam.n_free == 1 for fam in inter.families)
+    classes, phases = _family_classes(inter)
+    rigid = inter.n_free == 1
     if not classes:
         raise ClassificationError(_NO_CLASS.format(surface.describe(model)))
 
@@ -685,9 +692,7 @@ def classify_torus(
             verdict, order = "trivial", 1
     if verdict == "upper_bound_only" and rigid and abel:
         contains = _contains_logical_paulis(model, inter)
-        member, _ = _ab.clifford_star_batch(
-            model, [fam.perm for fam in inter.families], phases
-        )
+        member, _ = _ab.clifford_star_batch(model, inter.perms, phases)
         all_passed = bool(member.all())
         details["contains_logical_paulis"] = contains
         details["clifford_star_checked"] = len(member)
@@ -715,17 +720,12 @@ def classify_torus(
 def _contains_logical_paulis(model, inter: DeltaSet) -> bool:
     """Every string operator on either cycle lies in some family.
 
-    A gate can only lie in a family with its permutation, so each string is
-    tested against the families of its permutation alone.
+    ``DeltaSet.contains`` looks each string's permutation up among the
+    set's permutation rows and tests those families alone.
     """
-    by_perm: dict[tuple[int, ...], list] = {}
-    for fam in inter.families:
-        by_perm.setdefault(fam.perm, []).append(fam)
     f1, f2 = _ab.string_operator_matrices(model)
     gates = (monomial_from_matrix(f[a]) for a in range(model.n_labels) for f in (f1, f2))
-    return all(
-        any(fam.contains(gate) for fam in by_perm.get(gate.perm, ())) for gate in gates
-    )
+    return all(inter.contains(gate) for gate in gates)
 
 
 def classify(

@@ -24,7 +24,7 @@ from .classify import ClassificationError, classify
 from .jsonwriter import dumps
 from .mcg import parse_word
 from .models import AnyonModel, ModelError, load_builtin, parse_model, validate
-from .solver import delta_set, instantiate_families, intersect_delta
+from .solver import delta_set, intersect_delta
 from .surfaces import (
     InfeasibleSurfaceError,
     SurfaceSpec,
@@ -142,19 +142,17 @@ def _cmd_delta(args) -> int:
         raise UsageError("delta supports equal-label spheres and the torus")
     sets = [delta_set(model, surface, w, tol=args.tol) for w in words]
     inter = intersect_delta(sets)
-    angles = np.angle(instantiate_families(inter.families, inter.dim))
+    perms = inter.perms.tolist()
+    angles = np.angle(inter.instantiate_families())
+    free = inter.n_free
     if args.format == "json":
         payload = {
             "model": model.name,
             "surface": surface.describe(model),
-            "per_word": {w: len(s.families) for w, s in zip(words, sets)},
+            "per_word": {w: len(s) for w, s in zip(words, sets)},
             "intersection": [
-                {
-                    "perm": list(f.perm),
-                    "phases": ph,
-                    "free_phases": f.n_free,
-                }
-                for f, ph in zip(inter.families, angles.tolist())
+                {"perm": perm, "phases": ph, "free_phases": free}
+                for perm, ph in zip(perms, angles.tolist())
             ],
         }
         print(dumps(payload))
@@ -162,11 +160,11 @@ def _cmd_delta(args) -> int:
         print(f"model:   {model.name}")
         print(f"surface: {surface.describe(model)}")
         for w, s in zip(words, sets):
-            print(f"word {w!r}: {len(s.families)} families")
-        print(f"intersection: {len(inter.families)} families")
-        for f, ph in zip(inter.families, angles):
+            print(f"word {w!r}: {len(s)} families")
+        print(f"intersection: {len(inter)} families")
+        for perm, ph in zip(perms, angles):
             text = ",".join(f"{a:.4f}" for a in ph.tolist())
-            print(f"  perm={list(f.perm)} phases=[{text}] free={f.n_free}")
+            print(f"  perm={perm} phases=[{text}] free={free}")
     return 0
 
 

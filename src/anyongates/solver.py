@@ -32,10 +32,13 @@ that passes ``_SEARCH_BUDGET`` raises :class:`SearchBudgetError` (a
 ValueError) naming its count.
 
 Delta sets (all monomial gates compatible with a word) and their
-intersections live here too.  A delta set reads its gate cosets straight
-off the accepted arrays: the forest, and so the gate components and their
+intersections live here too.  A delta set is columnar: one row of a
+permutation array and of a relative-phase array per family, and one
+phase-component tuple for every row.  It reads its gate cosets straight off
+the accepted arrays: the forest, and so the gate components and their
 renumbering, is shared by every family, and each family's phases are one
-row of one array division by the component roots.
+row of one array division by the component roots.  Two rigid sets
+intersect in one array pass over the row pairs with equal permutations.
 """
 
 from __future__ import annotations
@@ -75,7 +78,8 @@ _SEARCH_BUDGET = 1 << 30
 _PAIR_CHUNK = 2048
 # Most booleans one step of the pair search holds at once: a frontier level's
 # (prefixes, columns, n, n) narrowing, or a block's (perm_ins, perm_outs, n)
-# filter of an explicit perm_out list.
+# filter of an explicit perm_out list.  A rigid intersect_delta step compares
+# this many phase differences at a time.
 _BLOCK_ENTRIES = 1 << 20
 # Up to this many rows, perfect matchings come from one pass over all n!
 # permutations (120 at most), which is cheaper than n frontier levels.
@@ -731,19 +735,64 @@ class GateFamily:
         )
 
 
-@dataclass
-class DeltaSet:
-    """Union of gate families compatible with one or more word matrices."""
+def row_keys(perms: np.ndarray) -> np.ndarray:
+    """One raw-bytes key per row of a 2-D array: rows are equal exactly when
+    their keys are, and numpy sorts and searches keys as memcmp orders them."""
+    perms = np.ascontiguousarray(perms)
+    return perms.view(np.dtype((np.void, perms.itemsize * perms.shape[1]))).ravel()
 
-    dim: int
-    families: list[GateFamily]
+
+@dataclass(eq=False)
+class DeltaSet:
+    """Union of gate families compatible with one or more word matrices.
+
+    Row f is one family: gate permutation ``perms[f]`` and phase coset
+    ``PhaseCoset(components, rel[f])``.  Every family of a set has the same
+    phase components, so they are stored once.  Sets compare by identity.
+    """
+
+    perms: np.ndarray  # (families, dim) ints
+    rel: np.ndarray  # (families, dim) complex128
+    components: tuple[int, ...]
+
+    @property
+    def dim(self) -> int:
+        return len(self.components)
+
+    @property
+    def n_free(self) -> int:
+        return max(self.components) + 1 if self.components else 0
 
     def __len__(self) -> int:
-        return len(self.families)
+        return len(self.perms)
+
+    def family(self, f: int) -> GateFamily:
+        """Row f as a GateFamily; its rel entries are numpy complex128."""
+        coset = PhaseCoset(self.components, tuple(self.rel[f]))
+        return GateFamily(tuple(self.perms[f].tolist()), coset)
+
+    @property
+    def families(self) -> list[GateFamily]:
+        return [self.family(f) for f in range(len(self))]
 
     def contains(self, gate: MonomialMatrix, tol: float = MEMBERSHIP_TOL) -> bool:
+        """Some family holds ``gate``.  Only the rows of the gate's
+        permutation are tested, looked up by their row keys."""
         check_tol(tol)
-        return any(f.contains(gate, tol) for f in self.families)
+        if len(gate.perm) != self.dim:
+            return False
+        key = row_keys(np.asarray([gate.perm], dtype=self.perms.dtype))
+        rows = np.flatnonzero(row_keys(self.perms) == key)
+        return any(self.family(f).contains(gate, tol) for f in rows)
+
+    def instantiate_families(self) -> np.ndarray:
+        """Row f is ``families[f].coset.instantiate()``, all in one array product.
+
+        The product by 1 + 0j is the one ``PhaseCoset.instantiate`` makes; it
+        turns some -0.0 imaginary parts into +0.0, which decides whether an
+        angle prints as +pi or -pi.
+        """
+        return self.rel * np.ones(1, dtype=np.complex128)
 
 
 def delta_set(
@@ -769,10 +818,10 @@ def delta_set(
     budget raises :class:`SearchBudgetError`.  The bounds are checked as in
     :func:`solve_intertwiner`, before the word is evaluated.
 
-    Families come in the solver's order, each ``rel`` a row of one array
-    division of the gate phases by their component roots (exactly 1 + 0j,
-    which turns -1 - 0j into -1 + 0j as a per-family division would);
-    entries stay numpy complex128 scalars.
+    Families come in the solver's order: ``perms`` stacks the accepted gate
+    permutations and ``rel`` one array division of their phases by their
+    component roots (exactly 1 + 0j, which turns -1 - 0j into -1 + 0j as a
+    per-family division would).
     """
     for bound in (tol, zero_tol, cycle_tol):
         check_tol(bound)
@@ -791,31 +840,40 @@ def delta_set(
     ids: dict[int, int] = {}
     components = tuple(ids.setdefault(c, len(ids)) for c in forest.components[:n])
     roots = forest.roots[:n]
-    families: list[GateFamily] = []
-    perms: dict[tuple[int, ...], tuple[int, ...]] = {}
+    perms = [np.zeros((0, n), dtype=np.intp)]
+    rel = [np.zeros((0, n), dtype=np.complex128)]
     for pis, _, val in accepted:
-        # Iterating the flat array keeps every entry a numpy complex128.
-        rel = list((val[:, :n] / val[:, roots]).ravel())
-        for i, pi in enumerate(map(tuple, pis.tolist())):
-            coset = PhaseCoset(components, tuple(rel[i * n:(i + 1) * n]))
-            families.append(GateFamily(perms.setdefault(pi, pi), coset))
-    return DeltaSet(dim=n, families=families)
+        perms.append(pis)
+        rel.append(val[:, :n] / val[:, roots])
+    return DeltaSet(np.concatenate(perms), np.concatenate(rel), components)
 
 
-def instantiate_families(families: list[GateFamily], dim: int) -> np.ndarray:
-    """Row f is ``families[f].coset.instantiate()``, all in one array product."""
-    rel = np.array([f.coset.rel for f in families], dtype=np.complex128)
-    return rel.reshape(len(families), dim) * np.ones(1, dtype=np.complex128)
+def _same_perm_pairs(perms_a: np.ndarray, perms_b: np.ndarray):
+    """Index arrays (i, j) of every pair of rows with equal permutations,
+    ordered by i, then by j."""
+    rows_b: dict[tuple[int, ...], list[int]] = {}
+    for j, perm in enumerate(map(tuple, perms_b.tolist())):
+        rows_b.setdefault(perm, []).append(j)
+    pairs = [
+        (i, j) for i, perm in enumerate(map(tuple, perms_a.tolist())) for j in rows_b.get(perm, ())
+    ]
+    return np.array(pairs, dtype=np.intp).reshape(-1, 2).T
 
 
 def intersect_delta(sets: list[DeltaSet], tol: float = CYCLE_TOL) -> DeltaSet:
     """Families of gates lying in every input set.
 
     Families intersect pairwise: same gate permutation, conjoined phase
-    cosets.  Within one set, families with equal permutation are disjoint
-    (the output monomial is a function of the gate), so no deduplication is
-    needed; empty conjunctions are dropped.  A NaN, infinite or negative
-    ``tol`` is a ValueError.
+    cosets, in the order of the first set's families, then the second's.
+    Within one set, families with equal permutation are disjoint (the output
+    monomial is a function of the gate), so no deduplication is needed;
+    empty conjunctions are dropped.  Two rigid sets are compared in one array
+    pass by the rule of ``PhaseCoset.intersect``: a pair keeps the first
+    family when no relative phase differs by more than ``tol``.  Other pairs
+    go through ``PhaseCoset.intersect`` one by one; the join of the two
+    partitions is the same for every pair, so the result keeps one
+    ``components``.  A lone set is returned as it is.  A NaN, infinite or
+    negative ``tol`` is a ValueError.
     """
     check_tol(tol)
     if not sets:
@@ -824,16 +882,43 @@ def intersect_delta(sets: list[DeltaSet], tol: float = CYCLE_TOL) -> DeltaSet:
     for s in sets:
         if s.dim != dim:
             raise ValueError("delta sets over different bases")
-    current = sets[0].families
+    current = sets[0]
+    # After a non-rigid step, ``rows`` holds the rel tuples its
+    # PhaseCoset.intersect calls returned, row for row, and the next such
+    # step reads them instead of the array: their exact Python complex roots
+    # multiply faster than numpy scalars, to the same values.
+    rows = None
     for s in sets[1:]:
-        by_perm: dict[tuple[int, ...], list[GateFamily]] = {}
-        for fam_b in s.families:
-            by_perm.setdefault(fam_b.perm, []).append(fam_b)
-        nxt: list[GateFamily] = []
-        for fam_a in current:
-            for fam_b in by_perm.get(fam_a.perm, ()):
-                coset = fam_a.coset.intersect(fam_b.coset, tol)
-                if coset is not None:
-                    nxt.append(GateFamily(perm=fam_a.perm, coset=coset))
-        current = nxt
-    return DeltaSet(dim=dim, families=current)
+        ia, ib = _same_perm_pairs(current.perms, s.perms)
+        if current.n_free == 1 and s.n_free == 1:
+            keep = np.empty(len(ia), dtype=bool)
+            step = max(1, _BLOCK_ENTRIES // dim)
+            for lo in range(0, len(ia), step):
+                pairs = slice(lo, lo + step)
+                gap = np.abs(current.rel[ia[pairs]] - s.rel[ib[pairs]])
+                keep[pairs] = gap.max(axis=1, initial=0.0) <= tol
+            ia = ia[keep]
+            current, rows = DeltaSet(current.perms[ia], current.rel[ia], current.components), None
+            continue
+        if rows is None:
+            rows = [tuple(r) for r in current.rel]
+        kept, rel, components = [], [], None
+        for i, j in zip(ia.tolist(), ib.tolist()):
+            coset = PhaseCoset(current.components, rows[i]).intersect(
+                PhaseCoset(s.components, tuple(s.rel[j])), tol
+            )
+            if coset is not None:
+                kept.append(i)
+                rel.append(coset.rel)
+                components = coset.components
+        if components is None:  # nothing kept: the join of the partitions
+            ones = (1.0 + 0j,) * dim
+            components = PhaseCoset(current.components, ones).intersect(
+                PhaseCoset(s.components, ones)
+            ).components
+        current, rows = DeltaSet(
+            current.perms[kept],
+            np.array(rel, dtype=np.complex128).reshape(len(kept), dim),
+            components,
+        ), rel
+    return current

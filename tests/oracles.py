@@ -15,9 +15,13 @@ constraint graph instead of the batched walk over a shared forest, the
 sphere word filter from dense conjugation of every product gate instead of
 per-curve local blocks, the closed-form torus families verified by one dense
 product per family instead of one check per character and per permutation
-factor, the logical-Pauli test by a scan over every family instead of a lookup
-by permutation, Clifford-star membership from the dense expansion in the string basis instead
-of gate permutations and phases, the lattice commutation phases from
+factor, the logical-Pauli test by a scan over every family and by a dict of
+family objects instead of a lookup among permutation rows, Clifford-star
+membership from the dense expansion in the string basis and from one pass
+per string generator instead of one C1 pass per distinct permutation, the
+affine label maps by repeated fusion instead of exponent-coordinate arrays,
+the intersection of delta sets by one ``PhaseCoset.intersect`` per family
+pair instead of one array pass for rigid sets, the lattice commutation phases from
 dense state-space matrices instead of exponent vectors, and the report JSON
 from the standard library encoder after a rounding walk instead of the
 package's writer.
@@ -40,7 +44,6 @@ import numpy as np
 
 from anyongates.abelian import (
     LatticeOperator,
-    affine_permutations,
     characters,
     fusion_table,
     group_coordinates,
@@ -51,9 +54,12 @@ from anyongates.models import AnyonModel, CheckResult, ModelError
 from anyongates.solver import GateFamily, PhaseCoset, monomial_from_matrix
 from anyongates.surfaces import SurfaceSpec, cut_dimensions, standard_dap
 from anyongates.tolerances import (
+    CLIFFORD_TOL,
     CYCLE_TOL,
     DEFAULT_TOL,
     MEMBERSHIP_TOL,
+    ROOT_TOL,
+    STRING_BASIS_TOL,
     VERIFY_ZERO_THRESHOLD,
     unit_modulus_tol,
 )
@@ -828,6 +834,61 @@ def pauli_element_orders_divide_exponent(model) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Affine label maps by repeated fusion
+
+
+def _pow(mul, g: int, k: int) -> int:
+    out = 0
+    for _ in range(k):
+        out = int(mul[out, g])
+    return out
+
+
+def _order(mul, g: int) -> int:
+    x, k = g, 1
+    while x != 0:
+        x = int(mul[x, g])
+        k += 1
+    return k
+
+
+def reference_automorphisms(model) -> list[tuple[int, ...]]:
+    """Fusion-group automorphisms, one fused power of a generator image at a
+    time, sorted."""
+    n = model.n_labels
+    mul = fusion_table(model)
+    gc = group_coordinates(model)
+    elem_order = [_order(mul, x) for x in range(n)]
+    candidates = [
+        [h for h in range(n) if gc.orders[i] % elem_order[h] == 0]
+        for i in range(len(gc.generators))
+    ]
+    out = []
+    for images in itertools.product(*candidates):
+        perm = []
+        for x in range(n):
+            y = 0
+            for img, e in zip(images, gc.coords[x]):
+                y = int(mul[y, _pow(mul, img, e)])
+            perm.append(y)
+        if len(set(perm)) == n:
+            out.append(tuple(perm))
+    return sorted(out)
+
+
+def reference_affine_permutations(model) -> list[tuple[int, ...]]:
+    """Label maps x -> c + alpha(x) as sorted tuples, from
+    ``reference_automorphisms``."""
+    mul = fusion_table(model)
+    autos = reference_automorphisms(model)
+    out = []
+    for c in range(model.n_labels):
+        for alpha in autos:
+            out.append(tuple(int(mul[c, alpha[x]]) for x in range(model.n_labels)))
+    return sorted(set(out))
+
+
+# ---------------------------------------------------------------------------
 # Closed-form torus families, verified one dense product per family
 
 
@@ -863,7 +924,7 @@ def dense_torus_word_families(model, words, tol=DEFAULT_TOL):
     later = np.arange(1, len(words))[:, None]
 
     families = []
-    for pi in affine_permutations(model):
+    for pi in reference_affine_permutations(model):
         pi_arr = np.array(pi)
         dress = suffix * np.conj(suffix[:, pi_arr])
         diags = chi[None] * dress[:, None, :]
@@ -896,11 +957,76 @@ def contains_logical_paulis_by_scan(model, inter) -> bool:
     """Every string operator on either cycle lies in some family of ``inter``,
     each tested against every family."""
     f1, f2 = string_operator_matrices(model)
+    families = inter.families
     return all(
-        inter.contains(monomial_from_matrix(f[a]))
+        any(fam.contains(monomial_from_matrix(f[a])) for fam in families)
         for a in range(model.n_labels)
         for f in (f1, f2)
     )
+
+
+def reference_contains_logical_paulis(model, inter) -> bool:
+    """Every string operator on either cycle lies in some family of
+    ``inter``, the families grouped by permutation in a dict of GateFamily
+    objects."""
+    by_perm: dict[tuple[int, ...], list] = {}
+    for fam in inter.families:
+        by_perm.setdefault(fam.perm, []).append(fam)
+    f1, f2 = string_operator_matrices(model)
+    gates = (monomial_from_matrix(f[a]) for a in range(model.n_labels) for f in (f1, f2))
+    return all(
+        any(fam.contains(gate) for fam in by_perm.get(gate.perm, ())) for gate in gates
+    )
+
+
+def reference_intersect_delta(sets, tol: float = CYCLE_TOL) -> list:
+    """``intersect_delta`` on GateFamily objects: every pair of families with
+    equal permutation goes through ``PhaseCoset.intersect``."""
+    current = sets[0].families
+    for s in sets[1:]:
+        by_perm: dict[tuple[int, ...], list] = {}
+        for fam_b in s.families:
+            by_perm.setdefault(fam_b.perm, []).append(fam_b)
+        nxt = []
+        for fam_a in current:
+            for fam_b in by_perm.get(fam_a.perm, ()):
+                coset = fam_a.coset.intersect(fam_b.coset, tol)
+                if coset is not None:
+                    nxt.append(GateFamily(perm=fam_a.perm, coset=coset))
+        current = nxt
+    return current
+
+
+def reference_clifford_star_batch(model, perms, phases, tol: float = CLIFFORD_TOL):
+    """``clifford_star_batch`` with one (gates x n) pass per string
+    generator, C1 generators included, each conjugated by the full Pi D."""
+    perms = np.asarray(perms, dtype=np.int64)
+    d = np.asarray(phases, dtype=np.complex128)
+    n = model.n_labels
+    f1, f2 = string_operator_matrices(model)
+    gens = [monomial_from_matrix(f) for f in (*f1, *f2)]
+    chi = np.array([g.phases for g in gens[:n]])
+    gram = chi @ np.conj(chi).T
+    c2_phases = np.array([g.phases for g in gens[n:]])
+    if (
+        np.abs(gram - n * np.eye(n)).max() > STRING_BASIS_TOL
+        or np.abs(c2_phases - 1.0).max() > STRING_BASIS_TOL
+    ):
+        raise RuntimeError("string operators are not characters and permutations")
+    nexp = group_coordinates(model).exponent
+    rows = np.arange(len(perms))[:, None]
+    member = np.ones(len(perms), dtype=bool)
+    roots = np.ones(len(perms), dtype=bool)
+    for gen in gens:
+        g = np.array(gen.perm)
+        y = np.zeros_like(d)  # phases of U G U^dag, by row
+        y[rows, perms[:, g]] = np.conj(d) * np.array(gen.phases) * d[:, g]
+        coeffs = y @ np.conj(chi).T / n
+        absc = np.abs(coeffs)
+        top = coeffs[rows[:, 0], absc.argmax(axis=1)]
+        member &= ((absc > tol).sum(axis=1) == 1) & (np.abs(np.abs(top) - 1.0) <= tol)
+        roots &= np.abs(top**nexp - 1.0) <= ROOT_TOL
+    return member, member & roots
 
 
 # ---------------------------------------------------------------------------

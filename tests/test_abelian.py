@@ -33,7 +33,7 @@ from anyongates.abelian import (
     torus_word_families,
     word_is_unconstraining,
 )
-from anyongates.solver import DeltaSet, delta_set, intersect_delta
+from anyongates.solver import delta_set, intersect_delta
 
 from oracles import (
     clifford_star_membership_dense,
@@ -44,6 +44,9 @@ from oracles import (
     membership_by_search,
     pauli_element_orders_divide_exponent,
     pauli_group_orders,
+    reference_affine_permutations,
+    reference_automorphisms,
+    reference_clifford_star_batch,
 )
 
 Z2 = load_builtin("zn_toric:2")
@@ -87,7 +90,7 @@ def test_group_coordinates_reconstruct_product():
 
 @pytest.mark.parametrize("model,count", [(Z2, 6), (Z3, 48), (Z4, 96)])
 def test_automorphism_counts(model, count):
-    auts = automorphisms(model)
+    auts = list(map(tuple, automorphisms(model).tolist()))
     assert len(auts) == count
     assert len(set(auts)) == count
     ident = tuple(range(model.n_labels))
@@ -96,9 +99,13 @@ def test_automorphism_counts(model, count):
 
 @pytest.mark.parametrize("model,count", [(Z2, 24), (Z3, 432), (Z4, 1536)])
 def test_affine_counts(model, count):
-    affs = affine_permutations(model)
+    affs = list(map(tuple, affine_permutations(model).tolist()))
     assert len(affs) == count
     assert len(set(affs)) == count
+
+
+def _affine_set(model):
+    return set(map(tuple, affine_permutations(model).tolist()))
 
 
 def test_affine_perms_respect_group_law():
@@ -114,6 +121,38 @@ def test_affine_perms_respect_group_law():
                 lhs = mul[perm[mul[x, y]], inv_base]
                 rhs = mul[mul[perm[x], inv_base], mul[perm[y], inv_base]]
                 assert lhs == rhs
+
+
+@pytest.mark.parametrize(
+    "name", ["zn_toric:2", "zn_toric:3", "zn_toric:4", "zn_toric:5", "dg_abelian:2,3"]
+)
+def test_exponent_coordinate_maps_equal_the_fusion_power_reference(name):
+    model = load_builtin(name)
+    assert automorphisms(model).tolist() == list(map(list, reference_automorphisms(model)))
+    assert affine_permutations(model).tolist() == list(
+        map(list, reference_affine_permutations(model))
+    )
+
+
+def test_dg_abelian_2_2_affine_maps():
+    """Z2^4: 16 translations times |GL(4, 2)| = 20,160 automorphisms, sorted,
+    every row c + alpha(x) with alpha a bijective homomorphism."""
+    model = load_builtin("dg_abelian:2,2")
+    mul = fusion_table(model)
+    affs = affine_permutations(model)
+    assert affs.shape == (322_560, 16)
+    later = affs[1:] != affs[:-1]
+    first = later.argmax(axis=1)  # first column where consecutive rows differ
+    rows = np.arange(len(first))
+    assert later.any(axis=1).all()
+    assert (affs[rows, first] < affs[rows + 1, first]).all()
+    # alpha = -c + row: c is the row's image of the vacuum, and every label
+    # is its own inverse in Z2^4
+    alpha = mul[affs[:, :1], affs]
+    assert (np.sort(alpha, axis=1) == np.arange(16)).all() and (alpha[:, 0] == 0).all()
+    for g in group_coordinates(model).generators:
+        # alpha(x g) = alpha(x) alpha(g) for every generator g
+        assert (alpha[:, mul[:, g]] == mul[alpha, alpha[:, g : g + 1]]).all()
 
 
 def test_group_helpers_follow_a_mutated_fusion_tensor():
@@ -176,7 +215,7 @@ def test_characters_multiplicative():
 def test_z2_families_match_generic_solver():
     """Dual route at qudit dimension 4: character form vs wildcard scan."""
     for word in ("s", "st"):
-        closed = torus_word_families(Z2, word)
+        closed = torus_word_families(Z2, word).families
         generic = delta_set(Z2, torus_surface(), word).families
         assert len(closed) == len(generic) == 96
         for fc in closed:
@@ -190,17 +229,14 @@ def test_z2_families_match_generic_solver():
 
 
 def _pairwise(model, words):
-    sets = [
-        DeltaSet(dim=model.n_labels, families=torus_word_families(model, w))
-        for w in words
-    ]
+    sets = [torus_word_families(model, w) for w in words]
     return intersect_delta(sets).families
 
 
 @pytest.mark.parametrize("words", [("s", "st"), ("st", "s", "stt")])
 @pytest.mark.parametrize("model", [Z2, Z3], ids=["z2", "z3"])
 def test_joint_families_match_pairwise_intersection(model, words):
-    joint = torus_word_families(model, list(words))
+    joint = torus_word_families(model, list(words)).families
     pairwise = _pairwise(model, words)
     assert len(joint) == len(pairwise) > 0
     assert [f.perm for f in joint] == [f.perm for f in pairwise]
@@ -209,7 +245,7 @@ def test_joint_families_match_pairwise_intersection(model, words):
 
 
 def test_joint_families_match_wildcard_intersection():
-    joint = torus_word_families(Z2, ["s", "st"])
+    joint = torus_word_families(Z2, ["s", "st"]).families
     generic = intersect_delta(
         [delta_set(Z2, torus_surface(), w) for w in ("s", "st")]
     ).families
@@ -243,8 +279,8 @@ def test_verification_rejects_a_non_affine_permutation(monkeypatch):
 
     affine = ab.affine_permutations(Z3)
     swap = (0, 1, 2, 3, 4, 5, 6, 8, 7)
-    assert swap not in affine
-    monkeypatch.setattr(ab, "affine_permutations", lambda model: affine + [swap])
+    assert swap not in _affine_set(Z3)
+    monkeypatch.setattr(ab, "affine_permutations", lambda model: np.vstack([affine, swap]))
     with pytest.raises(RuntimeError, match=r"pi=\(0, 1, .*, 8, 7\)\) failed verification"):
         torus_word_families(Z3, ["s", "st"])
 
@@ -252,7 +288,7 @@ def test_verification_rejects_a_non_affine_permutation(monkeypatch):
 @pytest.mark.parametrize("words", ["s", ["s", "st"], ["st", "s", "stt"]], ids=str)
 @pytest.mark.parametrize("model", [Z2, Z3, Z4], ids=["z2", "z3", "z4"])
 def test_factored_families_equal_the_dense_oracle(model, words):
-    got = torus_word_families(model, words)
+    got = torus_word_families(model, words).families
     want = dense_torus_word_families(model, words)
     assert len(got) == len(want) > 0
     assert [f.perm for f in got] == [f.perm for f in want]
@@ -268,7 +304,7 @@ def test_family_counts_scale_with_group():
 def test_families_satisfy_delta_condition():
     v = evaluate_word(Z3, torus_surface(), "st").matrix
     rng = np.random.default_rng(2)
-    fams = torus_word_families(Z3, "st")
+    fams = torus_word_families(Z3, "st").families
     for fam in [fams[i] for i in rng.choice(len(fams), size=12, replace=False)]:
         d = fam.coset.instantiate()
         g = MonomialMatrix(perm=fam.perm, phases=tuple(d)).matrix()
@@ -381,7 +417,7 @@ def test_irrational_diagonal_is_not_member():
 
 
 def test_family_gates_from_classification_are_members():
-    fams = torus_word_families(Z2, "s")
+    fams = torus_word_families(Z2, "s").families
     rng = np.random.default_rng(7)
     for fam in [fams[i] for i in rng.choice(len(fams), size=8, replace=False)]:
         gate = MonomialMatrix(perm=fam.perm, phases=tuple(fam.coset.instantiate()))
@@ -403,14 +439,14 @@ def _negative_controls(model):
     ident = tuple(range(n))
     irrational = np.ones(n, dtype=complex)
     irrational[-1] = np.exp(0.7j)
-    fam = torus_word_families(model, ["s", "st"])[n + 1]
+    fam = torus_word_families(model, ["s", "st"]).families[n + 1]
     controls = [(ident, irrational), (ident, np.full(n, 0.5, dtype=complex))]
     for eps in (1e-3, 1e-4):
         perturbed = fam.coset.instantiate()
         perturbed[1] *= np.exp(1j * eps)
         controls.append((fam.perm, perturbed))
     swap = (0, 2, 1) + tuple(range(3, n))
-    if swap not in affine_permutations(model):
+    if swap not in _affine_set(model):
         controls.append((swap, np.ones(n, dtype=complex)))
     return controls
 
@@ -420,7 +456,7 @@ def _monomial(perm, phases):
 
 
 def test_batched_clifford_matches_search_on_every_z2_class():
-    fams = torus_word_families(Z2, ["s", "st"])
+    fams = torus_word_families(Z2, ["s", "st"]).families
     gates = [(f.perm, f.coset.instantiate()) for f in fams] + _negative_controls(Z2)
     member, _ = clifford_star_batch(Z2, *zip(*gates))
     assert member[: len(fams)].all() and not member[len(fams) :].any()
@@ -429,7 +465,7 @@ def test_batched_clifford_matches_search_on_every_z2_class():
 
 
 def test_batched_clifford_matches_dense_oracle_on_every_z3_class():
-    fams = torus_word_families(Z3, ["s", "st"])
+    fams = torus_word_families(Z3, ["s", "st"]).families
     assert len(fams) == 324
     gates = [(f.perm, f.coset.instantiate()) for f in fams] + _negative_controls(Z3)
     member, roots = clifford_star_batch(Z3, *zip(*gates))
@@ -446,18 +482,39 @@ def test_batched_clifford_matches_dense_oracle_on_quarter_phase_gates():
     The set holds members, members whose string phases are no exponent
     roots (U X U^dag = i X Z), and non-members, all in one batch.
     """
-    gates = [
-        (perm, np.array(phases))
-        for perm in itertools.permutations(range(4))
-        for phases in itertools.product((1, 1j, -1, -1j), repeat=4)
-        if phases[0] == 1
-    ]
+    gates = _quarter_phase_gates()
     member, roots = clifford_star_batch(Z2, *zip(*gates))
     assert 0 < roots.sum() < member.sum() < len(gates)
     for (perm, phases), ok, root in zip(gates, member, roots):
         assert (ok, root) == clifford_star_membership_dense(
             Z2, _monomial(perm, phases)
         )
+
+
+def _quarter_phase_gates():
+    """Every Z2 monomial gate with phases in {1, i, -1, -i}, d_0 = 1."""
+    return [
+        (perm, np.array(phases))
+        for perm in itertools.permutations(range(4))
+        for phases in itertools.product((1, 1j, -1, -1j), repeat=4)
+        if phases[0] == 1
+    ]
+
+
+@pytest.mark.parametrize("model", [Z2, Z3, Z4], ids=["z2", "z3", "z4"])
+def test_clifford_batch_matches_the_per_generator_reference(model):
+    """C1 once per distinct permutation and C2 in blocks give the same two
+    booleans per gate as one pass per generator: on every class, the
+    negative controls and, for Z2, the quarter-phase set."""
+    fams = torus_word_families(model, ["s", "st"])
+    gates = list(zip(map(tuple, fams.perms.tolist()), fams.instantiate_families()))
+    gates += _negative_controls(model)
+    if model is Z2:
+        gates += _quarter_phase_gates()
+    got = clifford_star_batch(model, *zip(*gates))
+    want = reference_clifford_star_batch(model, *zip(*gates))
+    assert got[0][: len(fams)].all()
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +537,7 @@ def test_lambda_affine_perms_are_exact_roots():
     for model, nexp in ((Z2, 2), (Z3, 3), (Z4, 4)):
         from anyongates.verlinde import lambda_matrix
 
-        affs = affine_permutations(model)
+        affs = list(map(tuple, affine_permutations(model).tolist()))
         rng = np.random.default_rng(1)
         for perm in [affs[i] for i in rng.choice(len(affs), size=6, replace=False)]:
             lam = lambda_matrix(model, perm)
@@ -494,7 +551,7 @@ def test_lambda_non_affine_is_not_monomial():
 
     # transposition of two nonzero group elements is never affine on Z3 x Z3
     perm = (0, 2, 1) + tuple(range(3, 9))
-    assert perm not in affine_permutations(Z3)
+    assert perm not in _affine_set(Z3)
     lam = lambda_matrix(Z3, perm)
     flag, _, _ = check_lambda_monomial(Z3, lam)
     assert not flag

@@ -40,6 +40,7 @@ from oracles import (
     deligne_product,
     dense_sphere_word_filter,
     ising_qubit_isomorphism,
+    reference_contains_logical_paulis,
 )
 
 FIB = load_builtin("fibonacci")
@@ -448,17 +449,18 @@ def test_zn_torus_clifford(name, count):
 @pytest.mark.parametrize("name", ["zn_toric:2", "zn_toric:3"])
 def test_logical_pauli_lookup_matches_a_linear_scan(name):
     model = load_builtin(name)
-    n = model.n_labels
-    inter = DeltaSet(dim=n, families=torus_word_families(model, ["s", "st"]))
+    inter = torus_word_families(model, ["s", "st"])
     assert _contains_logical_paulis(model, inter)
     assert contains_logical_paulis_by_scan(model, inter)
+    assert reference_contains_logical_paulis(model, inter)
     for strings in string_operator_matrices(model):
         gate = monomial_from_matrix(strings[1])
-        kept = [f for f in inter.families if not f.contains(gate)]
-        assert len(kept) == len(inter.families) - 1
-        cut = DeltaSet(dim=n, families=kept)
+        kept = [i for i, f in enumerate(inter.families) if not f.contains(gate)]
+        assert len(kept) == len(inter) - 1
+        cut = DeltaSet(inter.perms[kept], inter.rel[kept], inter.components)
         assert not _contains_logical_paulis(model, cut)
         assert not contains_logical_paulis_by_scan(model, cut)
+        assert not reference_contains_logical_paulis(model, cut)
 
 
 def test_torus_word_list_affects_result():
@@ -528,7 +530,7 @@ def test_closed_form_keeps_its_place_among_the_words(words):
     sets = [
         delta_set(Z2, torus_surface(), w)
         if w == "stst"
-        else DeltaSet(dim=4, families=torus_word_families(Z2, w))
+        else torus_word_families(Z2, w)
         for w in words
     ]
 
@@ -621,7 +623,9 @@ def test_empty_class_list_is_an_error(model, surface, monkeypatch):
     )
     monkeypatch.setattr(
         mod, "intersect_delta",
-        lambda sets, *args, **kwargs: DeltaSet(dim=sets[0].dim, families=[]),
+        lambda sets, *args, **kwargs: DeltaSet(
+            sets[0].perms[:0], sets[0].rel[:0], sets[0].components
+        ),
     )
     with pytest.raises(ClassificationError, match="no gate class"):
         classify(model, surface)

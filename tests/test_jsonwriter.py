@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anyongates.jsonwriter import JsonWriter, dumps, sort_by_json
+from anyongates.jsonwriter import JsonWriter, dumps, json_order, sort_by_json
 
 from oracles import reference_report_json
 
@@ -48,6 +48,54 @@ def test_sort_by_json_orders_by_the_compact_reference_text(items):
     got = list(items)
     sort_by_json(got)
     assert got == sorted(items, key=lambda x: reference_report_json(x, indent=None))
+
+
+# Floats whose 10-place texts tie or nearly tie: +-pi, signed and tiny
+# zeros, and pairs that round to the same text.
+SPECIAL_FLOATS = [
+    math.pi, -math.pi, 0.0, -0.0, -1e-12, 1e-12, 0.1, 0.12, 0.12345678904, 0.123456789041,
+    1.00000000001, 1.0, 1.5707963268, math.pi / 2, -2.0000000000100002, -2.0,
+]
+
+
+@st.composite
+def flat_records(draw):
+    """Rows of blocks of ints 0-30 or floats, some rows repeated: each block
+    a key of a flat record, each row a record."""
+    kinds = draw(st.lists(st.sampled_from(["int", "float"]), min_size=1, max_size=3))
+    widths = [draw(st.integers(1, 3)) for _ in kinds]
+    number = {
+        # 1 and 10 make both "1, " < "10, " and "1]" > "10]" likely to meet
+        "int": st.sampled_from([1, 10, 2, 20, 3, 30]) | st.integers(0, 30),
+        "float": st.sampled_from(SPECIAL_FLOATS) | st.floats(-4.0, 4.0),
+    }
+    row = st.tuples(*(st.lists(number[k], min_size=w, max_size=w)
+                      for k, w in zip(kinds, widths)))
+    rows = draw(st.lists(row, min_size=1, max_size=16))
+    repeats = draw(st.lists(st.sampled_from(rows), max_size=6))
+    order = draw(st.permutations(rows + repeats))
+    return kinds, order
+
+
+@settings(max_examples=200, deadline=None)
+@given(flat_records())
+def test_json_order_equals_the_sorted_reference_text(case):
+    kinds, rows = case
+    blocks = [
+        np.array([r[j] for r in rows], dtype=np.int64 if k == "int" else np.float64)
+        for j, k in enumerate(kinds)
+    ]
+    records = [{f"k{j}": list(r[j]) for j in range(len(kinds))} for r in rows]
+    want = sorted(range(len(records)),
+                  key=lambda i: reference_report_json(records[i], indent=None))
+    assert json_order(*blocks).tolist() == want
+
+
+def test_json_order_separates_list_ends_from_list_entries():
+    """"1, " sorts before "10, " but "1]" after "10]", unlike the numbers."""
+    ints = np.array([[1, 10], [10, 1], [1, 1], [10, 10]])
+    assert json_order(ints).tolist() == [0, 2, 3, 1]
+    assert np.lexsort(ints.T[::-1]).tolist() == [2, 0, 1, 3]
 
 
 @pytest.mark.parametrize("x", [-0.0, -1e-12, 1e-12, -4.9e-11])

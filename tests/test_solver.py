@@ -19,7 +19,7 @@ from anyongates import (
     torus_surface,
 )
 from anyongates import solver
-from anyongates.solver import IntertwinerSolution, instantiate_families
+from anyongates.solver import DeltaSet, IntertwinerSolution
 from anyongates.tolerances import (
     CYCLE_TOL,
     DEFAULT_TOL,
@@ -36,6 +36,7 @@ from oracles import (
     propagate_phases_scalar,
     reference_candidate_pairs,
     reference_gate_coset,
+    reference_intersect_delta,
 )
 
 FIB = load_builtin("fibonacci")
@@ -245,7 +246,7 @@ def test_restricting_perm_out_prevents_matching_blowup():
     ds = delta_set(model, torus_surface(), "stst",
                    restrict_perms=affs, restrict_perms_out=affs)
     assert ds.families
-    aff_set = set(affs)
+    aff_set = set(map(tuple, affs.tolist()))
     for fam in ds.families:
         assert fam.perm in aff_set
 
@@ -631,8 +632,8 @@ def test_fibonacci_tau_8_delta_set_within_budget():
     ds = delta_set(FIB, surf, "s2")
     assert (ds.dim, len(ds)) == (13, 23040)
     v = evaluate_word(FIB, surf, "s2").matrix
-    perms = np.array([f.perm for f in ds.families])
-    phases = instantiate_families(ds.families, 13)
+    perms = ds.perms
+    phases = ds.instantiate_families()
     cols = np.arange(13)
     for lo in range(0, len(perms), 2048):
         perm, d = perms[lo:lo + 2048], phases[lo:lo + 2048]
@@ -735,7 +736,7 @@ def test_delta_families_match_per_solution_gate_cosets(name):
         assert fam.coset.components == want.components
         assert _bits(fam.coset.rel) == _bits(want.rel)
         assert all(type(x) is np.complex128 for x in fam.coset.rel)
-    rows = instantiate_families(got.families, got.dim)
+    rows = got.instantiate_families()
     assert _bits(rows) == _bits([fam.coset.instantiate() for fam in got.families])
 
 
@@ -752,23 +753,56 @@ def test_batched_instantiate_matches_per_family_bytes(model, surface, words):
     mod = load_builtin(model)
     surf = _surface(mod, surface)
     inter = intersect_delta([delta_set(mod, surf, w) for w in words])
-    rows = instantiate_families(inter.families, inter.dim)
+    rows = inter.instantiate_families()
     assert rows.shape == (len(inter.families), inter.dim)
     assert _bits(rows) == _bits([fam.coset.instantiate() for fam in inter.families])
+
+
+@pytest.mark.parametrize("model, surface, words", [
+    ("fibonacci", "sphere:tau:7", ["s2", "s3"]),
+    ("zn_toric:2", "torus", ["s", "st", "stst"]),
+    ("ising", "torus", ["s", "st"]),
+])
+def test_column_intersection_matches_the_family_reference(model, surface, words):
+    """One array pass for rigid pairs, PhaseCoset.intersect per pair
+    otherwise: the same permutations, components and rel bytes (signed
+    zeros included) as intersecting GateFamily objects pair by pair."""
+    mod = load_builtin(model)
+    surf = _surface(mod, surface)
+    sets = [delta_set(mod, surf, w) for w in words]
+    got = intersect_delta(sets)
+    want = reference_intersect_delta(sets)
+    assert len(got) == len(want) > 0
+    assert got.perms.tolist() == [list(f.perm) for f in want]
+    assert all(f.coset.components == got.components for f in want)
+    assert _bits(got.rel) == _bits([f.coset.rel for f in want])
+    assert intersect_delta(sets[:1]) is sets[0]
+
+
+def test_rigid_intersection_keeps_the_first_sets_row_per_matching_pair():
+    """Rows pair up by permutation; a pair within tol keeps the first set's
+    rel, in the first set's order, then the second's."""
+    perms = np.array([[0, 1], [1, 0], [0, 1]])
+    a = DeltaSet(perms, np.array([[1, 1], [1, -1], [1, 1j]], dtype=complex), (0, 0))
+    b = DeltaSet(
+        perms[[1, 0, 0]], np.array([[1, -1 + 1e-12j], [1, 1j], [1, 1]], dtype=complex), (0, 0)
+    )
+    got = intersect_delta([a, b])
+    assert got.perms.tolist() == [[0, 1], [1, 0], [0, 1]]
+    assert _bits(got.rel) == _bits(a.rel[[0, 1, 2]])
+    assert got.components == (0, 0)
+    assert len(intersect_delta([a, DeltaSet(perms[:0], a.rel[:0], (0, 0))])) == 0
 
 
 def test_batched_instantiate_keeps_signed_zero_bytes():
     """Multiplying by the free phase 1 + 0j turns 1 - 0j into 1 + 0j; the
     batched product must do the same as the per-family one."""
     zeros = [complex(a, b) for a in (1.0, -1.0, 0.0, -0.0) for b in (0.0, -0.0, 1.0, -1.0)]
-    families = [
-        solver.GateFamily((0, 1, 2, 3), PhaseCoset((0, 0, 1, 1), tuple(row)))
-        for rows in (zeros, [np.complex128(z) for z in zeros])
-        for row in np.reshape(np.array(rows, dtype=object), (4, 4))
-    ]
-    rows = instantiate_families(families, 4)
-    assert _bits(rows) == _bits([fam.coset.instantiate() for fam in families])
-    assert _bits(rows) != _bits([fam.coset.rel for fam in families])
+    rel = np.reshape(np.array(zeros, dtype=np.complex128), (4, 4))
+    ds = DeltaSet(np.tile(np.arange(4), (4, 1)), rel, (0, 0, 1, 1))
+    rows = ds.instantiate_families()
+    assert _bits(rows) == _bits([fam.coset.instantiate() for fam in ds.families])
+    assert _bits(rows) != _bits([fam.coset.rel for fam in ds.families])
 
 
 def test_empty_matrix_has_one_empty_family():
