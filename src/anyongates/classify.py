@@ -29,11 +29,13 @@ Two sphere paths and one torus path cover the built-in models:
   resulting class is checked for Clifford-star membership from its
   permutation and phases.
 
-Delta sets hold their families as arrays (permutation rows, relative-phase
-rows, one shared phase-component tuple), and the classes of a delta-set
-path are built from those rows: their order is that of their compact JSON,
-computed from per-column ranks of the number texts (``json_order``), and
-the logical strings are looked up among the permutation rows.
+Every class list is in the order of its classes' compact JSON, computed
+from the arrays the classes are built from (``json_order``), not from their
+text.  Delta sets hold their families as arrays (permutation rows,
+relative-phase rows, one shared phase-component tuple), and the classes of
+a delta-set path are built from those rows; the logical strings are looked
+up among the permutation rows.  A factorized class is built from its basis
+images, its option on each free curve and its phases.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import abelian as _ab
-from .jsonwriter import dumps, json_order, sort_by_json
+from .jsonwriter import dumps, json_order
 from .mcg import braid_letters, braid_matrix, braid_slot
 from .models import AnyonModel
 from .solver import (
@@ -440,7 +442,9 @@ def _classify_factorized(
     in its window.  The survivors prune each curve's options, and a window
     with several free curves also leaves a relation that filters the
     products.  A window matrix that is already monomial vetoes nothing and
-    is skipped.
+    is skipped.  The surviving products are ordered by ``json_order`` on the
+    leaves of their classes, read from the option arrays, and their class
+    dicts are built in that order.
     """
     n_curves = len(labels)
     # Per free curve: each option's class entry, and its image digit and
@@ -491,7 +495,7 @@ def _classify_factorized(
         if not len(survivors):  # also covers a window without free curves
             kept = {s: [] for s in free}
         for j, s in enumerate(curves):
-            kept[s] = np.unique(survivors[:, j]).tolist()
+            kept[s] = np.flatnonzero(np.bincount(survivors[:, j])).tolist()
         if len(curves) > 1:
             table = np.zeros([len(entries[s]) for s in curves], dtype=bool)
             table[tuple(survivors.T)] = True
@@ -503,16 +507,29 @@ def _classify_factorized(
         combos = combos[table[tuple(combos[:, cols].T)]]
     target, angle = _product_action(free, images, angles, combos)
     phases = np.angle(np.exp(1j * angle))
-    classes = []
-    for r in range(len(combos)):
+    # The leaves of a class's compact JSON: its basis images, then per curve
+    # in name order the image names and the angles of its options' "perm"
+    # and "phases", label names in sorted order, then its phases.
+    blocks = [target]
+    for j, s in sorted(enumerate(free), key=lambda js: dap.curves[js[1]]):
+        names = [model.labels[a] for a in labels[s]]
+        keys = sorted(range(len(names)), key=names.__getitem__)
+        option = combos[:, j]
+        blocks.append(np.array(names)[images[s][option][:, keys]])
+        blocks.append(angles[s][option][:, keys])
+    blocks.append(phases)
+    order = json_order(*blocks, closers="]" + "}" * (len(blocks) - 2) + "]")
+    classes = [
         # Classes with the same option on a curve share its entry dict.
-        entry = {
-            "curves": {dap.curves[s]: entries[s][combos[r, j]] for j, s in enumerate(free)}
+        {
+            "basis_perm": perm,
+            "curves": {dap.curves[s]: entries[s][k] for s, k in zip(free, row)},
+            "phases": ph,
         }
-        entry["basis_perm"] = target[r].tolist()
-        entry["phases"] = phases[r].tolist()
-        classes.append(entry)
-    sort_by_json(classes)
+        for perm, row, ph in zip(
+            target[order].tolist(), combos[order].tolist(), phases[order].tolist()
+        )
+    ]
     details = {
         "path": "factorized",
         "free_curves": [dap.curves[s] for s in free],
@@ -558,12 +575,12 @@ def _family_classes(inter: DeltaSet) -> tuple[list[dict], np.ndarray]:
 
     One batched instantiate and one np.angle over all families give the
     same floats as one call per family.  Every class has the same
-    ``free_phases``, so the permutations and then the angles decide the
-    order (``json_order``).
+    ``free_phases``, so ``json_order`` ranks the permutation rows and then
+    the angle rows.
     """
     phases = inter.instantiate_families()
     angles = np.angle(phases)
-    order = json_order(inter.perms, angles)
+    order = json_order(inter.perms, angles, closers="]]")
     free = inter.n_free
     classes = [
         {"basis_perm": perm, "phases": row, "free_phases": free}
@@ -595,16 +612,17 @@ def _classes_are_pauli(classes) -> bool:
     """Every curve is a qubit (two labels) acted on by 1, Z, X or XZ up to phase.
 
     Only the class data is read, so a model is recognised by its structure,
-    not by the names or the order of its labels.
+    not by the names or the order of its labels.  Classes with the same
+    option on a curve share its entry dict, so each is checked once.
     """
-    for cls in classes:
-        for data in cls.get("curves", {}).values():
-            if len(data["phases"]) != 2:
+    options = {id(data): data for cls in classes for data in cls.get("curves", {}).values()}
+    for data in options.values():
+        if len(data["phases"]) != 2:
+            return False
+        for v in data["phases"].values():
+            r = v % (2.0 * np.pi)
+            if min(r, abs(r - np.pi), abs(r - 2.0 * np.pi)) > PAULI_ANGLE_TOL:
                 return False
-            for v in data["phases"].values():
-                r = v % (2.0 * np.pi)
-                if min(r, abs(r - np.pi), abs(r - 2.0 * np.pi)) > PAULI_ANGLE_TOL:
-                    return False
     return True
 
 

@@ -1,11 +1,9 @@
 """Sorted-key JSON text of reports, with every float rounded to 10 places.
 
 ``JsonWriter().indented(value)`` is ``json.dumps(r(value), sort_keys=True,
-indent=2)`` and ``JsonWriter().compact(value)`` is ``json.dumps(r(value),
-sort_keys=True)``, byte for byte, where ``r`` turns every tuple into a list
-and every float x into ``round(x, 10) + 0.0`` (so -0.0 and -1e-12 print as
-0.0).  Dict keys must be strings.  The compact text is the sort key of a
-class list, the indented text the report.
+indent=2)``, byte for byte, where ``r`` turns every tuple into a list and
+every float x into ``round(x, 10) + 0.0`` (so -0.0 and -1e-12 print as
+0.0).  Dict keys must be strings.
 
 Class lists are long and repetitive, so one writer formats each distinct
 int and float once, joins a list of only ints or only floats in C, and
@@ -13,8 +11,9 @@ renders a dict held by a dict once however often it recurs (the sphere
 classes share their curve options' dicts).  A writer lives for one report; nothing is
 kept between calls.
 
-Records whose lists of numbers are rows of arrays are ordered without their
-text: ``json_order`` ranks each number's token plus its separator per
+A class list is ordered by the compact text of its classes,
+``json.dumps(r(c), sort_keys=True)``, without writing that text:
+``json_order`` ranks each leaf's token plus the character after it per
 column and sorts the rows by those ranks.
 """
 
@@ -48,27 +47,11 @@ class JsonWriter:
         # would share one entry.
         self._ints: dict[int, str] = {}
         self._floats: dict[float, str] = {}
-        # id -> (dict, text) and id -> (dict, depth, text) of the dicts held
-        # by a dict, such as the curve options the sphere classes share.  A
-        # dict in a list is a record met once (a class, a family) and is not
-        # kept.  The dict is kept so its id stays its own while the writer
-        # lives.
-        self._compact: dict[int, tuple] = {}
+        # id -> (dict, depth, text) of the dicts held by a dict, such as the
+        # curve options the sphere classes share.  A dict in a list is a
+        # record met once (a class, a family) and is not kept.  The dict is
+        # kept so its id stays its own while the writer lives.
         self._indented: dict[int, tuple] = {}
-
-    def compact(self, value) -> str:
-        """``json.dumps(r(value), sort_keys=True)``."""
-        if isinstance(value, dict):
-            hit = self._compact.get(id(value))
-            if hit is None:
-                hit = self._compact[id(value)] = (value, self._compact_dict(value))
-            return hit[1]
-        if isinstance(value, (list, tuple)):
-            parts = self._numbers(value)
-            if parts is None:
-                parts = list(map(self._compact_item, value))
-            return "[" + ", ".join(parts) + "]"
-        return self._scalar(value)
 
     def indented(self, value, depth: int = 0) -> str:
         """``json.dumps(r(value), sort_keys=True, indent=2)``, its inner
@@ -89,13 +72,6 @@ class JsonWriter:
                 ]
             return _block("[", parts, "]", depth)
         return self._scalar(value)
-
-    def _compact_item(self, value) -> str:
-        return self._compact_dict(value) if type(value) is dict else self.compact(value)
-
-    def _compact_dict(self, value: dict) -> str:
-        items = [_string(k) + ": " + self.compact(v) for k, v in sorted(value.items())]
-        return "{" + ", ".join(items) + "}"
 
     def _indented_dict(self, value: dict, depth: int) -> str:
         items = [
@@ -162,32 +138,33 @@ def dumps(value) -> str:
     return JsonWriter().indented(value)
 
 
-def sort_by_json(items: list) -> None:
-    """Sort ``items`` in place by their compact sorted-key JSON."""
-    items.sort(key=JsonWriter()._compact_item)
+# The JSON token of a leaf, by the kind of its array.
+_TOKEN = {"i": int.__repr__, "u": int.__repr__, "f": _float_text, "U": _string}
 
 
-def json_order(*blocks) -> np.ndarray:
-    """Row order of flat records by their compact sorted-key JSON.
+def json_order(*blocks, closers: str) -> np.ndarray:
+    """Row order of records by their compact sorted-key JSON.
 
-    Record r is a dict whose values, in sorted key order, are the number
-    lists ``blocks[0][r]``, ``blocks[1][r]``, ...; every block is a 2-D int
-    or float array with one row per record.  Its compact JSON is the same
-    for every record up to the tokens, and a token plus its separator (", "
-    inside a list, "]" at its end) is never a prefix of another, so the
-    first column whose token-plus-separator differs decides the order.
-    Each column is ranked by the text of those strings, ties by record
-    index: the result equals ``sort_by_json``'s stable order.
+    Every record has the same keys at every depth, and its leaves, in the
+    order of its compact text, are the rows ``blocks[0][r]``,
+    ``blocks[1][r]``, ...: each block is a 2-D array of ints, floats or
+    strings with one row per record, the values of one list or dict, closed
+    by its character in ``closers`` ("]" or "}").  The text between the
+    leaves is then the same for every record, and a token plus the
+    character after it (", " inside a block, its closer at its end) is
+    never a prefix of another, so the first column whose
+    token-plus-character differs decides the order.  Each column is ranked
+    by the text of those strings, ties by record index: the result is the
+    stable sort by the compact text.
     """
     keys = []
-    for block in blocks:
+    for block, close in zip(blocks, closers, strict=True):
         block = np.asarray(block)
         values, which = np.unique(block, return_inverse=True)
         which = which.reshape(block.shape)
-        text = int.__repr__ if block.dtype.kind in "iu" else _float_text
-        tokens = list(map(text, values.tolist()))
+        tokens = list(map(_TOKEN[block.dtype.kind], values.tolist()))
         width = block.shape[1]
-        for sep, cols in ((", ", slice(0, width - 1)), ("]", slice(width - 1, width))):
+        for sep, cols in ((", ", slice(0, width - 1)), (close, slice(width - 1, width))):
             texts = [t + sep for t in tokens]
             rank = {t: r for r, t in enumerate(sorted(set(texts)))}
             keys.extend(np.array([rank[t] for t in texts])[which[:, cols].T])

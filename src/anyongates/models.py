@@ -143,7 +143,9 @@ def _fblock_layout(fusion: np.ndarray):
     col_code = np.ravel_multi_index((t[a, 0], t[b, 0], t[a, 1], t[b, 2]), shape)
     col_n = t[a, 2]
 
-    codes = np.union1d(row_code, col_code)
+    # The distinct codes in order; np.union1d would import numpy.ma.
+    codes = np.sort(np.concatenate((row_code, col_code)))
+    codes = codes[np.diff(codes, prepend=-1) > 0]
     bounds = np.column_stack(np.unravel_index(codes, shape))[:, [0, 1, 3, 2]]
     rows = np.column_stack((np.searchsorted(codes, row_code), row_m))
     rows = rows[np.lexsort(rows.T[::-1])]

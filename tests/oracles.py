@@ -22,9 +22,10 @@ per string generator instead of one C1 pass per distinct permutation, the
 affine label maps by repeated fusion instead of exponent-coordinate arrays,
 the intersection of delta sets by one ``PhaseCoset.intersect`` per family
 pair instead of one array pass for rigid sets, the lattice commutation phases from
-dense state-space matrices instead of exponent vectors, and the report JSON
+dense state-space matrices instead of exponent vectors, the report JSON
 from the standard library encoder after a rounding walk instead of the
-package's writer.
+package's writer, and the order of a class list by sorting on that compact
+text instead of per-column ranks of its arrays.
 
 The module also holds the helpers only tests need, which the package does not
 export: the residual of an instantiated intertwiner family, phase-coset
@@ -1144,3 +1145,8 @@ def _round_floats(obj):
 def reference_report_json(payload, indent: int | None = 2) -> str:
     """Sorted-key JSON from the standard library encoder after _round_floats."""
     return json.dumps(_round_floats(payload), sort_keys=True, indent=indent)
+
+
+def reference_json_sort(items: list) -> list:
+    """``items`` in the stable order of their compact sorted-key JSON text."""
+    return sorted(items, key=lambda v: reference_report_json(v, indent=None))

@@ -41,6 +41,7 @@ from oracles import (
     dense_sphere_word_filter,
     ising_qubit_isomorphism,
     reference_contains_logical_paulis,
+    reference_json_sort,
 )
 
 FIB = load_builtin("fibonacci")
@@ -340,6 +341,37 @@ def test_local_word_filter_matches_dense_oracle(model, label, m, words, monkeypa
 FIB_ISING = deligne_product(FIB, ISING)
 ISING_ISING = deligne_product(ISING, ISING)
 FIB_FIB = deligne_product(FIB, FIB)
+
+
+# Ising whose vacuum and fermion names sort the other way round ("e" before
+# "eps") and whose sigma name holds a comma.
+ISING_E_EPS = dataclasses.replace(ISING, name="ising-e-eps", labels=("eps", "e", "(0,1)"))
+# Ising x Ising renamed: the curve of the 4-punctured sphere of s carries
+# eps, e, d, c, four labels in the reverse of their name order.
+ISING_ISING_RENAMED = dataclasses.replace(
+    ISING_ISING, name="ising-ising-renamed",
+    labels=("eps", "e", "(0,1)", "d", "c", "b", "a", "(0,10)", "s"),
+)
+
+
+@pytest.mark.parametrize(
+    "model, label, m, words",
+    [(ISING, "sigma", m, None) for m in (4, 6, 8, 10, 12, 14)]
+    + [
+        (ISING, "sigma", 8, ["s1s2"]),
+        (ISING, "sigma", 10, ["s2s3", "s4s5'"]),
+        (FIB, "tau", 4, None),
+        (ISING_E_EPS, "(0,1)", 8, None),
+        (TWISTED, "sigma", 8, ["s2s3"]),
+        (ISING_ISING_RENAMED, "s", 4, None),
+    ],
+    ids=lambda v: v.name if hasattr(v, "name") else str(v),
+)
+def test_factorized_classes_in_the_order_of_their_json_text(model, label, m, words):
+    """The classes come in the stable order of their compact JSON."""
+    rep = classify_punctured_sphere(model, sphere_surface(model, label, m), words)
+    assert rep.details["path"] == "factorized"
+    assert rep.classes == reference_json_sort(rep.classes)
 
 
 def test_fallback_path_on_a_deligne_product():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anyongates.jsonwriter import JsonWriter, dumps, json_order, sort_by_json
+from anyongates.jsonwriter import JsonWriter, dumps, json_order
 
 from oracles import reference_report_json
 
@@ -13,7 +13,6 @@ from oracles import reference_report_json
 def assert_same_text(value):
     writer = JsonWriter()
     assert writer.indented(value) == reference_report_json(value)
-    assert writer.compact(value) == reference_report_json(value, indent=None)
     assert dumps(value) == reference_report_json(value)
 
 
@@ -41,61 +40,93 @@ def test_writer_matches_the_standard_encoder(value):
     assert_same_text(value)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.lists(st.floats(allow_nan=False), max_size=4)
-                | st.lists(st.integers(), max_size=4), max_size=12))
-def test_sort_by_json_orders_by_the_compact_reference_text(items):
-    got = list(items)
-    sort_by_json(got)
-    assert got == sorted(items, key=lambda x: reference_report_json(x, indent=None))
-
-
 # Floats whose 10-place texts tie or nearly tie: +-pi, signed and tiny
-# zeros, and pairs that round to the same text.
+# zeros, pairs that round to the same text, and 1.5 before 1.5e-05 under
+# "]" but after it under "}".
 SPECIAL_FLOATS = [
     math.pi, -math.pi, 0.0, -0.0, -1e-12, 1e-12, 0.1, 0.12, 0.12345678904, 0.123456789041,
     1.00000000001, 1.0, 1.5707963268, math.pi / 2, -2.0000000000100002, -2.0,
+    1e-05, 1.5, 1.5e-05,
 ]
+# Label names that are prefixes of each other, hold commas or quotes, or
+# escape to \u sequences.
+SPECIAL_STRINGS = ["e", "eps", "(0,1)", "(0,10)", "1", "1e-05", "psi", "", 'a"b', "a\\", "σ"]
 
 
 @st.composite
 def flat_records(draw):
-    """Rows of blocks of ints 0-30 or floats, some rows repeated: each block
-    a key of a flat record, each row a record."""
-    kinds = draw(st.lists(st.sampled_from(["int", "float"]), min_size=1, max_size=3))
+    """Rows of blocks of ints 0-30, floats or strings, some rows repeated:
+    each block the values of a list or a dict of a record, each row a
+    record; with the blocks' closers."""
+    kinds = draw(st.lists(st.sampled_from(["int", "float", "str"]), min_size=1, max_size=3))
     widths = [draw(st.integers(1, 3)) for _ in kinds]
-    number = {
+    closers = "".join(draw(st.sampled_from("]}")) for _ in kinds)
+    value = {
         # 1 and 10 make both "1, " < "10, " and "1]" > "10]" likely to meet
         "int": st.sampled_from([1, 10, 2, 20, 3, 30]) | st.integers(0, 30),
         "float": st.sampled_from(SPECIAL_FLOATS) | st.floats(-4.0, 4.0),
+        "str": st.sampled_from(SPECIAL_STRINGS),
     }
-    row = st.tuples(*(st.lists(number[k], min_size=w, max_size=w)
+    row = st.tuples(*(st.lists(value[k], min_size=w, max_size=w)
                       for k, w in zip(kinds, widths)))
     rows = draw(st.lists(row, min_size=1, max_size=16))
     repeats = draw(st.lists(st.sampled_from(rows), max_size=6))
     order = draw(st.permutations(rows + repeats))
-    return kinds, order
+    return kinds, closers, order
 
 
-@settings(max_examples=200, deadline=None)
+DTYPES = {"int": np.int64, "float": np.float64, "str": np.str_}
+
+
+def _records(rows, closers):
+    """Record r holds block j of row r as a list under "]" and as a dict with
+    keys in column order under "}"."""
+    return [
+        {f"k{j}": list(block) if close == "]" else {f"v{i}": x for i, x in enumerate(block)}
+         for j, (block, close) in enumerate(zip(r, closers))}
+        for r in rows
+    ]
+
+
+def _reference_order(records):
+    return sorted(range(len(records)),
+                  key=lambda i: reference_report_json(records[i], indent=None))
+
+
+@settings(max_examples=300, deadline=None)
 @given(flat_records())
 def test_json_order_equals_the_sorted_reference_text(case):
-    kinds, rows = case
+    kinds, closers, rows = case
     blocks = [
-        np.array([r[j] for r in rows], dtype=np.int64 if k == "int" else np.float64)
-        for j, k in enumerate(kinds)
+        np.array([r[j] for r in rows], dtype=DTYPES[k]) for j, k in enumerate(kinds)
     ]
-    records = [{f"k{j}": list(r[j]) for j in range(len(kinds))} for r in rows]
-    want = sorted(range(len(records)),
-                  key=lambda i: reference_report_json(records[i], indent=None))
-    assert json_order(*blocks).tolist() == want
+    want = _reference_order(_records(rows, closers))
+    assert json_order(*blocks, closers=closers).tolist() == want
 
 
 def test_json_order_separates_list_ends_from_list_entries():
     """"1, " sorts before "10, " but "1]" after "10]", unlike the numbers."""
     ints = np.array([[1, 10], [10, 1], [1, 1], [10, 10]])
-    assert json_order(ints).tolist() == [0, 2, 3, 1]
+    assert json_order(ints, closers="]").tolist() == [0, 2, 3, 1]
     assert np.lexsort(ints.T[::-1]).tolist() == [2, 0, 1, 3]
+
+
+@pytest.mark.parametrize("close", "]}")
+@pytest.mark.parametrize("block, want", [
+    # "1.0" and "1e-05" part at "." < "e" under either closer
+    ([[1.0], [1e-05]], {"]": [0, 1], "}": [0, 1]}),
+    # "1.5]" < "1.5e-05]" but "1.5}" > "1.5e-05}"
+    ([[1.5], [1.5e-05]], {"]": [0, 1], "}": [1, 0]}),
+    ([[1.5, 0.0], [1.5e-05, 0.0]], {"]": [0, 1], "}": [0, 1]}),
+    # the closing quote ends a label: '"e"' < '"eps"' under either closer
+    ([["eps"], ["e"]], {"]": [1, 0], "}": [1, 0]}),
+    ([["(0,10)", "e"], ["(0,1)", "e"]], {"]": [1, 0], "}": [1, 0]}),
+])
+def test_json_order_closers(block, want, close):
+    block = np.array(block)
+    assert json_order(block, closers=close).tolist() == want[close]
+    records = _records([(row,) for row in block.tolist()], close)
+    assert _reference_order(records) == want[close]
 
 
 @pytest.mark.parametrize("x", [-0.0, -1e-12, 1e-12, -4.9e-11])
@@ -119,18 +150,18 @@ def test_values_next_to_a_rounding_tie():
 def test_nan_and_infinities():
     value = [math.nan, math.inf, -math.inf, {"k": math.nan}, [math.inf, 1.0]]
     assert_same_text(value)
-    assert JsonWriter().compact([math.nan, math.inf, -math.inf]) == (
-        "[NaN, Infinity, -Infinity]"
+    value = [math.nan, math.inf, -math.inf]
+    assert dumps(value) == reference_report_json(value) == (
+        "[\n  NaN,\n  Infinity,\n  -Infinity\n]"
     )
 
 
 def test_int_float_and_bool_stay_apart():
+    # One writer, so its int and float tables meet every value in turn.
     writer = JsonWriter()
-    assert writer.compact([1.0, 1]) == "[1.0, 1]"
-    assert writer.compact([1, 1.0, True]) == "[1, 1.0, true]"
-    assert writer.compact([True, 1, 1.0]) == "[true, 1, 1.0]"
-    assert writer.compact([1, 2]) == "[1, 2]"
-    assert writer.compact([1.0, 2.0]) == "[1.0, 2.0]"
+    for value in ([1.0, 1], [1, 1.0, True], [True, 1, 1.0], [1, 2], [1.0, 2.0]):
+        assert writer.indented(value) == reference_report_json(value)
+    assert writer.indented([1, 1.0, True]) == "[\n  1,\n  1.0,\n  true\n]"
     assert_same_text([1, 1.0, True, False, 0, 0.0, None])
 
 

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import anyongates
 
 PACKAGE = Path(anyongates.__file__).parent
@@ -24,6 +26,23 @@ def test_importing_the_cli_loads_no_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("model, surface", [("ising", "sphere:sigma:8"), ("zn_toric:2", "torus")])
+def test_a_classify_run_loads_no_numpy_ma(model, surface):
+    """A bare ``np.unique`` or ``np.union1d`` imports numpy.ma, which every CLI
+    process would then pay for."""
+    code = (
+        "import sys, anyongates.cli as c; "
+        f"c.main(['classify', '--model', '{model}', '--surface', '{surface}', "
+        "'--format', 'json']); "
+        "print('numpy.ma' in sys.modules, file=sys.stderr)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stderr.strip() == "False"
 
 
 def _src_references() -> set[str]:
