@@ -8,6 +8,11 @@ exit code and the sha256 of its stdout.  Every command runs as a fresh
 ``python -m anyongates.cli`` process on this checkout's ``src``.  The tier-1
 test ``tests/test_golden.py`` checks the fast part of the same table in
 process; this script also runs the slow commands.
+
+Independently of the recorded hashes, the stdout of every ``--format json``
+command that exits 0 must equal ``json.dumps(json.loads(out),
+sort_keys=True, indent=2)`` plus a newline: the standard encoder's text of
+the same value.
 """
 
 from __future__ import annotations
@@ -40,9 +45,12 @@ GRID = (
         "--format json",
         "classify --model ising --surface sphere:sigma:8 --format text",
         "classify --model zn_toric:2 --surface torus --format text",
+        "classify --model ising --surface torus --format text",
+        "classify --model fibonacci --surface sphere:tau:7 --format text",
         "delta --model ising --surface sphere:sigma:8 --words s2 --format json",
         "delta --model ising --surface sphere:sigma:8 --words s2 --format text",
         "delta --model fibonacci --surface sphere:tau:7 --words s2,s3 --format json",
+        "delta --model fibonacci --surface sphere:tau:7 --words s2,s3 --format text",
         "delta --model zn_toric:2 --surface torus --words s,st --format json",
         "delta --model zn_toric:2 --surface torus --words s,st,stst --format json",
         "delta --model ising --surface torus --words s,st --format json",
@@ -57,8 +65,8 @@ GRID = (
 )
 
 
-def run(command: str) -> tuple[int, str, float]:
-    """Exit code, stdout sha256 and wall seconds of one CLI command."""
+def run(command: str) -> tuple[int, bytes, float]:
+    """Exit code, stdout and wall seconds of one CLI command."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
@@ -69,7 +77,15 @@ def run(command: str) -> tuple[int, str, float]:
         stdout=subprocess.PIPE, env=env, check=False,
     )
     seconds = time.perf_counter() - start
-    return proc.returncode, hashlib.sha256(proc.stdout).hexdigest(), seconds
+    return proc.returncode, proc.stdout, seconds
+
+
+def reencodes(command: str, rc: int, out: bytes) -> bool:
+    """A JSON stdout is the standard encoder's sorted, indented text of itself."""
+    if rc != 0 or not command.endswith("--format json"):
+        return True
+    text = out.decode()
+    return text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -81,12 +97,14 @@ def main(argv: list[str] | None = None) -> int:
     got = {}
     bad = 0
     for command in GRID:
-        rc, digest, seconds = run(command)
-        got[command] = {"exit": rc, "sha256": digest}
-        ok = args.write or want.get(command) == got[command]
+        rc, out, seconds = run(command)
+        got[command] = {"exit": rc, "sha256": hashlib.sha256(out).hexdigest()}
+        same = reencodes(command, rc, out)
+        ok = same and (args.write or want.get(command) == got[command])
         bad += not ok
-        print(f"{'ok ' if ok else 'DIFF'} {seconds:6.2f}s  {command}", flush=True)
-    if args.write:
+        status = "ok " if ok else "DIFF" if same else "JSON"
+        print(f"{status} {seconds:6.2f}s  {command}", flush=True)
+    if args.write and not bad:
         TABLE.parent.mkdir(parents=True, exist_ok=True)
         TABLE.write_text(json.dumps(got, indent=2, sort_keys=True) + "\n")
         print(f"wrote {len(got)} commands to {TABLE.relative_to(ROOT)}")

@@ -33,9 +33,12 @@ Every class list is in the order of its classes' compact JSON, computed
 from the arrays the classes are built from (``json_order``), not from their
 text.  Delta sets hold their families as arrays (permutation rows,
 relative-phase rows, one shared phase-component tuple), and the classes of
-a delta-set path are built from those rows; the logical strings are looked
-up among the permutation rows.  A factorized class is built from its basis
-images, its option on each free curve and its phases.
+a delta-set path are those rows; the logical strings are looked up among
+the permutation rows.  A factorized class is its basis images, its option
+on each free curve and its phases.  ``report.classes`` is a read-only
+``jsonwriter.Rows`` over these arrays: the writer renders it without a dict
+per class, each class dict is built only when read, and ``list(report.
+classes)`` gives them all.  The verdict checks read the columns.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import abelian as _ab
-from .jsonwriter import dumps, json_order
+from .jsonwriter import Category, Rows, dumps, json_order
 from .mcg import braid_letters, braid_matrix, braid_slot
 from .models import AnyonModel
 from .solver import (
@@ -227,11 +230,13 @@ def iso_phase_set(
 
 @dataclass
 class ClassificationReport:
+    """A verdict and its class list; ``classes`` is a read-only ``Rows``."""
+
     model: str
     surface: str
     verdict: str
     group_order: int | None
-    classes: list[dict]
+    classes: Rows
     flags: list[str] = field(default_factory=list)
     details: dict = field(default_factory=dict)
 
@@ -320,8 +325,8 @@ def classify_punctured_sphere(
             surface=desc,
             verdict="trivial",
             group_order=1,
-            classes=[{"basis_perm": list(range(basis.dim)),
-                      "phases": [0.0] * basis.dim, "free_phases": 1}],
+            classes=Rows(1, {"basis_perm": np.zeros((1, 1), dtype=np.intp),
+                             "phases": np.zeros((1, 1)), "free_phases": 1}),
             details={"reason": "code space has dimension <= 1"},
         )
 
@@ -359,7 +364,7 @@ def classify_punctured_sphere(
         if details["path"] == "fallback":
             flags.append("generic fallback path; result is an upper bound")
 
-    if not report_classes:
+    if not len(report_classes):
         raise ClassificationError(_NO_CLASS.format(desc))
     verdict, order = _sphere_verdict(report_classes, details)
     return ClassificationReport(
@@ -443,8 +448,9 @@ def _classify_factorized(
     with several free curves also leaves a relation that filters the
     products.  A window matrix that is already monomial vetoes nothing and
     is skipped.  The surviving products are ordered by ``json_order`` on the
-    leaves of their classes, read from the option arrays, and their class
-    dicts are built in that order.
+    leaves of their classes, read from the option arrays.  The classes are
+    ``Rows`` in that order, and each curve's column is categorical over its
+    options' entry dicts, so classes with the same option share its entry.
     """
     n_curves = len(labels)
     # Per free curve: each option's class entry, and its image digit and
@@ -519,17 +525,10 @@ def _classify_factorized(
         blocks.append(angles[s][option][:, keys])
     blocks.append(phases)
     order = json_order(*blocks, closers="]" + "}" * (len(blocks) - 2) + "]")
-    classes = [
-        # Classes with the same option on a curve share its entry dict.
-        {
-            "basis_perm": perm,
-            "curves": {dap.curves[s]: entries[s][k] for s, k in zip(free, row)},
-            "phases": ph,
-        }
-        for perm, row, ph in zip(
-            target[order].tolist(), combos[order].tolist(), phases[order].tolist()
-        )
-    ]
+    n = len(order)
+    curves = {dap.curves[s]: Category(combos[order, j], entries[s]) for j, s in enumerate(free)}
+    classes = Rows(n, {"basis_perm": target[order], "curves": Rows(n, curves),
+                       "phases": phases[order]})
     details = {
         "path": "factorized",
         "free_curves": [dap.curves[s] for s in free],
@@ -568,8 +567,8 @@ def _classify_delta(model, surface, basis, dap, allowed, mcg_words, tol):
     return classes, {"path": "fallback", "candidate_perms": len(cands)}
 
 
-def _family_classes(inter: DeltaSet) -> tuple[list[dict], np.ndarray]:
-    """Class dicts of a delta set's families in the order of their compact
+def _family_classes(inter: DeltaSet) -> tuple[Rows, np.ndarray]:
+    """Classes of a delta set's families in the order of their compact
     JSON, and the families' instantiated phases, one row per family in set
     order.
 
@@ -581,26 +580,31 @@ def _family_classes(inter: DeltaSet) -> tuple[list[dict], np.ndarray]:
     phases = inter.instantiate_families()
     angles = np.angle(phases)
     order = json_order(inter.perms, angles, closers="]]")
-    free = inter.n_free
-    classes = [
-        {"basis_perm": perm, "phases": row, "free_phases": free}
-        for perm, row in zip(inter.perms[order].tolist(), angles[order].tolist())
-    ]
+    classes = Rows(len(order), {"basis_perm": inter.perms[order], "phases": angles[order],
+                                "free_phases": inter.n_free})
     return classes, phases
 
 
-def _sphere_verdict(classes, details):
+def _is_trivial(classes: Rows) -> bool:
+    """One class, the identity permutation with all phases equal to the
+    first within ``TRIVIAL_PHASE_TOL``: the gate is a global phase."""
+    if len(classes) != 1:
+        return False
+    perm = classes.columns["basis_perm"][0]
+    phases = classes.columns["phases"][0]
+    return bool(
+        np.array_equal(perm, np.arange(len(perm)))
+        and np.all(np.abs(phases - phases[0]) < TRIVIAL_PHASE_TOL)
+    )
+
+
+def _sphere_verdict(classes: Rows, details):
     """Name the classified group when it matches a known pattern."""
     n_cls = len(classes)
-    if any(c.get("free_phases", 1) > 1 for c in classes):
+    if classes.columns.get("free_phases", 1) > 1:
         return "upper_bound_only", None
-    if n_cls == 1:
-        only = classes[0]
-        diag = "basis_perm" not in only or only["basis_perm"] == list(
-            range(len(only["basis_perm"]))
-        )
-        if diag:
-            return "trivial", 1
+    if _is_trivial(classes):
+        return "trivial", 1
     if details.get("path") == "factorized" and _classes_are_pauli(classes):
         return "pauli_group", n_cls
     if details.get("path") == "fallback":
@@ -608,15 +612,17 @@ def _sphere_verdict(classes, details):
     return "finite_group", n_cls
 
 
-def _classes_are_pauli(classes) -> bool:
+def _classes_are_pauli(classes: Rows) -> bool:
     """Every curve is a qubit (two labels) acted on by 1, Z, X or XZ up to phase.
 
     Only the class data is read, so a model is recognised by its structure,
-    not by the names or the order of its labels.  Classes with the same
-    option on a curve share its entry dict, so each is checked once.
+    not by the names or the order of its labels.  Each curve's column holds
+    its options' entry dicts, and each option some class takes is checked
+    once.
     """
-    options = {id(data): data for cls in classes for data in cls.get("curves", {}).values()}
-    for data in options.values():
+    curves = classes.columns["curves"].columns.values()
+    options = [col.values[k] for col in curves for k in np.flatnonzero(np.bincount(col.codes))]
+    for data in options:
         if len(data["phases"]) != 2:
             return False
         for v in data["phases"].values():
@@ -698,16 +704,14 @@ def classify_torus(
 
     classes, phases = _family_classes(inter)
     rigid = inter.n_free == 1
-    if not classes:
+    if not len(classes):
         raise ClassificationError(_NO_CLASS.format(surface.describe(model)))
 
     verdict, order = "upper_bound_only", None
     if not rigid:
         flags.append("some families keep more than one free phase")
-    elif len(classes) == 1 and classes[0]["basis_perm"] == list(range(n)):
-        ph = classes[0]["phases"]
-        if max(abs(p - ph[0]) for p in ph) < TRIVIAL_PHASE_TOL:
-            verdict, order = "trivial", 1
+    elif _is_trivial(classes):
+        verdict, order = "trivial", 1
     if verdict == "upper_bound_only" and rigid and abel:
         contains = _contains_logical_paulis(model, inter)
         member, _ = _ab.clifford_star_batch(model, inter.perms, phases)

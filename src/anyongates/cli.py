@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .classify import ClassificationError, classify
-from .jsonwriter import dumps
+from .jsonwriter import Rows, dumps
 from .mcg import parse_word
 from .models import AnyonModel, ModelError, load_builtin, parse_model, validate
 from .solver import delta_set, intersect_delta
@@ -142,7 +142,6 @@ def _cmd_delta(args) -> int:
         raise UsageError("delta supports equal-label spheres and the torus")
     sets = [delta_set(model, surface, w, tol=args.tol) for w in words]
     inter = intersect_delta(sets)
-    perms = inter.perms.tolist()
     angles = np.angle(inter.instantiate_families())
     free = inter.n_free
     if args.format == "json":
@@ -150,10 +149,9 @@ def _cmd_delta(args) -> int:
             "model": model.name,
             "surface": surface.describe(model),
             "per_word": {w: len(s) for w, s in zip(words, sets)},
-            "intersection": [
-                {"perm": perm, "phases": ph, "free_phases": free}
-                for perm, ph in zip(perms, angles.tolist())
-            ],
+            "intersection": Rows(
+                len(inter), {"perm": inter.perms, "phases": angles, "free_phases": free}
+            ),
         }
         print(dumps(payload))
     else:
@@ -162,7 +160,7 @@ def _cmd_delta(args) -> int:
         for w, s in zip(words, sets):
             print(f"word {w!r}: {len(s)} families")
         print(f"intersection: {len(inter)} families")
-        for perm, ph in zip(perms, angles):
+        for perm, ph in zip(inter.perms.tolist(), angles):
             text = ",".join(f"{a:.4f}" for a in ph.tolist())
             print(f"  perm={perm} phases=[{text}] free={free}")
     return 0

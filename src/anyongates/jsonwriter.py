@@ -1,15 +1,17 @@
 """Sorted-key JSON text of reports, with every float rounded to 10 places.
 
 ``JsonWriter().indented(value)`` is ``json.dumps(r(value), sort_keys=True,
-indent=2)``, byte for byte, where ``r`` turns every tuple into a list and
-every float x into ``round(x, 10) + 0.0`` (so -0.0 and -1e-12 print as
-0.0).  Dict keys must be strings.
+indent=2)``, byte for byte, where ``r`` turns every tuple into a list, every
+``Rows`` into ``list(rows)``, and every float x into ``round(x, 10) + 0.0``
+(so -0.0 and -1e-12 print as 0.0).  Dict keys must be strings.
 
-Class lists are long and repetitive, so one writer formats each distinct
-int and float once, joins a list of only ints or only floats in C, and
-renders a dict held by a dict once however often it recurs (the sphere
-classes share their curve options' dicts).  A writer lives for one report; nothing is
-kept between calls.
+Class and family lists are long, so their producers hand the writer a
+``Rows``: records with the same keys, held by column.  The writer renders a
+``Rows`` from its arrays without making a dict per record: it formats each
+distinct number of a column once, renders each value of a categorical
+column once, builds one record template from the keys and the depth, and
+fills every record's tokens into it with one ``%``-format.  Everything else
+is walked recursively.
 
 A class list is ordered by the compact text of its classes,
 ``json.dumps(r(c), sort_keys=True)``, without writing that text:
@@ -19,13 +21,15 @@ column and sorts the rows by those ranks.
 
 from __future__ import annotations
 
+import itertools
+import json
+from collections.abc import Sequence
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _string
 
 import numpy as np
 
 _INF = float("inf")
-_INT = frozenset([int])
-_FLOAT = frozenset([float])
 
 
 def _float_text(x: float) -> str:
@@ -39,90 +43,127 @@ def _float_text(x: float) -> str:
     return float.__repr__(x)
 
 
+# The JSON token of a leaf, by the kind of its array.
+_TOKEN = {"i": int.__repr__, "u": int.__repr__, "f": _float_text, "U": _string}
+
+
+@dataclass(frozen=True)
+class Category:
+    """A categorical column: record r holds ``values[codes[r]]``, the same
+    object for every record with the same code."""
+
+    codes: np.ndarray  # (records,) ints
+    values: Sequence
+
+
+class Rows(Sequence):
+    """A read-only sequence of records with the same keys, held by column.
+
+    ``columns`` maps each key to one of:
+
+    * a 2-D int or float array: record r holds ``array[r].tolist()``;
+    * a ``Category``: record r holds ``values[codes[r]]``;
+    * a ``Rows`` of the same length: record r holds its record r;
+    * any other value, which every record holds.
+
+    Item r is the record's dict, built when it is read; ``list(rows)`` gives
+    them all.  Keys are kept sorted.
+    """
+
+    def __init__(self, length: int, columns: dict):
+        self._length = length
+        self.columns = dict(sorted(columns.items()))
+        for key, col in self.columns.items():
+            if isinstance(col, np.ndarray) and (col.ndim != 2 or col.dtype.kind not in "iuf"):
+                raise TypeError(f"column {key!r}: expected a 2-D int or float array")
+            rows = col.codes if isinstance(col, Category) else col
+            if isinstance(rows, (np.ndarray, Rows)) and len(rows) != length:
+                raise ValueError(f"column {key!r} has {len(rows)} rows, expected {length}")
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self._records(index)
+        r = range(self._length)[index]
+        return self._records(slice(r, r + 1))[0]
+
+    def __iter__(self):
+        return iter(self._records(slice(None)))
+
+    def _records(self, index: slice) -> list[dict]:
+        keys = list(self.columns)
+        cols = [_values(col, index) for col in self.columns.values()]
+        return [dict(zip(keys, v)) for _, *v in zip(range(self._length)[index], *cols)]
+
+
+def _values(col, index: slice):
+    """The values a column gives the records of ``index``."""
+    if isinstance(col, np.ndarray):
+        return col[index].tolist()
+    if isinstance(col, Category):
+        return map(col.values.__getitem__, col.codes[index].tolist())
+    if isinstance(col, Rows):
+        return col[index]
+    return itertools.repeat(col)
+
+
 class JsonWriter:
     """Renders the values of one report; see the module docstring."""
-
-    def __init__(self):
-        # Texts of exact ints and floats, one table each: 1 == 1.0 == True
-        # would share one entry.
-        self._ints: dict[int, str] = {}
-        self._floats: dict[float, str] = {}
-        # id -> (dict, depth, text) of the dicts held by a dict, such as the
-        # curve options the sphere classes share.  A dict in a list is a
-        # record met once (a class, a family) and is not kept.  The dict is
-        # kept so its id stays its own while the writer lives.
-        self._indented: dict[int, tuple] = {}
 
     def indented(self, value, depth: int = 0) -> str:
         """``json.dumps(r(value), sort_keys=True, indent=2)``, its inner
         lines ``depth`` levels deeper."""
         if isinstance(value, dict):
-            hit = self._indented.get(id(value))
-            if hit is None or hit[1] != depth:
-                text = self._indented_dict(value, depth)
-                hit = self._indented[id(value)] = (value, depth, text)
-            return hit[2]
+            items = [
+                _string(k) + ": " + self.indented(v, depth + 1)
+                for k, v in sorted(value.items())
+            ]
+            return _block("{", items, "}", depth)
         if isinstance(value, (list, tuple)):
-            parts = self._numbers(value)
-            if parts is None:
-                parts = [
-                    self._indented_dict(v, depth + 1) if type(v) is dict
-                    else self.indented(v, depth + 1)
-                    for v in value
-                ]
-            return _block("[", parts, "]", depth)
-        return self._scalar(value)
+            return _block("[", [self.indented(v, depth + 1) for v in value], "]", depth)
+        if isinstance(value, Rows):
+            template, fills = self._record(value, depth + 1)
+            tokens = np.concatenate(fills, axis=1).ravel().tolist() if fills else []
+            return _block("[", [template] * len(value), "]", depth) % tuple(tokens)
+        return _scalar(value)
 
-    def _indented_dict(self, value: dict, depth: int) -> str:
-        items = [
-            _string(k) + ": " + self.indented(v, depth + 1)
-            for k, v in sorted(value.items())
-        ]
-        return _block("{", items, "}", depth)
+    def _record(self, rows: Rows, depth: int) -> tuple[str, list[np.ndarray]]:
+        """The ``%``-template of one record at ``depth``, its constant text
+        escaped, and its tokens: (records, slots) object arrays in slot order."""
+        parts, fills = [], []
+        for key, col in rows.columns.items():
+            if isinstance(col, np.ndarray):
+                text = _block("[", ["%s"] * col.shape[1], "]", depth + 1)
+                tokens, which = _tokens(col)
+                fills.append(np.array(tokens, dtype=object)[which])
+            elif isinstance(col, Category):
+                text = "%s"
+                rendered = [self.indented(v, depth + 1) for v in col.values]
+                fills.append(np.array(rendered, dtype=object)[col.codes][:, None])
+            elif isinstance(col, Rows):
+                text, sub = self._record(col, depth + 1)
+                fills.extend(sub)
+            else:
+                text = self.indented(col, depth + 1).replace("%", "%%")
+            parts.append(_string(key).replace("%", "%%") + ": " + text)
+        return _block("{", parts, "}", depth), fills
 
-    def _scalar(self, value) -> str:
-        # Exact ints and floats first, as they are most values; then json's
-        # order of checks, where a bool is an int, and a float subclass
-        # rounds by its own __round__.
-        if type(value) is int:
-            return int.__repr__(value)
-        if type(value) is float:
-            text = self._floats.get(value)
-            if text is None:
-                text = self._floats[value] = _float_text(value)
-            return text
-        if isinstance(value, str):
-            return _string(value)
-        if value is None:
-            return "null"
-        if value is True:
-            return "true"
-        if value is False:
-            return "false"
-        if isinstance(value, int):
-            return int.__repr__(value)
-        if isinstance(value, float):
-            return _float_text(value)
-        raise TypeError(
-            f"Object of type {type(value).__name__} is not JSON serializable"
-        )
 
-    def _numbers(self, items) -> list[str] | None:
-        """The texts of a list of only ints or only floats, looked up in C."""
-        kinds = set(map(type, items))
-        if kinds == _INT:
-            table, text = self._ints, int.__repr__
-        elif kinds == _FLOAT:
-            table, text = self._floats, _float_text
-        else:
-            return None
-        try:
-            return list(map(table.__getitem__, items))
-        except KeyError:
-            for x in items:
-                if x not in table:
-                    table[x] = text(x)
-            return list(map(table.__getitem__, items))
+def _tokens(block: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The distinct JSON tokens of a 2-D array, each formatted once, and
+    the index of every entry's token."""
+    values, which = np.unique(block, return_inverse=True)
+    return list(map(_TOKEN[block.dtype.kind], values.tolist())), which.reshape(block.shape)
+
+
+def _scalar(value) -> str:
+    # A float subclass rounds by its own __round__; json.dumps raises
+    # TypeError for what it cannot encode.
+    if isinstance(value, float):
+        return _float_text(value)
+    return json.dumps(value)
 
 
 def _block(open_: str, items: list[str], close: str, depth: int) -> str:
@@ -136,10 +177,6 @@ def _block(open_: str, items: list[str], close: str, depth: int) -> str:
 def dumps(value) -> str:
     """``json.dumps(value, sort_keys=True, indent=2)`` with rounded floats."""
     return JsonWriter().indented(value)
-
-
-# The JSON token of a leaf, by the kind of its array.
-_TOKEN = {"i": int.__repr__, "u": int.__repr__, "f": _float_text, "U": _string}
 
 
 def json_order(*blocks, closers: str) -> np.ndarray:
@@ -160,9 +197,7 @@ def json_order(*blocks, closers: str) -> np.ndarray:
     keys = []
     for block, close in zip(blocks, closers, strict=True):
         block = np.asarray(block)
-        values, which = np.unique(block, return_inverse=True)
-        which = which.reshape(block.shape)
-        tokens = list(map(_TOKEN[block.dtype.kind], values.tolist()))
+        tokens, which = _tokens(block)
         width = block.shape[1]
         for sep, cols in ((", ", slice(0, width - 1)), (close, slice(width - 1, width))):
             texts = [t + sep for t in tokens]

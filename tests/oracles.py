@@ -24,8 +24,9 @@ the intersection of delta sets by one ``PhaseCoset.intersect`` per family
 pair instead of one array pass for rigid sets, the lattice commutation phases from
 dense state-space matrices instead of exponent vectors, the report JSON
 from the standard library encoder after a rounding walk instead of the
-package's writer, and the order of a class list by sorting on that compact
-text instead of per-column ranks of its arrays.
+package's writer, the order of a class list by sorting on that compact
+text instead of per-column ranks of its arrays, and the class and family
+records as one dict per record instead of a ``Rows`` of columns.
 
 The module also holds the helpers only tests need, which the package does not
 export: the residual of an instantiated intertwiner family, phase-coset
@@ -1150,3 +1151,46 @@ def reference_report_json(payload, indent: int | None = 2) -> str:
 def reference_json_sort(items: list) -> list:
     """``items`` in the stable order of their compact sorted-key JSON text."""
     return sorted(items, key=lambda v: reference_report_json(v, indent=None))
+
+
+# ---------------------------------------------------------------------------
+# Class and family records, one dict per record
+
+
+def reference_delta_intersection(inter) -> list[dict]:
+    """The ``delta`` command's families, one dict each, in set order."""
+    perms = inter.perms.tolist()
+    angles = np.angle(inter.instantiate_families())
+    free = inter.n_free
+    return [
+        {"perm": perm, "phases": ph, "free_phases": free}
+        for perm, ph in zip(perms, angles.tolist())
+    ]
+
+
+def reference_family_classes(inter) -> list[dict]:
+    """A delta set's classes, one dict each, stably sorted by their compact
+    JSON text."""
+    angles = np.angle(inter.instantiate_families())
+    free = inter.n_free
+    return reference_json_sort([
+        {"basis_perm": perm, "phases": row, "free_phases": free}
+        for perm, row in zip(inter.perms.tolist(), angles.tolist())
+    ])
+
+
+def reference_factorized_classes(perms, options, phases) -> list[dict]:
+    """Factorized sphere classes, one dict each, row r of ``perms`` and
+    ``phases`` in order.  ``options`` maps each curve name to (option index
+    per class, the options' entry dicts); classes with the same option on a
+    curve share its entry dict."""
+    names = list(options)
+    picks = zip(*(options[name][0].tolist() for name in names))
+    return [
+        {
+            "basis_perm": perm,
+            "curves": {name: options[name][1][k] for name, k in zip(names, row)},
+            "phases": ph,
+        }
+        for perm, row, ph in zip(perms.tolist(), picks, phases.tolist())
+    ]

@@ -30,6 +30,8 @@ from anyongates.abelian import (
     torus_word_families,
 )
 from anyongates.classify import VERDICTS, _contains_logical_paulis
+from anyongates.cli import main
+from anyongates.jsonwriter import Rows
 from anyongates.models import _fill_fsymbols, _fill_rsymbols
 from anyongates.solver import DeltaSet, delta_set, intersect_delta, monomial_from_matrix
 
@@ -41,7 +43,10 @@ from oracles import (
     dense_sphere_word_filter,
     ising_qubit_isomorphism,
     reference_contains_logical_paulis,
+    reference_factorized_classes,
+    reference_family_classes,
     reference_json_sort,
+    reference_report_json,
 )
 
 FIB = load_builtin("fibonacci")
@@ -371,7 +376,8 @@ def test_factorized_classes_in_the_order_of_their_json_text(model, label, m, wor
     """The classes come in the stable order of their compact JSON."""
     rep = classify_punctured_sphere(model, sphere_surface(model, label, m), words)
     assert rep.details["path"] == "factorized"
-    assert rep.classes == reference_json_sort(rep.classes)
+    classes = list(rep.classes)
+    assert classes == reference_json_sort(classes)
 
 
 def test_fallback_path_on_a_deligne_product():
@@ -389,6 +395,103 @@ def test_fallback_path_on_a_deligne_product():
     )
 
 
+# ---------------------------------------------------------------------------
+# Class records
+
+
+RECORD_CASES = (
+    [(load_builtin(f"zn_toric:{k}"), torus_surface(), None) for k in (2, 3, 4)]
+    + [(ISING, torus_surface(), None)]
+    + [(FIB, sphere_surface(FIB, "tau", m), None) for m in (7, 11)]
+    + [(ISING, sphere_surface(ISING, "sigma", m), None) for m in (4, 6, 8, 10, 12)]
+    + [
+        (ISING, sphere_surface(ISING, "sigma", 8), ["s1s2"]),
+        (FIB_ISING, sphere_surface(FIB_ISING, "tau.sigma", 6), None),
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "model, surface, words", RECORD_CASES,
+    ids=[f"{m.name}-{s.describe(m)}-{w}" for m, s, w in RECORD_CASES],
+)
+def test_class_records_equal_the_per_record_builders(model, surface, words, monkeypatch):
+    """``list(report.classes)`` equals one dict per class built the old way,
+    factorized curve entries shared by identity, and the report's JSON is
+    the standard encoder's text of that list."""
+    mod = importlib.import_module("anyongates.classify")
+    family_sets = []
+    family_classes = mod._family_classes
+
+    def spy(inter):
+        family_sets.append(inter)
+        return family_classes(inter)
+
+    monkeypatch.setattr(mod, "_family_classes", spy)
+    rep = classify(model, surface, words)
+    classes = list(rep.classes)
+    columns = rep.classes.columns
+    if family_sets:
+        assert classes == reference_family_classes(family_sets[0])
+    else:
+        options = {name: (col.codes, col.values)
+                   for name, col in columns["curves"].columns.items()}
+        want = reference_factorized_classes(columns["basis_perm"], options, columns["phases"])
+        assert classes == want
+        assert classes == reference_json_sort(classes)
+        for got, ref in zip(classes, want):
+            assert all(got["curves"][c] is ref["curves"][c] for c in options)
+        for name, (codes, _) in options.items():
+            assert len({id(cls["curves"][name]) for cls in classes}) == len(set(codes.tolist()))
+    assert rep.classes[:] == [rep.classes[i] for i in range(-len(classes), 0)] == classes
+    payload = {
+        "model": rep.model, "surface": rep.surface, "verdict": rep.verdict,
+        "group_order": rep.group_order, "n_classes": rep.n_classes,
+        "classes": classes, "flags": sorted(rep.flags), "details": rep.details,
+    }
+    assert rep.to_json() == reference_report_json(payload)
+
+
+def test_writing_a_report_reads_no_class_record(monkeypatch, capsys):
+    """The writer renders the classes from their columns: no record dict is
+    built, for a classify report or the delta command."""
+    reports = [
+        classify_torus(Z2),
+        classify_punctured_sphere(ISING, sphere_surface(ISING, "sigma", 8)),
+        classify_punctured_sphere(FIB, sphere_surface(FIB, "tau", 7)),
+    ]
+    reads = []
+    monkeypatch.setattr(Rows, "__getitem__", lambda self, i: reads.append(i))
+    monkeypatch.setattr(Rows, "__iter__", lambda self: reads.append("iter"))
+    for rep in reports:
+        assert rep.to_json().count('"basis_perm"') == rep.n_classes
+    delta = "delta --model ising --surface sphere:sigma:8 --words s2 --format json"
+    assert main(delta.split()) == 0
+    assert '"perm"' in capsys.readouterr().out
+    assert reads == []
+
+
+@pytest.mark.parametrize("surface, verdict", [
+    (sphere_surface(FIB, "tau", 7), "finite_group"),
+    (torus_surface(), "upper_bound_only"),
+])
+def test_one_diagonal_class_with_unequal_phases_is_not_trivial(surface, verdict, monkeypatch):
+    """Both paths check the phases of a single identity class: only a global
+    phase is the trivial gate."""
+    mod = importlib.import_module("anyongates.classify")
+
+    def one_diagonal_class(sets, *args, **kwargs):
+        dim = sets[0].dim
+        perms = np.arange(dim, dtype=sets[0].perms.dtype)[None]
+        return DeltaSet(perms, np.exp(0.5j * np.arange(dim))[None], (0,) * dim)
+
+    monkeypatch.setattr(mod, "intersect_delta", one_diagonal_class)
+    rep = classify(FIB, surface)
+    assert rep.n_classes == 1
+    assert rep.classes[0]["basis_perm"] == list(range(len(rep.classes[0]["basis_perm"])))
+    assert (rep.verdict, rep.group_order) == (verdict, 1)
+
+
 def test_enumeration_budget_refuses_before_building(monkeypatch):
     """Each enumeration of sphere candidates names its estimate when it is
     above the budget: a window's conjugates, the class arrays, and the
@@ -404,7 +507,7 @@ def test_enumeration_budget_refuses_before_building(monkeypatch):
         classify_punctured_sphere(FIB_ISING, sphere_surface(FIB_ISING, "tau.sigma", 6))
 
 
-@pytest.mark.parametrize("m", [4, 5, 6, 7, 8])
+@pytest.mark.parametrize("m", [4, 5, 6, 7, 8, 11])
 def test_fibonacci_spheres_trivial(m):
     rep = classify_punctured_sphere(FIB, sphere_surface(FIB, "tau", m))
     assert rep.verdict == "trivial"
@@ -552,7 +655,7 @@ def test_abelian_words_search_every_permutation_within_budget(monkeypatch):
     assert bounded.flags == [
         "word 'stst': permutations restricted to affine maps; result is an upper bound"
     ]
-    assert bounded.classes == exact.classes
+    assert list(bounded.classes) == list(exact.classes)
 
 
 @pytest.mark.parametrize("words", [["stst", "s", "st"], ["s", "stst", "st"]])

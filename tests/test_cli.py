@@ -6,8 +6,11 @@ import tracemalloc
 
 import pytest
 
-from anyongates.cli import main
+from anyongates.cli import _parse_surface, main
 from anyongates.models import load_builtin, serialize_model
+from anyongates.solver import delta_set, intersect_delta
+
+from oracles import reference_delta_intersection, reference_report_json
 
 
 def run(capsys, *argv):
@@ -203,6 +206,30 @@ def test_delta_text_lists_families(capsys):
                        "--surface", "torus", "--words", "s,st")
     assert code == 0
     assert "intersection: 4 families" in out
+
+
+@pytest.mark.parametrize("model, surface, words", [
+    ("ising", "sphere:sigma:8", "s2"),
+    ("fibonacci", "sphere:tau:7", "s2,s3"),
+    ("zn_toric:2", "torus", "s,st,stst"),
+    ("ising", "torus", "s,st"),
+])
+def test_delta_json_equals_the_per_family_records(model, surface, words, capsys):
+    """The intersection, written from its arrays, is the standard encoder's
+    text of one dict per family."""
+    code, out, _ = run(capsys, "delta", "--model", model, "--surface", surface,
+                       "--words", words, "--format", "json")
+    anyons = load_builtin(model)
+    spec = _parse_surface(surface, anyons)
+    sets = {w: delta_set(anyons, spec, w) for w in words.split(",")}
+    payload = {
+        "model": anyons.name,
+        "surface": spec.describe(anyons),
+        "per_word": {w: len(s) for w, s in sets.items()},
+        "intersection": reference_delta_intersection(intersect_delta(list(sets.values()))),
+    }
+    assert code == 0
+    assert out == reference_report_json(payload) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anyongates.jsonwriter import JsonWriter, dumps, json_order
+from anyongates.jsonwriter import Category, JsonWriter, Rows, dumps, json_order
 
 from oracles import reference_report_json
 
@@ -129,6 +129,93 @@ def test_json_order_closers(block, want, close):
     assert _reference_order(records) == want[close]
 
 
+# Text that a %-template would read as a format, or a str.format template.
+FORMAT_STRINGS = ["%", "%s", "{}"]
+TEXTS = st.sampled_from(SPECIAL_STRINGS + FORMAT_STRINGS)
+FLOATS = st.sampled_from(SPECIAL_FLOATS + [math.nan, math.inf, -math.inf]) | st.floats()
+INTS = st.sampled_from([1, 10, 2, 20, -3]) | st.integers(-(2**63), 2**63 - 1)
+SCALARS = st.none() | st.booleans() | INTS | FLOATS | TEXTS
+SHARED = st.recursive(
+    SCALARS,
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(TEXTS, children, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def rows_of(draw, n, nested=True):
+    """A ``Rows`` of n records under keys drawn from ``TEXTS``: int and float
+    arrays of width 0-3, shared values, categorical columns of shared dicts,
+    and one nested ``Rows``."""
+    kinds = ["int", "float", "shared", "category"] + (["rows"] if nested else [])
+    columns = {}
+    for key in draw(st.lists(TEXTS, unique=True, max_size=4)):
+        kind = draw(st.sampled_from(kinds))
+        if kind in ("int", "float"):
+            width = draw(st.integers(0, 3))
+            entry = INTS if kind == "int" else FLOATS
+            row = st.lists(entry, min_size=width, max_size=width)
+            values = draw(st.lists(row, min_size=n, max_size=n))
+            columns[key] = np.array(values, dtype=DTYPES[kind]).reshape(n, width)
+        elif kind == "shared":
+            columns[key] = draw(SHARED)
+        elif kind == "category":
+            values = draw(st.lists(st.dictionaries(TEXTS, SHARED, max_size=3),
+                                   min_size=1, max_size=3))
+            codes = draw(st.lists(st.integers(0, len(values) - 1), min_size=n, max_size=n))
+            columns[key] = Category(np.array(codes, dtype=np.intp), values)
+        else:
+            columns[key] = draw(rows_of(n, nested=False))
+    return Rows(n, columns)
+
+
+@st.composite
+def payloads_with_rows(draw):
+    """A ``Rows`` at depth 0, or two levels deep beside other values; and
+    the same payload with ``list(rows)`` in its place."""
+    rows = draw(st.integers(0, 16).flatmap(rows_of))
+    if draw(st.booleans()):
+        return rows, list(rows)
+    outer, inner = draw(TEXTS), draw(TEXTS)
+    other = draw(SHARED)
+    return {outer: [{inner: rows}, other]}, {outer: [{inner: list(rows)}, other]}
+
+
+@settings(max_examples=300, deadline=None)
+@given(payloads_with_rows())
+def test_rows_render_like_their_records(case):
+    payload, reference = case
+    assert dumps(payload) == reference_report_json(reference)
+
+
+@given(st.integers(0, 16).flatmap(rows_of))
+def test_rows_items_and_shared_values(rows):
+    records = list(rows)
+    assert len(records) == len(rows)
+    # compared as text, as NaN != NaN
+    text = reference_report_json(records)
+    assert reference_report_json([rows[i] for i in range(len(rows))]) == text
+    assert reference_report_json(rows[:]) == text
+    for key, col in rows.columns.items():
+        if isinstance(col, Category):
+            assert all(r[key] is col.values[c] for r, c in zip(records, col.codes.tolist()))
+
+
+def test_rows_refuse_malformed_columns():
+    with pytest.raises(ValueError, match="has 2 rows, expected 3"):
+        Rows(3, {"a": np.zeros((2, 1))})
+    with pytest.raises(ValueError, match="has 1 rows"):
+        Rows(2, {"a": Category(np.zeros(1, dtype=np.intp), [{}])})
+    with pytest.raises(TypeError, match="2-D int or float"):
+        Rows(1, {"a": np.zeros(1)})
+    with pytest.raises(TypeError, match="2-D int or float"):
+        Rows(1, {"a": np.zeros((1, 1), dtype=bool)})
+    with pytest.raises(TypeError):
+        dumps(Rows(1, {1: 0}))
+    with pytest.raises(IndexError):
+        Rows(1, {"a": 0})[1]
+
+
 @pytest.mark.parametrize("x", [-0.0, -1e-12, 1e-12, -4.9e-11])
 def test_negative_zero_and_tiny_values_print_as_zero(x):
     assert dumps([x]) == "[\n  0.0\n]"
@@ -157,7 +244,6 @@ def test_nan_and_infinities():
 
 
 def test_int_float_and_bool_stay_apart():
-    # One writer, so its int and float tables meet every value in turn.
     writer = JsonWriter()
     for value in ([1.0, 1], [1, 1.0, True], [True, 1, 1.0], [1, 2], [1.0, 2.0]):
         assert writer.indented(value) == reference_report_json(value)
