@@ -301,7 +301,8 @@ def torus_word_families(
     Rigid cosets of one pi agree only if the ratio q of the two words'
     dressings is a character chi_c; then (pi, chi_b) of the first word can
     only meet (pi, chi_{b c}) of the other, and that pair is kept when it
-    passes the test ``PhaseCoset.intersect`` applies to rigid cosets.
+    passes ``intersect_delta``'s test of two rigid families: no relative
+    phase differs by more than ``CYCLE_TOL``.
 
     The affine permutations are processed in chunks of array passes (gather,
     dressing, factor check, relative phases, partner character and gap

@@ -210,17 +210,15 @@ def iso_phase_set(
     basis_perm = tuple(pos[pmap[a]] for a in rows)
     # Coefficient transform: the block maps row-channel kets to column-channel
     # kets, so coordinates transform by the transpose.
-    sols = solve_intertwiner(block.T, perm_in=[basis_perm], v_out=block.T, tol=tol)
-    funcs = []
-    for s in sols:
-        d, _ = s.instantiate()
-        ang = np.angle(d / d[0])
-        funcs.append(tuple(float(a) for a in np.mod(ang, 2.0 * np.pi)))
+    d = solve_intertwiner(
+        block.T, perm_in=[basis_perm], v_out=block.T, tol=tol
+    ).instantiate_families()
+    funcs = np.mod(np.angle(d / d[:, :1]), 2.0 * np.pi)
     return IsoPhaseSet(
         boundary=tuple(boundary),
         curve_labels=rows,
         perm=perm,
-        phase_functions=tuple(sorted(set(funcs))),
+        phase_functions=tuple(sorted(set(map(tuple, funcs.tolist())))),
     )
 
 

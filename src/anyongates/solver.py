@@ -31,14 +31,18 @@ matrix and the unitarity checks at n^3 per product, then step (1).  A call
 that passes ``_SEARCH_BUDGET`` raises :class:`SearchBudgetError` (a
 ValueError) naming its count.
 
-Delta sets (all monomial gates compatible with a word) and their
-intersections live here too.  A delta set is columnar: one row of a
-permutation array and of a relative-phase array per family, and one
-phase-component tuple for every row.  It reads its gate cosets straight off
-the accepted arrays: the forest, and so the gate components and their
-renumbering, is shared by every family, and each family's phases are one
-row of one array division by the component roots.  Two rigid sets
-intersect in one array pass over the row pairs with equal permutations.
+Every set of gate families is a delta set, the solver's result included:
+one row of a permutation array and of a relative-phase array per family,
+and one phase-component tuple for every row.  The solver keeps the gate
+side of each accepted pair (the output side Pi' D' follows from the gate)
+and reads it straight off the accepted arrays: the forest, and so the gate
+components and their renumbering, is shared by every family, and each
+family's phases are one row of one array division by the component roots.
+A delta set of a word (all monomial gates compatible with it) is the
+solver's result on the word matrix.  Membership is one array pass over the
+rows of the gate's permutation.  Two rigid sets intersect in one array pass
+over the row pairs with equal permutations; other pairs are joined one at a
+time by a scalar union-find.
 """
 
 from __future__ import annotations
@@ -148,147 +152,7 @@ def monomial_from_matrix(
 
 
 # ---------------------------------------------------------------------------
-# Phase cosets
-
-
-@dataclass(frozen=True)
-class PhaseCoset:
-    """Set of unit phase vectors {d : d_i = rel_i * lambda_{comp_i}}.
-
-    ``components`` assigns each index a component id (0-based, first-seen
-    order); ``rel`` holds the fixed unit ratio of d_i to its component's
-    free parameter.  One free phase per component.
-    """
-
-    components: tuple[int, ...]
-    rel: tuple[complex, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.components)
-
-    @property
-    def n_free(self) -> int:
-        return max(self.components) + 1 if self.components else 0
-
-    def instantiate(self, free=None) -> np.ndarray:
-        k = self.n_free
-        if free is None:
-            free = np.ones(k, dtype=np.complex128)
-        free = np.asarray(free, dtype=np.complex128)
-        return np.array(
-            [self.rel[i] * free[self.components[i]] for i in range(self.dim)],
-            dtype=np.complex128,
-        )
-
-    def contains(self, d: np.ndarray, tol: float = MEMBERSHIP_TOL) -> bool:
-        """A NaN, infinite or negative ``tol`` is a ValueError."""
-        check_tol(tol)
-        d = np.asarray(d, dtype=np.complex128)
-        if d.shape[0] != self.dim:
-            return False
-        for c in range(self.n_free):
-            idx = [i for i in range(self.dim) if self.components[i] == c]
-            ratios = [d[i] / self.rel[i] for i in idx]
-            if max(abs(r - ratios[0]) for r in ratios) > tol:
-                return False
-        return True
-
-    def intersect(self, other: "PhaseCoset", tol: float = CYCLE_TOL) -> "PhaseCoset | None":
-        """Conjoin constraints; None when they contradict."""
-        n = self.dim
-        if other.dim != n:
-            raise ValueError("coset dimension mismatch")
-        if self.n_free == 1 and other.n_free == 1:
-            # Rigid cosets are single U(1) orbits; they are equal or disjoint.
-            if max(abs(a - b) for a, b in zip(self.rel, other.rel)) <= tol:
-                return self
-            return None
-        parent = list(range(n))
-        ratio = [1.0 + 0j] * n  # d_i = ratio[i] * d_{parent[i]}
-
-        def find(i: int) -> tuple[int, complex]:
-            r = 1.0 + 0j
-            while parent[i] != i:
-                r *= ratio[i]
-                i = parent[i]
-            return i, r
-
-        def union(i: int, j: int, rho: complex) -> bool:
-            # constraint d_i = rho * d_j
-            ri, fi = find(i)
-            rj, fj = find(j)
-            if ri == rj:
-                return abs(fi - rho * fj) <= tol
-            parent[ri] = rj
-            ratio[ri] = rho * fj / fi
-            return True
-
-        for coset in (self, other):
-            first: dict[int, int] = {}
-            for i in range(n):
-                c = coset.components[i]
-                if c in first:
-                    j = first[c]
-                    if not union(i, j, coset.rel[i] / coset.rel[j]):
-                        return None
-                else:
-                    first[c] = i
-        comp_ids: dict[int, int] = {}
-        components = []
-        rel = []
-        root_val: dict[int, complex] = {}
-        for i in range(n):
-            r, f = find(i)
-            if r not in comp_ids:
-                comp_ids[r] = len(comp_ids)
-                root_val[r] = f
-            components.append(comp_ids[r])
-            rel.append(f / root_val[r])
-        return PhaseCoset(components=tuple(components), rel=tuple(rel))
-
-
-# ---------------------------------------------------------------------------
 # Intertwiner solving
-
-
-@dataclass
-class IntertwinerSolution:
-    """One connected solution family of V~ Pi D = Pi' D' V.
-
-    The constraint graph lives on 2n phase variables: indices 0..n-1 are the
-    gate phases d_l, indices n..2n-1 the output-side phases d'_m.
-    ``phase_classes`` and ``relative_phases`` describe its components; a
-    choice of one free phase per class instantiates (D, D').
-    """
-
-    perm_in: tuple[int, ...]
-    perm_out: tuple[int, ...]
-    phase_classes: tuple[int, ...]
-    relative_phases: tuple[complex, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.perm_in)
-
-    @property
-    def n_components(self) -> int:
-        return max(self.phase_classes) + 1
-
-    def instantiate(self, free=None) -> tuple[np.ndarray, np.ndarray]:
-        k = self.n_components
-        if free is None:
-            free = np.ones(k, dtype=np.complex128)
-        free = np.asarray(free, dtype=np.complex128)
-        vals = np.array(
-            [self.relative_phases[i] * free[self.phase_classes[i]] for i in range(2 * self.n)],
-            dtype=np.complex128,
-        )
-        return vals[: self.n], vals[self.n :]
-
-    def gate(self, free=None) -> MonomialMatrix:
-        d, _ = self.instantiate(free)
-        return MonomialMatrix(perm=self.perm_in, phases=tuple(d))
 
 
 def _normalize_perm_arg(arg, n: int):
@@ -681,8 +545,9 @@ def solve_intertwiner(
     tol: float = DEFAULT_TOL,
     zero_tol: float = ZERO_THRESHOLD,
     cycle_tol: float = CYCLE_TOL,
-) -> list[IntertwinerSolution]:
-    """All monomial-intertwiner families for the given permutation sets.
+) -> DeltaSet:
+    """All monomial-intertwiner families for the given permutation sets, as
+    the delta set of their gates.
 
     ``perm_in``/``perm_out`` may each be a single permutation, an iterable of
     candidate permutations, or None for a full wildcard.  A pair (perm_in,
@@ -690,49 +555,21 @@ def solve_intertwiner(
     |V_out| with columns permuted by perm_in; the module docstring describes
     the search.  A call that passes ``_SEARCH_BUDGET`` raises
     :class:`SearchBudgetError` naming its count, before any pair is
-    propagated.  Families are returned in (perm_in, perm_out) order:
-    lexicographic for a wildcard, list order otherwise.  Each is the
-    complete connected solution set for its pair, with one free phase per
-    component of its constraint graph.  A NaN, infinite or negative
-    ``tol``, ``zero_tol`` or ``cycle_tol`` is a ValueError.
+    propagated.  Row f of the result is the gate Pi D of the f-th accepted
+    pair, in (perm_in, perm_out) order: lexicographic for a wildcard, list
+    order otherwise.  Each row is the complete connected solution set for its
+    pair, with one free phase per component of the constraint graph; the
+    output side Pi' D' = V~ Pi D V^dagger follows from the gate.  A NaN,
+    infinite or negative ``tol``, ``zero_tol`` or ``cycle_tol`` is a
+    ValueError.
     """
-    forest, accepted = _solve(
+    return _gate_families(*_solve(
         v, perm_in, perm_out, v_out, tol, zero_tol, cycle_tol, _Budget()
-    )
-    solutions: list[IntertwinerSolution] = []
-    perms_in: dict[tuple[int, ...], tuple[int, ...]] = {}  # families of a perm share it
-    for pis, pips, val in accepted:
-        rel = val / val[:, forest.roots]
-        for pi, pip, r in zip(map(tuple, pis.tolist()), map(tuple, pips.tolist()), rel):
-            solutions.append(IntertwinerSolution(
-                perms_in.setdefault(pi, pi), pip, forest.components, tuple(r),
-            ))
-    return solutions
+    ))
 
 
 # ---------------------------------------------------------------------------
 # Delta sets
-
-
-@dataclass
-class GateFamily:
-    """Connected family of monomial gates: fixed basis permutation, phase coset."""
-
-    perm: tuple[int, ...]
-    coset: PhaseCoset
-
-    @property
-    def n_free(self) -> int:
-        return self.coset.n_free
-
-    def gate(self, free=None) -> MonomialMatrix:
-        return MonomialMatrix(perm=self.perm, phases=tuple(self.coset.instantiate(free)))
-
-    def contains(self, gate: MonomialMatrix, tol: float = MEMBERSHIP_TOL) -> bool:
-        check_tol(tol)
-        return gate.perm == self.perm and self.coset.contains(
-            np.array(gate.phases), tol
-        )
 
 
 def row_keys(perms: np.ndarray) -> np.ndarray:
@@ -746,9 +583,10 @@ def row_keys(perms: np.ndarray) -> np.ndarray:
 class DeltaSet:
     """Union of gate families compatible with one or more word matrices.
 
-    Row f is one family: gate permutation ``perms[f]`` and phase coset
-    ``PhaseCoset(components, rel[f])``.  Every family of a set has the same
-    phase components, so they are stored once.  Sets compare by identity.
+    Row f is one family: the gates Pi D with Pi the permutation ``perms[f]``
+    and d_i = rel[f, i] * lambda_{components[i]}, one free unit phase lambda
+    per component.  Every family of a set has the same phase components, so
+    they are stored once.  Sets compare by identity.
     """
 
     perms: np.ndarray  # (families, dim) ints
@@ -766,31 +604,28 @@ class DeltaSet:
     def __len__(self) -> int:
         return len(self.perms)
 
-    def family(self, f: int) -> GateFamily:
-        """Row f as a GateFamily; its rel entries are numpy complex128."""
-        coset = PhaseCoset(self.components, tuple(self.rel[f]))
-        return GateFamily(tuple(self.perms[f].tolist()), coset)
-
-    @property
-    def families(self) -> list[GateFamily]:
-        return [self.family(f) for f in range(len(self))]
-
     def contains(self, gate: MonomialMatrix, tol: float = MEMBERSHIP_TOL) -> bool:
-        """Some family holds ``gate``.  Only the rows of the gate's
-        permutation are tested, looked up by their row keys."""
+        """Some family holds ``gate``: on a row of the gate's permutation,
+        the ratios d_i / rel[f, i] of each component agree within ``tol``
+        with the ratio at the component's first index.  Only the rows of the
+        gate's permutation are tested, looked up by their row keys, in one
+        array pass.  A NaN, infinite or negative ``tol`` is a ValueError."""
         check_tol(tol)
-        if len(gate.perm) != self.dim:
+        if len(gate.perm) != self.dim or len(gate.phases) != self.dim:
             return False
         key = row_keys(np.asarray([gate.perm], dtype=self.perms.dtype))
         rows = np.flatnonzero(row_keys(self.perms) == key)
-        return any(self.family(f).contains(gate, tol) for f in rows)
+        first: dict[int, int] = {}
+        anchor = [first.setdefault(c, i) for i, c in enumerate(self.components)]
+        ratios = np.asarray(gate.phases, dtype=np.complex128) / self.rel[rows]
+        gap = np.abs(ratios - ratios[:, anchor]).max(axis=1, initial=0.0)
+        return bool((gap <= tol).any())
 
     def instantiate_families(self) -> np.ndarray:
-        """Row f is ``families[f].coset.instantiate()``, all in one array product.
+        """Row f is family f's gate phases at free phases 1, ``rel[f] * (1 + 0j)``.
 
-        The product by 1 + 0j is the one ``PhaseCoset.instantiate`` makes; it
-        turns some -0.0 imaginary parts into +0.0, which decides whether an
-        angle prints as +pi or -pi.
+        The product by 1 + 0j turns some -0.0 imaginary parts into +0.0,
+        which decides whether an angle prints as +pi or -pi.
         """
         return self.rel * np.ones(1, dtype=np.complex128)
 
@@ -816,12 +651,8 @@ def delta_set(
     within the search budget.  The word matrix is charged to the same budget
     as the search, n^3 per letter, before it is built; a call over the
     budget raises :class:`SearchBudgetError`.  The bounds are checked as in
-    :func:`solve_intertwiner`, before the word is evaluated.
-
-    Families come in the solver's order: ``perms`` stacks the accepted gate
-    permutations and ``rel`` one array division of their phases by their
-    component roots (exactly 1 + 0j, which turns -1 - 0j into -1 + 0j as a
-    per-family division would).
+    :func:`solve_intertwiner`, before the word is evaluated.  Families come
+    in :func:`solve_intertwiner`'s order.
     """
     for bound in (tol, zero_tol, cycle_tol):
         check_tol(bound)
@@ -830,13 +661,22 @@ def delta_set(
     budget = _Budget()
     budget.charge(len(tokens) * basis.dim**3)  # one product per letter
     rep = evaluate_on_basis(model, basis, tokens)
-    forest, accepted = _solve(
+    return _gate_families(*_solve(
         rep.matrix, restrict_perms, restrict_perms_out, None, tol, zero_tol, cycle_tol,
         budget,
-    )
-    n = basis.dim
-    # The forest is shared, so every family has the same gate components,
-    # renumbered in first-seen order, and the same root per gate phase.
+    ))
+
+
+def _gate_families(forest: _ConstraintForest, accepted) -> DeltaSet:
+    """The gate side of the accepted pairs of one solve, as a delta set.
+
+    The forest is shared, so every family has the same gate components,
+    renumbered in first-seen order, and the same root per gate phase:
+    ``perms`` stacks the accepted gate permutations and ``rel`` one array
+    division of their phases by their component roots (exactly 1 + 0j,
+    which turns -1 - 0j into -1 + 0j as a per-family division would).
+    """
+    n = len(forest.components) // 2
     ids: dict[int, int] = {}
     components = tuple(ids.setdefault(c, len(ids)) for c in forest.components[:n])
     roots = forest.roots[:n]
@@ -860,6 +700,59 @@ def _same_perm_pairs(perms_a: np.ndarray, perms_b: np.ndarray):
     return np.array(pairs, dtype=np.intp).reshape(-1, 2).T
 
 
+def _join(comp_a, rel_a, comp_b, rel_b, tol):
+    """The phase vectors lying in both cosets {d : d_i = rel_i *
+    lambda_{comp_i}}, as (components, rel), components numbered in
+    first-seen order and each rel entry relative to its component's first
+    index; None when the constraints contradict (a cycle off by more than
+    ``tol``).  A union-find over the indices, each tied to its parent by a
+    fixed ratio, in scalar arithmetic on the entries as given.
+    """
+    n = len(comp_a)
+    parent = list(range(n))
+    ratio = [1.0 + 0j] * n  # d_i = ratio[i] * d_{parent[i]}
+
+    def find(i: int) -> tuple[int, complex]:
+        r = 1.0 + 0j
+        while parent[i] != i:
+            r *= ratio[i]
+            i = parent[i]
+        return i, r
+
+    def union(i: int, j: int, rho: complex) -> bool:
+        # constraint d_i = rho * d_j
+        ri, fi = find(i)
+        rj, fj = find(j)
+        if ri == rj:
+            return abs(fi - rho * fj) <= tol
+        parent[ri] = rj
+        ratio[ri] = rho * fj / fi
+        return True
+
+    for comp, rel in ((comp_a, rel_a), (comp_b, rel_b)):
+        first: dict[int, int] = {}
+        for i in range(n):
+            c = comp[i]
+            if c in first:
+                j = first[c]
+                if not union(i, j, rel[i] / rel[j]):
+                    return None
+            else:
+                first[c] = i
+    comp_ids: dict[int, int] = {}
+    components = []
+    joined = []
+    root_val: dict[int, complex] = {}
+    for i in range(n):
+        r, f = find(i)
+        if r not in comp_ids:
+            comp_ids[r] = len(comp_ids)
+            root_val[r] = f
+        components.append(comp_ids[r])
+        joined.append(f / root_val[r])
+    return tuple(components), tuple(joined)
+
+
 def intersect_delta(sets: list[DeltaSet], tol: float = CYCLE_TOL) -> DeltaSet:
     """Families of gates lying in every input set.
 
@@ -867,13 +760,12 @@ def intersect_delta(sets: list[DeltaSet], tol: float = CYCLE_TOL) -> DeltaSet:
     cosets, in the order of the first set's families, then the second's.
     Within one set, families with equal permutation are disjoint (the output
     monomial is a function of the gate), so no deduplication is needed;
-    empty conjunctions are dropped.  Two rigid sets are compared in one array
-    pass by the rule of ``PhaseCoset.intersect``: a pair keeps the first
-    family when no relative phase differs by more than ``tol``.  Other pairs
-    go through ``PhaseCoset.intersect`` one by one; the join of the two
-    partitions is the same for every pair, so the result keeps one
-    ``components``.  A lone set is returned as it is.  A NaN, infinite or
-    negative ``tol`` is a ValueError.
+    empty conjunctions are dropped.  Two rigid sets (one free phase each)
+    are compared in one array pass: a pair keeps the first family when no
+    relative phase differs by more than ``tol``.  Other pairs go through
+    ``_join`` one by one; the join of the two partitions is the same for
+    every pair, so the result keeps one ``components``.  A lone set is
+    returned as it is.  A NaN, infinite or negative ``tol`` is a ValueError.
     """
     check_tol(tol)
     if not sets:
@@ -883,10 +775,15 @@ def intersect_delta(sets: list[DeltaSet], tol: float = CYCLE_TOL) -> DeltaSet:
         if s.dim != dim:
             raise ValueError("delta sets over different bases")
     current = sets[0]
-    # After a non-rigid step, ``rows`` holds the rel tuples its
-    # PhaseCoset.intersect calls returned, row for row, and the next such
-    # step reads them instead of the array: their exact Python complex roots
-    # multiply faster than numpy scalars, to the same values.
+    # After a non-rigid step, ``rows`` holds the rel tuples its ``_join``
+    # calls returned, row for row, and the next such step reads them: their
+    # types pick the next join's scalar arithmetic, and so its bits.  They
+    # are numpy complex128 scalars, and Python complex for roots seeded by
+    # the union-find's 1 + 0j (exactly 1, so their values equal the array's).
+    # Python's complex division differs from numpy's in the last bit on
+    # about a third of unit-modulus pairs, and numpy's array products and
+    # moduli from its scalar ones on as many: a vectorised join must keep
+    # the bits of these scalar operations.
     rows = None
     for s in sets[1:]:
         ia, ib = _same_perm_pairs(current.perms, s.perms)
@@ -904,18 +801,14 @@ def intersect_delta(sets: list[DeltaSet], tol: float = CYCLE_TOL) -> DeltaSet:
             rows = [tuple(r) for r in current.rel]
         kept, rel, components = [], [], None
         for i, j in zip(ia.tolist(), ib.tolist()):
-            coset = PhaseCoset(current.components, rows[i]).intersect(
-                PhaseCoset(s.components, tuple(s.rel[j])), tol
-            )
-            if coset is not None:
+            joined = _join(current.components, rows[i], s.components, tuple(s.rel[j]), tol)
+            if joined is not None:
                 kept.append(i)
-                rel.append(coset.rel)
-                components = coset.components
+                components, r = joined
+                rel.append(r)
         if components is None:  # nothing kept: the join of the partitions
             ones = (1.0 + 0j,) * dim
-            components = PhaseCoset(current.components, ones).intersect(
-                PhaseCoset(s.components, ones)
-            ).components
+            components = _join(current.components, ones, s.components, ones, tol)[0]
         current, rows = DeltaSet(
             current.perms[kept],
             np.array(rel, dtype=np.complex128).reshape(len(kept), dim),

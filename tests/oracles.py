@@ -1,38 +1,46 @@
 """Independent reference computations used to cross-check the package.
 
-Everything here deliberately avoids the code paths under test: dimensions
-come from recursions instead of the labeling enumerator, idempotents from
+Everything here deliberately avoids the code paths under test: gate
+families are one object each (``PhaseCoset``, ``IntertwinerSolution``,
+``GateFamily``, with per-object membership, intersection and
+instantiation) instead of rows of a columnar ``DeltaSet``, dimensions come
+from recursions instead of the labeling enumerator, idempotents from
 eigendecompositions instead of the S-matrix formula, intertwiner families
 from a brute-force phase-grid search instead of graph propagation, the
 feasible permutation pairs from a recursive search instead of array
-frontiers, the allowed curve permutations from one cut-dimension enumeration
-per curve instead of one pass over the classifier's basis, each family's gate coset from its own solution instead of the
-solver's shared arrays, the
+frontiers, the allowed curve permutations from one cut-dimension
+enumeration per curve instead of one pass over the classifier's basis,
+each family's gate coset from its own solution instead of the solver's
+shared arrays, the phase functions of a local basis change from one
+solution object per family instead of one batched instantiate, the
 F-blocks and their unitarity check from a per-boundary walk over all labels
-instead of the model's block store, the
-phases of a permutation pair from a scalar walk over that pair's own
-constraint graph instead of the batched walk over a shared forest, the
-sphere word filter from dense conjugation of every product gate instead of
-per-curve local blocks, the closed-form torus families verified by one dense
-product per family instead of one check per character and per permutation
-factor, the logical-Pauli test by a scan over every family and by a dict of
-family objects instead of a lookup among permutation rows, Clifford-star
-membership from the dense expansion in the string basis and from one pass
-per string generator instead of one C1 pass per distinct permutation, the
-affine label maps by repeated fusion instead of exponent-coordinate arrays,
-the intersection of delta sets by one ``PhaseCoset.intersect`` per family
-pair instead of one array pass for rigid sets, the lattice commutation phases from
-dense state-space matrices instead of exponent vectors, the report JSON
-from the standard library encoder after a rounding walk instead of the
-package's writer, the order of a class list by sorting on that compact
-text instead of per-column ranks of its arrays, and the class and family
-records as one dict per record instead of a ``Rows`` of columns.
+instead of the model's block store, the phases of a permutation pair from a
+scalar walk over that pair's own constraint graph instead of the batched
+walk over a shared forest, the sphere word filter from dense conjugation of
+every product gate instead of per-curve local blocks, the closed-form torus
+families verified by one dense product per family instead of one check per
+character and per permutation factor, the logical-Pauli test by a scan over
+every family and by a dict of family objects instead of a lookup among
+permutation rows, Clifford-star membership from the dense expansion in the
+string basis and from one pass per string generator instead of one C1 pass
+per distinct permutation, the affine label maps by repeated fusion instead
+of exponent-coordinate arrays, the intersection of delta sets by one
+``PhaseCoset.intersect`` per family pair instead of one array pass for
+rigid sets and a union-find over set rows otherwise, the lattice
+commutation phases from dense state-space matrices instead of exponent
+vectors, the report JSON from the standard library encoder after a rounding
+walk instead of the package's writer, the order of a class list by sorting
+on that compact text instead of per-column ranks of its arrays, and the
+class and family records as one dict per record instead of a ``Rows`` of
+columns.
 
-The module also holds the helpers only tests need, which the package does not
-export: the residual of an instantiated intertwiner family, phase-coset
-comparison, the projective distance of two word matrices, the Ising qubit
-dictionary, the abelian Pauli group by explicit closure, products of
-lattice operators, and Deligne products of two models.
+The module also holds the helpers only tests need, which the package does
+not export: a delta set's rows as GateFamily objects (``families``), the
+solver's accepted pairs with both sides of their phases
+(``intertwiner_solutions``), the residual of an instantiated intertwiner
+family, phase-coset comparison, the projective distance of two word
+matrices, the Ising qubit dictionary, the abelian Pauli group by explicit
+closure, products of lattice operators, and Deligne products of two models.
 """
 
 from __future__ import annotations
@@ -53,7 +61,8 @@ from anyongates.abelian import (
 )
 from anyongates.mcg import evaluate_word, parse_word
 from anyongates.models import AnyonModel, CheckResult, ModelError
-from anyongates.solver import GateFamily, PhaseCoset, monomial_from_matrix
+from anyongates import solver
+from anyongates.solver import MonomialMatrix, monomial_from_matrix
 from anyongates.surfaces import SurfaceSpec, cut_dimensions, standard_dap
 from anyongates.tolerances import (
     CLIFFORD_TOL,
@@ -63,6 +72,8 @@ from anyongates.tolerances import (
     ROOT_TOL,
     STRING_BASIS_TOL,
     VERIFY_ZERO_THRESHOLD,
+    ZERO_THRESHOLD,
+    check_tol,
     unit_modulus_tol,
 )
 
@@ -401,6 +412,208 @@ def grid_intertwiner_solutions(v, v_out=None, coarse_tol=0.12, cap=200):
         for _, d in sols:
             out.append((pi, d))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Gate families, one object each
+
+
+@dataclass(frozen=True)
+class PhaseCoset:
+    """Set of unit phase vectors {d : d_i = rel_i * lambda_{comp_i}}.
+
+    ``components`` assigns each index a component id (0-based, first-seen
+    order); ``rel`` holds the fixed unit ratio of d_i to its component's
+    free parameter.  One free phase per component.
+    """
+
+    components: tuple[int, ...]
+    rel: tuple[complex, ...]
+
+    @property
+    def dim(self) -> int:
+        return len(self.components)
+
+    @property
+    def n_free(self) -> int:
+        return max(self.components) + 1 if self.components else 0
+
+    def instantiate(self, free=None) -> np.ndarray:
+        k = self.n_free
+        if free is None:
+            free = np.ones(k, dtype=np.complex128)
+        free = np.asarray(free, dtype=np.complex128)
+        return np.array(
+            [self.rel[i] * free[self.components[i]] for i in range(self.dim)],
+            dtype=np.complex128,
+        )
+
+    def contains(self, d: np.ndarray, tol: float = MEMBERSHIP_TOL) -> bool:
+        """A NaN, infinite or negative ``tol`` is a ValueError."""
+        check_tol(tol)
+        d = np.asarray(d, dtype=np.complex128)
+        if d.shape[0] != self.dim:
+            return False
+        for c in range(self.n_free):
+            idx = [i for i in range(self.dim) if self.components[i] == c]
+            ratios = [d[i] / self.rel[i] for i in idx]
+            if max(abs(r - ratios[0]) for r in ratios) > tol:
+                return False
+        return True
+
+    def intersect(self, other: "PhaseCoset", tol: float = CYCLE_TOL) -> "PhaseCoset | None":
+        """Conjoin constraints; None when they contradict."""
+        n = self.dim
+        if other.dim != n:
+            raise ValueError("coset dimension mismatch")
+        if self.n_free == 1 and other.n_free == 1:
+            # Rigid cosets are single U(1) orbits; they are equal or disjoint.
+            if max(abs(a - b) for a, b in zip(self.rel, other.rel)) <= tol:
+                return self
+            return None
+        parent = list(range(n))
+        ratio = [1.0 + 0j] * n  # d_i = ratio[i] * d_{parent[i]}
+
+        def find(i: int) -> tuple[int, complex]:
+            r = 1.0 + 0j
+            while parent[i] != i:
+                r *= ratio[i]
+                i = parent[i]
+            return i, r
+
+        def union(i: int, j: int, rho: complex) -> bool:
+            # constraint d_i = rho * d_j
+            ri, fi = find(i)
+            rj, fj = find(j)
+            if ri == rj:
+                return abs(fi - rho * fj) <= tol
+            parent[ri] = rj
+            ratio[ri] = rho * fj / fi
+            return True
+
+        for coset in (self, other):
+            first: dict[int, int] = {}
+            for i in range(n):
+                c = coset.components[i]
+                if c in first:
+                    j = first[c]
+                    if not union(i, j, coset.rel[i] / coset.rel[j]):
+                        return None
+                else:
+                    first[c] = i
+        comp_ids: dict[int, int] = {}
+        components = []
+        rel = []
+        root_val: dict[int, complex] = {}
+        for i in range(n):
+            r, f = find(i)
+            if r not in comp_ids:
+                comp_ids[r] = len(comp_ids)
+                root_val[r] = f
+            components.append(comp_ids[r])
+            rel.append(f / root_val[r])
+        return PhaseCoset(components=tuple(components), rel=tuple(rel))
+
+
+@dataclass
+class IntertwinerSolution:
+    """One connected solution family of V~ Pi D = Pi' D' V.
+
+    The constraint graph lives on 2n phase variables: indices 0..n-1 are the
+    gate phases d_l, indices n..2n-1 the output-side phases d'_m.
+    ``phase_classes`` and ``relative_phases`` describe its components; a
+    choice of one free phase per class instantiates (D, D').
+    """
+
+    perm_in: tuple[int, ...]
+    perm_out: tuple[int, ...]
+    phase_classes: tuple[int, ...]
+    relative_phases: tuple[complex, ...]
+
+    @property
+    def n(self) -> int:
+        return len(self.perm_in)
+
+    @property
+    def n_components(self) -> int:
+        return max(self.phase_classes) + 1
+
+    def instantiate(self, free=None) -> tuple[np.ndarray, np.ndarray]:
+        k = self.n_components
+        if free is None:
+            free = np.ones(k, dtype=np.complex128)
+        free = np.asarray(free, dtype=np.complex128)
+        vals = np.array(
+            [self.relative_phases[i] * free[self.phase_classes[i]] for i in range(2 * self.n)],
+            dtype=np.complex128,
+        )
+        return vals[: self.n], vals[self.n :]
+
+    def gate(self, free=None) -> MonomialMatrix:
+        d, _ = self.instantiate(free)
+        return MonomialMatrix(perm=self.perm_in, phases=tuple(d))
+
+
+@dataclass
+class GateFamily:
+    """Connected family of monomial gates: fixed basis permutation, phase coset."""
+
+    perm: tuple[int, ...]
+    coset: PhaseCoset
+
+    @property
+    def n_free(self) -> int:
+        return self.coset.n_free
+
+    def gate(self, free=None) -> MonomialMatrix:
+        return MonomialMatrix(perm=self.perm, phases=tuple(self.coset.instantiate(free)))
+
+    def contains(self, gate: MonomialMatrix, tol: float = MEMBERSHIP_TOL) -> bool:
+        check_tol(tol)
+        return gate.perm == self.perm and self.coset.contains(
+            np.array(gate.phases), tol
+        )
+
+
+def families(ds) -> list[GateFamily]:
+    """The rows of a delta set as GateFamily objects; their rel entries are
+    numpy complex128."""
+    return [
+        GateFamily(tuple(perm), PhaseCoset(ds.components, tuple(rel)))
+        for perm, rel in zip(ds.perms.tolist(), ds.rel)
+    ]
+
+
+def intertwiner_solutions(
+    v, perm_in=None, perm_out=None, *, v_out=None, tol=DEFAULT_TOL,
+    zero_tol=ZERO_THRESHOLD, cycle_tol=CYCLE_TOL,
+) -> list[IntertwinerSolution]:
+    """The solver's accepted pairs with both sides of their phases, one
+    IntertwinerSolution each: every phase of a pair divided by its
+    component's root in one array division, in the solver's order."""
+    forest, accepted = solver._solve(
+        v, perm_in, perm_out, v_out, tol, zero_tol, cycle_tol, solver._Budget()
+    )
+    sols = []
+    for pis, pips, val in accepted:
+        rel = val / val[:, forest.roots]
+        for pi, pip, r in zip(pis.tolist(), pips.tolist(), rel):
+            sols.append(IntertwinerSolution(tuple(pi), tuple(pip), forest.components, tuple(r)))
+    return sols
+
+
+def reference_iso_phase_functions(model, boundary, perm=None, tol=DEFAULT_TOL):
+    """``iso_phase_set(...).phase_functions`` from one IntertwinerSolution per
+    family: its instantiated gate phases d, then angle(d / d[0]) mod 2 pi."""
+    rows, _, block = model.fmove_block(*boundary)
+    pmap = dict(perm or ((a, a) for a in rows))
+    pos = {a: i for i, a in enumerate(rows)}
+    basis_perm = tuple(pos[pmap[a]] for a in rows)
+    funcs = set()
+    for sol in intertwiner_solutions(block.T, [basis_perm], v_out=block.T, tol=tol):
+        d, _ = sol.instantiate()
+        funcs.add(tuple(float(a) for a in np.mod(np.angle(d / d[0]), 2.0 * np.pi)))
+    return tuple(sorted(funcs))
 
 
 # ---------------------------------------------------------------------------
@@ -925,7 +1138,7 @@ def dense_torus_word_families(model, words, tol=DEFAULT_TOL):
     unit_tol = unit_modulus_tol(tol)
     later = np.arange(1, len(words))[:, None]
 
-    families = []
+    found = []
     for pi in reference_affine_permutations(model):
         pi_arr = np.array(pi)
         dress = suffix * np.conj(suffix[:, pi_arr])
@@ -951,17 +1164,17 @@ def dense_torus_word_families(model, words, tol=DEFAULT_TOL):
         gap = np.abs(rel[0][None] - rel[later, partner]).max(axis=2)
         for b in np.flatnonzero((gap <= CYCLE_TOL).all(axis=0)):
             coset = PhaseCoset(components=(0,) * n, rel=tuple(rel[0, b]))
-            families.append(GateFamily(perm=pi, coset=coset))
-    return families
+            found.append(GateFamily(perm=pi, coset=coset))
+    return found
 
 
 def contains_logical_paulis_by_scan(model, inter) -> bool:
     """Every string operator on either cycle lies in some family of ``inter``,
     each tested against every family."""
     f1, f2 = string_operator_matrices(model)
-    families = inter.families
+    fams = families(inter)
     return all(
-        any(fam.contains(monomial_from_matrix(f[a])) for fam in families)
+        any(fam.contains(monomial_from_matrix(f[a])) for fam in fams)
         for a in range(model.n_labels)
         for f in (f1, f2)
     )
@@ -972,7 +1185,7 @@ def reference_contains_logical_paulis(model, inter) -> bool:
     ``inter``, the families grouped by permutation in a dict of GateFamily
     objects."""
     by_perm: dict[tuple[int, ...], list] = {}
-    for fam in inter.families:
+    for fam in families(inter):
         by_perm.setdefault(fam.perm, []).append(fam)
     f1, f2 = string_operator_matrices(model)
     gates = (monomial_from_matrix(f[a]) for a in range(model.n_labels) for f in (f1, f2))
@@ -984,10 +1197,10 @@ def reference_contains_logical_paulis(model, inter) -> bool:
 def reference_intersect_delta(sets, tol: float = CYCLE_TOL) -> list:
     """``intersect_delta`` on GateFamily objects: every pair of families with
     equal permutation goes through ``PhaseCoset.intersect``."""
-    current = sets[0].families
+    current = families(sets[0])
     for s in sets[1:]:
         by_perm: dict[tuple[int, ...], list] = {}
-        for fam_b in s.families:
+        for fam_b in families(s):
             by_perm.setdefault(fam_b.perm, []).append(fam_b)
         nxt = []
         for fam_a in current:

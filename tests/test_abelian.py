@@ -10,7 +10,6 @@ from anyongates import (
     classify_torus,
     evaluate_word,
     load_builtin,
-    solve_intertwiner,
     torus_surface,
     total_quantum_dimension,
 )
@@ -41,6 +40,7 @@ from oracles import (
     coset_same_as,
     dense_lattice_operator,
     dense_torus_word_families,
+    families,
     membership_by_search,
     pauli_element_orders_divide_exponent,
     pauli_group_orders,
@@ -215,8 +215,8 @@ def test_characters_multiplicative():
 def test_z2_families_match_generic_solver():
     """Dual route at qudit dimension 4: character form vs wildcard scan."""
     for word in ("s", "st"):
-        closed = torus_word_families(Z2, word).families
-        generic = delta_set(Z2, torus_surface(), word).families
+        closed = families(torus_word_families(Z2, word))
+        generic = families(delta_set(Z2, torus_surface(), word))
         assert len(closed) == len(generic) == 96
         for fc in closed:
             assert any(
@@ -230,13 +230,13 @@ def test_z2_families_match_generic_solver():
 
 def _pairwise(model, words):
     sets = [torus_word_families(model, w) for w in words]
-    return intersect_delta(sets).families
+    return families(intersect_delta(sets))
 
 
 @pytest.mark.parametrize("words", [("s", "st"), ("st", "s", "stt")])
 @pytest.mark.parametrize("model", [Z2, Z3], ids=["z2", "z3"])
 def test_joint_families_match_pairwise_intersection(model, words):
-    joint = torus_word_families(model, list(words)).families
+    joint = families(torus_word_families(model, list(words)))
     pairwise = _pairwise(model, words)
     assert len(joint) == len(pairwise) > 0
     assert [f.perm for f in joint] == [f.perm for f in pairwise]
@@ -245,10 +245,10 @@ def test_joint_families_match_pairwise_intersection(model, words):
 
 
 def test_joint_families_match_wildcard_intersection():
-    joint = torus_word_families(Z2, ["s", "st"]).families
-    generic = intersect_delta(
+    joint = families(torus_word_families(Z2, ["s", "st"]))
+    generic = families(intersect_delta(
         [delta_set(Z2, torus_surface(), w) for w in ("s", "st")]
-    ).families
+    ))
     assert len(joint) == len(generic) == 96
     for fj in joint:
         assert sum(
@@ -288,7 +288,7 @@ def test_verification_rejects_a_non_affine_permutation(monkeypatch):
 @pytest.mark.parametrize("words", ["s", ["s", "st"], ["st", "s", "stt"]], ids=str)
 @pytest.mark.parametrize("model", [Z2, Z3, Z4], ids=["z2", "z3", "z4"])
 def test_factored_families_equal_the_dense_oracle(model, words):
-    got = torus_word_families(model, words).families
+    got = families(torus_word_families(model, words))
     want = dense_torus_word_families(model, words)
     assert len(got) == len(want) > 0
     assert [f.perm for f in got] == [f.perm for f in want]
@@ -304,7 +304,7 @@ def test_family_counts_scale_with_group():
 def test_families_satisfy_delta_condition():
     v = evaluate_word(Z3, torus_surface(), "st").matrix
     rng = np.random.default_rng(2)
-    fams = torus_word_families(Z3, "st").families
+    fams = families(torus_word_families(Z3, "st"))
     for fam in [fams[i] for i in rng.choice(len(fams), size=12, replace=False)]:
         d = fam.coset.instantiate()
         g = MonomialMatrix(perm=fam.perm, phases=tuple(d)).matrix()
@@ -417,7 +417,7 @@ def test_irrational_diagonal_is_not_member():
 
 
 def test_family_gates_from_classification_are_members():
-    fams = torus_word_families(Z2, "s").families
+    fams = families(torus_word_families(Z2, "s"))
     rng = np.random.default_rng(7)
     for fam in [fams[i] for i in rng.choice(len(fams), size=8, replace=False)]:
         gate = MonomialMatrix(perm=fam.perm, phases=tuple(fam.coset.instantiate()))
@@ -439,7 +439,7 @@ def _negative_controls(model):
     ident = tuple(range(n))
     irrational = np.ones(n, dtype=complex)
     irrational[-1] = np.exp(0.7j)
-    fam = torus_word_families(model, ["s", "st"]).families[n + 1]
+    fam = families(torus_word_families(model, ["s", "st"]))[n + 1]
     controls = [(ident, irrational), (ident, np.full(n, 0.5, dtype=complex))]
     for eps in (1e-3, 1e-4):
         perturbed = fam.coset.instantiate()
@@ -456,7 +456,7 @@ def _monomial(perm, phases):
 
 
 def test_batched_clifford_matches_search_on_every_z2_class():
-    fams = torus_word_families(Z2, ["s", "st"]).families
+    fams = families(torus_word_families(Z2, ["s", "st"]))
     gates = [(f.perm, f.coset.instantiate()) for f in fams] + _negative_controls(Z2)
     member, _ = clifford_star_batch(Z2, *zip(*gates))
     assert member[: len(fams)].all() and not member[len(fams) :].any()
@@ -465,7 +465,7 @@ def test_batched_clifford_matches_search_on_every_z2_class():
 
 
 def test_batched_clifford_matches_dense_oracle_on_every_z3_class():
-    fams = torus_word_families(Z3, ["s", "st"]).families
+    fams = families(torus_word_families(Z3, ["s", "st"]))
     assert len(fams) == 324
     gates = [(f.perm, f.coset.instantiate()) for f in fams] + _negative_controls(Z3)
     member, roots = clifford_star_batch(Z3, *zip(*gates))

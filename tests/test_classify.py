@@ -34,6 +34,7 @@ from anyongates.cli import main
 from anyongates.jsonwriter import Rows
 from anyongates.models import _fill_fsymbols, _fill_rsymbols
 from anyongates.solver import DeltaSet, delta_set, intersect_delta, monomial_from_matrix
+from anyongates.tolerances import DEFAULT_TOL
 
 from oracles import (
     _round_floats,
@@ -41,9 +42,11 @@ from oracles import (
     cut_dimension_permutations,
     deligne_product,
     dense_sphere_word_filter,
+    families,
     ising_qubit_isomorphism,
     reference_contains_logical_paulis,
     reference_factorized_classes,
+    reference_iso_phase_functions,
     reference_family_classes,
     reference_json_sort,
     reference_report_json,
@@ -52,6 +55,8 @@ from oracles import (
 FIB = load_builtin("fibonacci")
 ISING = load_builtin("ising")
 Z2 = load_builtin("zn_toric:2")
+
+classify_module = importlib.import_module("anyongates.classify")
 
 IDENT2 = ((0, 0), (1, 1))
 SWAP2 = ((0, 1), (1, 0))
@@ -150,6 +155,38 @@ def test_iso_phase_set_fibonacci_block():
     iso_sw = iso_phase_set(FIB, (1, 1, 1, 1), perm=SWAP2)
     assert len(iso_sw.phase_functions) == 1
     assert abs(iso_sw.phase_functions[0][1] - np.pi) < 1e-9
+
+
+def _iso_calls(monkeypatch, model, surface):
+    """The (boundary, perm) arguments of every iso_phase_set call a classify
+    run makes."""
+    calls = []
+    real = classify_module.iso_phase_set
+
+    def record(model, boundary, perm=None, tol=DEFAULT_TOL):
+        calls.append((tuple(boundary), perm))
+        return real(model, boundary, perm, tol)
+
+    monkeypatch.setattr(classify_module, "iso_phase_set", record)
+    classify(model, surface)
+    monkeypatch.undo()
+    return calls
+
+
+def test_iso_phase_set_matches_the_per_solution_reference(monkeypatch):
+    """One batched instantiate and angle over the solver's rows gives the
+    phase functions of one IntertwinerSolution each, bit for bit."""
+    visited = _iso_calls(monkeypatch, ISING, sphere_surface(ISING, "sigma", 12))
+    assert len(visited) >= 2
+    cases = [(ISING, (2, 2, 2, 2), p) for p in (IDENT2, SWAP2)]
+    cases += [(FIB, (1, 1, 1, 1), p) for p in (IDENT2, SWAP2)]
+    cases += [(ISING, boundary, perm) for boundary, perm in dict.fromkeys(visited)]
+    for model, boundary, perm in cases:
+        got = iso_phase_set(model, boundary, perm).phase_functions
+        want = reference_iso_phase_functions(model, boundary, perm)
+        assert got
+        assert np.array(got).tobytes() == np.array(want).tobytes(), (boundary, perm)
+        assert [len(f) for f in got] == [len(f) for f in want]
 
 
 def test_iso_phase_set_rejects_bad_perm():
@@ -590,7 +627,7 @@ def test_logical_pauli_lookup_matches_a_linear_scan(name):
     assert reference_contains_logical_paulis(model, inter)
     for strings in string_operator_matrices(model):
         gate = monomial_from_matrix(strings[1])
-        kept = [i for i, f in enumerate(inter.families) if not f.contains(gate)]
+        kept = [i for i, f in enumerate(families(inter)) if not f.contains(gate)]
         assert len(kept) == len(inter) - 1
         cut = DeltaSet(inter.perms[kept], inter.rel[kept], inter.components)
         assert not _contains_logical_paulis(model, cut)
@@ -674,7 +711,7 @@ def test_closed_form_keeps_its_place_among_the_words(words):
 
     want = sorted(
         key(f.perm, [float(np.angle(x)) for x in f.coset.instantiate()])
-        for f in intersect_delta(sets).families
+        for f in families(intersect_delta(sets))
     )
     rep = classify_torus(Z2, mcg_words=words)
     assert sorted(key(c["basis_perm"], c["phases"]) for c in rep.classes) == want

@@ -92,3 +92,14 @@ def test_every_export_has_a_caller_or_is_documented():
         and not re.search(rf"`{name}`|(?<![\w.]){name}\(", library)
     ]
     assert orphans == []
+
+
+def test_every_listed_export_is_exported():
+    """Each name in backticks in the README's export list is in ``__all__``;
+    a dotted name such as ``DeltaSet.contains`` counts by its first part."""
+    library = _readme_library_section()
+    start = library.index("`anyongates` exports, by module:")
+    listed = library[start : library.index("\nModule map", start)].split(":", 1)[1]
+    names = re.findall(r"`([A-Za-z_]\w*)(?:\.\w+)*`", listed)
+    assert names
+    assert sorted(set(names) - set(anyongates.__all__)) == []

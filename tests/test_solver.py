@@ -7,7 +7,6 @@ import pytest
 
 from anyongates import (
     MonomialMatrix,
-    PhaseCoset,
     delta_set,
     evaluate_word,
     intersect_delta,
@@ -19,7 +18,7 @@ from anyongates import (
     torus_surface,
 )
 from anyongates import solver
-from anyongates.solver import DeltaSet, IntertwinerSolution
+from anyongates.solver import DeltaSet
 from anyongates.tolerances import (
     CYCLE_TOL,
     DEFAULT_TOL,
@@ -29,10 +28,14 @@ from anyongates.tolerances import (
 )
 
 from oracles import (
+    IntertwinerSolution,
+    PhaseCoset,
     coset_is_subset_of,
     coset_same_as,
+    families,
     grid_intertwiner_solutions,
     intertwiner_residual,
+    intertwiner_solutions,
     propagate_phases_scalar,
     reference_candidate_pairs,
     reference_gate_coset,
@@ -113,12 +116,19 @@ def test_coset_intersect_equal_and_disjoint():
     assert a.intersect(c) is None
 
 
+def _join(a, b):
+    """intersect_delta's join of two non-rigid cosets, as a PhaseCoset."""
+    joined = solver._join(a.components, a.rel, b.components, b.rel, CYCLE_TOL)
+    return None if joined is None else PhaseCoset(*joined)
+
+
 def test_coset_intersect_free_with_rigid():
     rigid = PhaseCoset(components=(0, 0, 0), rel=(1.0, 1j, -1.0))
     got = free_coset(3).intersect(rigid)
     assert got is not None
     assert got.n_free == 1
     assert coset_same_as(got, rigid)
+    assert _join(free_coset(3), rigid) == got
 
 
 def test_coset_partial_intersection():
@@ -130,6 +140,10 @@ def test_coset_partial_intersection():
     assert got.n_free == 1
     assert got.contains(np.array([1j, 1j, 1j]))
     assert not got.contains(np.array([1.0, 1.0, -1.0]))
+    assert _join(a, b) == got
+    # d_1 = d_0 in a, d_1 = -d_0 in c
+    c = PhaseCoset(components=(0, 0, 1), rel=(1.0, -1.0, 1.0))
+    assert a.intersect(c) is None and _join(a, c) is None
 
 
 def test_coset_subset():
@@ -149,30 +163,27 @@ def test_coset_instantiate():
 
 
 def test_identity_word_leaves_everything_free():
-    sols = solve_intertwiner(np.eye(3, dtype=complex))
-    assert len(sols) == 6
-    for sol in sols:
-        assert sol.perm_in == sol.perm_out
-        assert reference_gate_coset(sol).n_free == 3
+    ds = solve_intertwiner(np.eye(3, dtype=complex))
+    assert (len(ds), ds.n_free) == (6, 3)
+    sols = intertwiner_solutions(np.eye(3, dtype=complex))
+    assert [sol.perm_in for sol in sols] == [sol.perm_out for sol in sols]
 
 
 def test_fibonacci_s_families():
     v = evaluate_word(FIB, torus_surface(), "s").matrix
-    sols = solve_intertwiner(v)
-    by_perm = {sol.perm_in: sol for sol in sols}
+    by_perm = {fam.perm: fam for fam in families(solve_intertwiner(v))}
     assert set(by_perm) == {(0, 1), (1, 0)}
     ident = by_perm[(0, 1)]
-    assert reference_gate_coset(ident).n_free == 1
-    assert reference_gate_coset(ident).contains(np.array([1.0, 1.0]))
+    assert ident.n_free == 1
+    assert ident.coset.contains(np.array([1.0, 1.0]))
     swap = by_perm[(1, 0)]
-    assert reference_gate_coset(swap).contains(np.array([1.0, -1.0]))
+    assert swap.coset.contains(np.array([1.0, -1.0]))
 
 
 def test_fibonacci_st_swap_ratio():
     v = evaluate_word(FIB, torus_surface(), "st").matrix
-    sols = solve_intertwiner(v)
-    swap = next(s for s in sols if s.perm_in == (1, 0))
-    coset = reference_gate_coset(swap)
+    swap = next(f for f in families(solve_intertwiner(v)) if f.perm == (1, 0))
+    coset = swap.coset
     assert coset.n_free == 1
     ratio = coset.rel[1] / coset.rel[0]
     assert abs(ratio - np.exp(0.6j * np.pi)) < 1e-9
@@ -183,7 +194,7 @@ def test_instantiated_families_satisfy_equation():
     for word in ("s", "t", "st", "ts"):
         for model in (FIB, ISING):
             v = evaluate_word(model, torus_surface(), word).matrix
-            for sol in solve_intertwiner(v):
+            for sol in intertwiner_solutions(v):
                 for _ in range(25):
                     free = np.exp(2j * np.pi * rng.random(sol.n_components))
                     res = intertwiner_residual(v, sol, free)
@@ -191,9 +202,10 @@ def test_instantiated_families_satisfy_equation():
 
 
 def test_composed_gate_is_monomial_on_word():
+    rng = np.random.default_rng(12)
     v = evaluate_word(ISING, torus_surface(), "st").matrix
-    for sol in solve_intertwiner(v):
-        g = sol.gate().matrix()
+    for fam in families(solve_intertwiner(v)):
+        g = fam.gate(np.exp(2j * np.pi * rng.random(fam.n_free))).matrix()
         assert is_monomial(v @ g @ v.conj().T)
 
 
@@ -205,32 +217,29 @@ def test_solver_matches_grid_oracle_small():
         evaluate_word(ISING, torus_surface(), "st").matrix,
     ]
     for v in cases:
-        impl = solve_intertwiner(v)
+        impl = families(solve_intertwiner(v))
         oracle = grid_intertwiner_solutions(v)
-        assert {pi for pi, _ in oracle} == {s.perm_in for s in impl}
+        assert {pi for pi, _ in oracle} == {f.perm for f in impl}
         for pi, d in oracle:
-            owners = [
-                s for s in impl if s.perm_in == pi and reference_gate_coset(s).contains(d)
-            ]
+            owners = [f for f in impl if f.perm == pi and f.coset.contains(d)]
             assert owners, (pi, d)
         # every family is hit by at least one oracle point
-        for s in impl:
-            assert any(
-                pi == s.perm_in and reference_gate_coset(s).contains(d) for pi, d in oracle
-            )
+        for f in impl:
+            assert any(pi == f.perm and f.coset.contains(d) for pi, d in oracle)
 
 
 def test_restricting_perm_in():
     v = evaluate_word(FIB, torus_surface(), "s").matrix
-    sols = solve_intertwiner(v, perm_in=[(0, 1)])
-    assert [s.perm_in for s in sols] == [(0, 1)]
+    ds = solve_intertwiner(v, perm_in=[(0, 1)])
+    assert ds.perms.tolist() == [[0, 1]]
 
 
 def test_fixed_perm_out():
     v = evaluate_word(FIB, torus_surface(), "s").matrix
-    sols = solve_intertwiner(v, perm_in=[(1, 0)], perm_out=[(1, 0)])
-    assert len(sols) == 1
-    assert sols[0].perm_out == (1, 0)
+    assert len(solve_intertwiner(v, perm_in=[(1, 0)], perm_out=[(1, 0)])) == 1
+    assert len(solve_intertwiner(v, perm_in=[(1, 0)], perm_out=[(0, 1)])) == 0
+    sols = intertwiner_solutions(v, perm_in=[(1, 0)], perm_out=[(1, 0)])
+    assert [s.perm_out for s in sols] == [(1, 0)]
 
 
 def test_restricting_perm_out_prevents_matching_blowup():
@@ -245,10 +254,9 @@ def test_restricting_perm_out_prevents_matching_blowup():
         delta_set(model, torus_surface(), "stst", restrict_perms=affs)
     ds = delta_set(model, torus_surface(), "stst",
                    restrict_perms=affs, restrict_perms_out=affs)
-    assert ds.families
+    assert len(ds)
     aff_set = set(map(tuple, affs.tolist()))
-    for fam in ds.families:
-        assert fam.perm in aff_set
+    assert set(map(tuple, ds.perms.tolist())) <= aff_set
 
 
 def test_small_search_budget_refuses_before_building_pairs(monkeypatch):
@@ -283,13 +291,11 @@ def test_non_unitary_input_rejected():
 def test_generic_unitary_only_global_phase():
     """A structureless unitary admits nothing beyond lambda * identity."""
     v = random_unitary(3, seed=2)
-    sols = solve_intertwiner(v)
-    assert len(sols) == 1
-    sol = sols[0]
-    assert sol.perm_in == (0, 1, 2) and sol.perm_out == (0, 1, 2)
-    coset = reference_gate_coset(sol)
-    assert coset.n_free == 1
-    assert coset.contains(np.array([1.0, 1.0, 1.0]))
+    ds = solve_intertwiner(v)
+    assert ds.perms.tolist() == [[0, 1, 2]]
+    assert [s.perm_out for s in intertwiner_solutions(v)] == [(0, 1, 2)]
+    assert ds.n_free == 1
+    assert ds.contains(MonomialMatrix((0, 1, 2), (1.0, 1.0, 1.0)))
 
 
 def test_intertwiner_residual_distinct_in_out():
@@ -312,14 +318,14 @@ def test_intertwiner_residual_distinct_in_out():
 def test_delta_set_families_close_under_words():
     ds = delta_set(FIB, torus_surface(), "s")
     assert ds.dim == 2
-    assert len(ds.families) == 2
+    assert len(ds) == 2
 
 
 def test_intersect_delta_pins_fibonacci_to_identity():
     sets = [delta_set(FIB, torus_surface(), w) for w in ("s", "st")]
     inter = intersect_delta(sets)
-    assert len(inter.families) == 1
-    fam = inter.families[0]
+    assert len(inter) == 1
+    fam = families(inter)[0]
     assert fam.perm == (0, 1)
     assert fam.coset.n_free == 1
     assert fam.coset.contains(np.array([1.0, 1.0]))
@@ -433,9 +439,19 @@ def _assert_same_solutions(got, want):
         assert a.perm_in == b.perm_in and a.perm_out == b.perm_out
         assert a.phase_classes == b.phase_classes
         assert _bits(a.relative_phases) == _bits(b.relative_phases)
-        ca, cb = reference_gate_coset(a), reference_gate_coset(b)
-        assert ca.components == cb.components
-        assert _bits(ca.rel) == _bits(cb.rel)
+
+
+def _assert_gate_cosets(ds, sols):
+    """Row f of ``ds`` is the gate coset of ``sols[f]``, projected per
+    solution: the same perm, components and rel bytes (signed zeros
+    included), numpy scalars."""
+    assert len(ds) == len(sols)
+    for fam, sol in zip(families(ds), sols):
+        want = reference_gate_coset(sol)
+        assert fam.perm == sol.perm_in
+        assert fam.coset.components == want.components
+        assert _bits(fam.coset.rel) == _bits(want.rel)
+        assert all(type(x) is np.complex128 for x in fam.coset.rel)
 
 
 def _word(model, surface, word):
@@ -468,9 +484,10 @@ def test_batched_propagation_matches_scalar_oracle(monkeypatch):
     kept = []
     for v, v_out, perm_in, perm_out in cases:
         v_out = v if v_out is None else v_out
-        got = solve_intertwiner(v, perm_in, perm_out, v_out=v_out)
+        got = intertwiner_solutions(v, perm_in, perm_out, v_out=v_out)
         pairs, want = _oracle_solutions(monkeypatch, v, v_out, perm_in, perm_out)
         _assert_same_solutions(got, want)
+        _assert_gate_cosets(solve_intertwiner(v, perm_in, perm_out, v_out=v_out), want)
         kept.append((len(pairs), len(got)))
     assert kept[0][1] == 6144
     # zn_toric:2 s, st, stst: the cycle check rejects most of the 576 pairs
@@ -502,10 +519,11 @@ def test_batched_propagation_rejects_like_the_oracle(monkeypatch):
         (v, _near_identity(5e-10 * np.exp(0.3j)), DEFAULT_TOL, 2),
     ]
     for v, v_out, tol, n_sols in controls:
-        got = solve_intertwiner(v, v_out=v_out, tol=tol)
+        got = intertwiner_solutions(v, v_out=v_out, tol=tol)
         pairs, want = _oracle_solutions(monkeypatch, v, v_out, tol=tol)
         assert pairs
         _assert_same_solutions(got, want)
+        _assert_gate_cosets(solve_intertwiner(v, v_out=v_out, tol=tol), want)
         assert len(got) == n_sols
     # d_1 = (V[0, 1] / V_out[0, 1]) d'_0 = exp(-0.3i) d_0 for the identity
     assert np.angle(got[0].relative_phases[1]) == pytest.approx(-0.3)
@@ -606,7 +624,8 @@ def test_search_budget_fails_fast_on_a_flat_matrix():
         tracemalloc.stop()
     assert peak < 32 * 2**20
     ident = tuple(range(8))
-    sols = solve_intertwiner(dft, [ident])
+    assert len(solve_intertwiner(dft, [ident])) == 8
+    sols = intertwiner_solutions(dft, [ident])
     # V diag(conj(chi_b)) V^dag is the cyclic shift m -> m + b, so the
     # families are the 8 characters, in the lexicographic order of shifts
     assert [s.perm_out for s in sols] == [tuple(np.roll(k, -b).tolist()) for b in k]
@@ -722,22 +741,17 @@ FAMILY_CASES = [
 
 @pytest.mark.parametrize("name", FAMILY_CASES)
 def test_delta_families_match_per_solution_gate_cosets(name):
-    """delta_set divides the solver's arrays once; the old path built one
-    IntertwinerSolution per family and projected it.  Same perms, same
-    components, the same rel bytes (signed zeros included), numpy scalars."""
+    """delta_set and solve_intertwiner divide the solver's arrays once; the
+    reference builds one IntertwinerSolution per family and projects it."""
     model, surf, word, perm_in, perm_out = _family_case(name)
     got = delta_set(model, surf, word, restrict_perms=perm_in, restrict_perms_out=perm_out)
     v = evaluate_word(model, surf, word).matrix
-    sols = solve_intertwiner(v, perm_in, perm_out)
-    assert len(got.families) == len(sols) > 0
-    for fam, sol in zip(got.families, sols):
-        want = reference_gate_coset(sol)
-        assert fam.perm == sol.perm_in
-        assert fam.coset.components == want.components
-        assert _bits(fam.coset.rel) == _bits(want.rel)
-        assert all(type(x) is np.complex128 for x in fam.coset.rel)
+    sols = intertwiner_solutions(v, perm_in, perm_out)
+    assert len(sols) > 0
+    _assert_gate_cosets(got, sols)
+    _assert_gate_cosets(solve_intertwiner(v, perm_in, perm_out), sols)
     rows = got.instantiate_families()
-    assert _bits(rows) == _bits([fam.coset.instantiate() for fam in got.families])
+    assert _bits(rows) == _bits([fam.coset.instantiate() for fam in families(got)])
 
 
 @pytest.mark.parametrize("model, surface, words", [
@@ -754,22 +768,27 @@ def test_batched_instantiate_matches_per_family_bytes(model, surface, words):
     surf = _surface(mod, surface)
     inter = intersect_delta([delta_set(mod, surf, w) for w in words])
     rows = inter.instantiate_families()
-    assert rows.shape == (len(inter.families), inter.dim)
-    assert _bits(rows) == _bits([fam.coset.instantiate() for fam in inter.families])
+    assert rows.shape == (len(inter), inter.dim)
+    assert _bits(rows) == _bits([fam.coset.instantiate() for fam in families(inter)])
+
+
+def _chain(m):
+    """The delta-set sphere path's words s1..s{m-1}, each restricted to the
+    identity."""
+    return [f"s{k}@id" for k in range(1, m)]
 
 
 @pytest.mark.parametrize("model, surface, words", [
     ("fibonacci", "sphere:tau:7", ["s2", "s3"]),
     ("zn_toric:2", "torus", ["s", "st", "stst"]),
     ("ising", "torus", ["s", "st"]),
+    *(("fibonacci", f"sphere:tau:{m}", _chain(m)) for m in (7, 9, 11)),
 ])
 def test_column_intersection_matches_the_family_reference(model, surface, words):
-    """One array pass for rigid pairs, PhaseCoset.intersect per pair
-    otherwise: the same permutations, components and rel bytes (signed
-    zeros included) as intersecting GateFamily objects pair by pair."""
-    mod = load_builtin(model)
-    surf = _surface(mod, surface)
-    sets = [delta_set(mod, surf, w) for w in words]
+    """One array pass for rigid pairs, one ``_join`` per pair otherwise: the
+    same permutations, components and rel bytes (signed zeros included) as
+    intersecting GateFamily objects pair by pair with PhaseCoset.intersect."""
+    sets = [delta_set(*_family_case(f"{model} {surface} {w}")) for w in words]
     got = intersect_delta(sets)
     want = reference_intersect_delta(sets)
     assert len(got) == len(want) > 0
@@ -777,6 +796,75 @@ def test_column_intersection_matches_the_family_reference(model, surface, words)
     assert all(f.coset.components == got.components for f in want)
     assert _bits(got.rel) == _bits([f.coset.rel for f in want])
     assert intersect_delta(sets[:1]) is sets[0]
+
+
+def test_join_matches_the_family_reference_on_long_paths():
+    """Pairs (2k, 2k + 1) joined with one component of every odd index tie
+    each new index through a parent that is not a root, so the union-find
+    multiplies along parent chains; a third set closes a cycle.  The result
+    keeps the reference's bytes.  The last row breaks the cycle's ratio and
+    is dropped."""
+    n = 12
+    x = np.exp(2j * np.pi * np.random.default_rng(5).random((4, n)))
+    perms = np.array([np.roll(np.arange(n), k) for k in range(len(x))])
+
+    def coset_set(labels):
+        ids: dict[int, int] = {}
+        comps = tuple(ids.setdefault(c, len(ids)) for c in labels)
+        first = [comps.index(c) for c in comps]
+        return DeltaSet(perms, x / x[:, first], comps)
+
+    sets = [
+        coset_set([i // 2 for i in range(n)]),
+        coset_set([-1 if i % 2 else i for i in range(n)]),
+        coset_set([0 if i == n - 1 else i for i in range(n)]),
+    ]
+    sets[2].rel[-1, -1] *= np.exp(1e-3j)
+    got = intersect_delta(sets)
+    want = reference_intersect_delta(sets)
+    assert len(got) == len(want) == len(x) - 1
+    assert all(f.coset.components == got.components == (0,) * n for f in want)
+    assert _bits(got.rel) == _bits([f.coset.rel for f in want])
+
+
+def _membership_probes(ds, rng):
+    """Gates to test against ``ds``: each row at random free phases, the
+    same with a phase of a shared component turned by 1e-8 (inside
+    ``MEMBERSHIP_TOL``) and by 1e-4 (outside), a permutation of no row if
+    there is one, and a gate of another dimension."""
+    shared = [i for i, c in enumerate(ds.components) if ds.components.count(c) > 1]
+    probes = []
+    for fam in families(ds):
+        gate = fam.gate(np.exp(2j * np.pi * rng.random(fam.n_free)))
+        probes.append(gate)
+        i = rng.choice(shared)
+        for turn in (1e-8, 1e-4):
+            phases = np.array(gate.phases)
+            phases[i] *= np.exp(1j * turn)
+            probes.append(MonomialMatrix(gate.perm, tuple(phases)))
+    perms = set(map(tuple, ds.perms.tolist()))
+    absent = (p for p in itertools.permutations(range(ds.dim)) if p not in perms)
+    probes.extend(MonomialMatrix(p, probes[0].phases) for p in itertools.islice(absent, 1))
+    probes.append(MonomialMatrix((*probes[0].perm, ds.dim), (*probes[0].phases, 1.0)))
+    return probes
+
+
+@pytest.mark.parametrize("model, surface, word, n_other", [
+    ("fibonacci", "sphere:tau:7", "s2", 2),
+    # all 24 permutations have rows: only the wrong dimension is left
+    ("zn_toric:2", "torus", "s", 1),
+])
+def test_delta_set_contains_matches_the_family_reference(model, surface, word, n_other):
+    """One array pass over the rows of the gate's permutation decides as a
+    scan of GateFamily.contains over every family."""
+    mod = load_builtin(model)
+    ds = delta_set(mod, _surface(mod, surface), word)
+    fams = families(ds)
+    probes = _membership_probes(ds, np.random.default_rng(7))
+    got = [ds.contains(g) for g in probes]
+    assert got == [any(f.contains(g) for f in fams) for g in probes]
+    assert got[:3 * len(ds)] == [True, True, False] * len(ds)
+    assert got[3 * len(ds):] == [False] * (len(probes) - 3 * len(ds)) == [False] * n_other
 
 
 def test_rigid_intersection_keeps_the_first_sets_row_per_matching_pair():
@@ -801,14 +889,16 @@ def test_batched_instantiate_keeps_signed_zero_bytes():
     rel = np.reshape(np.array(zeros, dtype=np.complex128), (4, 4))
     ds = DeltaSet(np.tile(np.arange(4), (4, 1)), rel, (0, 0, 1, 1))
     rows = ds.instantiate_families()
-    assert _bits(rows) == _bits([fam.coset.instantiate() for fam in ds.families])
-    assert _bits(rows) != _bits([fam.coset.rel for fam in ds.families])
+    assert _bits(rows) == _bits([fam.coset.instantiate() for fam in families(ds)])
+    assert _bits(rows) != _bits([fam.coset.rel for fam in families(ds)])
 
 
 def test_empty_matrix_has_one_empty_family():
     """A zero-dimensional space has one (empty) permutation pair and family."""
     empty = np.zeros((0, 0), dtype=np.complex128)
-    sols = solve_intertwiner(empty)
+    ds = solve_intertwiner(empty)
+    assert (ds.perms.shape, ds.rel.shape, ds.components) == ((1, 0), (1, 0), ())
+    sols = intertwiner_solutions(empty)
     assert [(s.perm_in, s.perm_out, s.relative_phases) for s in sols] == [((), (), ())]
     budget = solver._Budget(edges=0)
     pairs = list(solver._candidate_pairs(empty.real, empty.real, None, None, 0.0, budget))

@@ -88,10 +88,6 @@ def test_check_tol_returns_a_valid_bound(tol):
 FIB_S = delta_set(load_builtin("fibonacci"), torus_surface(), "s")
 Z_GATE = MonomialMatrix(perm=(0, 1), phases=(1.0, -1.0))
 MEMBERSHIP_BOUNDS = {
-    "PhaseCoset.contains": lambda tol: FIB_S.families[0].coset.contains(
-        np.array(Z_GATE.phases), tol
-    ),
-    "GateFamily.contains": lambda tol: FIB_S.families[0].contains(Z_GATE, tol),
     "DeltaSet.contains": lambda tol: FIB_S.contains(Z_GATE, tol),
 }
 
