@@ -173,20 +173,33 @@ def _iso_calls(monkeypatch, model, surface):
     return calls
 
 
-def test_iso_phase_set_matches_the_per_solution_reference(monkeypatch):
+def _assert_iso_matches_reference(model, boundary, perm):
+    got = iso_phase_set(model, boundary, perm).phase_functions
+    want = reference_iso_phase_functions(model, boundary, perm)
+    assert got
+    assert np.array(got).tobytes() == np.array(want).tobytes(), (boundary, perm)
+    assert [len(f) for f in got] == [len(f) for f in want]
+
+
+@pytest.mark.parametrize("model, boundary, perm", [
+    pytest.param(ISING, (2, 2, 2, 2), IDENT2, id="ising-ident"),
+    pytest.param(ISING, (2, 2, 2, 2), SWAP2, id="ising-swap"),
+    pytest.param(FIB, (1, 1, 1, 1), IDENT2, id="fibonacci-ident"),
+    pytest.param(FIB, (1, 1, 1, 1), SWAP2, id="fibonacci-swap"),
+])
+def test_iso_phase_set_matches_the_per_solution_reference(model, boundary, perm):
     """One batched instantiate and angle over the solver's rows gives the
     phase functions of one IntertwinerSolution each, bit for bit."""
+    _assert_iso_matches_reference(model, boundary, perm)
+
+
+def test_iso_phase_set_matches_the_reference_on_classify_boundaries(monkeypatch):
+    """The same bytes for every (boundary, perm) that a sphere classify
+    passes to iso_phase_set."""
     visited = _iso_calls(monkeypatch, ISING, sphere_surface(ISING, "sigma", 12))
     assert len(visited) >= 2
-    cases = [(ISING, (2, 2, 2, 2), p) for p in (IDENT2, SWAP2)]
-    cases += [(FIB, (1, 1, 1, 1), p) for p in (IDENT2, SWAP2)]
-    cases += [(ISING, boundary, perm) for boundary, perm in dict.fromkeys(visited)]
-    for model, boundary, perm in cases:
-        got = iso_phase_set(model, boundary, perm).phase_functions
-        want = reference_iso_phase_functions(model, boundary, perm)
-        assert got
-        assert np.array(got).tobytes() == np.array(want).tobytes(), (boundary, perm)
-        assert [len(f) for f in got] == [len(f) for f in want]
+    for boundary, perm in dict.fromkeys(visited):
+        _assert_iso_matches_reference(ISING, boundary, perm)
 
 
 def test_iso_phase_set_rejects_bad_perm():
