@@ -57,6 +57,10 @@ GRID = (
         "delta --model fibonacci --surface torus --words s,st --format json",
         "delta --model fibonacci --surface sphere:tau:8 --words s2 --format json",
         "delta --model ising --surface sphere:sigma:10 --words s2 --format json",
+        "delta --model zn_toric:4 --surface torus --words stst",
+        "classify --model zn_toric:16 --surface torus",
+        "classify --model ising --surface sphere:sigma:24",
+        "delta --model ising --surface sphere:sigma:30 --words s2",
     ]
     + [f"validate --model {model} --format json"
        for model in ("fibonacci", "ising", "zn_toric:2", "zn_toric:3", "zn_toric:4",

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .budget import Budget, chunk_rows
 from .mcg import evaluate_word, parse_word
 from .models import AnyonModel, quantum_dimensions
 from .solver import (
@@ -259,12 +260,6 @@ def _single_s_split(tokens: list[tuple[str, int]]):
     return tokens[:i], tokens[i][1], tokens[i + 1 :]
 
 
-# Permutations per array pass of torus_word_families and of the C1 half of
-# clifford_star_batch: each (permutation, [word,] n, n) complex stack holds
-# about this many entries (1 MB).
-_CHUNK_ENTRIES = 1 << 16
-
-
 def torus_word_families(
     model: AnyonModel,
     words: str | list[str],
@@ -306,9 +301,11 @@ def torus_word_families(
 
     The affine permutations are processed in chunks of array passes (gather,
     dressing, factor check, relative phases, partner character and gap
-    test), each chunk's stacks holding about ``_CHUNK_ENTRIES`` entries; the
-    elementwise arithmetic is the one a single permutation would get, so the
-    cosets are bit-identical to a loop over permutations.
+    test), each chunk's (permutation, word, n, n) complex stack taking
+    ``chunk_rows`` permutations; the elementwise arithmetic is the one a
+    single permutation would get, so the cosets are bit-identical to a loop
+    over permutations.  Character factors, affine maps and found rows are
+    charged to a byte budget before they are built.
     """
     check_tol(tol)
     if isinstance(words, str):
@@ -326,6 +323,8 @@ def torus_word_families(
             suffix_diag *= model.twists if sign > 0 else np.conj(model.twists)
         suffixes.append(suffix_diag)
         vmats.append(evaluate_word(model, surface, tokens).matrix)
+    budget = Budget()
+    budget.charge("character factors", len(words) * n, 2 * 16 * n * n)  # and their products
     suffix = np.array(suffixes)  # (word, x)
     vmat = np.array(vmats)  # (word, y, z)
     vh = np.conj(vmat).transpose(0, 2, 1)  # (word, z, x)
@@ -345,10 +344,11 @@ def torus_word_families(
             f"derived character (word={words[k]!r}, b={b}) failed verification"
         )
 
+    budget.charge("affine maps", n * len(automorphisms(model)), 2 * 8 * n)  # gathered, sorted
     perms = affine_permutations(model)
     suffix_conj = np.conj(suffix)
     later = np.arange(1, len(words))[:, None]
-    chunk = max(1, _CHUNK_ENTRIES // (len(words) * n * n))
+    chunk = chunk_rows(16 * len(words) * n * n)
     found_perms = [np.zeros((0, n), dtype=np.intp)]
     found_rel = [np.zeros((0, n), dtype=np.complex128)]
     for start in range(0, len(perms), chunk):
@@ -373,6 +373,7 @@ def torus_word_families(
         rows = np.arange(len(pi))[:, None, None]
         gap = np.abs(rel[:, :1] - rel[rows, later, partner]).max(axis=3)
         i, b = np.nonzero((gap <= CYCLE_TOL).all(axis=1))
+        budget.charge("found rows", len(i), 2 * 24 * n)  # int and complex, per chunk and joined
         found_perms.append(pi[i])
         found_rel.append(rel[i, 0, b])
     return DeltaSet(np.concatenate(found_perms), np.concatenate(found_rel), (0,) * n)
@@ -444,8 +445,8 @@ def clifford_star_batch(
     one product.  The C2 half is checked per gate, in blocks of gates with
     every generator in one product; it includes the vacuum string
     F_0(C2) = 1, whose conjugate diag(|d|^2) passes only when every
-    |d| = 1 within ``tol``.  Each block holds about ``_CHUNK_ENTRIES``
-    coefficients.
+    |d| = 1 within ``tol``.  Each block of (gates, generators, n) complex
+    coefficients takes ``chunk_rows`` gates.
     """
     perms = np.asarray(perms)
     d = np.asarray(phases, dtype=np.complex128)
@@ -475,7 +476,7 @@ def clifford_star_batch(
     distinct, which = np.unique(row_keys(perms), return_inverse=True)
     pis = distinct.view(perms.dtype).reshape(-1, n)
     c1 = np.empty((2, len(pis)), dtype=bool)
-    step = max(1, _CHUNK_ENTRIES // (n * n))
+    step = chunk_rows(16 * n * n)
     for lo in range(0, len(pis), step):
         inverse = np.argsort(pis[lo : lo + step], axis=1)
         y = chi[:, inverse].transpose(1, 0, 2)  # (pi, a, row)

@@ -43,6 +43,7 @@ classes)`` gives them all.  The verdict checks read the columns.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -50,12 +51,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import abelian as _ab
+from .budget import Budget, SearchBudgetError, chunk_rows
 from .jsonwriter import Category, Rows, dumps, json_order
 from .mcg import braid_letters, braid_matrix, braid_slot
 from .models import AnyonModel
 from .solver import (
     DeltaSet,
-    SearchBudgetError,
     delta_set,
     intersect_delta,
     monomial_from_matrix,
@@ -88,15 +89,6 @@ VERDICTS = (
     "finite_group",
     "upper_bound_only",
 )
-
-# Most entries one enumeration of sphere candidates may fill: the class
-# arrays (classes x dim), a window's conjugates (option tuples x window dim^2)
-# or the delta-set candidate permutations (products x dim).  Ising
-# sphere:sigma:16 fills 2^21 class-array entries, sphere:sigma:24 would 2^33.
-_ENTRY_BUDGET = 1 << 24
-# Window conjugates are checked this many entries at a time, so a window
-# near the budget holds tens of MB at once, not GB.
-_CHUNK_ENTRIES = 1 << 20
 
 # The identity gate solves every constraint, so an empty class list means the
 # search matched nothing (for example under a NaN tolerance), not a group.
@@ -303,7 +295,9 @@ def classify_punctured_sphere(
     The candidates come from per-curve cut-dimension-preserving label
     permutations and local basis-change phase sets; the supplied mapping
     class words (all elementary braids by default) then act as filters.
-    What survives is grouped into classes modulo a global phase.
+    What survives is grouped into classes modulo a global phase.  Option
+    tuples, class arrays and candidate permutations are charged to one byte
+    budget before they are filled (:class:`SearchBudgetError` past it).
     """
     check_tol(tol)
     if surface.kind != "punctured_sphere":
@@ -343,10 +337,11 @@ def classify_punctured_sphere(
     factorized = product_dim == basis.dim and all(neighbors_fixed(s) for s in free)
 
     flags: list[str] = []
+    budget = Budget()
 
     if factorized:
         report_classes, details = _classify_factorized(
-            model, surface, dap, allowed, labels, free, mcg_words, tol
+            model, surface, dap, allowed, labels, free, mcg_words, tol, budget
         )
         if surface.punctures == 4 and any(
             len(allowed[c]) > 1 for c in dap.curves
@@ -357,7 +352,7 @@ def classify_punctured_sphere(
             )
     else:
         report_classes, details = _classify_delta(
-            model, surface, basis, dap, allowed, mcg_words, tol
+            model, surface, basis, dap, allowed, mcg_words, tol, budget
         )
         if details["path"] == "fallback":
             flags.append("generic fallback path; result is an upper bound")
@@ -376,19 +371,9 @@ def classify_punctured_sphere(
     )
 
 
-def _check_budget(count: int, width: int, what: str) -> None:
-    """Refuse to enumerate ``count`` candidates of ``width`` entries each above the budget."""
-    if count * width > _ENTRY_BUDGET:
-        raise ClassificationError(
-            f"{what}: {count:,} x {width:,} = {count * width:,} entries, above the "
-            f"budget of {_ENTRY_BUDGET:,}; this input is out of reach"
-        )
-
-
-def _option_tuples(kept, curves, width, what):
-    """Every tuple of kept options of ``curves``, one per row; each fills
-    ``width`` entries in the step that ``what`` names."""
-    _check_budget(math.prod(len(kept[s]) for s in curves), width, what)
+def _option_tuples(kept, curves, budget, stage, nbytes):
+    """Every tuple of kept options of ``curves``, one per row, charged first."""
+    budget.charge(stage, math.prod(len(kept[s]) for s in curves), nbytes)
     rows = list(itertools.product(*(kept[s] for s in curves)))
     return np.array(rows, dtype=np.intp).reshape(-1, len(curves))
 
@@ -431,7 +416,7 @@ def _window_matrix(model, surface, labels, window, letters):
 
 
 def _classify_factorized(
-    model, surface, dap, allowed, labels, free, mcg_words, tol
+    model, surface, dap, allowed, labels, free, mcg_words, tol, budget
 ):
     """Direct-product candidates from per-curve permutations and phases.
 
@@ -449,11 +434,13 @@ def _classify_factorized(
     leaves of their classes, read from the option arrays.  The classes are
     ``Rows`` in that order, and each curve's column is categorical over its
     options' entry dicts, so classes with the same option share its entry.
+    Curves with the same boundary share their phase sets, each solved once.
     """
     n_curves = len(labels)
     # Per free curve: each option's class entry, and its image digit and
     # angle for every digit of the curve.
     entries, images, angles = {}, {}, {}
+    phase_set = functools.cache(lambda boundary, perm: iso_phase_set(model, boundary, perm, tol))
     for s in free:
         left = labels[s - 1][0] if s > 0 else None
         right = labels[s + 1][0] if s < n_curves - 1 else None
@@ -461,7 +448,7 @@ def _classify_factorized(
         digit = {a: d for d, a in enumerate(labels[s])}
         ent, img, ang = [], [], []
         for perm in allowed[dap.curves[s]]:
-            iso = iso_phase_set(model, boundary, perm, tol)
+            iso = phase_set(boundary, perm)
             pmap = dict(perm)
             for f in iso.phase_functions:
                 fmap = dict(zip(iso.curve_labels, f))
@@ -483,11 +470,11 @@ def _classify_factorized(
         if monomial_mask(v[None], factor_unit_modulus_tol(tol), WINDOW_ZERO_THRESHOLD)[0]:
             continue
         curves = [s for s in free if s in window]
-        what = f"word {word!r}, option tuples x window entries"
-        tuples = _option_tuples(kept, curves, v.size, what)
+        # a tuple's conjugate is one complex window matrix
+        tuples = _option_tuples(kept, curves, budget, f"word {word!r}: option tuples", 16 * v.size)
         target, angle = _product_action(curves, images, angles, tuples)
         ok = np.empty(len(tuples), dtype=bool)
-        step = max(1, _CHUNK_ENTRIES // v.size)
+        step = chunk_rows(16 * v.size)
         for lo in range(0, len(tuples), step):
             # (V G)[i, c] = V[i, target[c]] * phase[c] for G[target[c], c] = phase[c]
             vg = np.swapaxes(v.T[target[lo:lo + step]], 1, 2)
@@ -506,7 +493,8 @@ def _classify_factorized(
             relations.append(([free.index(s) for s in curves], table))
 
     dim = math.prod(len(x) for x in labels)
-    combos = _option_tuples(kept, free, dim, "classes x dimension")
+    # per class and index: image, angle, phase, complex phase, sorted copies
+    combos = _option_tuples(kept, free, budget, "classes", 64 * dim)
     for cols, table in relations:
         combos = combos[table[tuple(combos[:, cols].T)]]
     target, angle = _product_action(free, images, angles, combos)
@@ -535,7 +523,7 @@ def _classify_factorized(
     return classes, details
 
 
-def _classify_delta(model, surface, basis, dap, allowed, mcg_words, tol):
+def _classify_delta(model, surface, basis, dap, allowed, mcg_words, tol, budget):
     """Intersect the words' delta sets over the products of curve permutations.
 
     The candidates are the products of allowed per-curve label permutations
@@ -545,7 +533,8 @@ def _classify_delta(model, surface, basis, dap, allowed, mcg_words, tol):
     """
     maps = [[dict(p) for p in allowed[c]] for c in dap.curves]
     count = math.prod(len(m) for m in maps)
-    _check_budget(count, basis.dim, "curve permutation products x dimension")
+    # per product and index: its image, lookup key and candidate array entry
+    budget.charge("curve permutation products", count, 24 * basis.dim)
     cands = set()
     for combo in itertools.product(*maps):
         perm = tuple(

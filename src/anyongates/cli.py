@@ -7,8 +7,8 @@
     anyongates lattice --qudit 3 --size 4
 
 Exit codes: 0 success, 1 domain failure (validation failed, infeasible
-surface, classification out of reach, a gate search over its budget), 2
-usage or input errors.  Structured output is deterministic for fixed inputs.
+surface, no class surviving, a call over its byte budget), 2 usage or
+input errors.  Structured output is deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -20,17 +20,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .classify import ClassificationError, classify
+from .classify import classify
 from .jsonwriter import Rows, dumps
 from .mcg import parse_word
 from .models import AnyonModel, ModelError, load_builtin, parse_model, validate
 from .solver import delta_set, intersect_delta
-from .surfaces import (
-    InfeasibleSurfaceError,
-    SurfaceSpec,
-    sphere_surface,
-    torus_surface,
-)
+from .surfaces import SurfaceSpec, sphere_surface, torus_surface
 from .tolerances import DEFAULT_TOL, LATTICE_TOL, check_tol
 
 
@@ -234,16 +229,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, ModelError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ModelError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (InfeasibleSurfaceError, ClassificationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except ValueError as exc:  # every domain failure, a call over its budget too
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

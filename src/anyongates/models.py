@@ -24,6 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .budget import Budget
 from .tolerances import DEFAULT_TOL, check_tol
 
 
@@ -120,7 +121,7 @@ def _join(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a, order[np.arange(a.size) - shift]
 
 
-def _fblock_layout(fusion: np.ndarray):
+def _fblock_layout(fusion: np.ndarray, budget: Budget, key_bytes: int):
     """Every admissible boundary of a fusion tensor, its channels and F-symbol keys.
 
     A row channel m of boundary (i,j,k,l) pairs the fusion triples (i,j,m)
@@ -131,10 +132,14 @@ def _fblock_layout(fusion: np.ndarray):
     column channel, in (i, j, l, k) order; ``rows`` (R, 2) and ``cols``
     (C, 2), the pairs (boundary position, channel), sorted; ``keys`` (K, 7),
     the rows (boundary position, i, j, m, k, l, n) in boundary order, each
-    block in row-major order.
+    block in row-major order.  The channels, counted from the fusion
+    tensor's sums, are charged before they are joined, at eight ints each,
+    and the keys before they are built, each with its caller's ``key_bytes``.
     """
     n = fusion.shape[0]
     shape = (n, n, n, n)
+    made, first, second = (fusion.sum(axis=a, dtype=np.intp) for a in ((0, 1), (1, 2), (0, 2)))
+    budget.charge("F-block channels", int(made @ (first + second)), 8 * 8)
     t = np.argwhere(fusion)  # (a, b, c) with N^c_{ab} = 1
     a, b = _join(t[:, 2], t[:, 0])
     row_code = np.ravel_multi_index((t[a, 0], t[a, 1], t[b, 1], t[b, 2]), shape)
@@ -151,6 +156,8 @@ def _fblock_layout(fusion: np.ndarray):
     rows = rows[np.lexsort(rows.T[::-1])]
     cols = np.column_stack((np.searchsorted(codes, col_code), col_n))
     cols = cols[np.lexsort(cols.T[::-1])]
+    n_rows, n_cols = (np.bincount(x[:, 0], minlength=len(bounds)) for x in (rows, cols))
+    budget.charge("F-symbols", int(n_rows @ n_cols), 14 * 8 + key_bytes)  # a key row and its join
     a, b = _join(rows[:, 0], cols[:, 0])
     i, j, k, l = bounds[rows[a, 0]].T
     keys = np.column_stack((rows[a, 0], i, j, rows[a, 1], k, l, cols[b, 1]))
@@ -174,7 +181,9 @@ class FBlockStore:
     """
 
     def __init__(self, model: AnyonModel):
-        bounds, rows, cols, keys = _fblock_layout(model.fusion)
+        budget = Budget()  # per key its tuple and two values; per block tuples, view, slot
+        bounds, rows, cols, keys = _fblock_layout(model.fusion, budget, 300)
+        budget.charge("F-blocks", len(bounds), 400)
         self.boundaries = list(map(tuple, bounds.tolist()))
         fkeys = list(map(tuple, keys[:, 1:].tolist()))
         values = list(map(model.fsymbols.get, fkeys))
@@ -227,9 +236,10 @@ def _fill_fsymbols(fusion: np.ndarray, entry) -> dict:
     """Populate the F dict over all admissible boundaries from ``entry``.
 
     ``entry(i, j, m, k, l, n)`` supplies the value; admissibility is read
-    off the fusion tensor.
+    off the fusion tensor.  Each key's list row, tuple, value and dict slot
+    are charged to a budget of the build's own.
     """
-    keys = _fblock_layout(fusion)[3][:, 1:]
+    keys = _fblock_layout(fusion, Budget(), 300)[3][:, 1:]
     return {key: complex(entry(*key)) for key in map(tuple, keys.tolist())}
 
 
@@ -447,16 +457,18 @@ def load_builtin(name: str) -> AnyonModel:
         if not arg:
             raise ModelError("zn_toric requires a parameter, e.g. zn_toric:2")
         try:
-            return zn_toric(int(arg))
+            order = int(arg)
         except ValueError as exc:
             raise ModelError(f"bad zn_toric parameter {arg!r}") from exc
+        return zn_toric(order)
     if base == "dg_abelian":
         if not arg:
             raise ModelError("dg_abelian requires parameters, e.g. dg_abelian:2,3")
         try:
-            return dg_abelian([int(x) for x in arg.split(",")])
+            orders = [int(x) for x in arg.split(",")]
         except ValueError as exc:
             raise ModelError(f"bad dg_abelian parameters {arg!r}") from exc
+        return dg_abelian(orders)
     raise ModelError(f"unknown builtin model {name!r}")
 
 

@@ -26,10 +26,11 @@ Solving is:
 Each feasible permutation pair therefore contributes at most one connected
 family with one free phase per graph component.
 
-Each call counts what it materialises against one budget: the word
-matrix and the unitarity checks at n^3 per product, then step (1).  A call
-that passes ``_SEARCH_BUDGET`` raises :class:`SearchBudgetError` (a
-ValueError) naming its count.
+Each call charges one byte budget (``budget.py``) before it allocates:
+the word matrix, the unitarity checks, then step (1): the frontier blocks,
+the pair arrays of each block and the pairs held until the search ends.  A
+call over the budget raises :class:`SearchBudgetError` before any pair is
+propagated.
 
 Every set of gate families is a delta set, the solver's result included:
 one row of a permutation array and of a relative-phase array per family,
@@ -56,8 +57,9 @@ import itertools
 
 import numpy as np
 
+from .budget import Budget, chunk_rows
 from .mcg import evaluate_on_basis, parse_word
-from .models import AnyonModel
+from .models import AnyonModel, _join as _join_keys
 from .surfaces import SurfaceSpec, enumerate_labelings
 from .tolerances import (
     CYCLE_TOL,
@@ -73,18 +75,6 @@ from .tolerances import (
     unit_modulus_tol,
 )
 
-# Most entries one solve may materialise: each n x n matrix product costs
-# n^3, each frontier or explicit perm_in block rows x n^3, and each block's
-# pairs cost pairs x edges.
-_SEARCH_BUDGET = 1 << 30
-# Feasible permutation pairs are propagated this many at a time, which keeps
-# the (edges, pairs) work arrays to a few megabytes.
-_PAIR_CHUNK = 2048
-# Most booleans one step of the pair search holds at once: a frontier level's
-# (prefixes, columns, n, n) narrowing, or a block's (perm_ins, perm_outs, n)
-# filter of an explicit perm_out list.  A rigid intersect_delta step compares
-# this many phase differences at a time.
-_BLOCK_ENTRIES = 1 << 20
 # Up to this many rows, perfect matchings come from one pass over all n!
 # permutations (120 at most), which is cheaper than n frontier levels.
 _TABLE_MAX = 5
@@ -170,27 +160,7 @@ def _normalize_perm_arg(arg, n: int):
     return seq
 
 
-class SearchBudgetError(ValueError):
-    """A solve passed ``_SEARCH_BUDGET``."""
-
-
-class _Budget:
-    """The running cost of one solve; a pair costs one entry per edge."""
-
-    def __init__(self, edges: int = 0):
-        self.edges = edges
-        self.spent = 0
-
-    def charge(self, entries: int) -> None:
-        self.spent += entries
-        if self.spent > _SEARCH_BUDGET:
-            raise SearchBudgetError(
-                f"search over budget: {self.spent:,} entries against a budget "
-                f"of {_SEARCH_BUDGET:,}; restrict perm_in or perm_out"
-            )
-
-
-def _frontier(state, expand, narrow, budget):
+def _frontier(state, expand, narrow, budget, stage):
     """Complete permutations of a search that fixes position 0, 1, ... in turn.
 
     ``state`` holds one (n, n) boolean matrix per root.  ``expand(depth,
@@ -198,15 +168,16 @@ def _frontier(state, expand, narrow, budget):
     ``depth``, the parent row and the value of every viable child in
     row-major (parent, value) order; ``narrow(depth, states, values)``
     returns the children's states from their parents' states.  Each level
-    is one array pass over a block of at most ``_BLOCK_ENTRIES // n**3``
-    partial permutations, and blocks are expanded depth first, so complete
+    is one array pass over a block of ``chunk_rows(n**3)`` partial
+    permutations, and blocks are expanded depth first, so complete
     permutations come in (root, lexicographic) order.  A block's states are
     built when it is taken, so the stack holds one parent block's states per
     level, not every waiting child's.  Yields (root, permutations, states)
-    blocks.  Each block charges rows x n^3 to ``budget``.
+    blocks.  Each block charges its (rows, n, n, n) booleans to ``budget``
+    as ``stage``.
     """
     n = state.shape[1]
-    step = max(1, _BLOCK_ENTRIES // max(1, n) ** 3)
+    step = chunk_rows(n**3)
     stack: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
 
     def push(root, prefix, states, parent):
@@ -218,7 +189,7 @@ def _frontier(state, expand, narrow, budget):
     push(roots, np.empty((len(state), 0), dtype=np.intp), state, roots)
     while stack:
         root, prefix, states, parent = stack.pop()
-        budget.charge(len(prefix) * n**3)
+        budget.charge(stage, len(prefix), n**3)
         depth = prefix.shape[1]
         state = states[parent]
         if depth:
@@ -236,7 +207,7 @@ def _perm_in_blocks(absv, absvo, cands_in, tol, budget):
     ``compat[p, m, r]`` says that row m of |V| equals row r of |V_out| with
     its columns permuted by ``perms[p]``, so perm_out must map m to some r
     with ``compat[p, m, r]``.  An explicit candidate list is checked in list
-    order, O(n^3) per entry, each block charging rows x n^3 to ``budget``.
+    order, O(n^3) per entry, each block charging its rows x n^3 booleans.
     The wildcard assigns perm_in(0), perm_in(1), ... as an array frontier
     (charging likewise), narrowing each prefix's ``compat`` per level by
     the n^3 table of where column ``depth`` of |V| agrees with the columns
@@ -246,10 +217,10 @@ def _perm_in_blocks(absv, absvo, cands_in, tol, budget):
     n = absv.shape[0]
     if cands_in is not None:
         perms = np.array(cands_in, dtype=np.intp).reshape(len(cands_in), n)
-        step = max(1, _BLOCK_ENTRIES // max(1, n) ** 3)
+        step = chunk_rows(n**3)
         for lo in range(0, len(perms), step):
             block = perms[lo:lo + step]
-            budget.charge(len(block) * n**3)
+            budget.charge("perm_in candidates", len(block), n**3)
             # target[p, r, l] = |V_out[r, perms[p][l]]|
             target = absvo[:, block].transpose(1, 0, 2)
             diff = np.abs(target[:, None, :, :] - absv[None, :, None, :])
@@ -274,7 +245,7 @@ def _perm_in_blocks(absv, absvo, cands_in, tol, budget):
         return compat & agree(absv[:, depth], cols)
 
     start = np.ones((1, n, n), dtype=bool)
-    for _, perms, compat in _frontier(start, expand, narrow, budget):
+    for _, perms, compat in _frontier(start, expand, narrow, budget, "perm_in frontier"):
         yield perms, compat
 
 
@@ -322,7 +293,7 @@ def _row_matchings(sub, budget):
         rest = np.flatnonzero(~forced)
         roots, found = [np.empty(0, dtype=np.intp)], [np.empty((0, n), dtype=np.intp)]
         for root, perms, _ in _frontier(
-            sub[rest], _expand_matching, _narrow_matching, budget
+            sub[rest], _expand_matching, _narrow_matching, budget, "matching frontier"
         ):
             roots.append(rest[root])
             found.append(perms)
@@ -333,23 +304,24 @@ def _row_matchings(sub, budget):
     ]
 
 
-def _candidate_pairs(absv, absvo, cands_in, cands_out, tol, budget):
+def _candidate_pairs(absv, absvo, cands_in, cands_out, tol, budget, chunk):
     """Yield the feasible (perm_in, perm_out) pairs as (pis, pips) int arrays.
 
-    Row p of a chunk is one pair; a chunk holds at most ``_PAIR_CHUNK``
-    rows.  Pairs come in the perm_in order of ``_perm_in_blocks``, and for
-    each perm_in, the perfect matchings of its compat in lexicographic order
-    for a wildcard perm_out (found once per distinct compat matrix of the
-    call), else the explicit candidates it admits, in list order.  Pairs
-    are charged to ``budget`` as they are found, before a block's pair
-    arrays are joined.
+    Row p of a chunk is one pair; a chunk holds at most ``chunk`` rows.
+    Pairs come in the perm_in order of ``_perm_in_blocks``, and for each
+    perm_in, the perfect matchings of its compat in lexicographic order for
+    a wildcard perm_out (found once per distinct compat matrix of the call),
+    else the explicit candidates it admits, in list order.  A block's pairs
+    are charged to ``budget`` when they are counted, before its pair arrays
+    are built.
     """
     n = absv.shape[0]
+    pair_bytes = (2 * n + 2) * 8  # both permutations and the block row, as intp
     outs = None
     if cands_out is not None:
         outs = np.array(cands_out, dtype=np.intp).reshape(len(cands_out), n)
         cols = np.arange(n)
-        step = max(1, _BLOCK_ENTRIES // max(1, len(outs) * n))
+        step = chunk_rows(len(outs) * n)
     memo: dict[bytes, np.ndarray] = {}  # compat matrix -> its perm_outs
     for perms, compat in _perm_in_blocks(absv, absvo, cands_in, tol, budget):
         if outs is None:
@@ -362,20 +334,21 @@ def _candidate_pairs(absv, absvo, cands_in, cands_out, tol, budget):
                 memo.update(zip(new, _row_matchings(compat[list(new.values())], budget)))
             found = [memo[key] for key in keys]
             counts = [len(f) for f in found]
-            budget.charge(sum(counts) * budget.edges)
+            budget.charge("pair arrays", sum(counts), pair_bytes)
             rows = np.repeat(np.arange(len(keys)), counts)
             pips = np.concatenate(found)
         else:
             rows, which = [], []
             for lo in range(0, len(compat), step):
-                p, q = np.nonzero(compat[lo:lo + step][:, cols, outs].all(axis=2))
-                budget.charge(len(p) * budget.edges)
+                ok = compat[lo:lo + step][:, cols, outs].all(axis=2)
+                budget.charge("pair arrays", int(np.count_nonzero(ok)), pair_bytes)
+                p, q = np.nonzero(ok)
                 rows.append(p + lo)
                 which.append(q)
             rows, pips = np.concatenate(rows), outs[np.concatenate(which)]
         pis = perms[rows]
-        for lo in range(0, len(pis), _PAIR_CHUNK):
-            yield pis[lo:lo + _PAIR_CHUNK], pips[lo:lo + _PAIR_CHUNK]
+        for lo in range(0, len(pis), chunk):
+            yield pis[lo:lo + chunk], pips[lo:lo + chunk]
 
 
 @dataclass(frozen=True)
@@ -492,7 +465,9 @@ def _solve(v, perm_in, perm_out, v_out, tol, zero_tol, cycle_tol, budget):
     """Check the input, then return the constraint forest of V and an iterator
     over (pis, pips, val) chunks of the accepted pairs, as
     :func:`_propagate_chunk` returns them.  Every pair is found, and so
-    charged to ``budget``, before the first is propagated."""
+    charged to ``budget``, before the first is propagated; pairs are
+    propagated as many at a time as one chunk of (edges, pairs) complex
+    ratios holds."""
     for bound in (tol, zero_tol, cycle_tol):
         check_tol(bound)
     v = np.asarray(v, dtype=np.complex128)
@@ -506,7 +481,7 @@ def _solve(v, perm_in, perm_out, v_out, tol, zero_tol, cycle_tol, budget):
         if v_out.shape != v.shape:
             raise ValueError("V_out must match V's shape")
     for name, mat in (("V", v), ("V_out", v_out)):
-        budget.charge(n**3)
+        budget.charge("unitarity check", 4, 16 * n * n)  # the product and its temporaries
         uni = np.abs(mat @ mat.conj().T - np.eye(n)).max() if n else 0.0
         if uni > UNITARITY_TOL:
             raise ValueError(f"{name} is not unitary (residual {uni:.2e})")
@@ -523,14 +498,15 @@ def _solve(v, perm_in, perm_out, v_out, tol, zero_tol, cycle_tol, budget):
 
     cands_in = _normalize_perm_arg(perm_in, n)
     cands_out = _normalize_perm_arg(perm_out, n)
-    budget.edges = len(forest.rows)
     # Every pair is held until the search ends, in the narrowest index type.
     small = np.min_scalar_type(n)
-    pairs = [
-        (pis.astype(small), pips.astype(small)) for pis, pips in _candidate_pairs(
-            absv, np.abs(v_out), cands_in, cands_out, modulus_match_tol(tol), budget
-        )
-    ]
+    pairs = []
+    for pis, pips in _candidate_pairs(
+        absv, np.abs(v_out), cands_in, cands_out, modulus_match_tol(tol), budget,
+        chunk_rows(16 * len(forest.rows)),
+    ):
+        budget.charge("held pairs", len(pis), 2 * n * small.itemsize)
+        pairs.append((pis.astype(small), pips.astype(small)))
     return forest, (
         _propagate_chunk(v, v_out, pis, pips, forest, tol, cycle_tol) for pis, pips in pairs
     )
@@ -553,8 +529,8 @@ def solve_intertwiner(
     candidate permutations, or None for a full wildcard.  A pair (perm_in,
     perm_out) is feasible when every row m of |V| equals row perm_out(m) of
     |V_out| with columns permuted by perm_in; the module docstring describes
-    the search.  A call that passes ``_SEARCH_BUDGET`` raises
-    :class:`SearchBudgetError` naming its count, before any pair is
+    the search.  A call over its byte budget raises
+    :class:`SearchBudgetError` naming its estimate, before any pair is
     propagated.  Row f of the result is the gate Pi D of the f-th accepted
     pair, in (perm_in, perm_out) order: lexicographic for a wildcard, list
     order otherwise.  Each row is the complete connected solution set for its
@@ -564,7 +540,7 @@ def solve_intertwiner(
     ValueError.
     """
     return _gate_families(*_solve(
-        v, perm_in, perm_out, v_out, tol, zero_tol, cycle_tol, _Budget()
+        v, perm_in, perm_out, v_out, tol, zero_tol, cycle_tol, Budget()
     ))
 
 
@@ -576,6 +552,8 @@ def row_keys(perms: np.ndarray) -> np.ndarray:
     """One raw-bytes key per row of a 2-D array: rows are equal exactly when
     their keys are, and numpy sorts and searches keys as memcmp orders them."""
     perms = np.ascontiguousarray(perms)
+    if not perms.shape[1]:  # a view has no key per row for rows of no bytes
+        return np.zeros(len(perms), dtype="V1")
     return perms.view(np.dtype((np.void, perms.itemsize * perms.shape[1]))).ravel()
 
 
@@ -648,18 +626,18 @@ def delta_set(
     restricts the searched gate permutations; ``restrict_perms_out``
     restricts the conjugated gate's permutation, which word matrices with
     many equal-modulus entries may need to keep the matching enumeration
-    within the search budget.  The word matrix is charged to the same budget
-    as the search, n^3 per letter, before it is built; a call over the
-    budget raises :class:`SearchBudgetError`.  The bounds are checked as in
-    :func:`solve_intertwiner`, before the word is evaluated.  Families come
-    in :func:`solve_intertwiner`'s order.
+    within the budget.  The word matrix is charged to the same byte budget
+    as the search, one complex n x n product per letter, before it is
+    built; a call over the budget raises :class:`SearchBudgetError`.  The
+    bounds are checked as in :func:`solve_intertwiner`, before the word is
+    evaluated.  Families come in :func:`solve_intertwiner`'s order.
     """
     for bound in (tol, zero_tol, cycle_tol):
         check_tol(bound)
     basis = enumerate_labelings(model, surface)
     tokens = parse_word(word, surface)
-    budget = _Budget()
-    budget.charge(len(tokens) * basis.dim**3)  # one product per letter
+    budget = Budget()
+    budget.charge("word matrix", len(tokens), 16 * basis.dim**2)  # one product per letter
     rep = evaluate_on_basis(model, basis, tokens)
     return _gate_families(*_solve(
         rep.matrix, restrict_perms, restrict_perms_out, None, tol, zero_tol, cycle_tol,
@@ -686,18 +664,6 @@ def _gate_families(forest: _ConstraintForest, accepted) -> DeltaSet:
         perms.append(pis)
         rel.append(val[:, :n] / val[:, roots])
     return DeltaSet(np.concatenate(perms), np.concatenate(rel), components)
-
-
-def _same_perm_pairs(perms_a: np.ndarray, perms_b: np.ndarray):
-    """Index arrays (i, j) of every pair of rows with equal permutations,
-    ordered by i, then by j."""
-    rows_b: dict[tuple[int, ...], list[int]] = {}
-    for j, perm in enumerate(map(tuple, perms_b.tolist())):
-        rows_b.setdefault(perm, []).append(j)
-    pairs = [
-        (i, j) for i, perm in enumerate(map(tuple, perms_a.tolist())) for j in rows_b.get(perm, ())
-    ]
-    return np.array(pairs, dtype=np.intp).reshape(-1, 2).T
 
 
 def _join(comp_a, rel_a, comp_b, rel_b, tol):
@@ -786,10 +752,15 @@ def intersect_delta(sets: list[DeltaSet], tol: float = CYCLE_TOL) -> DeltaSet:
     # the bits of these scalar operations.
     rows = None
     for s in sets[1:]:
-        ia, ib = _same_perm_pairs(current.perms, s.perms)
+        # the row pairs with equal permutations, ordered by i, then by j
+        common = np.promote_types(current.perms.dtype, s.perms.dtype)
+        ia, ib = _join_keys(
+            row_keys(current.perms.astype(common, copy=False)),
+            row_keys(s.perms.astype(common, copy=False)),
+        )
         if current.n_free == 1 and s.n_free == 1:
             keep = np.empty(len(ia), dtype=bool)
-            step = max(1, _BLOCK_ENTRIES // dim)
+            step = chunk_rows(16 * dim)
             for lo in range(0, len(ia), step):
                 pairs = slice(lo, lo + step)
                 gap = np.abs(current.rel[ia[pairs]] - s.rel[ib[pairs]])

@@ -26,7 +26,9 @@ string basis and from one pass per string generator instead of one C1 pass
 per distinct permutation, the affine label maps by repeated fusion instead
 of exponent-coordinate arrays, the intersection of delta sets by one
 ``PhaseCoset.intersect`` per family pair instead of one array pass for
-rigid sets and a union-find over set rows otherwise, the lattice
+rigid sets and a union-find over set rows otherwise, the row pairs with
+equal permutations by a dict of row tuples instead of a join of row keys,
+the lattice
 commutation phases from dense state-space matrices instead of exponent
 vectors, the report JSON from the standard library encoder after a rounding
 walk instead of the package's writer, the order of a class list by sorting
@@ -59,6 +61,7 @@ from anyongates.abelian import (
     group_coordinates,
     string_operator_matrices,
 )
+from anyongates.budget import Budget
 from anyongates.mcg import evaluate_word, parse_word
 from anyongates.models import AnyonModel, CheckResult, ModelError
 from anyongates import solver
@@ -592,7 +595,7 @@ def intertwiner_solutions(
     IntertwinerSolution each: every phase of a pair divided by its
     component's root in one array division, in the solver's order."""
     forest, accepted = solver._solve(
-        v, perm_in, perm_out, v_out, tol, zero_tol, cycle_tol, solver._Budget()
+        v, perm_in, perm_out, v_out, tol, zero_tol, cycle_tol, Budget()
     )
     sols = []
     for pis, pips, val in accepted:
@@ -1192,6 +1195,19 @@ def reference_contains_logical_paulis(model, inter) -> bool:
     return all(
         any(fam.contains(gate) for fam in by_perm.get(gate.perm, ())) for gate in gates
     )
+
+
+def same_perm_pairs(perms_a: np.ndarray, perms_b: np.ndarray):
+    """Index arrays (i, j) of every pair of rows with equal permutations,
+    ordered by i, then by j, from a dict of row tuples instead of a join of
+    row keys."""
+    rows_b: dict[tuple[int, ...], list[int]] = {}
+    for j, perm in enumerate(map(tuple, perms_b.tolist())):
+        rows_b.setdefault(perm, []).append(j)
+    pairs = [
+        (i, j) for i, perm in enumerate(map(tuple, perms_a.tolist())) for j in rows_b.get(perm, ())
+    ]
+    return np.array(pairs, dtype=np.intp).reshape(-1, 2).T
 
 
 def reference_intersect_delta(sets, tol: float = CYCLE_TOL) -> list:

@@ -10,6 +10,7 @@ from anyongates import (
     AnyonModel,
     ClassificationError,
     InfeasibleSurfaceError,
+    SearchBudgetError,
     allowed_curve_permutations,
     classify,
     classify_punctured_sphere,
@@ -23,7 +24,7 @@ from anyongates import (
     torus_surface,
     validate,
 )
-from anyongates import solver
+from anyongates import budget
 from anyongates.abelian import (
     affine_permutations,
     string_operator_matrices,
@@ -109,7 +110,7 @@ def test_one_basis_enumeration_per_sphere_classify(monkeypatch, m):
     calls = _count_enumerations(monkeypatch)
     surf = sphere_surface(ISING, "sigma", m)
     if m == 24:
-        with pytest.raises(ClassificationError, match="out of reach"):
+        with pytest.raises(SearchBudgetError, match=r"^classes: .* out of reach"):
             classify_punctured_sphere(ISING, surf)
     else:
         assert classify_punctured_sphere(ISING, surf).verdict == "pauli_group"
@@ -200,6 +201,16 @@ def test_iso_phase_set_matches_the_reference_on_classify_boundaries(monkeypatch)
     assert len(visited) >= 2
     for boundary, perm in dict.fromkeys(visited):
         _assert_iso_matches_reference(ISING, boundary, perm)
+
+
+@pytest.mark.parametrize("m", [8, 12])
+def test_factorized_classify_solves_each_phase_set_once(monkeypatch, m):
+    """Free curves with the same boundary share their phase sets: one
+    iso_phase_set call per distinct (boundary, perm), the identity and the
+    swap on (sigma, sigma, sigma, sigma), where one per free curve and
+    permutation made 10 on sphere:sigma:12."""
+    calls = _iso_calls(monkeypatch, ISING, sphere_surface(ISING, "sigma", m))
+    assert calls == [((2, 2, 2, 2), IDENT2), ((2, 2, 2, 2), SWAP2)]
 
 
 def test_iso_phase_set_rejects_bad_perm():
@@ -544,16 +555,20 @@ def test_one_diagonal_class_with_unequal_phases_is_not_trivial(surface, verdict,
 
 def test_enumeration_budget_refuses_before_building(monkeypatch):
     """Each enumeration of sphere candidates names its estimate when it is
-    above the budget: a window's conjugates, the class arrays, and the
-    delta-set candidate permutations."""
+    above the byte budget: a window's conjugates, the class arrays, and the
+    delta-set candidate permutations.  The F-blocks are built first, under
+    the whole budget; a 2 x 2 phase-set solve takes under 1 kB."""
     whole_chain = "".join(f"s{k}" for k in range(1, 18))
-    with pytest.raises(ClassificationError, match="65,536 x 65,536 = 4,294,967,296 entries"):
+    with pytest.raises(SearchBudgetError, match=(
+        f"^word '{whole_chain}': option tuples: 65,536 x 1,048,576 bytes, "
+    )):
         classify_punctured_sphere(ISING, sphere_surface(ISING, "sigma", 18), [whole_chain])
-    mod = importlib.import_module("anyongates.classify")
-    monkeypatch.setattr(mod, "_ENTRY_BUDGET", 100)
-    with pytest.raises(ClassificationError, match="classes x dimension: 256 x 16 = 4,096 entries"):
+    for model in (ISING, FIB_ISING):
+        assert model.fblocks.blocks
+    monkeypatch.setattr(budget, "BUDGET_BYTES", 5000)
+    with pytest.raises(SearchBudgetError, match=r"^classes: 256 x 1,024 bytes, 262,400 bytes in all"):
         classify_punctured_sphere(ISING, sphere_surface(ISING, "sigma", 10), ["s2"])
-    with pytest.raises(ClassificationError, match="curve permutation products x dimension: 16 x "):
+    with pytest.raises(SearchBudgetError, match=r"^curve permutation products: 16 x 480 bytes, "):
         classify_punctured_sphere(FIB_ISING, sphere_surface(FIB_ISING, "tau.sigma", 6))
 
 
@@ -683,8 +698,8 @@ def _z5_anyons():
 
 def test_abelian_words_search_every_permutation_within_budget(monkeypatch):
     """A word outside the closed form is searched by the wildcard while the
-    budget allows (401,500 entries for stst on Z_5), and over the affine
-    maps only, flagged as an upper bound, once it does not."""
+    budget allows (1,571,950 bytes for stst on Z_5), and over the affine
+    maps only (49,700 bytes), flagged as an upper bound, once it does not."""
     model = _z5_anyons()
     assert validate(model).passed
     mod = importlib.import_module("anyongates.classify")
@@ -698,7 +713,7 @@ def test_abelian_words_search_every_permutation_within_budget(monkeypatch):
     exact = classify_torus(model, ["s", "stst"])
     assert restricted == [None]
     assert (exact.verdict, exact.n_classes, exact.flags) == ("clifford_star_subgroup", 100, [])
-    monkeypatch.setattr(solver, "_SEARCH_BUDGET", 10**5)
+    monkeypatch.setattr(budget, "BUDGET_BYTES", 10**5)
     bounded = classify_torus(model, ["s", "stst"])
     assert restricted[1:] == [None, affine_permutations(model)]
     assert len(restricted[2]) == 20

@@ -115,14 +115,16 @@ def test_classify_infeasible_surface(capsys):
 
 
 def test_classify_out_of_reach_sphere_fails_fast(capsys):
-    """sphere:sigma:24 would fill 4^11 x 2048 class-array entries; the
-    classifier names that estimate and exits 1 before allocating them."""
+    """sphere:sigma:24 would fill 4^11 classes of 2048 entries at 64 bytes
+    each; the classifier names that estimate and exits 1 before allocating
+    them."""
     argv = ("classify", "--model", "ising", "--surface", "sphere:sigma:24")
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
     assert time.perf_counter() - start < 2.0
     assert (code, out) == (1, "")
-    assert "4,194,304 x 2,048 = 8,589,934,592 entries" in err
+    assert "error: classes: 4,194,304 x 131,072 bytes, " in err
+    assert "above the budget of 1,073,741,824 bytes" in err
     tracemalloc.start()
     try:
         assert run(capsys, *argv)[0] == 1
@@ -193,12 +195,13 @@ def test_delta_needs_words(capsys):
 
 def test_delta_over_budget_exits_1(capsys):
     """The flat 9 x 9 S matrix of zn_toric:3 makes 9! matchings for every
-    gate permutation; the search names its count and budget, and exits 1."""
+    gate permutation; the search names its stage, count and budget, and
+    exits 1."""
     code, out, err = run(capsys, "delta", "--model", "zn_toric:3",
                          "--surface", "torus", "--words", "s")
     assert (code, out) == (1, "")
-    assert "search over budget: " in err
-    assert "entries against a budget of 1,073,741,824" in err
+    assert "error: pair arrays: 521,821,440 x 160 bytes, " in err
+    assert "above the budget of 1,073,741,824 bytes" in err
 
 
 def test_delta_text_lists_families(capsys):

@@ -17,7 +17,8 @@ from anyongates import (
     sphere_surface,
     torus_surface,
 )
-from anyongates import solver
+from anyongates import budget, solver
+from anyongates.budget import Budget
 from anyongates.solver import DeltaSet
 from anyongates.tolerances import (
     CYCLE_TOL,
@@ -40,12 +41,13 @@ from oracles import (
     reference_candidate_pairs,
     reference_gate_coset,
     reference_intersect_delta,
+    same_perm_pairs,
 )
 
 FIB = load_builtin("fibonacci")
 ISING = load_builtin("ising")
 
-OVER_BUDGET = r"search over budget: "
+OVER_BUDGET = r"bytes in all, above the budget of "
 
 
 def random_unitary(n, seed):
@@ -250,7 +252,7 @@ def test_restricting_perm_out_prevents_matching_blowup():
 
     model = load_builtin("zn_toric:3")
     affs = affine_permutations(model)[:40]
-    with pytest.raises(ValueError, match=OVER_BUDGET):
+    with pytest.raises(ValueError, match=r"^pair arrays: 14,515,200 x 160 bytes, "):
         delta_set(model, torus_surface(), "stst", restrict_perms=affs)
     ds = delta_set(model, torus_surface(), "stst",
                    restrict_perms=affs, restrict_perms_out=affs)
@@ -260,21 +262,22 @@ def test_restricting_perm_out_prevents_matching_blowup():
 
 
 def test_small_search_budget_refuses_before_building_pairs(monkeypatch):
-    """The flat 6 x 6 Fourier matrix has 720 x 720 feasible pairs (50 MB of
-    pair arrays).  Its frontiers fit a budget of 10^7 entries, its pairs do
-    not, so the search stops with the count before any pair array exists."""
-    monkeypatch.setattr(solver, "_SEARCH_BUDGET", 10**7)
+    """The flat 6 x 6 Fourier matrix has 720 x 720 feasible pairs (58 MB of
+    pair arrays).  Its frontiers fit a budget of 10^7 bytes, its pairs do
+    not, so the search stops with the count, its chunks cut to the budget,
+    having held less than the budget at once."""
+    monkeypatch.setattr(budget, "BUDGET_BYTES", 10**7)
     k = np.arange(6)
     dft = np.exp(2j * np.pi * np.outer(k, k) / 6) / np.sqrt(6)
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match=OVER_BUDGET + r"\d[\d,]* entries against a "
-                           r"budget of 10,000,000; restrict perm_in or perm_out"):
+        with pytest.raises(ValueError, match=r"^pair arrays: [\d,]+ x 112 bytes, [\d,]+ "
+                           r"bytes in all, above the budget of 10,000,000 bytes"):
             solve_intertwiner(dft)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * 2**20
+    assert peak < 10**7
     v = np.eye(9, dtype=complex)
     with pytest.raises(ValueError, match=OVER_BUDGET):
         solve_intertwiner(v)
@@ -591,15 +594,15 @@ def _pair_search_case(name):
 ])
 @pytest.mark.parametrize("tiny", [False, True], ids=["blocks", "tiny-blocks"])
 def test_pair_arrays_match_the_recursive_search(monkeypatch, name, tiny):
+    chunk = 2048
     if tiny:  # one partial permutation per frontier block, 7 pairs per chunk
-        monkeypatch.setattr(solver, "_BLOCK_ENTRIES", 1)
-        monkeypatch.setattr(solver, "_PAIR_CHUNK", 7)
+        monkeypatch.setattr(solver, "chunk_rows", lambda row_bytes: 1)
+        chunk = 7
     v, v_out, perm_in, perm_out = _pair_search_case(name)
     absv, absvo, tol = np.abs(v), np.abs(v_out), modulus_match_tol(DEFAULT_TOL)
     n = v.shape[0]
-    budget = solver._Budget(edges=n * n)
-    chunks = list(solver._candidate_pairs(absv, absvo, perm_in, perm_out, tol, budget))
-    assert all(0 < len(pis) == len(pips) <= solver._PAIR_CHUNK for pis, pips in chunks)
+    chunks = list(solver._candidate_pairs(absv, absvo, perm_in, perm_out, tol, Budget(), chunk))
+    assert all(0 < len(pis) == len(pips) <= chunk for pis, pips in chunks)
     empty = [(np.empty((0, n), dtype=np.intp),) * 2]
     pis, pips = (np.concatenate(side) for side in zip(*(chunks or empty)))
     want = reference_candidate_pairs(absv, absvo, perm_in, perm_out, tol)
@@ -617,7 +620,7 @@ def test_search_budget_fails_fast_on_a_flat_matrix():
     dft = np.exp(2j * np.pi * np.outer(k, k) / 8) / np.sqrt(8)
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match=OVER_BUDGET):
+        with pytest.raises(ValueError, match=r"^pair arrays: 82,575,360 x 144 bytes, "):
             solve_intertwiner(dft)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -666,7 +669,7 @@ def _traced_peak(call):
     """Run ``call`` under tracemalloc; return (its exception, peak bytes)."""
     tracemalloc.start()
     try:
-        with pytest.raises(solver.SearchBudgetError) as err:
+        with pytest.raises(budget.SearchBudgetError) as err:
             call()
         return err.value, tracemalloc.get_traced_memory()[1]
     finally:
@@ -678,16 +681,17 @@ def test_wildcard_on_a_large_matrix_is_refused_in_flat_memory():
     waiting children's states of the frontier about 1 GiB before the count
     passes the budget; one step at a time takes a few tens of MB."""
     err, peak = _traced_peak(lambda: solve_intertwiner(np.eye(256, dtype=complex)))
-    assert "entries against a budget of 1,073,741,824" in str(err)
+    assert str(err).startswith("perm_in frontier: 1 x 16,777,216 bytes, ")
+    assert "above the budget of 1,073,741,824 bytes" in str(err)
     assert peak < 64 * 2**20
 
 
 def test_delta_set_refuses_a_word_matrix_over_budget_before_building_it():
-    """sphere:sigma:30 has dimension 2^14: one 2^42-entry product for the
-    word, where the dense matrix alone would take 4 GiB."""
+    """sphere:sigma:30 has dimension 2^14: the dense matrix of the word
+    alone would take 4 GiB."""
     surf = sphere_surface(ISING, "sigma", 30)
     err, peak = _traced_peak(lambda: delta_set(ISING, surf, "s2"))
-    assert str(err).startswith("search over budget: 4,398,046,511,104 entries")
+    assert str(err).startswith("word matrix: 1 x 4,294,967,296 bytes, 4,294,967,296 bytes in all")
     assert peak < 16 * 2**20
 
 
@@ -699,7 +703,7 @@ def test_refused_search_propagates_no_pair(monkeypatch):
     monkeypatch.setattr(solver, "_propagate_chunk",
                         lambda *args: propagated.append(1) or real(*args))
     start = time.perf_counter()
-    with pytest.raises(solver.SearchBudgetError, match=OVER_BUDGET):
+    with pytest.raises(budget.SearchBudgetError, match=r"^matching frontier: 256 x 4,096 bytes, "):
         delta_set(ISING, sphere_surface(ISING, "sigma", 10), "s2")
     assert time.perf_counter() - start < 2.0
     assert propagated == []
@@ -798,6 +802,46 @@ def test_column_intersection_matches_the_family_reference(model, surface, words)
     assert intersect_delta(sets[:1]) is sets[0]
 
 
+def _pairing_set(case):
+    """A delta set for ``case``; "closed" words come from the abelian closed
+    form, and "narrow" sets hold their rows in the narrowest int type."""
+    model, surface, word = case.split(" ")
+    if word.startswith("closed:"):
+        from anyongates.abelian import torus_word_families
+
+        return torus_word_families(load_builtin(model), word[7:])
+    if word.startswith("narrow:"):
+        ds = _pairing_set(f"{model} {surface} {word[7:]}")
+        return DeltaSet(ds.perms.astype(np.min_scalar_type(ds.dim)), ds.rel, ds.components)
+    return delta_set(*_family_case(case))
+
+
+@pytest.mark.parametrize("model, surface, words", [
+    ("zn_toric:2", "torus", ["s", "st", "stst"]),
+    ("fibonacci", "torus", ["s", "st"]),
+    ("zn_toric:2", "torus", ["closed:s", "narrow:st"]),
+    ("zn_toric:2", "torus", ["narrow:st", "closed:s", "stst"]),
+    ("ising", "sphere:sigma:8", ["s2", "s4"]),
+    ("fibonacci", "sphere:tau:7", ["s2", "s3"]),
+    ("fibonacci", "sphere:tau:9", _chain(9)),
+])
+def test_equal_permutation_pairs_match_the_reference(monkeypatch, model, surface, words):
+    """Each intersect_delta step pairs the rows with equal permutations by
+    one join of their row keys, cast to one dtype: the same (i, j) arrays,
+    ordered by i, then by j, as a dict of row tuples."""
+    sets = [_pairing_set(f"{model} {surface} {w}") for w in words]
+    joined = []
+    real = solver._join_keys
+    monkeypatch.setattr(solver, "_join_keys", lambda a, b: joined.append(real(a, b)) or joined[-1])
+    intersect_delta(sets)
+    monkeypatch.undo()
+    assert len(joined) == len(sets) - 1
+    for k, (ia, ib) in enumerate(joined, 1):
+        want = same_perm_pairs(intersect_delta(sets[:k]).perms, sets[k].perms)
+        assert len(want[0])
+        assert ia.tolist() == want[0].tolist() and ib.tolist() == want[1].tolist()
+
+
 def test_join_matches_the_family_reference_on_long_paths():
     """Pairs (2k, 2k + 1) joined with one component of every odd index tie
     each new index through a parent that is not a root, so the union-find
@@ -894,13 +938,16 @@ def test_batched_instantiate_keeps_signed_zero_bytes():
 
 
 def test_empty_matrix_has_one_empty_family():
-    """A zero-dimensional space has one (empty) permutation pair and family."""
+    """A zero-dimensional space has one (empty) permutation pair and family,
+    which holds the empty gate and survives intersection with itself: its
+    row keys are one per row, though its rows have no bytes."""
     empty = np.zeros((0, 0), dtype=np.complex128)
     ds = solve_intertwiner(empty)
     assert (ds.perms.shape, ds.rel.shape, ds.components) == ((1, 0), (1, 0), ())
+    assert ds.contains(MonomialMatrix((), ()))
+    assert len(intersect_delta([ds, ds])) == 1
     sols = intertwiner_solutions(empty)
     assert [(s.perm_in, s.perm_out, s.relative_phases) for s in sols] == [((), (), ())]
-    budget = solver._Budget(edges=0)
-    pairs = list(solver._candidate_pairs(empty.real, empty.real, None, None, 0.0, budget))
+    pairs = list(solver._candidate_pairs(empty.real, empty.real, None, None, 0.0, Budget(), 1))
     assert [(pis.shape, pips.shape) for pis, pips in pairs] == [((1, 0), (1, 0))]
     assert reference_candidate_pairs(empty.real, empty.real, None, None, 0.0) == [((), ())]
