@@ -4,8 +4,7 @@ Each stage that may allocate much charges the bytes it is about to allocate
 to its call's :class:`Budget` first: a model build, one sphere enumeration,
 one search, one closed-form listing.  Charges add up over the call; past
 ``BUDGET_BYTES`` it raises :class:`SearchBudgetError` (a ValueError) naming
-the stage, its count and bytes, the call's total and the budget.  Chunked
-array passes take ``chunk_rows`` rows, 1/1024 of the budget, at a time.
+the stage, its count and bytes, the call's total and the budget.
 """
 
 from __future__ import annotations
@@ -34,5 +33,5 @@ class Budget:
 
 
 def chunk_rows(row_bytes: int) -> int:
-    """Rows of ``row_bytes`` bytes each that one array pass takes at a time."""
+    """Rows of ``row_bytes`` bytes each that one array pass takes: 1/1024 of the budget."""
     return max(1, (BUDGET_BYTES >> 10) // max(1, row_bytes))

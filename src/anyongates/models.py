@@ -121,7 +121,7 @@ def _join(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a, order[np.arange(a.size) - shift]
 
 
-def _fblock_layout(fusion: np.ndarray, budget: Budget, key_bytes: int):
+def _fblock_layout(fusion: np.ndarray, budget: Budget):
     """Every admissible boundary of a fusion tensor, its channels and F-symbol keys.
 
     A row channel m of boundary (i,j,k,l) pairs the fusion triples (i,j,m)
@@ -134,7 +134,8 @@ def _fblock_layout(fusion: np.ndarray, budget: Budget, key_bytes: int):
     the rows (boundary position, i, j, m, k, l, n) in boundary order, each
     block in row-major order.  The channels, counted from the fusion
     tensor's sums, are charged before they are joined, at eight ints each,
-    and the keys before they are built, each with its caller's ``key_bytes``.
+    and the keys before they are built, at 14 ints and the about 300 bytes
+    of Python objects a caller makes of each.
     """
     n = fusion.shape[0]
     shape = (n, n, n, n)
@@ -157,7 +158,7 @@ def _fblock_layout(fusion: np.ndarray, budget: Budget, key_bytes: int):
     cols = np.column_stack((np.searchsorted(codes, col_code), col_n))
     cols = cols[np.lexsort(cols.T[::-1])]
     n_rows, n_cols = (np.bincount(x[:, 0], minlength=len(bounds)) for x in (rows, cols))
-    budget.charge("F-symbols", int(n_rows @ n_cols), 14 * 8 + key_bytes)  # a key row and its join
+    budget.charge("F-symbols", int(n_rows @ n_cols), 14 * 8 + 300)
     a, b = _join(rows[:, 0], cols[:, 0])
     i, j, k, l = bounds[rows[a, 0]].T
     keys = np.column_stack((rows[a, 0], i, j, rows[a, 1], k, l, cols[b, 1]))
@@ -181,9 +182,9 @@ class FBlockStore:
     """
 
     def __init__(self, model: AnyonModel):
-        budget = Budget()  # per key its tuple and two values; per block tuples, view, slot
-        bounds, rows, cols, keys = _fblock_layout(model.fusion, budget, 300)
-        budget.charge("F-blocks", len(bounds), 400)
+        budget = Budget()
+        bounds, rows, cols, keys = _fblock_layout(model.fusion, budget)
+        budget.charge("F-blocks", len(bounds), 400)  # per block its tuples, view and slot
         self.boundaries = list(map(tuple, bounds.tolist()))
         fkeys = list(map(tuple, keys[:, 1:].tolist()))
         values = list(map(model.fsymbols.get, fkeys))
@@ -236,10 +237,9 @@ def _fill_fsymbols(fusion: np.ndarray, entry) -> dict:
     """Populate the F dict over all admissible boundaries from ``entry``.
 
     ``entry(i, j, m, k, l, n)`` supplies the value; admissibility is read
-    off the fusion tensor.  Each key's list row, tuple, value and dict slot
-    are charged to a budget of the build's own.
+    off the fusion tensor; the keys are charged to a budget of its own.
     """
-    keys = _fblock_layout(fusion, Budget(), 300)[3][:, 1:]
+    keys = _fblock_layout(fusion, Budget())[3][:, 1:]
     return {key: complex(entry(*key)) for key in map(tuple, keys.tolist())}
 
 

@@ -26,11 +26,10 @@ Solving is:
 Each feasible permutation pair therefore contributes at most one connected
 family with one free phase per graph component.
 
-Each call charges one byte budget (``budget.py``) before it allocates:
-the word matrix, the unitarity checks, then step (1): the frontier blocks,
-the pair arrays of each block and the pairs held until the search ends.  A
-call over the budget raises :class:`SearchBudgetError` before any pair is
-propagated.
+Each call charges one byte budget (``budget.py``) before it allocates: the
+word matrix and one search row, the unitarity checks, the frontier blocks,
+each block's pair arrays and the pairs held until the search ends.  Past
+it, :class:`SearchBudgetError` is raised before any pair is propagated.
 
 Every set of gate families is a delta set, the solver's result included:
 one row of a permutation array and of a relative-phase array per family,
@@ -626,18 +625,20 @@ def delta_set(
     restricts the searched gate permutations; ``restrict_perms_out``
     restricts the conjugated gate's permutation, which word matrices with
     many equal-modulus entries may need to keep the matching enumeration
-    within the budget.  The word matrix is charged to the same byte budget
-    as the search, one complex n x n product per letter, before it is
-    built; a call over the budget raises :class:`SearchBudgetError`.  The
-    bounds are checked as in :func:`solve_intertwiner`, before the word is
-    evaluated.  Families come in :func:`solve_intertwiner`'s order.
+    within the budget.  The bounds are checked as in
+    :func:`solve_intertwiner`; then the search's byte budget is charged the
+    n x n matrices the word's evaluation holds and one search row of n^3
+    booleans, the least any search holds (charged again when taken), before
+    the word is evaluated.  Families come in :func:`solve_intertwiner`'s order.
     """
     for bound in (tol, zero_tol, cycle_tol):
         check_tol(bound)
     basis = enumerate_labelings(model, surface)
     tokens = parse_word(word, surface)
     budget = Budget()
-    budget.charge("word matrix", len(tokens), 16 * basis.dim**2)  # one product per letter
+    # the running product, its next value, a conjugate and each generator used
+    budget.charge("word matrix", 3 + len({sym for sym, _ in tokens}), 16 * basis.dim**2)
+    budget.charge("search row", 1, basis.dim**3)
     rep = evaluate_on_basis(model, basis, tokens)
     return _gate_families(*_solve(
         rep.matrix, restrict_perms, restrict_perms_out, None, tol, zero_tol, cycle_tol,

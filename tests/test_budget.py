@@ -16,7 +16,14 @@ from pathlib import Path
 
 import pytest
 
-from anyongates import SearchBudgetError, budget, load_builtin, models
+from anyongates import (
+    SearchBudgetError,
+    budget,
+    classify_punctured_sphere,
+    load_builtin,
+    models,
+    sphere_surface,
+)
 from anyongates.budget import Budget, chunk_rows
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -48,6 +55,10 @@ CASES = {
         "classes"),
     "delta ising sphere:sigma:30 s2": (
         ["-m", "anyongates.cli", "delta", "--model", "ising", "--surface", "sphere:sigma:30",
+         "--words", "s2"], "word matrix"),
+    # 2^13 rows: evaluating s2 holds four 1 GiB matrices, where one alone would fit
+    "delta ising sphere:sigma:28 s2": (
+        ["-m", "anyongates.cli", "delta", "--model", "ising", "--surface", "sphere:sigma:28",
          "--words", "s2"], "word matrix"),
     "ising x ising x ising torus": (["-c", CUBE], "matching frontier"),
 }
@@ -131,3 +142,39 @@ def test_block_store_charges_its_own_budget(monkeypatch):
     monkeypatch.setattr(budget, "BUDGET_BYTES", 200_000)
     with pytest.raises(SearchBudgetError, match=r"^F-symbols: 729 x 412 bytes, "):
         load_builtin("zn_toric:3")
+
+
+def test_sphere_classes_fit_the_budget_up_to_sigma_16():
+    """Ising sphere:sigma:16 classifies: 4^7 classes of 2^7 entries at 64
+    bytes each, half the budget.  sphere:sigma:18 has 4^8 classes of 2^8
+    entries, the whole budget, and is refused at its classes (it took
+    12 s and 1.3 GB when it ran)."""
+    ising = load_builtin("ising")
+    report = classify_punctured_sphere(ising, sphere_surface(ising, "sigma", 16))
+    assert (report.verdict, report.n_classes) == ("pauli_group", 4**7)
+    with pytest.raises(SearchBudgetError, match=r"^classes: 65,536 x 16,384 bytes, "):
+        classify_punctured_sphere(ising, sphere_surface(ising, "sigma", 18))
+
+
+class _Passed(Exception):
+    """Raised once the F-symbol charge of a build has passed."""
+
+
+def test_abelian_builds_fit_the_budget_up_to_zn_toric_11(monkeypatch):
+    """Z_n x Z_n has n^6 F-symbols, each charged with its two channels:
+    zn_toric:11 passes the charge (957 MB) and builds, zn_toric:12
+    (1.6 GB) is refused before its keys exist.  The zn_toric:11 build is
+    stopped once its charge passes; built, it takes about 4 s."""
+    charge = Budget.charge
+
+    def charge_then_stop(self, stage, count, nbytes):
+        charge(self, stage, count, nbytes)
+        if stage == "F-symbols":
+            raise _Passed(self.spent)
+
+    monkeypatch.setattr(Budget, "charge", charge_then_stop)
+    with pytest.raises(_Passed) as passed:
+        load_builtin("zn_toric:11")
+    assert passed.value.args == (11**6 * (2 * 64 + 412),)
+    with pytest.raises(SearchBudgetError, match=r"^F-symbols: 2,985,984 x 412 bytes, 1,612,"):
+        load_builtin("zn_toric:12")

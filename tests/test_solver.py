@@ -263,21 +263,26 @@ def test_restricting_perm_out_prevents_matching_blowup():
 
 def test_small_search_budget_refuses_before_building_pairs(monkeypatch):
     """The flat 6 x 6 Fourier matrix has 720 x 720 feasible pairs (58 MB of
-    pair arrays).  Its frontiers fit a budget of 10^7 bytes, its pairs do
-    not, so the search stops with the count, its chunks cut to the budget,
-    having held less than the budget at once."""
+    pair arrays).  Its frontier fits a budget of 10^7 bytes, its pairs do
+    not, so the search stops with their count before any pair array exists.
+    The chunks stay those of the real budget, so the one frontier block
+    holds all 720 gate permutations and their pairs are counted at once."""
+    full = budget.BUDGET_BYTES
+    monkeypatch.setattr(
+        solver, "chunk_rows", lambda row_bytes: max(1, (full >> 10) // max(1, row_bytes))
+    )
     monkeypatch.setattr(budget, "BUDGET_BYTES", 10**7)
     k = np.arange(6)
     dft = np.exp(2j * np.pi * np.outer(k, k) / 6) / np.sqrt(6)
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match=r"^pair arrays: [\d,]+ x 112 bytes, [\d,]+ "
+        with pytest.raises(ValueError, match=r"^pair arrays: 518,400 x 112 bytes, [\d,]+ "
                            r"bytes in all, above the budget of 10,000,000 bytes"):
             solve_intertwiner(dft)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 10**7
+    assert peak < 4 * 2**20
     v = np.eye(9, dtype=complex)
     with pytest.raises(ValueError, match=OVER_BUDGET):
         solve_intertwiner(v)
@@ -687,11 +692,27 @@ def test_wildcard_on_a_large_matrix_is_refused_in_flat_memory():
 
 
 def test_delta_set_refuses_a_word_matrix_over_budget_before_building_it():
-    """sphere:sigma:30 has dimension 2^14: the dense matrix of the word
-    alone would take 4 GiB."""
+    """sphere:sigma:30 has dimension 2^14: evaluating s2 holds four dense
+    matrices (the running product, its next value, a conjugate and the
+    generator) of 4 GiB each."""
     surf = sphere_surface(ISING, "sigma", 30)
     err, peak = _traced_peak(lambda: delta_set(ISING, surf, "s2"))
-    assert str(err).startswith("word matrix: 1 x 4,294,967,296 bytes, 4,294,967,296 bytes in all")
+    assert str(err).startswith("word matrix: 4 x 4,294,967,296 bytes, 17,179,869,184 bytes in all")
+    assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("m, refusal", [
+    (28, "word matrix: 4 x 1,073,741,824 bytes, 4,294,967,296 bytes in all"),
+    (22, "search row: 1 x 1,073,741,824 bytes, 1,140,850,688 bytes in all"),
+])
+def test_delta_set_refuses_a_dimension_over_budget_before_evaluating_its_word(m, refusal):
+    """On sphere:sigma:28 (2^13 rows) the four matrices of s2 pass the
+    budget where one alone would not.  On sphere:sigma:22 (2^10 rows) they
+    fit, but one search row of n^3 booleans, the least any search holds,
+    does not."""
+    surf = sphere_surface(ISING, "sigma", m)
+    err, peak = _traced_peak(lambda: delta_set(ISING, surf, "s2"))
+    assert str(err).startswith(refusal)
     assert peak < 16 * 2**20
 
 
