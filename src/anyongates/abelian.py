@@ -260,6 +260,13 @@ def _single_s_split(tokens: list[tuple[str, int]]):
     return tokens[:i], tokens[i][1], tokens[i + 1 :]
 
 
+def affine_maps(model: AnyonModel, budget: Budget) -> np.ndarray:
+    """``affine_permutations(model)``, charged to ``budget`` before it is built."""
+    n = model.n_labels
+    budget.charge("affine maps", n * len(automorphisms(model)), 2 * 8 * n)  # gathered, sorted
+    return affine_permutations(model)
+
+
 def torus_word_families(
     model: AnyonModel,
     words: str | list[str],
@@ -276,19 +283,31 @@ def torus_word_families(
     single character, and nondegeneracy of the pairing then forces Pi
     affine.  Hence, for one word,
 
-        D(x) = chi_b(x) * dress(x),   dress(x) = suffix(x) * conj(suffix(pi(x)))
+        D(x) = chi_b(x) * dress_pi(x),   dress_pi(x) = suffix(x) * conj(suffix(pi(x)))
 
     over all affine pi and all characters chi_b, each family one free phase,
     ordered by pi, then b.
 
-    Every family of every word is verified, by factors rather than products:
-    V (Pi D) V^dag = (V Pi diag(dress) V^dag) (V diag(chi_b) V^dag).  The
-    character factor is checked monomial once per word and b, the
-    permutation factor once per word and pi, each with the tightened bounds
-    ``FACTOR_ZERO_THRESHOLD`` and ``factor_unit_modulus_tol(tol)``; two
+    Every family of every word is verified by factors rather than products,
+    and the permutation part only on the group's generators.  Write
+    P(pi) = Pi diag(dress_pi).  As |suffix| = 1,
+    dress_{pi1 pi2}(x) = dress_{pi2}(x) dress_{pi1}(pi2(x)), so
+    P(pi1 pi2) = P(pi1) P(pi2).  Every affine pi is T_c alpha: the
+    translation T_c(x) = c x by c = pi(0) after the automorphism
+    alpha = T_c^-1 pi.  So
+
+        V (Pi D) V^dag = (V P(T_c) V^dag) (V P(alpha) V^dag) (V diag(chi_b) V^dag).
+
+    The character factor is checked monomial once per word and b, the
+    translation factor once per word and c, and the automorphism factor once
+    per word and alpha: n + |Aut| permutation factors per word instead of
+    one per affine map, n |Aut|.  Each check uses the tightened bounds
+    ``FACTOR_ZERO_THRESHOLD`` and ``factor_unit_modulus_tol(tol)``; three
     passing factors provably make a product that passes the per-family test
     with ``VERIFY_ZERO_THRESHOLD`` and ``unit_modulus_tol(tol)`` (the
-    derivation is in ``tolerances.py``).  A failing factor is a RuntimeError.
+    derivation is in ``tolerances.py``).  Each listed map is split with an
+    integer row-key lookup of alpha among the automorphisms.  A failing
+    factor, or a map that does not split, is a RuntimeError.
 
     Several words return the gate families lying in every word's list: the
     same families, in the same order and with the first word's cosets, as
@@ -297,15 +316,16 @@ def torus_word_families(
     dressings is a character chi_c; then (pi, chi_b) of the first word can
     only meet (pi, chi_{b c}) of the other, and that pair is kept when it
     passes ``intersect_delta``'s test of two rigid families: no relative
-    phase differs by more than ``CYCLE_TOL``.
+    phase differs by more than ``CYCLE_TOL``.  The two relative phases
+    differ by chi_b(x) (rel_0(x) - rel'_c(x)), and |chi_b| = 1, so the gap is
+    the same for every b: q, c and the gap are computed once per (pi, later
+    word), at b = 0, and a map keeps all n characters or none.
 
-    The affine permutations are processed in chunks of array passes (gather,
-    dressing, factor check, relative phases, partner character and gap
-    test), each chunk's (permutation, word, n, n) complex stack taking
-    ``chunk_rows`` permutations; the elementwise arithmetic is the one a
-    single permutation would get, so the cosets are bit-identical to a loop
-    over permutations.  Character factors, affine maps and found rows are
-    charged to a byte budget before they are built.
+    The maps run in chunks of ``chunk_rows`` maps (split, dressings, partner
+    character and gap).  Only the kept (pi, b) rows get relative phases,
+    with the elementwise arithmetic one family would get, so the cosets are
+    bit-identical to a pass per family.  Character factors, affine maps and
+    found rows are charged to a byte budget before they are built.
     """
     check_tol(tol)
     if isinstance(words, str):
@@ -326,11 +346,15 @@ def torus_word_families(
     budget = Budget()
     budget.charge("character factors", len(words) * n, 2 * 16 * n * n)  # and their products
     suffix = np.array(suffixes)  # (word, x)
+    suffix_conj = np.conj(suffix)
     vmat = np.array(vmats)  # (word, y, z)
     vh = np.conj(vmat).transpose(0, 2, 1)  # (word, z, x)
     chi = characters(model)
     mul = fusion_table(model)
     unit_tol = factor_unit_modulus_tol(tol)
+
+    def dressings(pi):  # (p, word, x)
+        return suffix * suffix_conj[:, pi].transpose(1, 0, 2)
 
     # (word, b, y, z): the character factor V_w diag(chi_b) V_w^dag
     ok = monomial_mask(
@@ -344,39 +368,56 @@ def torus_word_families(
             f"derived character (word={words[k]!r}, b={b}) failed verification"
         )
 
-    budget.charge("affine maps", n * len(automorphisms(model)), 2 * 8 * n)  # gathered, sorted
-    perms = affine_permutations(model)
-    suffix_conj = np.conj(suffix)
-    later = np.arange(1, len(words))[:, None]
-    chunk = chunk_rows(16 * len(words) * n * n)
-    found_perms = [np.zeros((0, n), dtype=np.intp)]
-    found_rel = [np.zeros((0, n), dtype=np.complex128)]
-    for start in range(0, len(perms), chunk):
-        pi = perms[start : start + chunk]  # (p, x)
-        dress = suffix * suffix_conj[:, pi].transpose(1, 0, 2)  # (p, word, x)
-        # (p, word, y, z): the permutation factor V_w Pi diag(dress) V_w^dag
-        w = (vmat[:, :, pi].transpose(2, 0, 1, 3) * dress[:, :, None, :]) @ vh
+    perms = affine_maps(model, budget)
+    autos = automorphisms(model)
+    gens = np.concatenate([mul, autos])  # row c < n is T_c, then the automorphisms
+    step = chunk_rows(16 * len(words) * n * n)
+    for lo in range(0, len(gens), step):
+        pi = gens[lo : lo + step]
+        # (p, word, y, z): the permutation factor V_w P(pi) V_w^dag
+        w = (vmat[:, :, pi].transpose(2, 0, 1, 3) * dressings(pi)[:, :, None, :]) @ vh
         ok = monomial_mask(w, unit_tol, FACTOR_ZERO_THRESHOLD)
         if not ok.all():
             i, k = (int(i) for i in np.argwhere(~ok)[0])
+            kind = "translation" if lo + i < n else "automorphism"
             raise RuntimeError(
-                f"derived family (word={words[k]!r}, pi={tuple(pi[i].tolist())}) "
+                f"derived {kind} (word={words[k]!r}, pi={tuple(pi[i].tolist())}) "
                 "failed verification"
             )
-        diags = chi * dress[:, :, None, :]  # [p, word, b] holds D for chi_b
-        rel = diags / diags[..., :1]
-        # rel[:, k, 0] is word k's normalised dressing; its ratio to word 0's
-        # picks the nearest character chi_c and so b's only partner b c.
-        q = rel[:, :1, 0] * np.conj(rel[:, 1:, 0])  # (p, later word, x)
+
+    inverse = np.argmin(mul, axis=1)  # mul[c, inverse[c]] = 0
+    keys = row_keys(autos)
+    by_key = np.argsort(keys)
+    keep = [np.zeros(0, dtype=bool)]
+    step = chunk_rows(64 * len(words) * n)  # four complex (word, x) arrays per map
+    for lo in range(0, len(perms), step):
+        pi = perms[lo : lo + step]
+        alpha = mul[inverse[pi[:, 0]][:, None], pi]
+        at = np.searchsorted(keys, row_keys(alpha), sorter=by_key)
+        splits = (autos[by_key[np.minimum(at, len(autos) - 1)]] == alpha).all(axis=1)
+        if not splits.all():
+            i = int(np.argmin(splits))
+            raise RuntimeError(
+                f"derived family (word={words[0]!r}, pi={tuple(pi[i].tolist())}) "
+                "failed verification"
+            )
+        if len(words) == 1:
+            keep.append(np.ones(len(pi), dtype=bool))
+            continue
+        dress = dressings(pi)
+        diag0 = chi[0] * dress
+        rel = diag0 / diag0[..., :1]  # (p, word, x): each word's coset at b = 0
+        # its ratio to word 0's picks the nearest character chi_c, the partner of b = 0
+        q = rel[:, :1] * np.conj(rel[:, 1:])  # (p, later word, x)
         c = np.abs(q @ np.conj(chi).T).argmax(axis=2)
-        partner = mul[:, c].transpose(1, 2, 0)  # (p, later word, b)
-        rows = np.arange(len(pi))[:, None, None]
-        gap = np.abs(rel[:, :1] - rel[rows, later, partner]).max(axis=3)
-        i, b = np.nonzero((gap <= CYCLE_TOL).all(axis=1))
-        budget.charge("found rows", len(i), 2 * 24 * n)  # int and complex, per chunk and joined
-        found_perms.append(pi[i])
-        found_rel.append(rel[i, 0, b])
-    return DeltaSet(np.concatenate(found_perms), np.concatenate(found_rel), (0,) * n)
+        partner = chi[c] * dress[:, 1:]
+        gap = np.abs(rel[:, :1] - partner / partner[..., :1]).max(axis=2)
+        keep.append((gap <= CYCLE_TOL).all(axis=1))
+    kept = perms[np.concatenate(keep)]
+    budget.charge("found rows", len(kept) * n, 2 * 24 * n)  # int and complex, and temporaries
+    diags = chi * dressings(kept)[:, :1]  # [p, b] holds D for chi_b
+    rel = np.divide(diags, diags[..., :1], out=diags)
+    return DeltaSet(np.repeat(kept, n, axis=0), rel.reshape(-1, n), (0,) * n)
 
 
 def torus_word_supported(model: AnyonModel, word: str) -> bool:
@@ -436,16 +477,28 @@ def clifford_star_batch(
     is a member when, for every generator, exactly one coefficient exceeds
     ``tol`` and it has modulus 1 within ``tol``, as in the dense expansion.
     Reading perms and phases suffices: if Pi is not affine, some
-    chi_a o Pi^-1 is no character and a C1 generator fails, and an affine Pi
-    conjugates each fusion permutation to another one.
+    chi_a o Pi^-1 is no multiple of a character, nor then is some
+    generator's (below), and a C1 generator fails; an affine Pi conjugates
+    each fusion permutation to another one.
+
+    Only the group's generators are conjugated.  Conjugation by a unitary U
+    is a homomorphism, and each cycle's strings multiply like the group:
+    F_a = prod_i F_{g_i}^{e_i(a)} for the generators g_i and exponents e_i of
+    ``group_coordinates``.  If U F_{g_i} U^dag = lambda_i F_i' for every i,
+    with F_i' a string, then U F_a U^dag is prod_i lambda_i^{e_i(a)} times a
+    product of strings.  Such a product is a string times a character value,
+    a root of the exponent.  So F_a maps to a string with a unit phase, an
+    exponent root when every lambda_i is one; the converse holds as the
+    generators are strings too.  The C1 half therefore reads the k generator
+    characters and the C2 half the k generator strings, plus the vacuum
+    string F_0(C2) = 1: its conjugate diag(|d|^2) passes only when every
+    |d| = 1 within ``tol``, which makes U unitary, so the argument applies.
 
     A C1 generator is diagonal, so D cancels from its conjugate,
     Pi D F_a(C1) D^dag Pi^dag = Pi F_a(C1) Pi^dag, once |d| = 1; the C1 half
     is therefore checked once per distinct permutation, all generators in
     one product.  The C2 half is checked per gate, in blocks of gates with
-    every generator in one product; it includes the vacuum string
-    F_0(C2) = 1, whose conjugate diag(|d|^2) passes only when every
-    |d| = 1 within ``tol``.  Each block of (gates, generators, n) complex
+    every generator in one product.  Each block of (gates, k + 1, n) complex
     coefficients takes ``chunk_rows`` gates.
     """
     perms = np.asarray(perms)
@@ -461,7 +514,9 @@ def clifford_star_batch(
         or np.abs(c2_phases - 1.0).max() > STRING_BASIS_TOL
     ):
         raise RuntimeError("string operators are not characters and permutations")
-    nexp = group_coordinates(model).exponent
+    gc = group_coordinates(model)
+    nexp = gc.exponent
+    strings = [0, *gc.generators]
 
     def passes(y):
         """Per phase vector of a (gates, generators, n) stack: (one unit
@@ -472,25 +527,27 @@ def clifford_star_batch(
         member = ((absc > tol).sum(axis=-1) == 1) & (np.abs(np.abs(top) - 1.0) <= tol)
         return member, np.abs(top**nexp - 1.0) <= ROOT_TOL
 
-    # C1 half: row r of Pi F_a(C1) Pi^dag holds chi_a(Pi^-1(r)).
+    # C1 half: row r of Pi F_g(C1) Pi^dag holds chi_g(Pi^-1(r)).
     distinct, which = np.unique(row_keys(perms), return_inverse=True)
     pis = distinct.view(perms.dtype).reshape(-1, n)
+    chi_gens = chi[list(gc.generators)]
     c1 = np.empty((2, len(pis)), dtype=bool)
-    step = chunk_rows(16 * n * n)
+    step = chunk_rows(16 * len(strings) * n)
     for lo in range(0, len(pis), step):
         inverse = np.argsort(pis[lo : lo + step], axis=1)
-        y = chi[:, inverse].transpose(1, 0, 2)  # (pi, a, row)
+        y = chi_gens[:, inverse].transpose(1, 0, 2)  # (pi, generator, row)
         c1[:, lo : lo + step] = [x.all(axis=1) for x in passes(y)]
     member, roots = c1[:, which.ravel()]
 
-    # C2 half, per gate: row pi(g_a(w)) of U F_a(C2) U^dag holds
-    # conj(d_w) e_a(w) d_{g_a(w)}; every generator of a block of gates at once.
-    g2 = np.array([g.perm for g in gens[n:]])  # (a, w)
+    # C2 half, per gate: row pi(g(w)) of U F_g(C2) U^dag holds
+    # conj(d_w) e_g(w) d_{g(w)}; the vacuum and the generators at once.
+    g2 = np.array([gens[n + a].perm for a in strings])  # (string, w)
+    e2 = c2_phases[strings]
     for lo in range(0, len(perms), step):
         pi, dd = perms[lo : lo + step], d[lo : lo + step]
-        y = np.zeros((len(pi), n, n), dtype=np.complex128)  # (gate, a, row)
-        y[np.arange(len(pi))[:, None, None], np.arange(n)[:, None], pi[:, g2]] = (
-            np.conj(dd)[:, None, :] * c2_phases * dd[:, g2]
+        y = np.zeros((len(pi), len(strings), n), dtype=np.complex128)  # (gate, string, row)
+        y[np.arange(len(pi))[:, None, None], np.arange(len(strings))[:, None], pi[:, g2]] = (
+            np.conj(dd)[:, None, :] * e2 * dd[:, g2]
         )
         ok, root = passes(y)
         member[lo : lo + step] &= ok.all(axis=1)

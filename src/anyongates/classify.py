@@ -668,7 +668,7 @@ def classify_torus(
             except SearchBudgetError:
                 if not abel:
                     raise
-                perms = _ab.affine_permutations(model)
+                perms = _ab.affine_maps(model, Budget())
                 sets.append(
                     delta_set(
                         model, surface, word,

@@ -153,7 +153,18 @@ class JsonWriter:
 
 def _tokens(block: np.ndarray) -> tuple[list[str], np.ndarray]:
     """The distinct JSON tokens of a 2-D array, each formatted once, and
-    the index of every entry's token."""
+    the index of every entry's token, in the order of the values.
+
+    Small non-negative ints are ranked through a table indexed by value
+    instead of a sort; the result is the one ``np.unique`` gives.
+    """
+    if block.dtype.kind in "iu" and block.size and block.min() >= 0:
+        top = int(block.max())
+        if top < max(block.size, 1024):
+            present = np.zeros(top + 1, dtype=bool)
+            present[block] = True
+            rank = np.cumsum(present, dtype=np.intp) - 1
+            return list(map(int.__repr__, np.flatnonzero(present).tolist())), rank[block]
     values, which = np.unique(block, return_inverse=True)
     return list(map(_TOKEN[block.dtype.kind], values.tolist())), which.reshape(block.shape)
 

@@ -648,7 +648,10 @@ def verlinde_fusion(model: AnyonModel) -> np.ndarray:
 def validate(model: AnyonModel, tol: float = DEFAULT_TOL) -> ModelValidationReport:
     """Semantic consistency checks; failures are reported, never raised.
 
-    A NaN, infinite or negative ``tol`` is a ValueError.
+    A NaN, infinite or negative ``tol`` is a ValueError.  The fusion
+    associativity check holds two L^4 int64 arrays for L labels; they are
+    charged to a byte budget first, so past it ``validate`` raises a
+    SearchBudgetError before building them.
     """
     check_tol(tol)
     rep = ModelValidationReport(model_name=model.name)
@@ -687,9 +690,11 @@ def validate(model: AnyonModel, tol: float = DEFAULT_TOL) -> ModelValidationRepo
     if dres > 0:
         details.append("dual pairing")
     worst = max(worst, dres)
+    Budget().charge("fusion associativity", n**4, 2 * 8)  # both int64 sides
     f = model.fusion.astype(np.int64)
-    assoc = np.einsum("abe,ecd->abcd", f, f) - np.einsum("bcf,afd->abcd", f, f)
-    ares = float(np.abs(assoc).max())
+    assoc = np.einsum("abe,ecd->abcd", f, f)
+    assoc -= np.einsum("bcf,afd->abcd", f, f)
+    ares = float(np.abs(assoc, out=assoc).max())
     if ares > 0:
         details.append("associativity")
     worst = max(worst, ares)

@@ -25,22 +25,29 @@ QDIM_TOL = 1e-9
 # is verified monomial under its word matrix.
 VERIFY_ZERO_THRESHOLD = 1e-8
 
-# A closed-form torus family is verified one factor at a time:
-# V Pi D V^dag = (V Pi diag(dress) V^dag)(V diag(chi_b) V^dag) for
-# D = chi_b * dress.  Let z = VERIFY_ZERO_THRESHOLD and u = unit_modulus_tol(tol),
-# and check each n x n factor with zero bound d = z/4 and unit bound
-# e = min(u, 1)/4 <= 1/4.  In the product an off entry gets at most one term
-# from each factor's main entry and n - 2 terms of two off entries, so it is at
-# most 2 (1 + e) d + n d^2 <= 5z/8 + n z^2/16 < z.  A main entry m is a product
-# of two main entries plus n - 1 terms of two off entries, so
-# ||m| - 1| <= 2e + e^2 + n d^2 <= 9u/16 + n z^2/16 < u, and |m| > 7/16 - n d^2
-# stays above z.  Both bounds hold for n < 6/z and n < 7u/z^2
-# (u >= UNIT_MODULUS_FLOOR), far beyond any label count, so two passing
-# factors make a product that passes the per-family test with bounds z and u.
-FACTOR_ZERO_THRESHOLD = VERIFY_ZERO_THRESHOLD / 4
+# A product of near-monomial n x n factors is checked one factor at a time.
+# Let z = VERIFY_ZERO_THRESHOLD and u = unit_modulus_tol(tol), and check each
+# factor with zero bound d and unit bound e = min(u, 1)/4 <= 1/4.  Split each
+# factor into its monomial part and an off part with entries at most d.  In
+# the product of k factors, a term with j off parts is at most
+# (1 + e)^(k-j) n^(j-1) d^j per entry, and no term with one off part reaches
+# a main entry of the product.
+# * Two factors, d = z/4: an off entry is at most 2 (1 + e) d + n d^2
+#   <= 5z/8 + n z^2/16 < z.  A main entry m has ||m| - 1| <= 2e + e^2 + n d^2
+#   <= 9u/16 + n z^2/16 < u, and |m| > 7/16 - n d^2 stays above z.
+# * Three factors, d = z/8: an off entry is at most
+#   3 (1 + e)^2 d + 3 (1 + e) n d^2 + n^2 d^3 <= 75z/128 + 15 n z^2/256 +
+#   n^2 z^3/512 < 2z/3.  A main entry has ||m| - 1| <= (1 + e)^3 - 1 + z/16
+#   <= 61u/64 + z/16 < u, and |m| > 27/64 - z/16 stays above z.
+# Both hold for n < 1/z and u >= UNIT_MODULUS_FLOOR, far beyond any label
+# count.  A closed-form torus family is verified by three factors,
+# V Pi D V^dag = (V P(T_c) V^dag)(V P(alpha) V^dag)(V diag(chi_b) V^dag)
+# (see abelian.torus_word_families), so three passing factors make a product
+# that passes the per-family test with bounds z and u.
+FACTOR_ZERO_THRESHOLD = VERIFY_ZERO_THRESHOLD / 8
 
 # A sphere word's window matrix V vetoes no product gate G when V passes the
-# factor bounds above with z = ZERO_THRESHOLD: V G (G monomial with
+# two-factor bounds above with z = ZERO_THRESHOLD: V G (G monomial with
 # unit-modulus entries) and V^dag then pass them too, so every conjugate
 # V G V^dag passes is_monomial with bounds ZERO_THRESHOLD and u.
 WINDOW_ZERO_THRESHOLD = ZERO_THRESHOLD / 4

@@ -18,12 +18,14 @@ instead of the model's block store, the phases of a permutation pair from a
 scalar walk over that pair's own constraint graph instead of the batched
 walk over a shared forest, the sphere word filter from dense conjugation of
 every product gate instead of per-curve local blocks, the closed-form torus
-families verified by one dense product per family instead of one check per
-character and per permutation factor, the logical-Pauli test by a scan over
-every family and by a dict of family objects instead of a lookup among
-permutation rows, Clifford-star membership from the dense expansion in the
-string basis and from one pass per string generator instead of one C1 pass
-per distinct permutation, the affine label maps by repeated fusion instead
+families verified by one dense product per family and by one permutation
+factor per affine map with a gap test per character instead of one factor
+per translation and per automorphism with one gap test per map, the
+logical-Pauli test by a scan over every family and by a dict of family
+objects instead of a lookup among permutation rows, Clifford-star
+membership from the dense expansion in the string basis and from one pass
+per string, all 2n of them, instead of the group generators' strings, the
+affine label maps by repeated fusion instead
 of exponent-coordinate arrays, the intersection of delta sets by one
 ``PhaseCoset.intersect`` per family pair instead of one array pass for
 rigid sets and a union-find over set rows otherwise, the row pairs with
@@ -56,6 +58,7 @@ import numpy as np
 
 from anyongates.abelian import (
     LatticeOperator,
+    affine_permutations,
     characters,
     fusion_table,
     group_coordinates,
@@ -65,7 +68,7 @@ from anyongates.budget import Budget
 from anyongates.mcg import evaluate_word, parse_word
 from anyongates.models import AnyonModel, CheckResult, ModelError
 from anyongates import solver
-from anyongates.solver import MonomialMatrix, monomial_from_matrix
+from anyongates.solver import MonomialMatrix, monomial_from_matrix, monomial_mask
 from anyongates.surfaces import SurfaceSpec, cut_dimensions, standard_dap
 from anyongates.tolerances import (
     CLIFFORD_TOL,
@@ -77,6 +80,7 @@ from anyongates.tolerances import (
     VERIFY_ZERO_THRESHOLD,
     ZERO_THRESHOLD,
     check_tol,
+    factor_unit_modulus_tol,
     unit_modulus_tol,
 )
 
@@ -1169,6 +1173,70 @@ def dense_torus_word_families(model, words, tol=DEFAULT_TOL):
             coset = PhaseCoset(components=(0,) * n, rel=tuple(rel[0, b]))
             found.append(GateFamily(perm=pi, coset=coset))
     return found
+
+
+def reference_torus_word_families(model, words, tol=DEFAULT_TOL):
+    """``torus_word_families`` with one permutation factor per affine map,
+    as an iterator over chunks of its (perms, rel) rows.
+
+    Each affine Pi gets its own factor V Pi diag(dress) V^dag, checked
+    monomial with ``VERIFY_ZERO_THRESHOLD / 4`` (two factors per family:
+    character and permutation), and each (Pi, chi_b) its own partner
+    character and gap test, in chunks of (maps, words, n, n) stacks.  The
+    rows are yielded chunk by chunk, so a caller need not hold them all.
+    """
+    if isinstance(words, str):
+        words = [words]
+    surface = SurfaceSpec(kind="torus")
+    n = model.n_labels
+    suffixes, vmats = [], []
+    for word in words:
+        tokens = parse_word(word, surface)
+        s_at = [i for i, (g, _) in enumerate(tokens) if g == "s"]
+        if len(s_at) != 1:
+            raise ValueError(f"word {word!r} does not contain exactly one s letter")
+        suffix_diag = np.ones(n, dtype=np.complex128)
+        for _, sign in tokens[s_at[0] + 1 :]:
+            suffix_diag *= model.twists if sign > 0 else np.conj(model.twists)
+        suffixes.append(suffix_diag)
+        vmats.append(evaluate_word(model, surface, tokens).matrix)
+    suffix = np.array(suffixes)  # (word, x)
+    vmat = np.array(vmats)  # (word, y, z)
+    vh = np.conj(vmat).transpose(0, 2, 1)  # (word, z, x)
+    chi = characters(model)
+    mul = fusion_table(model)
+    unit_tol = factor_unit_modulus_tol(tol)
+    zero_tol = VERIFY_ZERO_THRESHOLD / 4
+
+    ok = monomial_mask((vmat[:, None] * chi[None, :, None, :]) @ vh[:, None], unit_tol, zero_tol)
+    if not ok.all():
+        k, b = (int(i) for i in np.argwhere(~ok)[0])
+        raise RuntimeError(f"derived character (word={words[k]!r}, b={b}) failed verification")
+
+    perms = affine_permutations(model)
+    suffix_conj = np.conj(suffix)
+    later = np.arange(1, len(words))[:, None]
+    chunk = 64
+    for start in range(0, len(perms), chunk):
+        pi = perms[start : start + chunk]  # (p, x)
+        dress = suffix * suffix_conj[:, pi].transpose(1, 0, 2)  # (p, word, x)
+        w = (vmat[:, :, pi].transpose(2, 0, 1, 3) * dress[:, :, None, :]) @ vh
+        ok = monomial_mask(w, unit_tol, zero_tol)
+        if not ok.all():
+            i, k = (int(i) for i in np.argwhere(~ok)[0])
+            raise RuntimeError(
+                f"derived family (word={words[k]!r}, pi={tuple(pi[i].tolist())}) "
+                "failed verification"
+            )
+        diags = chi * dress[:, :, None, :]  # [p, word, b] holds D for chi_b
+        rel = diags / diags[..., :1]
+        q = rel[:, :1, 0] * np.conj(rel[:, 1:, 0])  # (p, later word, x)
+        c = np.abs(q @ np.conj(chi).T).argmax(axis=2)
+        partner = mul[:, c].transpose(1, 2, 0)  # (p, later word, b)
+        rows = np.arange(len(pi))[:, None, None]
+        gap = np.abs(rel[:, :1] - rel[rows, later, partner]).max(axis=3)
+        i, b = np.nonzero((gap <= CYCLE_TOL).all(axis=1))
+        yield pi[i], rel[i, 0, b]
 
 
 def contains_logical_paulis_by_scan(model, inter) -> bool:

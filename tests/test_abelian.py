@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import itertools
 import weakref
 
@@ -47,6 +48,7 @@ from oracles import (
     reference_affine_permutations,
     reference_automorphisms,
     reference_clifford_star_batch,
+    reference_torus_word_families,
 )
 
 Z2 = load_builtin("zn_toric:2")
@@ -296,6 +298,36 @@ def test_factored_families_equal_the_dense_oracle(model, words):
     assert all(f.coset.components == (0,) * model.n_labels for f in got)
 
 
+ORACLE_MODELS = ["zn_toric:2", "zn_toric:3", "zn_toric:4", "zn_toric:5", "dg_abelian:2,3"]
+
+
+@pytest.mark.parametrize("words", ["s", ["s", "st"], ["st", "s", "stt"]], ids=str)
+@pytest.mark.parametrize("name", ORACLE_MODELS)
+def test_generator_factors_equal_the_per_map_reference(name, words):
+    """One factor per translation and per automorphism, and one gap test
+    per map, list the families of one factor per affine map and one gap
+    test per character: the same permutations and the same rel bits."""
+    model = load_builtin(name)
+    fams = torus_word_families(model, words)
+    assert len(fams) > 0 and fams.components == (0,) * model.n_labels
+    # the reference's rows are hashed chunk by chunk: dg_abelian:2,3's word
+    # s lists 373,248 families
+    got = _raw_bits([(fams.perms, fams.rel)])
+    del fams
+    assert got == _raw_bits(reference_torus_word_families(model, words))
+
+
+def _raw_bits(chunks):
+    """Row count, dtypes, and the sha256 of the perms' and rel's bytes."""
+    rows, dtypes, perms, rel = 0, set(), hashlib.sha256(), hashlib.sha256()
+    for p, r in chunks:
+        rows += len(p)
+        dtypes.add((p.dtype.str, r.dtype.str))
+        perms.update(np.ascontiguousarray(p))
+        rel.update(np.ascontiguousarray(r))
+    return rows, dtypes, perms.hexdigest(), rel.hexdigest()
+
+
 def test_family_counts_scale_with_group():
     assert len(torus_word_families(Z2, "s")) == 24 * 4
     assert len(torus_word_families(Z3, "s")) == 432 * 9
@@ -515,6 +547,64 @@ def test_clifford_batch_matches_the_per_generator_reference(model):
     want = reference_clifford_star_batch(model, *zip(*gates))
     assert got[0][: len(fams)].all()
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("name", ["zn_toric:5", "dg_abelian:2,3"])
+def test_clifford_batch_matches_the_reference_on_larger_groups(name):
+    """The same on every class of zn_toric:5 (one generator order, 5) and
+    dg_abelian:2,3 (two generators of order 6) with the negative
+    controls."""
+    model = load_builtin(name)
+    fams = torus_word_families(model, ["s", "st"])
+    gates = list(zip(map(tuple, fams.perms.tolist()), fams.instantiate_families()))
+    gates += _negative_controls(model)
+    got = clifford_star_batch(model, *zip(*gates))
+    want = reference_clifford_star_batch(model, *zip(*gates))
+    assert got[0][: len(fams)].all() and not got[0][len(fams) :].any()
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def _class_gates(model):
+    fams = torus_word_families(model, ["s", "st"])
+    return fams.perms, fams.instantiate_families()
+
+
+@pytest.mark.parametrize("eps", [1e-11, 1e-9, 1e-7, 1e-5])
+@pytest.mark.parametrize("model", [Z2, Z3, Z4], ids=["z2", "z3", "z4"])
+def test_clifford_batch_matches_the_reference_on_a_perturbed_phase(model, eps):
+    """Every class gate with one phase turned by eps: the generator strings
+    give the two booleans of every string, on both sides of CLIFFORD_TOL
+    (below 1e-7 every gate stays a member, at 1e-5 none does)."""
+    perms, phases = _class_gates(model)
+    phases = phases.copy()
+    phases[:, 1] *= np.exp(1j * eps)
+    got = clifford_star_batch(model, perms, phases)
+    want = reference_clifford_star_batch(model, perms, phases)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    if eps < 1e-7:
+        assert got[1].all()
+    if eps > 1e-7:
+        assert not got[0].any()
+
+
+@pytest.mark.parametrize("model", [Z2, Z4], ids=["z2", "z4"])
+def test_only_the_vacuum_string_rejects_a_non_unitary_diagonal(model):
+    """|d_w| = r^(+-1) by the parity of w's exponents, so |d_w| |d_{g w}| = 1
+    for every generator g: each generator string's conjugate keeps unit
+    phases, and the C1 half reads no d.  Of the strings the batch
+    conjugates, only F_0(C2) = 1, conjugated to diag(|d|^2), sees |d| != 1."""
+    gc = group_coordinates(model)
+    mul = fusion_table(model)
+    assert all(m % 2 == 0 for m in gc.orders)
+    modulus = 1.5 ** np.where(np.sum(gc.coords, axis=1) % 2, -1.0, 1.0)
+    for g in gc.generators:
+        assert np.allclose(modulus * modulus[mul[g]], 1.0)
+    perms, phases = _class_gates(model)
+    phases = phases * modulus
+    got = clifford_star_batch(model, perms, phases)
+    want = reference_clifford_star_batch(model, perms, phases)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert not got[0].any()
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,14 @@ import pytest
 
 from anyongates import (
     SearchBudgetError,
+    abelian,
     budget,
     classify_punctured_sphere,
+    classify_torus,
     load_builtin,
     models,
     sphere_surface,
+    validate,
 )
 from anyongates.budget import Budget, chunk_rows
 
@@ -178,3 +181,36 @@ def test_abelian_builds_fit_the_budget_up_to_zn_toric_11(monkeypatch):
     assert passed.value.args == (11**6 * (2 * 64 + 412),)
     with pytest.raises(SearchBudgetError, match=r"^F-symbols: 2,985,984 x 412 bytes, 1,612,"):
         load_builtin("zn_toric:12")
+
+
+def test_validate_charges_the_associativity_arrays_before_building_them(monkeypatch):
+    """validate's fusion associativity check holds two L^4 int64 arrays:
+    past the budget it names them before any einsum runs (zn_toric:11's
+    3.4 GB pair once died as a numpy MemoryError)."""
+    model = load_builtin("zn_toric:3")
+    assert validate(model).passed
+
+    def no_einsum(*args, **kwargs):
+        raise AssertionError("an associativity array was built")
+
+    monkeypatch.setattr(budget, "BUDGET_BYTES", 100_000)
+    monkeypatch.setattr(models.np, "einsum", no_einsum)
+    with pytest.raises(
+        SearchBudgetError, match=r"^fusion associativity: 6,561 x 16 bytes, 104,976 bytes in all"
+    ):
+        validate(model)
+
+
+def test_affine_retry_charges_its_maps_before_listing_them(monkeypatch):
+    """A torus word outside the closed form whose wildcard search is refused
+    is searched again on the affine maps; those maps are charged, as the
+    closed form charges them, before ``affine_permutations`` lists them."""
+    model = load_builtin("zn_toric:3")
+
+    def unlisted(model):
+        raise AssertionError("the affine maps were listed")
+
+    monkeypatch.setattr(budget, "BUDGET_BYTES", 50_000)
+    monkeypatch.setattr(abelian, "affine_permutations", unlisted)
+    with pytest.raises(SearchBudgetError, match=r"^affine maps: 432 x 144 bytes, 62,208 bytes in all"):
+        classify_torus(model, ["stst"])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anyongates import jsonwriter
 from anyongates.jsonwriter import Category, JsonWriter, Rows, dumps, json_order
 
 from oracles import reference_report_json
@@ -279,3 +280,39 @@ def test_unsupported_values_raise_type_error():
         dumps([np.int64(3)])
     with pytest.raises(TypeError):
         dumps({1: "a key that is not a string"})
+
+
+def _sorted_tokens(block):
+    values, which = np.unique(block, return_inverse=True)
+    return [str(v) for v in values.tolist()], which.reshape(block.shape)
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 1), (1, 1), (6, 1), (40, 7), (7, 300)])
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8, np.uint64])
+def test_small_int_tokens_equal_the_sorted_ones(monkeypatch, shape, dtype):
+    """Small non-negative ints are ranked through a table, not a sort, and
+    give np.unique's tokens and indices, dtype included."""
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+    block = rng.integers(0, 12, size=shape).astype(dtype)
+    block[:, ::2] *= 9  # gaps between the values present
+    want = _sorted_tokens(block)
+    if block.size:
+        def no_sort(*args, **kwargs):
+            raise AssertionError("np.unique called on a small int column")
+
+        monkeypatch.setattr(np, "unique", no_sort)
+    tokens, which = jsonwriter._tokens(block)
+    monkeypatch.undo()
+    assert tokens == want[0]
+    assert which.dtype == want[1].dtype and np.array_equal(which, want[1])
+
+
+@pytest.mark.parametrize(
+    "block",
+    [np.array([[-3, 0, 5]]), np.array([[0, 5000], [7, 5000]]), np.array([[2**40, 1]])],
+    ids=["negative", "above-the-table", "huge"],
+)
+def test_other_int_tokens_still_sort(block):
+    tokens, which = jsonwriter._tokens(block)
+    want = _sorted_tokens(block)
+    assert tokens == want[0] and np.array_equal(which, want[1])
