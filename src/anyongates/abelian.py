@@ -32,7 +32,6 @@ from .solver import (
     MonomialMatrix,
     row_keys,
     is_monomial,
-    monomial_from_matrix,
     monomial_mask,
 )
 from .surfaces import SurfaceSpec
@@ -42,9 +41,11 @@ from .tolerances import (
     DEFAULT_TOL,
     FACTOR_ZERO_THRESHOLD,
     LATTICE_TOL,
+    MONOMIAL_READ_TOL,
     QDIM_TOL,
     ROOT_TOL,
     STRING_BASIS_TOL,
+    ZERO_THRESHOLD,
     check_tol,
     factor_unit_modulus_tol,
 )
@@ -456,6 +457,39 @@ def _string_operator_matrices(n: int, smatrix: bytes) -> tuple[np.ndarray, np.nd
     return f1, f2
 
 
+def string_operators(model: AnyonModel) -> tuple[np.ndarray, np.ndarray]:
+    """The 2n string operators read as monomials: (perms, phases), F_a(C1)
+    at row a and F_a(C2) at row n + a, with F|l> = phases[r, l] |perms[r, l]>.
+
+    Each column's largest entry gives its image and phase.  A column with
+    no entry or several above ``ZERO_THRESHOLD``, an image entry off modulus
+    1 by more than ``MONOMIAL_READ_TOL``, or images that are no permutation
+    is a ValueError.
+    """
+    s = np.asarray(model.smatrix, dtype=np.complex128)
+    return _string_operators(s.shape[0], s.tobytes())
+
+
+@functools.lru_cache(maxsize=None)
+def _string_operators(n: int, smatrix: bytes) -> tuple[np.ndarray, np.ndarray]:
+    f = np.concatenate(_string_operator_matrices(n, smatrix))
+    absf = np.abs(f)
+    perms = absf.argmax(axis=1)
+    top = np.take_along_axis(absf, perms[:, None], axis=1)[:, 0]
+    loose = (top <= ZERO_THRESHOLD) | ((absf > ZERO_THRESHOLD).sum(axis=1) != 1)
+    failed = np.argwhere(loose | (np.abs(top - 1.0) > MONOMIAL_READ_TOL))
+    if len(failed):
+        r, l = failed[0]
+        if loose[r, l]:
+            raise ValueError(f"column {l} is not monomial")
+        raise ValueError(f"column {l} entry has modulus {top[r, l]:.3e}, not 1")
+    if (np.sort(perms, axis=1) != np.arange(n)).any():
+        raise ValueError("column maxima do not form a permutation")
+    phases = np.take_along_axis(f, perms[:, None], axis=1)[:, 0] / top
+    perms.flags.writeable = phases.flags.writeable = False
+    return perms, phases
+
+
 def clifford_star_batch(
     model: AnyonModel,
     perms,
@@ -504,11 +538,10 @@ def clifford_star_batch(
     perms = np.asarray(perms)
     d = np.asarray(phases, dtype=np.complex128)
     n = model.n_labels
-    f1, f2 = string_operator_matrices(model)
-    gens = [monomial_from_matrix(f) for f in (*f1, *f2)]
-    chi = np.array([g.phases for g in gens[:n]])
+    string_perms, string_phases = string_operators(model)
+    chi = string_phases[:n]
     gram = chi @ np.conj(chi).T
-    c2_phases = np.array([g.phases for g in gens[n:]])
+    c2_phases = string_phases[n:]
     if (
         np.abs(gram - n * np.eye(n)).max() > STRING_BASIS_TOL
         or np.abs(c2_phases - 1.0).max() > STRING_BASIS_TOL
@@ -541,7 +574,7 @@ def clifford_star_batch(
 
     # C2 half, per gate: row pi(g(w)) of U F_g(C2) U^dag holds
     # conj(d_w) e_g(w) d_{g(w)}; the vacuum and the generators at once.
-    g2 = np.array([gens[n + a].perm for a in strings])  # (string, w)
+    g2 = string_perms[n:][strings]  # (string, w)
     e2 = c2_phases[strings]
     for lo in range(0, len(perms), step):
         pi, dd = perms[lo : lo + step], d[lo : lo + step]

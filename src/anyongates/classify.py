@@ -57,9 +57,9 @@ from .mcg import braid_letters, braid_matrix, braid_slot
 from .models import AnyonModel
 from .solver import (
     DeltaSet,
+    MonomialMatrix,
     delta_set,
     intersect_delta,
-    monomial_from_matrix,
     monomial_mask,
     solve_intertwiner,
 )
@@ -732,8 +732,8 @@ def _contains_logical_paulis(model, inter: DeltaSet) -> bool:
     ``DeltaSet.contains`` looks each string's permutation up among the
     set's permutation rows and tests those families alone.
     """
-    f1, f2 = _ab.string_operator_matrices(model)
-    gates = (monomial_from_matrix(f[a]) for a in range(model.n_labels) for f in (f1, f2))
+    perms, phases = _ab.string_operators(model)
+    gates = map(MonomialMatrix, map(tuple, perms.tolist()), map(tuple, phases.tolist()))
     return all(inter.contains(gate) for gate in gates)
 
 

@@ -6,17 +6,20 @@ indent=2)``, byte for byte, where ``r`` turns every tuple into a list, every
 (so -0.0 and -1e-12 print as 0.0).  Dict keys must be strings.
 
 Class and family lists are long, so their producers hand the writer a
-``Rows``: records with the same keys, held by column.  The writer renders a
-``Rows`` from its arrays without making a dict per record: it formats each
-distinct number of a column once, renders each value of a categorical
-column once, builds one record template from the keys and the depth, and
-fills every record's tokens into it with one ``%``-format.  Everything else
-is walked recursively.
+``Rows``: records with the same keys, held by column.  A class list holds a
+group's elements, so its permutation and phase columns repeat a few rows
+many times.  The writer renders a ``Rows`` from its arrays without making a
+dict per record: it finds the distinct rows of each array column, formats
+each distinct number in them once and renders each distinct row once,
+renders each value of a categorical column once, and lays every record out
+as a row of a table of texts: the text the records share between columns,
+and one rendered text per column.  Everything else is walked recursively.
+All texts go into one list, joined once into the output.
 
 A class list is ordered by the compact text of its classes,
 ``json.dumps(r(c), sort_keys=True)``, without writing that text:
-``json_order`` ranks each leaf's token plus the character after it per
-column and sorts the rows by those ranks.
+``json_order`` ranks each block's distinct rows by their leaves' texts and
+sorts the records by one rank per block.
 """
 
 from __future__ import annotations
@@ -115,40 +118,92 @@ class JsonWriter:
     def indented(self, value, depth: int = 0) -> str:
         """``json.dumps(r(value), sort_keys=True, indent=2)``, its inner
         lines ``depth`` levels deeper."""
-        if isinstance(value, dict):
-            items = [
-                _string(k) + ": " + self.indented(v, depth + 1)
-                for k, v in sorted(value.items())
-            ]
-            return _block("{", items, "}", depth)
-        if isinstance(value, (list, tuple)):
-            return _block("[", [self.indented(v, depth + 1) for v in value], "]", depth)
-        if isinstance(value, Rows):
-            template, fills = self._record(value, depth + 1)
-            tokens = np.concatenate(fills, axis=1).ravel().tolist() if fills else []
-            return _block("[", [template] * len(value), "]", depth) % tuple(tokens)
-        return _scalar(value)
+        out = []
+        self._write(value, depth, out)
+        return "".join(out)
 
-    def _record(self, rows: Rows, depth: int) -> tuple[str, list[np.ndarray]]:
-        """The ``%``-template of one record at ``depth``, its constant text
-        escaped, and its tokens: (records, slots) object arrays in slot order."""
-        parts, fills = [], []
+    def _write(self, value, depth: int, out: list) -> None:
+        """Append the texts of ``value`` at ``depth`` to ``out``."""
+        if isinstance(value, dict):
+            items = [(_string(k) + ": ", v) for k, v in sorted(value.items())]
+            self._write_items("{", items, "}", depth, out)
+        elif isinstance(value, (list, tuple)):
+            self._write_items("[", [("", v) for v in value], "]", depth, out)
+        elif isinstance(value, Rows):
+            self._write_rows(value, depth, out)
+        else:
+            out.append(_scalar(value))
+
+    def _write_items(self, open_: str, items: list, close: str, depth: int, out: list) -> None:
+        """(head, value) items one per line at ``depth + 1``, the closing
+        bracket at ``depth``."""
+        if not items:
+            out.append(open_ + close)
+            return
+        outer = "\n" + "  " * depth
+        sep = open_ + outer + "  "
+        for head, v in items:
+            out.append(sep + head)
+            self._write(v, depth + 1, out)
+            sep = "," + outer + "  "
+        out.append(outer + close)
+
+    def _write_rows(self, rows: Rows, depth: int, out: list) -> None:
+        """``list(rows)`` at ``depth``: a table of every record's texts and
+        the separator after it, appended row by row."""
+        if not len(rows):
+            out.append("[]")
+            return
+        texts = self._record(rows, depth + 1)
+        outer = "\n" + "  " * depth
+        table = np.empty((len(rows), len(texts) + 1), dtype=object)
+        for j, text in enumerate(texts):
+            table[:, j] = text
+        table[:, -1] = "," + outer + "  "
+        table[-1, -1] = outer + "]"
+        out.append("[" + outer + "  ")
+        out += table.ravel().tolist()
+
+    def _record(self, rows: Rows, depth: int) -> list:
+        """One record at ``depth`` as its texts in order: strings every
+        record shares, and for each array, categorical or nested column a
+        (records,) object array of each record's text.
+
+        An array column is rendered as a categorical one over its distinct
+        rows, so each distinct row is rendered once."""
+        outer = "\n" + "  " * depth
+        texts = []
         for key, col in rows.columns.items():
-            if isinstance(col, np.ndarray):
-                text = _block("[", ["%s"] * col.shape[1], "]", depth + 1)
-                tokens, which = _tokens(col)
-                fills.append(np.array(tokens, dtype=object)[which])
-            elif isinstance(col, Category):
-                text = "%s"
-                rendered = [self.indented(v, depth + 1) for v in col.values]
-                fills.append(np.array(rendered, dtype=object)[col.codes][:, None])
-            elif isinstance(col, Rows):
-                text, sub = self._record(col, depth + 1)
-                fills.extend(sub)
+            head = ("," if texts else "{") + outer + "  " + _string(key) + ": "
+            if isinstance(col, Rows):
+                texts += [head, *self._record(col, depth + 1)]
+            elif isinstance(col, (np.ndarray, Category)):
+                if isinstance(col, Category):
+                    codes = col.codes
+                    rendered = [self.indented(v, depth + 1) for v in col.values]
+                else:
+                    distinct, codes = _distinct_rows(col)
+                    tokens, which = _tokens(distinct)
+                    leaves = np.array(tokens, dtype=object)[which].tolist()
+                    rendered = [_block("[", row, "]", depth + 1) for row in leaves]
+                texts += [head, np.array(rendered, dtype=object)[codes]]
             else:
-                text = self.indented(col, depth + 1).replace("%", "%%")
-            parts.append(_string(key).replace("%", "%%") + ": " + text)
-        return _block("{", parts, "}", depth), fills
+                texts.append(head + self.indented(col, depth + 1))
+        texts.append(outer + "}" if texts else "{}")
+        return texts
+
+
+def _distinct_rows(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a 2-D array and the index of every row among
+    them.  Rows are told apart by their bytes, so -0.0 and 0.0 are two rows
+    that print the same; the distinct rows come in the order of their bytes."""
+    block = np.ascontiguousarray(block)
+    records, width = block.shape
+    if not records or not width:
+        return block[:1], np.zeros(records, dtype=np.intp)
+    keys = block.view(np.dtype((np.void, block.itemsize * width))).ravel()
+    _, first, which = np.unique(keys, return_index=True, return_inverse=True)
+    return block[first], which
 
 
 def _tokens(block: np.ndarray) -> tuple[list[str], np.ndarray]:
@@ -201,17 +256,35 @@ def json_order(*blocks, closers: str) -> np.ndarray:
     leaves is then the same for every record, and a token plus the
     character after it (", " inside a block, its closer at its end) is
     never a prefix of another, so the first column whose
-    token-plus-character differs decides the order.  Each column is ranked
-    by the text of those strings, ties by record index: the result is the
-    stable sort by the compact text.
+    token-plus-character differs decides the order.  Each column of a
+    block's distinct rows is ranked by the text of those strings, the
+    distinct rows are ranked by their columns' ranks (rows that print the
+    same, such as -0.0 and 0.0, tie), and the records are sorted by one such
+    rank per block, ties by record index: the result is the stable sort by
+    the compact text.
     """
     keys = []
     for block, close in zip(blocks, closers, strict=True):
-        block = np.asarray(block)
-        tokens, which = _tokens(block)
-        width = block.shape[1]
+        distinct, codes = _distinct_rows(np.asarray(block))
+        tokens, which = _tokens(distinct)
+        width = distinct.shape[1]
+        ranks = np.empty(which.shape, dtype=np.intp)
         for sep, cols in ((", ", slice(0, width - 1)), (close, slice(width - 1, width))):
             texts = [t + sep for t in tokens]
             rank = {t: r for r, t in enumerate(sorted(set(texts)))}
-            keys.extend(np.array([rank[t] for t in texts])[which[:, cols].T])
+            ranks[:, cols] = np.array([rank[t] for t in texts], dtype=np.intp)[which[:, cols]]
+        keys.append(_dense_rank(ranks)[codes])
     return np.lexsort(keys[::-1])
+
+
+def _dense_rank(rows: np.ndarray) -> np.ndarray:
+    """Rank of every row of a 2-D int array in the lexicographic order of
+    the distinct rows; equal rows share a rank."""
+    if not rows.size:
+        return np.zeros(len(rows), dtype=np.intp)
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    rank = np.empty(len(rows), dtype=np.intp)
+    rank[order[0]] = 0
+    rank[order[1:]] = np.cumsum(np.any(ordered[1:] != ordered[:-1], axis=1))
+    return rank

@@ -64,7 +64,6 @@ from .tolerances import (
     CYCLE_TOL,
     DEFAULT_TOL,
     MEMBERSHIP_TOL,
-    MONOMIAL_READ_TOL,
     SUPPORT_WARNING_FACTOR,
     UNITARITY_TOL,
     ZERO_THRESHOLD,
@@ -116,28 +115,6 @@ def monomial_mask(stack: np.ndarray, unit_tol: float, zero_tol: float = ZERO_THR
     pattern = (big.sum(axis=-2) == 1).all(axis=-1) & (big.sum(axis=-1) == 1).all(axis=-1)
     off_unit = np.where(big, np.abs(absm - 1.0), 0.0).max(axis=(-2, -1))
     return pattern & (off_unit < unit_tol)
-
-
-def monomial_from_matrix(
-    mat: np.ndarray, tol: float = DEFAULT_TOL, zero_tol: float = ZERO_THRESHOLD
-) -> MonomialMatrix:
-    """Read a MonomialMatrix off a numerically monomial array."""
-    n = mat.shape[0]
-    perm = [0] * n
-    phases = [0j] * n
-    absm = np.abs(mat)
-    for l in range(n):
-        col = absm[:, l]
-        p = int(col.argmax())
-        if col[p] <= zero_tol or (col > zero_tol).sum() != 1:
-            raise ValueError(f"column {l} is not monomial")
-        if abs(col[p] - 1.0) > MONOMIAL_READ_TOL:
-            raise ValueError(f"column {l} entry has modulus {col[p]:.3e}, not 1")
-        perm[l] = p
-        phases[l] = mat[p, l] / col[p]
-    if sorted(perm) != list(range(n)):
-        raise ValueError("column maxima do not form a permutation")
-    return MonomialMatrix(perm=tuple(perm), phases=tuple(phases))
 
 
 # ---------------------------------------------------------------------------

@@ -33,10 +33,13 @@ equal permutations by a dict of row tuples instead of a join of row keys,
 the lattice
 commutation phases from dense state-space matrices instead of exponent
 vectors, the report JSON from the standard library encoder after a rounding
-walk instead of the package's writer, the order of a class list by sorting
-on that compact text instead of per-column ranks of its arrays, and the
-class and family records as one dict per record instead of a ``Rows`` of
-columns.
+walk instead of the package's writer, and a ``Rows`` filled in leaf by
+leaf into one ``%``-template instead of one text per distinct row, the
+order of a class list by sorting on that compact text and by one rank per
+leaf instead of one rank per block's distinct row, the class and family
+records as one dict per record instead of a ``Rows`` of columns, and a
+monomial matrix read one column at a time instead of a stack of string
+operators in one array pass.
 
 The module also holds the helpers only tests need, which the package does
 not export: a delta set's rows as GateFamily objects (``families``), the
@@ -68,13 +71,15 @@ from anyongates.budget import Budget
 from anyongates.mcg import evaluate_word, parse_word
 from anyongates.models import AnyonModel, CheckResult, ModelError
 from anyongates import solver
-from anyongates.solver import MonomialMatrix, monomial_from_matrix, monomial_mask
+from anyongates import jsonwriter
+from anyongates.solver import MonomialMatrix, monomial_mask
 from anyongates.surfaces import SurfaceSpec, cut_dimensions, standard_dap
 from anyongates.tolerances import (
     CLIFFORD_TOL,
     CYCLE_TOL,
     DEFAULT_TOL,
     MEMBERSHIP_TOL,
+    MONOMIAL_READ_TOL,
     ROOT_TOL,
     STRING_BASIS_TOL,
     VERIFY_ZERO_THRESHOLD,
@@ -92,6 +97,32 @@ COMMUTATION_TOL = 1e-8
 
 def njit(**_options):  # identity decorator: the oracles run as plain Python
     return lambda func: func
+
+
+# ---------------------------------------------------------------------------
+# Monomial matrices read one column at a time
+
+
+def monomial_from_matrix(
+    mat: np.ndarray, zero_tol: float = ZERO_THRESHOLD
+) -> MonomialMatrix:
+    """Read a MonomialMatrix off a numerically monomial array."""
+    n = mat.shape[0]
+    perm = [0] * n
+    phases = [0j] * n
+    absm = np.abs(mat)
+    for l in range(n):
+        col = absm[:, l]
+        p = int(col.argmax())
+        if col[p] <= zero_tol or (col > zero_tol).sum() != 1:
+            raise ValueError(f"column {l} is not monomial")
+        if abs(col[p] - 1.0) > MONOMIAL_READ_TOL:
+            raise ValueError(f"column {l} entry has modulus {col[p]:.3e}, not 1")
+        perm[l] = p
+        phases[l] = mat[p, l] / col[p]
+    if sorted(perm) != list(range(n)):
+        raise ValueError("column maxima do not form a permutation")
+    return MonomialMatrix(perm=tuple(perm), phases=tuple(phases))
 
 
 # ---------------------------------------------------------------------------
@@ -1448,6 +1479,56 @@ def reference_report_json(payload, indent: int | None = 2) -> str:
 def reference_json_sort(items: list) -> list:
     """``items`` in the stable order of their compact sorted-key JSON text."""
     return sorted(items, key=lambda v: reference_report_json(v, indent=None))
+
+
+class PerLeafJsonWriter(jsonwriter.JsonWriter):
+    """The package's writer with a ``Rows`` rendered leaf by leaf: one
+    ``%``-template per record with a slot per array entry, every entry's
+    token filled in by one ``%``-format, instead of one text per distinct
+    row."""
+
+    def _write_rows(self, rows, depth, out):
+        template, fills = self._leaf_record(rows, depth + 1)
+        tokens = np.concatenate(fills, axis=1).ravel().tolist() if fills else []
+        out.append(jsonwriter._block("[", [template] * len(rows), "]", depth) % tuple(tokens))
+
+    def _leaf_record(self, rows, depth):
+        """The ``%``-template of one record at ``depth``, its constant text
+        escaped, and its tokens: (records, slots) object arrays in slot order."""
+        parts, fills = [], []
+        for key, col in rows.columns.items():
+            if isinstance(col, np.ndarray):
+                text = jsonwriter._block("[", ["%s"] * col.shape[1], "]", depth + 1)
+                tokens, which = jsonwriter._tokens(col)
+                fills.append(np.array(tokens, dtype=object)[which])
+            elif isinstance(col, jsonwriter.Category):
+                text = "%s"
+                rendered = [self.indented(v, depth + 1) for v in col.values]
+                fills.append(np.array(rendered, dtype=object)[col.codes][:, None])
+            elif isinstance(col, jsonwriter.Rows):
+                text, sub = self._leaf_record(col, depth + 1)
+                fills.extend(sub)
+            else:
+                text = self.indented(col, depth + 1).replace("%", "%%")
+            parts.append(jsonwriter._string(key).replace("%", "%%") + ": " + text)
+        return jsonwriter._block("{", parts, "}", depth), fills
+
+
+def reference_json_order(*blocks, closers: str) -> np.ndarray:
+    """``json_order`` with one sort key per leaf: each column ranked by the
+    text of its token plus the character after it, the records sorted by
+    all those ranks, ties by record index.  Records without leaves keep
+    their order."""
+    keys = [np.zeros(len(blocks[0]), dtype=np.intp)]
+    for block, close in zip(blocks, closers, strict=True):
+        block = np.asarray(block)
+        tokens, which = jsonwriter._tokens(block)
+        width = block.shape[1]
+        for sep, cols in ((", ", slice(0, width - 1)), (close, slice(width - 1, width))):
+            texts = [t + sep for t in tokens]
+            rank = {t: r for r, t in enumerate(sorted(set(texts)))}
+            keys.extend(np.array([rank[t] for t in texts])[which[:, cols].T])
+    return np.lexsort(keys[::-1])
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import itertools
+import re
 import weakref
 
 import numpy as np
@@ -30,9 +31,11 @@ from anyongates.abelian import (
     is_abelian,
     lattice_commutation_check,
     string_operator_matrices,
+    string_operators,
     torus_word_families,
     word_is_unconstraining,
 )
+from anyongates.classify import _contains_logical_paulis
 from anyongates.solver import delta_set, intersect_delta
 
 from oracles import (
@@ -43,6 +46,7 @@ from oracles import (
     dense_torus_word_families,
     families,
     membership_by_search,
+    monomial_from_matrix,
     pauli_element_orders_divide_exponent,
     pauli_group_orders,
     reference_affine_permutations,
@@ -357,6 +361,47 @@ def test_unconstraining_words():
 # String operators and the Pauli group
 
 
+def _column_reads(model):
+    """Each string operator read one column at a time, F_a(C1) before
+    F_a(C2); the first ValueError of those reads instead, if any."""
+    f1, f2 = string_operator_matrices(model)
+    try:
+        return [monomial_from_matrix(f) for f in (*f1, *f2)]
+    except ValueError as exc:
+        return exc
+
+
+@pytest.mark.parametrize("name", ["zn_toric:2", "zn_toric:3", "zn_toric:4", "dg_abelian:2,2",
+                                  "dg_abelian:2,3"])
+def test_string_operators_read_in_one_pass_like_column_by_column(name):
+    """Bit-equal permutations and phases, read once per S matrix."""
+    model = load_builtin(name)
+    perms, phases = string_operators(model)
+    gates = _column_reads(model)
+    assert perms.shape == phases.shape == (2 * model.n_labels, model.n_labels)
+    assert perms.tolist() == [list(g.perm) for g in gates]
+    assert phases.tolist() == [list(g.phases) for g in gates]
+    assert string_operators(model)[0] is perms
+
+
+@pytest.mark.parametrize("name", ["ising", "fibonacci", "zn_toric:3"])
+def test_string_operators_refuse_what_the_column_reads_refuse(name):
+    """A zero column (ising's S_{sigma sigma}) or an entry of modulus d_x
+    raises the column read's first ValueError; so does a scaled S."""
+    model = load_builtin(name)
+    if name == "zn_toric:3":
+        model.smatrix[1:, 1:] *= 1.5
+    want = _column_reads(model)
+    assert isinstance(want, ValueError)
+    with pytest.raises(ValueError) as got:
+        string_operators(model)
+    assert str(got.value) == str(want)
+    with pytest.raises(ValueError, match=re.escape(str(want))):
+        _contains_logical_paulis(model, None)
+    with pytest.raises(ValueError, match=re.escape(str(want))):
+        clifford_star_batch(model, [list(range(model.n_labels))], [[1.0] * model.n_labels])
+
+
 def test_string_operator_commutation_relation():
     """Crossing loops reproduce D S_{ab}, and pin which cycle is which."""
     for model in (Z2, Z3, Z4):
@@ -412,8 +457,6 @@ def test_pauli_element_orders(model=Z4):
 
 
 def _as_gate(mat):
-    from anyongates import monomial_from_matrix
-
     return monomial_from_matrix(mat)
 
 

@@ -3,14 +3,16 @@
 Each case of the out-of-reach list runs as a fresh process under a 5 s
 deadline, so a regression fails instead of hanging.  It must exit 0, or
 exit 1 naming the refusing stage and its estimate on stderr, with the
-child's own peak RSS (``ru_maxrss`` from ``os.wait4``) under 1 GB.
+child's own peak RSS under 1 GB.  The child reports that peak itself, as
+the ``VmHWM`` of its ``/proc/self/status`` at exit: exec starts it afresh,
+whereas the ``ru_maxrss`` a parent reads from ``os.wait4`` carries over the
+parent's own peak through fork and exec.
 """
 
 import os
 import subprocess
 import sys
 import tempfile
-import time
 import tracemalloc
 from pathlib import Path
 
@@ -67,29 +69,49 @@ CASES = {
 }
 
 
+# Runs "-m module args..." or "-c code args..." as __main__ after writing, at
+# exit, the VmHWM line of the process's own status to the file named first.
+PEAK_REPORTER = """
+import atexit, runpy, sys
+
+def report(path=sys.argv[1]):
+    with open("/proc/self/status") as status, open(path, "w") as out:
+        out.write(next(line for line in status if line.startswith("VmHWM:")))
+
+atexit.register(report)
+mode, target, *rest = sys.argv[2:]
+if mode == "-m":
+    sys.argv = [target, *rest]
+    runpy.run_module(target, run_name="__main__", alter_sys=True)
+else:
+    sys.argv = ["-c", *rest]
+    exec(compile(target, "<string>", "exec"), {"__name__": "__main__"})
+"""
+
+
 def _run(args):
-    """Exit code, stderr and peak RSS in bytes of one child, killed past the deadline."""
+    """Exit code, stderr and own peak RSS in bytes of one child, killed past
+    the deadline."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), str(ROOT / "tests"), env.get("PYTHONPATH")) if p
     )
-    with tempfile.TemporaryFile() as err:
+    with tempfile.TemporaryFile() as err, tempfile.TemporaryDirectory() as tmp:
+        peak = Path(tmp) / "peak"
         child = subprocess.Popen(
-            [sys.executable, *args], stdout=subprocess.DEVNULL, stderr=err, env=env
+            [sys.executable, "-c", PEAK_REPORTER, str(peak), *args],
+            stdout=subprocess.DEVNULL, stderr=err, env=env,
         )
-        deadline = time.monotonic() + SECONDS
-        while True:
-            pid, status, usage = os.wait4(child.pid, os.WNOHANG)
-            if pid:
-                break
-            if time.monotonic() > deadline:
-                child.kill()
-                child.wait()
-                pytest.fail(f"still running after {SECONDS} s")
-            time.sleep(0.01)
-        child.returncode = os.waitstatus_to_exitcode(status)
+        try:
+            code = child.wait(timeout=SECONDS)
+        except subprocess.TimeoutExpired:
+            child.kill()
+            child.wait()
+            pytest.fail(f"still running after {SECONDS} s")
         err.seek(0)
-        return child.returncode, err.read().decode(), usage.ru_maxrss * 1024
+        name, kib, unit = peak.read_text().split()
+        assert (name, unit) == ("VmHWM:", "kB")
+        return code, err.read().decode(), int(kib) * 1024
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -101,6 +123,17 @@ def test_out_of_reach_inputs_fail_fast_with_an_estimate(case):
     if code == 1:
         assert err.startswith(f"error: {stage}: "), err
         assert "bytes in all, above the budget of 1,073,741,824 bytes" in err
+
+
+def test_a_child_reports_its_own_peak_not_its_parents():
+    """A child that holds 64 MB reports more than that, and one that holds
+    nothing reports far less than the 256 MB this process holds meanwhile."""
+    ballast = b"x" * (256 << 20)
+    code, err, rss = _run(["-c", "import sys; held = b'x' * (64 << 20); sys.exit(1)"])
+    assert (code, err) == (1, "") and rss > 64 << 20
+    code, err, rss = _run(["-c", "pass"])
+    assert (code, err) == (0, "") and rss < 64 << 20
+    assert len(ballast) == 256 << 20
 
 
 def test_one_message_names_stage_count_total_and_budget():

@@ -34,7 +34,7 @@ from anyongates.classify import VERDICTS, _contains_logical_paulis
 from anyongates.cli import main
 from anyongates.jsonwriter import Rows
 from anyongates.models import _fill_fsymbols, _fill_rsymbols
-from anyongates.solver import DeltaSet, delta_set, intersect_delta, monomial_from_matrix
+from anyongates.solver import DeltaSet, delta_set, intersect_delta
 from anyongates.tolerances import DEFAULT_TOL
 
 from oracles import (
@@ -45,6 +45,7 @@ from oracles import (
     dense_sphere_word_filter,
     families,
     ising_qubit_isomorphism,
+    monomial_from_matrix,
     reference_contains_logical_paulis,
     reference_factorized_classes,
     reference_iso_phase_functions,

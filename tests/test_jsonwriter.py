@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -5,10 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anyongates import jsonwriter
+from anyongates import (
+    classify_punctured_sphere,
+    classify_torus,
+    delta_set,
+    intersect_delta,
+    jsonwriter,
+    load_builtin,
+    sphere_surface,
+)
 from anyongates.jsonwriter import Category, JsonWriter, Rows, dumps, json_order
 
-from oracles import reference_report_json
+from oracles import PerLeafJsonWriter, reference_json_order, reference_report_json
 
 
 def assert_same_text(value):
@@ -47,20 +56,40 @@ def test_writer_matches_the_standard_encoder(value):
 SPECIAL_FLOATS = [
     math.pi, -math.pi, 0.0, -0.0, -1e-12, 1e-12, 0.1, 0.12, 0.12345678904, 0.123456789041,
     1.00000000001, 1.0, 1.5707963268, math.pi / 2, -2.0000000000100002, -2.0,
-    1e-05, 1.5, 1.5e-05,
+    1e-05, 1.5, 1.5e-05, math.pi + 1e-13, 0.1 + 1e-13,
 ]
 # Label names that are prefixes of each other, hold commas or quotes, or
 # escape to \u sequences.
 SPECIAL_STRINGS = ["e", "eps", "(0,1)", "(0,10)", "1", "1e-05", "psi", "", 'a"b', "a\\", "σ"]
 
 
+def _twin(x):
+    """A float with other bytes than x that prints the same, unless x is
+    not finite or lies within 1e-13 of a 10-place rounding tie: -0.0 for
+    0.0, 1e-12 for -0.0, x + 1e-13 otherwise."""
+    if x == 0.0:
+        return 1e-12 if math.copysign(1.0, x) < 0 else -0.0
+    return x + 1e-13
+
+
+def _twin_rows(draw, rows, kinds):
+    """Some of ``rows`` again with every float replaced by its twin."""
+    picked = draw(st.lists(st.sampled_from(rows), max_size=4)) if rows else []
+    return [
+        tuple([_twin(x) for x in block] if kind == "float" else block
+              for block, kind in zip(row, kinds))
+        for row in picked
+    ]
+
+
 @st.composite
 def flat_records(draw):
-    """Rows of blocks of ints 0-30, floats or strings, some rows repeated:
-    each block the values of a list or a dict of a record, each row a
-    record; with the blocks' closers."""
+    """Up to 26 rows of blocks of width 0-3 of ints 0-30, floats or
+    strings, some rows repeated and some twinned: each block the values of a
+    list or a dict of a record, each row a record; with the blocks' widths
+    and closers."""
     kinds = draw(st.lists(st.sampled_from(["int", "float", "str"]), min_size=1, max_size=3))
-    widths = [draw(st.integers(1, 3)) for _ in kinds]
+    widths = [draw(st.integers(0, 3)) for _ in kinds]
     closers = "".join(draw(st.sampled_from("]}")) for _ in kinds)
     value = {
         # 1 and 10 make both "1, " < "10, " and "1]" > "10]" likely to meet
@@ -70,10 +99,10 @@ def flat_records(draw):
     }
     row = st.tuples(*(st.lists(value[k], min_size=w, max_size=w)
                       for k, w in zip(kinds, widths)))
-    rows = draw(st.lists(row, min_size=1, max_size=16))
-    repeats = draw(st.lists(st.sampled_from(rows), max_size=6))
-    order = draw(st.permutations(rows + repeats))
-    return kinds, closers, order
+    rows = draw(st.lists(row, max_size=16))
+    repeats = draw(st.lists(st.sampled_from(rows), max_size=6)) if rows else []
+    order = draw(st.permutations(rows + repeats + _twin_rows(draw, rows, kinds)))
+    return kinds, widths, closers, order
 
 
 DTYPES = {"int": np.int64, "float": np.float64, "str": np.str_}
@@ -97,12 +126,36 @@ def _reference_order(records):
 @settings(max_examples=300, deadline=None)
 @given(flat_records())
 def test_json_order_equals_the_sorted_reference_text(case):
-    kinds, closers, rows = case
+    kinds, widths, closers, rows = case
     blocks = [
-        np.array([r[j] for r in rows], dtype=DTYPES[k]) for j, k in enumerate(kinds)
+        np.array([r[j] for r in rows], dtype=DTYPES[k]).reshape(len(rows), w)
+        for j, (k, w) in enumerate(zip(kinds, widths))
     ]
     want = _reference_order(_records(rows, closers))
     assert json_order(*blocks, closers=closers).tolist() == want
+    assert reference_json_order(*blocks, closers=closers).tolist() == want
+
+
+@pytest.mark.parametrize("close", "]}")
+def test_rows_that_print_the_same_tie_in_index_order(close):
+    """-0.0, 0.0 and 1e-12 are three rows of bytes but one text, and so
+    are x and x + 1e-13: each such group keeps its index order."""
+    x = 0.3
+    block = np.array([[x + 1e-13, 0.0], [1e-12, 1.0], [-0.0, 1.0], [x, 0.0], [0.0, 1.0],
+                      [x, -0.0], [0.0, -1e-12]])
+    assert len(jsonwriter._distinct_rows(block)[0]) == 7  # by bytes, every row differs
+    want = [6, 1, 2, 4, 0, 3, 5]
+    assert json_order(block, closers=close).tolist() == want
+    assert _reference_order(_records([(row,) for row in block.tolist()], close)) == want
+
+
+def test_json_order_of_no_records_and_of_empty_blocks():
+    none = np.zeros((0, 0), dtype=np.intp)
+    assert json_order(np.zeros((0, 3)), none, closers="]}").tolist() == []
+    empty = np.zeros((3, 0), dtype=np.intp)
+    assert json_order(empty, closers="]").tolist() == [0, 1, 2]
+    ints = np.array([[2], [1], [2]])
+    assert json_order(empty, ints, empty, closers="]}]").tolist() == [1, 0, 2]
 
 
 def test_json_order_separates_list_ends_from_list_entries():
@@ -146,8 +199,9 @@ SHARED = st.recursive(
 @st.composite
 def rows_of(draw, n, nested=True):
     """A ``Rows`` of n records under keys drawn from ``TEXTS``: int and float
-    arrays of width 0-3, shared values, categorical columns of shared dicts,
-    and one nested ``Rows``."""
+    arrays of width 0-3, each drawing its rows from a pool of at most four
+    (and, for floats, their twins), shared values, categorical columns of
+    shared dicts, and one nested ``Rows``."""
     kinds = ["int", "float", "shared", "category"] + (["rows"] if nested else [])
     columns = {}
     for key in draw(st.lists(TEXTS, unique=True, max_size=4)):
@@ -155,8 +209,11 @@ def rows_of(draw, n, nested=True):
         if kind in ("int", "float"):
             width = draw(st.integers(0, 3))
             entry = INTS if kind == "int" else FLOATS
-            row = st.lists(entry, min_size=width, max_size=width)
-            values = draw(st.lists(row, min_size=n, max_size=n))
+            pool = draw(st.lists(st.lists(entry, min_size=width, max_size=width),
+                                 min_size=1, max_size=4))
+            if kind == "float":
+                pool += [[_twin(x) for x in row] for row in pool]
+            values = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
             columns[key] = np.array(values, dtype=DTYPES[kind]).reshape(n, width)
         elif kind == "shared":
             columns[key] = draw(SHARED)
@@ -316,3 +373,102 @@ def test_other_int_tokens_still_sort(block):
     tokens, which = jsonwriter._tokens(block)
     want = _sorted_tokens(block)
     assert tokens == want[0] and np.array_equal(which, want[1])
+
+
+# ---------------------------------------------------------------------------
+# Class and family lists of the package against the per-leaf writer and order
+
+classify_module = importlib.import_module("anyongates.classify")
+cli = importlib.import_module("anyongates.cli")
+
+
+@pytest.fixture
+def checked_order(monkeypatch):
+    """classify's ``json_order``, equal to the per-leaf reference on every
+    call; the list of the orders' lengths."""
+    lengths = []
+
+    def checked(*blocks, closers):
+        got = json_order(*blocks, closers=closers)
+        want = reference_json_order(*blocks, closers=closers)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        lengths.append(len(got))
+        return got
+
+    monkeypatch.setattr(classify_module, "json_order", checked)
+    return lengths
+
+
+def _per_leaf(monkeypatch, write):
+    """What ``write()`` gives with the per-leaf writer in the package's place."""
+    with monkeypatch.context() as m:
+        m.setattr(jsonwriter, "JsonWriter", PerLeafJsonWriter)
+        return write()
+
+
+def _assert_same_text(got, want):
+    """``got == want``, failing with the first line that differs instead of
+    a diff of megabytes."""
+    if got == want:
+        return
+    for i, (a, b) in enumerate(zip(got.splitlines(), want.splitlines())):
+        if a != b:
+            pytest.fail(f"line {i}: {a!r} != {b!r}")
+    pytest.fail(f"{len(got)} characters against {len(want)}")
+
+
+def _rows_slice(rows, lo, hi):
+    """Records lo to hi of a ``Rows``, as a ``Rows`` of the same columns."""
+    columns = {}
+    for key, col in rows.columns.items():
+        if isinstance(col, np.ndarray):
+            col = col[lo:hi]
+        elif isinstance(col, Category):
+            col = Category(col.codes[lo:hi], col.values)
+        elif isinstance(col, Rows):
+            col = _rows_slice(col, lo, hi)
+        columns[key] = col
+    return Rows(hi - lo, columns)
+
+
+@pytest.mark.parametrize("model, surface, classes", [
+    ("zn_toric:4", None, 4096),
+    ("ising", ("sigma", 12), 1024),
+])
+def test_largest_class_lists_match_the_per_leaf_writer(monkeypatch, checked_order,
+                                                       model, surface, classes):
+    """The benchmark's largest classify outputs: the same order and bytes."""
+    m = load_builtin(model)
+    if surface is None:
+        report = classify_torus(m)
+    else:
+        report = classify_punctured_sphere(m, sphere_surface(m, *surface))
+    assert checked_order == [classes] == [report.n_classes]
+    _assert_same_text(report.to_json(), _per_leaf(monkeypatch, report.to_json))
+
+
+def test_largest_family_list_matches_the_per_leaf_writer(monkeypatch, capsys):
+    """``delta ising sphere:sigma:8 --words s2``: 6,144 families over 384
+    distinct permutation rows and 16 distinct phase rows."""
+    argv = ["delta", "--model", "ising", "--surface", "sphere:sigma:8", "--words", "s2",
+            "--format", "json"]
+    assert cli.main(argv) == 0
+    text = capsys.readouterr().out
+    assert _per_leaf(monkeypatch, lambda: cli.main(argv)) == 0
+    _assert_same_text(capsys.readouterr().out, text)
+    ising = load_builtin("ising")
+    inter = intersect_delta([delta_set(ising, sphere_surface(ising, "sigma", 8), "s2")])
+    perms, angles = inter.perms, np.angle(inter.instantiate_families())
+    assert len(perms) == 6144
+    assert [len(jsonwriter._distinct_rows(b)[0]) for b in (perms, angles)] == [384, 16]
+
+
+@pytest.mark.parametrize("model, classes", [("zn_toric:5", 5000), ("dg_abelian:2,3", 31104)])
+def test_large_torus_class_lists_match_chunk_by_chunk(checked_order, model, classes):
+    """The class list written 1,024 records at a time, so that the per-leaf
+    writer never holds more than one chunk's tokens."""
+    rows = classify_torus(load_builtin(model)).classes
+    assert checked_order == [classes] == [len(rows)]
+    for lo in range(0, len(rows), 1024):
+        part = _rows_slice(rows, lo, min(lo + 1024, len(rows)))
+        _assert_same_text(JsonWriter().indented(part, 1), PerLeafJsonWriter().indented(part, 1))

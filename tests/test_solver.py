@@ -12,7 +12,6 @@ from anyongates import (
     intersect_delta,
     is_monomial,
     load_builtin,
-    monomial_from_matrix,
     solve_intertwiner,
     sphere_surface,
     torus_surface,
@@ -37,6 +36,7 @@ from oracles import (
     grid_intertwiner_solutions,
     intertwiner_residual,
     intertwiner_solutions,
+    monomial_from_matrix,
     propagate_phases_scalar,
     reference_candidate_pairs,
     reference_gate_coset,
