@@ -36,7 +36,7 @@ GRID = (
        for m in (4, 7, 11)]
     + [f"classify --model {model} --surface torus --format json"
        for model in ("fibonacci", "ising", "zn_toric:2", "zn_toric:3", "zn_toric:4",
-                     "zn_toric:5")]
+                     "zn_toric:5", "zn_toric:6", "dg_abelian:2,2")]
     + [
         "classify --model zn_toric:3 --surface torus --words s,st,stst --format json",
         "classify --model ising --surface sphere:sigma:8 --words s1s2 --format json",

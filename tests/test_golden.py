@@ -18,6 +18,7 @@ from anyongates.cli import main
 
 TABLE = json.loads((Path(__file__).parent / "golden" / "cli_sha256.json").read_text())
 SLOW = {
+    "classify --model dg_abelian:2,2 --surface torus --format json",
     "classify --model ising --surface sphere:sigma:14 --format json",
     "classify --model zn_toric:3 --surface torus --words s,st,stst --format json",
     "classify --model zn_toric:5 --surface torus --format json",
