@@ -449,11 +449,10 @@ def string_operator_matrices(model: AnyonModel) -> tuple[np.ndarray, np.ndarray]
 @functools.lru_cache(maxsize=None)
 def _string_operator_matrices(n: int, smatrix: bytes) -> tuple[np.ndarray, np.ndarray]:
     s = np.frombuffer(smatrix, dtype=np.complex128).reshape(n, n)
-    dtotal = float(np.real(1.0 / s[0, 0]))
+    chi = float(np.real(1.0 / s[0, 0])) * s  # F_a(C1) = diag(chi[a])
     f1 = np.zeros((n, n, n), dtype=np.complex128)
-    for a in range(n):
-        np.fill_diagonal(f1[a], dtotal * s[a])
-    f2 = np.einsum("xy,ayz,wz->axw", s, f1, np.conj(s))
+    f1[:, np.arange(n), np.arange(n)] = chi
+    f2 = np.einsum("xy,ay,wy->axw", s, chi, np.conj(s))
     return f1, f2
 
 

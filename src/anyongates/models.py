@@ -5,20 +5,24 @@ fusion: label set with the vacuum first, an involutive dual map, fusion
 coefficients N^c_{ab} in {0,1}, a unitary S-matrix, six-index F-symbols,
 R-symbols and twists.
 
-F-symbol convention.  The stored symbol F^{ijm}_{kln} (dict key
-``(i,j,m,k,l,n)``) is the coefficient in the basis change on a 4-punctured
-sphere with boundary (i,j,k,l): |m> on one cut equals sum_n F^{ijm}_{kln} |n>
-on the crossed cut.  In the four-upper-index convention used by most fusion
-category references this is (F^{jil}_k)_{mn}.  ``fmove_block`` returns the
-whole block as a matrix together with its row and column label sets; see
-docs/conventions.md for the derivation fixing these index placements.
+F-symbol convention.  The stored symbol F^{ijm}_{kln} (key ``(i,j,m,k,l,n)``
+of :class:`FSymbols`) is the coefficient in the basis change on a
+4-punctured sphere with boundary (i,j,k,l): |m> on one cut equals
+sum_n F^{ijm}_{kln} |n> on the crossed cut.  In the four-upper-index
+convention used by most fusion category references this is
+(F^{jil}_k)_{mn}.  ``fmove_block`` returns the whole block as a matrix
+together with its row and column label sets; see docs/conventions.md for
+the derivation fixing these index placements.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import json
 import math
+import operator
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -32,14 +36,87 @@ class ModelError(ValueError):
     """Schema violation in model input (missing field, bad index, multiplicity)."""
 
 
+class FSymbols(Mapping):
+    """A model's F-symbols, read-only: key (i,j,m,k,l,n) -> complex.
+
+    Held as two columns: ``codes``, each key's row-major index over
+    ``(n,) * 6`` for n labels, sorted, and ``entries``, their complex128
+    values.  Built from key codes and values in any order; a key given
+    twice keeps its last value, as a dict filled in that order would.  Keys
+    are read back as tuples of ints in sorted order.
+    """
+
+    def __init__(self, n: int, codes: np.ndarray, values):
+        values = np.broadcast_to(np.asarray(values, dtype=np.complex128), len(codes))
+        order = np.argsort(codes, kind="stable")
+        codes = codes[order]
+        last = np.ones(codes.size, dtype=bool)
+        last[:-1] = codes[1:] != codes[:-1]
+        self.n = n
+        self.codes = codes[last]
+        self.entries = values[order][last]
+        self.codes.flags.writeable = self.entries.flags.writeable = False
+
+    @classmethod
+    def from_rows(cls, n: int, rows, values) -> FSymbols:
+        """The columns of key rows (i, j, m, k, l, n), each index below n."""
+        rows = np.asarray(rows, dtype=np.intp).reshape(-1, 6)
+        return cls(n, np.ravel_multi_index(tuple(rows.T), (n,) * 6), values)
+
+    @classmethod
+    def from_mapping(cls, symbols, n: int) -> FSymbols:
+        """The columns of a mapping from 6-tuples of label indices below n."""
+        keys = list(symbols)
+        try:
+            rows = np.array(keys, dtype=np.intp).reshape(len(keys), 6)
+        except (TypeError, ValueError) as exc:
+            raise ModelError("fsymbol keys must be six label indices") from exc
+        bad = ((rows < 0) | (rows >= n)).any(axis=1)
+        if bad.any():
+            raise ModelError(f"fsymbol key {keys[bad.argmax()]} out of range")
+        return cls.from_rows(n, rows, list(symbols.values()))
+
+    def _position(self, key) -> int:
+        """Where a key's value sits in ``entries``, or -1 if it is absent."""
+        try:
+            if len(key) != 6:
+                return -1
+            code = 0
+            for x in map(operator.index, key):
+                if not 0 <= x < self.n:
+                    return -1
+                code = code * self.n + x
+        except TypeError:
+            return -1
+        pos = int(np.searchsorted(self.codes, code))
+        return pos if pos < self.codes.size and self.codes[pos] == code else -1
+
+    def __getitem__(self, key) -> complex:
+        pos = self._position(key)
+        if pos < 0:
+            raise KeyError(key)
+        return complex(self.entries[pos])
+
+    def __len__(self) -> int:
+        return self.codes.size
+
+    def __iter__(self):
+        digits = np.unravel_index(self.codes, (self.n,) * 6)
+        return map(tuple, np.column_stack(digits).tolist())
+
+
 @dataclass(eq=False)
 class AnyonModel:
     """One anyon model's data; see the module docstring for the conventions.
 
-    A model is treated as immutable once an F-block has been read: the
-    blocks are built once, on the first read, into :attr:`fblocks`, and are
-    not rebuilt when the fusion tensor or the F dict changes afterwards.  A
-    tampered model is a new instance (``dataclasses.replace``).
+    ``fsymbols`` is an :class:`FSymbols`, a read-only mapping over two
+    columns; any other mapping a caller passes, such as a dict, is
+    converted to one on construction, its keys range-checked as
+    :func:`parse_model` checks them.  A model is treated as immutable once
+    an F-block has been read: the blocks are built once, on the first read,
+    into :attr:`fblocks`, and are not rebuilt when the fusion tensor
+    changes afterwards.  A tampered model is a new instance
+    (``dataclasses.replace``).
     """
 
     name: str
@@ -47,9 +124,13 @@ class AnyonModel:
     dual: tuple[int, ...]
     fusion: np.ndarray  # (n, n, n) uint8, fusion[a, b, c] = N^c_{ab}
     smatrix: np.ndarray  # (n, n) complex
-    fsymbols: dict[tuple[int, int, int, int, int, int], complex]
+    fsymbols: FSymbols
     rsymbols: dict[tuple[int, int, int], complex]
     twists: np.ndarray  # (n,) complex
+
+    def __post_init__(self):
+        if not (isinstance(self.fsymbols, FSymbols) and self.fsymbols.n == self.n_labels):
+            self.fsymbols = FSymbols.from_mapping(self.fsymbols, self.n_labels)
 
     @property
     def n_labels(self) -> int:
@@ -97,13 +178,9 @@ class AnyonModel:
         and ``block[r, c] = F^{ij rows[r]}_{kl cols[c]}``.  Associativity
         guarantees len(rows) == len(cols).  A boundary that is not admissible
         gives empty label tuples and a 0x0 block.  The block is a read-only
-        view into :attr:`fblocks`.
+        view into one of the stacks of :attr:`fblocks`.
         """
-        store = self.fblocks
-        key = (i, j, k, l)
-        if key in store.missing:
-            raise ModelError(store.missing[key])
-        return store.blocks.get(key, _NO_BLOCK)
+        return self.fblocks.block(i, j, k, l)
 
 
 def _missing_fsymbol(labels, key) -> str:
@@ -130,38 +207,48 @@ def _fblock_layout(fusion: np.ndarray, budget: Budget):
     joining the rows and columns of each boundary.  Returns four integer
     arrays: ``bounds`` (B, 4), the boundaries (i,j,k,l) with a row or a
     column channel, in (i, j, l, k) order; ``rows`` (R, 2) and ``cols``
-    (C, 2), the pairs (boundary position, channel), sorted; ``keys`` (K, 7),
-    the rows (boundary position, i, j, m, k, l, n) in boundary order, each
-    block in row-major order.  The channels, counted from the fusion
-    tensor's sums, are charged before they are joined, at eight ints each,
-    and the keys before they are built, at 14 ints and the about 300 bytes
-    of Python objects a caller makes of each.
+    (C, 2), the pairs (boundary position, channel), sorted; ``keys`` (K,),
+    the codes of the keys (i, j, m, k, l, n), row-major over n^6 for n
+    labels, in boundary order, each block in row-major order.  The
+    channels, counted from the fusion tensor's sums, are charged before
+    they are joined, at eight ints each, and the keys before they are
+    built, at 14 ints and 300 bytes more each.  The 300 bytes over-count:
+    they stand for Python objects per key, and every caller keeps the keys
+    in arrays.
     """
     n = fusion.shape[0]
-    shape = (n, n, n, n)
     made, first, second = (fusion.sum(axis=a, dtype=np.intp) for a in ((0, 1), (1, 2), (0, 2)))
     budget.charge("F-block channels", int(made @ (first + second)), 8 * 8)
     t = np.argwhere(fusion)  # (a, b, c) with N^c_{ab} = 1
+    # each channel as one code (i, j, l, k, channel), row-major over n^5
     a, b = _join(t[:, 2], t[:, 0])
-    row_code = np.ravel_multi_index((t[a, 0], t[a, 1], t[b, 1], t[b, 2]), shape)
-    row_m = t[a, 2]
+    row_key = (((t[a, 0] * n + t[a, 1]) * n + t[b, 1]) * n + t[b, 2]) * n + t[a, 2]
     a, b = _join(t[:, 2], t[:, 1])
-    col_code = np.ravel_multi_index((t[a, 0], t[b, 0], t[a, 1], t[b, 2]), shape)
-    col_n = t[a, 2]
+    col_key = (((t[a, 0] * n + t[b, 0]) * n + t[a, 1]) * n + t[b, 2]) * n + t[a, 2]
+    row_key.sort()
+    col_key.sort()
 
-    # The distinct codes in order; np.union1d would import numpy.ma.
-    codes = np.sort(np.concatenate((row_code, col_code)))
+    # The distinct boundary codes in order; np.union1d would import numpy.ma.
+    codes = np.concatenate((row_key, col_key)) // n
+    codes.sort(kind="stable")  # merges the two sorted runs
     codes = codes[np.diff(codes, prepend=-1) > 0]
-    bounds = np.column_stack(np.unravel_index(codes, shape))[:, [0, 1, 3, 2]]
-    rows = np.column_stack((np.searchsorted(codes, row_code), row_m))
-    rows = rows[np.lexsort(rows.T[::-1])]
-    cols = np.column_stack((np.searchsorted(codes, col_code), col_n))
-    cols = cols[np.lexsort(cols.T[::-1])]
+    bounds = np.column_stack(np.unravel_index(codes, (n,) * 4))[:, [0, 1, 3, 2]]
+    rows = np.column_stack((np.searchsorted(codes, row_key // n), row_key % n))
+    cols = np.column_stack((np.searchsorted(codes, col_key // n), col_key % n))
     n_rows, n_cols = (np.bincount(x[:, 0], minlength=len(bounds)) for x in (rows, cols))
     budget.charge("F-symbols", int(n_rows @ n_cols), 14 * 8 + 300)
-    a, b = _join(rows[:, 0], cols[:, 0])
-    i, j, k, l = bounds[rows[a, 0]].T
-    keys = np.column_stack((rows[a, 0], i, j, rows[a, 1], k, l, cols[b, 1]))
+    # A row channel's keys are its (i, j, m, k, l) code times n plus each
+    # column channel of its boundary; rows and columns are both in boundary
+    # order, so each column is found by offsets, not by a search.
+    m = row_key % n
+    l, k = np.divmod(row_key // n % (n * n), n)
+    head = (((row_key // n**3 * n + m) * n + k) * n + l) * n
+    per_row = n_cols[rows[:, 0]]
+    col_start = (np.cumsum(n_cols) - n_cols)[rows[:, 0]]
+    col = np.repeat(col_start - np.cumsum(per_row) + per_row, per_row)
+    col += np.arange(col.size)
+    keys = np.repeat(head, per_row)
+    keys += cols[col, 1]
     return bounds, rows, cols, keys
 
 
@@ -170,52 +257,79 @@ _NO_BLOCK[2].flags.writeable = False
 
 
 class FBlockStore:
-    """Every admissible F-block of one model, built once.
+    """Every admissible F-block of one model, built once, held in arrays.
 
-    ``blocks`` maps each admissible boundary (i,j,k,l) to what
-    :meth:`AnyonModel.fmove_block` returns for it; ``missing`` maps a
-    boundary whose block reads an absent F-symbol to the error text for the
-    first one in row-major order.  ``boundaries`` lists the admissible
-    boundaries in (i, j, l, k) order, the order of ``missing`` too, and
-    ``stacks`` pairs, per block shape, the positions of its boundaries in
-    that list with the read-only stack of their blocks.
+    ``boundaries`` (B, 4) lists the admissible boundaries (i,j,k,l) in
+    (i, j, l, k) order, and ``stacks`` pairs, per block shape, the positions
+    of its boundaries in that list with the read-only stack of their
+    blocks.  The blocks read the model's F-symbols through one join of the
+    layout's key codes with :class:`FSymbols`' sorted codes.  ``missing``
+    maps a boundary (a tuple) whose block reads an absent F-symbol to the
+    error text for the first one in row-major order, in boundary order; the
+    symbol's entry in the stack is NaN.  :meth:`block` serves one boundary.
     """
 
     def __init__(self, model: AnyonModel):
         budget = Budget()
         bounds, rows, cols, keys = _fblock_layout(model.fusion, budget)
-        budget.charge("F-blocks", len(bounds), 400)  # per block its tuples, view and slot
-        self.boundaries = list(map(tuple, bounds.tolist()))
-        fkeys = list(map(tuple, keys[:, 1:].tolist()))
-        values = list(map(model.fsymbols.get, fkeys))
+        budget.charge("F-blocks", len(bounds), 400)  # an over-count: arrays only
+        n = model.n_labels
+        symbols = model.fsymbols
+        at = np.searchsorted(symbols.codes, keys)  # len(symbols) marks an absent key
+        at[np.append(symbols.codes, -1)[at] != keys] = len(symbols)
+        values = np.append(symbols.entries, np.nan)[at]
         self.missing: dict[tuple[int, int, int, int], str] = {}
-        if None in values:
-            for e in [e for e, v in enumerate(values) if v is None]:
-                self.missing.setdefault(
-                    self.boundaries[keys[e, 0]], _missing_fsymbol(model.labels, fkeys[e])
-                )
-                values[e] = math.nan
-        values = np.array(values, dtype=np.complex128)
+        absent = keys[at == len(symbols)]
+        for key in np.column_stack(np.unravel_index(absent, (n,) * 6)).tolist():
+            boundary = (key[0], key[1], key[3], key[4])
+            self.missing.setdefault(boundary, _missing_fsymbol(model.labels, key))
 
-        n_bound = len(self.boundaries)
+        n_bound = len(bounds)
         n_rows = np.bincount(rows[:, 0], minlength=n_bound)
         n_cols = np.bincount(cols[:, 0], minlength=n_bound)
-        row_off = np.cumsum(n_rows) - n_rows
-        col_off = np.cumsum(n_cols) - n_cols
         entry_off = np.cumsum(n_rows * n_cols) - n_rows * n_cols
-        self.blocks = {}
+        self.boundaries = bounds
+        self._n = n
+        self._codes = np.ravel_multi_index(tuple(bounds[:, [0, 1, 3, 2]].T), (n,) * 4)
+        self._rows, self._cols = rows[:, 1], cols[:, 1]
+        # one stack per block shape, in (rows, cols) order
+        shape = n_rows * (n_cols.max(initial=0) + 1) + n_cols
+        order = np.argsort(shape, kind="stable")
+        starts = np.flatnonzero(np.diff(shape[order], prepend=-1)).tolist()
+        stack_of, index = np.empty_like(n_rows), np.empty_like(n_rows)
         self.stacks: list[tuple[np.ndarray, np.ndarray]] = []
-        for r, c in sorted(set(zip(n_rows.tolist(), n_cols.tolist()))):
-            pos = np.flatnonzero((n_rows == r) & (n_cols == c))
+        for s, (lo, hi) in enumerate(zip(starts, starts[1:] + [n_bound])):
+            pos = order[lo:hi]
+            r, c = int(n_rows[pos[0]]), int(n_cols[pos[0]])
             stack = values[(entry_off[pos, None] + np.arange(r * c)).ravel()]
             stack = stack.reshape(pos.size, r, c)
             stack.flags.writeable = False
             self.stacks.append((pos, stack))
-            row_sets = map(tuple, rows[row_off[pos, None] + np.arange(r), 1].tolist())
-            col_sets = map(tuple, cols[col_off[pos, None] + np.arange(c), 1].tolist())
-            self.blocks.update(
-                zip([self.boundaries[p] for p in pos.tolist()], zip(row_sets, col_sets, stack))
-            )
+            stack_of[pos] = s
+            index[pos] = np.arange(pos.size)
+        # per boundary: its row and column channel spans, its stack, its place there
+        row_end, col_end = np.cumsum(n_rows), np.cumsum(n_cols)
+        self._where = np.column_stack(
+            (row_end - n_rows, row_end, col_end - n_cols, col_end, stack_of, index)
+        )
+
+    def block(self, i: int, j: int, k: int, l: int):
+        """What :meth:`AnyonModel.fmove_block` returns for (i,j,k,l)."""
+        key = (i, j, k, l)
+        if key in self.missing:
+            raise ModelError(self.missing[key])
+        n = self._n
+        i, j, k, l = map(operator.index, key)
+        if not (0 <= i < n and 0 <= j < n and 0 <= k < n and 0 <= l < n):
+            return _NO_BLOCK
+        code = ((i * n + j) * n + l) * n + k
+        p = self._codes.searchsorted(code)
+        if p == self._codes.size or self._codes[p] != code:
+            return _NO_BLOCK
+        row, row_end, col, col_end, stack, index = self._where[p].tolist()
+        rows = tuple(self._rows[row:row_end].tolist())
+        cols = tuple(self._cols[col:col_end].tolist())
+        return rows, cols, self.stacks[stack][1][index]
 
 
 def quantum_dimensions(model: AnyonModel) -> np.ndarray:
@@ -233,14 +347,17 @@ def total_quantum_dimension(model: AnyonModel) -> float:
 # Builtins
 
 
-def _fill_fsymbols(fusion: np.ndarray, entry) -> dict:
-    """Populate the F dict over all admissible boundaries from ``entry``.
+def _fill_fsymbols(fusion: np.ndarray, entry=None) -> FSymbols:
+    """The F-symbols of every admissible boundary, from ``entry`` or all 1.
 
-    ``entry(i, j, m, k, l, n)`` supplies the value; admissibility is read
-    off the fusion tensor; the keys are charged to a budget of its own.
+    ``entry(i, j, m, k, l, n)`` gets the six key columns as int arrays and
+    returns the values, an array or a scalar for all; admissibility is read
+    off the fusion tensor; the keys are charged to a budget of their own.
     """
-    keys = _fblock_layout(fusion, Budget())[3][:, 1:]
-    return {key: complex(entry(*key)) for key in map(tuple, keys.tolist())}
+    n = fusion.shape[0]
+    keys = _fblock_layout(fusion, Budget())[3]
+    values = 1.0 if entry is None else entry(*np.unravel_index(keys, (n,) * 6))
+    return FSymbols(n, keys, values)
 
 
 def _fill_rsymbols(fusion: np.ndarray, entry) -> dict:
@@ -266,9 +383,10 @@ def fibonacci() -> AnyonModel:
     )
 
     def fentry(i, j, m, k, l, n):
-        if (i, j, k, l) == (1, 1, 1, 1):
-            return fdense[m, n]
-        return 1.0
+        values = np.ones(len(i))
+        dense = (i == 1) & (j == 1) & (k == 1) & (l == 1)
+        values[dense] = fdense[m[dense], n[dense]]
+        return values
 
     rvals = {
         (1, 1, 0): cmath.exp(-4j * math.pi / 5.0),
@@ -304,16 +422,15 @@ def ising() -> AnyonModel:
     # In the four-upper-index convention the only non-scalar block is
     # (F^{sss}_s) = H/sqrt2 over channels (1, psi); the scalar exceptions are
     # (F^{psp}_s) = (F^{sps}_p) = -1.  Translate through (i,j,k,l) -> (j,i,l,k).
-    fdense = np.array([[1.0, 1.0], [1.0, -1.0]]) / r2
-    chan_pos = {0: 0, 1: 1}
+    fdense = np.array([[1.0, 1.0], [1.0, -1.0]]) / r2  # over channels (1, psi)
 
     def fentry(i, j, m, k, l, n):
-        std = (j, i, l, k)
-        if std == (2, 2, 2, 2):
-            return fdense[chan_pos[m], chan_pos[n]]
-        if std in ((1, 2, 1, 2), (2, 1, 2, 1)):
-            return -1.0
-        return 1.0
+        std = np.column_stack((j, i, l, k))
+        flip = (std == (1, 2, 1, 2)).all(axis=1) | (std == (2, 1, 2, 1)).all(axis=1)
+        values = np.where(flip, -1.0, 1.0)
+        dense = (std == 2).all(axis=1)
+        values[dense] = fdense[m[dense], n[dense]]
+        return values
 
     rvals = {
         (2, 2, 0): cmath.exp(-1j * math.pi / 8.0),
@@ -357,45 +474,28 @@ def dg_abelian(orders) -> AnyonModel:
 
 def _abelian_double(orders: list[int], special_names: bool) -> AnyonModel:
     # Each factor contributes a (flux, charge) pair in Z_N x Z_N; the label
-    # group is the direct product over factors.
-    pairs_per_factor = [
-        [(a, b) for a in range(n) for b in range(n)] for n in orders
-    ]
-    coords: list[tuple[tuple[int, int], ...]] = []
-
-    def build(idx, acc):
-        if idx == len(orders):
-            coords.append(tuple(acc))
-            return
-        for p in pairs_per_factor[idx]:
-            build(idx + 1, acc + [p])
-
-    build(0, [])
-    n_lab = len(coords)
-    index_of = {c: i for i, c in enumerate(coords)}
+    # group is the direct product over factors.  Label i has the exponent
+    # coordinates x[i] = (flux_1, charge_1, flux_2, charge_2, ...), in
+    # row-major order over those radices.
+    radices = tuple(n for n in orders for _ in range(2))
+    x = np.indices(radices).reshape(len(radices), -1).T
+    n_lab = len(x)
+    flux, charge = x[:, 0::2], x[:, 1::2]
 
     if special_names:
-        names_map = {(0, 0): "1", (0, 1): "e", (1, 0): "m", (1, 1): "eps"}
-        labels = tuple(names_map[c[0]] for c in coords)
-    elif len(orders) == 1:
-        labels = tuple("(%d,%d)" % c[0] for c in coords)
+        names = [("1", "e", "m", "eps")]
     else:
-        labels = tuple("x".join("(%d,%d)" % p for p in c) for c in coords)
+        names = [["(%d,%d)" % p for p in itertools.product(range(n), repeat=2)] for n in orders]
+    labels = tuple(map("x".join, itertools.product(*names)))
 
-    def add(c1, c2):
-        return tuple(
-            ((a1 + a2) % n, (b1 + b2) % n)
-            for (a1, b1), (a2, b2), n in zip(c1, c2, orders)
-        )
-
-    def neg(c):
-        return tuple(((-a) % n, (-b) % n) for (a, b), n in zip(c, orders))
-
+    # a x b is the label at the sum of their coordinates, a's dual at the negation
+    summed = (x[:, None] + x[None, :]) % radices
+    total = np.ravel_multi_index(tuple(np.moveaxis(summed, -1, 0)), radices)
     fusion = np.zeros((n_lab, n_lab, n_lab), dtype=np.uint8)
-    for i, c1 in enumerate(coords):
-        for j, c2 in enumerate(coords):
-            fusion[i, j, index_of[add(c1, c2)]] = 1
-    dual = tuple(index_of[neg(c)] for c in coords)
+    a, b = np.indices((n_lab, n_lab))
+    fusion[a, b, total] = 1
+    dual = tuple(np.ravel_multi_index(tuple((-x % radices).T), radices).tolist())
+    fsymbols = _fill_fsymbols(fusion)
 
     # The sign pairing S and the twists matters: with theta_{(a,b)} =
     # exp(2 pi i ab/N), only the conjugated flux-charge pairing below makes
@@ -403,24 +503,16 @@ def _abelian_double(orders: list[int], special_names: bool) -> AnyonModel:
     # representation.  The opposite sign satisfies every single-matrix
     # invariant (unitary, symmetric, Verlinde) but breaks that relation for
     # N >= 3.
-    smatrix = np.zeros((n_lab, n_lab), dtype=np.complex128)
-    twists = np.zeros(n_lab, dtype=np.complex128)
-    for i, c1 in enumerate(coords):
-        twists[i] = cmath.exp(
-            2j * math.pi * sum(a * b / n for (a, b), n in zip(c1, orders))
-        )
-        for j, c2 in enumerate(coords):
-            expo = sum(
-                (a1 * b2 + b1 * a2) / n
-                for (a1, b1), (a2, b2), n in zip(c1, c2, orders)
-            )
-            smatrix[i, j] = cmath.exp(-2j * math.pi * expo) / n_lab ** 0.5
-
-    def rentry(a, b, c):
-        return cmath.exp(
-            2j * math.pi
-            * sum(b1 * a2 / n for (a1, b1), (a2, b2), n in zip(coords[a], coords[b], orders))
-        )
+    root = n_lab ** 0.5
+    smatrix = _exponent_phases(
+        orders,
+        flux[:, None] * charge[None, :] + charge[:, None] * flux[None, :],
+        lambda expo: cmath.exp(-2j * math.pi * expo) / root,
+    )
+    twists = _exponent_phases(orders, flux * charge, lambda expo: cmath.exp(2j * math.pi * expo))
+    rvalues = _exponent_phases(
+        orders, charge[:, None] * flux[None, :], lambda expo: cmath.exp(2j * math.pi * expo)
+    )
 
     return AnyonModel(
         name=(
@@ -432,10 +524,35 @@ def _abelian_double(orders: list[int], special_names: bool) -> AnyonModel:
         dual=dual,
         fusion=fusion,
         smatrix=smatrix,
-        fsymbols=_fill_fsymbols(fusion, lambda *k: 1.0),
-        rsymbols=_fill_rsymbols(fusion, rentry),
+        fsymbols=fsymbols,
+        rsymbols=dict(
+            zip(
+                zip(a.ravel().tolist(), b.ravel().tolist(), total.ravel().tolist()),
+                rvalues.ravel().tolist(),
+            )
+        ),
         twists=twists,
     )
+
+
+def _exponent_phases(orders: list[int], numerators: np.ndarray, phase) -> np.ndarray:
+    """``phase(sum(t_f / N_f))`` for each row t of per-factor numerators.
+
+    ``numerators`` holds non-negative ints, one per factor on its last
+    axis.  ``phase`` runs once per tuple in the box the numerators span,
+    on the same Python float sum the per-label formula takes, and the
+    results are read off that table, so every value is the one the formula
+    gives for its row.
+    """
+    spans = tuple(int(t) + 1 for t in numerators.reshape(-1, len(orders)).max(axis=0))
+    table = np.array(
+        [
+            phase(sum(t / n for t, n in zip(tup, orders)))
+            for tup in itertools.product(*map(range, spans))
+        ],
+        dtype=np.complex128,
+    )
+    return table[np.ravel_multi_index(tuple(np.moveaxis(numerators, -1, 0)), spans)]
 
 
 _BUILTINS = {"fibonacci": fibonacci, "ising": ising}
@@ -494,7 +611,7 @@ def serialize_model(model: AnyonModel) -> str:
                 "a": k[0], "b": k[1], "c": k[2], "d": k[3], "e": k[4], "f": k[5],
                 "re": float(v.real), "im": float(v.imag),
             }
-            for k, v in sorted(model.fsymbols.items())
+            for k, v in zip(model.fsymbols, model.fsymbols.entries.tolist())
         ],
         "rsymbols": [
             {"a": k[0], "b": k[1], "c": k[2], "re": float(v.real), "im": float(v.imag)}
@@ -557,7 +674,7 @@ def parse_model(document: str | dict) -> AnyonModel:
     else:
         raise ModelError("smatrix must hold n*n [re,im] pairs (flat or nested)")
 
-    fsymbols = {}
+    fkeys, fvalues = [], []
     for ent in doc["fsymbols"]:
         try:
             key = tuple(int(ent[x]) for x in ("a", "b", "c", "d", "e", "f"))
@@ -566,7 +683,8 @@ def parse_model(document: str | dict) -> AnyonModel:
             raise ModelError(f"malformed fsymbol entry {ent}") from exc
         if any(not 0 <= k < n for k in key):
             raise ModelError(f"fsymbol entry {ent} out of range")
-        fsymbols[key] = val
+        fkeys.append(key)
+        fvalues.append(val)
 
     rsymbols = {}
     for ent in doc["rsymbols"]:
@@ -590,7 +708,7 @@ def parse_model(document: str | dict) -> AnyonModel:
         dual=dual,
         fusion=fusion,
         smatrix=smatrix,
-        fsymbols=fsymbols,
+        fsymbols=FSymbols.from_rows(n, fkeys, fvalues),
         rsymbols=rsymbols,
         twists=twists,
     )
@@ -722,14 +840,14 @@ def validate(model: AnyonModel, tol: float = DEFAULT_TOL) -> ModelValidationRepo
             gram = stack @ stack.conj().transpose(0, 2, 1)
             res[pos] = np.abs(gram - np.eye(r)).max(axis=(1, 2))
     worst, bad = 0.0, ""
-    for boundary, r in zip(store.boundaries, res.tolist()):
+    for p, r in enumerate(res.tolist()):
         if r < 0:
             worst = max(worst, 1.0)
-            bad = f"non-square block at {boundary}"
+            bad = f"non-square block at {tuple(store.boundaries[p].tolist())}"
         elif r > worst:
             worst = r
             if r >= tol:
-                bad = f"block {boundary}"
+                bad = f"block {tuple(store.boundaries[p].tolist())}"
     if store.missing:
         worst, bad = float("inf"), next(iter(store.missing.values()))
     rep.checks["fblocks_unitary"] = CheckResult(worst < tol, worst, bad)

@@ -39,7 +39,10 @@ order of a class list by sorting on that compact text and by one rank per
 leaf instead of one rank per block's distinct row, the class and family
 records as one dict per record instead of a ``Rows`` of columns, and a
 monomial matrix read one column at a time instead of a stack of string
-operators in one array pass.
+operators in one array pass, the abelian doubles by per-label loops and
+a walk over the fusion products instead of exponent-coordinate arrays and
+the block layout, and the C2 string operators by the three-operand n^5 sum
+over the diagonal C1 strings instead of an n^4 product.
 
 The module also holds the helpers only tests need, which the package does
 not export: a delta set's rows as GateFamily objects (``families``), the
@@ -52,8 +55,10 @@ closure, products of lattice operators, and Deligne products of two models.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import json
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -153,6 +158,100 @@ def deligne_product(a: AnyonModel, b: AnyonModel) -> AnyonModel:
         rsymbols={pair(ka, kb): va * vb for ka, va in a.rsymbols.items()
                   for kb, vb in b.rsymbols.items()},
         twists=np.kron(a.twists, b.twists),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Abelian doubles label by label
+
+
+def reference_abelian_double(orders: list[int], special_names: bool) -> AnyonModel:
+    """The quantum double of Z_{N1} x ... x Z_{Nr} from per-label loops.
+
+    Every S entry, twist and R-symbol is its own ``cmath.exp`` of a Python
+    float sum over the factors; the F-symbols, all 1, are keyed by a walk
+    over the fusion products.
+    """
+    pairs_per_factor = [
+        [(a, b) for a in range(n) for b in range(n)] for n in orders
+    ]
+    coords: list[tuple[tuple[int, int], ...]] = []
+
+    def build(idx, acc):
+        if idx == len(orders):
+            coords.append(tuple(acc))
+            return
+        for p in pairs_per_factor[idx]:
+            build(idx + 1, acc + [p])
+
+    build(0, [])
+    n_lab = len(coords)
+    index_of = {c: i for i, c in enumerate(coords)}
+
+    if special_names:
+        names_map = {(0, 0): "1", (0, 1): "e", (1, 0): "m", (1, 1): "eps"}
+        labels = tuple(names_map[c[0]] for c in coords)
+    elif len(orders) == 1:
+        labels = tuple("(%d,%d)" % c[0] for c in coords)
+    else:
+        labels = tuple("x".join("(%d,%d)" % p for p in c) for c in coords)
+
+    def add(c1, c2):
+        return tuple(
+            ((a1 + a2) % n, (b1 + b2) % n)
+            for (a1, b1), (a2, b2), n in zip(c1, c2, orders)
+        )
+
+    def neg(c):
+        return tuple(((-a) % n, (-b) % n) for (a, b), n in zip(c, orders))
+
+    fusion = np.zeros((n_lab, n_lab, n_lab), dtype=np.uint8)
+    for i, c1 in enumerate(coords):
+        for j, c2 in enumerate(coords):
+            fusion[i, j, index_of[add(c1, c2)]] = 1
+    dual = tuple(index_of[neg(c)] for c in coords)
+
+    smatrix = np.zeros((n_lab, n_lab), dtype=np.complex128)
+    twists = np.zeros(n_lab, dtype=np.complex128)
+    for i, c1 in enumerate(coords):
+        twists[i] = cmath.exp(
+            2j * math.pi * sum(a * b / n for (a, b), n in zip(c1, orders))
+        )
+        for j, c2 in enumerate(coords):
+            expo = sum(
+                (a1 * b2 + b1 * a2) / n
+                for (a1, b1), (a2, b2), n in zip(c1, c2, orders)
+            )
+            smatrix[i, j] = cmath.exp(-2j * math.pi * expo) / n_lab ** 0.5
+
+    def rentry(a, b):
+        return cmath.exp(
+            2j * math.pi
+            * sum(b1 * a2 / n for (a1, b1), (a2, b2), n in zip(coords[a], coords[b], orders))
+        )
+
+    product = [[np.flatnonzero(fusion[a, b]).tolist() for b in range(n_lab)] for a in range(n_lab)]
+    fsymbols = {
+        (i, j, m, k, l, n): 1.0
+        for i in range(n_lab) for j in range(n_lab) for m in product[i][j]
+        for l in range(n_lab) for k in product[m][l] for n in product[i][l]
+        if fusion[j, n, k]
+    }
+    return AnyonModel(
+        name=(
+            "zn_toric:%d" % orders[0]
+            if len(orders) == 1
+            else "dg_abelian:" + ",".join(str(x) for x in orders)
+        ),
+        labels=labels,
+        dual=dual,
+        fusion=fusion,
+        smatrix=smatrix,
+        fsymbols=fsymbols,
+        rsymbols={
+            (a, b, c): rentry(a, b) for a, b, c in np.argwhere(fusion).tolist()
+        },
+        twists=twists,
     )
 
 
@@ -1325,6 +1424,18 @@ def reference_intersect_delta(sets, tol: float = CYCLE_TOL) -> list:
                     nxt.append(GateFamily(perm=fam_a.perm, coset=coset))
         current = nxt
     return current
+
+
+def reference_string_operator_matrices(model) -> tuple[np.ndarray, np.ndarray]:
+    """[F_a(C1)] and [F_a(C2)] with C2 as the three-operand n^5 sum
+    S F_a(C1) S^dagger over the stacked diagonal C1 strings."""
+    s = np.asarray(model.smatrix, dtype=np.complex128)
+    n = s.shape[0]
+    dtotal = float(np.real(1.0 / s[0, 0]))
+    f1 = np.zeros((n, n, n), dtype=np.complex128)
+    for a in range(n):
+        np.fill_diagonal(f1[a], dtotal * s[a])
+    return f1, np.einsum("xy,ayz,wz->axw", s, f1, np.conj(s))
 
 
 def reference_clifford_star_batch(model, perms, phases, tol: float = CLIFFORD_TOL):

@@ -52,6 +52,7 @@ from oracles import (
     reference_affine_permutations,
     reference_automorphisms,
     reference_clifford_star_batch,
+    reference_string_operator_matrices,
     reference_torus_word_families,
 )
 
@@ -189,6 +190,17 @@ def test_string_operators_follow_a_mutated_s_matrix():
     assert np.abs(np.diagonal(f1, axis1=1, axis2=2) - want).max() < 1e-12
     s = model.smatrix
     assert np.abs(f2 - np.einsum("xy,ayz,wz->axw", s, f1, s.conj())).max() < 1e-12
+
+
+@pytest.mark.parametrize("name", [
+    "fibonacci", "ising", "zn_toric:2", "zn_toric:3", "zn_toric:4", "zn_toric:5", "zn_toric:6",
+    "dg_abelian:2,2", "dg_abelian:2,3",
+])
+def test_string_operators_equal_the_n5_sum_byte_for_byte(name):
+    model = load_builtin(name)
+    got = string_operator_matrices(model)
+    want = reference_string_operator_matrices(model)
+    assert [f.tobytes() for f in got] == [f.tobytes() for f in want]
 
 
 def test_classify_torus_lets_the_model_go():

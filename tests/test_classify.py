@@ -565,7 +565,7 @@ def test_enumeration_budget_refuses_before_building(monkeypatch):
     )):
         classify_punctured_sphere(ISING, sphere_surface(ISING, "sigma", 18), [whole_chain])
     for model in (ISING, FIB_ISING):
-        assert model.fblocks.blocks
+        assert len(model.fblocks.boundaries)
     monkeypatch.setattr(budget, "BUDGET_BYTES", 5000)
     with pytest.raises(SearchBudgetError, match=r"^classes: 256 x 1,024 bytes, 262,400 bytes in all"):
         classify_punctured_sphere(ISING, sphere_surface(ISING, "sigma", 10), ["s2"])

@@ -20,7 +20,8 @@ from anyongates import (
     validate,
     zn_toric,
 )
-from oracles import reference_fblocks_unitary, reference_fmove_block
+from anyongates.models import FSymbols
+from oracles import reference_abelian_double, reference_fblocks_unitary, reference_fmove_block
 
 PHI = (1 + np.sqrt(5)) / 2
 
@@ -195,6 +196,26 @@ def test_label_index():
         m.label_index(7)
 
 
+@pytest.mark.parametrize(
+    "name, orders",
+    [(f"zn_toric:{n}", [n]) for n in range(2, 6)]
+    + [("dg_abelian:2,2", [2, 2]), ("dg_abelian:2,3", [2, 3])],
+)
+def test_abelian_double_equals_the_per_label_build_byte_for_byte(name, orders):
+    got = load_builtin(name)
+    want = reference_abelian_double(orders, special_names=name == "zn_toric:2")
+    assert (got.name, got.labels, got.dual) == (want.name, want.labels, want.dual)
+    for field_name in ("fusion", "smatrix", "twists"):
+        a, b = getattr(got, field_name), getattr(want, field_name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+    assert list(got.rsymbols) == list(want.rsymbols)
+    assert all(type(v) is complex for v in got.rsymbols.values())
+    assert np.array(list(got.rsymbols.values())).tobytes() == (
+        np.array(list(want.rsymbols.values())).tobytes()
+    )
+    assert dict(got.fsymbols) == dict(want.fsymbols)
+
+
 def test_load_builtin_unknown():
     with pytest.raises(ModelError):
         load_builtin("semion")
@@ -217,6 +238,43 @@ def test_round_trip_exact(builtin):
     assert back.fsymbols == builtin.fsymbols
     assert back.rsymbols == builtin.rsymbols
     assert validate(back).passed
+
+
+def test_fsymbols_read_like_the_dict_they_came_from():
+    d = dict(ising().fsymbols)
+    d[(2, 2, 0, 2, 2, 1)] = 0.5 - 2j
+    symbols = FSymbols.from_mapping(d, 3)
+    assert dict(symbols) == d and dict(symbols.items()) == d and symbols == d
+    assert list(symbols) == sorted(d) and len(symbols) == len(d)
+    assert symbols[(2, 2, 0, 2, 2, 1)] == 0.5 - 2j
+    assert (1, 1, 1, 1, 1, 1) not in symbols and symbols.get((1, 1, 1, 1, 1, 1)) is None
+    for key in [(0,) * 5, (0,) * 7, (3, 0, 0, 0, 0, 0), (-1, 0, 0, 0, 0, 0), "abcdef", 7]:
+        assert key not in symbols
+        with pytest.raises(KeyError):
+            symbols[key]
+    with pytest.raises(ValueError):
+        symbols.entries[0] = 0
+    assert not hasattr(symbols, "__setitem__")
+
+
+def test_a_model_converts_a_dict_of_fsymbols_with_the_range_check():
+    m = ising()
+    assert dataclasses.replace(m, fsymbols=dict(m.fsymbols)).fsymbols == m.fsymbols
+    for key in [(0, 0, 0, 0, 0, 3), (0, 0, -1, 0, 0, 0)]:
+        with pytest.raises(ModelError, match=r"fsymbol key \(.*\) out of range"):
+            dataclasses.replace(m, fsymbols={**m.fsymbols, key: 1.0})
+    with pytest.raises(ModelError, match="six label indices"):
+        dataclasses.replace(m, fsymbols={(0, 0, 0): 1.0})
+
+
+def test_parse_keeps_the_last_value_of_a_repeated_fsymbol():
+    doc = json.loads(serialize_model(ising()))
+    first = doc["fsymbols"][0]
+    doc["fsymbols"].append({**first, "re": 0.25, "im": -1.0})
+    doc["fsymbols"].insert(0, {**first, "re": 9.0, "im": 9.0})
+    m = parse_model(doc)
+    key = tuple(first[x] for x in "abcdef")
+    assert m.fsymbols[key] == 0.25 - 1j and len(m.fsymbols) == len(ising().fsymbols)
 
 
 def test_serialize_deterministic(builtin):
@@ -338,9 +396,13 @@ def test_fblock_store_matches_the_per_boundary_oracle(name):
 
 def test_fblock_store_is_built_once_and_read_only():
     m = ising()
-    assert m.fblocks is m.fblocks
+    store = m.fblocks
+    assert m.fblocks is store
     _, _, block = m.fmove_block(2, 2, 2, 2)
-    assert m.fmove_block(2, 2, 2, 2)[2] is block
+    again = m.fmove_block(2, 2, 2, 2)[2]
+    (stack,) = [stack for _, stack in store.stacks if stack.shape[1:] == (2, 2)]
+    assert np.shares_memory(again, stack) and np.shares_memory(block, again)
+    assert m.fblocks is store
     with pytest.raises(ValueError):
         block[0, 0] = 0
     rows, cols, empty = m.fmove_block(1, 1, 2, 0)  # psi x psi holds no sigma
