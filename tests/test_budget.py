@@ -200,7 +200,7 @@ def test_abelian_builds_fit_the_budget_up_to_zn_toric_11(monkeypatch):
     """Z_n x Z_n has n^6 F-symbols, each charged with its two channels:
     zn_toric:11 passes the charge (957 MB) and builds, zn_toric:12
     (1.6 GB) is refused before its keys exist.  The zn_toric:11 build is
-    stopped once its charge passes; built, it takes about 4 s."""
+    stopped once its charge passes; built, it takes about 1 s."""
     charge = Budget.charge
 
     def charge_then_stop(self, stage, count, nbytes):
