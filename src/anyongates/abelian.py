@@ -26,7 +26,7 @@ import numpy as np
 
 from .budget import Budget, chunk_rows
 from .mcg import evaluate_word, parse_word
-from .models import AnyonModel, quantum_dimensions
+from .models import AnyonModel, fusion_channels, quantum_dimensions
 from .solver import (
     DeltaSet,
     MonomialMatrix,
@@ -67,21 +67,14 @@ def _fusion_key(model: AnyonModel) -> tuple[int, bytes]:
 
 
 def fusion_table(model: AnyonModel) -> np.ndarray:
-    """mul[a, b] = the unique product label; abelian models only."""
+    """mul[a, b] = the unique product label, read-only; abelian models only."""
     return _fusion_table(*_fusion_key(model))
 
 
-@functools.lru_cache(maxsize=None)
 def _fusion_table(n: int, support: bytes) -> np.ndarray:
-    fusion = np.frombuffer(support, dtype=bool).reshape(n, n, n)
-    mul = np.zeros((n, n), dtype=np.int64)
-    for a in range(n):
-        for b in range(n):
-            prods = np.nonzero(fusion[a, b])[0]
-            if len(prods) != 1:
-                raise ValueError("abelian model has a multivalued product")
-            mul[a, b] = prods[0]
-    return mul
+    # the support as 0/1 bytes shares the channel table of a uint8 tensor
+    support = np.frombuffer(support, dtype=np.uint8).reshape(n, n, n)
+    return fusion_channels(support).product_table
 
 
 @dataclass(frozen=True)

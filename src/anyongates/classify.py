@@ -510,11 +510,11 @@ def _classify_factorized(
         blocks.append(np.array(names)[images[s][option][:, keys]])
         blocks.append(angles[s][option][:, keys])
     blocks.append(phases)
-    order = json_order(*blocks, closers="]" + "}" * (len(blocks) - 2) + "]")
+    order, columns = json_order(*blocks, closers="]" + "}" * (len(blocks) - 2) + "]")
     n = len(order)
     curves = {dap.curves[s]: Category(combos[order, j], entries[s]) for j, s in enumerate(free)}
-    classes = Rows(n, {"basis_perm": target[order], "curves": Rows(n, curves),
-                       "phases": phases[order]})
+    classes = Rows(n, {"basis_perm": columns[0], "curves": Rows(n, curves),
+                       "phases": columns[-1]})
     details = {
         "path": "factorized",
         "free_curves": [dap.curves[s] for s in free],
@@ -566,8 +566,8 @@ def _family_classes(inter: DeltaSet) -> tuple[Rows, np.ndarray]:
     """
     phases = inter.instantiate_families()
     angles = np.angle(phases)
-    order = json_order(inter.perms, angles, closers="]]")
-    classes = Rows(len(order), {"basis_perm": inter.perms[order], "phases": angles[order],
+    order, (perms, rows) = json_order(inter.perms, angles, closers="]]")
+    classes = Rows(len(order), {"basis_perm": perms, "phases": rows,
                                 "free_phases": inter.n_free})
     return classes, phases
 
@@ -577,8 +577,7 @@ def _is_trivial(classes: Rows) -> bool:
     first within ``TRIVIAL_PHASE_TOL``: the gate is a global phase."""
     if len(classes) != 1:
         return False
-    perm = classes.columns["basis_perm"][0]
-    phases = classes.columns["phases"][0]
+    perm, phases = (np.array(classes[0][key]) for key in ("basis_perm", "phases"))
     return bool(
         np.array_equal(perm, np.arange(len(perm)))
         and np.all(np.abs(phases - phases[0]) < TRIVIAL_PHASE_TOL)

@@ -9,17 +9,19 @@ Class and family lists are long, so their producers hand the writer a
 ``Rows``: records with the same keys, held by column.  A class list holds a
 group's elements, so its permutation and phase columns repeat a few rows
 many times.  The writer renders a ``Rows`` from its arrays without making a
-dict per record: it finds the distinct rows of each array column, formats
-each distinct number in them once and renders each distinct row once,
-renders each value of a categorical column once, and lays every record out
-as a row of a table of texts: the text the records share between columns,
-and one rendered text per column.  Everything else is walked recursively.
-All texts go into one list, joined once into the output.
+dict per record: it finds the distinct rows of each array column, unless
+the column comes as its distinct rows already, formats each distinct number
+in them once and renders each distinct row once, renders each value of a
+categorical column once, and lays every record out as a row of a table of
+texts: the text the records share between columns, and one rendered text
+per column.  Everything else is walked recursively.  All texts go into one
+list, joined once into the output.
 
 A class list is ordered by the compact text of its classes,
 ``json.dumps(r(c), sort_keys=True)``, without writing that text:
 ``json_order`` ranks each block's distinct rows by their leaves' texts and
-sorts the records by one rank per block.
+sorts the records by one rank per block.  It returns each block as its
+distinct rows in that order too, for the writer to render.
 """
 
 from __future__ import annotations
@@ -59,12 +61,22 @@ class Category:
     values: Sequence
 
 
+@dataclass(frozen=True)
+class DistinctRows:
+    """A 2-D array column held by its distinct rows: record r holds
+    ``rows[codes[r]].tolist()``."""
+
+    codes: np.ndarray  # (records,) ints
+    rows: np.ndarray  # (distinct rows, width) ints or floats
+
+
 class Rows(Sequence):
     """A read-only sequence of records with the same keys, held by column.
 
     ``columns`` maps each key to one of:
 
     * a 2-D int or float array: record r holds ``array[r].tolist()``;
+    * a ``DistinctRows``: record r holds ``rows[codes[r]].tolist()``;
     * a ``Category``: record r holds ``values[codes[r]]``;
     * a ``Rows`` of the same length: record r holds its record r;
     * any other value, which every record holds.
@@ -77,9 +89,12 @@ class Rows(Sequence):
         self._length = length
         self.columns = dict(sorted(columns.items()))
         for key, col in self.columns.items():
-            if isinstance(col, np.ndarray) and (col.ndim != 2 or col.dtype.kind not in "iuf"):
+            array = col.rows if isinstance(col, DistinctRows) else col
+            if isinstance(array, np.ndarray) and (
+                array.ndim != 2 or array.dtype.kind not in "iuf"
+            ):
                 raise TypeError(f"column {key!r}: expected a 2-D int or float array")
-            rows = col.codes if isinstance(col, Category) else col
+            rows = col.codes if isinstance(col, (Category, DistinctRows)) else col
             if isinstance(rows, (np.ndarray, Rows)) and len(rows) != length:
                 raise ValueError(f"column {key!r} has {len(rows)} rows, expected {length}")
 
@@ -105,6 +120,8 @@ def _values(col, index: slice):
     """The values a column gives the records of ``index``."""
     if isinstance(col, np.ndarray):
         return col[index].tolist()
+    if isinstance(col, DistinctRows):
+        return col.rows[col.codes[index]].tolist()
     if isinstance(col, Category):
         return map(col.values.__getitem__, col.codes[index].tolist())
     if isinstance(col, Rows):
@@ -177,33 +194,33 @@ class JsonWriter:
             head = ("," if texts else "{") + outer + "  " + _string(key) + ": "
             if isinstance(col, Rows):
                 texts += [head, *self._record(col, depth + 1)]
-            elif isinstance(col, (np.ndarray, Category)):
+            elif isinstance(col, (np.ndarray, DistinctRows, Category)):
                 if isinstance(col, Category):
-                    codes = col.codes
                     rendered = [self.indented(v, depth + 1) for v in col.values]
                 else:
-                    distinct, codes = _distinct_rows(col)
-                    tokens, which = _tokens(distinct)
+                    if isinstance(col, np.ndarray):
+                        col = _distinct_rows(col)
+                    tokens, which = _tokens(col.rows)
                     leaves = np.array(tokens, dtype=object)[which].tolist()
                     rendered = [_block("[", row, "]", depth + 1) for row in leaves]
-                texts += [head, np.array(rendered, dtype=object)[codes]]
+                texts += [head, np.array(rendered, dtype=object)[col.codes]]
             else:
                 texts.append(head + self.indented(col, depth + 1))
         texts.append(outer + "}" if texts else "{}")
         return texts
 
 
-def _distinct_rows(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of a 2-D array and the index of every row among
-    them.  Rows are told apart by their bytes, so -0.0 and 0.0 are two rows
-    that print the same; the distinct rows come in the order of their bytes."""
+def _distinct_rows(block: np.ndarray) -> DistinctRows:
+    """A 2-D array as its distinct rows.  Rows are told apart by their
+    bytes, so -0.0 and 0.0 are two rows that print the same; the distinct
+    rows come in the order of their bytes."""
     block = np.ascontiguousarray(block)
     records, width = block.shape
     if not records or not width:
-        return block[:1], np.zeros(records, dtype=np.intp)
+        return DistinctRows(np.zeros(records, dtype=np.intp), block[:1])
     keys = block.view(np.dtype((np.void, block.itemsize * width))).ravel()
     _, first, which = np.unique(keys, return_index=True, return_inverse=True)
-    return block[first], which
+    return DistinctRows(which, block[first])
 
 
 def _tokens(block: np.ndarray) -> tuple[list[str], np.ndarray]:
@@ -245,8 +262,9 @@ def dumps(value) -> str:
     return JsonWriter().indented(value)
 
 
-def json_order(*blocks, closers: str) -> np.ndarray:
-    """Row order of records by their compact sorted-key JSON.
+def json_order(*blocks, closers: str) -> tuple[np.ndarray, list[DistinctRows]]:
+    """Row order of records by their compact sorted-key JSON, and each block
+    in that order as its distinct rows.
 
     Every record has the same keys at every depth, and its leaves, in the
     order of its compact text, are the rows ``blocks[0][r]``,
@@ -260,21 +278,23 @@ def json_order(*blocks, closers: str) -> np.ndarray:
     block's distinct rows is ranked by the text of those strings, the
     distinct rows are ranked by their columns' ranks (rows that print the
     same, such as -0.0 and 0.0, tie), and the records are sorted by one such
-    rank per block, ties by record index: the result is the stable sort by
+    rank per block, ties by record index: the order is the stable sort by
     the compact text.
     """
-    keys = []
+    keys, columns = [], []
     for block, close in zip(blocks, closers, strict=True):
-        distinct, codes = _distinct_rows(np.asarray(block))
-        tokens, which = _tokens(distinct)
-        width = distinct.shape[1]
+        col = _distinct_rows(np.asarray(block))
+        tokens, which = _tokens(col.rows)
+        width = col.rows.shape[1]
         ranks = np.empty(which.shape, dtype=np.intp)
         for sep, cols in ((", ", slice(0, width - 1)), (close, slice(width - 1, width))):
             texts = [t + sep for t in tokens]
             rank = {t: r for r, t in enumerate(sorted(set(texts)))}
             ranks[:, cols] = np.array([rank[t] for t in texts], dtype=np.intp)[which[:, cols]]
-        keys.append(_dense_rank(ranks)[codes])
-    return np.lexsort(keys[::-1])
+        keys.append(_dense_rank(ranks)[col.codes])
+        columns.append(col)
+    order = np.lexsort(keys[::-1])
+    return order, [DistinctRows(col.codes[order], col.rows) for col in columns]
 
 
 def _dense_rank(rows: np.ndarray) -> np.ndarray:

@@ -18,6 +18,7 @@ the derivation fixing these index placements.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import json
 import math
@@ -148,8 +149,9 @@ class AnyonModel:
         return idx
 
     def fusion_product(self, a: int, b: int) -> tuple[int, ...]:
-        """Labels c with N^c_{ab} = 1, in index order."""
-        return tuple(int(c) for c in np.nonzero(self.fusion[a, b])[0])
+        """Labels c with N^c_{ab} != 0, in index order; a loop over many
+        pairs reads ``fusion_channels(model.fusion).product`` once instead."""
+        return fusion_channels(self.fusion).product(a, b)
 
     def rsymbol(self, a: int, b: int, c: int) -> complex:
         try:
@@ -198,58 +200,126 @@ def _join(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a, order[np.arange(a.size) - shift]
 
 
-def _fblock_layout(fusion: np.ndarray, budget: Budget):
-    """Every admissible boundary of a fusion tensor, its channels and F-symbol keys.
+class FusionChannels:
+    """The nonzero entries of one fusion tensor: its channels (a, b) -> c.
 
-    A row channel m of boundary (i,j,k,l) pairs the fusion triples (i,j,m)
-    and (m,l,k), a column channel n pairs (i,l,n) and (j,n,k); both come
-    from joining the nonzero triples of the fusion tensor, the keys from
-    joining the rows and columns of each boundary.  Returns four integer
-    arrays: ``bounds`` (B, 4), the boundaries (i,j,k,l) with a row or a
-    column channel, in (i, j, l, k) order; ``rows`` (R, 2) and ``cols``
-    (C, 2), the pairs (boundary position, channel), sorted; ``keys`` (K,),
-    the codes of the keys (i, j, m, k, l, n), row-major over n^6 for n
-    labels, in boundary order, each block in row-major order.  The
-    channels, counted from the fusion tensor's sums, are charged before
-    they are joined, at eight ints each, and the keys before they are
-    built, at 14 ints and 300 bytes more each.  The 300 bytes over-count:
-    they stand for Python objects per key, and every caller keeps the keys
-    in arrays.
+    One row per nonzero N^c_{ab}, in the order of the row-major codes
+    (a n + b) n + c for n labels: ``a``, ``b`` and ``c`` hold the digits and
+    ``mult`` the coefficient, as int64.  The products of (a, b) are
+    ``c[starts[a n + b]:starts[a n + b + 1]]``.  Every array is read-only.
+    Get a table from :func:`fusion_channels`, which builds one per tensor
+    content; what the table derives (product tuples, the abelian product
+    table, the F-block layout) is built on the first read and kept.
     """
-    n = fusion.shape[0]
-    made, first, second = (fusion.sum(axis=a, dtype=np.intp) for a in ((0, 1), (1, 2), (0, 2)))
-    budget.charge("F-block channels", int(made @ (first + second)), 8 * 8)
-    t = np.argwhere(fusion)  # (a, b, c) with N^c_{ab} = 1
-    # each channel as one code (i, j, l, k, channel), row-major over n^5
-    a, b = _join(t[:, 2], t[:, 0])
-    row_key = (((t[a, 0] * n + t[a, 1]) * n + t[b, 1]) * n + t[b, 2]) * n + t[a, 2]
-    a, b = _join(t[:, 2], t[:, 1])
-    col_key = (((t[a, 0] * n + t[b, 0]) * n + t[a, 1]) * n + t[b, 2]) * n + t[a, 2]
-    row_key.sort()
-    col_key.sort()
 
-    # The distinct boundary codes in order; np.union1d would import numpy.ma.
-    codes = np.concatenate((row_key, col_key)) // n
-    codes.sort(kind="stable")  # merges the two sorted runs
-    codes = codes[np.diff(codes, prepend=-1) > 0]
-    bounds = np.column_stack(np.unravel_index(codes, (n,) * 4))[:, [0, 1, 3, 2]]
-    rows = np.column_stack((np.searchsorted(codes, row_key // n), row_key % n))
-    cols = np.column_stack((np.searchsorted(codes, col_key // n), col_key % n))
-    n_rows, n_cols = (np.bincount(x[:, 0], minlength=len(bounds)) for x in (rows, cols))
-    budget.charge("F-symbols", int(n_rows @ n_cols), 14 * 8 + 300)
-    # A row channel's keys are its (i, j, m, k, l) code times n plus each
-    # column channel of its boundary; rows and columns are both in boundary
-    # order, so each column is found by offsets, not by a search.
-    m = row_key % n
-    l, k = np.divmod(row_key // n % (n * n), n)
-    head = (((row_key // n**3 * n + m) * n + k) * n + l) * n
-    per_row = n_cols[rows[:, 0]]
-    col_start = (np.cumsum(n_cols) - n_cols)[rows[:, 0]]
-    col = np.repeat(col_start - np.cumsum(per_row) + per_row, per_row)
-    col += np.arange(col.size)
-    keys = np.repeat(head, per_row)
-    keys += cols[col, 1]
-    return bounds, rows, cols, keys
+    def __init__(self, fusion: np.ndarray):
+        n = fusion.shape[0]
+        self.n = n
+        codes = np.flatnonzero(fusion)
+        self.mult = fusion.ravel()[codes].astype(np.int64)
+        pair, self.c = np.divmod(codes, n)
+        self.a, self.b = np.divmod(pair, n)
+        self.starts = np.searchsorted(pair, np.arange(n * n + 1))
+        for x in (self.mult, self.a, self.b, self.c, self.starts):
+            x.flags.writeable = False
+        self._layout = None
+
+    @cached_property
+    def _products(self) -> list[tuple[int, ...]]:
+        c, s = self.c.tolist(), self.starts.tolist()
+        return [tuple(c[lo:hi]) for lo, hi in zip(s, s[1:])]
+
+    def product(self, a: int, b: int) -> tuple[int, ...]:
+        """The labels c with N^c_{ab} != 0, in index order."""
+        labels = range(self.n)
+        return self._products[labels[a] * self.n + labels[b]]
+
+    @cached_property
+    def product_table(self) -> np.ndarray:
+        """mul[a, b] = the one product of a and b; a ValueError unless every
+        pair has exactly one."""
+        if (np.diff(self.starts) != 1).any():
+            raise ValueError("abelian model has a multivalued product")
+        return self.c.reshape(self.n, self.n)
+
+    def fblock_layout(self, budget: Budget):
+        """Every admissible boundary, its channels and F-symbol keys.
+
+        A row channel m of boundary (i,j,k,l) pairs the fusion triples
+        (i,j,m) and (m,l,k), a column channel n pairs (i,l,n) and (j,n,k);
+        both come from joining the table's triples, the keys from joining
+        the rows and columns of each boundary.  Returns four read-only
+        integer arrays: ``bounds`` (B, 4), the boundaries (i,j,k,l) with a
+        row or a column channel, in (i, j, l, k) order; ``rows`` (R, 2) and
+        ``cols`` (C, 2), the pairs (boundary position, channel), sorted;
+        ``keys`` (K,), the codes of the keys (i, j, m, k, l, n), row-major
+        over n^6 for n labels, in boundary order, each block in row-major
+        order.  The channels, counted from the coefficient sums, are charged
+        to ``budget`` before they are joined, at eight ints each, and the
+        keys before they are built, at 14 ints and 300 bytes more each.  The
+        300 bytes over-count: they stand for Python objects per key, and
+        every caller keeps the keys in arrays.  The layout is built once;
+        a later call charges the same counts and returns it again.
+        """
+        n = self.n
+        made, first, second = (
+            np.bincount(x, weights=self.mult, minlength=n) for x in (self.c, self.a, self.b)
+        )
+        budget.charge("F-block channels", int(made @ (first + second)), 8 * 8)
+        if self._layout is not None:
+            budget.charge("F-symbols", self._layout[3].size, 14 * 8 + 300)
+            return self._layout
+        a, b, c = self.a, self.b, self.c
+        # each channel as one code (i, j, l, k, channel), row-major over n^5
+        x, y = _join(c, a)
+        row_key = (((a[x] * n + b[x]) * n + b[y]) * n + c[y]) * n + c[x]
+        x, y = _join(c, b)
+        col_key = (((a[x] * n + a[y]) * n + b[x]) * n + c[y]) * n + c[x]
+        row_key.sort()
+        col_key.sort()
+
+        # The distinct boundary codes in order; np.union1d would import numpy.ma.
+        codes = np.concatenate((row_key, col_key)) // n
+        codes.sort(kind="stable")  # merges the two sorted runs
+        codes = codes[np.diff(codes, prepend=-1) > 0]
+        bounds = np.column_stack(np.unravel_index(codes, (n,) * 4))[:, [0, 1, 3, 2]]
+        rows = np.column_stack((np.searchsorted(codes, row_key // n), row_key % n))
+        cols = np.column_stack((np.searchsorted(codes, col_key // n), col_key % n))
+        n_rows, n_cols = (np.bincount(x[:, 0], minlength=len(bounds)) for x in (rows, cols))
+        budget.charge("F-symbols", int(n_rows @ n_cols), 14 * 8 + 300)
+        # A row channel's keys are its (i, j, m, k, l) code times n plus each
+        # column channel of its boundary; rows and columns are both in boundary
+        # order, so each column is found by offsets, not by a search.
+        m = row_key % n
+        l, k = np.divmod(row_key // n % (n * n), n)
+        head = (((row_key // n**3 * n + m) * n + k) * n + l) * n
+        per_row = n_cols[rows[:, 0]]
+        col_start = (np.cumsum(n_cols) - n_cols)[rows[:, 0]]
+        col = np.repeat(col_start - np.cumsum(per_row) + per_row, per_row)
+        col += np.arange(col.size)
+        keys = np.repeat(head, per_row)
+        keys += cols[col, 1]
+        for x in (bounds, rows, cols, keys):
+            x.flags.writeable = False
+        self._layout = bounds, rows, cols, keys
+        return self._layout
+
+
+def fusion_channels(fusion: np.ndarray) -> FusionChannels:
+    """The channel table of a fusion tensor, memoised on its content.
+
+    The memo is keyed on the tensor's bytes, not on a model, so a model
+    whose tensor changes, or a model built from parts of another, gets the
+    table of its own tensor.  It holds the last few tables only, layouts
+    included.
+    """
+    fusion = np.ascontiguousarray(fusion)
+    return _fusion_channels(fusion.shape, fusion.dtype.str, fusion.tobytes())
+
+
+@functools.lru_cache(maxsize=4)
+def _fusion_channels(shape: tuple, dtype: str, content: bytes) -> FusionChannels:
+    return FusionChannels(np.frombuffer(content, dtype=dtype).reshape(shape))
 
 
 _NO_BLOCK = ((), (), np.zeros((0, 0), dtype=np.complex128))
@@ -271,7 +341,7 @@ class FBlockStore:
 
     def __init__(self, model: AnyonModel):
         budget = Budget()
-        bounds, rows, cols, keys = _fblock_layout(model.fusion, budget)
+        bounds, rows, cols, keys = fusion_channels(model.fusion).fblock_layout(budget)
         budget.charge("F-blocks", len(bounds), 400)  # an over-count: arrays only
         n = model.n_labels
         symbols = model.fsymbols
@@ -355,15 +425,15 @@ def _fill_fsymbols(fusion: np.ndarray, entry=None) -> FSymbols:
     off the fusion tensor; the keys are charged to a budget of their own.
     """
     n = fusion.shape[0]
-    keys = _fblock_layout(fusion, Budget())[3]
+    keys = fusion_channels(fusion).fblock_layout(Budget())[3]
     values = 1.0 if entry is None else entry(*np.unravel_index(keys, (n,) * 6))
     return FSymbols(n, keys, values)
 
 
 def _fill_rsymbols(fusion: np.ndarray, entry) -> dict:
-    return {
-        (a, b, c): complex(entry(a, b, c)) for a, b, c in np.argwhere(fusion).tolist()
-    }
+    ch = fusion_channels(fusion)
+    triples = zip(ch.a.tolist(), ch.b.tolist(), ch.c.tolist())
+    return {(a, b, c): complex(entry(a, b, c)) for a, b, c in triples}
 
 
 def fibonacci() -> AnyonModel:
@@ -752,24 +822,26 @@ class ModelValidationReport:
 
 
 def verlinde_fusion(model: AnyonModel) -> np.ndarray:
-    """Fusion coefficients from the S-matrix: N^c_{ab} = sum_x S_ax S_bx S*_cx / S_0x."""
+    """Fusion coefficients from the S-matrix: N^c_{ab} = sum_x S_ax S_bx S*_cx / S_0x.
+
+    One stacked product of (1, n) rows with S^dagger: each row is summed as
+    a vector-matrix product of its own, so the values are bit for bit those
+    of one product per pair (a, b).
+    """
     s = model.smatrix
     n = model.n_labels
-    out = np.empty((n, n, n), dtype=np.complex128)
-    inv_s0 = 1.0 / s[0]
-    for a in range(n):
-        for b in range(n):
-            out[a, b] = (s[a] * s[b] * inv_s0) @ s.conj().T
-    return out
+    rows = s[:, None, None, :] * s[None, :, None, :] * (1.0 / s[0])
+    return (rows @ s.conj().T).reshape(n, n, n)
 
 
 def validate(model: AnyonModel, tol: float = DEFAULT_TOL) -> ModelValidationReport:
     """Semantic consistency checks; failures are reported, never raised.
 
     A NaN, infinite or negative ``tol`` is a ValueError.  The fusion
-    associativity check holds two L^4 int64 arrays for L labels; they are
+    checks read the model's channel table (:func:`fusion_channels`): the
+    associativity check joins it with itself, and its fusion paths are
     charged to a byte budget first, so past it ``validate`` raises a
-    SearchBudgetError before building them.
+    SearchBudgetError before joining.  The F-block store charges its own.
     """
     check_tol(tol)
     rep = ModelValidationReport(model_name=model.name)
@@ -808,11 +880,8 @@ def validate(model: AnyonModel, tol: float = DEFAULT_TOL) -> ModelValidationRepo
     if dres > 0:
         details.append("dual pairing")
     worst = max(worst, dres)
-    Budget().charge("fusion associativity", n**4, 2 * 8)  # both int64 sides
-    f = model.fusion.astype(np.int64)
-    assoc = np.einsum("abe,ecd->abcd", f, f)
-    assoc -= np.einsum("bcf,afd->abcd", f, f)
-    ares = float(np.abs(assoc, out=assoc).max())
+    channels = fusion_channels(model.fusion)
+    ares = _associativity_residual(channels)
     if ares > 0:
         details.append("associativity")
     worst = max(worst, ares)
@@ -852,29 +921,77 @@ def validate(model: AnyonModel, tol: float = DEFAULT_TOL) -> ModelValidationRepo
         worst, bad = float("inf"), next(iter(store.missing.values()))
     rep.checks["fblocks_unitary"] = CheckResult(worst < tol, worst, bad)
 
-    # R completeness/unit modulus plus the twist consistency
-    # theta_a = (1/d_a) sum_c d_c R^{aa}_c.
-    worst = 0.0
-    bad = ""
-    try:
-        for a in range(n):
-            for b in range(n):
-                for c in model.fusion_product(a, b):
-                    r = abs(abs(model.rsymbol(a, b, c)) - 1.0)
-                    if r > worst:
-                        worst = r
-                        bad = f"|R| at {(a, b, c)}"
-        for a in range(n):
-            acc = 0.0
-            for c in model.fusion_product(a, a):
-                acc += dims[c] * model.rsymbol(a, a, c)
-            r = abs(acc / dims[a] - model.twists[a])
-            if r > worst:
-                worst = r
-                bad = f"twist at {a}"
-    except ModelError as exc:
-        worst = float("inf")
-        bad = str(exc)
+    worst, bad = _ribbon_residual(model, channels, dims)
     rep.checks["rsymbols_ribbon"] = CheckResult(worst < tol, worst, bad)
 
     return rep
+
+
+def _associativity_residual(channels: FusionChannels) -> int:
+    """max |sum_e N^e_{ab} N^d_{ec} - sum_f N^f_{bc} N^d_{af}| over (a,b,c,d).
+
+    Each sum counts the fusion paths ((a,b)->e, (e,c)->d), or
+    ((b,c)->f, (a,f)->d), weighted by their coefficients: the join of the
+    channel table with itself on the middle label lists them.  Both sides'
+    paths are coded (a,b,c,d) row-major, sorted together with weights +w
+    and -w, and summed per code; a code on neither side differs by 0.  The
+    paths are charged to a byte budget, at eight ints each, before they are
+    joined.
+    """
+    n = channels.n
+    a, b, c, w = channels.a, channels.b, channels.c, channels.mult
+    made = np.bincount(c, minlength=n)
+    paths = int(made @ (np.bincount(a, minlength=n) + np.bincount(b, minlength=n)))
+    Budget().charge("fusion associativity", paths, 8 * 8)
+    x, y = _join(c, a)  # (a,b)->e at x, (e,c)->d at y
+    left = ((a[x] * n + b[x]) * n + b[y]) * n + c[y]
+    left_w = w[x] * w[y]
+    x, y = _join(c, b)  # (b,c)->f at x, (a,f)->d at y
+    right = ((a[y] * n + a[x]) * n + b[x]) * n + c[y]
+    codes = np.concatenate((left, right))
+    order = np.argsort(codes, kind="stable")
+    codes = codes[order]
+    weights = np.concatenate((left_w, -(w[x] * w[y])))[order]
+    if not codes.size:
+        return 0
+    sums = np.add.reduceat(weights, np.flatnonzero(np.diff(codes, prepend=-1)))
+    return int(np.abs(sums).max())
+
+
+def _ribbon_residual(
+    model: AnyonModel, channels: FusionChannels, dims: np.ndarray
+) -> tuple[float, str]:
+    """The worst residual of |R^{ab}_c| = 1 and of the twist consistency
+    theta_a = (1/d_a) sum_c d_c R^{aa}_c, and where it is.
+
+    The R-symbols are read once per channel, in table order; the first
+    channel without one makes the residual infinite and names it.  The
+    place reported is the first channel, then the first label, whose
+    residual is the largest, a NaN residual counting as none, as a walk
+    over the channels and then the labels would pick it.  |R| is
+    ``np.hypot`` of its parts, bit for bit Python's ``abs`` of a complex;
+    each twist sum adds its terms in channel order, as such a walk would.
+    """
+    keys = list(zip(channels.a.tolist(), channels.b.tolist(), channels.c.tolist()))
+    try:
+        r = np.array([model.rsymbol(*key) for key in keys], dtype=np.complex128)
+    except ModelError as exc:
+        return float("inf"), str(exc)
+    modulus = np.abs(np.hypot(r.real, r.imag) - 1.0)
+    # the channels (a, a) -> c, one column per position among a's channels
+    n = channels.n
+    diag = np.arange(n) * (n + 1)
+    lo, hi = channels.starts[diag], channels.starts[diag + 1]
+    terms = dims[channels.c] * r
+    acc = np.zeros(n, dtype=np.complex128)
+    for k in range(int((hi - lo).max(initial=0))):
+        has = lo + k < hi
+        acc[has] += terms[lo[has] + k]
+    twist = np.abs(acc / dims - model.twists)
+    worst, bad = 0.0, ""
+    for res, place in ((modulus, lambda i: f"|R| at {keys[i]}"), (twist, "twist at {}".format)):
+        above = np.flatnonzero(res > worst)
+        if above.size:
+            i = int(above[np.argmax(res[above])])
+            worst, bad = float(res[i]), place(i)
+    return worst, bad

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .models import AnyonModel
+from .models import AnyonModel, fusion_channels
 
 
 class InfeasibleSurfaceError(ValueError):
@@ -138,19 +138,20 @@ def enumerate_labelings(
         out: list[tuple[int, ...]] = []
         n_slots = m - 3
         final = model.dual[b[m - 1]]
+        product = fusion_channels(model.fusion).product
 
         def extend(prev: int, depth: int, acc: list[int]) -> None:
             if depth == n_slots:
                 if model.fusion[prev, b[m - 2], final]:
                     out.append(tuple(acc))
                 return
-            for x in model.fusion_product(prev, b[depth + 1]):
+            for x in product(prev, b[depth + 1]):
                 acc.append(x)
                 extend(x, depth + 1, acc)
                 acc.pop()
 
         # x_1 ranges over b_1 x b_2, then each slot fuses in the next puncture.
-        for x1 in model.fusion_product(b[0], b[1]):
+        for x1 in product(b[0], b[1]):
             extend(x1, 1, [x1])
         labs = tuple(out)
     return BasisIndex(surface, dap, labs, {l: i for i, l in enumerate(labs)})

@@ -41,8 +41,12 @@ records as one dict per record instead of a ``Rows`` of columns, and a
 monomial matrix read one column at a time instead of a stack of string
 operators in one array pass, the abelian doubles by per-label loops and
 a walk over the fusion products instead of exponent-coordinate arrays and
-the block layout, and the C2 string operators by the three-operand n^5 sum
-over the diagonal C1 strings instead of an n^4 product.
+the block layout, the C2 string operators by the three-operand n^5 sum
+over the diagonal C1 strings instead of an n^4 product, and ``validate``'s
+fusion associativity by two dense L^5 einsums instead of a join of the
+channel table, its R-symbol and twist check by a walk over every label
+pair's fusion products instead of one array pass, and the Verlinde fusion
+by one product per label pair instead of one stacked product.
 
 The module also holds the helpers only tests need, which the package does
 not export: a delta set's rows as GateFamily objects (``families``), the
@@ -335,6 +339,88 @@ def reference_fblocks_unitary(model, tol: float) -> CheckResult:
                             worst = r
                             if r >= tol:
                                 bad = f"block {(i, j, k, l)}"
+    except ModelError as exc:
+        worst = float("inf")
+        bad = str(exc)
+    return CheckResult(worst < tol, worst, bad)
+
+
+# ---------------------------------------------------------------------------
+# validate's fusion, Verlinde and ribbon checks by dense arrays and walks
+
+
+def reference_verlinde_fusion(model) -> np.ndarray:
+    """N^c_{ab} = sum_x S_ax S_bx S*_cx / S_0x, one product per pair (a, b)."""
+    s = model.smatrix
+    n = model.n_labels
+    out = np.empty((n, n, n), dtype=np.complex128)
+    inv_s0 = 1.0 / s[0]
+    for a in range(n):
+        for b in range(n):
+            out[a, b] = (s[a] * s[b] * inv_s0) @ s.conj().T
+    return out
+
+
+def reference_verlinde_check(model, tol: float) -> CheckResult:
+    """``validate``'s Verlinde check on the per-pair products."""
+    res = float(np.abs(reference_verlinde_fusion(model) - model.fusion).max())
+    return CheckResult(res < tol, res)
+
+
+def reference_fusion_axioms(model) -> CheckResult:
+    """``validate``'s fusion tensor check with the associativity residual of
+    the two dense int64 contractions, L^5 terms each."""
+    n = model.n_labels
+    details = []
+    worst = float(np.abs(model.fusion[0] - np.eye(n)).max())
+    if worst > 0:
+        details.append("vacuum")
+    comm = float(np.abs(model.fusion - model.fusion.transpose(1, 0, 2)).max())
+    if comm > 0:
+        details.append("commutativity")
+    worst = max(worst, comm)
+    dual_ok = all(model.dual[model.dual[a]] == a for a in range(n))
+    if not dual_ok:
+        details.append("dual involution")
+    want = np.zeros((n, n))
+    for a in range(n):
+        want[a, model.dual[a]] = 1.0
+    dres = float(np.abs(model.fusion[:, :, 0].astype(float) - want).max())
+    if dres > 0:
+        details.append("dual pairing")
+    worst = max(worst, dres)
+    f = model.fusion.astype(np.int64)
+    assoc = np.einsum("abe,ecd->abcd", f, f) - np.einsum("bcf,afd->abcd", f, f)
+    ares = float(np.abs(assoc).max())
+    if ares > 0:
+        details.append("associativity")
+    worst = max(worst, ares)
+    return CheckResult(worst == 0 and dual_ok, worst, ",".join(details))
+
+
+def reference_rsymbols_ribbon(model, tol: float) -> CheckResult:
+    """``validate``'s R-symbol and twist check as a walk over every label
+    pair's fusion products, read from the tensor."""
+    n = model.n_labels
+    dims = np.real(model.smatrix[0] / model.smatrix[0, 0])
+    worst = 0.0
+    bad = ""
+    try:
+        for a in range(n):
+            for b in range(n):
+                for c in np.flatnonzero(model.fusion[a, b]).tolist():
+                    r = abs(abs(model.rsymbol(a, b, c)) - 1.0)
+                    if r > worst:
+                        worst = r
+                        bad = f"|R| at {(a, b, c)}"
+        for a in range(n):
+            acc = 0.0
+            for c in np.flatnonzero(model.fusion[a, a]).tolist():
+                acc += dims[c] * model.rsymbol(a, a, c)
+            r = abs(acc / dims[a] - model.twists[a])
+            if r > worst:
+                worst = r
+                bad = f"twist at {a}"
     except ModelError as exc:
         worst = float("inf")
         bad = str(exc)
@@ -1608,6 +1694,8 @@ class PerLeafJsonWriter(jsonwriter.JsonWriter):
         escaped, and its tokens: (records, slots) object arrays in slot order."""
         parts, fills = [], []
         for key, col in rows.columns.items():
+            if isinstance(col, jsonwriter.DistinctRows):
+                col = col.rows[col.codes]
             if isinstance(col, np.ndarray):
                 text = jsonwriter._block("[", ["%s"] * col.shape[1], "]", depth + 1)
                 tokens, which = jsonwriter._tokens(col)

@@ -217,21 +217,32 @@ def test_abelian_builds_fit_the_budget_up_to_zn_toric_11(monkeypatch):
 
 
 def test_validate_charges_the_associativity_arrays_before_building_them(monkeypatch):
-    """validate's fusion associativity check holds two L^4 int64 arrays:
-    past the budget it names them before any einsum runs (zn_toric:11's
-    3.4 GB pair once died as a numpy MemoryError)."""
+    """validate's fusion associativity check joins the channel table with
+    itself: past the budget it names the fusion paths, counted from the
+    table, before any join runs.  zn_toric:3 has 1,458 paths, 729 per
+    side; the dense check it replaced held two L^4 int64 arrays, and
+    zn_toric:11's 3.4 GB pair once died as a numpy MemoryError."""
     model = load_builtin("zn_toric:3")
     assert validate(model).passed
 
-    def no_einsum(*args, **kwargs):
-        raise AssertionError("an associativity array was built")
+    def no_join(*args, **kwargs):
+        raise AssertionError("the fusion paths were joined")
 
-    monkeypatch.setattr(budget, "BUDGET_BYTES", 100_000)
-    monkeypatch.setattr(models.np, "einsum", no_einsum)
+    monkeypatch.setattr(budget, "BUDGET_BYTES", 90_000)
+    monkeypatch.setattr(models, "_join", no_join)
     with pytest.raises(
-        SearchBudgetError, match=r"^fusion associativity: 6,561 x 16 bytes, 104,976 bytes in all"
+        SearchBudgetError, match=r"^fusion associativity: 1,458 x 64 bytes, 93,312 bytes in all"
     ):
         validate(model)
+
+
+def test_validate_zn_toric_10_passes_within_the_budget():
+    """The associativity join keeps validate linear in the channel paths:
+    zn_toric:10 (100 labels) passes as a fresh process, where the dense
+    check was refused at its 1.6 GB of L^4 arrays."""
+    code, err, rss = _run(["-m", "anyongates.cli", "validate", "--model", "zn_toric:10"])
+    assert (code, err) == (0, "")
+    assert rss < MAX_RSS
 
 
 def test_affine_retry_charges_its_maps_before_listing_them(monkeypatch):

@@ -498,7 +498,8 @@ def test_class_records_equal_the_per_record_builders(model, surface, words, monk
     else:
         options = {name: (col.codes, col.values)
                    for name, col in columns["curves"].columns.items()}
-        want = reference_factorized_classes(columns["basis_perm"], options, columns["phases"])
+        perms, phases = (columns[key].rows[columns[key].codes] for key in ("basis_perm", "phases"))
+        want = reference_factorized_classes(perms, options, phases)
         assert classes == want
         assert classes == reference_json_sort(classes)
         for got, ref in zip(classes, want):

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import math
 
@@ -15,7 +16,7 @@ from anyongates import (
     load_builtin,
     sphere_surface,
 )
-from anyongates.jsonwriter import Category, JsonWriter, Rows, dumps, json_order
+from anyongates.jsonwriter import Category, DistinctRows, JsonWriter, Rows, dumps, json_order
 
 from oracles import PerLeafJsonWriter, reference_json_order, reference_report_json
 
@@ -132,8 +133,13 @@ def test_json_order_equals_the_sorted_reference_text(case):
         for j, (k, w) in enumerate(zip(kinds, widths))
     ]
     want = _reference_order(_records(rows, closers))
-    assert json_order(*blocks, closers=closers).tolist() == want
+    order, columns = json_order(*blocks, closers=closers)
+    assert order.tolist() == want
     assert reference_json_order(*blocks, closers=closers).tolist() == want
+    # each block in that order, as its distinct rows, byte for byte
+    for block, col in zip(blocks, columns, strict=True):
+        assert len(np.unique(col.codes)) == len(col.rows)
+        assert col.rows[col.codes].tobytes() == block[order].tobytes()
 
 
 @pytest.mark.parametrize("close", "]}")
@@ -143,25 +149,25 @@ def test_rows_that_print_the_same_tie_in_index_order(close):
     x = 0.3
     block = np.array([[x + 1e-13, 0.0], [1e-12, 1.0], [-0.0, 1.0], [x, 0.0], [0.0, 1.0],
                       [x, -0.0], [0.0, -1e-12]])
-    assert len(jsonwriter._distinct_rows(block)[0]) == 7  # by bytes, every row differs
+    assert len(jsonwriter._distinct_rows(block).rows) == 7  # by bytes, every row differs
     want = [6, 1, 2, 4, 0, 3, 5]
-    assert json_order(block, closers=close).tolist() == want
+    assert json_order(block, closers=close)[0].tolist() == want
     assert _reference_order(_records([(row,) for row in block.tolist()], close)) == want
 
 
 def test_json_order_of_no_records_and_of_empty_blocks():
     none = np.zeros((0, 0), dtype=np.intp)
-    assert json_order(np.zeros((0, 3)), none, closers="]}").tolist() == []
+    assert json_order(np.zeros((0, 3)), none, closers="]}")[0].tolist() == []
     empty = np.zeros((3, 0), dtype=np.intp)
-    assert json_order(empty, closers="]").tolist() == [0, 1, 2]
+    assert json_order(empty, closers="]")[0].tolist() == [0, 1, 2]
     ints = np.array([[2], [1], [2]])
-    assert json_order(empty, ints, empty, closers="]}]").tolist() == [1, 0, 2]
+    assert json_order(empty, ints, empty, closers="]}]")[0].tolist() == [1, 0, 2]
 
 
 def test_json_order_separates_list_ends_from_list_entries():
     """"1, " sorts before "10, " but "1]" after "10]", unlike the numbers."""
     ints = np.array([[1, 10], [10, 1], [1, 1], [10, 10]])
-    assert json_order(ints, closers="]").tolist() == [0, 2, 3, 1]
+    assert json_order(ints, closers="]")[0].tolist() == [0, 2, 3, 1]
     assert np.lexsort(ints.T[::-1]).tolist() == [2, 0, 1, 3]
 
 
@@ -178,7 +184,7 @@ def test_json_order_separates_list_ends_from_list_entries():
 ])
 def test_json_order_closers(block, want, close):
     block = np.array(block)
-    assert json_order(block, closers=close).tolist() == want[close]
+    assert json_order(block, closers=close)[0].tolist() == want[close]
     records = _records([(row,) for row in block.tolist()], close)
     assert _reference_order(records) == want[close]
 
@@ -200,8 +206,9 @@ SHARED = st.recursive(
 def rows_of(draw, n, nested=True):
     """A ``Rows`` of n records under keys drawn from ``TEXTS``: int and float
     arrays of width 0-3, each drawing its rows from a pool of at most four
-    (and, for floats, their twins), shared values, categorical columns of
-    shared dicts, and one nested ``Rows``."""
+    (and, for floats, their twins) and held whole or as ``DistinctRows``
+    over that pool, shared values, categorical columns of shared dicts, and
+    one nested ``Rows``."""
     kinds = ["int", "float", "shared", "category"] + (["rows"] if nested else [])
     columns = {}
     for key in draw(st.lists(TEXTS, unique=True, max_size=4)):
@@ -213,8 +220,10 @@ def rows_of(draw, n, nested=True):
                                  min_size=1, max_size=4))
             if kind == "float":
                 pool += [[_twin(x) for x in row] for row in pool]
-            values = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
-            columns[key] = np.array(values, dtype=DTYPES[kind]).reshape(n, width)
+            pool = np.array(pool, dtype=DTYPES[kind]).reshape(len(pool), width)
+            codes = np.array(draw(st.lists(st.integers(0, len(pool) - 1), min_size=n,
+                                           max_size=n)), dtype=np.intp)
+            columns[key] = DistinctRows(codes, pool) if draw(st.booleans()) else pool[codes]
         elif kind == "shared":
             columns[key] = draw(SHARED)
         elif kind == "category":
@@ -268,6 +277,10 @@ def test_rows_refuse_malformed_columns():
         Rows(1, {"a": np.zeros(1)})
     with pytest.raises(TypeError, match="2-D int or float"):
         Rows(1, {"a": np.zeros((1, 1), dtype=bool)})
+    with pytest.raises(ValueError, match="has 1 rows, expected 2"):
+        Rows(2, {"a": DistinctRows(np.zeros(1, dtype=np.intp), np.zeros((2, 1)))})
+    with pytest.raises(TypeError, match="2-D int or float"):
+        Rows(1, {"a": DistinctRows(np.zeros(1, dtype=np.intp), np.zeros(1))})
     with pytest.raises(TypeError):
         dumps(Rows(1, {1: 0}))
     with pytest.raises(IndexError):
@@ -389,11 +402,11 @@ def checked_order(monkeypatch):
     lengths = []
 
     def checked(*blocks, closers):
-        got = json_order(*blocks, closers=closers)
+        got, columns = json_order(*blocks, closers=closers)
         want = reference_json_order(*blocks, closers=closers)
         assert got.dtype == want.dtype and np.array_equal(got, want)
         lengths.append(len(got))
-        return got
+        return got, columns
 
     monkeypatch.setattr(classify_module, "json_order", checked)
     return lengths
@@ -423,8 +436,8 @@ def _rows_slice(rows, lo, hi):
     for key, col in rows.columns.items():
         if isinstance(col, np.ndarray):
             col = col[lo:hi]
-        elif isinstance(col, Category):
-            col = Category(col.codes[lo:hi], col.values)
+        elif isinstance(col, (Category, DistinctRows)):
+            col = dataclasses.replace(col, codes=col.codes[lo:hi])
         elif isinstance(col, Rows):
             col = _rows_slice(col, lo, hi)
         columns[key] = col
@@ -460,7 +473,7 @@ def test_largest_family_list_matches_the_per_leaf_writer(monkeypatch, capsys):
     inter = intersect_delta([delta_set(ising, sphere_surface(ising, "sigma", 8), "s2")])
     perms, angles = inter.perms, np.angle(inter.instantiate_families())
     assert len(perms) == 6144
-    assert [len(jsonwriter._distinct_rows(b)[0]) for b in (perms, angles)] == [384, 16]
+    assert [len(jsonwriter._distinct_rows(b).rows) for b in (perms, angles)] == [384, 16]
 
 
 @pytest.mark.parametrize("model, classes", [("zn_toric:5", 5000), ("dg_abelian:2,3", 31104)])

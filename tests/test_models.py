@@ -20,8 +20,18 @@ from anyongates import (
     validate,
     zn_toric,
 )
-from anyongates.models import FSymbols
-from oracles import reference_abelian_double, reference_fblocks_unitary, reference_fmove_block
+from anyongates.budget import Budget
+from anyongates.models import FSymbols, fusion_channels, verlinde_fusion
+from oracles import (
+    deligne_product,
+    reference_abelian_double,
+    reference_fblocks_unitary,
+    reference_fmove_block,
+    reference_fusion_axioms,
+    reference_rsymbols_ribbon,
+    reference_verlinde_check,
+    reference_verlinde_fusion,
+)
 
 PHI = (1 + np.sqrt(5)) / 2
 
@@ -514,6 +524,80 @@ def test_fblocks_unitary_matches_the_per_boundary_walk(name, tol):
 @pytest.mark.parametrize("name", list(BROKEN_MODELS))
 def test_broken_models_fail_the_fblock_check(name):
     assert not validate(BROKEN_MODELS[name]()).checks["fblocks_unitary"].passed
+
+
+# ---------------------------------------------------------------------------
+# validate's passes over the channel table against the dense and walk oracles
+
+
+def _weighted_ising():
+    """Ising with N^psi_{sigma sigma} = 2.  Its support is associative, but
+    psi x (sigma x sigma) holds psi once and (psi x sigma) x sigma twice."""
+    m = ising()
+    fusion = m.fusion.copy()
+    fusion[2, 2, 1] = 2
+    return dataclasses.replace(m, fusion=fusion)
+
+
+TABLE_MODELS = {
+    name: functools.partial(load_builtin, name)
+    for name in ["fibonacci", "ising", *(f"zn_toric:{k}" for k in range(2, 7)),
+                 "dg_abelian:2,2", "dg_abelian:2,3"]
+}
+TABLE_MODELS.update({
+    "fibonacci x ising": lambda: deligne_product(fibonacci(), ising()),
+    "ising x ising": lambda: deligne_product(ising(), ising()),
+    "corrupted-fusion ising": _corrupted_fusion_ising,
+    "corrupted-fusion ising, all symbols": _completed_corrupted_fusion_ising,
+    "ising with a coefficient 2": _weighted_ising,
+})
+ORACLE_CHECKS = {
+    "verlinde_matches_fusion": reference_verlinde_check,
+    "fusion_axioms": lambda model, tol: reference_fusion_axioms(model),
+    "rsymbols_ribbon": reference_rsymbols_ribbon,
+}
+
+
+@pytest.mark.parametrize("name", list(TABLE_MODELS))
+def test_table_checks_match_their_oracles(name):
+    """Each check's (passed, residual, detail) equals its oracle's, bit for
+    bit, and so do the Verlinde coefficients."""
+    m = TABLE_MODELS[name]()
+    assert np.array_equal(verlinde_fusion(m), reference_verlinde_fusion(m))
+    for tol in (0.0, 1e-9):
+        checks = validate(m, tol=tol).checks
+        for check, oracle in ORACLE_CHECKS.items():
+            assert checks[check] == oracle(m, tol), check
+
+
+def test_the_associativity_join_weights_its_paths():
+    """The weighted path counts differ where the support's do not."""
+    check = validate(_weighted_ising()).checks["fusion_axioms"]
+    assert (check.passed, check.residual, check.detail) == (False, 1.0, "associativity")
+
+
+def test_fusion_lookups_follow_the_tensor_in_a_bounded_memo():
+    """The channel table is memoised on the fusion tensor's bytes: equal
+    tensors share one table, a tensor changed in place gets a table of its
+    own, and the memo forgets a table after four others."""
+    m = ising()
+    assert m.fusion_product(1, 1) == (0,)
+    table = fusion_channels(m.fusion)
+    assert fusion_channels(ising().fusion) is table
+    m.fusion[1, 1, 1] = 1
+    assert m.fusion_product(1, 1) == (0, 1)
+    m.fusion[1, 1, 1] = 0
+    assert fusion_channels(m.fusion) is table
+    for k in range(1, 5):
+        fusion_channels(np.zeros((k, k, k), dtype=np.uint8))
+    assert fusion_channels(m.fusion) is not table
+
+
+def test_the_build_and_the_block_store_share_one_layout():
+    m = load_builtin("zn_toric:3")
+    bounds, _, _, keys = fusion_channels(m.fusion).fblock_layout(Budget())
+    assert m.fblocks.boundaries is bounds
+    assert np.array_equal(np.sort(keys), m.fsymbols.codes)
 
 
 def test_validate_zn_toric_5_in_under_a_second():
