@@ -529,7 +529,8 @@ def _classify_delta(model, surface, basis, dap, allowed, mcg_words, tol, budget)
     The candidates are the products of allowed per-curve label permutations
     that map the basis onto itself.  When every curve allows the identity
     alone, the identity is the one candidate and the classes are the exact
-    diagonal gates; otherwise they bound the gates from above.
+    diagonal gates; otherwise they bound the gates from above.  Every word
+    is evaluated on ``basis``.
     """
     maps = [[dict(p) for p in allowed[c]] for c in dap.curves]
     count = math.prod(len(m) for m in maps)
@@ -543,8 +544,9 @@ def _classify_delta(model, surface, basis, dap, allowed, mcg_words, tol, budget)
         )
         if None not in perm and len(set(perm)) == basis.dim:
             cands.add(perm)
+    cands = sorted(cands)
     sets = [
-        delta_set(model, surface, w, restrict_perms=sorted(cands), tol=tol)
+        delta_set(model, surface, w, restrict_perms=cands, tol=tol, basis=basis)
         for w in mcg_words
     ]
     inter = intersect_delta(sets)

@@ -865,7 +865,8 @@ def validate(model: AnyonModel, tol: float = DEFAULT_TOL) -> ModelValidationRepo
     worst = max(worst, float(np.abs(model.fusion[0] - eye).max()))
     if worst > 0:
         details.append("vacuum")
-    comm = float(np.abs(model.fusion - model.fusion.transpose(1, 0, 2)).max())
+    signed = model.fusion.astype(np.int16)  # uint8 differences would wrap
+    comm = float(np.abs(signed - signed.transpose(1, 0, 2)).max())
     if comm > 0:
         details.append("commutativity")
     worst = max(worst, comm)

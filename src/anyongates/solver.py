@@ -13,10 +13,12 @@ pair, so one breadth-first spanning forest serves every pair of a call.
 Solving is:
 
 (1) modulus/zero-pattern feasibility of the permutation pairs, found as int
-    arrays: a wildcard perm_in grows as an array frontier, every live
-    prefix gaining one column per level in bounded blocks taken depth
-    first, and each distinct compat matrix has its perfect matchings (the
-    perm_outs) enumerated once and memoised;
+    arrays: explicit perm_in candidates compare only the row pairs whose
+    weighted modulus sums fall within a proven window of each other, a
+    wildcard perm_in grows as an array frontier, every live prefix gaining
+    one column per level in bounded blocks taken depth first, and each
+    distinct compat matrix has its perfect matchings (the perm_outs)
+    enumerated once and memoised;
 (2) phase propagation along the forest for a chunk of pairs at once, one
     array operation per forest level;
 (3) rejection of pairs with a vanishing denominator, an off-modulus ratio
@@ -27,9 +29,10 @@ Each feasible permutation pair therefore contributes at most one connected
 family with one free phase per graph component.
 
 Each call charges one byte budget (``budget.py``) before it allocates: the
-word matrix and one search row, the unitarity checks, the frontier blocks,
-each block's pair arrays and the pairs held until the search ends.  Past
-it, :class:`SearchBudgetError` is raised before any pair is propagated.
+word matrix and one search row, the unitarity check of V and of a V_out
+other than V, the candidate and frontier blocks, each block's pair arrays
+and the pairs held until the search ends.  Past it,
+:class:`SearchBudgetError` is raised before any pair is propagated.
 
 Every set of gate families is a delta set, the solver's result included:
 one row of a permutation array and of a relative-phase array per family,
@@ -59,7 +62,7 @@ import numpy as np
 from .budget import Budget, chunk_rows
 from .mcg import evaluate_on_basis, parse_word
 from .models import AnyonModel, _join as _join_keys
-from .surfaces import SurfaceSpec, enumerate_labelings
+from .surfaces import BasisIndex, SurfaceSpec, enumerate_labelings
 from .tolerances import (
     CYCLE_TOL,
     DEFAULT_TOL,
@@ -177,18 +180,68 @@ def _frontier(state, expand, narrow, budget, stage):
         push(root[parent], np.column_stack((prefix[parent], value)), state, parent)
 
 
+def _explicit_compat(absv, absvo, perms, tol):
+    """``compat[p, m, r]`` for a block of explicit candidates ``perms``.
+
+    The pair (m, r) is compatible when ``|a_l - b_l| <= tol`` for every l,
+    with a = row m of |V| and b = row r of |V_out| with its columns permuted
+    by ``perms[p]``.  Each row is projected onto fixed weights w in [1, 2):
+    one product for |V| and one for every candidate of |V_out| at once.
+
+    The window is proven, not tuned.  Let u = 2^-53 and W = sum(w).  A
+    compatible pair has exact projections s, t with |s - t| <= W tol /
+    (1 - u), and each computed projection is within n u / (1 - n u) times
+    its exact value (the terms are non-negative), whatever order the
+    product sums in.  So the computed gap is at most W tol (1 + O(n u)) +
+    O(n u) t, and ``delta`` = W tol (1 + eps) + eps t, eps = 4 (n + 2) u,
+    covers that, the rounding of W and of the window's bounds.  Every
+    compatible m therefore has its projection within ``delta`` of r's, and
+    only those pairs are compared entry by entry, with the same test as
+    ``compat``'s definition, ``chunk_rows(8 * n)`` pairs at a time:
+    O(n^2 + window pairs * n) per candidate.  A NaN or infinite modulus
+    matches nothing; its row sorts where no finite window reaches, or its
+    pairs are checked and dropped.
+    """
+    n, block = absv.shape[0], len(perms)
+    compat = np.zeros((block, n, n), dtype=bool)
+    w = 1.0 + np.arange(n) * 0.6180339887498949 % 1.0
+    spread = np.zeros((n, block))
+    spread[perms, np.arange(block)[:, None]] = w
+    proj = absv @ w
+    order = np.argsort(proj, kind="stable")
+    sorted_proj = proj[order]
+    targets = (absvo @ spread).ravel()  # [r * block + p]: row r under perms[p]
+    eps = 4 * (n + 2) * 2.0**-53
+    delta = w.sum() * tol * (1 + eps) + eps * targets
+    first = np.searchsorted(sorted_proj, targets - delta, side="left")
+    counts = np.searchsorted(sorted_proj, targets + delta, side="right") - first
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    step = chunk_rows(8 * n)
+    for lo in range(0, total, step):
+        k = np.arange(lo, min(lo + step, total))
+        q = np.searchsorted(ends, k, side="right")
+        m = order[first[q] + k - (ends[q] - counts[q])]
+        r, p = np.divmod(q, block)
+        gap = absvo[r[:, None], perms[p]]
+        gap -= absv[m]
+        ok = (np.abs(gap, out=gap) <= tol).all(axis=1)
+        compat[p[ok], m[ok], r[ok]] = True
+    return compat
+
+
 def _perm_in_blocks(absv, absvo, cands_in, tol, budget):
     """Yield (perms, compat) blocks for the candidate gate permutations.
 
     ``compat[p, m, r]`` says that row m of |V| equals row r of |V_out| with
     its columns permuted by ``perms[p]``, so perm_out must map m to some r
     with ``compat[p, m, r]``.  An explicit candidate list is checked in list
-    order, O(n^3) per entry, each block charging its rows x n^3 booleans.
-    The wildcard assigns perm_in(0), perm_in(1), ... as an array frontier
-    (charging likewise), narrowing each prefix's ``compat`` per level by
-    the n^3 table of where column ``depth`` of |V| agrees with the columns
-    of |V_out|, and drops a prefix as soon as some row or column of its
-    ``compat`` is empty.
+    order by :func:`_explicit_compat`, each block charging its rows x n^3
+    bytes.  The wildcard assigns perm_in(0), perm_in(1), ... as an array
+    frontier (charging likewise), narrowing each prefix's ``compat`` per
+    level by the n^3 table of where column ``depth`` of |V| agrees with the
+    columns of |V_out|, and drops a prefix as soon as some row or column of
+    its ``compat`` is empty.
     """
     n = absv.shape[0]
     if cands_in is not None:
@@ -197,10 +250,7 @@ def _perm_in_blocks(absv, absvo, cands_in, tol, budget):
         for lo in range(0, len(perms), step):
             block = perms[lo:lo + step]
             budget.charge("perm_in candidates", len(block), n**3)
-            # target[p, r, l] = |V_out[r, perms[p][l]]|
-            target = absvo[:, block].transpose(1, 0, 2)
-            diff = np.abs(target[:, None, :, :] - absv[None, :, None, :])
-            yield block, (diff <= tol).all(axis=3)
+            yield block, _explicit_compat(absv, absvo, block, tol)
         return
 
     def agree(values, cols):
@@ -450,16 +500,18 @@ def _solve(v, perm_in, perm_out, v_out, tol, zero_tol, cycle_tol, budget):
     if v.ndim != 2 or v.shape[0] != v.shape[1]:
         raise ValueError("V must be a square matrix")
     n = v.shape[0]
+    mats = [("V", v)]  # V_out defaults to V, checked once
     if v_out is None:
         v_out = v
     else:
         v_out = np.asarray(v_out, dtype=np.complex128)
         if v_out.shape != v.shape:
             raise ValueError("V_out must match V's shape")
-    for name, mat in (("V", v), ("V_out", v_out)):
+        mats.append(("V_out", v_out))
+    for name, mat in mats:
         budget.charge("unitarity check", 4, 16 * n * n)  # the product and its temporaries
         uni = np.abs(mat @ mat.conj().T - np.eye(n)).max() if n else 0.0
-        if uni > UNITARITY_TOL:
+        if not uni <= UNITARITY_TOL:  # NaN fails too
             raise ValueError(f"{name} is not unitary (residual {uni:.2e})")
 
     absv = np.abs(v)
@@ -594,6 +646,7 @@ def delta_set(
     tol: float = DEFAULT_TOL,
     zero_tol: float = ZERO_THRESHOLD,
     cycle_tol: float = CYCLE_TOL,
+    basis: BasisIndex | None = None,
 ) -> DeltaSet:
     """All monomial gates G with V(word) G V(word)^dagger still monomial.
 
@@ -606,11 +659,14 @@ def delta_set(
     :func:`solve_intertwiner`; then the search's byte budget is charged the
     n x n matrices the word's evaluation holds and one search row of n^3
     booleans, the least any search holds (charged again when taken), before
-    the word is evaluated.  Families come in :func:`solve_intertwiner`'s order.
+    the word is evaluated on ``basis``, the surface's enumeration of the
+    labelings (made here when not given).  Families come in
+    :func:`solve_intertwiner`'s order.
     """
     for bound in (tol, zero_tol, cycle_tol):
         check_tol(bound)
-    basis = enumerate_labelings(model, surface)
+    if basis is None:
+        basis = enumerate_labelings(model, surface)
     tokens = parse_word(word, surface)
     budget = Budget()
     # the running product, its next value, a conjugate and each generator used

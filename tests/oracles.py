@@ -375,7 +375,10 @@ def reference_fusion_axioms(model) -> CheckResult:
     worst = float(np.abs(model.fusion[0] - np.eye(n)).max())
     if worst > 0:
         details.append("vacuum")
-    comm = float(np.abs(model.fusion - model.fusion.transpose(1, 0, 2)).max())
+    nab = model.fusion.tolist()  # Python ints: differences cannot wrap
+    comm = float(max(
+        abs(nab[a][b][c] - nab[b][a][c]) for a in range(n) for b in range(n) for c in range(n)
+    ))
     if comm > 0:
         details.append("commutativity")
     worst = max(worst, comm)
@@ -921,6 +924,17 @@ def cut_dimension_permutations(model, surface):
 # Permutation-pair search (recursive) and gate cosets (per solution)
 
 
+def reference_perm_in_compat(absv, absvo, perms, tol):
+    """``compat[p, m, r]`` of explicit candidates by the dense comparison
+    the solver's projection window replaced: one (candidates, n, n, n)
+    float difference, O(n^3) per candidate."""
+    perms = np.asarray(perms, dtype=np.intp).reshape(len(perms), absv.shape[0])
+    # target[p, r, l] = |V_out[r, perms[p][l]]|
+    target = absvo[:, perms].transpose(1, 0, 2)
+    diff = np.abs(target[:, None, :, :] - absv[None, :, None, :])
+    return (diff <= tol).all(axis=3)
+
+
 def _reference_column_perms(absv, absvo, cands_in, tol):
     """Yield (perm_in, compat) by a recursive search, one column per level.
 
@@ -932,8 +946,7 @@ def _reference_column_perms(absv, absvo, cands_in, tol):
     n = absv.shape[0]
     if cands_in is not None:
         for pi in cands_in:
-            target = absvo[:, list(pi)]
-            yield pi, (np.abs(target[None, :, :] - absv[:, None, :]) <= tol).all(axis=2)
+            yield pi, reference_perm_in_compat(absv, absvo, [pi], tol)[0]
         return
     agree = np.abs(absvo.T[None, :, None, :] - absv.T[:, None, :, None]) <= tol
     pi: list[int] = []

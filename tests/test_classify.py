@@ -121,12 +121,12 @@ def test_one_basis_enumeration_per_sphere_classify(monkeypatch, m):
 @pytest.mark.parametrize("m", [7, 11])
 def test_one_basis_enumeration_per_word_matrix(monkeypatch, m):
     """On the delta-set path each of the M - 1 braid words is evaluated on
-    one enumeration of the labelings, its generator built on that basis; the
-    classifier's own enumeration makes M in all."""
+    the classifier's own enumeration of the labelings, its generator built
+    on that basis: one enumeration in all."""
     calls = _count_enumerations(monkeypatch)
     surf = sphere_surface(FIB, "tau", m)
     assert classify_punctured_sphere(FIB, surf).details["path"] == "diagonal"
-    assert calls == [surf] * m
+    assert calls == [surf]
 
 
 def test_curve_permutations_from_a_given_basis_match_cut_dimensions():

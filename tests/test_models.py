@@ -539,6 +539,14 @@ def _weighted_ising():
     return dataclasses.replace(m, fusion=fusion)
 
 
+def _noncommutative_ising():
+    """Ising with N^psi_{psi sigma} = 1 but N^psi_{sigma psi} = 0."""
+    m = ising()
+    fusion = m.fusion.copy()
+    fusion[1, 2, 1] = 1
+    return dataclasses.replace(m, fusion=fusion)
+
+
 TABLE_MODELS = {
     name: functools.partial(load_builtin, name)
     for name in ["fibonacci", "ising", *(f"zn_toric:{k}" for k in range(2, 7)),
@@ -550,6 +558,7 @@ TABLE_MODELS.update({
     "corrupted-fusion ising": _corrupted_fusion_ising,
     "corrupted-fusion ising, all symbols": _completed_corrupted_fusion_ising,
     "ising with a coefficient 2": _weighted_ising,
+    "noncommutative ising": _noncommutative_ising,
 })
 ORACLE_CHECKS = {
     "verlinde_matches_fusion": reference_verlinde_check,
@@ -574,6 +583,15 @@ def test_the_associativity_join_weights_its_paths():
     """The weighted path counts differ where the support's do not."""
     check = validate(_weighted_ising()).checks["fusion_axioms"]
     assert (check.passed, check.residual, check.detail) == (False, 1.0, "associativity")
+
+
+def test_the_commutativity_residual_is_a_signed_difference():
+    """N^psi_{psi sigma} - N^psi_{sigma psi} is 1, not the 255 of a uint8
+    subtraction, in validate and in its oracle."""
+    m = _noncommutative_ising()
+    for check in (validate(m).checks["fusion_axioms"], reference_fusion_axioms(m)):
+        assert (check.passed, check.residual) == (False, 1.0)
+        assert check.detail.split(",")[0] == "commutativity"
 
 
 def test_fusion_lookups_follow_the_tensor_in_a_bounded_memo():

@@ -8,6 +8,7 @@ import pytest
 from anyongates import (
     MonomialMatrix,
     delta_set,
+    enumerate_labelings,
     evaluate_word,
     intersect_delta,
     is_monomial,
@@ -18,6 +19,7 @@ from anyongates import (
 )
 from anyongates import budget, solver
 from anyongates.budget import Budget
+from anyongates.mcg import evaluate_on_basis
 from anyongates.solver import DeltaSet
 from anyongates.tolerances import (
     CYCLE_TOL,
@@ -41,6 +43,7 @@ from oracles import (
     reference_candidate_pairs,
     reference_gate_coset,
     reference_intersect_delta,
+    reference_perm_in_compat,
     same_perm_pairs,
 )
 
@@ -614,6 +617,115 @@ def test_pair_arrays_match_the_recursive_search(monkeypatch, name, tiny):
     assert want
     assert np.array_equal(pis, np.array([p for p, _ in want], dtype=np.intp).reshape(-1, n))
     assert np.array_equal(pips, np.array([q for _, q in want], dtype=np.intp).reshape(-1, n))
+
+
+# ---------------------------------------------------------------------------
+# The explicit-candidate projection window against the dense compare
+
+
+def _letter_matrices(model, label, m):
+    """The word matrices of every one- and two-letter braid word of
+    ``sphere:<label>:<m>``, two-letter words as products of the letters'."""
+    mod = load_builtin(model)
+    basis = enumerate_labelings(mod, sphere_surface(mod, label, m))
+    letters = [evaluate_on_basis(mod, basis, f"s{k}").matrix for k in range(1, m)]
+    return letters + [a @ b for a, b in itertools.product(letters, repeat=2)]
+
+
+def _compat_cases(v, rng):
+    """(|V|, |V_out|, candidates) triples around one word matrix: V_out = V,
+    V_out with rows and columns permuted, and moduli moved by about tol."""
+    n = v.shape[0]
+    absv = np.abs(v)
+    ident = tuple(range(n))
+    cands = [ident, *(tuple(rng.permutation(n).tolist()) for _ in range(3))]
+    rows, cols = rng.permutation(n), rng.permutation(n)
+    # |V_out[rows[i], cols[j]]| = |V[i, j]|, so V's columns land by perm_in = cols
+    shuffled = np.empty_like(absv)
+    shuffled[np.ix_(rows, cols)] = absv
+    yield absv, absv, cands
+    yield absv, shuffled, [tuple(cols.tolist()), *cands]
+    for shift in (0.9e-9, 1e-9, 1.1e-9):
+        for sign in (1.0, -1.0):
+            moved = absv.copy()
+            # one entry, and one whole row, moved by the shift
+            i, j = rng.integers(n, size=2)
+            moved[i, j] = max(moved[i, j] + sign * shift, 0.0)
+            row = rng.integers(n)
+            moved[row] = np.maximum(moved[row] + sign * shift, 0.0)
+            yield absv, moved, cands[:2]
+
+
+@pytest.mark.parametrize("model,label,m", [
+    *(("ising", "sigma", m) for m in range(4, 11, 2)),  # odd counts: empty code spaces
+    *(("fibonacci", "tau", m) for m in range(4, 12)),
+])
+def test_explicit_compat_matches_the_dense_compare(model, label, m):
+    """On every one- and two-letter word, the window's compat equals the
+    dense comparison's, bit for bit, for identity and random candidates,
+    a shuffled V_out and moduli moved by 0.9, 1 and 1.1 times tol."""
+    tol = modulus_match_tol(DEFAULT_TOL)
+    rng = np.random.default_rng(m)
+    checked = 0
+    for v in _letter_matrices(model, label, m):
+        for absv, absvo, cands in _compat_cases(v, rng):
+            got = solver._explicit_compat(absv, absvo, np.array(cands, dtype=np.intp), tol)
+            want = reference_perm_in_compat(absv, absvo, cands, tol)
+            assert np.array_equal(got, want)
+            checked += want.any()
+    assert checked
+
+
+@pytest.mark.parametrize("n", [2, 5, 8, 13])
+def test_explicit_compat_on_equal_moduli_and_nan(n):
+    """All-equal moduli put every pair in the window; a NaN modulus matches
+    no row, on either side.  The window still equals the dense compare."""
+    tol = modulus_match_tol(DEFAULT_TOL)
+    rng = np.random.default_rng(n)
+    cands = np.array([np.arange(n), *(rng.permutation(n) for _ in range(3))], dtype=np.intp)
+    flat = np.full((n, n), 1 / np.sqrt(n))  # the moduli of a Fourier matrix
+    nan_in = flat.copy()
+    nan_in[n // 2, n - 1] = np.nan
+    word = np.abs(_word("fibonacci", sphere_surface(FIB, "tau", 8), "s2s3"))[:n, :n]
+    nan_word = word.copy()
+    nan_word[0, 0] = np.nan
+    for absv, absvo in ((flat, flat), (nan_in, flat), (flat, nan_in), (nan_in, nan_in),
+                        (word, nan_word), (nan_word, word)):
+        got = solver._explicit_compat(absv, absvo, cands, tol)
+        assert np.array_equal(got, reference_perm_in_compat(absv, absvo, cands, tol))
+    assert solver._explicit_compat(flat, flat, cands, tol).all()
+    assert not solver._explicit_compat(nan_in, flat, cands, tol)[:, n // 2].any()
+
+
+@pytest.mark.parametrize("side", ["v", "v_out"])
+@pytest.mark.parametrize("perm_in", [None, [(0, 1, 2)]], ids=["wildcard", "explicit"])
+def test_nan_matrix_is_not_unitary(side, perm_in):
+    """A NaN entry gives a NaN unitarity residual, which must fail the check."""
+    bad = np.eye(3, dtype=complex)
+    bad[1, 2] = np.nan
+    v, v_out = (bad, None) if side == "v" else (np.eye(3, dtype=complex), bad)
+    name = "V" if side == "v" else "V_out"
+    with pytest.raises(ValueError, match=rf"^{name} is not unitary \(residual nan\)"):
+        solve_intertwiner(v, perm_in, v_out=v_out)
+
+
+def test_word_matrix_is_checked_for_unitarity_once(monkeypatch):
+    """V_out defaulting to V is charged and checked once; a given V_out is
+    checked as well."""
+    stages = []
+    charge = Budget.charge
+
+    def recording(self, stage, count, nbytes):
+        stages.append(stage)
+        charge(self, stage, count, nbytes)
+
+    monkeypatch.setattr(Budget, "charge", recording)
+    delta_set(FIB, sphere_surface(FIB, "tau", 7), "s2", restrict_perms=[tuple(range(8))])
+    assert stages.count("unitarity check") == 1
+    stages.clear()
+    v = np.eye(3, dtype=complex)
+    solve_intertwiner(v, [(0, 1, 2)], v_out=v.copy())
+    assert stages.count("unitarity check") == 2
 
 
 def test_search_budget_fails_fast_on_a_flat_matrix():
