@@ -56,6 +56,7 @@ GRID = (
         "delta --model ising --surface torus --words s,st --format json",
         "delta --model fibonacci --surface torus --words s,st --format json",
         "delta --model fibonacci --surface sphere:tau:8 --words s2 --format json",
+        "delta --model ising --surface sphere:sigma:8 --words s2s4 --format json",
         "delta --model ising --surface sphere:sigma:10 --words s2 --format json",
         "delta --model zn_toric:4 --surface torus --words stst",
         "classify --model zn_toric:16 --surface torus",

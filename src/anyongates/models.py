@@ -898,8 +898,10 @@ def validate(model: AnyonModel, tol: float = DEFAULT_TOL) -> ModelValidationRepo
     rep.checks["dual_rows_conjugate"] = CheckResult(res < tol, res)
 
     # Every admissible F-block must be unitary (square by associativity).
-    # The residuals come from one batched B B^dagger - I per block shape, the
-    # detail from a walk over the boundaries in (i, j, l, k) order.
+    # The residuals come from one batched B B^dagger - I per block shape.  In
+    # (i, j, l, k) order of the boundaries, a non-square block counts 1.0 and
+    # the detail names the last such block or the last residual >= tol that
+    # raised the running maximum (a NaN residual raises nothing).
     store = model.fblocks
     res = np.empty(len(store.boundaries))
     for pos, stack in store.stacks:
@@ -909,15 +911,15 @@ def validate(model: AnyonModel, tol: float = DEFAULT_TOL) -> ModelValidationRepo
         else:
             gram = stack @ stack.conj().transpose(0, 2, 1)
             res[pos] = np.abs(gram - np.eye(r)).max(axis=(1, 2))
-    worst, bad = 0.0, ""
-    for p, r in enumerate(res.tolist()):
-        if r < 0:
-            worst = max(worst, 1.0)
-            bad = f"non-square block at {tuple(store.boundaries[p].tolist())}"
-        elif r > worst:
-            worst = r
-            if r >= tol:
-                bad = f"block {tuple(store.boundaries[p].tolist())}"
+    nonsquare = res < 0
+    running = np.maximum.accumulate(np.where(nonsquare, 1.0, np.where(np.isnan(res), 0.0, res)))
+    before = np.concatenate(([0.0], running[:-1]))
+    flagged = np.flatnonzero(nonsquare | (res > before) & (res >= tol))
+    worst, bad = float(running[-1]) if len(res) else 0.0, ""
+    if len(flagged):
+        p = flagged[-1]
+        where = tuple(store.boundaries[p].tolist())
+        bad = f"non-square block at {where}" if nonsquare[p] else f"block {where}"
     if store.missing:
         worst, bad = float("inf"), next(iter(store.missing.values()))
     rep.checks["fblocks_unitary"] = CheckResult(worst < tol, worst, bad)

@@ -18,7 +18,10 @@ Solving is:
     wildcard perm_in grows as an array frontier, every live prefix gaining
     one column per level in bounded blocks taken depth first, and each
     distinct compat matrix has its perfect matchings (the perm_outs)
-    enumerated once and memoised;
+    enumerated once and memoised.  Each row of a compat matrix, and of a
+    matching's free columns, is one bit mask (:func:`_pack`), so a frontier
+    level is an AND with a per-depth agreement table and two reductions
+    over words, not over n^3 booleans;
 (2) phase propagation along the forest for a chunk of pairs at once, one
     array operation per forest level;
 (3) rejection of pairs with a vanishing denominator, an off-modulus ratio
@@ -139,21 +142,78 @@ def _normalize_perm_arg(arg, n: int):
     return seq
 
 
+# ---------------------------------------------------------------------------
+# Bit-packed rows: a row of n booleans is one mask over its columns, in the
+# narrowest unsigned type that holds n bits, or ceil(n / 64) uint64 words.
+
+
+def _word_type(n: int) -> tuple[np.dtype, int]:
+    """The word type of a packed row of n bits and the words it takes."""
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        if n <= 8 * np.dtype(dtype).itemsize:
+            return np.dtype(dtype), 1
+    return np.dtype(np.uint64), -(-n // 64)
+
+
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """(..., n) booleans as (..., words) masks: bit r of word r // B is
+    column r, B the word's width."""
+    n = bits.shape[-1]
+    dtype, words = _word_type(n)
+    out = np.zeros(bits.shape[:-1] + (words * dtype.itemsize,), dtype=np.uint8)
+    out[..., :-(-n // 8)] = np.packbits(bits, axis=-1, bitorder="little")
+    return out.view(dtype.newbyteorder("<")).astype(dtype, copy=False)
+
+
+def _unpack(words: np.ndarray, n: int) -> np.ndarray:
+    """The (..., n) booleans of packed rows."""
+    little = np.ascontiguousarray(words, dtype=words.dtype.newbyteorder("<"))
+    return np.unpackbits(little.view(np.uint8), axis=-1, count=n, bitorder="little").view(bool)
+
+
+def _bit_masks(r: np.ndarray, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
+    """The word index and the one-bit mask of each column r."""
+    width = 8 * dtype.itemsize
+    return r // width, np.left_shift(dtype.type(1), (r % width).astype(dtype))
+
+
+def _has_bit(words: np.ndarray, m, r) -> np.ndarray:
+    """Whether row ``m`` of each packed matrix of ``words`` holds column
+    ``r``, with m and r broadcast together."""
+    word, mask = _bit_masks(r, words.dtype)
+    return words[:, m, word] & mask != 0
+
+
+@functools.cache
+def _full_row(n: int) -> np.ndarray:
+    """The packed row of n bits, all set."""
+    full = _pack(np.ones(n, dtype=bool))
+    full.setflags(write=False)  # shared by every call
+    return full
+
+
+def _covers(words: np.ndarray, axis: int) -> np.ndarray:
+    """Whether the packed rows along ``axis`` together hold every column."""
+    full = _full_row(words.shape[axis])
+    return (np.bitwise_or.reduce(words, axis=axis) == full).all(axis=-1)
+
+
 def _frontier(state, expand, narrow, budget, stage):
     """Complete permutations of a search that fixes position 0, 1, ... in turn.
 
-    ``state`` holds one (n, n) boolean matrix per root.  ``expand(depth,
-    prefix, state)`` returns, for a block of partial permutations of length
-    ``depth``, the parent row and the value of every viable child in
-    row-major (parent, value) order; ``narrow(depth, states, values)``
-    returns the children's states from their parents' states.  Each level
-    is one array pass over a block of ``chunk_rows(n**3)`` partial
-    permutations, and blocks are expanded depth first, so complete
-    permutations come in (root, lexicographic) order.  A block's states are
-    built when it is taken, so the stack holds one parent block's states per
-    level, not every waiting child's.  Yields (root, permutations, states)
-    blocks.  Each block charges its (rows, n, n, n) booleans to ``budget``
-    as ``stage``.
+    ``state`` holds one packed (n, words) matrix per root: row m of a state
+    is a bit mask over r (:func:`_pack`).  ``expand(depth, prefix, state)``
+    returns, for a block of partial permutations of length ``depth``, the
+    parent row and the value of every viable child in row-major (parent,
+    value) order; ``narrow(depth, states, values)`` returns the children's
+    states from their parents' states.  Each level is one array pass over a
+    block of ``chunk_rows(n**3)`` partial permutations, and blocks are
+    expanded depth first, so complete permutations come in (root,
+    lexicographic) order.  A block's states are built when it is taken, so
+    the stack holds one parent block's states per level, not every waiting
+    child's.  Yields (root, permutations, states) blocks.  Each block charges
+    n^3 bytes per row to ``budget`` as ``stage``, which bounds its packed
+    states and their temporaries from above.
     """
     n = state.shape[1]
     step = chunk_rows(n**3)
@@ -181,7 +241,8 @@ def _frontier(state, expand, narrow, budget, stage):
 
 
 def _explicit_compat(absv, absvo, perms, tol):
-    """``compat[p, m, r]`` for a block of explicit candidates ``perms``.
+    """``compat[p, m, r]`` for a block of explicit candidates ``perms``,
+    packed (:func:`_pack`) once it is found.
 
     The pair (m, r) is compatible when ``|a_l - b_l| <= tol`` for every l,
     with a = row m of |V| and b = row r of |V_out| with its columns permuted
@@ -227,21 +288,23 @@ def _explicit_compat(absv, absvo, perms, tol):
         gap -= absv[m]
         ok = (np.abs(gap, out=gap) <= tol).all(axis=1)
         compat[p[ok], m[ok], r[ok]] = True
-    return compat
+    return _pack(compat)
 
 
 def _perm_in_blocks(absv, absvo, cands_in, tol, budget):
     """Yield (perms, compat) blocks for the candidate gate permutations.
 
-    ``compat[p, m, r]`` says that row m of |V| equals row r of |V_out| with
-    its columns permuted by ``perms[p]``, so perm_out must map m to some r
-    with ``compat[p, m, r]``.  An explicit candidate list is checked in list
-    order by :func:`_explicit_compat`, each block charging its rows x n^3
-    bytes.  The wildcard assigns perm_in(0), perm_in(1), ... as an array
-    frontier (charging likewise), narrowing each prefix's ``compat`` per
-    level by the n^3 table of where column ``depth`` of |V| agrees with the
-    columns of |V_out|, and drops a prefix as soon as some row or column of
-    its ``compat`` is empty.
+    ``compat[p, m]`` packs (:func:`_pack`) the r for which row m of |V|
+    equals row r of |V_out| with its columns permuted by ``perms[p]``, so
+    perm_out must map m to one of them.  An explicit candidate list is
+    checked in list order by :func:`_explicit_compat`, each block charging
+    its rows x n^3 bytes.  The wildcard assigns perm_in(0), perm_in(1), ...
+    as an array frontier (charging likewise).  Per level it ANDs each
+    prefix's ``compat`` with the packed table of where column ``depth`` of
+    |V| agrees with the columns of |V_out|, and drops a prefix as soon as
+    some row of its ``compat`` is empty or the OR of its rows misses a
+    column.  The table is built for one depth at a time from the column's
+    distinct values, and the last few are kept.
     """
     n = absv.shape[0]
     if cands_in is not None:
@@ -253,36 +316,45 @@ def _perm_in_blocks(absv, absvo, cands_in, tol, budget):
             yield block, _explicit_compat(absv, absvo, block, tol)
         return
 
-    def agree(values, cols):
-        """[c, m, r]: ``values[m]`` equals |V_out[r, cols[c]]|."""
-        diff = absvo.T[cols][:, None, :] - values[None, :, None]
-        return np.abs(diff, out=diff) <= tol
+    full = _full_row(n)
+
+    # as many depths' tables as one array pass holds, two at least
+    @functools.lru_cache(maxsize=max(2, chunk_rows(n * n * full.nbytes)))
+    def agree(depth):
+        """[m, c]: the packed r with |V_out[r, c]| equal to |V[m, depth]|.
+        Comparing each distinct value of the column once keeps the float
+        temporary at (distinct values) x n^2, not n^3."""
+        vals, inv = np.unique(absv[:, depth], return_inverse=True)
+        diff = absvo.T[None] - vals[:, None, None]
+        return _pack(np.abs(diff, out=diff) <= tol)[inv.ravel()]
 
     def expand(depth, prefix, compat):
-        # comparing each distinct value of the column once keeps the float
-        # temporary at (distinct values) x n^2, not n^3
-        vals, inv = np.unique(absv[:, depth], return_inverse=True)
-        nxt = compat[:, None] & agree(vals, slice(None))[:, inv]  # [prefix, column, m, r]
-        ok = nxt.any(axis=2).all(axis=2) & nxt.any(axis=3).all(axis=2)
+        # m leads, so both reductions over it run on whole contiguous blocks
+        table = agree(depth)
+        nxt = np.empty((n, len(prefix)) + table.shape[1:], dtype=table.dtype)
+        np.bitwise_and(compat.transpose(1, 0, 2)[:, :, None], table[:, None], out=nxt)
+        rows = nxt[..., 0] if nxt.shape[3] == 1 else np.bitwise_or.reduce(nxt, axis=3)
+        ok = (rows.min(axis=0) != 0) & _covers(nxt, axis=0)  # [prefix, column]
         ok[np.arange(len(prefix))[:, None], prefix] = False
         return np.nonzero(ok)
 
     def narrow(depth, compat, cols):
-        return compat & agree(absv[:, depth], cols)
+        return compat & agree(depth)[:, cols].transpose(1, 0, 2)
 
-    start = np.ones((1, n, n), dtype=bool)
+    start = full[None, None].repeat(n, axis=1)
     for _, perms, compat in _frontier(start, expand, narrow, budget, "perm_in frontier"):
         yield perms, compat
 
 
 def _expand_matching(depth, prefix, avail):
     """Assign row ``depth`` to every still-free column its ``avail`` row allows."""
-    return np.nonzero(avail[:, depth])
+    return np.nonzero(_unpack(avail[:, depth], avail.shape[1]))
 
 
 def _narrow_matching(depth, avail, cols):
     """Take the assigned columns out of a block of (copied) ``avail`` states."""
-    avail[np.arange(len(cols)), :, cols] = False
+    word, mask = _bit_masks(cols, avail.dtype)
+    avail[np.arange(len(cols)), :, word] &= ~mask[:, None]
     return avail
 
 
@@ -296,24 +368,33 @@ def _all_perms(n: int) -> np.ndarray:
 
 
 def _row_matchings(sub, budget):
-    """The perfect row matchings of each compat matrix of ``sub``, in
-    lexicographic order, as one (count, n) int array per matrix.
+    """The perfect row matchings of each packed compat matrix of ``sub``,
+    in lexicographic order, as one (count, n) int array per matrix.
 
     Up to ``_TABLE_MAX`` rows one pass over all n! permutations finds them.
-    Above, a matrix with n entries covering every row and column has its one
-    matching read off, and the others are enumerated together by one
-    frontier, which charges ``budget``.
+    Above, a matrix whose every row holds one column, and whose rows cover
+    every column, has its one matching read off the rows' bits, and the
+    others are enumerated together by one frontier on their packed rows,
+    which charges ``budget``.
     """
     n = sub.shape[1]
     out: list[np.ndarray | None] = [None] * len(sub)
     if n <= _TABLE_MAX:
         table = _all_perms(n)
-        root, which = np.nonzero(sub[:, np.arange(n), table].all(axis=2))
+        root, which = np.nonzero(_has_bit(sub, np.arange(n), table).all(axis=2))
         roots, found = [root], [table[which]]
     else:
-        forced = (sub.sum(axis=2) == 1).all(axis=1) & sub.any(axis=1).all(axis=1)
-        for j in np.flatnonzero(forced).tolist():
-            out[j] = sub[j].argmax(axis=1)[None]
+        held = sub != 0
+        single = (held.sum(axis=2) == 1) & ((sub & (sub - sub.dtype.type(1))) == 0).all(axis=2)
+        forced = single.all(axis=1) & _covers(sub, axis=1)
+        if forced.any():
+            # a row's one bit is 2^(e - 1) in the one word it holds, e its
+            # exact float exponent; the empty words have e = 0
+            offsets = 8 * sub.dtype.itemsize * np.arange(sub.shape[2])
+            exps = np.frexp(sub[forced].astype(float))[1] + held[forced] * offsets
+            cols = (exps.sum(axis=2) - 1).astype(np.intp)
+            for j, c in zip(np.flatnonzero(forced).tolist(), cols):
+                out[j] = c[None]
         if forced.all():
             return out
         rest = np.flatnonzero(~forced)
@@ -347,7 +428,7 @@ def _candidate_pairs(absv, absvo, cands_in, cands_out, tol, budget, chunk):
     if cands_out is not None:
         outs = np.array(cands_out, dtype=np.intp).reshape(len(cands_out), n)
         cols = np.arange(n)
-        step = chunk_rows(len(outs) * n)
+        step = chunk_rows(len(outs) * n * _word_type(n)[0].itemsize)
     memo: dict[bytes, np.ndarray] = {}  # compat matrix -> its perm_outs
     for perms, compat in _perm_in_blocks(absv, absvo, cands_in, tol, budget):
         if outs is None:
@@ -366,7 +447,7 @@ def _candidate_pairs(absv, absvo, cands_in, cands_out, tol, budget, chunk):
         else:
             rows, which = [], []
             for lo in range(0, len(compat), step):
-                ok = compat[lo:lo + step][:, cols, outs].all(axis=2)
+                ok = _has_bit(compat[lo:lo + step], cols, outs).all(axis=2)
                 budget.charge("pair arrays", int(np.count_nonzero(ok)), pair_bytes)
                 p, q = np.nonzero(ok)
                 rows.append(p + lo)
@@ -388,7 +469,8 @@ class _ConstraintForest:
     w follows from node u across edge e, times conj(rho_e) when u is a gate
     node (sign -1) and times rho_e otherwise (sign +1).  ``levels[k]`` holds
     the steps that reach the nodes at depth k + 1, ``checks`` the steps that
-    reach nodes already visited, which must agree with the value there.
+    reach nodes already visited, which must agree with the value there: one
+    per non-tree edge, from the end the search pops first.
     """
 
     rows: np.ndarray
@@ -408,6 +490,7 @@ def _constraint_forest(support: np.ndarray) -> _ConstraintForest:
         adj[n + m].append((l, e))
     comp = [-1] * (2 * n)
     depth = [0] * (2 * n)
+    crossed = [False] * len(rows)
     starts: list[int] = []
     levels: list[list[tuple[int, int, int]]] = []
     checks: list[tuple[int, int, int]] = []
@@ -419,6 +502,9 @@ def _constraint_forest(support: np.ndarray) -> _ConstraintForest:
         while queue:
             u = queue.popleft()
             for w, e in adj[u]:
+                if crossed[e]:  # a tree edge back to its parent, or a checked cycle
+                    continue
+                crossed[e] = True
                 if comp[w] == -1:
                     comp[w] = len(starts)
                     depth[w] = depth[u] + 1

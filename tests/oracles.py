@@ -8,7 +8,10 @@ from recursions instead of the labeling enumerator, idempotents from
 eigendecompositions instead of the S-matrix formula, intertwiner families
 from a brute-force phase-grid search instead of graph propagation, the
 feasible permutation pairs from a recursive search instead of array
-frontiers, the allowed curve permutations from one cut-dimension
+frontiers, the frontiers' prefix and matching states as boolean matrices
+instead of packed rows, the constraint forest's cycle checks from both ends
+of every edge instead of once per non-tree edge, the allowed curve
+permutations from one cut-dimension
 enumeration per curve instead of one pass over the classifier's basis,
 each family's gate coset from its own solution instead of the solver's
 shared arrays, the phase functions of a local basis change from one
@@ -1032,6 +1035,125 @@ def reference_gate_coset(sol) -> PhaseCoset:
         components.append(comp_ids[c])
         rel.append(sol.relative_phases[i] / first_val[c])
     return PhaseCoset(components=tuple(components), rel=tuple(rel))
+
+
+# ---------------------------------------------------------------------------
+# Pair search on boolean states, and the forest that checked cycles twice
+
+
+def unpack_rows(words: np.ndarray, n: int) -> np.ndarray:
+    """The (..., n) booleans of packed rows, one bit test per column: bit r
+    of row word r // B, B the word's width in bits."""
+    width = 8 * words.dtype.itemsize
+    out = np.zeros(words.shape[:-1] + (n,), dtype=bool)
+    for r in range(n):
+        out[..., r] = (words[..., r // width] >> words.dtype.type(r % width)) & 1 == 1
+    return out
+
+
+def bool_perm_in_frontier(absv, absvo, tol, budget):
+    """Yield the wildcard (perms, compat) blocks of the perm_in frontier
+    with ``compat[p, m, r]`` one boolean each: the (prefix, column, m, r)
+    array and its two ``any`` reductions the solver's packed rows replaced,
+    run by the solver's own ``_frontier``."""
+    n = absv.shape[0]
+
+    def agree(values, cols):
+        """[c, m, r]: ``values[m]`` equals |V_out[r, cols[c]]|."""
+        diff = absvo.T[cols][:, None, :] - values[None, :, None]
+        return np.abs(diff, out=diff) <= tol
+
+    def expand(depth, prefix, compat):
+        vals, inv = np.unique(absv[:, depth], return_inverse=True)
+        nxt = compat[:, None] & agree(vals, slice(None))[:, inv.ravel()]
+        ok = nxt.any(axis=2).all(axis=2) & nxt.any(axis=3).all(axis=2)
+        ok[np.arange(len(prefix))[:, None], prefix] = False
+        return np.nonzero(ok)
+
+    def narrow(depth, compat, cols):
+        return compat & agree(absv[:, depth], cols)
+
+    start = np.ones((1, n, n), dtype=bool)
+    for _, perms, compat in solver._frontier(start, expand, narrow, budget, "perm_in frontier"):
+        yield perms, compat
+
+
+def bool_row_matchings(sub, budget):
+    """The perfect row matchings of each boolean compat matrix of ``sub``,
+    as the solver found them before its rows were packed: the n! table up
+    to five rows, else a forced matching read off by ``argmax`` and one
+    frontier on boolean ``avail`` states for the rest."""
+    n = sub.shape[1]
+    out = [None] * len(sub)
+    if n <= 5:
+        table = np.array(list(itertools.permutations(range(n))), dtype=np.intp).reshape(-1, n)
+        root, which = np.nonzero(sub[:, np.arange(n), table].all(axis=2))
+        roots, found = [root], [table[which]]
+    else:
+        forced = (sub.sum(axis=2) == 1).all(axis=1) & sub.any(axis=1).all(axis=1)
+        for j in np.flatnonzero(forced).tolist():
+            out[j] = sub[j].argmax(axis=1)[None]
+        if forced.all():
+            return out
+
+        def expand(depth, prefix, avail):
+            return np.nonzero(avail[:, depth])
+
+        def narrow(depth, avail, cols):
+            avail[np.arange(len(cols)), :, cols] = False
+            return avail
+
+        rest = np.flatnonzero(~forced)
+        roots, found = [np.empty(0, dtype=np.intp)], [np.empty((0, n), dtype=np.intp)]
+        for root, perms, _ in solver._frontier(sub[rest], expand, narrow, budget,
+                                               "matching frontier"):
+            roots.append(rest[root])
+            found.append(perms)
+    perms = np.concatenate(found)
+    bounds = np.searchsorted(np.concatenate(roots), np.arange(len(sub) + 1))
+    return [perms[bounds[j]:bounds[j + 1]] if o is None else o for j, o in enumerate(out)]
+
+
+def forest_checking_every_edge_end(support: np.ndarray):
+    """The solver's constraint forest with its cycle checks as they were
+    first listed: every edge is checked again from each end the search pops
+    after crossing it, so a tree edge once and a non-tree edge twice."""
+    n = support.shape[0]
+    rows, cols = np.nonzero(support)
+    adj = [[] for _ in range(2 * n)]
+    for e, (m, l) in enumerate(zip(rows.tolist(), cols.tolist())):
+        adj[l].append((n + m, e))
+        adj[n + m].append((l, e))
+    comp = [-1] * (2 * n)
+    depth = [0] * (2 * n)
+    starts, levels, checks = [], [], []
+    for start in range(2 * n):
+        if comp[start] != -1:
+            continue
+        comp[start] = len(starts)
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            for w, e in adj[u]:
+                if comp[w] == -1:
+                    comp[w] = len(starts)
+                    depth[w] = depth[u] + 1
+                    queue.append(w)
+                    if len(levels) < depth[w]:
+                        levels.append([])
+                    levels[depth[w] - 1].append((w, u, e))
+                else:
+                    checks.append((w, u, e))
+        starts.append(start)
+
+    def steps(found):
+        w, u, e = np.array(found, dtype=np.intp).reshape(-1, 3).T
+        return w, u, e, np.where(u < n, -1.0, 1.0)[:, None]
+
+    return solver._ConstraintForest(
+        rows, cols, tuple(comp), np.array(starts, dtype=np.intp)[comp],
+        tuple(steps(found) for found in levels), steps(checks),
+    )
 
 
 # ---------------------------------------------------------------------------

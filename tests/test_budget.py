@@ -34,6 +34,7 @@ from anyongates import (
     validate,
 )
 from anyongates.budget import Budget, chunk_rows
+from oracles import unpack_rows
 
 ROOT = Path(__file__).resolve().parents[1]
 SECONDS = 5.0
@@ -70,6 +71,10 @@ CASES = {
         ["-m", "anyongates.cli", "delta", "--model", "ising", "--surface", "sphere:sigma:28",
          "--words", "s2"], "word matrix"),
     "ising x ising x ising torus": (["-c", CUBE], "matching frontier"),
+    # dimension 13: 23,040 wildcard perm_in prefixes on packed rows
+    "delta fibonacci sphere:tau:8 s2": (
+        ["-m", "anyongates.cli", "delta", "--model", "fibonacci", "--surface", "sphere:tau:8",
+         "--words", "s2"], None),
     # dimension 610: one identity candidate, searched through a projection window
     "classify fibonacci sphere:tau:16": (
         ["-m", "anyongates.cli", "classify", "--model", "fibonacci", "--surface",
@@ -223,7 +228,7 @@ def test_explicit_candidates_stay_within_their_charge():
         tracemalloc.stop()
     assert spent.spent == n**3
     assert peak <= spent.spent
-    assert blocks[0][1][0].diagonal().all()
+    assert unpack_rows(blocks[0][1][0], n).diagonal().all()
 
 
 class _Passed(Exception):

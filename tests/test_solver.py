@@ -1,6 +1,10 @@
+import contextlib
+import io
 import itertools
+import json
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ from anyongates import (
 )
 from anyongates import budget, solver
 from anyongates.budget import Budget
+from anyongates.cli import main as cli_main
 from anyongates.mcg import evaluate_on_basis
 from anyongates.solver import DeltaSet
 from anyongates.tolerances import (
@@ -32,6 +37,9 @@ from anyongates.tolerances import (
 from oracles import (
     IntertwinerSolution,
     PhaseCoset,
+    bool_perm_in_frontier,
+    bool_row_matchings,
+    forest_checking_every_edge_end,
     coset_is_subset_of,
     coset_same_as,
     families,
@@ -45,10 +53,12 @@ from oracles import (
     reference_intersect_delta,
     reference_perm_in_compat,
     same_perm_pairs,
+    unpack_rows,
 )
 
 FIB = load_builtin("fibonacci")
 ISING = load_builtin("ising")
+GOLDEN = Path(__file__).parent / "golden" / "cli_sha256.json"
 
 OVER_BUDGET = r"bytes in all, above the budget of "
 
@@ -671,7 +681,7 @@ def test_explicit_compat_matches_the_dense_compare(model, label, m):
         for absv, absvo, cands in _compat_cases(v, rng):
             got = solver._explicit_compat(absv, absvo, np.array(cands, dtype=np.intp), tol)
             want = reference_perm_in_compat(absv, absvo, cands, tol)
-            assert np.array_equal(got, want)
+            assert np.array_equal(unpack_rows(got, len(absv)), want)
             checked += want.any()
     assert checked
 
@@ -691,9 +701,9 @@ def test_explicit_compat_on_equal_moduli_and_nan(n):
     nan_word[0, 0] = np.nan
     for absv, absvo in ((flat, flat), (nan_in, flat), (flat, nan_in), (nan_in, nan_in),
                         (word, nan_word), (nan_word, word)):
-        got = solver._explicit_compat(absv, absvo, cands, tol)
+        got = unpack_rows(solver._explicit_compat(absv, absvo, cands, tol), n)
         assert np.array_equal(got, reference_perm_in_compat(absv, absvo, cands, tol))
-    assert solver._explicit_compat(flat, flat, cands, tol).all()
+    assert unpack_rows(solver._explicit_compat(flat, flat, cands, tol), n).all()
     assert not solver._explicit_compat(nan_in, flat, cands, tol)[:, n // 2].any()
 
 
@@ -842,6 +852,162 @@ def test_refused_search_propagates_no_pair(monkeypatch):
     assert propagated == []
     assert len(delta_set(ISING, sphere_surface(ISING, "sigma", 8), "s2")) == 6144
     assert propagated
+
+
+# ---------------------------------------------------------------------------
+# Packed frontier states against the boolean states they replaced
+
+TIE = 2.0**-10  # tol, and the grid of every modulus: gaps are exact multiples
+PACKED_SIZES = [1, 5, 6, 8, 9, 16, 17, 32, 33, 64, 65, 70]
+
+
+def _tie_case(n, seed):
+    """(|V|, |V_out|): V_out is V with rows and columns shuffled and some
+    entries moved by exactly tol (a tie, still equal) and, past seed 0,
+    some by 2 tol.
+
+    Up to 64 rows the moduli are random levels on the tol grid, few levels
+    for small n (many feasible prefixes), with a repeated row and column
+    for larger n; past 64 rows V is a diagonal with moduli 4 tol apart."""
+    rng = np.random.default_rng(seed)
+    if n > 64:
+        absv = np.diag((1.0 + 4 * rng.permutation(n)) * TIE)
+    else:
+        absv = rng.integers(0, 3 if n <= 9 else 12, size=(n, n)) * TIE
+        if n > 9:
+            absv[:, 1], absv[1] = absv[:, 0], absv[0]
+    absvo = np.empty_like(absv)
+    absvo[np.ix_(rng.permutation(n), rng.permutation(n))] = absv
+    moved = rng.random((n, n))
+    absvo += np.where(moved < 0.2, TIE, 0.0)
+    if seed:  # seed 0 keeps the shuffle feasible
+        absvo += np.where(moved > 0.98, 2 * TIE, 0.0)
+    return absv, absvo
+
+
+@pytest.mark.parametrize("n", PACKED_SIZES)
+@pytest.mark.parametrize("tiny", [False, True], ids=["blocks", "tiny-blocks"])
+def test_packed_perm_in_frontier_matches_the_boolean_one(monkeypatch, n, tiny):
+    """The wildcard perm_in frontier on packed rows yields the same prefixes
+    in the same blocks, the same compat bits and the same charges as the
+    boolean (prefix, column, m, r) frontier it replaced, with ties exactly
+    at tol."""
+    if tiny:
+        monkeypatch.setattr(solver, "chunk_rows", lambda row_bytes: 1)
+    for seed in range(3):
+        absv, absvo = _tie_case(n, seed)
+        packed, want = Budget(), Budget()
+        got = list(solver._perm_in_blocks(absv, absvo, None, TIE, packed))
+        ref = list(bool_perm_in_frontier(absv, absvo, TIE, want))
+        assert packed.spent == want.spent
+        assert len(got) == len(ref)
+        for (perms, compat), (ref_perms, ref_compat) in zip(got, ref):
+            assert compat.dtype == solver._word_type(n)[0]
+            assert np.array_equal(perms, ref_perms)
+            assert np.array_equal(unpack_rows(compat, n), ref_compat)
+        if seed == 0:
+            assert got
+
+
+def _matching_cases(n, rng):
+    """Boolean compat matrices: shuffled permutation matrices with a few
+    extra entries, one of them repeated, a forced one and one with an
+    empty row."""
+    subs = []
+    for extra in (0, 3, 8):
+        sub = np.zeros((n, n), dtype=bool)
+        sub[np.arange(n), rng.permutation(n)] = True
+        sub[rng.integers(n, size=extra), rng.integers(n, size=extra)] = True
+        subs.append(sub)
+    empty = subs[-1].copy()
+    empty[n // 2] = False
+    return np.array([*subs, subs[1], empty])
+
+
+@pytest.mark.parametrize("n", PACKED_SIZES)
+def test_packed_matchings_match_the_boolean_frontier(n):
+    """Perfect matchings of packed compat matrices, by the n! table, read
+    off a forced matrix's bits or by the frontier on packed ``avail`` rows,
+    equal those of boolean matrices, with the same charges."""
+    rng = np.random.default_rng(n)
+    subs = _matching_cases(n, rng)
+    packed, want = Budget(), Budget()
+    got = solver._row_matchings(solver._pack(subs), packed)
+    ref = bool_row_matchings(subs, want)
+    assert packed.spent == want.spent
+    assert [g.tolist() for g in got] == [r.tolist() for r in ref]
+    assert len(ref[0]) == 1 and len(ref[-1]) == 0 and ref[1].tolist() == ref[3].tolist()
+
+
+@pytest.mark.parametrize("n", [0, *PACKED_SIZES, 128, 129])
+def test_packing_round_trips_in_the_narrowest_word(n):
+    """Rows of n bits take the narrowest unsigned type up to 64 bits and
+    ceil(n / 64) uint64 words past it; bit r sits in word r // B."""
+    rng = np.random.default_rng(n)
+    bits = rng.random((3, 2, n)) < 0.5
+    words = solver._pack(bits)
+    width = {1: 8, 5: 8, 6: 8, 8: 8, 9: 16, 16: 16, 17: 32, 32: 32}.get(n, 64 if n else 8)
+    assert words.dtype == np.dtype(f"uint{width}")
+    assert words.shape == (3, 2, max(1, -(-n // width)))
+    assert np.array_equal(unpack_rows(words, n), bits)
+    assert np.array_equal(solver._unpack(words, n), bits)
+    for r in range(n):
+        got = solver._has_bit(words.reshape(6, 1, -1), 0, np.array([r]))[:, 0]
+        assert np.array_equal(got, bits.reshape(6, n)[:, r])
+
+
+# ---------------------------------------------------------------------------
+# One cycle check per non-tree edge
+
+WORD_COMMANDS = sorted(
+    command for command, row in json.loads(GOLDEN.read_text()).items()
+    if "--words" in command and "--format text" not in command and row["exit"] == 0
+)
+
+
+def test_the_forest_checks_each_cycle_once():
+    """sphere:sigma:8 s2 has 16 support entries: the forest checks its 4
+    non-tree edges once each, where it checked 20 edge ends, with the same
+    tree."""
+    v = _word("ising", sphere_surface(ISING, "sigma", 8), "s2")
+    support = np.abs(v) > ZERO_THRESHOLD
+    new, old = solver._constraint_forest(support), forest_checking_every_edge_end(support)
+    assert (len(new.rows), len(new.checks[0]), len(old.checks[0])) == (16, 4, 20)
+    assert (new.components, new.roots.tolist()) == (old.components, old.roots.tolist())
+    for a, b in zip(new.levels, old.levels, strict=True):
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+    tree = {e for level in new.levels for e in level[2].tolist()}
+    first = []
+    for w, u, e in zip(*(a.tolist() for a in old.checks[:3])):
+        if e not in tree and e not in {f for _, _, f in first}:
+            first.append((w, u, e))
+    assert list(zip(*(a.tolist() for a in new.checks[:3]))) == first
+
+
+@pytest.mark.parametrize("command", WORD_COMMANDS)
+def test_checking_each_cycle_once_accepts_the_same_pairs(monkeypatch, command):
+    """On every word of the golden grid, the accepted pairs and their phases
+    are bit for bit those of the forest that checked each edge from both
+    ends."""
+    propagate, forest = solver._propagate_chunk, solver._constraint_forest
+
+    def accepted(build):
+        chunks = []
+
+        def record(*args):
+            chunks.append(propagate(*args))
+            return chunks[-1]
+
+        monkeypatch.setattr(solver, "_constraint_forest", build)
+        monkeypatch.setattr(solver, "_propagate_chunk", record)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli_main(command.split()) == 0
+        return chunks
+
+    new, old = accepted(forest), accepted(forest_checking_every_edge_end)
+    assert len(new) == len(old)
+    for got, want in zip(new, old):
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 # ---------------------------------------------------------------------------
