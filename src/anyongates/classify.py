@@ -407,12 +407,13 @@ def _window_matrix(model, surface, labels, window, letters):
     ))
     z = surface.boundary_labels[0]
     gens = {}
-    v = np.eye(len(labelings), dtype=np.complex128)
+    v = None  # the empty word is the identity
     for k, sign in letters:
         if k not in gens:
             gens[k] = braid_matrix(model, z, surface.punctures, k, labelings)
-        v = v @ (gens[k] if sign > 0 else gens[k].conj().T)
-    return v
+        g = gens[k] if sign > 0 else gens[k].conj().T
+        v = g.copy() if v is None else v @ g
+    return np.eye(len(labelings), dtype=np.complex128) if v is None else v
 
 
 def _classify_factorized(

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .classify import classify
-from .jsonwriter import Rows, dumps
+from .jsonwriter import DistinctRows, Rows, dumps
 from .mcg import parse_word
 from .models import AnyonModel, ModelError, load_builtin, parse_model, validate
 from .solver import delta_set, intersect_delta
@@ -137,15 +137,17 @@ def _cmd_delta(args) -> int:
         raise UsageError("delta supports equal-label spheres and the torus")
     sets = [delta_set(model, surface, w, tol=args.tol) for w in words]
     inter = intersect_delta(sets)
-    angles = np.angle(inter.instantiate_families())
+    angles = np.angle(inter.instantiate_rows())
+    codes = np.arange(len(angles)) if inter.codes is None else inter.codes
     free = inter.n_free
     if args.format == "json":
+        phases = angles if inter.codes is None else DistinctRows(codes, angles)
         payload = {
             "model": model.name,
             "surface": surface.describe(model),
             "per_word": {w: len(s) for w, s in zip(words, sets)},
             "intersection": Rows(
-                len(inter), {"perm": inter.perms, "phases": angles, "free_phases": free}
+                len(inter), {"perm": inter.perms, "phases": phases, "free_phases": free}
             ),
         }
         print(dumps(payload))
@@ -155,9 +157,9 @@ def _cmd_delta(args) -> int:
         for w, s in zip(words, sets):
             print(f"word {w!r}: {len(s)} families")
         print(f"intersection: {len(inter)} families")
-        for perm, ph in zip(inter.perms.tolist(), angles):
-            text = ",".join(f"{a:.4f}" for a in ph.tolist())
-            print(f"  perm={perm} phases=[{text}] free={free}")
+        texts = [",".join(map("{:.4f}".format, row)) for row in angles.tolist()]
+        for perm, code in zip(inter.perms.tolist(), codes.tolist()):
+            print(f"  perm={perm} phases=[{texts[code]}] free={free}")
     return 0
 
 

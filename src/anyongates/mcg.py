@@ -213,12 +213,14 @@ def evaluate_on_basis(
             if sym not in gens:
                 k = int(sym[1:])
                 gens[sym] = _generator_matrix(model, z, m, k, basis)
-    mat = np.eye(basis.dim, dtype=np.complex128)
+    mat = None  # the empty word is the identity
     for sym, exp in tokens:
         if sym not in gens:
             raise ValueError(f"generator {sym!r} not valid for {surface.kind}")
-        g = gens[sym]
-        mat = mat @ (g if exp == 1 else g.conj().T)
+        g = gens[sym] if exp == 1 else gens[sym].conj().T
+        mat = g.copy() if mat is None else mat @ g
+    if mat is None:
+        mat = np.eye(basis.dim, dtype=np.complex128)
     word_str = word if isinstance(word, str) else "".join(
         s + ("'" if e < 0 else "") for s, e in tokens
     )

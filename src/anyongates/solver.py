@@ -23,10 +23,16 @@ Solving is:
     level is an AND with a per-depth agreement table and two reductions
     over words, not over n^3 booleans;
 (2) phase propagation along the forest for a chunk of pairs at once, one
-    array operation per forest level;
-(3) rejection of pairs with a vanishing denominator, an off-modulus ratio
-    or an inconsistent cycle (non-tree edge); the first few cycle checks run
-    on the whole chunk and the rest on its survivors only.
+    array operation per forest level and one column per distinct
+    denominator pattern: a pair's phases depend only on its denominators
+    V~[perm_out(m), perm_in(l)], so every entry of V~ is coded by its bytes,
+    pairs with a zero denominator are dropped, and each remaining pair's
+    codes over the edges are keyed as one mixed-radix int; pairs with the
+    same key share one column, and every accepted pair keeps the index of
+    its pattern;
+(3) rejection of patterns with a vanishing denominator, an off-modulus
+    ratio or an inconsistent cycle (non-tree edge); the first few cycle
+    checks run on the whole chunk and the rest on its survivors only.
 
 Each feasible permutation pair therefore contributes at most one connected
 family with one free phase per graph component.
@@ -38,12 +44,14 @@ and the pairs held until the search ends.  Past it,
 :class:`SearchBudgetError` is raised before any pair is propagated.
 
 Every set of gate families is a delta set, the solver's result included:
-one row of a permutation array and of a relative-phase array per family,
-and one phase-component tuple for every row.  The solver keeps the gate
-side of each accepted pair (the output side Pi' D' follows from the gate)
-and reads it straight off the accepted arrays: the forest, and so the gate
-components and their renumbering, is shared by every family, and each
-family's phases are one row of one array division by the component roots.
+one row of a permutation array per family, relative-phase rows that
+families share through one code each, and one phase-component tuple for
+every row.  The solver keeps the gate side of each accepted pair (the
+output side Pi' D' follows from the gate) and reads it straight off the
+accepted arrays: the forest, and so the gate components and their
+renumbering, is shared by every family, each pattern's phases are one row
+of one array division by the component roots, and a family's code is its
+pattern.
 A delta set of a word (all monomial gates compatible with it) is the
 solver's result on the word matrix.  Membership is one array pass over the
 rows of the gate's permutation.  Two rigid sets intersect in one array pass
@@ -59,6 +67,7 @@ from dataclasses import dataclass
 
 import functools
 import itertools
+import math
 
 import numpy as np
 
@@ -85,6 +94,9 @@ _TABLE_MAX = 5
 # This many cycle checks run on a whole chunk before it is compressed to its
 # survivors; a chunk of at most this many pairs runs every check at once.
 _EARLY_CHECKS = 8
+# A chunk of at most this many pairs is propagated pair by pair: looking for
+# shared denominator patterns would cost more than it saves.
+_KEYED_MIN = 8
 
 
 @dataclass(frozen=True)
@@ -534,32 +546,79 @@ def _implied(rho, vr, vi, steps):
     return ar * br - ai * bi, ar * bi + ai * br
 
 
-def _propagate_chunk(v, v_out, pis, pips, forest, tol, cycle_tol):
+def _entry_codes(v_out):
+    """Every entry of V_out coded by its bytes, so -0.0 and 0.0 stay apart
+    and every float bit is kept: the distinct nonzero entries are 0, 1, ...
+    in the order of their bytes, and an entry equal to 0 is -1.  Entries
+    are flat, in row-major order."""
+    flat = v_out.ravel()
+    zero = flat == 0
+    codes = np.full(flat.size, -1, dtype=np.intp)
+    codes[~zero] = np.unique(row_keys(flat[~zero, None]), return_inverse=True)[1]
+    return codes
+
+
+def _patterns(idx, codes):
+    """The denominator patterns of a chunk of pairs: (live, cols, inverse).
+
+    Column p of ``idx`` holds the flat indices into V_out of pair p's
+    denominators, one per edge; its pattern is their entry ``codes``
+    (:func:`_entry_codes`).  ``live`` lists the pairs with no zero
+    denominator, ``cols`` one live pair per distinct pattern and
+    ``inverse`` each live pair's position in ``cols``.  Each pattern is
+    keyed as one mixed-radix int, one digit per edge whose radix is one
+    more than its largest code in the chunk.  Without ``codes``, for a
+    chunk of at most ``_KEYED_MIN`` pairs, or when the keys would pass
+    2^63, the columns are the live pairs themselves."""
+    live = np.arange(idx.shape[1])
+    if codes is None or len(live) <= _KEYED_MIN:
+        return live, live, live
+    c = codes.take(idx)
+    nonzero = (c >= 0).all(axis=0)
+    if not nonzero.all():
+        live = np.flatnonzero(nonzero)
+        c = c[:, live]
+    radix = (c.max(axis=1, initial=-1) + 1).tolist()
+    if math.prod(radix) >= 1 << 63:
+        return live, live, np.arange(len(live))
+    place = np.ones(len(radix), dtype=np.int64)
+    place[:-1] = np.cumprod(radix[:0:-1])[::-1]
+    _, first, inverse = np.unique(place @ c, return_index=True, return_inverse=True)
+    return live, live[first], inverse
+
+
+def _propagate_chunk(v, v_out, pis, pips, forest, tol, cycle_tol, codes):
     """Phases of a chunk of permutation pairs on the shared forest.
 
-    Row p of ``pis``/``pips`` is one pair.  A pair is rejected when a
-    denominator vanishes, a ratio is off unit modulus or a cycle disagrees.
-    In a chunk of more than ``_EARLY_CHECKS`` pairs the first
-    ``_EARLY_CHECKS`` cycle checks run on every pair and the rest on the
-    survivors only.  Returns the accepted rows of ``pis`` and ``pips``
-    and their (pairs, 2n) node values, each component's root exactly 1.
-    Products use explicit real arithmetic and moduli ``np.hypot``, so every
-    float equals the one-pair scalar computation bit for bit.
+    Row p of ``pis``/``pips`` is one pair.  A pair's phases depend on its
+    denominators alone, so they are propagated once per distinct pattern
+    (:func:`_patterns` of the entry ``codes``).  A pair is rejected when a
+    denominator vanishes, a ratio is off unit modulus or a cycle disagrees.  With more than ``_EARLY_CHECKS`` patterns the first
+    ``_EARLY_CHECKS`` cycle checks run on every pattern and the rest on the
+    survivors only.  Returns the accepted rows of ``pis`` and ``pips``, the
+    index of each one's pattern and the patterns' (patterns, 2n) node
+    values, each component's root exactly 1.  Products use explicit real
+    arithmetic and moduli ``np.hypot``, so every float equals the one-pair
+    scalar computation bit for bit.
     """
     f = forest
+    # (edges, pairs): the flat index of each denominator into V_out
+    idx = pips.T[f.rows] * np.intp(v_out.shape[0]) + pis.T[f.cols]
+    live, cols, inverse = _patterns(idx, codes)
+    alive = None  # the surviving columns, once some are rejected
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        den = v_out[pips.T[f.rows], pis.T[f.cols]]  # (edges, pairs)
+        den = v_out.take(idx.take(cols, axis=1))  # (edges, patterns)
         ok = ~(den == 0).any(axis=0)
         rho = v[f.rows, f.cols][:, None] / den
         mod = np.hypot(rho.real, rho.imag)
         ok &= ~(np.abs(mod - 1.0) > ratio_modulus_tol(tol)).any(axis=0)
         rho /= mod + 0j
-        val = np.ones((len(f.components), len(pis)), dtype=np.complex128)
+        val = np.ones((len(f.components), len(cols)), dtype=np.complex128)
         vr, vi = val.real, val.imag
         for level in f.levels:
             vr[level[0]], vi[level[0]] = _implied(rho, vr, vi, level)
         groups = [f.checks]
-        if len(pis) > _EARLY_CHECKS:
+        if len(cols) > _EARLY_CHECKS:
             groups = [tuple(a[:_EARLY_CHECKS] for a in f.checks),
                       tuple(a[_EARLY_CHECKS:] for a in f.checks)]
         for checks in groups:
@@ -568,9 +627,16 @@ def _propagate_chunk(v, v_out, pis, pips, forest, tol, cycle_tol):
             ok &= ~(np.hypot(vr[w] - ir, vi[w] - ii) > cycle_tol).any(axis=0)
             if not ok.all():
                 keep = np.flatnonzero(ok)
-                ok, rho, val, pis, pips = ok[keep], rho[:, keep], val[:, keep], pis[keep], pips[keep]
+                ok, rho, val = ok[keep], rho[:, keep], val[:, keep]
+                alive = keep if alive is None else alive[keep]
                 vr, vi = val.real, val.imag
-    return pis, pips, val.T
+    which = inverse  # each live pair's column among the survivors
+    if alive is not None:
+        which = np.full(len(cols), -1, dtype=np.intp)
+        which[alive] = np.arange(len(alive))
+        which = which[inverse]
+        live, which = live[which >= 0], which[which >= 0]
+    return pis[live], pips[live], which, val.T
 
 
 def _solve(v, perm_in, perm_out, v_out, tol, zero_tol, cycle_tol, budget):
@@ -621,8 +687,16 @@ def _solve(v, perm_in, perm_out, v_out, tol, zero_tol, cycle_tol, budget):
     ):
         budget.charge("held pairs", len(pis), 2 * n * small.itemsize)
         pairs.append((pis.astype(small), pips.astype(small)))
+    # Pairs share their phases by denominator pattern, which small chunks
+    # do not look for; one chunk's pattern keys are held at a time.
+    codes = None
+    if any(len(pis) > _KEYED_MIN for pis, _ in pairs):
+        budget.charge("entry codes", n * n, 40)  # zero mask, keys, sort and codes
+        budget.charge("pattern keys", max(len(pis) for pis, _ in pairs), 8 * (len(forest.rows) + 4))
+        codes = _entry_codes(v_out)
     return forest, (
-        _propagate_chunk(v, v_out, pis, pips, forest, tol, cycle_tol) for pis, pips in pairs
+        _propagate_chunk(v, v_out, pis, pips, forest, tol, cycle_tol, codes)
+        for pis, pips in pairs
     )
 
 
@@ -677,13 +751,16 @@ class DeltaSet:
 
     Row f is one family: the gates Pi D with Pi the permutation ``perms[f]``
     and d_i = rel[f, i] * lambda_{components[i]}, one free unit phase lambda
-    per component.  Every family of a set has the same phase components, so
-    they are stored once.  Sets compare by identity.
+    per component.  Families share their relative-phase rows: family f's is
+    ``rows[codes[f]]``, or ``rows[f]`` when ``codes`` is None.  Every family
+    of a set has the same phase components, so they are stored once.  Sets
+    compare by identity.
     """
 
     perms: np.ndarray  # (families, dim) ints
-    rel: np.ndarray  # (families, dim) complex128
+    rows: np.ndarray  # (rows, dim) complex128
     components: tuple[int, ...]
+    codes: np.ndarray | None = None  # (families,) ints into rows
 
     @property
     def dim(self) -> int:
@@ -695,6 +772,16 @@ class DeltaSet:
 
     def __len__(self) -> int:
         return len(self.perms)
+
+    @property
+    def rel(self) -> np.ndarray:
+        """(families, dim): row f is family f's relative phases; ``rows``
+        itself when every family has its own row."""
+        return self.rows if self.codes is None else self.rows[self.codes]
+
+    def row_codes(self, families) -> np.ndarray:
+        """The row of each family of ``families`` (an index array)."""
+        return families if self.codes is None else self.codes[families]
 
     def contains(self, gate: MonomialMatrix, tol: float = MEMBERSHIP_TOL) -> bool:
         """Some family holds ``gate``: on a row of the gate's permutation,
@@ -709,17 +796,23 @@ class DeltaSet:
         rows = np.flatnonzero(row_keys(self.perms) == key)
         first: dict[int, int] = {}
         anchor = [first.setdefault(c, i) for i, c in enumerate(self.components)]
-        ratios = np.asarray(gate.phases, dtype=np.complex128) / self.rel[rows]
+        ratios = np.asarray(gate.phases, dtype=np.complex128) / self.rows[self.row_codes(rows)]
         gap = np.abs(ratios - ratios[:, anchor]).max(axis=1, initial=0.0)
         return bool((gap <= tol).any())
 
-    def instantiate_families(self) -> np.ndarray:
-        """Row f is family f's gate phases at free phases 1, ``rel[f] * (1 + 0j)``.
+    def instantiate_rows(self) -> np.ndarray:
+        """Each row's gate phases at free phases 1, ``rows * (1 + 0j)``.
 
         The product by 1 + 0j turns some -0.0 imaginary parts into +0.0,
         which decides whether an angle prints as +pi or -pi.
         """
-        return self.rel * np.ones(1, dtype=np.complex128)
+        return self.rows * np.ones(1, dtype=np.complex128)
+
+    def instantiate_families(self) -> np.ndarray:
+        """Row f is family f's gate phases at free phases 1 (see
+        :meth:`instantiate_rows`)."""
+        rows = self.instantiate_rows()
+        return rows if self.codes is None else rows[self.codes]
 
 
 def delta_set(
@@ -770,20 +863,25 @@ def _gate_families(forest: _ConstraintForest, accepted) -> DeltaSet:
 
     The forest is shared, so every family has the same gate components,
     renumbered in first-seen order, and the same root per gate phase:
-    ``perms`` stacks the accepted gate permutations and ``rel`` one array
-    division of their phases by their component roots (exactly 1 + 0j,
-    which turns -1 - 0j into -1 + 0j as a per-family division would).
+    ``perms`` stacks the accepted gate permutations, ``rows`` one array
+    division of each chunk's pattern phases by their component roots
+    (exactly 1 + 0j, which turns -1 - 0j into -1 + 0j as a per-family
+    division would) and ``codes`` each family's pattern.
     """
     n = len(forest.components) // 2
     ids: dict[int, int] = {}
     components = tuple(ids.setdefault(c, len(ids)) for c in forest.components[:n])
     roots = forest.roots[:n]
     perms = [np.zeros((0, n), dtype=np.intp)]
-    rel = [np.zeros((0, n), dtype=np.complex128)]
-    for pis, _, val in accepted:
+    rows = [np.zeros((0, n), dtype=np.complex128)]
+    codes = [np.zeros(0, dtype=np.intp)]
+    held = 0
+    for pis, _, which, val in accepted:
         perms.append(pis)
-        rel.append(val[:, :n] / val[:, roots])
-    return DeltaSet(np.concatenate(perms), np.concatenate(rel), components)
+        rows.append(val[:, :n] / val[:, roots])
+        codes.append(which + held)
+        held += len(val)
+    return DeltaSet(np.concatenate(perms), np.concatenate(rows), components, np.concatenate(codes))
 
 
 def _join(comp_a, rel_a, comp_b, rel_b, tol):
@@ -883,10 +981,13 @@ def intersect_delta(sets: list[DeltaSet], tol: float = CYCLE_TOL) -> DeltaSet:
             step = chunk_rows(16 * dim)
             for lo in range(0, len(ia), step):
                 pairs = slice(lo, lo + step)
-                gap = np.abs(current.rel[ia[pairs]] - s.rel[ib[pairs]])
+                a = current.rows[current.row_codes(ia[pairs])]
+                gap = np.abs(a - s.rows[s.row_codes(ib[pairs])])
                 keep[pairs] = gap.max(axis=1, initial=0.0) <= tol
             ia = ia[keep]
-            current, rows = DeltaSet(current.perms[ia], current.rel[ia], current.components), None
+            current, rows = DeltaSet(
+                current.perms[ia], current.rows, current.components, current.row_codes(ia)
+            ), None
             continue
         if rows is None:
             rows = [tuple(r) for r in current.rel]

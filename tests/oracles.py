@@ -10,7 +10,9 @@ from a brute-force phase-grid search instead of graph propagation, the
 feasible permutation pairs from a recursive search instead of array
 frontiers, the frontiers' prefix and matching states as boolean matrices
 instead of packed rows, the constraint forest's cycle checks from both ends
-of every edge instead of once per non-tree edge, the allowed curve
+of every edge instead of once per non-tree edge, the phases of a chunk of
+pairs with one column per pair instead of one per distinct denominator
+pattern, the allowed curve
 permutations from one cut-dimension
 enumeration per curve instead of one pass over the classifier's basis,
 each family's gate coset from its own solution instead of the solver's
@@ -98,6 +100,7 @@ from anyongates.tolerances import (
     ZERO_THRESHOLD,
     check_tol,
     factor_unit_modulus_tol,
+    ratio_modulus_tol,
     unit_modulus_tol,
 )
 
@@ -824,9 +827,9 @@ def intertwiner_solutions(
         v, perm_in, perm_out, v_out, tol, zero_tol, cycle_tol, Budget()
     )
     sols = []
-    for pis, pips, val in accepted:
+    for pis, pips, which, val in accepted:
         rel = val / val[:, forest.roots]
-        for pi, pip, r in zip(pis.tolist(), pips.tolist(), rel):
+        for pi, pip, r in zip(pis.tolist(), pips.tolist(), rel[which]):
             sols.append(IntertwinerSolution(tuple(pi), tuple(pip), forest.components, tuple(r)))
     return sols
 
@@ -1154,6 +1157,37 @@ def forest_checking_every_edge_end(support: np.ndarray):
         rows, cols, tuple(comp), np.array(starts, dtype=np.intp)[comp],
         tuple(steps(found) for found in levels), steps(checks),
     )
+
+
+def per_pair_propagate_chunk(v, v_out, pis, pips, forest, tol, cycle_tol):
+    """The solver's batched propagation with one column per pair, not one
+    per distinct denominator pattern: the accepted rows of ``pis`` and
+    ``pips`` and their own (pairs, 2n) node values."""
+    f = forest
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        den = v_out[pips.T[f.rows], pis.T[f.cols]]  # (edges, pairs)
+        ok = ~(den == 0).any(axis=0)
+        rho = v[f.rows, f.cols][:, None] / den
+        mod = np.hypot(rho.real, rho.imag)
+        ok &= ~(np.abs(mod - 1.0) > ratio_modulus_tol(tol)).any(axis=0)
+        rho /= mod + 0j
+        val = np.ones((len(f.components), len(pis)), dtype=np.complex128)
+        vr, vi = val.real, val.imag
+        for level in f.levels:
+            vr[level[0]], vi[level[0]] = solver._implied(rho, vr, vi, level)
+        early = solver._EARLY_CHECKS
+        groups = [f.checks]
+        if len(pis) > early:
+            groups = [tuple(a[:early] for a in f.checks), tuple(a[early:] for a in f.checks)]
+        for checks in groups:
+            ir, ii = solver._implied(rho, vr, vi, checks)
+            w = checks[0]
+            ok &= ~(np.hypot(vr[w] - ir, vi[w] - ii) > cycle_tol).any(axis=0)
+            if not ok.all():
+                keep = np.flatnonzero(ok)
+                ok, rho, val, pis, pips = ok[keep], rho[:, keep], val[:, keep], pis[keep], pips[keep]
+                vr, vi = val.real, val.imag
+    return pis, pips, val.T
 
 
 # ---------------------------------------------------------------------------

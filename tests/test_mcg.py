@@ -9,7 +9,8 @@ from anyongates import (
     torus_generators,
     torus_surface,
 )
-from anyongates.mcg import braid_block, parse_word
+from anyongates.mcg import _generator_matrix, braid_block, evaluate_on_basis, parse_word
+from anyongates.surfaces import enumerate_labelings
 
 from oracles import projective_distance
 
@@ -185,3 +186,36 @@ def test_evaluate_rejects_mixed_boundary():
     surf = SurfaceSpec(kind="punctured_sphere", punctures=4, boundary_labels=(2, 2, 1, 2))
     with pytest.raises(ValueError):
         evaluate_word(ISING, surf, "s1")
+
+
+@pytest.mark.parametrize("model, surface, word", [
+    ("ising", "sphere:sigma:8", "s2"),
+    ("ising", "sphere:sigma:8", "s4'"),
+    ("fibonacci", "sphere:tau:7", "s3"),
+    ("fibonacci", "sphere:tau:7", "s1'"),
+    ("zn_toric:3", "torus", "s"),
+    ("zn_toric:3", "torus", "t'"),
+    ("fibonacci", "torus", "s'"),
+])
+def test_one_letter_word_is_its_generator(model, surface, word):
+    """A word's product starts from its first letter's matrix, so a
+    one-letter word is that matrix bit for bit, signed zeros included;
+    starting from the identity, as before, gives the same values but may
+    turn -0.0 into 0.0.  The empty word is the identity."""
+    mod = load_builtin(model)
+    if surface == "torus":
+        surf = torus_surface()
+        s, t = torus_generators(mod)
+        gen = {"s": s.matrix, "t": t.matrix}[word[0]]
+    else:
+        _, label, m = surface.split(":")
+        surf = sphere_surface(mod, label, int(m))
+        basis = enumerate_labelings(mod, surf)
+        gen = _generator_matrix(mod, surf.boundary_labels[0], int(m), int(word[1]), basis)
+    want = np.ascontiguousarray(gen.conj().T if word.endswith("'") else gen)
+    got = evaluate_word(mod, surf, word).matrix
+    assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
+    assert np.array_equal(np.eye(len(got)) @ want, got)
+    basis = enumerate_labelings(mod, surf)
+    empty = evaluate_on_basis(mod, basis, []).matrix
+    assert empty.tobytes() == np.eye(basis.dim, dtype=np.complex128).tobytes()

@@ -2,6 +2,7 @@ import contextlib
 import io
 import itertools
 import json
+import math
 import time
 import tracemalloc
 from pathlib import Path
@@ -47,6 +48,7 @@ from oracles import (
     intertwiner_residual,
     intertwiner_solutions,
     monomial_from_matrix,
+    per_pair_propagate_chunk,
     propagate_phases_scalar,
     reference_candidate_pairs,
     reference_gate_coset,
@@ -1250,3 +1252,270 @@ def test_empty_matrix_has_one_empty_family():
     pairs = list(solver._candidate_pairs(empty.real, empty.real, None, None, 0.0, Budget(), 1))
     assert [(pis.shape, pips.shape) for pis, pips in pairs] == [((1, 0), (1, 0))]
     assert reference_candidate_pairs(empty.real, empty.real, None, None, 0.0) == [((), ())]
+
+
+# ---------------------------------------------------------------------------
+# Propagation once per denominator pattern against the per-pair oracle
+
+
+def _per_pair(v, v_out, pis, pips, forest, tol, cycle_tol, codes):
+    """``_propagate_chunk`` with every pair its own column: the per-pair
+    oracle, each accepted pair its own pattern."""
+    pis, pips, val = per_pair_propagate_chunk(v, v_out, pis, pips, forest, tol, cycle_tol)
+    return pis, pips, np.arange(len(pis)), val
+
+
+def _recorded_chunks(monkeypatch):
+    """A list that collects (arguments, result) of every propagated chunk."""
+    chunks = []
+    real = solver._propagate_chunk
+
+    def record(*args):
+        chunks.append((args, real(*args)))
+        return chunks[-1][1]
+
+    monkeypatch.setattr(solver, "_propagate_chunk", record)
+    return chunks
+
+
+def _assert_chunks_match_the_oracle(chunks):
+    """Every chunk's accepted pairs, and each one's phases read through its
+    pattern index, are the per-pair propagation's, bit for bit; every
+    pattern row belongs to some accepted pair."""
+    assert chunks
+    for args, (pis, pips, which, val) in chunks:
+        want_pis, want_pips, want_val = per_pair_propagate_chunk(*args[:7])
+        assert np.array_equal(pis, want_pis) and np.array_equal(pips, want_pips)
+        assert which.dtype == np.intp and len(which) == len(pis)
+        assert _bits(np.ascontiguousarray(val[which])) == _bits(np.ascontiguousarray(want_val))
+        assert np.array_equal(np.unique(which), np.arange(len(val)))
+
+
+def _chunk_patterns(pis, pips, forest, v_out):
+    """``_patterns`` of a chunk of pairs, as ``_propagate_chunk`` finds them."""
+    idx = pips.T[forest.rows].astype(np.intp) * len(v_out) + pis.T[forest.cols]
+    return solver._patterns(idx, solver._entry_codes(v_out))
+
+
+def _assert_same_delta_sets(got, want):
+    assert np.array_equal(got.perms, want.perms)
+    assert got.components == want.components
+    assert _bits(got.rel) == _bits(want.rel)
+    assert _bits(got.instantiate_families()) == _bits(want.instantiate_families())
+
+
+PATTERN_CASES = [
+    "ising sphere:sigma:8 s2",
+    "ising sphere:sigma:8 s2s4",
+    "fibonacci sphere:tau:7 s2",
+    "fibonacci sphere:tau:7 s3",
+    "fibonacci sphere:tau:8 s2",
+    "zn_toric:2 torus s",
+    "zn_toric:2 torus st",
+]
+
+
+@pytest.mark.parametrize("name", PATTERN_CASES)
+def test_pattern_propagation_matches_the_per_pair_oracle(monkeypatch, name):
+    """delta_set propagates each distinct denominator pattern of a chunk
+    once; its chunks, families and rows equal the per-pair oracle's bit for
+    bit, and its families share fewer rows than there are families.  The
+    smaller cases also check solve_intertwiner on the word matrix."""
+    model, surf, word, _, _ = _family_case(name)
+    chunks = _recorded_chunks(monkeypatch)
+    got = delta_set(model, surf, word)
+    _assert_chunks_match_the_oracle(chunks)
+    assert got.codes is not None and len(got.rows) < len(got)
+    v = evaluate_word(model, surf, word).matrix
+    small = len(got) <= 6144
+    if small:
+        solved = solve_intertwiner(v)
+    monkeypatch.setattr(solver, "_propagate_chunk", _per_pair)
+    _assert_same_delta_sets(got, delta_set(model, surf, word))
+    if small:
+        _assert_same_delta_sets(solved, solve_intertwiner(v))
+
+
+@pytest.mark.parametrize("name", [
+    "ising sphere:sigma:8 s2",
+    "fibonacci sphere:tau:7 s2",
+    "fibonacci sphere:tau:7 s3",
+    "zn_toric:2 torus s",
+    "zn_toric:2 torus st",
+])
+def test_pattern_propagation_matches_the_scalar_oracle(monkeypatch, name):
+    """Every searched pair's phases, walked one pair at a time in numpy
+    scalars, are those of its pattern's propagation, bit for bit."""
+    model, surf, word, _, _ = _family_case(name)
+    v = evaluate_word(model, surf, word).matrix
+    _, want = _oracle_solutions(monkeypatch, v, v)
+    _assert_same_solutions(intertwiner_solutions(v), want)
+
+
+def _random_phase_flat(n, seed):
+    """A flat n x n unitary (the Fourier matrix) with random phases on its
+    rows and columns: every entry, and so every pattern, is distinct."""
+    rng = np.random.default_rng(seed)
+    k = np.arange(n)
+    dft = np.exp(2j * np.pi * np.outer(k, k) / n) / np.sqrt(n)
+    left, right = (np.exp(2j * np.pi * rng.random(n)) for _ in range(2))
+    return left[:, None] * dft * right
+
+
+@pytest.mark.parametrize("n, keyed", [(3, True), (4, False)])
+def test_random_phase_patterns_are_all_distinct(monkeypatch, n, keyed):
+    """On a flat matrix with random phases every feasible pair has its own
+    pattern.  At n = 3 the keys (radix 9 over 9 edges) fit and each pattern
+    is its own column; at n = 4 (radix 16 over 16 edges, 2^64) they do not,
+    and the columns are the pairs themselves.  Either way the families are
+    the per-pair oracle's and the scalar oracle's."""
+    v = _random_phase_flat(n, n)
+    for v_out in (v, _random_phase_flat(n, 10 + n) * np.exp(0.3j)):
+        pairs, want = _oracle_solutions(monkeypatch, v, v_out)
+        assert len(pairs) == math.factorial(n) ** 2
+        chunks = _recorded_chunks(monkeypatch)
+        _assert_same_solutions(intertwiner_solutions(v, v_out=v_out), want)
+        _assert_chunks_match_the_oracle(chunks)
+        (args, _), = chunks
+        live, cols, inverse = _chunk_patterns(*args[2:5], v_out)
+        assert len(live) == len(cols) == len(pairs)
+        assert np.array_equal(np.sort(inverse), np.arange(len(pairs)))
+        assert np.array_equal(cols, live) != keyed
+        monkeypatch.undo()
+
+
+def test_signed_zeros_are_different_patterns(monkeypatch):
+    """A real 4 x 4 Hadamard matrix whose imaginary parts are +0.0 or -0.0
+    at random has four entry codes, though two values: patterns that differ
+    only in the sign of a zero are propagated apart, and the families, rows
+    and signed-zero bits equal both oracles'."""
+    rng = np.random.default_rng(3)
+    h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    v = np.empty((4, 4), dtype=np.complex128)
+    v.real, v.imag = np.kron(h, h), np.where(rng.random((4, 4)) < 0.5, -0.0, 0.0)
+    assert np.signbit(v.imag).any() and not np.signbit(v.imag).all()
+    codes = solver._entry_codes(v)
+    assert len(np.unique(codes)) == 4 and len(np.unique(v)) == 2
+    _, want = _oracle_solutions(monkeypatch, v, v)
+    chunks = _recorded_chunks(monkeypatch)
+    _assert_same_solutions(intertwiner_solutions(v), want)
+    _assert_chunks_match_the_oracle(chunks)
+    (args, _), = chunks
+    pis, pips, forest = args[2:5]
+    live, cols, _ = _chunk_patterns(pis, pips, forest, v)
+    den = v[pips.T[forest.rows], pis.T[forest.cols]].T  # + 0.0 turns -0.0 into 0.0
+    by_value = len(np.unique(solver.row_keys(den + 0.0)))
+    assert len(cols) == len(np.unique(solver.row_keys(den))) > by_value
+    got = solve_intertwiner(v)
+    monkeypatch.setattr(solver, "_propagate_chunk", _per_pair)
+    _assert_same_delta_sets(got, solve_intertwiner(v))
+
+
+def test_zero_denominators_are_rejected_before_keying():
+    """Every pair of permutations of a block-diagonal V with random phases,
+    one of its zeros -0.0: the pairs that map a support entry off the blocks
+    have a zero denominator and are dropped before their patterns are
+    keyed, so the keys run over the 8 nonzero codes only, and the chunk's
+    accepted pairs and phases are the per-pair oracle's."""
+    v = np.zeros((4, 4), dtype=np.complex128)
+    v[:2, :2], v[2:, 2:] = _random_phase_flat(2, 5), _random_phase_flat(2, 6)
+    v[0, 2] = -0.0
+    v_out = v
+    forest = solver._constraint_forest(np.abs(v) > ZERO_THRESHOLD)
+    perms = np.array(list(itertools.permutations(range(4))))
+    pis, pips = (a.reshape(-1, 4) for a in np.broadcast_arrays(perms[:, None], perms[None]))
+    codes = solver._entry_codes(v_out)
+    assert (codes == -1).sum() == 8 and np.array_equal(np.unique(codes[codes >= 0]), np.arange(8))
+    live, cols, inverse = _chunk_patterns(pis, pips, forest, v_out)
+    den = v_out[pips.T[forest.rows], pis.T[forest.cols]]
+    assert np.array_equal(live, np.flatnonzero((den != 0).all(axis=0)))
+    assert len(live) == 32 and len(pis) == 576  # block to block, in each block's order
+    assert len(cols) == len(live)  # distinct nonzero entries: one pattern per pair
+    got = solver._propagate_chunk(v, v_out, pis, pips, forest, DEFAULT_TOL, CYCLE_TOL, codes)
+    want = per_pair_propagate_chunk(v, v_out, pis, pips, forest, DEFAULT_TOL, CYCLE_TOL)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert _bits(np.ascontiguousarray(got[3][got[2]])) == _bits(np.ascontiguousarray(want[2]))
+
+
+@pytest.mark.parametrize("rows", [1, 7, 1000])
+def test_pattern_codes_cross_chunk_boundaries(monkeypatch, rows):
+    """With chunks of 1, 7 or 1,000 pairs (one-pair chunks are not keyed)
+    each chunk's pattern indices are offset into the set's rows, and the
+    families, rows and instantiated phases equal those of one chunk and of
+    the per-pair oracle."""
+    model, surf, word, _, _ = _family_case("ising sphere:sigma:8 s2")
+    whole = delta_set(model, surf, word)
+    monkeypatch.setattr(solver, "chunk_rows", lambda row_bytes: rows)
+    chunks = _recorded_chunks(monkeypatch)
+    got = delta_set(model, surf, word)
+    assert len(chunks) > 1 and max(len(args[2]) for args, _ in chunks) == rows
+    _assert_chunks_match_the_oracle(chunks)
+    _assert_same_delta_sets(got, whole)
+    assert len(got.rows) == sum(len(val) for _, (_, _, _, val) in chunks)
+    monkeypatch.setattr(solver, "_propagate_chunk", _per_pair)
+    _assert_same_delta_sets(got, delta_set(model, surf, word))
+
+
+def test_small_chunks_are_not_keyed(monkeypatch):
+    """A solve whose chunks hold at most ``_KEYED_MIN`` pairs codes no entry
+    and keys no pattern: the identity candidate on the flat 2 x 2 and 3 x 3
+    Fourier matrices makes 2 and 6 pairs."""
+    def refuse(v_out):
+        raise AssertionError("coded the entries of a small solve")
+
+    monkeypatch.setattr(solver, "_entry_codes", refuse)
+    for n in (2, 3):
+        k = np.arange(n)
+        dft = np.exp(2j * np.pi * np.outer(k, k) / n) / np.sqrt(n)
+        assert len(solve_intertwiner(dft, [tuple(k)])) == n
+
+
+def test_pattern_keys_are_charged_before_they_are_built(monkeypatch):
+    """The entry codes and the largest chunk's pattern keys are charged
+    once, after the search and before any pair is propagated: a budget that
+    ends just past the search refuses at "entry codes" with no pair
+    propagated and no entry coded."""
+    model, surf, word, _, _ = _family_case("ising sphere:sigma:8 s2")
+    stages = []
+    charge = Budget.charge
+    monkeypatch.setattr(Budget, "charge", lambda self, stage, count, nbytes: stages.append(
+        (stage, count, nbytes, self.spent)) or charge(self, stage, count, nbytes))
+    delta_set(model, surf, word)
+    (i, entry), = [(i, s) for i, s in enumerate(stages) if s[0] == "entry codes"]
+    assert entry[1:3] == (64, 40)
+    assert stages[i + 1][:3] == ("pattern keys", 4096, 8 * (16 + 4))
+    assert [s[0] for s in stages[i + 2:]] == []
+    propagated, coded = [], []
+    real, entry_codes = solver._propagate_chunk, solver._entry_codes
+    monkeypatch.setattr(solver, "_propagate_chunk", lambda *a: propagated.append(1) or real(*a))
+    monkeypatch.setattr(solver, "_entry_codes", lambda v: coded.append(1) or entry_codes(v))
+    monkeypatch.setattr(budget, "BUDGET_BYTES", entry[3] + 64 * 40 - 1)
+    with pytest.raises(budget.SearchBudgetError, match=r"^entry codes: 64 x 40 bytes, "):
+        delta_set(model, surf, word)
+    assert propagated == [] and coded == []
+
+
+def test_delta_set_rows_are_shared_through_codes():
+    """The solver's families read their rows through pattern codes; a set
+    built with one row per family (the closed-form torus set, a non-rigid
+    join, any set made from a rel array) reads that array without a copy;
+    a rigid intersection keeps the first set's rows and picks codes."""
+    from anyongates.abelian import torus_word_families
+
+    model = load_builtin("zn_toric:2")
+    a, b = (delta_set(model, torus_surface(), w) for w in ("s", "st"))
+    assert a.n_free == b.n_free == 1 and len(a.rows) < len(a)
+    assert a.codes is not None and a.codes.shape == (len(a),)
+    assert _bits(a.rel) == _bits(a.rows[a.codes])
+    inter = intersect_delta([a, b])
+    assert inter.rows is a.rows and inter.codes is not None
+    want = reference_intersect_delta([a, b])
+    assert _bits(inter.rel) == _bits([f.coset.rel for f in want])
+    rel = np.exp(1j * np.arange(6.0)).reshape(3, 2)
+    own = DeltaSet(np.tile([0, 1], (3, 1)), rel, (0, 0))
+    assert own.codes is None and own.rel is rel
+    closed = torus_word_families(model, "s")
+    assert closed.codes is None and closed.rel is closed.rows
+    surf = sphere_surface(ISING, "sigma", 8)
+    joined = intersect_delta([delta_set(ISING, surf, w) for w in ("s2", "s4")])
+    assert joined.n_free > 1 and joined.codes is None and joined.rel is joined.rows
