@@ -138,10 +138,9 @@ def _cmd_delta(args) -> int:
     sets = [delta_set(model, surface, w, tol=args.tol) for w in words]
     inter = intersect_delta(sets)
     angles = np.angle(inter.instantiate_rows())
-    codes = np.arange(len(angles)) if inter.codes is None else inter.codes
     free = inter.n_free
     if args.format == "json":
-        phases = angles if inter.codes is None else DistinctRows(codes, angles)
+        phases = DistinctRows(inter.codes, angles)
         payload = {
             "model": model.name,
             "surface": surface.describe(model),
@@ -158,7 +157,7 @@ def _cmd_delta(args) -> int:
             print(f"word {w!r}: {len(s)} families")
         print(f"intersection: {len(inter)} families")
         texts = [",".join(map("{:.4f}".format, row)) for row in angles.tolist()]
-        for perm, code in zip(inter.perms.tolist(), codes.tolist()):
+        for perm, code in zip(inter.perms.tolist(), inter.codes.tolist()):
             print(f"  perm={perm} phases=[{texts[code]}] free={free}")
     return 0
 

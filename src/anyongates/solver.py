@@ -94,8 +94,12 @@ _TABLE_MAX = 5
 # This many cycle checks run on a whole chunk before it is compressed to its
 # survivors; a chunk of at most this many pairs runs every check at once.
 _EARLY_CHECKS = 8
-# A chunk of at most this many pairs is propagated pair by pair: looking for
-# shared denominator patterns would cost more than it saves.
+# A chunk of at most this many pairs is propagated pair by pair, and a
+# solve of such chunks codes no entry.  Keying a chunk of 1 to 8 pairs costs
+# 25-30 us more than it saves, and coding V_out's entries 17-40 us per solve
+# (timed on the 1-, 2- and 4-pair chunks of the benchmark's sphere and torus
+# solves and on 2- to 8-pair samples of the sigma:8 and tau:7 s2 chunks);
+# keying breaks even between 16 and 128 pairs.
 _KEYED_MIN = 8
 
 
@@ -567,11 +571,10 @@ def _patterns(idx, codes):
     denominator, ``cols`` one live pair per distinct pattern and
     ``inverse`` each live pair's position in ``cols``.  Each pattern is
     keyed as one mixed-radix int, one digit per edge whose radix is one
-    more than its largest code in the chunk.  Without ``codes``, for a
-    chunk of at most ``_KEYED_MIN`` pairs, or when the keys would pass
-    2^63, the columns are the live pairs themselves."""
+    more than its largest code in the chunk.  Without ``codes``, or when
+    the keys would pass 2^63, the columns are the live pairs themselves."""
     live = np.arange(idx.shape[1])
-    if codes is None or len(live) <= _KEYED_MIN:
+    if codes is None:
         return live, live, live
     c = codes.take(idx)
     nonzero = (c >= 0).all(axis=0)
@@ -587,13 +590,22 @@ def _patterns(idx, codes):
     return live, live[first], inverse
 
 
+def _denominator_index(pis, pips, forest, n):
+    """(edges, pairs): the flat index into an n x n V_out of each pair's
+    denominator V_out[perm_out(m), perm_in(l)] on each forest edge (m, l).
+    Pairs are held in a narrow unsigned type, so the product is taken in
+    intp: under value-based promotion a uint8 row times n would wrap."""
+    return np.multiply(pips.T[forest.rows], n, dtype=np.intp) + pis.T[forest.cols]
+
+
 def _propagate_chunk(v, v_out, pis, pips, forest, tol, cycle_tol, codes):
     """Phases of a chunk of permutation pairs on the shared forest.
 
     Row p of ``pis``/``pips`` is one pair.  A pair's phases depend on its
     denominators alone, so they are propagated once per distinct pattern
     (:func:`_patterns` of the entry ``codes``).  A pair is rejected when a
-    denominator vanishes, a ratio is off unit modulus or a cycle disagrees.  With more than ``_EARLY_CHECKS`` patterns the first
+    denominator vanishes, a ratio is off unit modulus or a cycle disagrees.
+    With more than ``_EARLY_CHECKS`` patterns the first
     ``_EARLY_CHECKS`` cycle checks run on every pattern and the rest on the
     survivors only.  Returns the accepted rows of ``pis`` and ``pips``, the
     index of each one's pattern and the patterns' (patterns, 2n) node
@@ -602,8 +614,7 @@ def _propagate_chunk(v, v_out, pis, pips, forest, tol, cycle_tol, codes):
     scalar computation bit for bit.
     """
     f = forest
-    # (edges, pairs): the flat index of each denominator into V_out
-    idx = pips.T[f.rows] * np.intp(v_out.shape[0]) + pis.T[f.cols]
+    idx = _denominator_index(pis, pips, f, v_out.shape[0])
     live, cols, inverse = _patterns(idx, codes)
     alive = None  # the surviving columns, once some are rejected
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -641,7 +652,7 @@ def _propagate_chunk(v, v_out, pis, pips, forest, tol, cycle_tol, codes):
 
 def _solve(v, perm_in, perm_out, v_out, tol, zero_tol, cycle_tol, budget):
     """Check the input, then return the constraint forest of V and an iterator
-    over (pis, pips, val) chunks of the accepted pairs, as
+    over (pis, pips, which, val) chunks of the accepted pairs, as
     :func:`_propagate_chunk` returns them.  Every pair is found, and so
     charged to ``budget``, before the first is propagated; pairs are
     propagated as many at a time as one chunk of (edges, pairs) complex
@@ -688,15 +699,17 @@ def _solve(v, perm_in, perm_out, v_out, tol, zero_tol, cycle_tol, budget):
         budget.charge("held pairs", len(pis), 2 * n * small.itemsize)
         pairs.append((pis.astype(small), pips.astype(small)))
     # Pairs share their phases by denominator pattern, which small chunks
-    # do not look for; one chunk's pattern keys are held at a time.
+    # do not look for; the entries are coded once if any chunk is keyed, and
+    # one chunk's pattern keys are held at a time.
+    keyed = [len(pis) > _KEYED_MIN for pis, _ in pairs]
     codes = None
-    if any(len(pis) > _KEYED_MIN for pis, _ in pairs):
+    if any(keyed):
         budget.charge("entry codes", n * n, 40)  # zero mask, keys, sort and codes
         budget.charge("pattern keys", max(len(pis) for pis, _ in pairs), 8 * (len(forest.rows) + 4))
         codes = _entry_codes(v_out)
     return forest, (
-        _propagate_chunk(v, v_out, pis, pips, forest, tol, cycle_tol, codes)
-        for pis, pips in pairs
+        _propagate_chunk(v, v_out, pis, pips, forest, tol, cycle_tol, codes if k else None)
+        for (pis, pips), k in zip(pairs, keyed)
     )
 
 
@@ -752,15 +765,19 @@ class DeltaSet:
     Row f is one family: the gates Pi D with Pi the permutation ``perms[f]``
     and d_i = rel[f, i] * lambda_{components[i]}, one free unit phase lambda
     per component.  Families share their relative-phase rows: family f's is
-    ``rows[codes[f]]``, or ``rows[f]`` when ``codes`` is None.  Every family
-    of a set has the same phase components, so they are stored once.  Sets
-    compare by identity.
+    ``rows[codes[f]]``; a set built without ``codes`` has one row per family.
+    Every family of a set has the same phase components, so they are stored
+    once.  Sets compare by identity.
     """
 
     perms: np.ndarray  # (families, dim) ints
     rows: np.ndarray  # (rows, dim) complex128
     components: tuple[int, ...]
-    codes: np.ndarray | None = None  # (families,) ints into rows
+    codes: np.ndarray | None = None  # (families,) ints into rows; None: one each
+
+    def __post_init__(self):
+        if self.codes is None:
+            self.codes = np.arange(len(self.rows))
 
     @property
     def dim(self) -> int:
@@ -775,13 +792,8 @@ class DeltaSet:
 
     @property
     def rel(self) -> np.ndarray:
-        """(families, dim): row f is family f's relative phases; ``rows``
-        itself when every family has its own row."""
-        return self.rows if self.codes is None else self.rows[self.codes]
-
-    def row_codes(self, families) -> np.ndarray:
-        """The row of each family of ``families`` (an index array)."""
-        return families if self.codes is None else self.codes[families]
+        """(families, dim): row f is family f's relative phases."""
+        return self.rows[self.codes]
 
     def contains(self, gate: MonomialMatrix, tol: float = MEMBERSHIP_TOL) -> bool:
         """Some family holds ``gate``: on a row of the gate's permutation,
@@ -796,7 +808,7 @@ class DeltaSet:
         rows = np.flatnonzero(row_keys(self.perms) == key)
         first: dict[int, int] = {}
         anchor = [first.setdefault(c, i) for i, c in enumerate(self.components)]
-        ratios = np.asarray(gate.phases, dtype=np.complex128) / self.rows[self.row_codes(rows)]
+        ratios = np.asarray(gate.phases, dtype=np.complex128) / self.rows[self.codes[rows]]
         gap = np.abs(ratios - ratios[:, anchor]).max(axis=1, initial=0.0)
         return bool((gap <= tol).any())
 
@@ -811,8 +823,7 @@ class DeltaSet:
     def instantiate_families(self) -> np.ndarray:
         """Row f is family f's gate phases at free phases 1 (see
         :meth:`instantiate_rows`)."""
-        rows = self.instantiate_rows()
-        return rows if self.codes is None else rows[self.codes]
+        return self.instantiate_rows()[self.codes]
 
 
 def delta_set(
@@ -981,19 +992,19 @@ def intersect_delta(sets: list[DeltaSet], tol: float = CYCLE_TOL) -> DeltaSet:
             step = chunk_rows(16 * dim)
             for lo in range(0, len(ia), step):
                 pairs = slice(lo, lo + step)
-                a = current.rows[current.row_codes(ia[pairs])]
-                gap = np.abs(a - s.rows[s.row_codes(ib[pairs])])
+                a = current.rows[current.codes[ia[pairs]]]
+                gap = np.abs(a - s.rows[s.codes[ib[pairs]]])
                 keep[pairs] = gap.max(axis=1, initial=0.0) <= tol
             ia = ia[keep]
             current, rows = DeltaSet(
-                current.perms[ia], current.rows, current.components, current.row_codes(ia)
+                current.perms[ia], current.rows, current.components, current.codes[ia]
             ), None
             continue
         if rows is None:
             rows = [tuple(r) for r in current.rel]
         kept, rel, components = [], [], None
-        for i, j in zip(ia.tolist(), ib.tolist()):
-            joined = _join(current.components, rows[i], s.components, tuple(s.rel[j]), tol)
+        for i, j in zip(ia.tolist(), s.codes[ib].tolist()):
+            joined = _join(current.components, rows[i], s.components, tuple(s.rows[j]), tol)
             if joined is not None:
                 kept.append(i)
                 components, r = joined

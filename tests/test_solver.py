@@ -1164,7 +1164,7 @@ def test_join_matches_the_family_reference_on_long_paths():
         coset_set([-1 if i % 2 else i for i in range(n)]),
         coset_set([0 if i == n - 1 else i for i in range(n)]),
     ]
-    sets[2].rel[-1, -1] *= np.exp(1e-3j)
+    sets[2].rows[-1, -1] *= np.exp(1e-3j)
     got = intersect_delta(sets)
     want = reference_intersect_delta(sets)
     assert len(got) == len(want) == len(x) - 1
@@ -1293,7 +1293,7 @@ def _assert_chunks_match_the_oracle(chunks):
 
 def _chunk_patterns(pis, pips, forest, v_out):
     """``_patterns`` of a chunk of pairs, as ``_propagate_chunk`` finds them."""
-    idx = pips.T[forest.rows].astype(np.intp) * len(v_out) + pis.T[forest.cols]
+    idx = solver._denominator_index(pis, pips, forest, len(v_out))
     return solver._patterns(idx, solver._entry_codes(v_out))
 
 
@@ -1437,18 +1437,21 @@ def test_zero_denominators_are_rejected_before_keying():
     assert _bits(np.ascontiguousarray(got[3][got[2]])) == _bits(np.ascontiguousarray(want[2]))
 
 
-@pytest.mark.parametrize("rows", [1, 7, 1000])
+@pytest.mark.parametrize("rows", [1, 7, 100, 1000, 2047])
 def test_pattern_codes_cross_chunk_boundaries(monkeypatch, rows):
-    """With chunks of 1, 7 or 1,000 pairs (one-pair chunks are not keyed)
-    each chunk's pattern indices are offset into the set's rows, and the
-    families, rows and instantiated phases equal those of one chunk and of
-    the per-pair oracle."""
+    """With chunks of 1, 7, 100, 1,000 or 2,047 pairs (a chunk of at most
+    ``_KEYED_MIN`` pairs, as the 3-pair last one at 2,047, is not keyed;
+    the 44-pair last one at 100 is) each chunk's pattern indices are
+    offset into the set's rows, and the families, rows and instantiated
+    phases equal those of one chunk and of the per-pair oracle."""
     model, surf, word, _, _ = _family_case("ising sphere:sigma:8 s2")
     whole = delta_set(model, surf, word)
     monkeypatch.setattr(solver, "chunk_rows", lambda row_bytes: rows)
     chunks = _recorded_chunks(monkeypatch)
     got = delta_set(model, surf, word)
     assert len(chunks) > 1 and max(len(args[2]) for args, _ in chunks) == rows
+    keyed = [args[7] is not None for args, _ in chunks]
+    assert keyed == [len(args[2]) > solver._KEYED_MIN for args, _ in chunks]
     _assert_chunks_match_the_oracle(chunks)
     _assert_same_delta_sets(got, whole)
     assert len(got.rows) == sum(len(val) for _, (_, _, _, val) in chunks)
@@ -1497,25 +1500,100 @@ def test_pattern_keys_are_charged_before_they_are_built(monkeypatch):
 
 def test_delta_set_rows_are_shared_through_codes():
     """The solver's families read their rows through pattern codes; a set
-    built with one row per family (the closed-form torus set, a non-rigid
-    join, any set made from a rel array) reads that array without a copy;
-    a rigid intersection keeps the first set's rows and picks codes."""
+    built without codes (the closed-form torus set, a non-rigid join, any
+    set made from a rel array) holds that array as its rows, one code per
+    row; a rigid intersection keeps the first set's rows and picks codes."""
     from anyongates.abelian import torus_word_families
 
     model = load_builtin("zn_toric:2")
     a, b = (delta_set(model, torus_surface(), w) for w in ("s", "st"))
     assert a.n_free == b.n_free == 1 and len(a.rows) < len(a)
-    assert a.codes is not None and a.codes.shape == (len(a),)
+    assert a.codes.shape == (len(a),)
     assert _bits(a.rel) == _bits(a.rows[a.codes])
     inter = intersect_delta([a, b])
-    assert inter.rows is a.rows and inter.codes is not None
+    assert inter.rows is a.rows
     want = reference_intersect_delta([a, b])
     assert _bits(inter.rel) == _bits([f.coset.rel for f in want])
     rel = np.exp(1j * np.arange(6.0)).reshape(3, 2)
     own = DeltaSet(np.tile([0, 1], (3, 1)), rel, (0, 0))
-    assert own.codes is None and own.rel is rel
     closed = torus_word_families(model, "s")
-    assert closed.codes is None and closed.rel is closed.rows
     surf = sphere_surface(ISING, "sigma", 8)
     joined = intersect_delta([delta_set(ISING, surf, w) for w in ("s2", "s4")])
-    assert joined.n_free > 1 and joined.codes is None and joined.rel is joined.rows
+    assert own.rows is rel and joined.n_free > 1
+    for ds in (own, closed, joined):
+        assert np.array_equal(ds.codes, np.arange(len(ds)))
+        assert _bits(ds.rel) == _bits(ds.rows)
+
+
+def test_non_rigid_join_gathers_each_set_once(monkeypatch):
+    """A non-rigid intersection of solver sets reads the second set's rows
+    through its codes, one row per joined pair: ``rel``, a gather of every
+    family's row, is read once for the first set and never per pair.  The
+    families are the reference intersection's."""
+    surf = sphere_surface(ISING, "sigma", 8)
+    sets = [delta_set(ISING, surf, w) for w in ("s2", "s4")]
+    assert all(len(s.rows) < len(s) for s in sets)
+    reads = []
+    rel = DeltaSet.rel
+    monkeypatch.setattr(DeltaSet, "rel", property(lambda ds: reads.append(ds) or rel.fget(ds)))
+    got = intersect_delta(sets)
+    assert got.n_free > 1 and len(got) > 1
+    assert reads == [sets[0]]
+    monkeypatch.undo()
+    want = reference_intersect_delta(sets)
+    assert [f.coset.components for f in want] == [got.components] * len(got)
+    assert _bits(got.rel) == _bits([f.coset.rel for f in want])
+
+
+def test_denominator_index_is_taken_in_intp():
+    """Pairs are held as uint8 up to n = 255: the flat index pip * n + pi
+    is taken in intp, where a uint8 product would wrap from n = 17 on."""
+    n = 20
+    forest = solver._constraint_forest(np.ones((n, n), dtype=bool))
+    rng = np.random.default_rng(7)
+    pis, pips = (np.array([rng.permutation(n) for _ in range(3)], dtype=np.uint8) for _ in range(2))
+    idx = solver._denominator_index(pis, pips, forest, n)
+    want = [[int(pip[m]) * n + int(pi[l]) for pi, pip in zip(pis, pips)]
+            for m, l in zip(forest.rows.tolist(), forest.cols.tolist())]
+    assert idx.dtype == np.intp and idx.tolist() == want
+    assert idx.max() >= 256
+
+
+def _assert_solve_matches_the_per_pair_oracle(monkeypatch, v, perm_in, perm_out, keyed):
+    """solve_intertwiner's chunks and set equal the per-pair oracle's, and
+    its chunks are keyed into fewer columns than pairs, or not."""
+    chunks = _recorded_chunks(monkeypatch)
+    got = solve_intertwiner(v, perm_in, perm_out)
+    _assert_chunks_match_the_oracle(chunks)
+    assert len(got) and all(args[7] is not None for args, _ in chunks)
+    patterns = [_chunk_patterns(*args[2:5], args[1]) for args, _ in chunks]
+    assert any(len(cols) < len(live) for live, cols, _ in patterns) == keyed
+    monkeypatch.setattr(solver, "_propagate_chunk", _per_pair)
+    _assert_same_delta_sets(got, solve_intertwiner(v, perm_in, perm_out))
+    return got
+
+
+def test_patterns_past_uint8_indices_match_the_per_pair_oracle(monkeypatch):
+    """At n = 18 and 17, beyond which pip * n passes 255, pairs held as
+    uint8 read their own denominators.  Nine real 2 x 2 Hadamard blocks
+    (two nonzero entry codes over 36 edges: keys fit) with the last three
+    blocks permuted in perm_in and perm_out wildcard give 3,072 pairs in
+    one keyed chunk; the flat 17 x 17 Fourier matrix with random row and
+    column phases (289 codes: keys do not fit), with perm_in l -> l / a and
+    perm_out m -> a m for four units a, gives 16 pairs, the four with
+    matching a accepted.  Both equal the per-pair oracle bit for bit."""
+    h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    v = np.kron(np.eye(9), h).astype(np.complex128)
+    head = list(range(12))
+    blocks = [head + [i for b in order for i in (2 * b, 2 * b + 1)]
+              for order in itertools.permutations(range(6, 9))]
+    got = _assert_solve_matches_the_per_pair_oracle(monkeypatch, v, blocks, None, True)
+    assert len(got) == 6 * 2**9 and np.array_equal(got.perms, np.repeat(blocks, 2**9, axis=0))
+    monkeypatch.undo()
+    n = 17
+    v = _random_phase_flat(n, 17)
+    units = [1, 3, 5, 16]
+    perm_in = [[l * pow(a, -1, n) % n for l in range(n)] for a in units]
+    perm_out = [[a * m % n for m in range(n)] for a in units]
+    got = _assert_solve_matches_the_per_pair_oracle(monkeypatch, v, perm_in, perm_out, False)
+    assert got.perms.tolist() == perm_in
