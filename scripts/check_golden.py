@@ -66,7 +66,8 @@ GRID = (
     + [f"validate --model {model} --format json"
        for model in ("fibonacci", "ising", "zn_toric:2", "zn_toric:3", "zn_toric:4",
                      "zn_toric:5", "dg_abelian:2,2")]
-    + ["lattice --qudit 4 --size 6 --format json"]
+    + [f"lattice --qudit {q} --size {l} --format json"
+       for q, l in ((4, 6), (2, 3), (5, 4), (3, 7))]
 )
 
 

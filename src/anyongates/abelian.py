@@ -11,8 +11,8 @@ That gives three things the generic solver cannot:
 * string (Wilson loop) operators along the two torus cycles and a batched
   membership test for the generalized Clifford hierarchy's second level
   restricted to monomial representatives;
-* an exponent-vector model of the same string operators on an L x L qudit
-  lattice, for cross-checking commutation phases against the S matrix
+* the same string operators as X and Z exponents on the edges of an L x L
+  qudit lattice, for cross-checking commutation phases against the S matrix
   without building 2^(2 L^2)-dimensional state vectors.
 """
 
@@ -26,7 +26,7 @@ import numpy as np
 
 from .budget import Budget, chunk_rows
 from .mcg import evaluate_word, parse_word
-from .models import AnyonModel, fusion_channels, quantum_dimensions
+from .models import AnyonModel, _join, fusion_channels, quantum_dimensions, zn_toric
 from .solver import (
     DeltaSet,
     MonomialMatrix,
@@ -269,10 +269,12 @@ def torus_word_families(
 ) -> DeltaSet:
     """Complete gate family set for one or several single-s torus words.
 
-    Abelian models only; the set has one phase component, and its length is
-    the family count.  Write V = A S^{+-1} B with A, B diagonal twist
-    products.  V Pi D V^dag is monomial iff Pi is affine and B (Pi D) B^dag
-    has a character diagonal: the vacuum row of S (Pi D~) S^dag is the
+    Abelian models only; the set has one phase component, its length is
+    the family count, and its permutation rows are held in
+    ``np.min_scalar_type(n)``, as the solver holds every set it builds.
+    Write V = A S^{+-1} B with A, B diagonal twist products.  V Pi D V^dag
+    is monomial iff Pi is affine and B (Pi D) B^dag has a character
+    diagonal: the vacuum row of S (Pi D~) S^dag is the
     Fourier transform of the diagonal, so a unit-modulus diagonal must be a
     single character, and nondegeneracy of the pairing then forces Pi
     affine.  Hence, for one word,
@@ -411,6 +413,7 @@ def torus_word_families(
     budget.charge("found rows", len(kept) * n, 2 * 24 * n)  # int and complex, and temporaries
     diags = chi * dressings(kept)[:, :1]  # [p, b] holds D for chi_b
     rel = np.divide(diags, diags[..., :1], out=diags)
+    kept = kept.astype(np.min_scalar_type(n))
     return DeltaSet(np.repeat(kept, n, axis=0), rel.reshape(-1, n), (0,) * n)
 
 
@@ -645,54 +648,22 @@ def induced_cycle_permutations(
 # Lattice cross-check
 
 
-@dataclass(frozen=True)
-class LatticeOperator:
-    """Tensor product of X^j Z^k qudit factors on the edges of an L x L torus.
+def _loops(nmod: int, l: int, horizontal: bool):
+    """The N^2 closed (flux, charge) strings along one cycle of an L x L
+    torus, row flux * N + charge: (X edges, Z edges, X exponents, Z exponents).
 
-    Edges are indexed 0..2 L^2 - 1: horizontal edge of plaquette (r, c) is
-    2 (r L + c), the vertical edge 2 (r L + c) + 1.  Only the exponent
-    vectors are stored; commutation phases follow from the symplectic form
-    without building state vectors.
+    Edge 2 (r L + c) is the horizontal edge of plaquette (r, c), edge
+    2 (r L + c) + 1 its vertical one.  The charge is a Z string on the L
+    edges the loop crosses (through row 0 or column 0), the flux an X string
+    on the L parallel edges of the dual loop.  Off them a loop is the
+    identity, so it is held on them alone: (L,) edge and (N^2, L) exponent
+    arrays.
     """
-
-    modulus: int
-    x_exp: tuple[int, ...]
-    z_exp: tuple[int, ...]
-
-
-def commutation_phase_exponent(op1: LatticeOperator, op2: LatticeOperator) -> int:
-    """k with op1 op2 = omega^k op2 op1, from X Z = omega^{-1} Z X per site."""
-    nmod = op1.modulus
-    k = 0
-    for x1, z1, x2, z2 in zip(op1.x_exp, op1.z_exp, op2.x_exp, op2.z_exp):
-        k += x1 * z2 - z1 * x2
-    return k % nmod
-
-
-def _edge(l: int, row: int, col: int, vertical: bool) -> int:
-    return 2 * ((row % l) * l + (col % l)) + (1 if vertical else 0)
-
-
-def dyon_loop(
-    nmod: int, l: int, flux: int, charge: int, horizontal: bool, offset: int = 0
-) -> LatticeOperator:
-    """Closed (flux, charge) string along one lattice cycle.
-
-    The charge part is a Z string on the edges crossed by the loop, the
-    flux part an X string on the parallel edges of the dual loop.
-    """
-    x_exp = [0] * (2 * l * l)
-    z_exp = [0] * (2 * l * l)
-    for i in range(l):
-        if horizontal:
-            z_edge = _edge(l, offset, i, vertical=False)
-            x_edge = _edge(l, offset, i, vertical=True)
-        else:
-            z_edge = _edge(l, i, offset, vertical=True)
-            x_edge = _edge(l, i, offset, vertical=False)
-        z_exp[z_edge] = (z_exp[z_edge] + charge) % nmod
-        x_exp[x_edge] = (x_exp[x_edge] + flux) % nmod
-    return LatticeOperator(modulus=nmod, x_exp=tuple(x_exp), z_exp=tuple(z_exp))
+    i = np.arange(l)
+    cross = 2 * i if horizontal else 2 * i * l + 1
+    dual = cross + 1 if horizontal else cross - 1
+    flux, charge = np.divmod(np.arange(nmod * nmod), nmod)
+    return dual, cross, np.repeat(flux[:, None], l, axis=1), np.repeat(charge[:, None], l, axis=1)
 
 
 def lattice_commutation_check(nmod: int, l: int, tol: float = LATTICE_TOL) -> dict:
@@ -704,29 +675,39 @@ def lattice_commutation_check(nmod: int, l: int, tol: float = LATTICE_TOL) -> di
     charge of the crossing dyon, which is the orientation choice for how the
     second loop pierces the first.  Returns a report dict with the worst
     mismatch.
-    """
-    from .models import zn_toric
 
+    Each cycle's N^2 loops are built once (``_loops``).  As X Z =
+    omega^{-1} Z X per site, h v = omega^k v h with k = sum_e x_h(e) z_v(e)
+    - z_h(e) x_v(e) mod N over the edges both loops touch, which a join of
+    their edge arrays finds: all N^4 exponents are one integer product.
+    omega^k comes from a table of the N scalars ``np.exp(2j * np.pi * k /
+    N)`` and each mismatch from ``np.hypot``, as a complex ``abs`` would
+    give: numpy's array division and array ``abs`` can each change a last
+    bit.  The worst mismatch is one array pass.  The loops and the N^4 pair arrays
+    are charged to a byte budget before they are built.
+    """
     check_tol(tol)
-    model = zn_toric(nmod)
-    s = model.smatrix
-    worst = 0.0
-    count = 0
-    for a in range(nmod):
-        for ap in range(nmod):
-            h = dyon_loop(nmod, l, a, ap, horizontal=True)
-            for b in range(nmod):
-                for bp in range(nmod):
-                    v = dyon_loop(nmod, l, b, bp, horizontal=False)
-                    k = commutation_phase_exponent(h, v)
-                    lattice_phase = np.exp(2j * np.pi * k / nmod)
-                    model_phase = nmod * s[a * nmod + ap, b * nmod + ((-bp) % nmod)]
-                    worst = max(worst, abs(lattice_phase - model_phase))
-                    count += 1
+    budget = Budget()
+    budget.charge("lattice loops", 4 * nmod * nmod, 8 * l)  # X and Z exponents per cycle
+    # exponents, both phases, their difference and its modulus
+    budget.charge("commutation phases", nmod**4, 2 * 8 + 4 * 16 + 8)
+    s = zn_toric(nmod).smatrix
+    hx_edges, hz_edges, hx, hz = _loops(nmod, l, horizontal=True)
+    vx_edges, vz_edges, vx, vz = _loops(nmod, l, horizontal=False)
+    xz = _join(hx_edges, vz_edges)  # edges where h has X and v has Z
+    zx = _join(hz_edges, vx_edges)
+    h = np.concatenate([hx[:, xz[0]], hz[:, zx[0]]], axis=1)
+    v = np.concatenate([vz[:, xz[1]], -vx[:, zx[1]]], axis=1)
+    k = (h @ v.T) % nmod  # (horizontal loop, vertical loop)
+    omega = np.array([np.exp(2j * np.pi * e / nmod) for e in range(nmod)])
+    # vertical loop (b, b') meets the model's label (b, -b')
+    b, bp = np.divmod(np.arange(nmod * nmod), nmod)
+    gap = omega[k] - nmod * s[:, b * nmod + (-bp) % nmod]
+    worst = np.hypot(gap.real, gap.imag).max()  # the scalar abs; np.abs can differ
     return {
         "modulus": nmod,
         "lattice_size": l,
-        "pairs_checked": count,
+        "pairs_checked": k.size,
         "max_mismatch": float(worst),
         "passed": bool(worst < tol),
     }

@@ -57,7 +57,6 @@ from .mcg import braid_letters, braid_matrix, braid_slot
 from .models import AnyonModel
 from .solver import (
     DeltaSet,
-    MonomialMatrix,
     delta_set,
     intersect_delta,
     monomial_mask,
@@ -731,12 +730,14 @@ def classify_torus(
 def _contains_logical_paulis(model, inter: DeltaSet) -> bool:
     """Every string operator on either cycle lies in some family.
 
-    ``DeltaSet.contains`` looks each string's permutation up among the
-    set's permutation rows and tests those families alone.
+    The strings are read first, so a model whose S columns are no
+    monomials raises their ValueError; then all 2n strings are tested
+    against the families of their permutations at once
+    (``DeltaSet.contains_each``).  The strings' permutations are
+    permutations of the labels, so they are given in the set's dtype.
     """
     perms, phases = _ab.string_operators(model)
-    gates = map(MonomialMatrix, map(tuple, perms.tolist()), map(tuple, phases.tolist()))
-    return all(inter.contains(gate) for gate in gates)
+    return bool(inter.contains_each(perms.astype(inter.perms.dtype), phases).all())
 
 
 def classify(

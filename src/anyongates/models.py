@@ -548,8 +548,16 @@ def _abelian_double(orders: list[int], special_names: bool) -> AnyonModel:
     # coordinates x[i] = (flux_1, charge_1, flux_2, charge_2, ...), in
     # row-major order over those radices.
     radices = tuple(n for n in orders for _ in range(2))
+    n_lab = math.prod(radices)
+    # Charged to the build's own budget before any array exists (the F-symbol
+    # layout charges its own): per label pair, 32 bytes per coordinate for the
+    # summed coordinates and the S and R exponents, and 400 for the index,
+    # grids, phases, channel table and R-symbol dict; then the tensor and the
+    # copy of its bytes that its channel table is memoised on.
+    budget = Budget()
+    budget.charge("label pairs", n_lab * n_lab, 32 * len(radices) + 400)
+    budget.charge("fusion tensor", n_lab**3, 2)
     x = np.indices(radices).reshape(len(radices), -1).T
-    n_lab = len(x)
     flux, charge = x[:, 0::2], x[:, 1::2]
 
     if special_names:

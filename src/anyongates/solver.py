@@ -796,21 +796,38 @@ class DeltaSet:
         return self.rows[self.codes]
 
     def contains(self, gate: MonomialMatrix, tol: float = MEMBERSHIP_TOL) -> bool:
-        """Some family holds ``gate``: on a row of the gate's permutation,
-        the ratios d_i / rel[f, i] of each component agree within ``tol``
-        with the ratio at the component's first index.  Only the rows of the
-        gate's permutation are tested, looked up by their row keys, in one
-        array pass.  A NaN, infinite or negative ``tol`` is a ValueError."""
+        """Some family holds ``gate``: :meth:`contains_each` of one gate.  A
+        NaN, infinite or negative ``tol`` is a ValueError."""
         check_tol(tol)
         if len(gate.perm) != self.dim or len(gate.phases) != self.dim:
             return False
-        key = row_keys(np.asarray([gate.perm], dtype=self.perms.dtype))
-        rows = np.flatnonzero(row_keys(self.perms) == key)
+        perms = np.asarray([gate.perm], dtype=self.perms.dtype)
+        return bool(self.contains_each(perms, [gate.phases], tol)[0])
+
+    def contains_each(self, perms, phases, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
+        """One flag per gate U|l> = phases[g, l] |perms[g, l]> of two
+        (gates, dim) arrays: some family holds it.  On a row of the gate's
+        permutation, the ratios d_i / rel[f, i] of each component agree
+        within ``tol`` with the ratio at the component's first index.  One
+        join of row keys, in the wider dtype of the two (none is cast when
+        the gates come in the set's), pairs each gate with the families of
+        its permutation, and one array pass tests the pairs.  A NaN,
+        infinite or negative ``tol`` is a ValueError."""
+        check_tol(tol)
+        perms = np.asarray(perms)
+        d = np.asarray(phases, dtype=np.complex128)
+        common = np.promote_types(self.perms.dtype, perms.dtype)
+        g, f = _join_keys(
+            row_keys(perms.astype(common, copy=False)),
+            row_keys(self.perms.astype(common, copy=False)),
+        )
         first: dict[int, int] = {}
         anchor = [first.setdefault(c, i) for i, c in enumerate(self.components)]
-        ratios = np.asarray(gate.phases, dtype=np.complex128) / self.rows[self.codes[rows]]
+        ratios = d[g] / self.rows[self.codes[f]]
         gap = np.abs(ratios - ratios[:, anchor]).max(axis=1, initial=0.0)
-        return bool((gap <= tol).any())
+        held = np.zeros(len(perms), dtype=bool)
+        held[g[gap <= tol]] = True
+        return held
 
     def instantiate_rows(self) -> np.ndarray:
         """Each row's gate phases at free phases 1, ``rows * (1 + 0j)``.

@@ -36,8 +36,9 @@ of exponent-coordinate arrays, the intersection of delta sets by one
 rigid sets and a union-find over set rows otherwise, the row pairs with
 equal permutations by a dict of row tuples instead of a join of row keys,
 the lattice
-commutation phases from dense state-space matrices instead of exponent
-vectors, the report JSON from the standard library encoder after a rounding
+commutation phases from dense state-space matrices and from one loop pair
+at a time over every edge instead of one integer product over the edges two
+loop families share, the report JSON from the standard library encoder after a rounding
 walk instead of the package's writer, and a ``Rows`` filled in leaf by
 leaf into one ``%``-template instead of one text per distinct row, the
 order of a class list by sorting on that compact text and by one rank per
@@ -59,7 +60,8 @@ solver's accepted pairs with both sides of their phases
 (``intertwiner_solutions``), the residual of an instantiated intertwiner
 family, phase-coset comparison, the projective distance of two word
 matrices, the Ising qubit dictionary, the abelian Pauli group by explicit
-closure, products of lattice operators, and Deligne products of two models.
+closure, lattice operators with their dyon loops, commutation exponents and
+products, and Deligne products of two models.
 """
 
 from __future__ import annotations
@@ -74,16 +76,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from anyongates.abelian import (
-    LatticeOperator,
     affine_permutations,
     characters,
     fusion_table,
     group_coordinates,
     string_operator_matrices,
+    string_operators,
 )
 from anyongates.budget import Budget
 from anyongates.mcg import evaluate_word, parse_word
-from anyongates.models import AnyonModel, CheckResult, ModelError
+from anyongates.models import AnyonModel, CheckResult, ModelError, zn_toric
 from anyongates import solver
 from anyongates import jsonwriter
 from anyongates.solver import MonomialMatrix, monomial_mask
@@ -92,6 +94,7 @@ from anyongates.tolerances import (
     CLIFFORD_TOL,
     CYCLE_TOL,
     DEFAULT_TOL,
+    LATTICE_TOL,
     MEMBERSHIP_TOL,
     MONOMIAL_READ_TOL,
     ROOT_TOL,
@@ -1650,6 +1653,24 @@ def reference_contains_logical_paulis(model, inter) -> bool:
     )
 
 
+def contains_logical_paulis_loop(model, inter, tol: float = MEMBERSHIP_TOL) -> bool:
+    """Every string operator on either cycle lies in some family of
+    ``inter``, one string at a time: each string's families are found by
+    comparing its row key with every row key of the set, and its gap is
+    taken over those families alone."""
+    perms, phases = string_operators(model)
+    keys = solver.row_keys(inter.perms)
+    first: dict[int, int] = {}
+    anchor = [first.setdefault(c, i) for i, c in enumerate(inter.components)]
+    for perm, d in zip(perms.tolist(), phases.tolist()):
+        rows = np.flatnonzero(keys == solver.row_keys(np.asarray([perm], dtype=inter.perms.dtype)))
+        ratios = np.asarray(d, dtype=np.complex128) / inter.rows[inter.codes[rows]]
+        gap = np.abs(ratios - ratios[:, anchor]).max(axis=1, initial=0.0)
+        if not (gap <= tol).any():
+            return False
+    return True
+
+
 def same_perm_pairs(perms_a: np.ndarray, perms_b: np.ndarray):
     """Index arrays (i, j) of every pair of rows with equal permutations,
     ordered by i, then by j, from a dict of row tuples instead of a join of
@@ -1784,6 +1805,88 @@ def clifford_star_membership_dense(model, gate_matrix, tol=1e-8):
             if abs(c**nexp - 1.0) > 1e-6:
                 roots_ok = False
     return True, roots_ok
+
+
+# ---------------------------------------------------------------------------
+# Lattice operators one at a time, and the lattice check as a loop over pairs
+
+
+@dataclass(frozen=True)
+class LatticeOperator:
+    """Tensor product of X^j Z^k qudit factors on the edges of an L x L torus.
+
+    Edges are indexed 0..2 L^2 - 1: horizontal edge of plaquette (r, c) is
+    2 (r L + c), the vertical edge 2 (r L + c) + 1.  Only the exponent
+    vectors are stored; commutation phases follow from the symplectic form
+    without building state vectors.
+    """
+
+    modulus: int
+    x_exp: tuple[int, ...]
+    z_exp: tuple[int, ...]
+
+
+def commutation_phase_exponent(op1: LatticeOperator, op2: LatticeOperator) -> int:
+    """k with op1 op2 = omega^k op2 op1, from X Z = omega^{-1} Z X per site."""
+    nmod = op1.modulus
+    k = 0
+    for x1, z1, x2, z2 in zip(op1.x_exp, op1.z_exp, op2.x_exp, op2.z_exp):
+        k += x1 * z2 - z1 * x2
+    return k % nmod
+
+
+def _edge(l: int, row: int, col: int, vertical: bool) -> int:
+    return 2 * ((row % l) * l + (col % l)) + (1 if vertical else 0)
+
+
+def dyon_loop(
+    nmod: int, l: int, flux: int, charge: int, horizontal: bool, offset: int = 0
+) -> LatticeOperator:
+    """Closed (flux, charge) string along one lattice cycle.
+
+    The charge part is a Z string on the edges crossed by the loop, the
+    flux part an X string on the parallel edges of the dual loop.
+    """
+    x_exp = [0] * (2 * l * l)
+    z_exp = [0] * (2 * l * l)
+    for i in range(l):
+        if horizontal:
+            z_edge = _edge(l, offset, i, vertical=False)
+            x_edge = _edge(l, offset, i, vertical=True)
+        else:
+            z_edge = _edge(l, i, offset, vertical=True)
+            x_edge = _edge(l, i, offset, vertical=False)
+        z_exp[z_edge] = (z_exp[z_edge] + charge) % nmod
+        x_exp[x_edge] = (x_exp[x_edge] + flux) % nmod
+    return LatticeOperator(modulus=nmod, x_exp=tuple(x_exp), z_exp=tuple(z_exp))
+
+
+def reference_lattice_check(nmod: int, l: int, tol: float = LATTICE_TOL) -> dict:
+    """``lattice_commutation_check`` with one pair of full-lattice loops at a
+    time: every vertical loop rebuilt per horizontal one, and each
+    commutation exponent a walk over all 2 L^2 edges."""
+    check_tol(tol)
+    s = zn_toric(nmod).smatrix
+    worst = 0.0
+    count = 0
+    for a in range(nmod):
+        for ap in range(nmod):
+            h = dyon_loop(nmod, l, a, ap, horizontal=True)
+            for b in range(nmod):
+                for bp in range(nmod):
+                    v = dyon_loop(nmod, l, b, bp, horizontal=False)
+                    k = commutation_phase_exponent(h, v)
+                    lattice_phase = np.exp(2j * np.pi * k / nmod)
+                    model_phase = nmod * s[a * nmod + ap, b * nmod + ((-bp) % nmod)]
+                    worst = max(worst, abs(lattice_phase - model_phase))
+                    count += 1
+    return {
+        "modulus": nmod,
+        "lattice_size": l,
+        "pairs_checked": count,
+        "max_mismatch": float(worst),
+        "passed": bool(worst < tol),
+    }
 
 
 # ---------------------------------------------------------------------------

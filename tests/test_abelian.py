@@ -9,6 +9,8 @@ import pytest
 
 from anyongates import (
     MonomialMatrix,
+    SearchBudgetError,
+    abelian,
     classify_torus,
     evaluate_word,
     load_builtin,
@@ -16,14 +18,11 @@ from anyongates import (
     total_quantum_dimension,
 )
 from anyongates.abelian import (
-    LatticeOperator,
     affine_permutations,
     automorphisms,
     characters,
     check_lambda_monomial,
     clifford_star_batch,
-    commutation_phase_exponent,
-    dyon_loop,
     eq_consistency_residual,
     fusion_table,
     group_coordinates,
@@ -37,13 +36,17 @@ from anyongates.abelian import (
 )
 from anyongates.classify import _contains_logical_paulis
 from anyongates.solver import delta_set, intersect_delta
+from anyongates.tolerances import LATTICE_TOL
 
 from oracles import (
+    LatticeOperator,
     clifford_star_membership_dense,
+    commutation_phase_exponent,
     compose_lattice_operators,
     coset_same_as,
     dense_lattice_operator,
     dense_torus_word_families,
+    dyon_loop,
     families,
     membership_by_search,
     monomial_from_matrix,
@@ -52,6 +55,7 @@ from oracles import (
     reference_affine_permutations,
     reference_automorphisms,
     reference_clifford_star_batch,
+    reference_lattice_check,
     reference_string_operator_matrices,
     reference_torus_word_families,
 )
@@ -322,7 +326,9 @@ ORACLE_MODELS = ["zn_toric:2", "zn_toric:3", "zn_toric:4", "zn_toric:5", "dg_abe
 def test_generator_factors_equal_the_per_map_reference(name, words):
     """One factor per translation and per automorphism, and one gap test
     per map, list the families of one factor per affine map and one gap
-    test per character: the same permutations and the same rel bits."""
+    test per character: the same permutations and the same rel bits.  The
+    set holds its rows in the narrowest index type, so the reference's
+    rows are cast to it before they are hashed."""
     model = load_builtin(name)
     fams = torus_word_families(model, words)
     assert len(fams) > 0 and fams.components == (0,) * model.n_labels
@@ -330,7 +336,9 @@ def test_generator_factors_equal_the_per_map_reference(name, words):
     # s lists 373,248 families
     got = _raw_bits([(fams.perms, fams.rel)])
     del fams
-    assert got == _raw_bits(reference_torus_word_families(model, words))
+    small = np.min_scalar_type(model.n_labels)
+    chunks = ((p.astype(small), r) for p, r in reference_torus_word_families(model, words))
+    assert got == _raw_bits(chunks)
 
 
 def _raw_bits(chunks):
@@ -742,6 +750,54 @@ def test_lattice_commutation(nmod):
     rep = lattice_commutation_check(nmod, l=3)
     assert rep["passed"], rep
     assert rep["pairs_checked"] == nmod**4
+
+
+@pytest.mark.parametrize("nmod", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("l", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("tol", [LATTICE_TOL, 0.0])
+def test_lattice_check_equals_the_pair_loop(nmod, l, tol):
+    """One integer product over the shared edges gives the report of one
+    full-lattice loop pair at a time: every key, the worst mismatch to its
+    float64 bytes, and ``passed`` at ``tol=0`` too."""
+    got = lattice_commutation_check(nmod, l, tol=tol)
+    want = reference_lattice_check(nmod, l, tol=tol)
+    assert list(got) == list(want)
+    for key in want:
+        assert type(got[key]) is type(want[key]), key
+        if key == "max_mismatch":
+            assert np.float64(got[key]).tobytes() == np.float64(want[key]).tobytes()
+        else:
+            assert got[key] == want[key], key
+
+
+@pytest.mark.parametrize("nmod", [10, 11])
+def test_lattice_phases_keep_the_scalar_bits(nmod):
+    """The mismatch from numpy's complex array abs (at N = 10) or omega^k
+    from one array division by N (at N = 11) would change the worst
+    mismatch's last bit; np.hypot and the table of scalars keep the loop's."""
+    got = lattice_commutation_check(nmod, 2)["max_mismatch"]
+    want = reference_lattice_check(nmod, 2)["max_mismatch"]
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def test_lattice_check_reaches_long_cycles():
+    """Only the 2 L edges of a loop are held, so L = 200 takes no
+    2 L^2-edge walk per pair."""
+    rep = lattice_commutation_check(4, 200)
+    assert rep["passed"] and rep["pairs_checked"] == 4**4
+
+
+def test_lattice_check_charges_its_arrays_before_building_them(monkeypatch):
+    """The loops and the N^4 pair arrays are charged first: a cycle of
+    10^8 edges, or N = 64, is refused before the model is built."""
+    def no_model(n):
+        raise AssertionError("the model was built")
+
+    monkeypatch.setattr(abelian, "zn_toric", no_model)
+    with pytest.raises(SearchBudgetError, match=r"^lattice loops: 16 x 800,000,000 bytes"):
+        lattice_commutation_check(2, 10**8)
+    with pytest.raises(SearchBudgetError, match=r"^commutation phases: 16,777,216 x 88 bytes"):
+        lattice_commutation_check(64, 3)
 
 
 def test_lattice_size_independent():

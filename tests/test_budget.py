@@ -60,6 +60,13 @@ CASES = {
     "classify zn_toric:16 torus": (
         ["-m", "anyongates.cli", "classify", "--model", "zn_toric:16", "--surface", "torus"],
         "F-block channels"),
+    # 4,096 labels: the abelian double's 64 GiB fusion tensor and its label-pair arrays
+    "classify zn_toric:64 torus": (
+        ["-m", "anyongates.cli", "classify", "--model", "zn_toric:64", "--surface", "torus"],
+        "label pairs"),
+    "lattice qudit 64 size 3": (
+        ["-m", "anyongates.cli", "lattice", "--qudit", "64", "--size", "3"],
+        "commutation phases"),
     "classify ising sphere:sigma:24": (
         ["-m", "anyongates.cli", "classify", "--model", "ising", "--surface", "sphere:sigma:24"],
         "classes"),
@@ -253,6 +260,28 @@ def test_abelian_builds_fit_the_budget_up_to_zn_toric_11(monkeypatch):
     assert passed.value.args == (11**6 * (2 * 64 + 412),)
     with pytest.raises(SearchBudgetError, match=r"^F-symbols: 2,985,984 x 412 bytes, 1,612,"):
         load_builtin("zn_toric:12")
+
+
+def test_abelian_doubles_charge_their_dense_arrays_before_building_them(monkeypatch):
+    """An abelian double charges its label-pair arrays (464 bytes per pair
+    of zn_toric's 9 labels) and its fusion tensor (two bytes per entry, the
+    tensor and the bytes its channel table is keyed on) to a budget of its
+    own, before the first array exists."""
+    def no_arrays(*args, **kwargs):
+        raise AssertionError("an array was built")
+
+    monkeypatch.setattr(np, "indices", no_arrays)
+    monkeypatch.setattr(budget, "BUDGET_BYTES", 81 * 464 + 729 * 2 - 1)
+    with pytest.raises(
+        SearchBudgetError, match=r"^fusion tensor: 729 x 2 bytes, 39,042 bytes in all"
+    ):
+        load_builtin("zn_toric:3")
+    monkeypatch.setattr(budget, "BUDGET_BYTES", 81 * 464 - 1)
+    with pytest.raises(SearchBudgetError, match=r"^label pairs: 81 x 464 bytes, 37,584 bytes"):
+        load_builtin("zn_toric:3")
+    # dg_abelian:2,2 has four coordinates per label
+    with pytest.raises(SearchBudgetError, match=r"^label pairs: 256 x 528 bytes"):
+        load_builtin("dg_abelian:2,2")
 
 
 def test_validate_charges_the_associativity_arrays_before_building_them(monkeypatch):

@@ -28,18 +28,20 @@ from anyongates import budget
 from anyongates.abelian import (
     affine_permutations,
     string_operator_matrices,
+    string_operators,
     torus_word_families,
 )
 from anyongates.classify import VERDICTS, _contains_logical_paulis
 from anyongates.cli import main
 from anyongates.jsonwriter import Rows
 from anyongates.models import _fill_fsymbols, _fill_rsymbols
-from anyongates.solver import DeltaSet, delta_set, intersect_delta
-from anyongates.tolerances import DEFAULT_TOL
+from anyongates.solver import DeltaSet, MonomialMatrix, delta_set, intersect_delta, row_keys
+from anyongates.tolerances import DEFAULT_TOL, MEMBERSHIP_TOL
 
 from oracles import (
     _round_floats,
     contains_logical_paulis_by_scan,
+    contains_logical_paulis_loop,
     cut_dimension_permutations,
     deligne_product,
     dense_sphere_word_filter,
@@ -663,6 +665,54 @@ def test_logical_pauli_lookup_matches_a_linear_scan(name):
         assert not _contains_logical_paulis(model, cut)
         assert not contains_logical_paulis_by_scan(model, cut)
         assert not reference_contains_logical_paulis(model, cut)
+
+
+@pytest.mark.parametrize("name", ["zn_toric:2", "zn_toric:3", "zn_toric:4", "dg_abelian:2,2"])
+def test_batched_logical_pauli_test_matches_the_per_string_loop(name):
+    """One join of all 2n strings' row keys and one gap pass answer as one
+    lookup per string does, on the closed-form set of s and st and on
+    negative controls: the set without the families of one string's
+    permutation, and the family holding one string with one phase moved by
+    1e-3 (outside ``MEMBERSHIP_TOL``) or by 1e-7 (inside it)."""
+    model = load_builtin(name)
+    inter = torus_word_families(model, ["s", "st"])
+    assert _contains_logical_paulis(model, inter) is True
+    assert contains_logical_paulis_loop(model, inter) is True
+    perms, phases = string_operators(model)
+    n = model.n_labels
+    for r in (1, n + 1):  # a C1 string (the identity permutation) and a C2 string
+        same = row_keys(inter.perms) == row_keys(perms[r : r + 1].astype(inter.perms.dtype))
+        cut = DeltaSet(inter.perms[~same], inter.rel[~same], inter.components)
+        assert len(cut) < len(inter)
+        assert _contains_logical_paulis(model, cut) is False
+        assert contains_logical_paulis_loop(model, cut) is False
+
+        ratios = phases[r] / inter.rel[same]
+        holder = np.flatnonzero(same)[np.abs(ratios - ratios[:, :1]).max(axis=1) <= MEMBERSHIP_TOL]
+        assert len(holder) == 1
+        for shift, held in ((1e-3, False), (1e-7, True)):
+            rel = inter.rel.copy()
+            rel[holder, -1] *= np.exp(1j * shift)
+            moved = DeltaSet(inter.perms, rel, inter.components)
+            assert _contains_logical_paulis(model, moved) is held
+            assert contains_logical_paulis_loop(model, moved) is held
+
+
+def test_contains_is_the_one_gate_case_of_contains_each():
+    """``DeltaSet.contains`` answers as ``contains_each`` on a one-gate
+    stack, for every string of zn_toric:3 and for strings of another
+    permutation dtype, and a gate of another dimension is held by none."""
+    model = load_builtin("zn_toric:3")
+    inter = torus_word_families(model, ["s", "st"])
+    perms, phases = string_operators(model)
+    each = inter.contains_each(perms, phases)
+    assert each.all() and each.tolist() == inter.contains_each(perms.astype(np.int16), phases).tolist()
+    moved = phases * np.exp(1j * 1e-3 * np.arange(model.n_labels))
+    assert not inter.contains_each(perms, moved).any()
+    for perm, d, m in zip(perms.tolist(), phases.tolist(), moved.tolist()):
+        assert inter.contains(MonomialMatrix(tuple(perm), tuple(d))) is True
+        assert inter.contains(MonomialMatrix(tuple(perm), tuple(m))) is False
+    assert inter.contains(MonomialMatrix((0, 1), (1.0, 1.0))) is False
 
 
 def test_torus_word_list_affects_result():

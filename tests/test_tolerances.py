@@ -89,6 +89,7 @@ FIB_S = delta_set(load_builtin("fibonacci"), torus_surface(), "s")
 Z_GATE = MonomialMatrix(perm=(0, 1), phases=(1.0, -1.0))
 MEMBERSHIP_BOUNDS = {
     "DeltaSet.contains": lambda tol: FIB_S.contains(Z_GATE, tol),
+    "DeltaSet.contains_each": lambda tol: FIB_S.contains_each([Z_GATE.perm], [Z_GATE.phases], tol),
 }
 
 
