@@ -10,22 +10,19 @@ from .models import (
     parse_model,
     quantum_dimensions,
     serialize_model,
-    total_quantum_dimension,
     validate,
     verlinde_fusion,
     zn_toric,
 )
-from .verlinde import idempotents, lambda_matrix, reconstruct_regular, regular_representation
 from .surfaces import (
     InfeasibleSurfaceError,
     SurfaceSpec,
-    cut_dimensions,
     enumerate_labelings,
     sphere_surface,
     standard_dap,
     torus_surface,
 )
-from .mcg import braid_generator, evaluate_word, torus_generators
+from .mcg import evaluate_word, torus_generators
 from .budget import SearchBudgetError
 from .solver import (
     DeltaSet,
@@ -67,30 +64,24 @@ __all__ = [
     "SurfaceSpec",
     "affine_permutations",
     "allowed_curve_permutations",
-    "braid_generator",
     "classify",
     "classify_punctured_sphere",
     "classify_torus",
-    "cut_dimensions",
     "delta_set",
     "dg_abelian",
     "enumerate_labelings",
     "evaluate_word",
     "fibonacci",
     "group_coordinates",
-    "idempotents",
     "intersect_delta",
     "is_abelian",
     "is_monomial",
     "ising",
     "iso_phase_set",
-    "lambda_matrix",
     "lattice_commutation_check",
     "load_builtin",
     "parse_model",
     "quantum_dimensions",
-    "reconstruct_regular",
-    "regular_representation",
     "serialize_model",
     "solve_intertwiner",
     "sphere_surface",
@@ -99,7 +90,6 @@ __all__ = [
     "torus_generators",
     "torus_surface",
     "torus_word_families",
-    "total_quantum_dimension",
     "validate",
     "verlinde_fusion",
     "zn_toric",

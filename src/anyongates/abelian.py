@@ -26,10 +26,9 @@ import numpy as np
 
 from .budget import Budget, chunk_rows
 from .mcg import evaluate_word, parse_word
-from .models import AnyonModel, _join, fusion_channels, quantum_dimensions, zn_toric
+from .models import AnyonModel, _join, abelian_smatrix, fusion_channels, quantum_dimensions
 from .solver import (
     DeltaSet,
-    MonomialMatrix,
     row_keys,
     is_monomial,
     monomial_mask,
@@ -584,67 +583,6 @@ def clifford_star_batch(
 
 
 # ---------------------------------------------------------------------------
-# Loop-permutation consistency between the two torus cycles
-
-
-def check_lambda_monomial(
-    model: AnyonModel,
-    lam: np.ndarray,
-    tol: float = DEFAULT_TOL,
-) -> tuple[bool, tuple[int, ...] | None, np.ndarray | None]:
-    """Monomial test for a loop-label action; returns (flag, perm, phases)."""
-    n = lam.shape[0]
-    if not is_monomial(lam, tol):
-        return False, None, None
-    perm = [0] * n
-    phases = np.zeros(n, dtype=np.complex128)
-    absl = np.abs(lam)
-    for x in range(n):
-        y = int(absl[:, x].argmax())
-        perm[x] = y
-        phases[x] = lam[y, x]
-    return True, tuple(perm), phases
-
-
-def eq_consistency_residual(
-    smatrix: np.ndarray, lam: np.ndarray, lam_other: np.ndarray
-) -> float:
-    """Max |Lam_{ac} Lam'_{bd} (S_{cd} - S_{ab})| over all index tuples.
-
-    A gate acting on the two torus cycles by Lam and Lam' must relate label
-    pairs with equal S entries; the residual vanishes for consistent pairs.
-    """
-    amp = np.abs(lam)
-    amp2 = np.abs(lam_other)
-    diff = np.abs(smatrix[None, None, :, :] - smatrix[:, :, None, None])
-    return float(np.einsum("ac,bd,abcd->abcd", amp, amp2, diff).max())
-
-
-def induced_cycle_permutations(
-    model: AnyonModel, gate: MonomialMatrix
-) -> tuple[np.ndarray, np.ndarray]:
-    """Loop-label actions (Lam for C1, Lam' for C2) of a torus gate.
-
-    Solves U F_a(C) U^dag = sum_b Lam_{ba} F_b(C) in the orthogonal string
-    basis for each cycle.
-    """
-    n = model.n_labels
-    f1, f2 = string_operator_matrices(model)
-    u = gate.matrix()
-    uh = u.conj().T
-    lams = []
-    for f in (f1, f2):
-        lam = np.zeros((n, n), dtype=np.complex128)
-        for a in range(n):
-            x = u @ f[a] @ uh
-            lam[:, a] = np.einsum("bij,ij->b", np.conj(f), x) / (
-                np.einsum("bij,bij->b", np.conj(f), f).real
-            )
-        lams.append(lam)
-    return lams[0], lams[1]
-
-
-# ---------------------------------------------------------------------------
 # Lattice cross-check
 
 
@@ -683,15 +621,17 @@ def lattice_commutation_check(nmod: int, l: int, tol: float = LATTICE_TOL) -> di
     omega^k comes from a table of the N scalars ``np.exp(2j * np.pi * k /
     N)`` and each mismatch from ``np.hypot``, as a complex ``abs`` would
     give: numpy's array division and array ``abs`` can each change a last
-    bit.  The worst mismatch is one array pass.  The loops and the N^4 pair arrays
-    are charged to a byte budget before they are built.
+    bit.  The worst mismatch is one array pass.  The loops, S and the N^4 pair
+    arrays are charged to a byte budget before they are built; no model is.
     """
     check_tol(tol)
     budget = Budget()
     budget.charge("lattice loops", 4 * nmod * nmod, 8 * l)  # X and Z exponents per cycle
+    # S's exponents, their two products, its flat index and its entries
+    budget.charge("S matrix", nmod**4, 4 * 8 + 16)
     # exponents, both phases, their difference and its modulus
     budget.charge("commutation phases", nmod**4, 2 * 8 + 4 * 16 + 8)
-    s = zn_toric(nmod).smatrix
+    s = abelian_smatrix([nmod])
     hx_edges, hz_edges, hx, hz = _loops(nmod, l, horizontal=True)
     vx_edges, vz_edges, vx, vz = _loops(nmod, l, horizontal=False)
     xz = _join(hx_edges, vz_edges)  # edges where h has X and v has Z

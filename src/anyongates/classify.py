@@ -53,7 +53,7 @@ import numpy as np
 from . import abelian as _ab
 from .budget import Budget, SearchBudgetError, chunk_rows
 from .jsonwriter import Category, Rows, dumps, json_order
-from .mcg import braid_letters, braid_matrix, braid_slot
+from .mcg import braid_letters, braid_slot, evaluate_on_basis
 from .models import AnyonModel
 from .solver import (
     DeltaSet,
@@ -399,20 +399,13 @@ def _product_action(curves, images, angles, combos):
     return target, angle
 
 
-def _window_matrix(model, surface, labels, window, letters):
+def _window_matrix(model, surface, dap, labels, window, word):
     """A braid word on the slots in ``window``, the others held at their first label."""
-    labelings = list(itertools.product(
+    labelings = tuple(itertools.product(
         *(x if s in window else x[:1] for s, x in enumerate(labels))
     ))
-    z = surface.boundary_labels[0]
-    gens = {}
-    v = None  # the empty word is the identity
-    for k, sign in letters:
-        if k not in gens:
-            gens[k] = braid_matrix(model, z, surface.punctures, k, labelings)
-        g = gens[k] if sign > 0 else gens[k].conj().T
-        v = g.copy() if v is None else v @ g
-    return np.eye(len(labelings), dtype=np.complex128) if v is None else v
+    basis = BasisIndex(surface, dap, labelings, {l: i for i, l in enumerate(labelings)})
+    return evaluate_on_basis(model, basis, word).matrix
 
 
 def _classify_factorized(
@@ -466,7 +459,7 @@ def _classify_factorized(
         letters = braid_letters(surface, word)
         slots = {braid_slot(surface.punctures, k) for k, _ in letters}
         window = {t for p in slots for t in (p - 1, p, p + 1) if 0 <= t < n_curves}
-        v = _window_matrix(model, surface, labels, window, letters)
+        v = _window_matrix(model, surface, dap, labels, window, word)
         if monomial_mask(v[None], factor_unit_modulus_tol(tol), WINDOW_ZERO_THRESHOLD)[0]:
             continue
         curves = [s for s in free if s in window]

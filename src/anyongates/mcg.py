@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import AnyonModel
-from .surfaces import BasisIndex, SurfaceSpec, enumerate_labelings, sphere_surface, torus_surface
+from .surfaces import BasisIndex, SurfaceSpec, enumerate_labelings, torus_surface
 
 
 @dataclass
@@ -81,11 +81,6 @@ def local_braid_block(model: AnyonModel, z: int, M: int, k: int, a: int, b: int)
     if k == M - 1:
         return rows, np.diag([model.rsymbol(z, z, model.dual[x]) for x in rows])
     return rows, bmat
-
-
-def braid_generator(model: AnyonModel, M: int, z: int | str, k: int) -> RepMatrix:
-    """Matrix of sigma_k on the standard basis of S^2(z^M)."""
-    return evaluate_word(model, sphere_surface(model, z, M), f"s{k}")
 
 
 def _generator_matrix(model: AnyonModel, z: int, M: int, k: int, basis: BasisIndex):

@@ -148,11 +148,6 @@ class AnyonModel:
             raise ModelError(f"label index {idx} out of range for model {self.name}")
         return idx
 
-    def fusion_product(self, a: int, b: int) -> tuple[int, ...]:
-        """Labels c with N^c_{ab} != 0, in index order; a loop over many
-        pairs reads ``fusion_channels(model.fusion).product`` once instead."""
-        return fusion_channels(self.fusion).product(a, b)
-
     def rsymbol(self, a: int, b: int, c: int) -> complex:
         try:
             return self.rsymbols[(a, b, c)]
@@ -408,11 +403,6 @@ def quantum_dimensions(model: AnyonModel) -> np.ndarray:
     return np.real(s0 / s0[0])
 
 
-def total_quantum_dimension(model: AnyonModel) -> float:
-    """D = sqrt(sum_a d_a^2) = 1 / S_{00}."""
-    return float(np.real(1.0 / model.smatrix[0, 0]))
-
-
 # ---------------------------------------------------------------------------
 # Builtins
 
@@ -575,18 +565,7 @@ def _abelian_double(orders: list[int], special_names: bool) -> AnyonModel:
     dual = tuple(np.ravel_multi_index(tuple((-x % radices).T), radices).tolist())
     fsymbols = _fill_fsymbols(fusion)
 
-    # The sign pairing S and the twists matters: with theta_{(a,b)} =
-    # exp(2 pi i ab/N), only the conjugated flux-charge pairing below makes
-    # (S T)^3 proportional to S^2, i.e. makes (s, t) a projective torus
-    # representation.  The opposite sign satisfies every single-matrix
-    # invariant (unitary, symmetric, Verlinde) but breaks that relation for
-    # N >= 3.
-    root = n_lab ** 0.5
-    smatrix = _exponent_phases(
-        orders,
-        flux[:, None] * charge[None, :] + charge[:, None] * flux[None, :],
-        lambda expo: cmath.exp(-2j * math.pi * expo) / root,
-    )
+    smatrix = abelian_smatrix(orders)
     twists = _exponent_phases(orders, flux * charge, lambda expo: cmath.exp(2j * math.pi * expo))
     rvalues = _exponent_phases(
         orders, charge[:, None] * flux[None, :], lambda expo: cmath.exp(2j * math.pi * expo)
@@ -610,6 +589,28 @@ def _abelian_double(orders: list[int], special_names: bool) -> AnyonModel:
             )
         ),
         twists=twists,
+    )
+
+
+def abelian_smatrix(orders: list[int]) -> np.ndarray:
+    """S of the quantum double of Z_{N1} x ... x Z_{Nr}, built from the
+    labels' exponent coordinates alone, as ``_abelian_double`` orders them.
+
+    The sign pairing S and the twists matters: with theta_{(a,b)} =
+    exp(2 pi i ab/N), only the conjugated flux-charge pairing below makes
+    (S T)^3 proportional to S^2, i.e. makes (s, t) a projective torus
+    representation.  The opposite sign satisfies every single-matrix
+    invariant (unitary, symmetric, Verlinde) but breaks that relation for
+    N >= 3.
+    """
+    radices = tuple(n for n in orders for _ in range(2))
+    x = np.indices(radices).reshape(len(radices), -1).T
+    flux, charge = x[:, 0::2], x[:, 1::2]
+    root = math.prod(radices) ** 0.5
+    return _exponent_phases(
+        orders,
+        flux[:, None] * charge[None, :] + charge[:, None] * flux[None, :],
+        lambda expo: cmath.exp(-2j * math.pi * expo) / root,
     )
 
 

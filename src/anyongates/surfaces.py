@@ -156,23 +156,3 @@ def enumerate_labelings(
         labs = tuple(out)
     return BasisIndex(surface, dap, labs, {l: i for i, l in enumerate(labs)})
 
-
-def cut_dimensions(
-    model: AnyonModel,
-    surface: SurfaceSpec,
-    dap: DapDecomposition,
-    curve: str,
-) -> dict[int, int]:
-    """Per-label count of basis labelings assigning that label to ``curve``.
-
-    By the gluing axiom this is the dimension of the cut surface's space for
-    each flux value; the counts sum to the total dimension.
-    """
-    if curve not in dap.curves:
-        raise ValueError(f"curve {curve!r} not in decomposition {dap.curves}")
-    basis = enumerate_labelings(model, surface, dap)
-    pos = dap.curves.index(curve)
-    out = {a: 0 for a in range(model.n_labels)}
-    for lab in basis.labelings:
-        out[lab[pos]] += 1
-    return out

@@ -61,7 +61,11 @@ solver's accepted pairs with both sides of their phases
 family, phase-coset comparison, the projective distance of two word
 matrices, the Ising qubit dictionary, the abelian Pauli group by explicit
 closure, lattice operators with their dyon loops, commutation exponents and
-products, and Deligne products of two models.
+products, Deligne products of two models, the Verlinde algebra (regular
+representation, idempotents from the S-matrix formula, the transported
+f-basis and its coefficient matrix Lambda), the loop-label actions of a
+torus gate on both cycles, and cut dimensions from the brute-force
+labelings.
 """
 
 from __future__ import annotations
@@ -85,11 +89,11 @@ from anyongates.abelian import (
 )
 from anyongates.budget import Budget
 from anyongates.mcg import evaluate_word, parse_word
-from anyongates.models import AnyonModel, CheckResult, ModelError, zn_toric
+from anyongates.models import AnyonModel, CheckResult, ModelError, quantum_dimensions, zn_toric
 from anyongates import solver
 from anyongates import jsonwriter
 from anyongates.solver import MonomialMatrix, monomial_mask
-from anyongates.surfaces import SurfaceSpec, cut_dimensions, standard_dap
+from anyongates.surfaces import SurfaceSpec, standard_dap
 from anyongates.tolerances import (
     CLIFFORD_TOL,
     CYCLE_TOL,
@@ -299,6 +303,19 @@ def brute_force_labelings(model, boundary: tuple[int, ...]) -> list[tuple[int, .
     return out
 
 
+def cut_dimensions(model, surface, dap, curve: str) -> dict[int, int]:
+    """Per label, how many brute-force labelings give ``curve`` that label.
+
+    By the gluing axiom this is the dimension of the cut surface's space for
+    each flux value; the counts sum to the total dimension.
+    """
+    pos = dap.curves.index(curve)
+    out = {a: 0 for a in range(model.n_labels)}
+    for lab in brute_force_labelings(model, surface.boundary_labels):
+        out[lab[pos]] += 1
+    return out
+
+
 # ---------------------------------------------------------------------------
 # F-blocks boundary by boundary
 
@@ -440,7 +457,84 @@ def reference_rsymbols_ribbon(model, tol: float) -> CheckResult:
 
 
 # ---------------------------------------------------------------------------
-# Idempotents via eigendecomposition
+# The Verlinde algebra: the fusion rules acting on themselves give the
+# regular representation (f_a)_{c,b} = N^c_{ab}, a commuting family that the
+# S matrix diagonalizes.  Its rank-one idempotents p_a come from the S-matrix
+# formula here and from an eigendecomposition below; a label permutation pi
+# acting on the p_a transports f_b to a matrix Lambda(pi) in the f-basis.
+
+
+def regular_representation(model: AnyonModel) -> np.ndarray:
+    """Stack of fusion matrices f_a with (f_a)_{c,b} = N^c_{ab}, shape (n,n,n)."""
+    n = model.n_labels
+    out = np.zeros((n, n, n), dtype=np.complex128)
+    for a in range(n):
+        out[a] = model.fusion[a].T
+    return out
+
+
+def idempotents(model: AnyonModel) -> np.ndarray:
+    """Orthogonal rank-one idempotents p_a = S_{0a} sum_b conj(S_{ba}) f_b."""
+    f = regular_representation(model)
+    s = model.smatrix
+    n = model.n_labels
+    out = np.zeros((n, n, n), dtype=np.complex128)
+    for a in range(n):
+        out[a] = s[0, a] * np.tensordot(s[:, a].conj(), f, axes=(0, 0))
+    return out
+
+
+def reconstruct_regular(model: AnyonModel, p: np.ndarray) -> np.ndarray:
+    """Inverse change of basis f_b = sum_a (S_{ba}/S_{0a}) p_a."""
+    s = model.smatrix
+    coeff = s / s[0][None, :]
+    return np.tensordot(coeff, p, axes=(1, 0))
+
+
+def permutation_matrix(perm, n: int | None = None) -> np.ndarray:
+    """Matrix P with P_{x,y} = delta_{x, perm(y)} (maps e_y to e_{perm(y)})."""
+    perm = tuple(int(x) for x in perm)
+    if n is None:
+        n = len(perm)
+    out = np.zeros((n, n))
+    for y, x in enumerate(perm):
+        out[x, y] = 1.0
+    return out
+
+
+def transported_regular(model: AnyonModel, perm) -> np.ndarray:
+    """The f-basis images under the idempotent relabeling a -> perm(a):
+    rho(f_b) = sum_a (S_{ba}/S_{0a}) p_{perm(a)}, stacked over b."""
+    perm = tuple(int(x) for x in perm)
+    return reconstruct_regular(model, idempotents(model)[list(perm)])
+
+
+def lambda_matrix(model: AnyonModel, perm) -> np.ndarray:
+    """Coefficient matrix of a label permutation acting through the idempotents.
+
+    If a gate maps p_a to p_{perm(a)} for every a, then it maps f_b to
+    sum_c Lambda_{b,c} f_c with
+
+        Lambda = S P^{-1} D P D^{-1} P^{-1} S^{-1},
+
+    D the diagonal of quantum dimensions and P the permutation matrix of
+    ``perm``.  Inverses of the unitary factors are conjugate transposes; the
+    middle product is formed entrywise so the identity permutation yields the
+    identity matrix exactly.
+    """
+    n = model.n_labels
+    perm = tuple(int(x) for x in perm)
+    if sorted(perm) != list(range(n)):
+        raise ValueError(f"not a permutation of {n} labels: {perm}")
+    d = quantum_dimensions(model)
+    # P^{-1} D P D^{-1} P^{-1} has entries (d_{perm(a)}/d_a) at (a, perm(a)).
+    inner = np.zeros((n, n), dtype=np.complex128)
+    for a in range(n):
+        inner[a, perm[a]] = d[perm[a]] / d[a]
+    if np.array_equal(inner, np.eye(n)):
+        return np.eye(n, dtype=np.complex128)
+    s = model.smatrix
+    return s @ inner @ s.conj().T
 
 
 def idempotents_by_eigendecomposition(model, seed: int = 7) -> np.ndarray:
@@ -452,7 +546,7 @@ def idempotents_by_eigendecomposition(model, seed: int = 7) -> np.ndarray:
     """
     rng = np.random.default_rng(seed)
     n = model.n_labels
-    mats = np.array([model.fusion[a].T.astype(np.complex128) for a in range(n)])
+    mats = regular_representation(model)
     for _ in range(20):
         coeff = rng.normal(size=n)
         gen = np.tensordot(coeff, mats, axes=1)
@@ -1805,6 +1899,57 @@ def clifford_star_membership_dense(model, gate_matrix, tol=1e-8):
             if abs(c**nexp - 1.0) > 1e-6:
                 roots_ok = False
     return True, roots_ok
+
+
+# ---------------------------------------------------------------------------
+# Loop-label actions of a torus gate on the two cycles
+
+
+def check_lambda_monomial(
+    lam: np.ndarray,
+) -> tuple[bool, tuple[int, ...] | None, np.ndarray | None]:
+    """Monomial test for a loop-label action: (flag, perm, phases), the
+    phases the entries lam[perm(x), x] themselves."""
+    try:
+        perm = monomial_from_matrix(lam).perm
+    except ValueError:
+        return False, None, None
+    return True, perm, lam[list(perm), range(len(perm))]
+
+
+def eq_consistency_residual(
+    smatrix: np.ndarray, lam: np.ndarray, lam_other: np.ndarray
+) -> float:
+    """Max |Lam_{ac} Lam'_{bd} (S_{cd} - S_{ab})| over all index tuples.
+
+    A gate acting on the two torus cycles by Lam and Lam' must relate label
+    pairs with equal S entries; the residual vanishes for consistent pairs.
+    """
+    amp = np.abs(lam)
+    amp2 = np.abs(lam_other)
+    diff = np.abs(smatrix[None, None, :, :] - smatrix[:, :, None, None])
+    return float(np.einsum("ac,bd,abcd->abcd", amp, amp2, diff).max())
+
+
+def induced_cycle_permutations(model, gate: MonomialMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Loop-label actions (Lam for C1, Lam' for C2) of a torus gate.
+
+    Solves U F_a(C) U^dag = sum_b Lam_{ba} F_b(C) in the orthogonal string
+    basis for each cycle.
+    """
+    n = model.n_labels
+    u = gate.matrix()
+    uh = u.conj().T
+    lams = []
+    for f in reference_string_operator_matrices(model):
+        lam = np.zeros((n, n), dtype=np.complex128)
+        for a in range(n):
+            x = u @ f[a] @ uh
+            lam[:, a] = np.einsum("bij,ij->b", np.conj(f), x) / (
+                np.einsum("bij,bij->b", np.conj(f), f).real
+            )
+        lams.append(lam)
+    return lams[0], lams[1]
 
 
 # ---------------------------------------------------------------------------

@@ -14,19 +14,16 @@ from anyongates import (
     classify_torus,
     evaluate_word,
     load_builtin,
+    models,
     torus_surface,
-    total_quantum_dimension,
 )
 from anyongates.abelian import (
     affine_permutations,
     automorphisms,
     characters,
-    check_lambda_monomial,
     clifford_star_batch,
-    eq_consistency_residual,
     fusion_table,
     group_coordinates,
-    induced_cycle_permutations,
     is_abelian,
     lattice_commutation_check,
     string_operator_matrices,
@@ -40,6 +37,7 @@ from anyongates.tolerances import LATTICE_TOL
 
 from oracles import (
     LatticeOperator,
+    check_lambda_monomial,
     clifford_star_membership_dense,
     commutation_phase_exponent,
     compose_lattice_operators,
@@ -47,7 +45,10 @@ from oracles import (
     dense_lattice_operator,
     dense_torus_word_families,
     dyon_loop,
+    eq_consistency_residual,
     families,
+    induced_cycle_permutations,
+    lambda_matrix,
     membership_by_search,
     monomial_from_matrix,
     pauli_element_orders_divide_exponent,
@@ -189,7 +190,7 @@ def test_string_operators_follow_a_mutated_s_matrix():
     before, _ = string_operator_matrices(model)
     model.smatrix *= np.exp(0.3j)
     f1, f2 = string_operator_matrices(model)
-    want = total_quantum_dimension(model) * model.smatrix
+    want = np.real(1.0 / model.smatrix[0, 0]) * model.smatrix
     assert np.abs(f1 - before).max() > 0.1
     assert np.abs(np.diagonal(f1, axis1=1, axis2=2) - want).max() < 1e-12
     s = model.smatrix
@@ -426,7 +427,7 @@ def test_string_operator_commutation_relation():
     """Crossing loops reproduce D S_{ab}, and pin which cycle is which."""
     for model in (Z2, Z3, Z4):
         f1, f2 = string_operator_matrices(model)
-        dtot = total_quantum_dimension(model)
+        dtot = np.real(1.0 / model.smatrix[0, 0])
         n = model.n_labels
         eye = np.eye(n)
         worst = 0.0
@@ -676,11 +677,9 @@ def test_only_the_vacuum_string_rejects_a_non_unitary_diagonal(model):
 
 def test_lambda_charge_flux_swap_is_permutation():
     """The e/m exchange acts on string labels by exactly that exchange."""
-    from anyongates.verlinde import lambda_matrix
-
     swap = (0, 2, 1, 3)
     lam = lambda_matrix(Z2, swap)
-    flag, perm, phases = check_lambda_monomial(Z2, lam)
+    flag, perm, phases = check_lambda_monomial(lam)
     assert flag
     assert perm == swap
     assert np.abs(phases - 1).max() < 1e-9
@@ -688,31 +687,25 @@ def test_lambda_charge_flux_swap_is_permutation():
 
 def test_lambda_affine_perms_are_exact_roots():
     for model, nexp in ((Z2, 2), (Z3, 3), (Z4, 4)):
-        from anyongates.verlinde import lambda_matrix
-
         affs = list(map(tuple, affine_permutations(model).tolist()))
         rng = np.random.default_rng(1)
         for perm in [affs[i] for i in rng.choice(len(affs), size=6, replace=False)]:
             lam = lambda_matrix(model, perm)
-            flag, _, phases = check_lambda_monomial(model, lam)
+            flag, _, phases = check_lambda_monomial(lam)
             assert flag
             assert np.abs(phases**nexp - 1).max() < 1e-9
 
 
 def test_lambda_non_affine_is_not_monomial():
-    from anyongates.verlinde import lambda_matrix
-
     # transposition of two nonzero group elements is never affine on Z3 x Z3
     perm = (0, 2, 1) + tuple(range(3, 9))
     assert perm not in _affine_set(Z3)
     lam = lambda_matrix(Z3, perm)
-    flag, _, _ = check_lambda_monomial(Z3, lam)
+    flag, _, _ = check_lambda_monomial(lam)
     assert not flag
 
 
 def test_eq_consistency_for_affine_pairs():
-    from anyongates.verlinde import lambda_matrix
-
     swap = (0, 2, 1, 3)
     lam = lambda_matrix(Z2, swap)
     res = eq_consistency_residual(Z2.smatrix, lam, lam)
@@ -732,8 +725,8 @@ def test_induced_cycle_permutations_string_gate():
     # phases and leaves its own cycle alone
     gate = _as_gate(f1[1])
     lam1, lam2 = induced_cycle_permutations(Z2, gate)
-    flag1, perm1, _ = check_lambda_monomial(Z2, lam1)
-    flag2, perm2, phases2 = check_lambda_monomial(Z2, lam2)
+    flag1, perm1, _ = check_lambda_monomial(lam1)
+    flag2, perm2, phases2 = check_lambda_monomial(lam2)
     assert flag1 and flag2
     assert perm1 == (0, 1, 2, 3)
     assert perm2 == (0, 1, 2, 3)
@@ -788,16 +781,27 @@ def test_lattice_check_reaches_long_cycles():
 
 
 def test_lattice_check_charges_its_arrays_before_building_them(monkeypatch):
-    """The loops and the N^4 pair arrays are charged first: a cycle of
-    10^8 edges, or N = 64, is refused before the model is built."""
-    def no_model(n):
-        raise AssertionError("the model was built")
+    """The loops, S and the N^4 pair arrays are charged first: a cycle of
+    10^8 edges, N = 70 or N = 64 is refused before S is built."""
+    def no_smatrix(orders):
+        raise AssertionError("S was built")
 
-    monkeypatch.setattr(abelian, "zn_toric", no_model)
+    monkeypatch.setattr(abelian, "abelian_smatrix", no_smatrix)
     with pytest.raises(SearchBudgetError, match=r"^lattice loops: 16 x 800,000,000 bytes"):
         lattice_commutation_check(2, 10**8)
+    with pytest.raises(SearchBudgetError, match=r"^S matrix: 24,010,000 x 48 bytes"):
+        lattice_commutation_check(70, 3)
     with pytest.raises(SearchBudgetError, match=r"^commutation phases: 16,777,216 x 88 bytes"):
         lattice_commutation_check(64, 3)
+
+
+def test_lattice_check_builds_no_model(monkeypatch):
+    """The check reads S alone, so no fusion tensor or F-symbols are built."""
+    def no_model(*args):
+        raise AssertionError("a model was built")
+
+    monkeypatch.setattr(models, "_abelian_double", no_model)
+    assert lattice_commutation_check(12, 3)["passed"]
 
 
 def test_lattice_size_independent():

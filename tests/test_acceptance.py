@@ -24,26 +24,26 @@ from anyongates import (
     sphere_surface,
     torus_surface,
 )
-from anyongates.abelian import (
-    check_lambda_monomial,
-    eq_consistency_residual,
-    induced_cycle_permutations,
-    lattice_commutation_check,
-)
+from anyongates.abelian import lattice_commutation_check
 from anyongates.models import verlinde_fusion
 from anyongates.solver import MonomialMatrix
-from anyongates.surfaces import cut_dimensions, standard_dap
-from anyongates.verlinde import idempotents, regular_representation
+from anyongates.surfaces import standard_dap
 
 from oracles import (
     all_subset_idempotents,
+    check_lambda_monomial,
+    cut_dimensions,
+    eq_consistency_residual,
     fibonacci_number,
     families,
     grid_intertwiner_solutions,
+    idempotents,
     idempotents_by_eigendecomposition,
+    induced_cycle_permutations,
     ising_qubit_isomorphism,
     match_projector_sets,
     projective_distance,
+    regular_representation,
 )
 
 FIB = load_builtin("fibonacci")
@@ -243,7 +243,7 @@ def test_09_abelian_torus_structure():
             )
             lam1, lam2 = induced_cycle_permutations(model, gate)
             for lam in (lam1, lam2):
-                flag, _, phases = check_lambda_monomial(model, lam)
+                flag, _, phases = check_lambda_monomial(lam)
                 assert flag
                 assert np.abs(phases**nexp - 1).max() < 1e-9
             assert eq_consistency_residual(model.smatrix, lam1, lam2) < 1e-9

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from anyongates import (
-    braid_generator,
     evaluate_word,
     load_builtin,
     sphere_surface,
@@ -74,7 +73,7 @@ def test_projective_distance_ignores_global_phase():
 
 
 def test_fib_three_puncture_phase():
-    rep = braid_generator(FIB, 3, "tau", 1)
+    rep = evaluate_word(FIB, sphere_surface(FIB, "tau", 3), "s1")
     assert rep.matrix.shape == (1, 1)
     assert abs(rep.matrix[0, 0] - np.exp(3j * np.pi / 5)) < 1e-12
 
@@ -88,13 +87,13 @@ def test_ising_exchange_block_anchor():
 
 def test_edge_generators_are_diagonal():
     for k in (1, 5):
-        rep = braid_generator(ISING, 6, "sigma", k)
+        rep = evaluate_word(ISING, sphere_surface(ISING, "sigma", 6), f"s{k}")
         off = rep.matrix - np.diag(np.diag(rep.matrix))
         assert np.abs(off).max() == 0.0
 
 
 def test_first_generator_phases_follow_first_slot():
-    rep = braid_generator(ISING, 6, "sigma", 1)
+    rep = evaluate_word(ISING, sphere_surface(ISING, "sigma", 6), "s1")
     basis = rep.basis
     for i, lab in enumerate(basis.labelings):
         want = ISING.rsymbol(2, 2, lab[0])
@@ -104,7 +103,7 @@ def test_first_generator_phases_follow_first_slot():
 def test_braid_generators_unitary():
     for model, z, m in ((FIB, "tau", 7), (ISING, "sigma", 8)):
         for k in range(1, m):
-            g = braid_generator(model, m, z, k).matrix
+            g = evaluate_word(model, sphere_surface(model, z, m), f"s{k}").matrix
             assert np.abs(g @ g.conj().T - np.eye(g.shape[0])).max() < 1e-9
 
 
@@ -112,9 +111,9 @@ def test_braid_generators_unitary():
 @pytest.mark.parametrize("name,z", [("fibonacci", "tau"), ("ising", "sigma")])
 def test_yang_baxter(name, z, m):
     model = load_builtin(name)
-    if not (enum_dim := braid_generator(model, m, z, 1).matrix.shape[0]):
+    if not (enum_dim := evaluate_word(model, sphere_surface(model, z, m), "s1").matrix.shape[0]):
         pytest.skip("zero-dimensional space")
-    gens = [braid_generator(model, m, z, k).matrix for k in range(1, m)]
+    gens = [evaluate_word(model, sphere_surface(model, z, m), f"s{k}").matrix for k in range(1, m)]
     for k in range(len(gens) - 1):
         a, b = gens[k], gens[k + 1]
         res = np.abs(a @ b @ a - b @ a @ b).max()
@@ -125,7 +124,7 @@ def test_yang_baxter(name, z, m):
 @pytest.mark.parametrize("name,z", [("fibonacci", "tau"), ("ising", "sigma")])
 def test_far_commutation(name, z, m):
     model = load_builtin(name)
-    gens = [braid_generator(model, m, z, k).matrix for k in range(1, m)]
+    gens = [evaluate_word(model, sphere_surface(model, z, m), f"s{k}").matrix for k in range(1, m)]
     if gens[0].shape[0] == 0:
         pytest.skip("zero-dimensional space")
     for i in range(len(gens)):
@@ -136,17 +135,17 @@ def test_far_commutation(name, z, m):
 
 def test_braid_generator_range_checks():
     with pytest.raises(ValueError):
-        braid_generator(ISING, 2, "sigma", 1)
+        evaluate_word(ISING, sphere_surface(ISING, "sigma", 2), "s1")
     with pytest.raises(ValueError):
-        braid_generator(ISING, 6, "sigma", 6)
+        evaluate_word(ISING, sphere_surface(ISING, "sigma", 6), "s6")
     with pytest.raises(ValueError):
-        braid_generator(ISING, 6, "sigma", 0)
+        evaluate_word(ISING, sphere_surface(ISING, "sigma", 6), "s0")
 
 
 def test_sphere_word_evaluation_composes():
     surf = sphere_surface(ISING, "sigma", 6)
-    g1 = braid_generator(ISING, 6, "sigma", 1).matrix
-    g2 = braid_generator(ISING, 6, "sigma", 2).matrix
+    g1 = evaluate_word(ISING, sphere_surface(ISING, "sigma", 6), "s1").matrix
+    g2 = evaluate_word(ISING, sphere_surface(ISING, "sigma", 6), "s2").matrix
     got = evaluate_word(ISING, surf, "s1 s2'").matrix
     assert np.abs(got - g1 @ g2.conj().T).max() < 1e-12
 

@@ -10,18 +10,18 @@ import pytest
 from anyongates import (
     AnyonModel,
     ModelError,
+    dg_abelian,
     fibonacci,
     ising,
     load_builtin,
     parse_model,
     quantum_dimensions,
     serialize_model,
-    total_quantum_dimension,
     validate,
     zn_toric,
 )
 from anyongates.budget import Budget
-from anyongates.models import FSymbols, fusion_channels, verlinde_fusion
+from anyongates.models import FSymbols, abelian_smatrix, fusion_channels, verlinde_fusion
 from oracles import (
     deligne_product,
     reference_abelian_double,
@@ -129,11 +129,20 @@ def test_zn_toric_data(nmod):
                     assert abs(m.smatrix[i, j] - w ** (-(a * bp + ap * b)) / nmod) < 1e-12
 
 
+@pytest.mark.parametrize("orders", [[n] for n in range(2, 9)] + [[2, 2], [2, 3]])
+def test_abelian_smatrix_is_the_model_s_bit_for_bit(orders):
+    """The S the lattice check reads without a model is the model's own."""
+    got = abelian_smatrix(orders)
+    want = (zn_toric(orders[0]) if len(orders) == 1 else dg_abelian(orders)).smatrix
+    assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
 def test_zn_toric_fusion_is_group_law():
     m = zn_toric(3)
     n = m.n_labels
+    product = fusion_channels(m.fusion).product
     for a in range(n):
-        prods = [m.fusion_product(a, b) for b in range(n)]
+        prods = [product(a, b) for b in range(n)]
         assert all(len(p) == 1 for p in prods)
         # row of a group multiplication table: a bijection
         assert sorted(p[0] for p in prods) == list(range(n))
@@ -154,12 +163,6 @@ def test_quantum_dimensions():
     assert np.abs(quantum_dimensions(zn_toric(4)) - 1).max() < 1e-12
 
 
-def test_total_quantum_dimension():
-    assert abs(total_quantum_dimension(fibonacci()) - np.sqrt(2 + PHI)) < 1e-12
-    assert abs(total_quantum_dimension(ising()) - 2) < 1e-12
-    assert abs(total_quantum_dimension(zn_toric(5)) - 5) < 1e-12
-
-
 def test_vacuum_and_duals(builtin):
     m = builtin
     assert m.dual[0] == 0
@@ -174,9 +177,10 @@ def test_vacuum_and_duals(builtin):
 def test_ribbon_identity(builtin):
     """R^{ab}_c R^{ba}_c = theta_c / (theta_a theta_b) on every fusion triple."""
     m = builtin
+    product = fusion_channels(m.fusion).product
     for a in range(m.n_labels):
         for b in range(m.n_labels):
-            for c in m.fusion_product(a, b):
+            for c in product(a, b):
                 lhs = m.rsymbol(a, b, c) * m.rsymbol(b, a, c)
                 rhs = m.twists[c] / (m.twists[a] * m.twists[b])
                 assert abs(lhs - rhs) < 1e-10, (m.name, a, b, c)
@@ -599,11 +603,11 @@ def test_fusion_lookups_follow_the_tensor_in_a_bounded_memo():
     tensors share one table, a tensor changed in place gets a table of its
     own, and the memo forgets a table after four others."""
     m = ising()
-    assert m.fusion_product(1, 1) == (0,)
+    assert fusion_channels(m.fusion).product(1, 1) == (0,)
     table = fusion_channels(m.fusion)
     assert fusion_channels(ising().fusion) is table
     m.fusion[1, 1, 1] = 1
-    assert m.fusion_product(1, 1) == (0, 1)
+    assert fusion_channels(m.fusion).product(1, 1) == (0, 1)
     m.fusion[1, 1, 1] = 0
     assert fusion_channels(m.fusion) is table
     for k in range(1, 5):

@@ -74,6 +74,31 @@ def _src_references() -> set[str]:
     return found
 
 
+# Definitions kept without a caller in the package, one reason each.
+UNCALLED = {
+    "serialize_model": "the JSON schema writer, inverse of `parse_model`",
+    "string_operator_matrices": "the string operators as matrices, the public form "
+    "README documents; `string_operators` reads the same memoised matrices as monomials",
+}
+
+
+def test_every_definition_has_a_caller_in_the_package():
+    """Each top-level function and class of a package module is read
+    somewhere in the package outside its own definition, or is listed in
+    ``UNCALLED``; ``__init__`` and the tests do not count as callers."""
+    called = _src_references()
+    uncalled = [
+        f"{path.stem}.{node.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name not in called
+        and node.name not in UNCALLED
+    ]
+    assert uncalled == []
+
+
 def _readme_library_section() -> str:
     text = README.read_text()
     start = text.index("\n## Library\n")

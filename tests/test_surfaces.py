@@ -7,14 +7,18 @@ from anyongates import (
     InfeasibleSurfaceError,
     ModelError,
     SurfaceSpec,
-    cut_dimensions,
     enumerate_labelings,
     load_builtin,
     sphere_surface,
     standard_dap,
     torus_surface,
 )
-from oracles import brute_force_labelings, fibonacci_number, ising_qubit_isomorphism
+from oracles import (
+    brute_force_labelings,
+    cut_dimensions,
+    fibonacci_number,
+    ising_qubit_isomorphism,
+)
 
 FIB = load_builtin("fibonacci")
 ISING = load_builtin("ising")
@@ -152,12 +156,6 @@ def test_cut_dimensions_match_enumeration():
         counts = cut_dimensions(ISING, surf, dap, curve)
         for a in range(ISING.n_labels):
             assert counts[a] == sum(1 for lab in labs if lab[j] == a)
-
-
-def test_cut_dimensions_unknown_curve():
-    surf = sphere_surface(FIB, "tau", 6)
-    with pytest.raises(ValueError):
-        cut_dimensions(FIB, surf, standard_dap(surf), "C9")
 
 
 # ---------------------------------------------------------------------------

@@ -3,21 +3,19 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from anyongates import (
-    idempotents,
-    lambda_matrix,
-    load_builtin,
-    quantum_dimensions,
-    reconstruct_regular,
-    regular_representation,
-)
+from anyongates import load_builtin, quantum_dimensions
 from anyongates.models import verlinde_fusion
-from anyongates.verlinde import permutation_matrix, transported_regular
 
 from oracles import (
     all_subset_idempotents,
+    idempotents,
     idempotents_by_eigendecomposition,
+    lambda_matrix,
     match_projector_sets,
+    permutation_matrix,
+    reconstruct_regular,
+    regular_representation,
+    transported_regular,
 )
 
 MODELS = ["fibonacci", "ising", "zn_toric:2", "zn_toric:3", "zn_toric:4"]
