@@ -39,6 +39,7 @@ GRID = (
                      "zn_toric:5", "zn_toric:6", "dg_abelian:2,2")]
     + [
         "classify --model zn_toric:3 --surface torus --words s,st,stst --format json",
+        "classify --model zn_toric:3 --surface torus --words stst,s,st --format json",
         "classify --model ising --surface sphere:sigma:8 --words s1s2 --format json",
         "classify --model ising --surface sphere:sigma:10 --words s2s3,s4s5' --format json",
         "classify --model ising --surface sphere:sigma:10 --words s1s2s3s4s5s6s7s8s9 "
