@@ -7,7 +7,9 @@
 exit code and the sha256 of its stdout.  Every command runs as a fresh
 ``python -m anyongates.cli`` process on this checkout's ``src``.  The tier-1
 test ``tests/test_golden.py`` checks the fast part of the same table in
-process; this script also runs the slow commands.
+process; this script also runs the slow commands.  A command still running
+after ``TIMEOUT_S`` seconds is killed and reported as a failed TIMEOUT row,
+so a hung command cannot stall the run.
 
 Independently of the recorded hashes, the stdout of every ``--format json``
 command that exits 0 must equal ``json.dumps(json.loads(out),
@@ -28,6 +30,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 TABLE = ROOT / "tests" / "golden" / "cli_sha256.json"
+TIMEOUT_S = 300.0
 
 GRID = (
     [f"classify --model ising --surface sphere:sigma:{m} --format json"
@@ -72,19 +75,22 @@ GRID = (
 )
 
 
-def run(command: str) -> tuple[int, bytes, float]:
-    """Exit code, stdout and wall seconds of one CLI command."""
+def run(command: str, timeout: float) -> tuple[int | None, bytes, float]:
+    """Exit code, stdout and wall seconds of one CLI command; the exit code
+    is None when the command ran past ``timeout`` seconds and was killed."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "anyongates.cli", *command.split()],
-        stdout=subprocess.PIPE, env=env, check=False,
-    )
-    seconds = time.perf_counter() - start
-    return proc.returncode, proc.stdout, seconds
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "anyongates.cli", *command.split()],
+            stdout=subprocess.PIPE, env=env, check=False, timeout=timeout,
+        )
+    except subprocess.TimeoutExpired as exc:
+        return None, exc.stdout or b"", time.perf_counter() - start
+    return proc.returncode, proc.stdout, time.perf_counter() - start
 
 
 def reencodes(command: str, rc: int, out: bytes) -> bool:
@@ -104,12 +110,12 @@ def main(argv: list[str] | None = None) -> int:
     got = {}
     bad = 0
     for command in GRID:
-        rc, out, seconds = run(command)
+        rc, out, seconds = run(command, TIMEOUT_S)
         got[command] = {"exit": rc, "sha256": hashlib.sha256(out).hexdigest()}
-        same = reencodes(command, rc, out)
+        same = rc is not None and reencodes(command, rc, out)
         ok = same and (args.write or want.get(command) == got[command])
         bad += not ok
-        status = "ok " if ok else "DIFF" if same else "JSON"
+        status = "ok " if ok else "TIMEOUT" if rc is None else "DIFF" if same else "JSON"
         print(f"{status} {seconds:6.2f}s  {command}", flush=True)
     if args.write and not bad:
         TABLE.parent.mkdir(parents=True, exist_ok=True)

@@ -253,6 +253,12 @@ def _single_s_split(tokens: list[tuple[str, int]]):
     return tokens[:i], tokens[i][1], tokens[i + 1 :]
 
 
+def _automorphism_parts(mul: np.ndarray, perms: np.ndarray) -> np.ndarray:
+    """alpha = T_{pi(0)}^-1 pi of each affine row pi, in ``mul``'s dtype."""
+    inverse = np.argmin(mul, axis=1)  # mul[c, inverse[c]] = 0
+    return mul[inverse[perms[:, 0]][:, None], perms]
+
+
 def affine_maps(model: AnyonModel, budget: Budget) -> np.ndarray:
     """``affine_permutations(model)``, charged to ``budget`` before it is built."""
     n = model.n_labels
@@ -313,11 +319,23 @@ def torus_word_families(
     passes ``intersect_delta``'s test of two rigid families: no relative
     phase differs by more than ``CYCLE_TOL``.  The two relative phases
     differ by chi_b(x) (rel_0(x) - rel'_c(x)), and |chi_b| = 1, so the gap is
-    the same for every b: q, c and the gap are computed once per (pi, later
-    word), at b = 0, and a map keeps all n characters or none.
+    the same for every b: q, c and the gap are computed at b = 0, and a map
+    keeps all n characters or none.
 
-    The maps run in chunks of ``chunk_rows`` maps (split, dressings, partner
-    character and gap).  Only the kept (pi, b) rows get relative phases,
+    The gap is also the same for every map of one automorphism.  As
+    dress_alpha(0) = 1, the product rule above gives the relative phases
+    rel_{T_c alpha}(x) = rel_alpha(x) rel_{T_c}(alpha(x)), so
+    q(T_c alpha) = q(alpha) (q(T_c) o alpha).  When q(T_c) is a character,
+    so is q(T_c) o alpha, and it moves the partner of T_c alpha by itself:
+    the gap of T_c alpha is that of alpha.  So the join runs once per
+    (automorphism, later word), and on the n translations, whose gap is
+    zero exactly when q(T_c) is a character; a translation that fails it is
+    a RuntimeError.  Each affine map keeps what its automorphism keeps,
+    read off the row-key lookup that splits it.
+
+    The translations and automorphisms run in chunks of ``chunk_rows``
+    (factor, dressings, partner character and gap), the affine maps in
+    chunks of their split.  Only the kept (pi, b) rows get relative phases,
     with the elementwise arithmetic one family would get, so the cosets are
     bit-identical to a pass per family.  Character factors, affine maps and
     found rows are charged to a byte budget before they are built.
@@ -363,9 +381,23 @@ def torus_word_families(
             f"derived character (word={words[k]!r}, b={b}) failed verification"
         )
 
+    def joined(pi):  # (p,): every later word's partner of chi_0 within CYCLE_TOL
+        if len(words) == 1:
+            return np.ones(len(pi), dtype=bool)
+        dress = dressings(pi)
+        diag0 = chi[0] * dress
+        rel = diag0 / diag0[..., :1]  # (p, word, x): each word's coset at b = 0
+        # its ratio to word 0's picks the nearest character chi_c, the partner of b = 0
+        q = rel[:, :1] * np.conj(rel[:, 1:])  # (p, later word, x)
+        c = np.abs(q @ np.conj(chi).T).argmax(axis=2)
+        partner = chi[c] * dress[:, 1:]
+        gap = np.abs(rel[:, :1] - partner / partner[..., :1]).max(axis=2)
+        return (gap <= CYCLE_TOL).all(axis=1)
+
     perms = affine_maps(model, budget)
     autos = automorphisms(model)
     gens = np.concatenate([mul, autos])  # row c < n is T_c, then the automorphisms
+    gen_keep = np.empty(len(gens), dtype=bool)
     step = chunk_rows(16 * len(words) * n * n)
     for lo in range(0, len(gens), step):
         pi = gens[lo : lo + step]
@@ -379,35 +411,32 @@ def torus_word_families(
                 f"derived {kind} (word={words[k]!r}, pi={tuple(pi[i].tolist())}) "
                 "failed verification"
             )
+        gen_keep[lo : lo + step] = joined(pi)
+    if not gen_keep[:n].all():
+        c = int(np.argmin(gen_keep[:n]))
+        raise RuntimeError(
+            f"derived translation (words={words!r}, pi={tuple(mul[c].tolist())}) "
+            "failed the join"
+        )
+    auto_keep = gen_keep[n:]
 
-    inverse = np.argmin(mul, axis=1)  # mul[c, inverse[c]] = 0
     keys = row_keys(autos)
     by_key = np.argsort(keys)
     keep = [np.zeros(0, dtype=bool)]
-    step = chunk_rows(64 * len(words) * n)  # four complex (word, x) arrays per map
+    step = chunk_rows(3 * 8 * n)  # alpha, the automorphism it looks up, their comparison
     for lo in range(0, len(perms), step):
         pi = perms[lo : lo + step]
-        alpha = mul[inverse[pi[:, 0]][:, None], pi]
+        alpha = _automorphism_parts(mul, pi)
         at = np.searchsorted(keys, row_keys(alpha), sorter=by_key)
-        splits = (autos[by_key[np.minimum(at, len(autos) - 1)]] == alpha).all(axis=1)
+        at = by_key[np.minimum(at, len(autos) - 1)]
+        splits = (autos[at] == alpha).all(axis=1)
         if not splits.all():
             i = int(np.argmin(splits))
             raise RuntimeError(
                 f"derived family (word={words[0]!r}, pi={tuple(pi[i].tolist())}) "
                 "failed verification"
             )
-        if len(words) == 1:
-            keep.append(np.ones(len(pi), dtype=bool))
-            continue
-        dress = dressings(pi)
-        diag0 = chi[0] * dress
-        rel = diag0 / diag0[..., :1]  # (p, word, x): each word's coset at b = 0
-        # its ratio to word 0's picks the nearest character chi_c, the partner of b = 0
-        q = rel[:, :1] * np.conj(rel[:, 1:])  # (p, later word, x)
-        c = np.abs(q @ np.conj(chi).T).argmax(axis=2)
-        partner = chi[c] * dress[:, 1:]
-        gap = np.abs(rel[:, :1] - partner / partner[..., :1]).max(axis=2)
-        keep.append((gap <= CYCLE_TOL).all(axis=1))
+        keep.append(auto_keep[at])
     kept = perms[np.concatenate(keep)]
     budget.charge("found rows", len(kept) * n, 2 * 24 * n)  # int and complex, and temporaries
     diags = chi * dressings(kept)[:, :1]  # [p, b] holds D for chi_b
@@ -527,7 +556,9 @@ def clifford_star_batch(
     is therefore checked once per distinct permutation, all generators in
     one product.  The C2 half is checked per gate, in blocks of gates with
     every generator in one product.  Each block of (gates, k + 1, n) complex
-    coefficients takes ``chunk_rows`` gates.
+    coefficients takes ``chunk_rows`` gates.  For the classes of closed-form
+    torus families, ``clifford_star_by_automorphism`` calls it on one class
+    per automorphism and one per translation only.
     """
     perms = np.asarray(perms)
     d = np.asarray(phases, dtype=np.complex128)
@@ -580,6 +611,37 @@ def clifford_star_batch(
         member[lo : lo + step] &= ok.all(axis=1)
         roots[lo : lo + step] &= root.all(axis=1)
     return member, member & roots
+
+
+def clifford_star_by_automorphism(model: AnyonModel, perms, phases) -> np.ndarray:
+    """``clifford_star_batch``'s membership of gates from closed-form torus
+    families, decided once per automorphism.
+
+    Every gate is P(T_c) P(alpha) diag(chi_b) up to a phase
+    (``torus_word_families``), with alpha = T_{pi(0)}^-1 pi.  As P is a
+    homomorphism, two gates of one alpha differ by P(T_c' c^-1) on the left
+    and a character diagonal, a C1 string, on the right.  The Clifford-star
+    set contains the strings and is closed under products and inverses, and
+    P(T_d) is a member exactly when a gate of permutation T_d is.  So once
+    one gate of each translation passes, one gate decides every gate of its
+    alpha: the first gate of each alpha is checked, with one gate of each
+    translation, and every gate takes its alpha's flag.  When some
+    translation has no gate, or a translation's gate fails, every gate is
+    checked.  Gates whose phases match the closed form's only within a
+    coset tolerance get the flags of the exact ones up to that tolerance.
+    """
+    perms = np.asarray(perms)
+    phases = np.asarray(phases)
+    n = model.n_labels
+    alpha = _automorphism_parts(fusion_table(model).astype(perms.dtype), perms)
+    _, first, which = np.unique(row_keys(alpha), return_index=True, return_inverse=True)
+    shift = np.flatnonzero((alpha == np.arange(n)).all(axis=1))  # the translations' gates
+    _, at = np.unique(perms[shift, 0], return_index=True)
+    reps = np.concatenate([first, shift[at]])
+    member, _ = clifford_star_batch(model, perms[reps], phases[reps])
+    if len(at) < n or not member[len(first) :].all():
+        return clifford_star_batch(model, perms, phases)[0]
+    return member[which.ravel()]
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,12 @@ Two sphere paths and one torus path cover the built-in models:
   diagonal and the classes exact ("diagonal"); otherwise the list is an
   upper bound ("fallback").
 * closed-form abelian torus path: the abelian module lists the families
-  of every single-s word in one pass over the affine permutations, and every
-  resulting class is checked for Clifford-star membership from its
-  permutation and phases.
+  of every single-s word in one pass over the affine permutations, joining
+  the words once per automorphism of the fusion group.  Every resulting
+  class is decided for Clifford-star membership: one class per
+  automorphism and one per translation are checked from their permutations
+  and phases, and each class takes its automorphism's flag, since two
+  classes of one automorphism differ by strings, which keep membership.
 
 Every class list is in the order of its classes' compact JSON, computed
 from the arrays the classes are built from (``json_order``), not from their
@@ -626,15 +629,21 @@ def classify_torus(
 
     Abelian models route all single-s words together through the
     closed-form character enumeration (complete at any dimension), which
-    joins them per affine permutation; its result takes the place of the
-    first such word among the delta sets that are intersected.  Every other
-    word uses the wildcard solver, which refuses a search over its budget
-    with a SearchBudgetError.  An abelian model's word then searches the
-    affine permutations only, flagged as an upper bound when those are
+    joins them once per automorphism alpha = T_{pi(0)}^-1 pi: every affine
+    map T_c alpha keeps what alpha keeps.  Its result takes the place of
+    the first such word among the delta sets that are intersected.  Every
+    other word uses the wildcard solver, which refuses a search over its
+    budget with a SearchBudgetError.  An abelian model's word then searches
+    the affine permutations only, flagged as an upper bound when those are
     fewer than all n! permutations.  Families are reported modulo a global
     phase.  When an abelian model's families are rigid, every class is
-    checked for Clifford-star membership, so
-    ``details["clifford_star_checked"]`` equals the class count.
+    decided for Clifford-star membership, so
+    ``details["clifford_star_checked"]`` equals the class count.  With a
+    closed-form set among the intersected ones, the classes of one
+    automorphism differ only by strings, so one class per automorphism and
+    one per translation are checked and the rest take their automorphism's
+    flag (``clifford_star_by_automorphism``); otherwise every class is
+    checked.
     """
     check_tol(tol)
     if mcg_words is None:
@@ -695,7 +704,10 @@ def classify_torus(
         verdict, order = "trivial", 1
     if verdict == "upper_bound_only" and rigid and abel:
         contains = _contains_logical_paulis(model, inter)
-        member, _ = _ab.clifford_star_batch(model, inter.perms, phases)
+        if closed_words:
+            member = _ab.clifford_star_by_automorphism(model, inter.perms, phases)
+        else:
+            member, _ = _ab.clifford_star_batch(model, inter.perms, phases)
         all_passed = bool(member.all())
         details["contains_logical_paulis"] = contains
         details["clifford_star_checked"] = len(member)

@@ -156,12 +156,6 @@ class AnyonModel:
                 f"missing R-symbol ({self.labels[a]},{self.labels[b]};{self.labels[c]})"
             ) from None
 
-    def fsymbol(self, i: int, j: int, m: int, k: int, l: int, n: int) -> complex:
-        try:
-            return self.fsymbols[(i, j, m, k, l, n)]
-        except KeyError:
-            raise ModelError(_missing_fsymbol(self.labels, (i, j, m, k, l, n))) from None
-
     @cached_property
     def fblocks(self) -> FBlockStore:
         """Every admissible F-block, built once on the first read."""

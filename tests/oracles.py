@@ -25,7 +25,7 @@ walk over a shared forest, the sphere word filter from dense conjugation of
 every product gate instead of per-curve local blocks, the closed-form torus
 families verified by one dense product per family and by one permutation
 factor per affine map with a gap test per character instead of one factor
-per translation and per automorphism with one gap test per map, the
+and one gap test per translation and per automorphism, the
 logical-Pauli test by a scan over every family and by a dict of family
 objects instead of a lookup among permutation rows, Clifford-star
 membership from the dense expansion in the string basis and from one pass
@@ -320,6 +320,17 @@ def cut_dimensions(model, surface, dap, curve: str) -> dict[int, int]:
 # F-blocks boundary by boundary
 
 
+def fsymbol(model, i: int, j: int, m: int, k: int, l: int, n: int) -> complex:
+    """F^{ijm}_{kln} read from the model's F-symbol mapping; a missing key is
+    the ModelError, with the text, that the F-block store gives its boundary."""
+    key = (i, j, m, k, l, n)
+    try:
+        return model.fsymbols[key]
+    except KeyError:
+        names = tuple(model.labels[x] for x in key)
+        raise ModelError("missing F-symbol F^{%s,%s,%s}_{%s,%s,%s}" % names) from None
+
+
 def reference_fmove_block(model, i: int, j: int, k: int, l: int):
     """The block of boundary (i,j,k,l) from scans over all labels."""
     rows = [
@@ -333,7 +344,7 @@ def reference_fmove_block(model, i: int, j: int, k: int, l: int):
         if model.fusion[i, l, n] and model.fusion[j, n, k]
     ]
     block = np.array(
-        [[model.fsymbol(i, j, m, k, l, n) for n in cols] for m in rows],
+        [[fsymbol(model, i, j, m, k, l, n) for n in cols] for m in rows],
         dtype=np.complex128,
     ).reshape(len(rows), len(cols))
     return tuple(rows), tuple(cols), block

@@ -22,6 +22,7 @@ from anyongates.abelian import (
     automorphisms,
     characters,
     clifford_star_batch,
+    clifford_star_by_automorphism,
     fusion_table,
     group_coordinates,
     is_abelian,
@@ -325,9 +326,9 @@ ORACLE_MODELS = ["zn_toric:2", "zn_toric:3", "zn_toric:4", "zn_toric:5", "dg_abe
 @pytest.mark.parametrize("words", ["s", ["s", "st"], ["st", "s", "stt"]], ids=str)
 @pytest.mark.parametrize("name", ORACLE_MODELS)
 def test_generator_factors_equal_the_per_map_reference(name, words):
-    """One factor per translation and per automorphism, and one gap test
-    per map, list the families of one factor per affine map and one gap
-    test per character: the same permutations and the same rel bits.  The
+    """One factor and one gap test per translation and per automorphism
+    list the families of one factor per affine map and one gap test per
+    character: the same permutations and the same rel bits.  The
     set holds its rows in the narrowest index type, so the reference's
     rows are cast to it before they are hashed."""
     model = load_builtin(name)
@@ -669,6 +670,96 @@ def test_only_the_vacuum_string_rejects_a_non_unitary_diagonal(model):
     want = reference_clifford_star_batch(model, perms, phases)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
     assert not got[0].any()
+
+
+def _automorphism_of(model, perms):
+    """alpha = T_{pi(0)}^-1 pi of each permutation row."""
+    mul = fusion_table(model)
+    inverse = np.argmin(mul, axis=1)
+    return mul[inverse[perms[:, 0]][:, None], perms]
+
+
+@pytest.mark.parametrize(
+    "name, words",
+    [
+        ("zn_toric:2", None),
+        ("zn_toric:3", None),
+        ("zn_toric:4", None),
+        ("zn_toric:5", None),
+        ("dg_abelian:2,2", None),
+        ("zn_toric:3", ["s", "st", "stst"]),
+        ("zn_toric:3", ["stst", "s", "st"]),
+    ],
+    ids=str,
+)
+def test_per_automorphism_flags_equal_the_check_of_every_class(monkeypatch, name, words):
+    """The flags ``classify_torus`` reads off one class per automorphism and
+    one per translation equal ``clifford_star_batch`` on every class, in both
+    orders of a wildcard word and the closed form, and only those
+    representatives were checked."""
+    import anyongates.abelian as ab
+
+    by_automorphism, batch = ab.clifford_star_by_automorphism, ab.clifford_star_batch
+    calls, sizes = [], []
+
+    def spy(model, perms, phases):
+        member = by_automorphism(model, perms, phases)
+        calls.append((model, perms, phases, member))
+        return member
+
+    def counted(model, perms, phases):
+        sizes.append(len(perms))
+        return batch(model, perms, phases)
+
+    monkeypatch.setattr(ab, "clifford_star_by_automorphism", spy)
+    monkeypatch.setattr(ab, "clifford_star_batch", counted)
+    report = classify_torus(load_builtin(name), words)
+    ((model, perms, phases, member),) = calls
+    assert sizes == [len(np.unique(_automorphism_of(model, perms), axis=0)) + model.n_labels]
+    assert report.details["clifford_star_checked"] == len(member) == report.n_classes
+    assert member.all() and np.array_equal(member, batch(model, perms, phases)[0])
+
+
+@pytest.mark.parametrize("hit_by", ["automorphism", "identity", "shift"])
+def test_a_non_clifford_diagonal_flags_exactly_the_classes_it_multiplies(hit_by):
+    """Negative control: the classes of one automorphism, of the identity,
+    or of every map T_1 alpha, right-multiplied by an irrational diagonal,
+    are flagged, and no other class.  In the last two a translation's
+    representative fails, so every class is checked: under the shift, the
+    first class of each automorphism, at c = 0, still passes."""
+    fams = torus_word_families(Z3, ["s", "st"])
+    perms, phases = fams.perms, fams.instantiate_families()
+    alpha = _automorphism_of(Z3, perms)
+    identity = (alpha == np.arange(Z3.n_labels)).all(axis=1)
+    hit = {
+        "automorphism": (alpha == alpha[np.argmin(identity)]).all(axis=1),
+        "identity": identity,
+        "shift": perms[:, 0] == 1,
+    }[hit_by]
+    assert 0 < hit.sum() < len(hit)
+    diag = np.ones(Z3.n_labels, dtype=complex)
+    diag[-1] = np.exp(0.7j)
+    phases = np.where(hit[:, None], phases * diag, phases)
+    assert np.array_equal(clifford_star_by_automorphism(Z3, perms, phases), ~hit)
+    assert np.array_equal(clifford_star_batch(Z3, perms, phases)[0], ~hit)
+
+
+@pytest.mark.parametrize("words", [["s", "st"], ["st", "s", "stt"]], ids=str)
+@pytest.mark.parametrize("name", ["zn_toric:3", "zn_toric:4", "zn_toric:5"])
+def test_the_join_keeps_every_map_of_an_automorphism_or_none(name, words):
+    """The per-map join of the reference (one gap test per affine map and
+    character) keeps T_c alpha exactly when it keeps alpha, for every
+    translation c, and the per-automorphism join keeps the same maps."""
+    model = load_builtin(name)
+    want = {
+        tuple(p) for chunk, _ in reference_torus_word_families(model, words)
+        for p in chunk.tolist()
+    }
+    maps = fusion_table(model)[:, automorphisms(model)]  # [c, alpha] = T_c alpha
+    keeps = np.array([[tuple(p) in want for p in row] for row in maps.tolist()])
+    assert keeps.any() and not keeps.all()
+    assert (keeps == keeps[0]).all()
+    assert {tuple(p) for p in torus_word_families(model, words).perms.tolist()} == want
 
 
 # ---------------------------------------------------------------------------

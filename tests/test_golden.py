@@ -8,6 +8,7 @@ process.
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 from pathlib import Path
@@ -36,3 +37,17 @@ def test_cli_output_matches_the_golden_table(command):
 
 def test_slow_commands_are_in_the_table():
     assert SLOW <= set(TABLE)
+
+
+def test_a_command_past_the_timeout_is_a_failed_row(monkeypatch, capsys):
+    """``scripts/check_golden.py`` kills a command that outlives its timeout
+    and counts it as a failed TIMEOUT row instead of waiting for it."""
+    path = Path(__file__).parents[1] / "scripts" / "check_golden.py"
+    spec = importlib.util.spec_from_file_location("check_golden", path)
+    check_golden = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(check_golden)
+    command = "validate --model ising --format json"
+    monkeypatch.setattr(check_golden, "GRID", [command])
+    monkeypatch.setattr(check_golden, "TIMEOUT_S", 0.001)
+    assert check_golden.main([]) == 1
+    assert "TIMEOUT" in capsys.readouterr().out.splitlines()[0]

@@ -82,19 +82,32 @@ UNCALLED = {
 }
 
 
+def _definitions(path):
+    """(dotted name, name) of each top-level function and class of a module
+    and of each public method of its classes."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (*functions, ast.ClassDef)):
+            yield f"{path.stem}.{node.name}", node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, functions) and not item.name.startswith("_"):
+                    yield f"{path.stem}.{node.name}.{item.name}", item.name
+
+
 def test_every_definition_has_a_caller_in_the_package():
-    """Each top-level function and class of a package module is read
-    somewhere in the package outside its own definition, or is listed in
-    ``UNCALLED``; ``__init__`` and the tests do not count as callers."""
+    """Each top-level function and class of a package module, and each
+    public method of its classes, is read somewhere in the package outside
+    its own definition, or is listed in ``UNCALLED``; ``__init__`` and the
+    tests do not count as callers.  A method counts as read when its name
+    is, on any object."""
     called = _src_references()
     uncalled = [
-        f"{path.stem}.{node.name}"
+        dotted
         for path in sorted(PACKAGE.glob("*.py"))
         if path.name != "__init__.py"
-        for node in ast.parse(path.read_text()).body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and node.name not in called
-        and node.name not in UNCALLED
+        for dotted, name in _definitions(path)
+        if name not in called and name not in UNCALLED
     ]
     assert uncalled == []
 
