@@ -19,7 +19,6 @@ from .surfaces import (
     SurfaceSpec,
     enumerate_labelings,
     sphere_surface,
-    standard_dap,
     torus_surface,
 )
 from .mcg import evaluate_word, torus_generators
@@ -85,7 +84,6 @@ __all__ = [
     "serialize_model",
     "solve_intertwiner",
     "sphere_surface",
-    "standard_dap",
     "string_operator_matrices",
     "torus_generators",
     "torus_surface",

@@ -50,8 +50,9 @@ from .tolerances import (
 )
 
 
-def is_abelian(model: AnyonModel, tol: float = QDIM_TOL) -> bool:
-    return bool(np.abs(quantum_dimensions(model) - 1.0).max() < tol)
+def is_abelian(model: AnyonModel) -> bool:
+    """Every quantum dimension is 1 within ``QDIM_TOL``."""
+    return bool(np.abs(quantum_dimensions(model) - 1.0).max() < QDIM_TOL)
 
 
 # The fusion-group helpers below are memoised on the content they read (the
@@ -513,12 +514,7 @@ def _string_operators(n: int, smatrix: bytes) -> tuple[np.ndarray, np.ndarray]:
     return perms, phases
 
 
-def clifford_star_batch(
-    model: AnyonModel,
-    perms,
-    phases,
-    tol: float = CLIFFORD_TOL,
-) -> tuple[np.ndarray, np.ndarray]:
+def clifford_star_batch(model: AnyonModel, perms, phases) -> tuple[np.ndarray, np.ndarray]:
     """Clifford-star membership of many monomial gates at once.
 
     Gate k is U = Pi D with U|l> = phases[k][l] |perms[k][l]>.  Returns two
@@ -532,7 +528,8 @@ def clifford_star_batch(
     string coefficients are zero off that permutation's strings and, on
     them, the character projection of the phases placed on their rows.  U
     is a member when, for every generator, exactly one coefficient exceeds
-    ``tol`` and it has modulus 1 within ``tol``, as in the dense expansion.
+    ``CLIFFORD_TOL`` and it has modulus 1 within ``CLIFFORD_TOL``, as in the
+    dense expansion.
     Reading perms and phases suffices: if Pi is not affine, some
     chi_a o Pi^-1 is no multiple of a character, nor then is some
     generator's (below), and a C1 generator fails; an affine Pi conjugates
@@ -549,7 +546,8 @@ def clifford_star_batch(
     generators are strings too.  The C1 half therefore reads the k generator
     characters and the C2 half the k generator strings, plus the vacuum
     string F_0(C2) = 1: its conjugate diag(|d|^2) passes only when every
-    |d| = 1 within ``tol``, which makes U unitary, so the argument applies.
+    |d| = 1 within ``CLIFFORD_TOL``, which makes U unitary, so the argument
+    applies.
 
     A C1 generator is diagonal, so D cancels from its conjugate,
     Pi D F_a(C1) D^dag Pi^dag = Pi F_a(C1) Pi^dag, once |d| = 1; the C1 half
@@ -582,7 +580,8 @@ def clifford_star_batch(
         coeffs = (y.reshape(-1, n) @ np.conj(chi).T / n).reshape(y.shape)
         absc = np.abs(coeffs)
         top = np.take_along_axis(coeffs, absc.argmax(axis=-1)[..., None], -1)[..., 0]
-        member = ((absc > tol).sum(axis=-1) == 1) & (np.abs(np.abs(top) - 1.0) <= tol)
+        unit = np.abs(np.abs(top) - 1.0) <= CLIFFORD_TOL
+        member = ((absc > CLIFFORD_TOL).sum(axis=-1) == 1) & unit
         return member, np.abs(top**nexp - 1.0) <= ROOT_TOL
 
     # C1 half: row r of Pi F_g(C1) Pi^dag holds chi_g(Pi^-1(r)).

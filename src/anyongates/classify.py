@@ -67,11 +67,9 @@ from .solver import (
 )
 from .surfaces import (
     BasisIndex,
-    DapDecomposition,
     InfeasibleSurfaceError,
     SurfaceSpec,
     enumerate_labelings,
-    standard_dap,
 )
 from .tolerances import (
     DEFAULT_TOL,
@@ -108,10 +106,10 @@ class ClassificationError(ValueError):
 def allowed_curve_permutations(
     model: AnyonModel,
     surface: SurfaceSpec,
-    dap: DapDecomposition | None = None,
     basis: BasisIndex | None = None,
 ) -> dict[str, list[tuple[tuple[int, int], ...]]]:
-    """Per curve, the label bijections preserving all cut dimensions.
+    """Per curve C1, C2, ... in slot order, the label bijections preserving
+    all cut dimensions.
 
     Each permutation is returned as a sorted tuple of (label, image) pairs
     over the labels that actually occur on that curve.  A valid gate must
@@ -121,12 +119,10 @@ def allowed_curve_permutations(
     the surface's labelings, in one array pass; it is enumerated when not
     given.
     """
-    if dap is None:
-        dap = standard_dap(surface)
     if basis is None:
-        basis = enumerate_labelings(model, surface, dap)
+        basis = enumerate_labelings(model, surface)
     n_labels = model.n_labels
-    n_curves = len(dap.curves)
+    n_curves = 1 if surface.kind == "torus" else max(surface.punctures - 3, 0)
     slots = np.array(basis.labelings, dtype=np.intp).reshape(basis.dim, n_curves)
     # counts[s, a]: labelings with label a in slot s, the slot of curve s + 1
     counts = np.bincount(
@@ -134,13 +130,13 @@ def allowed_curve_permutations(
         minlength=n_curves * n_labels,
     ).reshape(n_curves, n_labels).tolist()
     out: dict[str, list[tuple[tuple[int, int], ...]]] = {}
-    for curve, count in zip(dap.curves, counts):
+    for s, count in enumerate(counts):
         occurring = [a for a in range(n_labels) if count[a] > 0]
         perms = []
         for images in itertools.permutations(occurring):
             if all(count[a] == count[b] for a, b in zip(occurring, images)):
                 perms.append(tuple(zip(occurring, images)))
-        out[curve] = perms
+        out[f"C{s + 1}"] = perms
     return out
 
 
@@ -173,9 +169,7 @@ class IsoPhaseSet:
     the first label.
     """
 
-    boundary: tuple[int, int, int, int]
     curve_labels: tuple[int, ...]
-    perm: tuple[tuple[int, int], ...]
     phase_functions: tuple[tuple[float, ...], ...]
 
 
@@ -204,14 +198,10 @@ def iso_phase_set(
     basis_perm = tuple(pos[pmap[a]] for a in rows)
     # Coefficient transform: the block maps row-channel kets to column-channel
     # kets, so coordinates transform by the transpose.
-    d = solve_intertwiner(
-        block.T, perm_in=[basis_perm], v_out=block.T, tol=tol
-    ).instantiate_families()
+    d = solve_intertwiner(block.T, perm_in=[basis_perm], tol=tol).instantiate_families()
     funcs = np.mod(np.angle(d / d[:, :1]), 2.0 * np.pi)
     return IsoPhaseSet(
-        boundary=tuple(boundary),
         curve_labels=rows,
-        perm=perm,
         phase_functions=tuple(sorted(set(map(tuple, funcs.tolist())))),
     )
 
@@ -324,11 +314,10 @@ def classify_punctured_sphere(
             details={"reason": "code space has dimension <= 1"},
         )
 
-    dap = standard_dap(surface)
-    allowed = allowed_curve_permutations(model, surface, dap, basis)
+    allowed = allowed_curve_permutations(model, surface, basis)
     # Curve C_{s+1} carries slot s of every labeling; labels[s] lists the
     # labels occurring there in increasing order.
-    n_curves = len(dap.curves)
+    n_curves = len(allowed)
     labels = [sorted({lab[s] for lab in basis.labelings}) for s in range(n_curves)]
     free = [s for s in range(n_curves) if len(labels[s]) > 1]
 
@@ -343,18 +332,16 @@ def classify_punctured_sphere(
 
     if factorized:
         report_classes, details = _classify_factorized(
-            model, surface, dap, allowed, labels, free, mcg_words, tol, budget
+            model, surface, allowed, labels, free, mcg_words, tol, budget
         )
-        if surface.punctures == 4 and any(
-            len(allowed[c]) > 1 for c in dap.curves
-        ):
+        if surface.punctures == 4 and any(len(p) > 1 for p in allowed.values()):
             flags.append(
                 "four-puncture case: non-identity permutations excluded only "
                 "by the supplied word list"
             )
     else:
         report_classes, details = _classify_delta(
-            model, surface, basis, dap, allowed, mcg_words, tol, budget
+            model, surface, basis, allowed, mcg_words, tol, budget
         )
         if details["path"] == "fallback":
             flags.append("generic fallback path; result is an upper bound")
@@ -402,18 +389,16 @@ def _product_action(curves, images, angles, combos):
     return target, angle
 
 
-def _window_matrix(model, surface, dap, labels, window, word):
+def _window_matrix(model, surface, labels, window, word):
     """A braid word on the slots in ``window``, the others held at their first label."""
     labelings = tuple(itertools.product(
         *(x if s in window else x[:1] for s, x in enumerate(labels))
     ))
-    basis = BasisIndex(surface, dap, labelings, {l: i for i, l in enumerate(labelings)})
+    basis = BasisIndex(surface, labelings, {l: i for i, l in enumerate(labelings)})
     return evaluate_on_basis(model, basis, word).matrix
 
 
-def _classify_factorized(
-    model, surface, dap, allowed, labels, free, mcg_words, tol, budget
-):
+def _classify_factorized(model, surface, allowed, labels, free, mcg_words, tol, budget):
     """Direct-product candidates from per-curve permutations and phases.
 
     Every free curve sits between single-label curves, so the basis is the
@@ -433,6 +418,7 @@ def _classify_factorized(
     Curves with the same boundary share their phase sets, each solved once.
     """
     n_curves = len(labels)
+    curve_names = list(allowed)  # slot s is curve C{s+1}
     # Per free curve: each option's class entry, and its image digit and
     # angle for every digit of the curve.
     entries, images, angles = {}, {}, {}
@@ -443,7 +429,7 @@ def _classify_factorized(
         boundary = curve_boundary(model, surface, s + 1, (left, right))
         digit = {a: d for d, a in enumerate(labels[s])}
         ent, img, ang = [], [], []
-        for perm in allowed[dap.curves[s]]:
+        for perm in allowed[curve_names[s]]:
             iso = phase_set(boundary, perm)
             pmap = dict(perm)
             for f in iso.phase_functions:
@@ -462,7 +448,7 @@ def _classify_factorized(
         letters = braid_letters(surface, word)
         slots = {braid_slot(surface.punctures, k) for k, _ in letters}
         window = {t for p in slots for t in (p - 1, p, p + 1) if 0 <= t < n_curves}
-        v = _window_matrix(model, surface, dap, labels, window, word)
+        v = _window_matrix(model, surface, labels, window, word)
         if monomial_mask(v[None], factor_unit_modulus_tol(tol), WINDOW_ZERO_THRESHOLD)[0]:
             continue
         curves = [s for s in free if s in window]
@@ -497,9 +483,10 @@ def _classify_factorized(
     phases = np.angle(np.exp(1j * angle))
     # The leaves of a class's compact JSON: its basis images, then per curve
     # in name order the image names and the angles of its options' "perm"
-    # and "phases", label names in sorted order, then its phases.
+    # and "phases", label names in sorted order, then its phases.  Names
+    # order as strings: C10 comes before C2.
     blocks = [target]
-    for j, s in sorted(enumerate(free), key=lambda js: dap.curves[js[1]]):
+    for j, s in sorted(enumerate(free), key=lambda js: curve_names[js[1]]):
         names = [model.labels[a] for a in labels[s]]
         keys = sorted(range(len(names)), key=names.__getitem__)
         option = combos[:, j]
@@ -508,18 +495,18 @@ def _classify_factorized(
     blocks.append(phases)
     order, columns = json_order(*blocks, closers="]" + "}" * (len(blocks) - 2) + "]")
     n = len(order)
-    curves = {dap.curves[s]: Category(combos[order, j], entries[s]) for j, s in enumerate(free)}
+    curves = {curve_names[s]: Category(combos[order, j], entries[s]) for j, s in enumerate(free)}
     classes = Rows(n, {"basis_perm": columns[0], "curves": Rows(n, curves),
                        "phases": columns[-1]})
     details = {
         "path": "factorized",
-        "free_curves": [dap.curves[s] for s in free],
-        "candidates_per_curve": {dap.curves[s]: len(entries[s]) for s in free},
+        "free_curves": [curve_names[s] for s in free],
+        "candidates_per_curve": {curve_names[s]: len(entries[s]) for s in free},
     }
     return classes, details
 
 
-def _classify_delta(model, surface, basis, dap, allowed, mcg_words, tol, budget):
+def _classify_delta(model, surface, basis, allowed, mcg_words, tol, budget):
     """Intersect the words' delta sets over the products of curve permutations.
 
     The candidates are the products of allowed per-curve label permutations
@@ -528,7 +515,7 @@ def _classify_delta(model, surface, basis, dap, allowed, mcg_words, tol, budget)
     diagonal gates; otherwise they bound the gates from above.  Every word
     is evaluated on ``basis``.
     """
-    maps = [[dict(p) for p in allowed[c]] for c in dap.curves]
+    maps = [[dict(p) for p in perms] for perms in allowed.values()]
     count = math.prod(len(m) for m in maps)
     # per product and index: its image, lookup key and candidate array entry
     budget.charge("curve permutation products", count, 24 * basis.dim)

@@ -14,6 +14,7 @@ input errors.  Structured output is deterministic for fixed inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -183,6 +184,7 @@ def _cmd_lattice(args) -> int:
     return 0 if report["passed"] else 1
 
 
+@functools.cache  # one parser per process, however often ``main`` runs
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="anyongates",

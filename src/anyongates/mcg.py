@@ -29,21 +29,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import AnyonModel
-from .surfaces import BasisIndex, SurfaceSpec, enumerate_labelings, torus_surface
+from .surfaces import BasisIndex, SurfaceSpec, enumerate_labelings
 
 
 @dataclass
 class RepMatrix:
-    word: str
+    """The matrix of a mapping class word on its surface's basis."""
+
     matrix: np.ndarray
-    basis: BasisIndex
 
 
 def torus_generators(model: AnyonModel) -> tuple[RepMatrix, RepMatrix]:
-    basis = enumerate_labelings(model, torus_surface())
-    s = RepMatrix("s", model.smatrix.copy(), basis)
-    t = RepMatrix("t", np.diag(model.twists), basis)
-    return s, t
+    """S and T on the torus basis, the label set."""
+    return RepMatrix(model.smatrix.copy()), RepMatrix(np.diag(model.twists))
 
 
 def braid_block(model: AnyonModel, z: int, a: int, b: int):
@@ -216,7 +214,4 @@ def evaluate_on_basis(
         mat = g.copy() if mat is None else mat @ g
     if mat is None:
         mat = np.eye(basis.dim, dtype=np.complex128)
-    word_str = word if isinstance(word, str) else "".join(
-        s + ("'" if e < 0 else "") for s, e in tokens
-    )
-    return RepMatrix(word_str, mat, basis)
+    return RepMatrix(mat)

@@ -1,11 +1,12 @@
-"""Monomial matrices and the intertwiner equation V~ Pi D = Pi' D' V.
+"""Monomial matrices and the intertwiner equation V Pi D = Pi' D' V.
 
 A candidate logical gate acts on a DAP basis as a monomial matrix Pi D
-(permutation times unit-modulus diagonal).  Compatibility with a basis
-change or mapping-class word matrix V is the intertwiner equation above;
-entrywise it forces, for every support entry (m, l) of V,
+(permutation times unit-modulus diagonal).  It is compatible with a basis
+change or mapping-class word matrix V when V Pi D V^dagger is monomial
+again, Pi' D', which is the intertwiner equation above; entrywise it
+forces, for every support entry (m, l) of V,
 
-    d_l * conj(d'_m) = V[m, l] / V~[perm_out(m), perm_in(l)],
+    d_l * conj(d'_m) = V[m, l] / V[perm_out(m), perm_in(l)],
 
 so the phases live on a bipartite constraint graph whose edges carry fixed
 unit ratios.  The graph has one edge per support entry of V whatever the
@@ -25,7 +26,7 @@ Solving is:
 (2) phase propagation along the forest for a chunk of pairs at once, one
     array operation per forest level and one column per distinct
     denominator pattern: a pair's phases depend only on its denominators
-    V~[perm_out(m), perm_in(l)], so every entry of V~ is coded by its bytes,
+    V[perm_out(m), perm_in(l)], so every entry of V is coded by its bytes,
     pairs with a zero denominator are dropped, and each remaining pair's
     codes over the edges are keyed as one mixed-radix int; pairs with the
     same key share one column, and every accepted pair keeps the index of
@@ -38,10 +39,10 @@ Each feasible permutation pair therefore contributes at most one connected
 family with one free phase per graph component.
 
 Each call charges one byte budget (``budget.py``) before it allocates: the
-word matrix and one search row, the unitarity check of V and of a V_out
-other than V, the candidate and frontier blocks, each block's pair arrays
-and the pairs held until the search ends.  Past it,
-:class:`SearchBudgetError` is raised before any pair is propagated.
+word matrix and one search row, the unitarity check of V, the candidate
+and frontier blocks, each block's pair arrays and the pairs held until the
+search ends.  Past it, :class:`SearchBudgetError` is raised before any pair
+is propagated.
 
 Every set of gate families is a delta set, the solver's result included:
 one row of a permutation array per family, relative-phase rows that
@@ -74,7 +75,7 @@ import numpy as np
 from .budget import Budget, chunk_rows
 from .mcg import evaluate_on_basis, parse_word
 from .models import AnyonModel, _join as _join_keys
-from .surfaces import BasisIndex, SurfaceSpec, enumerate_labelings
+from .surfaces import BasisIndex, InfeasibleSurfaceError, SurfaceSpec, enumerate_labelings
 from .tolerances import (
     CYCLE_TOL,
     DEFAULT_TOL,
@@ -96,7 +97,7 @@ _TABLE_MAX = 5
 _EARLY_CHECKS = 8
 # A chunk of at most this many pairs is propagated pair by pair, and a
 # solve of such chunks codes no entry.  Keying a chunk of 1 to 8 pairs costs
-# 25-30 us more than it saves, and coding V_out's entries 17-40 us per solve
+# 25-30 us more than it saves, and coding V's entries 17-40 us per solve
 # (timed on the 1-, 2- and 4-pair chunks of the benchmark's sphere and torus
 # solves and on 2- to 8-pair samples of the sigma:8 and tau:7 s2 chunks);
 # keying breaks even between 16 and 128 pairs.
@@ -122,11 +123,12 @@ class MonomialMatrix:
         return out
 
 
-def is_monomial(mat: np.ndarray, tol: float = DEFAULT_TOL, zero_tol: float = ZERO_THRESHOLD) -> bool:
-    """One unit-modulus entry per row and column, everything else below zero_tol."""
+def is_monomial(mat: np.ndarray) -> bool:
+    """One entry per row and column within ``unit_modulus_tol(DEFAULT_TOL)``
+    of modulus 1, everything else below ``ZERO_THRESHOLD``."""
     if mat.shape[0] != mat.shape[1]:
         return False
-    return bool(monomial_mask(mat[None], unit_modulus_tol(tol), zero_tol)[0])
+    return bool(monomial_mask(mat[None], unit_modulus_tol(DEFAULT_TOL), ZERO_THRESHOLD)[0])
 
 
 def monomial_mask(stack: np.ndarray, unit_tol: float, zero_tol: float = ZERO_THRESHOLD) -> np.ndarray:
@@ -256,14 +258,14 @@ def _frontier(state, expand, narrow, budget, stage):
         push(root[parent], np.column_stack((prefix[parent], value)), state, parent)
 
 
-def _explicit_compat(absv, absvo, perms, tol):
+def _explicit_compat(absv, perms, tol):
     """``compat[p, m, r]`` for a block of explicit candidates ``perms``,
     packed (:func:`_pack`) once it is found.
 
     The pair (m, r) is compatible when ``|a_l - b_l| <= tol`` for every l,
-    with a = row m of |V| and b = row r of |V_out| with its columns permuted
-    by ``perms[p]``.  Each row is projected onto fixed weights w in [1, 2):
-    one product for |V| and one for every candidate of |V_out| at once.
+    with a = row m of |V| and b = row r of |V| with its columns permuted by
+    ``perms[p]``.  Each row is projected onto fixed weights w in [1, 2):
+    one product for |V| and one for every candidate at once.
 
     The window is proven, not tuned.  Let u = 2^-53 and W = sum(w).  A
     compatible pair has exact projections s, t with |s - t| <= W tol /
@@ -287,7 +289,7 @@ def _explicit_compat(absv, absvo, perms, tol):
     proj = absv @ w
     order = np.argsort(proj, kind="stable")
     sorted_proj = proj[order]
-    targets = (absvo @ spread).ravel()  # [r * block + p]: row r under perms[p]
+    targets = (absv @ spread).ravel()  # [r * block + p]: row r under perms[p]
     eps = 4 * (n + 2) * 2.0**-53
     delta = w.sum() * tol * (1 + eps) + eps * targets
     first = np.searchsorted(sorted_proj, targets - delta, side="left")
@@ -300,24 +302,24 @@ def _explicit_compat(absv, absvo, perms, tol):
         q = np.searchsorted(ends, k, side="right")
         m = order[first[q] + k - (ends[q] - counts[q])]
         r, p = np.divmod(q, block)
-        gap = absvo[r[:, None], perms[p]]
+        gap = absv[r[:, None], perms[p]]
         gap -= absv[m]
         ok = (np.abs(gap, out=gap) <= tol).all(axis=1)
         compat[p[ok], m[ok], r[ok]] = True
     return _pack(compat)
 
 
-def _perm_in_blocks(absv, absvo, cands_in, tol, budget):
+def _perm_in_blocks(absv, cands_in, tol, budget):
     """Yield (perms, compat) blocks for the candidate gate permutations.
 
     ``compat[p, m]`` packs (:func:`_pack`) the r for which row m of |V|
-    equals row r of |V_out| with its columns permuted by ``perms[p]``, so
+    equals row r of |V| with its columns permuted by ``perms[p]``, so
     perm_out must map m to one of them.  An explicit candidate list is
     checked in list order by :func:`_explicit_compat`, each block charging
     its rows x n^3 bytes.  The wildcard assigns perm_in(0), perm_in(1), ...
     as an array frontier (charging likewise).  Per level it ANDs each
     prefix's ``compat`` with the packed table of where column ``depth`` of
-    |V| agrees with the columns of |V_out|, and drops a prefix as soon as
+    |V| agrees with the columns of |V|, and drops a prefix as soon as
     some row of its ``compat`` is empty or the OR of its rows misses a
     column.  The table is built for one depth at a time from the column's
     distinct values, and the last few are kept.
@@ -329,7 +331,7 @@ def _perm_in_blocks(absv, absvo, cands_in, tol, budget):
         for lo in range(0, len(perms), step):
             block = perms[lo:lo + step]
             budget.charge("perm_in candidates", len(block), n**3)
-            yield block, _explicit_compat(absv, absvo, block, tol)
+            yield block, _explicit_compat(absv, block, tol)
         return
 
     full = _full_row(n)
@@ -337,11 +339,11 @@ def _perm_in_blocks(absv, absvo, cands_in, tol, budget):
     # as many depths' tables as one array pass holds, two at least
     @functools.lru_cache(maxsize=max(2, chunk_rows(n * n * full.nbytes)))
     def agree(depth):
-        """[m, c]: the packed r with |V_out[r, c]| equal to |V[m, depth]|.
+        """[m, c]: the packed r with |V[r, c]| equal to |V[m, depth]|.
         Comparing each distinct value of the column once keeps the float
         temporary at (distinct values) x n^2, not n^3."""
         vals, inv = np.unique(absv[:, depth], return_inverse=True)
-        diff = absvo.T[None] - vals[:, None, None]
+        diff = absv.T[None] - vals[:, None, None]
         return _pack(np.abs(diff, out=diff) <= tol)[inv.ravel()]
 
     def expand(depth, prefix, compat):
@@ -427,7 +429,7 @@ def _row_matchings(sub, budget):
     ]
 
 
-def _candidate_pairs(absv, absvo, cands_in, cands_out, tol, budget, chunk):
+def _candidate_pairs(absv, cands_in, cands_out, tol, budget, chunk):
     """Yield the feasible (perm_in, perm_out) pairs as (pis, pips) int arrays.
 
     Row p of a chunk is one pair; a chunk holds at most ``chunk`` rows.
@@ -446,7 +448,7 @@ def _candidate_pairs(absv, absvo, cands_in, cands_out, tol, budget, chunk):
         cols = np.arange(n)
         step = chunk_rows(len(outs) * n * _word_type(n)[0].itemsize)
     memo: dict[bytes, np.ndarray] = {}  # compat matrix -> its perm_outs
-    for perms, compat in _perm_in_blocks(absv, absvo, cands_in, tol, budget):
+    for perms, compat in _perm_in_blocks(absv, cands_in, tol, budget):
         if outs is None:
             keys = [c.tobytes() for c in compat]
             new: dict[bytes, int] = {}
@@ -550,12 +552,12 @@ def _implied(rho, vr, vi, steps):
     return ar * br - ai * bi, ar * bi + ai * br
 
 
-def _entry_codes(v_out):
-    """Every entry of V_out coded by its bytes, so -0.0 and 0.0 stay apart
-    and every float bit is kept: the distinct nonzero entries are 0, 1, ...
-    in the order of their bytes, and an entry equal to 0 is -1.  Entries
-    are flat, in row-major order."""
-    flat = v_out.ravel()
+def _entry_codes(v):
+    """Every entry of V coded by its bytes, so -0.0 and 0.0 stay apart and
+    every float bit is kept: the distinct nonzero entries are 0, 1, ... in
+    the order of their bytes, and an entry equal to 0 is -1.  Entries are
+    flat, in row-major order."""
+    flat = v.ravel()
     zero = flat == 0
     codes = np.full(flat.size, -1, dtype=np.intp)
     codes[~zero] = np.unique(row_keys(flat[~zero, None]), return_inverse=True)[1]
@@ -565,7 +567,7 @@ def _entry_codes(v_out):
 def _patterns(idx, codes):
     """The denominator patterns of a chunk of pairs: (live, cols, inverse).
 
-    Column p of ``idx`` holds the flat indices into V_out of pair p's
+    Column p of ``idx`` holds the flat indices into V of pair p's
     denominators, one per edge; its pattern is their entry ``codes``
     (:func:`_entry_codes`).  ``live`` lists the pairs with no zero
     denominator, ``cols`` one live pair per distinct pattern and
@@ -591,20 +593,21 @@ def _patterns(idx, codes):
 
 
 def _denominator_index(pis, pips, forest, n):
-    """(edges, pairs): the flat index into an n x n V_out of each pair's
-    denominator V_out[perm_out(m), perm_in(l)] on each forest edge (m, l).
+    """(edges, pairs): the flat index into an n x n V of each pair's
+    denominator V[perm_out(m), perm_in(l)] on each forest edge (m, l).
     Pairs are held in a narrow unsigned type, so the product is taken in
     intp: under value-based promotion a uint8 row times n would wrap."""
     return np.multiply(pips.T[forest.rows], n, dtype=np.intp) + pis.T[forest.cols]
 
 
-def _propagate_chunk(v, v_out, pis, pips, forest, tol, cycle_tol, codes):
+def _propagate_chunk(v, pis, pips, forest, tol, codes):
     """Phases of a chunk of permutation pairs on the shared forest.
 
     Row p of ``pis``/``pips`` is one pair.  A pair's phases depend on its
     denominators alone, so they are propagated once per distinct pattern
     (:func:`_patterns` of the entry ``codes``).  A pair is rejected when a
-    denominator vanishes, a ratio is off unit modulus or a cycle disagrees.
+    denominator vanishes, a ratio is off unit modulus or a cycle disagrees
+    by more than ``CYCLE_TOL``.
     With more than ``_EARLY_CHECKS`` patterns the first
     ``_EARLY_CHECKS`` cycle checks run on every pattern and the rest on the
     survivors only.  Returns the accepted rows of ``pis`` and ``pips``, the
@@ -614,11 +617,11 @@ def _propagate_chunk(v, v_out, pis, pips, forest, tol, cycle_tol, codes):
     scalar computation bit for bit.
     """
     f = forest
-    idx = _denominator_index(pis, pips, f, v_out.shape[0])
+    idx = _denominator_index(pis, pips, f, v.shape[0])
     live, cols, inverse = _patterns(idx, codes)
     alive = None  # the surviving columns, once some are rejected
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        den = v_out.take(idx.take(cols, axis=1))  # (edges, patterns)
+        den = v.take(idx.take(cols, axis=1))  # (edges, patterns)
         ok = ~(den == 0).any(axis=0)
         rho = v[f.rows, f.cols][:, None] / den
         mod = np.hypot(rho.real, rho.imag)
@@ -635,7 +638,7 @@ def _propagate_chunk(v, v_out, pis, pips, forest, tol, cycle_tol, codes):
         for checks in groups:
             ir, ii = _implied(rho, vr, vi, checks)
             w = checks[0]
-            ok &= ~(np.hypot(vr[w] - ir, vi[w] - ii) > cycle_tol).any(axis=0)
+            ok &= ~(np.hypot(vr[w] - ir, vi[w] - ii) > CYCLE_TOL).any(axis=0)
             if not ok.all():
                 keep = np.flatnonzero(ok)
                 ok, rho, val = ok[keep], rho[:, keep], val[:, keep]
@@ -650,42 +653,32 @@ def _propagate_chunk(v, v_out, pis, pips, forest, tol, cycle_tol, codes):
     return pis[live], pips[live], which, val.T
 
 
-def _solve(v, perm_in, perm_out, v_out, tol, zero_tol, cycle_tol, budget):
+def _solve(v, perm_in, perm_out, tol, budget):
     """Check the input, then return the constraint forest of V and an iterator
     over (pis, pips, which, val) chunks of the accepted pairs, as
     :func:`_propagate_chunk` returns them.  Every pair is found, and so
     charged to ``budget``, before the first is propagated; pairs are
     propagated as many at a time as one chunk of (edges, pairs) complex
     ratios holds."""
-    for bound in (tol, zero_tol, cycle_tol):
-        check_tol(bound)
+    check_tol(tol)
     v = np.asarray(v, dtype=np.complex128)
     if v.ndim != 2 or v.shape[0] != v.shape[1]:
         raise ValueError("V must be a square matrix")
     n = v.shape[0]
-    mats = [("V", v)]  # V_out defaults to V, checked once
-    if v_out is None:
-        v_out = v
-    else:
-        v_out = np.asarray(v_out, dtype=np.complex128)
-        if v_out.shape != v.shape:
-            raise ValueError("V_out must match V's shape")
-        mats.append(("V_out", v_out))
-    for name, mat in mats:
-        budget.charge("unitarity check", 4, 16 * n * n)  # the product and its temporaries
-        uni = np.abs(mat @ mat.conj().T - np.eye(n)).max() if n else 0.0
-        if not uni <= UNITARITY_TOL:  # NaN fails too
-            raise ValueError(f"{name} is not unitary (residual {uni:.2e})")
+    budget.charge("unitarity check", 4, 16 * n * n)  # the product and its temporaries
+    uni = np.abs(v @ v.conj().T - np.eye(n)).max() if n else 0.0
+    if not uni <= UNITARITY_TOL:  # NaN fails too
+        raise ValueError(f"V is not unitary (residual {uni:.2e})")
 
     absv = np.abs(v)
-    nz = absv[absv > zero_tol]
-    if nz.size and nz.min() < SUPPORT_WARNING_FACTOR * zero_tol:
+    nz = absv[absv > ZERO_THRESHOLD]
+    if nz.size and nz.min() < SUPPORT_WARNING_FACTOR * ZERO_THRESHOLD:
         warnings.warn(
             "smallest nonzero |V| entry is close to the zero threshold; "
             "support detection may be unreliable",
             stacklevel=3,
         )
-    forest = _constraint_forest(absv > zero_tol)
+    forest = _constraint_forest(absv > ZERO_THRESHOLD)
 
     cands_in = _normalize_perm_arg(perm_in, n)
     cands_out = _normalize_perm_arg(perm_out, n)
@@ -693,7 +686,7 @@ def _solve(v, perm_in, perm_out, v_out, tol, zero_tol, cycle_tol, budget):
     small = np.min_scalar_type(n)
     pairs = []
     for pis, pips in _candidate_pairs(
-        absv, np.abs(v_out), cands_in, cands_out, modulus_match_tol(tol), budget,
+        absv, cands_in, cands_out, modulus_match_tol(tol), budget,
         chunk_rows(16 * len(forest.rows)),
     ):
         budget.charge("held pairs", len(pis), 2 * n * small.itemsize)
@@ -706,9 +699,9 @@ def _solve(v, perm_in, perm_out, v_out, tol, zero_tol, cycle_tol, budget):
     if any(keyed):
         budget.charge("entry codes", n * n, 40)  # zero mask, keys, sort and codes
         budget.charge("pattern keys", max(len(pis) for pis, _ in pairs), 8 * (len(forest.rows) + 4))
-        codes = _entry_codes(v_out)
+        codes = _entry_codes(v)
     return forest, (
-        _propagate_chunk(v, v_out, pis, pips, forest, tol, cycle_tol, codes if k else None)
+        _propagate_chunk(v, pis, pips, forest, tol, codes if k else None)
         for (pis, pips), k in zip(pairs, keyed)
     )
 
@@ -718,31 +711,25 @@ def solve_intertwiner(
     perm_in=None,
     perm_out=None,
     *,
-    v_out: np.ndarray | None = None,
     tol: float = DEFAULT_TOL,
-    zero_tol: float = ZERO_THRESHOLD,
-    cycle_tol: float = CYCLE_TOL,
 ) -> DeltaSet:
-    """All monomial-intertwiner families for the given permutation sets, as
-    the delta set of their gates.
+    """All monomial gates G with V G V^dagger monomial, for the given
+    permutation sets, as their delta set.
 
     ``perm_in``/``perm_out`` may each be a single permutation, an iterable of
-    candidate permutations, or None for a full wildcard.  A pair (perm_in,
-    perm_out) is feasible when every row m of |V| equals row perm_out(m) of
-    |V_out| with columns permuted by perm_in; the module docstring describes
-    the search.  A call over its byte budget raises
-    :class:`SearchBudgetError` naming its estimate, before any pair is
-    propagated.  Row f of the result is the gate Pi D of the f-th accepted
+    candidate permutations, or None for a full wildcard: the permutations of
+    G and of V G V^dagger.  A pair (perm_in, perm_out) is feasible when every
+    row m of |V| equals row perm_out(m) of |V| with columns permuted by
+    perm_in; the module docstring describes the search.  A call over its
+    byte budget raises :class:`SearchBudgetError` naming its estimate,
+    before any pair is propagated.  Row f of the result is the gate Pi D of the f-th accepted
     pair, in (perm_in, perm_out) order: lexicographic for a wildcard, list
     order otherwise.  Each row is the complete connected solution set for its
     pair, with one free phase per component of the constraint graph; the
-    output side Pi' D' = V~ Pi D V^dagger follows from the gate.  A NaN,
-    infinite or negative ``tol``, ``zero_tol`` or ``cycle_tol`` is a
-    ValueError.
+    output side Pi' D' = V Pi D V^dagger follows from the gate.  A NaN,
+    infinite or negative ``tol`` is a ValueError.
     """
-    return _gate_families(*_solve(
-        v, perm_in, perm_out, v_out, tol, zero_tol, cycle_tol, Budget()
-    ))
+    return _gate_families(*_solve(v, perm_in, perm_out, tol, Budget()))
 
 
 # ---------------------------------------------------------------------------
@@ -795,25 +782,21 @@ class DeltaSet:
         """(families, dim): row f is family f's relative phases."""
         return self.rows[self.codes]
 
-    def contains(self, gate: MonomialMatrix, tol: float = MEMBERSHIP_TOL) -> bool:
-        """Some family holds ``gate``: :meth:`contains_each` of one gate.  A
-        NaN, infinite or negative ``tol`` is a ValueError."""
-        check_tol(tol)
+    def contains(self, gate: MonomialMatrix) -> bool:
+        """Some family holds ``gate``: :meth:`contains_each` of one gate."""
         if len(gate.perm) != self.dim or len(gate.phases) != self.dim:
             return False
         perms = np.asarray([gate.perm], dtype=self.perms.dtype)
-        return bool(self.contains_each(perms, [gate.phases], tol)[0])
+        return bool(self.contains_each(perms, [gate.phases])[0])
 
-    def contains_each(self, perms, phases, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
+    def contains_each(self, perms, phases) -> np.ndarray:
         """One flag per gate U|l> = phases[g, l] |perms[g, l]> of two
         (gates, dim) arrays: some family holds it.  On a row of the gate's
         permutation, the ratios d_i / rel[f, i] of each component agree
-        within ``tol`` with the ratio at the component's first index.  One
-        join of row keys, in the wider dtype of the two (none is cast when
-        the gates come in the set's), pairs each gate with the families of
-        its permutation, and one array pass tests the pairs.  A NaN,
-        infinite or negative ``tol`` is a ValueError."""
-        check_tol(tol)
+        within ``MEMBERSHIP_TOL`` with the ratio at the component's first
+        index.  One join of row keys, in the wider dtype of the two (none is
+        cast when the gates come in the set's), pairs each gate with the
+        families of its permutation, and one array pass tests the pairs."""
         perms = np.asarray(perms)
         d = np.asarray(phases, dtype=np.complex128)
         common = np.promote_types(self.perms.dtype, perms.dtype)
@@ -826,7 +809,7 @@ class DeltaSet:
         ratios = d[g] / self.rows[self.codes[f]]
         gap = np.abs(ratios - ratios[:, anchor]).max(axis=1, initial=0.0)
         held = np.zeros(len(perms), dtype=bool)
-        held[g[gap <= tol]] = True
+        held[g[gap <= MEMBERSHIP_TOL]] = True
         return held
 
     def instantiate_rows(self) -> np.ndarray:
@@ -851,39 +834,38 @@ def delta_set(
     restrict_perms_out=None,
     *,
     tol: float = DEFAULT_TOL,
-    zero_tol: float = ZERO_THRESHOLD,
-    cycle_tol: float = CYCLE_TOL,
     basis: BasisIndex | None = None,
 ) -> DeltaSet:
     """All monomial gates G with V(word) G V(word)^dagger still monomial.
 
     G = Pi D lies in Delta_word iff (Pi', D') with V Pi D = Pi' D' V exist,
-    which is the intertwiner equation with V_out = V.  ``restrict_perms``
+    the intertwiner equation of :func:`solve_intertwiner`.  ``restrict_perms``
     restricts the searched gate permutations; ``restrict_perms_out``
     restricts the conjugated gate's permutation, which word matrices with
     many equal-modulus entries may need to keep the matching enumeration
-    within the budget.  The bounds are checked as in
+    within the budget.  ``tol`` is checked as in
     :func:`solve_intertwiner`; then the search's byte budget is charged the
     n x n matrices the word's evaluation holds and one search row of n^3
     booleans, the least any search holds (charged again when taken), before
     the word is evaluated on ``basis``, the surface's enumeration of the
     labelings (made here when not given).  Families come in
-    :func:`solve_intertwiner`'s order.
+    :func:`solve_intertwiner`'s order.  An empty code space is an
+    :class:`InfeasibleSurfaceError`, as in :func:`classify`.
     """
-    for bound in (tol, zero_tol, cycle_tol):
-        check_tol(bound)
+    check_tol(tol)
     if basis is None:
         basis = enumerate_labelings(model, surface)
+    if basis.dim == 0:
+        raise InfeasibleSurfaceError(
+            f"{surface.describe(model)} has an empty code space for model {model.name}"
+        )
     tokens = parse_word(word, surface)
     budget = Budget()
     # the running product, its next value, a conjugate and each generator used
     budget.charge("word matrix", 3 + len({sym for sym, _ in tokens}), 16 * basis.dim**2)
     budget.charge("search row", 1, basis.dim**3)
     rep = evaluate_on_basis(model, basis, tokens)
-    return _gate_families(*_solve(
-        rep.matrix, restrict_perms, restrict_perms_out, None, tol, zero_tol, cycle_tol,
-        budget,
-    ))
+    return _gate_families(*_solve(rep.matrix, restrict_perms, restrict_perms_out, tol, budget))
 
 
 def _gate_families(forest: _ConstraintForest, accepted) -> DeltaSet:
@@ -965,7 +947,7 @@ def _join(comp_a, rel_a, comp_b, rel_b, tol):
     return tuple(components), tuple(joined)
 
 
-def intersect_delta(sets: list[DeltaSet], tol: float = CYCLE_TOL) -> DeltaSet:
+def intersect_delta(sets: list[DeltaSet]) -> DeltaSet:
     """Families of gates lying in every input set.
 
     Families intersect pairwise: same gate permutation, conjoined phase
@@ -974,12 +956,11 @@ def intersect_delta(sets: list[DeltaSet], tol: float = CYCLE_TOL) -> DeltaSet:
     monomial is a function of the gate), so no deduplication is needed;
     empty conjunctions are dropped.  Two rigid sets (one free phase each)
     are compared in one array pass: a pair keeps the first family when no
-    relative phase differs by more than ``tol``.  Other pairs go through
-    ``_join`` one by one; the join of the two partitions is the same for
-    every pair, so the result keeps one ``components``.  A lone set is
-    returned as it is.  A NaN, infinite or negative ``tol`` is a ValueError.
+    relative phase differs by more than ``CYCLE_TOL``.  Other pairs go
+    through ``_join`` one by one; the join of the two partitions is the same
+    for every pair, so the result keeps one ``components``.  A lone set is
+    returned as it is.
     """
-    check_tol(tol)
     if not sets:
         raise ValueError("need at least one delta set")
     dim = sets[0].dim
@@ -1011,7 +992,7 @@ def intersect_delta(sets: list[DeltaSet], tol: float = CYCLE_TOL) -> DeltaSet:
                 pairs = slice(lo, lo + step)
                 a = current.rows[current.codes[ia[pairs]]]
                 gap = np.abs(a - s.rows[s.codes[ib[pairs]]])
-                keep[pairs] = gap.max(axis=1, initial=0.0) <= tol
+                keep[pairs] = gap.max(axis=1, initial=0.0) <= CYCLE_TOL
             ia = ia[keep]
             current, rows = DeltaSet(
                 current.perms[ia], current.rows, current.components, current.codes[ia]
@@ -1021,14 +1002,14 @@ def intersect_delta(sets: list[DeltaSet], tol: float = CYCLE_TOL) -> DeltaSet:
             rows = [tuple(r) for r in current.rel]
         kept, rel, components = [], [], None
         for i, j in zip(ia.tolist(), s.codes[ib].tolist()):
-            joined = _join(current.components, rows[i], s.components, tuple(s.rows[j]), tol)
+            joined = _join(current.components, rows[i], s.components, tuple(s.rows[j]), CYCLE_TOL)
             if joined is not None:
                 kept.append(i)
                 components, r = joined
                 rel.append(r)
         if components is None:  # nothing kept: the join of the partitions
             ones = (1.0 + 0j,) * dim
-            components = _join(current.components, ones, s.components, ones, tol)[0]
+            components = _join(current.components, ones, s.components, ones, CYCLE_TOL)[0]
         current, rows = DeltaSet(
             current.perms[kept],
             np.array(rel, dtype=np.complex128).reshape(len(kept), dim),

@@ -1,10 +1,11 @@
-"""Surfaces, pants decompositions, and fusion-consistent labelings.
+"""Surfaces and their fusion-consistent labelings.
 
-Two surfaces are constructed programmatically: the torus with its one-curve
-decomposition (a self-glued annulus, basis indexed by the label set), and the
-M-punctured sphere with the standard caterpillar decomposition whose internal
-curves C_1..C_{M-3} separate punctures {1..j+1} from the rest.  A basis
-vector of the sphere space is a slot sequence (x_1..x_N) with
+Two surfaces are constructed programmatically: the torus, cut along one
+curve C1 (a self-glued annulus, basis indexed by the label set), and the
+M-punctured sphere, cut along the standard caterpillar curves C1..C{M-3},
+where C_j separates punctures {1..j+1} from the rest.  Slot s of a labeling
+is the label of curve C{s+1}.  A basis vector of the sphere space is a slot
+sequence (x_1..x_N) with
 
     x_1 in b_1 x b_2,  x_{j+1} in x_j x b_{j+2},  N^{dual(b_M)}_{x_N b_{M-1}} = 1.
 
@@ -14,7 +15,7 @@ basis order (and every matrix built on it) is reproducible bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .models import AnyonModel, fusion_channels
 
@@ -64,41 +65,9 @@ def sphere_surface(model: AnyonModel, label: int | str, punctures: int) -> Surfa
     )
 
 
-@dataclass(frozen=True)
-class DapDecomposition:
-    """Internal curves of a decomposition into discs, annuli and pants.
-
-    ``adjacency`` maps each internal curve to the boundary circles of its
-    pants neighborhood: 4-tuples of curve ids ("C1"..) or puncture ids
-    ("P1"..) for sphere curves, a 2-tuple (itself, itself) for the self-glued
-    torus curve.
-    """
-
-    curves: tuple[str, ...]
-    adjacency: dict[str, tuple[str, ...]] = field(default_factory=dict)
-
-
-def standard_dap(surface: SurfaceSpec) -> DapDecomposition:
-    if surface.kind == "torus":
-        return DapDecomposition(curves=("C1",), adjacency={"C1": ("C1", "C1")})
-    m = surface.punctures
-    if m < 3:
-        # Degenerate: no decomposition object; dimension handled directly.
-        return DapDecomposition(curves=(), adjacency={})
-    n_curves = m - 3
-    curves = tuple(f"C{j}" for j in range(1, n_curves + 1))
-    adjacency = {}
-    for j in range(1, n_curves + 1):
-        left = f"C{j-1}" if j > 1 else "P1"
-        right = f"C{j+1}" if j < n_curves else f"P{m}"
-        adjacency[f"C{j}"] = (left, f"P{j+1}", f"P{j+2}", right)
-    return DapDecomposition(curves=curves, adjacency=adjacency)
-
-
 @dataclass
 class BasisIndex:
     surface: SurfaceSpec
-    dap: DapDecomposition
     labelings: tuple[tuple[int, ...], ...]
     index: dict[tuple[int, ...], int]
 
@@ -107,22 +76,16 @@ class BasisIndex:
         return len(self.labelings)
 
 
-def enumerate_labelings(
-    model: AnyonModel,
-    surface: SurfaceSpec,
-    dap: DapDecomposition | None = None,
-) -> BasisIndex:
-    """All fusion-consistent labelings of the standard decomposition.
+def enumerate_labelings(model: AnyonModel, surface: SurfaceSpec) -> BasisIndex:
+    """All fusion-consistent labelings of the surface's curves.
 
     The torus basis is the label set itself.  Sphere labelings are slot
     sequences as in the module docstring; the empty tuple is the single
     labeling of a nonzero-dimensional sphere with fewer than 4 punctures.
     """
-    if dap is None:
-        dap = standard_dap(surface)
     if surface.kind == "torus":
         labs = tuple((a,) for a in range(model.n_labels))
-        return BasisIndex(surface, dap, labs, {l: i for i, l in enumerate(labs)})
+        return BasisIndex(surface, labs, {l: i for i, l in enumerate(labs)})
 
     b = surface.boundary_labels
     m = surface.punctures
@@ -154,5 +117,5 @@ def enumerate_labelings(
         for x1 in product(b[0], b[1]):
             extend(x1, 1, [x1])
         labs = tuple(out)
-    return BasisIndex(surface, dap, labs, {l: i for i, l in enumerate(labs)})
+    return BasisIndex(surface, labs, {l: i for i, l in enumerate(labs)})
 

@@ -81,11 +81,11 @@ UNITARITY_TOL = 1e-6
 # factor of the zero threshold.
 SUPPORT_WARNING_FACTOR = 100.0
 
-# Two entries of |V| and |V_out| match (one permutation pair feasible) within
+# Two entries of |V| match (one permutation pair feasible) within
 # max(tol, MODULUS_MATCH_FLOOR).
 MODULUS_MATCH_FLOOR = 1e-9
 
-# An edge ratio V[m, l] / V_out[perm_out(m), perm_in(l)] must have unit
+# An edge ratio V[m, l] / V[perm_out(m), perm_in(l)] must have unit
 # modulus within max(RATIO_MODULUS_FACTOR * tol, RATIO_MODULUS_FLOOR).
 RATIO_MODULUS_FACTOR = 10.0
 RATIO_MODULUS_FLOOR = 1e-7

@@ -93,7 +93,7 @@ from anyongates.models import AnyonModel, CheckResult, ModelError, quantum_dimen
 from anyongates import solver
 from anyongates import jsonwriter
 from anyongates.solver import MonomialMatrix, monomial_mask
-from anyongates.surfaces import SurfaceSpec, standard_dap
+from anyongates.surfaces import SurfaceSpec
 from anyongates.tolerances import (
     CLIFFORD_TOL,
     CYCLE_TOL,
@@ -303,13 +303,14 @@ def brute_force_labelings(model, boundary: tuple[int, ...]) -> list[tuple[int, .
     return out
 
 
-def cut_dimensions(model, surface, dap, curve: str) -> dict[int, int]:
-    """Per label, how many brute-force labelings give ``curve`` that label.
+def cut_dimensions(model, surface, curve: str) -> dict[int, int]:
+    """Per label, how many brute-force labelings give sphere curve ``curve``
+    ("C1", "C2", ...; slot s is curve C{s+1}) that label.
 
     By the gluing axiom this is the dimension of the cut surface's space for
     each flux value; the counts sum to the total dimension.
     """
-    pos = dap.curves.index(curve)
+    pos = int(curve[1:]) - 1
     out = {a: 0 for a in range(model.n_labels)}
     for lab in brute_force_labelings(model, surface.boundary_labels):
         out[lab[pos]] += 1
@@ -613,9 +614,9 @@ _GRID = 64
 
 @njit(cache=True)
 def _grid_scan_core(vp, vh, n_grid, coarse_tol, cap):
-    """Scan d in (unit phases)^(n-1) grid for near-monomial V_out Pi D V^dag.
+    """Scan d in (unit phases)^(n-1) grid for near-monomial V Pi D V^dag.
 
-    vp = V_out with columns already permuted by pi, vh = V conjugate
+    vp = V with columns already permuted by pi, vh = V conjugate
     transpose.  d_0 is fixed to 1.  Returns an array of grid index tuples
     whose residual 1 - min_row max_col |W| passes the coarse tolerance.
 
@@ -676,12 +677,12 @@ def _grid_scan_core(vp, vh, n_grid, coarse_tol, cap):
     return hits[:n_hits]
 
 
-def _refine(v, v_out, pi, d0, iters=200, target=1e-10):
+def _refine(v, pi, d0, iters=200, target=1e-10):
     """Alternating projection onto the monomial set and the phase torus."""
     from scipy.optimize import linear_sum_assignment
 
     n = v.shape[0]
-    vp = v_out[:, list(pi)]
+    vp = v[:, list(pi)]
     vh = v.conj().T
     d = d0.copy()
     prev = np.inf
@@ -708,7 +709,7 @@ def _refine(v, v_out, pi, d0, iters=200, target=1e-10):
     return d, resid
 
 
-def grid_intertwiner_solutions(v, v_out=None, coarse_tol=0.12, cap=200):
+def grid_intertwiner_solutions(v, coarse_tol=0.12, cap=200):
     """All (perm, phase vector) monomial intertwiner solutions, brute force.
 
     For every input permutation, grid-scan the gate phases, refine the
@@ -725,13 +726,11 @@ def grid_intertwiner_solutions(v, v_out=None, coarse_tol=0.12, cap=200):
     n = v.shape[0]
     if n > 4:
         raise ValueError("grid oracle is limited to dimension 4")
-    if v_out is None:
-        v_out = v
     n_grid = _GRID if n <= 3 else 32
     vh = v.conj().T
     out = []
     for pi in itertools.permutations(range(n)):
-        vp = np.ascontiguousarray(v_out[:, list(pi)])
+        vp = np.ascontiguousarray(v[:, list(pi)])
         hits = _grid_scan_core(vp, vh, n_grid, coarse_tol, 200000)
         sols = []
         seen = set()
@@ -739,7 +738,7 @@ def grid_intertwiner_solutions(v, v_out=None, coarse_tol=0.12, cap=200):
             d0 = np.ones(n, dtype=np.complex128)
             for k in range(n - 1):
                 d0[k + 1] = np.exp(2j * np.pi * h[k] / n_grid)
-            d, resid = _refine(v, v_out, pi, d0)
+            d, resid = _refine(v, pi, d0)
             if resid > 1e-9:
                 continue
             key = tuple(np.round(np.angle(d) % (2 * np.pi), 5))
@@ -857,7 +856,7 @@ class PhaseCoset:
 
 @dataclass
 class IntertwinerSolution:
-    """One connected solution family of V~ Pi D = Pi' D' V.
+    """One connected solution family of V Pi D = Pi' D' V.
 
     The constraint graph lives on 2n phase variables: indices 0..n-1 are the
     gate phases d_l, indices n..2n-1 the output-side phases d'_m.
@@ -924,16 +923,11 @@ def families(ds) -> list[GateFamily]:
     ]
 
 
-def intertwiner_solutions(
-    v, perm_in=None, perm_out=None, *, v_out=None, tol=DEFAULT_TOL,
-    zero_tol=ZERO_THRESHOLD, cycle_tol=CYCLE_TOL,
-) -> list[IntertwinerSolution]:
+def intertwiner_solutions(v, perm_in=None, perm_out=None, *, tol=DEFAULT_TOL) -> list[IntertwinerSolution]:
     """The solver's accepted pairs with both sides of their phases, one
     IntertwinerSolution each: every phase of a pair divided by its
     component's root in one array division, in the solver's order."""
-    forest, accepted = solver._solve(
-        v, perm_in, perm_out, v_out, tol, zero_tol, cycle_tol, Budget()
-    )
+    forest, accepted = solver._solve(v, perm_in, perm_out, tol, Budget())
     sols = []
     for pis, pips, which, val in accepted:
         rel = val / val[:, forest.roots]
@@ -950,7 +944,7 @@ def reference_iso_phase_functions(model, boundary, perm=None, tol=DEFAULT_TOL):
     pos = {a: i for i, a in enumerate(rows)}
     basis_perm = tuple(pos[pmap[a]] for a in rows)
     funcs = set()
-    for sol in intertwiner_solutions(block.T, [basis_perm], v_out=block.T, tol=tol):
+    for sol in intertwiner_solutions(block.T, [basis_perm], tol=tol):
         d, _ = sol.instantiate()
         funcs.add(tuple(float(a) for a in np.mod(np.angle(d / d[0]), 2.0 * np.pi)))
     return tuple(sorted(funcs))
@@ -960,12 +954,10 @@ def reference_iso_phase_functions(model, boundary, perm=None, tol=DEFAULT_TOL):
 # Substitution checks for intertwiner families and phase cosets
 
 
-def intertwiner_residual(v, sol, free=None, v_out=None) -> float:
-    """Max-norm of V_out (Pi D) - (Pi' D') V for an instantiated family."""
-    if v_out is None:
-        v_out = v
+def intertwiner_residual(v, sol, free=None) -> float:
+    """Max-norm of V (Pi D) - (Pi' D') V for an instantiated family."""
     d, dp = sol.instantiate(free)
-    lhs = v_out @ _monomial_array(sol.perm_in, d)
+    lhs = v @ _monomial_array(sol.perm_in, d)
     rhs = _monomial_array(sol.perm_out, dp) @ v
     return float(np.abs(lhs - rhs).max())
 
@@ -1021,10 +1013,9 @@ def projective_distance(a: np.ndarray, b: np.ndarray) -> float:
 def cut_dimension_permutations(model, surface):
     """Per curve, the label bijections that keep ``cut_dimensions`` of every
     label, each curve's counts from its own enumeration of the labelings."""
-    dap = standard_dap(surface)
     out = {}
-    for curve in dap.curves:
-        counts = cut_dimensions(model, surface, dap, curve)
+    for curve in (f"C{j}" for j in range(1, surface.punctures - 2)):
+        counts = cut_dimensions(model, surface, curve)
         occurring = sorted(a for a, c in counts.items() if c > 0)
         out[curve] = [
             tuple(zip(occurring, images))
@@ -1038,21 +1029,21 @@ def cut_dimension_permutations(model, surface):
 # Permutation-pair search (recursive) and gate cosets (per solution)
 
 
-def reference_perm_in_compat(absv, absvo, perms, tol):
+def reference_perm_in_compat(absv, perms, tol):
     """``compat[p, m, r]`` of explicit candidates by the dense comparison
     the solver's projection window replaced: one (candidates, n, n, n)
     float difference, O(n^3) per candidate."""
     perms = np.asarray(perms, dtype=np.intp).reshape(len(perms), absv.shape[0])
-    # target[p, r, l] = |V_out[r, perms[p][l]]|
-    target = absvo[:, perms].transpose(1, 0, 2)
+    # target[p, r, l] = |V[r, perms[p][l]]|
+    target = absv[:, perms].transpose(1, 0, 2)
     diff = np.abs(target[:, None, :, :] - absv[None, :, None, :])
     return (diff <= tol).all(axis=3)
 
 
-def _reference_column_perms(absv, absvo, cands_in, tol):
+def _reference_column_perms(absv, cands_in, tol):
     """Yield (perm_in, compat) by a recursive search, one column per level.
 
-    ``compat[m, r]`` says that row m of |V| equals row r of |V_out| with its
+    ``compat[m, r]`` says that row m of |V| equals row r of |V| with its
     columns permuted by perm_in.  The wildcard assigns perm_in(0),
     perm_in(1), ... in ascending order and drops a prefix as soon as some
     row or column of ``compat`` is empty.
@@ -1060,9 +1051,9 @@ def _reference_column_perms(absv, absvo, cands_in, tol):
     n = absv.shape[0]
     if cands_in is not None:
         for pi in cands_in:
-            yield pi, reference_perm_in_compat(absv, absvo, [pi], tol)[0]
+            yield pi, reference_perm_in_compat(absv, [pi], tol)[0]
         return
-    agree = np.abs(absvo.T[None, :, None, :] - absv.T[:, None, :, None]) <= tol
+    agree = np.abs(absv.T[None, :, None, :] - absv.T[:, None, :, None]) <= tol
     pi: list[int] = []
 
     def extend(compat):
@@ -1107,7 +1098,7 @@ def _reference_matchings(compat, cap):
     return found
 
 
-def reference_candidate_pairs(absv, absvo, cands_in, cands_out, tol, cap=20000):
+def reference_candidate_pairs(absv, cands_in, cands_out, tol, cap=20000):
     """The feasible (perm_in, perm_out) pairs of the intertwiner search, in order.
 
     The recursive search the solver's array frontier replaced: perm_in in
@@ -1119,7 +1110,7 @@ def reference_candidate_pairs(absv, absvo, cands_in, cands_out, tol, cap=20000):
     n = absv.shape[0]
     rows = list(range(n))
     pairs = []
-    for pi, compat in _reference_column_perms(absv, absvo, cands_in, tol):
+    for pi, compat in _reference_column_perms(absv, cands_in, tol):
         if cands_out is None:
             outs = _reference_matchings(compat, cap)
         else:
@@ -1162,7 +1153,7 @@ def unpack_rows(words: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def bool_perm_in_frontier(absv, absvo, tol, budget):
+def bool_perm_in_frontier(absv, tol, budget):
     """Yield the wildcard (perms, compat) blocks of the perm_in frontier
     with ``compat[p, m, r]`` one boolean each: the (prefix, column, m, r)
     array and its two ``any`` reductions the solver's packed rows replaced,
@@ -1170,8 +1161,8 @@ def bool_perm_in_frontier(absv, absvo, tol, budget):
     n = absv.shape[0]
 
     def agree(values, cols):
-        """[c, m, r]: ``values[m]`` equals |V_out[r, cols[c]]|."""
-        diff = absvo.T[cols][:, None, :] - values[None, :, None]
+        """[c, m, r]: ``values[m]`` equals |V[r, cols[c]]|."""
+        diff = absv.T[cols][:, None, :] - values[None, :, None]
         return np.abs(diff, out=diff) <= tol
 
     def expand(depth, prefix, compat):
@@ -1267,13 +1258,13 @@ def forest_checking_every_edge_end(support: np.ndarray):
     )
 
 
-def per_pair_propagate_chunk(v, v_out, pis, pips, forest, tol, cycle_tol):
+def per_pair_propagate_chunk(v, pis, pips, forest, tol):
     """The solver's batched propagation with one column per pair, not one
     per distinct denominator pattern: the accepted rows of ``pis`` and
     ``pips`` and their own (pairs, 2n) node values."""
     f = forest
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        den = v_out[pips.T[f.rows], pis.T[f.cols]]  # (edges, pairs)
+        den = v[pips.T[f.rows], pis.T[f.cols]]  # (edges, pairs)
         ok = ~(den == 0).any(axis=0)
         rho = v[f.rows, f.cols][:, None] / den
         mod = np.hypot(rho.real, rho.imag)
@@ -1290,7 +1281,7 @@ def per_pair_propagate_chunk(v, v_out, pis, pips, forest, tol, cycle_tol):
         for checks in groups:
             ir, ii = solver._implied(rho, vr, vi, checks)
             w = checks[0]
-            ok &= ~(np.hypot(vr[w] - ir, vi[w] - ii) > cycle_tol).any(axis=0)
+            ok &= ~(np.hypot(vr[w] - ir, vi[w] - ii) > CYCLE_TOL).any(axis=0)
             if not ok.all():
                 keep = np.flatnonzero(ok)
                 ok, rho, val, pis, pips = ok[keep], rho[:, keep], val[:, keep], pis[keep], pips[keep]
@@ -1302,7 +1293,7 @@ def per_pair_propagate_chunk(v, v_out, pis, pips, forest, tol, cycle_tol):
 # One-pair phase propagation (scalar)
 
 
-def propagate_phases_scalar(v, v_out, pi, pip, support, tol, cycle_tol):
+def propagate_phases_scalar(v, pi, pip, support, tol, cycle_tol):
     """Solve the phase constraints for one fixed permutation pair.
 
     Builds the pair's constraint graph edge by edge and walks it breadth
@@ -1313,7 +1304,7 @@ def propagate_phases_scalar(v, v_out, pi, pip, support, tol, cycle_tol):
     n = v.shape[0]
     adj: list[list[tuple[int, complex]]] = [[] for _ in range(2 * n)]
     for m in range(n):
-        row_t = v_out[pip[m]]
+        row_t = v[pip[m]]
         for l in np.nonzero(support[m])[0]:
             denom = row_t[pi[l]]
             if abs(denom) <= 0.0:
@@ -1395,7 +1386,7 @@ def ising_qubit_isomorphism(model, surface, values) -> str:
 # Sphere word filter by dense conjugation
 
 
-def dense_sphere_word_filter(model, surface, words, tol=1e-9):
+def dense_sphere_word_filter(model, surface, words):
     """Product candidates of the factorized sphere path that survive ``words``.
 
     Every combination of per-curve options (a cut-dimension-preserving label
@@ -1428,7 +1419,7 @@ def dense_sphere_word_filter(model, surface, words, tol=1e-9):
         boundary = curve_boundary(model, surface, s + 1, (left, right))
         opts = []
         for perm in allowed[f"C{s + 1}"]:
-            iso = iso_phase_set(model, boundary, perm, tol)
+            iso = iso_phase_set(model, boundary, perm)
             for f in iso.phase_functions:
                 opts.append((s, dict(perm), dict(zip(iso.curve_labels, f))))
         options.append(opts)
@@ -1448,7 +1439,7 @@ def dense_sphere_word_filter(model, surface, words, tol=1e-9):
                 target[s] = pmap[lab[s]]
             gate[basis.index[tuple(target)], i] = np.exp(1j * angle)
             angles.append(angle)
-        if all(is_monomial(v @ gate @ v.conj().T, tol) for v in word_matrices):
+        if all(is_monomial(v @ gate @ v.conj().T) for v in word_matrices):
             perm = tuple(int(np.argmax(np.abs(gate[:, i]))) for i in range(n))
             phases = tuple(float(np.angle(np.exp(1j * a))) for a in angles)
             survivors.append((perm, phases))

@@ -369,7 +369,7 @@ def test_families_satisfy_delta_condition():
         w = v @ g @ v.conj().T
         from anyongates import is_monomial
 
-        assert is_monomial(w, 1e-8)
+        assert is_monomial(w)
 
 
 def test_unconstraining_words():

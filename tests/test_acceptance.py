@@ -27,7 +27,6 @@ from anyongates import (
 from anyongates.abelian import lattice_commutation_check
 from anyongates.models import verlinde_fusion
 from anyongates.solver import MonomialMatrix
-from anyongates.surfaces import standard_dap
 
 from oracles import (
     all_subset_idempotents,
@@ -181,11 +180,10 @@ def test_06_fibonacci_spheres_trivial():
     M = 8 classification stays under 60 seconds."""
     for m in (5, 6, 7, 8):
         surf = sphere_surface(FIB, "tau", m)
-        dap = standard_dap(surf)
-        allowed = allowed_curve_permutations(FIB, surf, dap)
-        for cname in dap.curves:
+        allowed = allowed_curve_permutations(FIB, surf)
+        for cname in allowed:
             j = int(cname[1:])
-            counts = cut_dimensions(FIB, surf, dap, cname)
+            counts = cut_dimensions(FIB, surf, cname)
             c_vac = fibonacci_number(j) * fibonacci_number(m - 2 - j)
             c_tau = fibonacci_number(j + 1) * fibonacci_number(m - 1 - j)
             assert counts[0] == c_vac, (m, cname)

@@ -229,7 +229,7 @@ def test_explicit_candidates_stay_within_their_charge():
     spent = Budget()
     tracemalloc.start()
     try:
-        blocks = list(solver._perm_in_blocks(absv, absv, [tuple(range(n))], 1e-9, spent))
+        blocks = list(solver._perm_in_blocks(absv, [tuple(range(n))], 1e-9, spent))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

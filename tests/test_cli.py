@@ -107,11 +107,15 @@ def test_classify_custom_words(capsys):
     assert "classes:  2" in out
 
 
-def test_classify_infeasible_surface(capsys):
-    code, _, err = run(capsys, "classify", "--model", "ising",
-                       "--surface", "sphere:sigma:5")
-    assert code == 1
-    assert "error:" in err
+@pytest.mark.parametrize("command", ["classify", "delta"])
+@pytest.mark.parametrize("punctures", [3, 5])
+def test_infeasible_surface_exits_1(capsys, command, punctures):
+    """An empty code space is a domain failure for classify and delta alike."""
+    surface = f"sphere:sigma:{punctures}"
+    code, out, err = run(capsys, command, "--model", "ising", "--surface", surface,
+                         "--words", "s1,s2")
+    assert (code, out) == (1, "")
+    assert err == f"error: {surface} has an empty code space for model ising\n"
 
 
 def test_classify_out_of_reach_sphere_fails_fast(capsys):

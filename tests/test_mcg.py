@@ -93,8 +93,9 @@ def test_edge_generators_are_diagonal():
 
 
 def test_first_generator_phases_follow_first_slot():
-    rep = evaluate_word(ISING, sphere_surface(ISING, "sigma", 6), "s1")
-    basis = rep.basis
+    surf = sphere_surface(ISING, "sigma", 6)
+    rep = evaluate_word(ISING, surf, "s1")
+    basis = enumerate_labelings(ISING, surf)
     for i, lab in enumerate(basis.labelings):
         want = ISING.rsymbol(2, 2, lab[0])
         assert abs(rep.matrix[i, i] - want) < 1e-12

@@ -321,19 +321,6 @@ def test_generic_unitary_only_global_phase():
     assert ds.contains(MonomialMatrix((0, 1, 2), (1.0, 1.0, 1.0)))
 
 
-def test_intertwiner_residual_distinct_in_out():
-    # V_out may differ from V; identity gates must still intertwine exactly
-    v = random_unitary(3, seed=4)
-    v_out = v.copy()
-    sol = IntertwinerSolution(
-        perm_in=(0, 1, 2),
-        perm_out=(0, 1, 2),
-        phase_classes=(0,) * 6,
-        relative_phases=(1.0,) * 6,
-    )
-    assert intertwiner_residual(v, sol, v_out=v_out) < 1e-12
-
-
 # ---------------------------------------------------------------------------
 # Delta sets over words
 
@@ -364,7 +351,7 @@ def test_delta_set_contains_gate():
 # The pruned pair search against brute force
 
 
-def _searched_pairs(monkeypatch, v, v_out, perm_in=None, perm_out=None, tol=DEFAULT_TOL):
+def _searched_pairs(monkeypatch, v, perm_in=None, perm_out=None, tol=DEFAULT_TOL):
     """The (perm_in, perm_out) sequence solve_intertwiner hands to propagation."""
     seen = []
     candidate_pairs = solver._candidate_pairs
@@ -375,78 +362,61 @@ def _searched_pairs(monkeypatch, v, v_out, perm_in=None, perm_out=None, tol=DEFA
             yield pis, pips
 
     monkeypatch.setattr(solver, "_candidate_pairs", record)
-    solve_intertwiner(v, perm_in, perm_out, v_out=v_out, tol=tol)
+    solve_intertwiner(v, perm_in, perm_out, tol=tol)
     monkeypatch.undo()
     return seen
 
 
-def _brute_force_pairs(v, v_out, perm_in=None, perm_out=None, tol=1e-9):
+def _brute_force_pairs(v, perm_in=None, perm_out=None, tol=1e-9):
     n = v.shape[0]
-    absv, absvo = np.abs(v), np.abs(v_out)
+    absv = np.abs(v)
     perms = list(itertools.permutations(range(n)))
     return [
         (pi, pip)
         for pi, pip in itertools.product(perm_in or perms, perm_out or perms)
         if all(
-            abs(absvo[pip[m], pi[l]] - absv[m, l]) <= tol
+            abs(absv[pip[m], pi[l]] - absv[m, l]) <= tol
             for m in range(n)
             for l in range(n)
         )
     ]
 
 
-def _monomial_twist(v, seed):
-    """P D V D' P' for random permutations P, P' and unit phases D, D'."""
-    rng = np.random.default_rng(seed)
-    n = v.shape[0]
-    left = MonomialMatrix(tuple(rng.permutation(n)), tuple(np.exp(2j * np.pi * rng.random(n))))
-    right = MonomialMatrix(tuple(rng.permutation(n)), tuple(np.exp(2j * np.pi * rng.random(n))))
-    return left.matrix() @ v @ right.matrix()
-
-
 def test_pair_search_matches_brute_force(monkeypatch):
-    cases = []
-    for n in (3, 4):
-        v = random_unitary(n, seed=20 + n)
-        cases.append((v, v))
-        cases.append((v, random_unitary(n, seed=30 + n)))
-        cases.append((v, _monomial_twist(v, seed=40 + n)))
+    cases = [random_unitary(n, seed=20 + n) for n in (3, 4)]
     # equal-modulus blocks: many feasible pairs per column permutation
-    kron = np.kron(random_unitary(2, seed=50), random_unitary(2, seed=51))
-    cases.append((kron, kron))
-    cases.append((kron, _monomial_twist(kron, seed=52)))
-    s = evaluate_word(load_builtin("zn_toric:2"), torus_surface(), "s").matrix
-    cases.append((s, s))
+    cases.append(np.kron(random_unitary(2, seed=50), random_unitary(2, seed=51)))
+    cases.append(evaluate_word(load_builtin("zn_toric:2"), torus_surface(), "s").matrix)
     counts = []
-    for v, v_out in cases:
-        want = _brute_force_pairs(v, v_out)
-        assert _searched_pairs(monkeypatch, v, v_out) == want
+    for v in cases:
+        want = _brute_force_pairs(v)
+        assert _searched_pairs(monkeypatch, v) == want
         counts.append(len(want))
-    # a generic unitary only matches itself; a twisted copy matches once
-    assert counts[:3] == [1, 0, 1]
+    # a generic unitary only matches itself
+    assert counts[:2] == [1, 1]
     # the flat-modulus S matrix accepts every pair of the 4! x 4! grid
     assert counts[-1] == 576
     # explicit candidate lists keep their own order on either side
     rng = np.random.default_rng(53)
     perms = list(itertools.permutations(range(4)))
     some = [perms[i] for i in rng.permutation(len(perms))[:9]]
-    for v, v_out in (cases[-1], cases[-2]):
+    for v in cases[-2:]:
         for perm_in, perm_out in ((some, None), (None, some), (some, some[::-1])):
-            want = _brute_force_pairs(v, v_out, perm_in, perm_out)
-            assert _searched_pairs(monkeypatch, v, v_out, perm_in, perm_out) == want
+            want = _brute_force_pairs(v, perm_in, perm_out)
+            assert _searched_pairs(monkeypatch, v, perm_in, perm_out) == want
 
 
 # ---------------------------------------------------------------------------
 # Batched phase propagation against the scalar one-pair oracle
 
 
-def _oracle_solutions(monkeypatch, v, v_out, perm_in=None, perm_out=None, tol=DEFAULT_TOL):
+def _oracle_solutions(monkeypatch, v, perm_in=None, perm_out=None, tol=DEFAULT_TOL):
     """Solutions of the scalar oracle over the pairs solve_intertwiner searches."""
-    pairs = _searched_pairs(monkeypatch, v, v_out, perm_in, perm_out, tol)
+    pairs = _searched_pairs(monkeypatch, v, perm_in, perm_out, tol)
     support = np.abs(v) > ZERO_THRESHOLD
     sols = []
     for pi, pip in pairs:
-        res = propagate_phases_scalar(v, v_out, pi, pip, support, tol, CYCLE_TOL)
+        res = propagate_phases_scalar(v, pi, pip, support, tol, CYCLE_TOL)
         if res is not None:
             sols.append(IntertwinerSolution(pi, pip, res[0], res[1]))
     return pairs, sols
@@ -488,29 +458,25 @@ def test_batched_propagation_matches_scalar_oracle(monkeypatch):
     sig8 = sphere_surface(ising, "sigma", 8)
     tau7 = sphere_surface(fib, "tau", 7)
     cases = [
-        (evaluate_word(ising, sig8, "s2").matrix, None, None, None),
-        (evaluate_word(fib, tau7, "s2").matrix, None, None, None),
-        (evaluate_word(fib, tau7, "s3").matrix, None, None, None),
+        (evaluate_word(ising, sig8, "s2").matrix, None, None),
+        (evaluate_word(fib, tau7, "s2").matrix, None, None),
+        (evaluate_word(fib, tau7, "s3").matrix, None, None),
     ]
     for word in ("s", "st", "stst"):
-        cases.append((_word("zn_toric:2", torus_surface(), word), None, None, None))
+        cases.append((_word("zn_toric:2", torus_surface(), word), None, None))
     for n in (3, 4):
-        v = random_unitary(n, seed=20 + n)
-        cases.append((v, v, None, None))
-        cases.append((v, _monomial_twist(v, seed=40 + n), None, None))
+        cases.append((random_unitary(n, seed=20 + n), None, None))
     kron = np.kron(random_unitary(2, seed=50), random_unitary(2, seed=51))
-    cases.append((kron, kron, None, None))
-    cases.append((kron, _monomial_twist(kron, seed=52), None, None))
+    cases.append((kron, None, None))
     z3 = load_builtin("zn_toric:3")
     affs = affine_permutations(z3)
-    cases.append((_word("zn_toric:3", torus_surface(), "stst"), None, affs[:40], affs))
+    cases.append((_word("zn_toric:3", torus_surface(), "stst"), affs[:40], affs))
     kept = []
-    for v, v_out, perm_in, perm_out in cases:
-        v_out = v if v_out is None else v_out
-        got = intertwiner_solutions(v, perm_in, perm_out, v_out=v_out)
-        pairs, want = _oracle_solutions(monkeypatch, v, v_out, perm_in, perm_out)
+    for v, perm_in, perm_out in cases:
+        got = intertwiner_solutions(v, perm_in, perm_out)
+        pairs, want = _oracle_solutions(monkeypatch, v, perm_in, perm_out)
         _assert_same_solutions(got, want)
-        _assert_gate_cosets(solve_intertwiner(v, perm_in, perm_out, v_out=v_out), want)
+        _assert_gate_cosets(solve_intertwiner(v, perm_in, perm_out), want)
         kept.append((len(pairs), len(got)))
     assert kept[0][1] == 6144
     # zn_toric:2 s, st, stst: the cycle check rejects most of the 576 pairs
@@ -524,32 +490,42 @@ def _near_identity(entry):
     return np.array([[1.0, entry], [-np.conj(entry), 1.0]], dtype=np.complex128)
 
 
+def _near_identity_blocks(entry):
+    """Two 2 x 2 near-identity blocks, the first with off-diagonal support
+    5e-10, the second with ``entry``: swapping the blocks matches the tiny
+    entries against each other within tol."""
+    v = np.zeros((4, 4), dtype=np.complex128)
+    v[:2, :2], v[2:, 2:] = _near_identity(5e-10), _near_identity(entry)
+    return v
+
+
+SWAP = (2, 3, 0, 1)
+
+
 @pytest.mark.filterwarnings("ignore:smallest nonzero")
 def test_batched_propagation_rejects_like_the_oracle(monkeypatch):
-    v = _near_identity(5e-10)
-    eye = np.eye(2, dtype=np.complex128)
     controls = [
-        # a support entry of V matched against an exact zero of V_out
-        (v, eye, DEFAULT_TOL, 0),
+        # the block swap matches a support entry against an exact zero
+        (_near_identity_blocks(0.0), DEFAULT_TOL, False),
         # the same with the ratio bound switched off (a bound no finite
         # ratio reaches; an infinite tol is refused): only the zero check
         # rejects, every pair now passing the modulus filter
-        (v, eye, 1e300, 0),
+        (_near_identity_blocks(0.0), 1e300, False),
         # tiny entries of equal size within tol but a ratio of modulus 1/2
-        (v, _near_identity(1e-9), DEFAULT_TOL, 0),
-        # the same tiny entries with equal modulus and another phase pass,
-        # through the identity and the swap
-        (v, _near_identity(5e-10 * np.exp(0.3j)), DEFAULT_TOL, 2),
+        (_near_identity_blocks(1e-9), DEFAULT_TOL, False),
+        # the same tiny entries with equal modulus and another phase pass
+        (_near_identity_blocks(5e-10 * np.exp(0.3j)), DEFAULT_TOL, True),
     ]
-    for v, v_out, tol, n_sols in controls:
-        got = intertwiner_solutions(v, v_out=v_out, tol=tol)
-        pairs, want = _oracle_solutions(monkeypatch, v, v_out, tol=tol)
-        assert pairs
+    for v, tol, swapped in controls:
+        got = intertwiner_solutions(v, tol=tol)
+        pairs, want = _oracle_solutions(monkeypatch, v, tol=tol)
+        assert (SWAP, SWAP) in pairs
         _assert_same_solutions(got, want)
-        _assert_gate_cosets(solve_intertwiner(v, v_out=v_out, tol=tol), want)
-        assert len(got) == n_sols
-    # d_1 = (V[0, 1] / V_out[0, 1]) d'_0 = exp(-0.3i) d_0 for the identity
-    assert np.angle(got[0].relative_phases[1]) == pytest.approx(-0.3)
+        _assert_gate_cosets(solve_intertwiner(v, tol=tol), want)
+        assert any(s.perm_in == SWAP for s in got) == swapped
+    # d_1 = (V[0, 1] / V[2, 3]) d'_0 = exp(-0.3i) d_0 for the block swap
+    sol = next(s for s in got if s.perm_in == s.perm_out == SWAP)
+    assert np.angle(sol.relative_phases[1] / sol.relative_phases[0]) == pytest.approx(-0.3)
 
 
 # ---------------------------------------------------------------------------
@@ -578,33 +554,26 @@ def _shuffled_perms(n, count, seed):
 
 
 def _pair_search_case(name):
-    """(V, V_out, perm_in, perm_out) of one named pair-search case."""
+    """(V, perm_in, perm_out) of one named pair-search case."""
     kind, _, arg = name.partition(":")
     if kind == "random":
-        v = random_unitary(int(arg), seed=60 + int(arg))
-        return v, v, None, None
-    if kind == "random-twisted":
-        v = random_unitary(int(arg), seed=60 + int(arg))
-        return v, _monomial_twist(v, seed=70 + int(arg)), None, None
-    if kind in ("kron", "kron-twisted"):
-        v = _kron(*(random_unitary(2, seed=80 + k) for k in range(int(arg))))
-        return v, (v if kind == "kron" else _monomial_twist(v, seed=90)), None, None
+        return random_unitary(int(arg), seed=60 + int(arg)), None, None
+    if kind == "kron":
+        return _kron(*(random_unitary(2, seed=80 + k) for k in range(int(arg)))), None, None
     if kind == "word":
         model, surface, word = arg.split("/")
         mod = load_builtin(model)
-        v = evaluate_word(mod, _surface(mod, surface), word).matrix
-        return v, v, None, None
+        return evaluate_word(mod, _surface(mod, surface), word).matrix, None, None
     # explicit candidate lists in shuffled order on a flat and a kron matrix
     v = _word("zn_toric:2", torus_surface(), "s") if arg == "flat" else _kron(
         random_unitary(2, seed=80), random_unitary(2, seed=81))
     some, other = _shuffled_perms(4, 11, seed=95), _shuffled_perms(4, 13, seed=96)
-    return v, v, (some if "in" in kind else None), (other if "out" in kind else None)
+    return v, (some if "in" in kind else None), (other if "out" in kind else None)
 
 
 @pytest.mark.parametrize("name", [
     *(f"random:{n}" for n in range(3, 9)),
-    *(f"random-twisted:{n}" for n in range(3, 9)),
-    "kron:2", "kron-twisted:2", "kron:3", "kron-twisted:3",
+    "kron:2", "kron:3",
     "word:ising/sphere:sigma:8/s2",
     "word:fibonacci/sphere:tau:7/s2",
     "word:fibonacci/sphere:tau:7/s3",
@@ -618,14 +587,14 @@ def test_pair_arrays_match_the_recursive_search(monkeypatch, name, tiny):
     if tiny:  # one partial permutation per frontier block, 7 pairs per chunk
         monkeypatch.setattr(solver, "chunk_rows", lambda row_bytes: 1)
         chunk = 7
-    v, v_out, perm_in, perm_out = _pair_search_case(name)
-    absv, absvo, tol = np.abs(v), np.abs(v_out), modulus_match_tol(DEFAULT_TOL)
+    v, perm_in, perm_out = _pair_search_case(name)
+    absv, tol = np.abs(v), modulus_match_tol(DEFAULT_TOL)
     n = v.shape[0]
-    chunks = list(solver._candidate_pairs(absv, absvo, perm_in, perm_out, tol, Budget(), chunk))
+    chunks = list(solver._candidate_pairs(absv, perm_in, perm_out, tol, Budget(), chunk))
     assert all(0 < len(pis) == len(pips) <= chunk for pis, pips in chunks)
     empty = [(np.empty((0, n), dtype=np.intp),) * 2]
     pis, pips = (np.concatenate(side) for side in zip(*(chunks or empty)))
-    want = reference_candidate_pairs(absv, absvo, perm_in, perm_out, tol)
+    want = reference_candidate_pairs(absv, perm_in, perm_out, tol)
     assert want
     assert np.array_equal(pis, np.array([p for p, _ in want], dtype=np.intp).reshape(-1, n))
     assert np.array_equal(pips, np.array([q for _, q in want], dtype=np.intp).reshape(-1, n))
@@ -645,18 +614,15 @@ def _letter_matrices(model, label, m):
 
 
 def _compat_cases(v, rng):
-    """(|V|, |V_out|, candidates) triples around one word matrix: V_out = V,
-    V_out with rows and columns permuted, and moduli moved by about tol."""
+    """(|V|, candidates) pairs around one word matrix: |V| itself, with rows
+    and columns permuted, and with moduli moved by about tol, so rows that
+    were equal now differ by about tol."""
     n = v.shape[0]
     absv = np.abs(v)
     ident = tuple(range(n))
     cands = [ident, *(tuple(rng.permutation(n).tolist()) for _ in range(3))]
-    rows, cols = rng.permutation(n), rng.permutation(n)
-    # |V_out[rows[i], cols[j]]| = |V[i, j]|, so V's columns land by perm_in = cols
-    shuffled = np.empty_like(absv)
-    shuffled[np.ix_(rows, cols)] = absv
-    yield absv, absv, cands
-    yield absv, shuffled, [tuple(cols.tolist()), *cands]
+    yield absv, cands
+    yield absv[np.ix_(rng.permutation(n), rng.permutation(n))], cands
     for shift in (0.9e-9, 1e-9, 1.1e-9):
         for sign in (1.0, -1.0):
             moved = absv.copy()
@@ -665,7 +631,7 @@ def _compat_cases(v, rng):
             moved[i, j] = max(moved[i, j] + sign * shift, 0.0)
             row = rng.integers(n)
             moved[row] = np.maximum(moved[row] + sign * shift, 0.0)
-            yield absv, moved, cands[:2]
+            yield moved, cands[:2]
 
 
 @pytest.mark.parametrize("model,label,m", [
@@ -675,14 +641,14 @@ def _compat_cases(v, rng):
 def test_explicit_compat_matches_the_dense_compare(model, label, m):
     """On every one- and two-letter word, the window's compat equals the
     dense comparison's, bit for bit, for identity and random candidates,
-    a shuffled V_out and moduli moved by 0.9, 1 and 1.1 times tol."""
+    on |V|, a shuffled |V| and moduli moved by 0.9, 1 and 1.1 times tol."""
     tol = modulus_match_tol(DEFAULT_TOL)
     rng = np.random.default_rng(m)
     checked = 0
     for v in _letter_matrices(model, label, m):
-        for absv, absvo, cands in _compat_cases(v, rng):
-            got = solver._explicit_compat(absv, absvo, np.array(cands, dtype=np.intp), tol)
-            want = reference_perm_in_compat(absv, absvo, cands, tol)
+        for absv, cands in _compat_cases(v, rng):
+            got = solver._explicit_compat(absv, np.array(cands, dtype=np.intp), tol)
+            want = reference_perm_in_compat(absv, cands, tol)
             assert np.array_equal(unpack_rows(got, len(absv)), want)
             checked += want.any()
     assert checked
@@ -701,29 +667,24 @@ def test_explicit_compat_on_equal_moduli_and_nan(n):
     word = np.abs(_word("fibonacci", sphere_surface(FIB, "tau", 8), "s2s3"))[:n, :n]
     nan_word = word.copy()
     nan_word[0, 0] = np.nan
-    for absv, absvo in ((flat, flat), (nan_in, flat), (flat, nan_in), (nan_in, nan_in),
-                        (word, nan_word), (nan_word, word)):
-        got = unpack_rows(solver._explicit_compat(absv, absvo, cands, tol), n)
-        assert np.array_equal(got, reference_perm_in_compat(absv, absvo, cands, tol))
-    assert unpack_rows(solver._explicit_compat(flat, flat, cands, tol), n).all()
-    assert not solver._explicit_compat(nan_in, flat, cands, tol)[:, n // 2].any()
+    for absv in (flat, nan_in, word, nan_word):
+        got = unpack_rows(solver._explicit_compat(absv, cands, tol), n)
+        assert np.array_equal(got, reference_perm_in_compat(absv, cands, tol))
+    assert unpack_rows(solver._explicit_compat(flat, cands, tol), n).all()
+    assert not solver._explicit_compat(nan_in, cands, tol)[:, n // 2].any()
 
 
-@pytest.mark.parametrize("side", ["v", "v_out"])
 @pytest.mark.parametrize("perm_in", [None, [(0, 1, 2)]], ids=["wildcard", "explicit"])
-def test_nan_matrix_is_not_unitary(side, perm_in):
+def test_nan_matrix_is_not_unitary(perm_in):
     """A NaN entry gives a NaN unitarity residual, which must fail the check."""
     bad = np.eye(3, dtype=complex)
     bad[1, 2] = np.nan
-    v, v_out = (bad, None) if side == "v" else (np.eye(3, dtype=complex), bad)
-    name = "V" if side == "v" else "V_out"
-    with pytest.raises(ValueError, match=rf"^{name} is not unitary \(residual nan\)"):
-        solve_intertwiner(v, perm_in, v_out=v_out)
+    with pytest.raises(ValueError, match=r"^V is not unitary \(residual nan\)"):
+        solve_intertwiner(bad, perm_in)
 
 
 def test_word_matrix_is_checked_for_unitarity_once(monkeypatch):
-    """V_out defaulting to V is charged and checked once; a given V_out is
-    checked as well."""
+    """The word matrix is charged and checked once."""
     stages = []
     charge = Budget.charge
 
@@ -734,10 +695,6 @@ def test_word_matrix_is_checked_for_unitarity_once(monkeypatch):
     monkeypatch.setattr(Budget, "charge", recording)
     delta_set(FIB, sphere_surface(FIB, "tau", 7), "s2", restrict_perms=[tuple(range(8))])
     assert stages.count("unitarity check") == 1
-    stages.clear()
-    v = np.eye(3, dtype=complex)
-    solve_intertwiner(v, [(0, 1, 2)], v_out=v.copy())
-    assert stages.count("unitarity check") == 2
 
 
 def test_search_budget_fails_fast_on_a_flat_matrix():
@@ -767,14 +724,12 @@ def test_search_budget_fails_fast_on_a_flat_matrix():
         assert intertwiner_residual(dft, sol) < 1e-12
         d, _ = sol.instantiate()
         assert np.abs(d - np.exp(-2j * np.pi * b * k / 8)).max() < 1e-12
-        want = propagate_phases_scalar(
-            dft, dft, ident, sol.perm_out, support, DEFAULT_TOL, CYCLE_TOL
-        )
+        want = propagate_phases_scalar(dft, ident, sol.perm_out, support, DEFAULT_TOL, CYCLE_TOL)
         assert want == (sol.phase_classes, sol.relative_phases)
     flat = np.abs(dft)
     message = r"too many output-permutation matchings \(more than 20000\); restrict perm_out"
     with pytest.raises(ValueError, match=message):
-        reference_candidate_pairs(flat, flat, None, None, modulus_match_tol(DEFAULT_TOL))
+        reference_candidate_pairs(flat, None, None, modulus_match_tol(DEFAULT_TOL))
 
 
 def test_fibonacci_tau_8_delta_set_within_budget():
@@ -864,9 +819,8 @@ PACKED_SIZES = [1, 5, 6, 8, 9, 16, 17, 32, 33, 64, 65, 70]
 
 
 def _tie_case(n, seed):
-    """(|V|, |V_out|): V_out is V with rows and columns shuffled and some
-    entries moved by exactly tol (a tie, still equal) and, past seed 0,
-    some by 2 tol.
+    """|V| on the tol grid, some entries moved by exactly tol (a tie, still
+    equal to their old value) and, past seed 0, some by 2 tol.
 
     Up to 64 rows the moduli are random levels on the tol grid, few levels
     for small n (many feasible prefixes), with a repeated row and column
@@ -878,13 +832,11 @@ def _tie_case(n, seed):
         absv = rng.integers(0, 3 if n <= 9 else 12, size=(n, n)) * TIE
         if n > 9:
             absv[:, 1], absv[1] = absv[:, 0], absv[0]
-    absvo = np.empty_like(absv)
-    absvo[np.ix_(rng.permutation(n), rng.permutation(n))] = absv
     moved = rng.random((n, n))
-    absvo += np.where(moved < 0.2, TIE, 0.0)
-    if seed:  # seed 0 keeps the shuffle feasible
-        absvo += np.where(moved > 0.98, 2 * TIE, 0.0)
-    return absv, absvo
+    absv += np.where(moved < 0.2, TIE, 0.0)
+    if seed:
+        absv += np.where(moved > 0.98, 2 * TIE, 0.0)
+    return absv
 
 
 @pytest.mark.parametrize("n", PACKED_SIZES)
@@ -897,10 +849,10 @@ def test_packed_perm_in_frontier_matches_the_boolean_one(monkeypatch, n, tiny):
     if tiny:
         monkeypatch.setattr(solver, "chunk_rows", lambda row_bytes: 1)
     for seed in range(3):
-        absv, absvo = _tie_case(n, seed)
+        absv = _tie_case(n, seed)
         packed, want = Budget(), Budget()
-        got = list(solver._perm_in_blocks(absv, absvo, None, TIE, packed))
-        ref = list(bool_perm_in_frontier(absv, absvo, TIE, want))
+        got = list(solver._perm_in_blocks(absv, None, TIE, packed))
+        ref = list(bool_perm_in_frontier(absv, TIE, want))
         assert packed.spent == want.spent
         assert len(got) == len(ref)
         for (perms, compat), (ref_perms, ref_compat) in zip(got, ref):
@@ -1249,19 +1201,19 @@ def test_empty_matrix_has_one_empty_family():
     assert len(intersect_delta([ds, ds])) == 1
     sols = intertwiner_solutions(empty)
     assert [(s.perm_in, s.perm_out, s.relative_phases) for s in sols] == [((), (), ())]
-    pairs = list(solver._candidate_pairs(empty.real, empty.real, None, None, 0.0, Budget(), 1))
+    pairs = list(solver._candidate_pairs(empty.real, None, None, 0.0, Budget(), 1))
     assert [(pis.shape, pips.shape) for pis, pips in pairs] == [((1, 0), (1, 0))]
-    assert reference_candidate_pairs(empty.real, empty.real, None, None, 0.0) == [((), ())]
+    assert reference_candidate_pairs(empty.real, None, None, 0.0) == [((), ())]
 
 
 # ---------------------------------------------------------------------------
 # Propagation once per denominator pattern against the per-pair oracle
 
 
-def _per_pair(v, v_out, pis, pips, forest, tol, cycle_tol, codes):
+def _per_pair(v, pis, pips, forest, tol, codes):
     """``_propagate_chunk`` with every pair its own column: the per-pair
     oracle, each accepted pair its own pattern."""
-    pis, pips, val = per_pair_propagate_chunk(v, v_out, pis, pips, forest, tol, cycle_tol)
+    pis, pips, val = per_pair_propagate_chunk(v, pis, pips, forest, tol)
     return pis, pips, np.arange(len(pis)), val
 
 
@@ -1284,17 +1236,17 @@ def _assert_chunks_match_the_oracle(chunks):
     pattern row belongs to some accepted pair."""
     assert chunks
     for args, (pis, pips, which, val) in chunks:
-        want_pis, want_pips, want_val = per_pair_propagate_chunk(*args[:7])
+        want_pis, want_pips, want_val = per_pair_propagate_chunk(*args[:5])
         assert np.array_equal(pis, want_pis) and np.array_equal(pips, want_pips)
         assert which.dtype == np.intp and len(which) == len(pis)
         assert _bits(np.ascontiguousarray(val[which])) == _bits(np.ascontiguousarray(want_val))
         assert np.array_equal(np.unique(which), np.arange(len(val)))
 
 
-def _chunk_patterns(pis, pips, forest, v_out):
+def _chunk_patterns(pis, pips, forest, v):
     """``_patterns`` of a chunk of pairs, as ``_propagate_chunk`` finds them."""
-    idx = solver._denominator_index(pis, pips, forest, len(v_out))
-    return solver._patterns(idx, solver._entry_codes(v_out))
+    idx = solver._denominator_index(pis, pips, forest, len(v))
+    return solver._patterns(idx, solver._entry_codes(v))
 
 
 def _assert_same_delta_sets(got, want):
@@ -1348,7 +1300,7 @@ def test_pattern_propagation_matches_the_scalar_oracle(monkeypatch, name):
     scalars, are those of its pattern's propagation, bit for bit."""
     model, surf, word, _, _ = _family_case(name)
     v = evaluate_word(model, surf, word).matrix
-    _, want = _oracle_solutions(monkeypatch, v, v)
+    _, want = _oracle_solutions(monkeypatch, v)
     _assert_same_solutions(intertwiner_solutions(v), want)
 
 
@@ -1370,18 +1322,16 @@ def test_random_phase_patterns_are_all_distinct(monkeypatch, n, keyed):
     and the columns are the pairs themselves.  Either way the families are
     the per-pair oracle's and the scalar oracle's."""
     v = _random_phase_flat(n, n)
-    for v_out in (v, _random_phase_flat(n, 10 + n) * np.exp(0.3j)):
-        pairs, want = _oracle_solutions(monkeypatch, v, v_out)
-        assert len(pairs) == math.factorial(n) ** 2
-        chunks = _recorded_chunks(monkeypatch)
-        _assert_same_solutions(intertwiner_solutions(v, v_out=v_out), want)
-        _assert_chunks_match_the_oracle(chunks)
-        (args, _), = chunks
-        live, cols, inverse = _chunk_patterns(*args[2:5], v_out)
-        assert len(live) == len(cols) == len(pairs)
-        assert np.array_equal(np.sort(inverse), np.arange(len(pairs)))
-        assert np.array_equal(cols, live) != keyed
-        monkeypatch.undo()
+    pairs, want = _oracle_solutions(monkeypatch, v)
+    assert len(pairs) == math.factorial(n) ** 2
+    chunks = _recorded_chunks(monkeypatch)
+    _assert_same_solutions(intertwiner_solutions(v), want)
+    _assert_chunks_match_the_oracle(chunks)
+    (args, _), = chunks
+    live, cols, inverse = _chunk_patterns(*args[1:4], v)
+    assert len(live) == len(cols) == len(pairs)
+    assert np.array_equal(np.sort(inverse), np.arange(len(pairs)))
+    assert np.array_equal(cols, live) != keyed
 
 
 def test_signed_zeros_are_different_patterns(monkeypatch):
@@ -1396,12 +1346,12 @@ def test_signed_zeros_are_different_patterns(monkeypatch):
     assert np.signbit(v.imag).any() and not np.signbit(v.imag).all()
     codes = solver._entry_codes(v)
     assert len(np.unique(codes)) == 4 and len(np.unique(v)) == 2
-    _, want = _oracle_solutions(monkeypatch, v, v)
+    _, want = _oracle_solutions(monkeypatch, v)
     chunks = _recorded_chunks(monkeypatch)
     _assert_same_solutions(intertwiner_solutions(v), want)
     _assert_chunks_match_the_oracle(chunks)
     (args, _), = chunks
-    pis, pips, forest = args[2:5]
+    pis, pips, forest = args[1:4]
     live, cols, _ = _chunk_patterns(pis, pips, forest, v)
     den = v[pips.T[forest.rows], pis.T[forest.cols]].T  # + 0.0 turns -0.0 into 0.0
     by_value = len(np.unique(solver.row_keys(den + 0.0)))
@@ -1420,19 +1370,18 @@ def test_zero_denominators_are_rejected_before_keying():
     v = np.zeros((4, 4), dtype=np.complex128)
     v[:2, :2], v[2:, 2:] = _random_phase_flat(2, 5), _random_phase_flat(2, 6)
     v[0, 2] = -0.0
-    v_out = v
     forest = solver._constraint_forest(np.abs(v) > ZERO_THRESHOLD)
     perms = np.array(list(itertools.permutations(range(4))))
     pis, pips = (a.reshape(-1, 4) for a in np.broadcast_arrays(perms[:, None], perms[None]))
-    codes = solver._entry_codes(v_out)
+    codes = solver._entry_codes(v)
     assert (codes == -1).sum() == 8 and np.array_equal(np.unique(codes[codes >= 0]), np.arange(8))
-    live, cols, inverse = _chunk_patterns(pis, pips, forest, v_out)
-    den = v_out[pips.T[forest.rows], pis.T[forest.cols]]
+    live, cols, inverse = _chunk_patterns(pis, pips, forest, v)
+    den = v[pips.T[forest.rows], pis.T[forest.cols]]
     assert np.array_equal(live, np.flatnonzero((den != 0).all(axis=0)))
     assert len(live) == 32 and len(pis) == 576  # block to block, in each block's order
     assert len(cols) == len(live)  # distinct nonzero entries: one pattern per pair
-    got = solver._propagate_chunk(v, v_out, pis, pips, forest, DEFAULT_TOL, CYCLE_TOL, codes)
-    want = per_pair_propagate_chunk(v, v_out, pis, pips, forest, DEFAULT_TOL, CYCLE_TOL)
+    got = solver._propagate_chunk(v, pis, pips, forest, DEFAULT_TOL, codes)
+    want = per_pair_propagate_chunk(v, pis, pips, forest, DEFAULT_TOL)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
     assert _bits(np.ascontiguousarray(got[3][got[2]])) == _bits(np.ascontiguousarray(want[2]))
 
@@ -1449,9 +1398,9 @@ def test_pattern_codes_cross_chunk_boundaries(monkeypatch, rows):
     monkeypatch.setattr(solver, "chunk_rows", lambda row_bytes: rows)
     chunks = _recorded_chunks(monkeypatch)
     got = delta_set(model, surf, word)
-    assert len(chunks) > 1 and max(len(args[2]) for args, _ in chunks) == rows
-    keyed = [args[7] is not None for args, _ in chunks]
-    assert keyed == [len(args[2]) > solver._KEYED_MIN for args, _ in chunks]
+    assert len(chunks) > 1 and max(len(args[1]) for args, _ in chunks) == rows
+    keyed = [args[5] is not None for args, _ in chunks]
+    assert keyed == [len(args[1]) > solver._KEYED_MIN for args, _ in chunks]
     _assert_chunks_match_the_oracle(chunks)
     _assert_same_delta_sets(got, whole)
     assert len(got.rows) == sum(len(val) for _, (_, _, _, val) in chunks)
@@ -1463,7 +1412,7 @@ def test_small_chunks_are_not_keyed(monkeypatch):
     """A solve whose chunks hold at most ``_KEYED_MIN`` pairs codes no entry
     and keys no pattern: the identity candidate on the flat 2 x 2 and 3 x 3
     Fourier matrices makes 2 and 6 pairs."""
-    def refuse(v_out):
+    def refuse(v):
         raise AssertionError("coded the entries of a small solve")
 
     monkeypatch.setattr(solver, "_entry_codes", refuse)
@@ -1565,8 +1514,8 @@ def _assert_solve_matches_the_per_pair_oracle(monkeypatch, v, perm_in, perm_out,
     chunks = _recorded_chunks(monkeypatch)
     got = solve_intertwiner(v, perm_in, perm_out)
     _assert_chunks_match_the_oracle(chunks)
-    assert len(got) and all(args[7] is not None for args, _ in chunks)
-    patterns = [_chunk_patterns(*args[2:5], args[1]) for args, _ in chunks]
+    assert len(got) and all(args[5] is not None for args, _ in chunks)
+    patterns = [_chunk_patterns(*args[1:4], args[0]) for args, _ in chunks]
     assert any(len(cols) < len(live) for live, cols, _ in patterns) == keyed
     monkeypatch.setattr(solver, "_propagate_chunk", _per_pair)
     _assert_same_delta_sets(got, solve_intertwiner(v, perm_in, perm_out))

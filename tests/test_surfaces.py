@@ -7,10 +7,10 @@ from anyongates import (
     InfeasibleSurfaceError,
     ModelError,
     SurfaceSpec,
+    allowed_curve_permutations,
     enumerate_labelings,
     load_builtin,
     sphere_surface,
-    standard_dap,
     torus_surface,
 )
 from oracles import (
@@ -121,39 +121,28 @@ def test_describe():
 # Decomposed structure
 
 
-def test_standard_dap_torus():
-    dap = standard_dap(torus_surface())
-    assert dap.curves == ("C1",)
-    assert dap.adjacency["C1"] == ("C1", "C1")
-
-
-def test_standard_dap_sphere_adjacency():
-    dap = standard_dap(sphere_surface(ISING, "sigma", 6))
-    assert dap.curves == ("C1", "C2", "C3")
-    assert dap.adjacency["C1"] == ("P1", "P2", "P3", "C2")
-    assert dap.adjacency["C2"] == ("C1", "P3", "P4", "C3")
-    assert dap.adjacency["C3"] == ("C2", "P4", "P5", "P6")
-
-
-def test_standard_dap_degenerate_sphere():
-    assert standard_dap(sphere_surface(ISING, "sigma", 2)).curves == ()
+@pytest.mark.parametrize("punctures, curves", [(None, ["C1"]), (6, ["C1", "C2", "C3"]), (2, [])],
+                         ids=["torus", "sigma:6", "sigma:2"])
+def test_curves_are_named_by_their_slots(punctures, curves):
+    """Slot s of a labeling is curve C{s+1}; the torus has one curve and a
+    sphere with fewer than 4 punctures none."""
+    surf = torus_surface() if punctures is None else sphere_surface(ISING, "sigma", punctures)
+    assert list(allowed_curve_permutations(ISING, surf)) == curves
 
 
 def test_cut_dimensions_sum_to_total():
     surf = sphere_surface(FIB, "tau", 8)
-    dap = standard_dap(surf)
     basis = enumerate_labelings(FIB, surf)
-    for curve in dap.curves:
-        counts = cut_dimensions(FIB, surf, dap, curve)
+    for curve in allowed_curve_permutations(FIB, surf, basis):
+        counts = cut_dimensions(FIB, surf, curve)
         assert sum(counts.values()) == basis.dim
 
 
 def test_cut_dimensions_match_enumeration():
     surf = sphere_surface(ISING, "sigma", 6)
-    dap = standard_dap(surf)
     labs = enumerate_labelings(ISING, surf).labelings
-    for j, curve in enumerate(dap.curves):
-        counts = cut_dimensions(ISING, surf, dap, curve)
+    for j, curve in enumerate(("C1", "C2", "C3")):
+        counts = cut_dimensions(ISING, surf, curve)
         for a in range(ISING.n_labels):
             assert counts[a] == sum(1 for lab in labs if lab[j] == a)
 
