@@ -281,16 +281,17 @@ def test_bad_format_choice_exits_with_usage():
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf"])
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf", "-1e-300"])
 @pytest.mark.parametrize(
     "argv",
     [
         ("validate", "--model", "ising"),
         ("classify", "--model", "ising", "--surface", "sphere:sigma:6"),
+        ("classify", "--model", "ising", "--surface", "torus"),
         ("delta", "--model", "fibonacci", "--surface", "torus", "--words", "s"),
         ("lattice", "--qudit", "2", "--size", "2"),
     ],
-    ids=lambda a: a[0] if isinstance(a, tuple) else a,
+    ids=["validate", "classify", "classify-torus", "delta", "lattice"],
 )
 def test_tol_must_be_finite_and_non_negative(argv, tol, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -465,9 +465,12 @@ def test_batched_propagation_matches_scalar_oracle(monkeypatch):
     for word in ("s", "st", "stst"):
         cases.append((_word("zn_toric:2", torus_surface(), word), None, None))
     for n in (3, 4):
-        cases.append((random_unitary(n, seed=20 + n), None, None))
+        v = random_unitary(n, seed=20 + n)
+        cases.append((v, None, None))
+        cases.append((_twisted_twin(v, seed=40 + n), None, None))
     kron = np.kron(random_unitary(2, seed=50), random_unitary(2, seed=51))
     cases.append((kron, None, None))
+    cases.append((_twisted_twin(kron, seed=52), None, None))
     z3 = load_builtin("zn_toric:3")
     affs = affine_permutations(z3)
     cases.append((_word("zn_toric:3", torus_surface(), "stst"), affs[:40], affs))
@@ -481,6 +484,9 @@ def test_batched_propagation_matches_scalar_oracle(monkeypatch):
     assert kept[0][1] == 6144
     # zn_toric:2 s, st, stst: the cycle check rejects most of the 576 pairs
     assert kept[3:6] == [(576, 96), (576, 96), (576, 96)]
+    # a generic unitary beside its twisted copy: the identity and the swap
+    # that undoes the twist, both with phases
+    assert kept[6:10] == [(1, 1), (2, 2), (1, 1), (2, 2)]
     # the explicit lists: every one of the 40 x 432 pairs is searched
     assert kept[-1][0] == 40 * len(affs) and len(affs) == 432
 
@@ -553,13 +559,33 @@ def _shuffled_perms(n, count, seed):
     return [perms[i] for i in rng.permutation(len(perms))[:count]]
 
 
+def _monomial_twist(v, seed):
+    """P D V D' P' for random permutations P, P' and unit phases D, D'."""
+    rng = np.random.default_rng(seed)
+    n = v.shape[0]
+    left = MonomialMatrix(tuple(rng.permutation(n)), tuple(np.exp(2j * np.pi * rng.random(n))))
+    right = MonomialMatrix(tuple(rng.permutation(n)), tuple(np.exp(2j * np.pi * rng.random(n))))
+    return left.matrix() @ v @ right.matrix()
+
+
+def _twisted_twin(v, seed):
+    """V (+) P D V D' P': the pairs that swap the two blocks undo the twist."""
+    n = v.shape[0]
+    out = np.zeros((2 * n, 2 * n), dtype=np.complex128)
+    out[:n, :n], out[n:, n:] = v, _monomial_twist(v, seed)
+    return out
+
+
 def _pair_search_case(name):
     """(V, perm_in, perm_out) of one named pair-search case."""
     kind, _, arg = name.partition(":")
     if kind == "random":
         return random_unitary(int(arg), seed=60 + int(arg)), None, None
-    if kind == "kron":
-        return _kron(*(random_unitary(2, seed=80 + k) for k in range(int(arg)))), None, None
+    if kind == "random-twisted":
+        return _twisted_twin(random_unitary(int(arg), seed=60 + int(arg)), 70 + int(arg)), None, None
+    if kind in ("kron", "kron-twisted"):
+        v = _kron(*(random_unitary(2, seed=80 + k) for k in range(int(arg))))
+        return (v if kind == "kron" else _twisted_twin(v, seed=90)), None, None
     if kind == "word":
         model, surface, word = arg.split("/")
         mod = load_builtin(model)
@@ -573,7 +599,8 @@ def _pair_search_case(name):
 
 @pytest.mark.parametrize("name", [
     *(f"random:{n}" for n in range(3, 9)),
-    "kron:2", "kron:3",
+    *(f"random-twisted:{n}" for n in range(3, 9)),
+    "kron:2", "kron-twisted:2", "kron:3", "kron-twisted:3",
     "word:ising/sphere:sigma:8/s2",
     "word:fibonacci/sphere:tau:7/s2",
     "word:fibonacci/sphere:tau:7/s3",
@@ -596,6 +623,8 @@ def test_pair_arrays_match_the_recursive_search(monkeypatch, name, tiny):
     pis, pips = (np.concatenate(side) for side in zip(*(chunks or empty)))
     want = reference_candidate_pairs(absv, perm_in, perm_out, tol)
     assert want
+    if "twisted" in name:  # some pair carries column 0 into the twisted block
+        assert any(pi[0] >= n // 2 for pi, _ in want)
     assert np.array_equal(pis, np.array([p for p, _ in want], dtype=np.intp).reshape(-1, n))
     assert np.array_equal(pips, np.array([q for _, q in want], dtype=np.intp).reshape(-1, n))
 
