@@ -53,6 +53,7 @@ GRID = (
         "classify --model fibonacci --surface sphere:tau:7 --format text",
         "classify --model fibonacci --surface sphere:tau:7 --words s1,s6 --format json",
         "classify --model fibonacci --surface sphere:tau:9 --words s6,s3,s1 --format json",
+        "classify --model fibonacci --surface sphere:tau:9 --words s8,s3,s1 --format json",
         "delta --model ising --surface sphere:sigma:8 --words s2 --format json",
         "delta --model ising --surface sphere:sigma:8 --words s2 --format text",
         "delta --model fibonacci --surface sphere:tau:7 --words s2,s3 --format json",

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,7 +193,8 @@ def _lex_order(perms: np.ndarray) -> np.ndarray:
 def _automorphisms(n: int, support: bytes) -> np.ndarray:
     """Every choice of generator images h_i whose order divides orders[i]
     gives the homomorphism x -> prod_i h_i^(e_i(x)) on the exponent vectors
-    e(x); the bijective ones are the automorphisms."""
+    e(x); the bijective ones are the automorphisms.  The choices are charged
+    to a byte budget of their own before they are listed."""
     mul = _fusion_table(n, support)
     gc = _group_coordinates(n, support)
     coords = np.array(gc.coords, dtype=np.intp).reshape(n, len(gc.orders))
@@ -200,6 +202,10 @@ def _automorphisms(n: int, support: bytes) -> np.ndarray:
     # order of x: lcm over i of orders[i] / gcd(e_i(x), orders[i])
     elem_order = np.lcm.reduce(orders // np.gcd(coords, orders), axis=1, initial=1)
     candidates = [np.flatnonzero(m % elem_order == 0).tolist() for m in gc.orders]
+    # A listing of its own.  Per choice at once: its images row, its powers
+    # of one image, the gathered powers and the running product before and
+    # after one update, n intp entries or fewer each
+    Budget().charge("automorphism choices", math.prod(map(len, candidates)), 5 * 8 * n)
     images = np.array(list(itertools.product(*candidates)), dtype=np.intp)  # (choice, i)
     top = max(gc.orders, default=1)
     powers = np.zeros((n, top), dtype=np.intp)  # powers[h, e] = h^e

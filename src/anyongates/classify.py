@@ -56,7 +56,7 @@ import numpy as np
 from . import abelian as _ab
 from .budget import Budget, SearchBudgetError, chunk_rows
 from .jsonwriter import Category, Rows, dumps, json_order
-from .mcg import braid_letters, braid_slot, evaluate_on_basis
+from .mcg import braid_letters, braid_slot, evaluate_on_basis, parse_word
 from .models import AnyonModel
 from .solver import (
     DeltaSet,
@@ -64,6 +64,7 @@ from .solver import (
     intersect_delta,
     monomial_mask,
     solve_intertwiner,
+    word_matrix,
 )
 from .surfaces import (
     BasisIndex,
@@ -75,6 +76,7 @@ from .tolerances import (
     DEFAULT_TOL,
     PAULI_ANGLE_TOL,
     TRIVIAL_PHASE_TOL,
+    VETOLESS_UNIT_TOL,
     WINDOW_ZERO_THRESHOLD,
     ZERO_THRESHOLD,
     check_tol,
@@ -117,7 +119,10 @@ def allowed_curve_permutations(
     the space into flux sectors whose dimensions the gate cannot change.
     The per-curve label counts (the cut dimensions) are read off ``basis``,
     the surface's labelings, in one array pass; it is enumerated when not
-    given.
+    given.  Only the count-preserving bijections are generated, in
+    lexicographic order of their images: per curve, one permutation of each
+    class of labels with equal counts.  Their number, the product of the
+    classes' factorials, is charged to a byte budget of its own first.
     """
     if basis is None:
         basis = enumerate_labelings(model, surface)
@@ -129,14 +134,29 @@ def allowed_curve_permutations(
         (slots + n_labels * np.arange(n_curves)).ravel(),
         minlength=n_curves * n_labels,
     ).reshape(n_curves, n_labels).tolist()
+    budget = Budget()
     out: dict[str, list[tuple[tuple[int, int], ...]]] = {}
     for s, count in enumerate(counts):
         occurring = [a for a in range(n_labels) if count[a] > 0]
-        perms = []
-        for images in itertools.permutations(occurring):
-            if all(count[a] == count[b] for a, b in zip(occurring, images)):
-                perms.append(tuple(zip(occurring, images)))
-        out[f"C{s + 1}"] = perms
+        classes: dict[int, list[int]] = {}  # count -> positions in occurring
+        for i, a in enumerate(occurring):
+            classes.setdefault(count[a], []).append(i)
+        groups = list(classes.values())
+        # a tuple of (label, image) pairs takes about 88 bytes a pair
+        budget.charge(
+            "curve permutations",
+            math.prod(math.factorial(len(g)) for g in groups),
+            96 * len(occurring),
+        )
+        images = []
+        for choice in itertools.product(*map(itertools.permutations, groups)):
+            image = occurring.copy()
+            for group, perm in zip(groups, choice):
+                for i, j in zip(group, perm):
+                    image[i] = occurring[j]
+            images.append(image)
+        images.sort()
+        out[f"C{s + 1}"] = [tuple(zip(occurring, image)) for image in images]
     return out
 
 
@@ -513,7 +533,12 @@ def _classify_delta(model, surface, basis, allowed, mcg_words, tol, budget):
     that map the basis onto itself.  When every curve allows the identity
     alone, the identity is the one candidate and the classes are the exact
     diagonal gates; otherwise they bound the gates from above.  Every word
-    is evaluated on ``basis``.
+    is evaluated once on ``basis``, charged as :func:`delta_set` charges
+    it.  A vetoless word, one whose matrix is already monomial (σ₁ and
+    σ_{M−1} are diagonal), is not solved: its delta set would hold every
+    candidate with every phase free (see ``VETOLESS_UNIT_TOL``), so it
+    removes nothing from the intersection.  When every word is vetoless the
+    first is solved, and its set is the result.
     """
     maps = [[dict(p) for p in perms] for perms in allowed.values()]
     count = math.prod(len(m) for m in maps)
@@ -528,15 +553,31 @@ def _classify_delta(model, surface, basis, allowed, mcg_words, tol, budget):
         if None not in perm and len(set(perm)) == basis.dim:
             cands.add(perm)
     cands = sorted(cands)
-    sets = [
-        delta_set(model, surface, w, restrict_perms=cands, tol=tol, basis=basis)
-        for w in mcg_words
-    ]
+    sets, first = [], None
+    for word in mcg_words:
+        word_budget = Budget()
+        v = word_matrix(model, basis, parse_word(word, surface), word_budget)
+        if first is None:
+            first = v, word_budget
+        if not _vetoless(v):
+            sets.append(solve_intertwiner(v, cands, tol=tol, budget=word_budget))
+    if not sets:
+        v, word_budget = first
+        sets.append(solve_intertwiner(v, cands, tol=tol, budget=word_budget))
     inter = intersect_delta(sets)
     classes, _ = _family_classes(inter)
     if count == 1:
         return classes, {"path": "diagonal", "families": len(inter)}
     return classes, {"path": "fallback", "candidate_perms": len(cands)}
+
+
+def _vetoless(v: np.ndarray) -> bool:
+    """V is finite and monomial within ``ZERO_THRESHOLD`` and
+    ``VETOLESS_UNIT_TOL``, so it keeps every monomial gate monomial."""
+    return bool(
+        np.isfinite(v).all()
+        and monomial_mask(v[None], VETOLESS_UNIT_TOL, ZERO_THRESHOLD)[0]
+    )
 
 
 def _family_classes(inter: DeltaSet) -> tuple[Rows, np.ndarray]:

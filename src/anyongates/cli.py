@@ -26,7 +26,7 @@ from .jsonwriter import DistinctRows, Rows, dumps
 from .mcg import parse_word
 from .models import AnyonModel, ModelError, load_builtin, parse_model, validate
 from .solver import delta_set, intersect_delta
-from .surfaces import SurfaceSpec, sphere_surface, torus_surface
+from .surfaces import SurfaceSpec, enumerate_labelings, sphere_surface, torus_surface
 from .tolerances import DEFAULT_TOL, LATTICE_TOL, check_tol
 
 
@@ -136,7 +136,8 @@ def _cmd_delta(args) -> int:
         raise UsageError("delta needs --words")
     if surface.kind != "torus" and len(set(surface.boundary_labels)) > 1:
         raise UsageError("delta supports equal-label spheres and the torus")
-    sets = [delta_set(model, surface, w, tol=args.tol) for w in words]
+    basis = enumerate_labelings(model, surface)
+    sets = [delta_set(model, surface, w, tol=args.tol, basis=basis) for w in words]
     inter = intersect_delta(sets)
     angles = np.angle(inter.instantiate_rows())
     free = inter.n_free
@@ -184,14 +185,23 @@ def _cmd_lattice(args) -> int:
     return 0 if report["passed"] else 1
 
 
-@functools.cache  # one parser per process, however often ``main`` runs
-def build_parser() -> argparse.ArgumentParser:
+COMMANDS = ("validate", "classify", "delta", "lattice")
+
+
+@functools.cache  # one parser per command tuple and process, however often ``main`` runs
+def build_parser(commands: tuple[str, ...]) -> argparse.ArgumentParser:
+    """The parser of the subcommands ``commands``, a sub-tuple of ``COMMANDS``.
+
+    A parser of fewer commands prints the same usage line as the full one:
+    argparse reports an unrecognized option after a command with it.
+    """
     parser = argparse.ArgumentParser(
         prog="anyongates",
         description="Anyon models, torus/sphere code spaces, and monomial "
         "logical gate classification.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    metavar = None if commands == COMMANDS else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
     def common(p, surface=False, words=False):
         p.add_argument("--model", required=True,
@@ -206,29 +216,43 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
         p.add_argument("--format", choices=("text", "json"), default="text")
 
-    p = sub.add_parser("validate", help="run consistency checks on a model")
-    common(p)
-    p.set_defaults(func=_cmd_validate)
+    if "validate" in commands:
+        p = sub.add_parser("validate", help="run consistency checks on a model")
+        common(p)
+        p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("classify", help="classify monomial logical gates")
-    common(p, surface=True, words=True)
-    p.set_defaults(func=_cmd_classify)
+    if "classify" in commands:
+        p = sub.add_parser("classify", help="classify monomial logical gates")
+        common(p, surface=True, words=True)
+        p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("delta", help="solve word compatibility sets directly")
-    common(p, surface=True, words=True)
-    p.set_defaults(func=_cmd_delta)
+    if "delta" in commands:
+        p = sub.add_parser("delta", help="solve word compatibility sets directly")
+        common(p, surface=True, words=True)
+        p.set_defaults(func=_cmd_delta)
 
-    p = sub.add_parser("lattice", help="qudit lattice commutation cross-check")
-    p.add_argument("--qudit", type=int, required=True, help="qudit dimension N")
-    p.add_argument("--size", type=int, required=True, help="lattice side length L")
-    p.add_argument("--tol", type=_tolerance, default=LATTICE_TOL)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=_cmd_lattice)
+    if "lattice" in commands:
+        p = sub.add_parser("lattice", help="qudit lattice commutation cross-check")
+        p.add_argument("--qudit", type=int, required=True, help="qudit dimension N")
+        p.add_argument("--size", type=int, required=True, help="lattice side length L")
+        p.add_argument("--tol", type=_tolerance, default=LATTICE_TOL)
+        p.add_argument("--format", choices=("text", "json"), default="text")
+        p.set_defaults(func=_cmd_lattice)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    """Run one command line.  When its first argument names a command, only
+    that command's parser is built; help, a missing or an unknown command
+    get the parser of all four."""
+    if argv is None:
+        argv = sys.argv[1:]
+    commands = (argv[0],) if argv and argv[0] in COMMANDS else COMMANDS
+    return _run(build_parser(commands), argv)
+
+
+def _run(parser: argparse.ArgumentParser, argv: list[str]) -> int:
+    """Parse ``argv`` with ``parser`` and run the command it names."""
     args = parser.parse_args(argv)
     try:
         return args.func(args)

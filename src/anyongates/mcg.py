@@ -71,14 +71,21 @@ def local_braid_block(model: AnyonModel, z: int, M: int, k: int, a: int, b: int)
     sigma_{M-1} (the channel of the exchanged pair; the charge of punctures
     1..M-2 is x_N, so the last two fuse to its dual).  The braid relations
     pin this down; see docs/conventions.md.  Neighbors past either end of
-    the slot chain are z and dual(z).
+    the slot chain are z and dual(z).  Each block is built once per model,
+    keyed by z, a, b and which end of the chain k acts on, if any, and kept
+    read-only in ``model.braid_blocks``.
     """
-    rows, bmat = braid_block(model, z, a, b)
-    if k == 1:
-        return rows, np.diag([model.rsymbol(z, z, x) for x in rows])
-    if k == M - 1:
-        return rows, np.diag([model.rsymbol(z, z, model.dual[x]) for x in rows])
-    return rows, bmat
+    end = 1 if k == 1 else -1 if k == M - 1 else 0
+    block = model.braid_blocks.get((z, a, b, end))
+    if block is None:
+        rows, bmat = braid_block(model, z, a, b)
+        if end == 1:
+            bmat = np.diag([model.rsymbol(z, z, x) for x in rows])
+        elif end == -1:
+            bmat = np.diag([model.rsymbol(z, z, model.dual[x]) for x in rows])
+        bmat.setflags(write=False)
+        block = model.braid_blocks[(z, a, b, end)] = (rows, bmat)
+    return block
 
 
 def _generator_matrix(model: AnyonModel, z: int, M: int, k: int, basis: BasisIndex):
@@ -105,14 +112,11 @@ def braid_matrix(model: AnyonModel, z: int, M: int, k: int, labelings) -> np.nda
     groups: dict[tuple, list[int]] = {}
     for i, lab in enumerate(labelings):
         groups.setdefault(lab[:pos] + lab[pos + 1 :], []).append(i)
-    block_cache: dict[tuple[int, int], tuple] = {}
     for members in groups.values():
         lab = labelings[members[0]]
         a = lab[pos - 1] if pos >= 1 else z
         b = lab[pos + 1] if pos + 1 < len(lab) else model.dual[z]
-        if (a, b) not in block_cache:
-            block_cache[(a, b)] = local_braid_block(model, z, M, k, a, b)
-        slot_values, bmat = block_cache[(a, b)]
+        slot_values, bmat = local_braid_block(model, z, M, k, a, b)
         present = {labelings[i][pos]: i for i in members}
         if sorted(present) != sorted(slot_values):
             raise AssertionError(

@@ -116,7 +116,8 @@ class AnyonModel:
     :func:`parse_model` checks them.  A model is treated as immutable once
     an F-block has been read: the blocks are built once, on the first read,
     into :attr:`fblocks`, and are not rebuilt when the fusion tensor
-    changes afterwards.  A tampered model is a new instance
+    changes afterwards; the local braid blocks are kept likewise in
+    :attr:`braid_blocks`.  A tampered model is a new instance
     (``dataclasses.replace``).
     """
 
@@ -160,6 +161,12 @@ class AnyonModel:
     def fblocks(self) -> FBlockStore:
         """Every admissible F-block, built once on the first read."""
         return FBlockStore(self)
+
+    @cached_property
+    def braid_blocks(self) -> dict:
+        """The local braid blocks :func:`mcg.local_braid_block` has built for
+        this model, by context; filled on first use, like :attr:`fblocks`."""
+        return {}
 
     def fmove_block(self, i: int, j: int, k: int, l: int):
         """F-move block for boundary (i,j,k,l).

@@ -712,6 +712,7 @@ def solve_intertwiner(
     perm_out=None,
     *,
     tol: float = DEFAULT_TOL,
+    budget: Budget | None = None,
 ) -> DeltaSet:
     """All monomial gates G with V G V^dagger monomial, for the given
     permutation sets, as their delta set.
@@ -727,9 +728,12 @@ def solve_intertwiner(
     order otherwise.  Each row is the complete connected solution set for its
     pair, with one free phase per component of the constraint graph; the
     output side Pi' D' = V Pi D V^dagger follows from the gate.  A NaN,
-    infinite or negative ``tol`` is a ValueError.
+    infinite or negative ``tol`` is a ValueError.  The search charges
+    ``budget``, a fresh one when none is given.
     """
-    return _gate_families(*_solve(v, perm_in, perm_out, tol, Budget()))
+    if budget is None:
+        budget = Budget()
+    return _gate_families(*_solve(v, perm_in, perm_out, tol, budget))
 
 
 # ---------------------------------------------------------------------------
@@ -859,13 +863,21 @@ def delta_set(
         raise InfeasibleSurfaceError(
             f"{surface.describe(model)} has an empty code space for model {model.name}"
         )
-    tokens = parse_word(word, surface)
     budget = Budget()
+    v = word_matrix(model, basis, parse_word(word, surface), budget)
+    return _gate_families(*_solve(v, restrict_perms, restrict_perms_out, tol, budget))
+
+
+def word_matrix(
+    model: AnyonModel, basis: BasisIndex, tokens: list[tuple[str, int]], budget: Budget
+) -> np.ndarray:
+    """The matrix of a parsed word on ``basis``, evaluated after ``budget``
+    is charged the n x n matrices the evaluation holds and one search row of
+    n^3 booleans, the least any search of it holds."""
     # the running product, its next value, a conjugate and each generator used
     budget.charge("word matrix", 3 + len({sym for sym, _ in tokens}), 16 * basis.dim**2)
     budget.charge("search row", 1, basis.dim**3)
-    rep = evaluate_on_basis(model, basis, tokens)
-    return _gate_families(*_solve(rep.matrix, restrict_perms, restrict_perms_out, tol, budget))
+    return evaluate_on_basis(model, basis, tokens).matrix
 
 
 def _gate_families(forest: _ConstraintForest, accepted) -> DeltaSet:

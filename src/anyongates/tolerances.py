@@ -90,6 +90,28 @@ MODULUS_MATCH_FLOOR = 1e-9
 RATIO_MODULUS_FACTOR = 10.0
 RATIO_MODULUS_FLOOR = 1e-7
 
+# A word matrix V is vetoless, and a delta-set path skips its solve, when
+# every entry is finite and V is monomial with zero bound z = ZERO_THRESHOLD
+# and unit bound e = VETOLESS_UNIT_TOL: one entry per row and column, d_l
+# in column l, has ||d_l| - 1| < e, and every other entry is at most z.
+# Then, for any tol, the solver accepts every candidate gate permutation pi
+# with every phase free:
+# * its support is the entries above z, the d_l alone, so the constraint
+#   graph is a perfect matching of gate and output phases: no cycle, and
+#   one free phase per gate index;
+# * V passes the unitarity check: an entry of V V^dag - I is at most
+#   2e + e^2 + n z^2 on the diagonal and 2 (1 + e) z + n z^2 off it, under
+#   UNITARITY_TOL for any n below 10^8;
+# * two d's differ in modulus by under 2e and two other entries by at most
+#   z, both under MODULUS_MATCH_FLOOR <= modulus_match_tol(tol), while a d
+#   and another entry differ by over 1 - e - z; so the one perm_out that
+#   matches pi is sigma pi sigma^-1, sigma the permutation of V;
+# * each edge ratio is one d over another, nonzero with modulus within
+#   2e / (1 - e) < RATIO_MODULUS_FLOOR <= ratio_modulus_tol(tol) of 1.
+# So the delta set of V holds every candidate with every phase free, and
+# intersecting with it removes nothing.
+VETOLESS_UNIT_TOL = MODULUS_MATCH_FLOOR / 4
+
 # Default bound for phase-coset and gate-family membership and comparison.
 MEMBERSHIP_TOL = 1e-6
 

@@ -1010,19 +1010,25 @@ def projective_distance(a: np.ndarray, b: np.ndarray) -> float:
 # Curve permutations from one cut-dimension enumeration per curve
 
 
+def count_preserving_bijections(counts: dict[int, int]):
+    """The bijections of the labels with a positive count that keep every
+    count, as sorted (label, image) tuples, filtered from all permutations
+    in lexicographic order."""
+    occurring = sorted(a for a, c in counts.items() if c > 0)
+    return [
+        tuple(zip(occurring, images))
+        for images in itertools.permutations(occurring)
+        if all(counts[a] == counts[b] for a, b in zip(occurring, images))
+    ]
+
+
 def cut_dimension_permutations(model, surface):
     """Per curve, the label bijections that keep ``cut_dimensions`` of every
     label, each curve's counts from its own enumeration of the labelings."""
-    out = {}
-    for curve in (f"C{j}" for j in range(1, surface.punctures - 2)):
-        counts = cut_dimensions(model, surface, curve)
-        occurring = sorted(a for a, c in counts.items() if c > 0)
-        out[curve] = [
-            tuple(zip(occurring, images))
-            for images in itertools.permutations(occurring)
-            if all(counts[a] == counts[b] for a, b in zip(occurring, images))
-        ]
-    return out
+    return {
+        curve: count_preserving_bijections(cut_dimensions(model, surface, curve))
+        for curve in (f"C{j}" for j in range(1, surface.punctures - 2))
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -2190,3 +2196,41 @@ def reference_factorized_classes(perms, options, phases) -> list[dict]:
         }
         for perm, row, ph in zip(perms.tolist(), picks, phases.tolist())
     ]
+
+
+# ---------------------------------------------------------------------------
+# Braid matrices with the local blocks built afresh in every call
+
+
+def braid_matrix_per_call(model, z: int, M: int, k: int, labelings) -> np.ndarray:
+    """sigma_k on the span of ``labelings``, each local block built once per
+    call in a dict of its own: B(a, b) = F~^dag R~ F~, or the diagonal
+    R-phases of the end generators, scattered entry by entry."""
+    pos = max(0, min(k - 2, M - 4))
+    mat = np.zeros((len(labelings), len(labelings)), dtype=np.complex128)
+    groups: dict[tuple, list[int]] = {}
+    for i, lab in enumerate(labelings):
+        groups.setdefault(lab[:pos] + lab[pos + 1 :], []).append(i)
+    block_cache: dict[tuple[int, int], tuple] = {}
+    for members in groups.values():
+        lab = labelings[members[0]]
+        a = lab[pos - 1] if pos >= 1 else z
+        b = lab[pos + 1] if pos + 1 < len(lab) else model.dual[z]
+        if (a, b) not in block_cache:
+            rows, cols, block = model.fmove_block(z, a, b, z)
+            ftilde = block.T
+            bmat = ftilde.conj().T @ np.diag([model.rsymbol(z, z, c) for c in cols]) @ ftilde
+            if k == 1:
+                bmat = np.diag([model.rsymbol(z, z, x) for x in rows])
+            elif k == M - 1:
+                bmat = np.diag([model.rsymbol(z, z, model.dual[x]) for x in rows])
+            block_cache[(a, b)] = rows, bmat
+        slot_values, bmat = block_cache[(a, b)]
+        present = {labelings[i][pos]: i for i in members}
+        assert sorted(present) == sorted(slot_values)
+        val_pos = {v: p for p, v in enumerate(slot_values)}
+        for i in members:
+            x_old = labelings[i][pos]
+            for x_new, j in present.items():
+                mat[j, i] = bmat[val_pos[x_new], val_pos[x_old]]
+    return mat

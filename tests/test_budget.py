@@ -60,6 +60,10 @@ CASES = {
     "classify zn_toric:16 torus": (
         ["-m", "anyongates.cli", "classify", "--model", "zn_toric:16", "--surface", "torus"],
         "F-block channels"),
+    # 64 labels: 64^6 choices of images for the six generators of Z_2^6
+    "classify dg_abelian:2,2,2 torus": (
+        ["-m", "anyongates.cli", "classify", "--model", "dg_abelian:2,2,2", "--surface",
+         "torus"], "automorphism choices"),
     # 4,096 labels: the abelian double's 64 GiB fusion tensor and its label-pair arrays
     "classify zn_toric:64 torus": (
         ["-m", "anyongates.cli", "classify", "--model", "zn_toric:64", "--surface", "torus"],
@@ -326,3 +330,24 @@ def test_affine_retry_charges_its_maps_before_listing_them(monkeypatch):
     monkeypatch.setattr(abelian, "affine_permutations", unlisted)
     with pytest.raises(SearchBudgetError, match=r"^affine maps: 432 x 144 bytes, 62,208 bytes in all"):
         classify_torus(model, ["stst"])
+
+
+def test_automorphism_choices_are_charged_before_they_are_listed(monkeypatch):
+    """The listing of the automorphisms charges a budget of its own for
+    every choice of generator images, 81 for zn_toric:3, before the first
+    choice exists."""
+    def unlisted(*args, **kwargs):
+        raise AssertionError("the choices were listed")
+
+    model = load_builtin("zn_toric:3")
+    abelian.group_coordinates(model)  # its own enumeration of the group
+    abelian._automorphisms.cache_clear()
+    try:
+        monkeypatch.setattr(budget, "BUDGET_BYTES", 81 * 360 - 1)
+        monkeypatch.setattr(abelian.itertools, "product", unlisted)
+        with pytest.raises(
+            SearchBudgetError, match=r"^automorphism choices: 81 x 360 bytes, 29,160 bytes in all"
+        ):
+            abelian.automorphisms(model)
+    finally:
+        abelian._automorphisms.cache_clear()

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import importlib
 import json
+import time
 
 import numpy as np
 import pytest
@@ -36,12 +37,14 @@ from anyongates.cli import main
 from anyongates.jsonwriter import Rows
 from anyongates.models import _fill_fsymbols, _fill_rsymbols
 from anyongates.solver import DeltaSet, MonomialMatrix, delta_set, intersect_delta, row_keys
+from anyongates.surfaces import BasisIndex
 from anyongates.tolerances import DEFAULT_TOL, MEMBERSHIP_TOL
 
 from oracles import (
     _round_floats,
     contains_logical_paulis_by_scan,
     contains_logical_paulis_loop,
+    count_preserving_bijections,
     cut_dimension_permutations,
     deligne_product,
     dense_sphere_word_filter,
@@ -138,6 +141,39 @@ def test_curve_permutations_from_a_given_basis_match_cut_dimensions():
         assert allowed_curve_permutations(model, surf, basis=basis) == (
             cut_dimension_permutations(model, surf)
         )
+
+
+def test_curve_permutations_are_generated_in_lexicographic_order():
+    """Classes of equal counts interleave: labels 0, 2, 4 occur twice and 1,
+    3 once.  Generating one permutation per class gives the bijections that
+    the filter over all permutations keeps, in the same order; so do the
+    tori, where every label occurs once."""
+    z3 = load_builtin("zn_toric:3")
+    surface = torus_surface()
+    labelings = ((0,), (0,), (1,), (2,), (2,), (3,), (4,), (4,))
+    basis = BasisIndex(surface, labelings, {})
+    counts = {a: sum(lab == (a,) for lab in labelings) for a in range(z3.n_labels)}
+    assert allowed_curve_permutations(z3, surface, basis) == {
+        "C1": count_preserving_bijections(counts)
+    }
+    assert len(count_preserving_bijections(counts)) == 12
+    for model in (Z2, ISING, FIB):
+        counts = dict.fromkeys(range(model.n_labels), 1)
+        assert allowed_curve_permutations(model, surface) == {
+            "C1": count_preserving_bijections(counts)
+        }
+
+
+def test_curve_permutations_past_the_budget_are_refused_before_listing():
+    """The zn_toric:4 torus has 16! bijections of its 16 labels: they are
+    charged, and refused, before the first is listed."""
+    model = load_builtin("zn_toric:4")
+    start = time.perf_counter()
+    with pytest.raises(
+        SearchBudgetError, match=r"^curve permutations: 20,922,789,888,000 x 1,536 bytes, "
+    ):
+        allowed_curve_permutations(model, torus_surface())
+    assert time.perf_counter() - start < 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +494,91 @@ def test_fallback_path_on_a_deligne_product():
     assert hashlib.sha256(rep.to_json().encode()).hexdigest() == (
         "8590eaf850a38652c07fae0626efa7fbdd7e21131cfff04e02407b10cbad5678"
     )
+
+
+def _spy_delta_path(monkeypatch):
+    """The candidate lists the delta-set path solves, one per solved word,
+    and the word matrices it finds vetoless."""
+    solved, skipped = [], []
+    solve, vetoless = classify_module.solve_intertwiner, classify_module._vetoless
+
+    def solving(v, perm_in, **kwargs):
+        solved.append(perm_in)
+        return solve(v, perm_in, **kwargs)
+
+    def recording(v):
+        if vetoless(v):
+            skipped.append(v)
+            return True
+        return False
+
+    monkeypatch.setattr(classify_module, "solve_intertwiner", solving)
+    monkeypatch.setattr(classify_module, "_vetoless", recording)
+    return solved, skipped
+
+
+@pytest.mark.parametrize("m, words, n_solved, n_skipped", [
+    (7, None, 4, 2), (9, None, 6, 2), (7, ["s1", "s6"], 1, 2), (9, ["s6", "s3", "s1"], 2, 1),
+    (9, ["s8", "s3", "s1"], 1, 2), (8, ["s1s7", "s7'", "s2"], 1, 2), (8, ["s1s2"], 1, 0),
+])
+def test_vetoless_words_are_not_solved_on_the_delta_path(
+    monkeypatch, m, words, n_solved, n_skipped
+):
+    """s1, s_{M-1} and their products are diagonal: they are evaluated but
+    not solved, unless every word is vetoless, when the first is solved."""
+    solved, skipped = _spy_delta_path(monkeypatch)
+    surf = sphere_surface(FIB, "tau", m)
+    rep = classify_punctured_sphere(FIB, surf, words)
+    assert rep.details["path"] == "diagonal"
+    assert (len(solved), len(skipped)) == (n_solved, n_skipped)
+
+
+@pytest.mark.parametrize("model, label, m, tol", [
+    (FIB, "tau", m, tol) for m in (5, 7, 10) for tol in (0.0, DEFAULT_TOL, 1e-3)
+] + [(FIB_ISING, "tau.sigma", 6, DEFAULT_TOL), (FIB_ISING, "tau.sigma", 6, 0.0)])
+def test_every_skipped_word_solved_anyway_keeps_every_candidate_free(
+    monkeypatch, model, label, m, tol
+):
+    """The solve a vetoless word is spared gives every candidate of the
+    path, in order, with every phase free and relative phase 1."""
+    solved, skipped = _spy_delta_path(monkeypatch)
+    classify_punctured_sphere(model, sphere_surface(model, label, m), tol=tol)
+    assert skipped
+    cands = solved[0]
+    for v in skipped:
+        ds = classify_module.solve_intertwiner(v, cands, tol=tol)
+        assert ds.perms.tolist() == [list(c) for c in cands]
+        assert ds.components == tuple(range(len(v)))
+        assert (ds.rel == 1).all()
+
+
+def test_a_solved_word_is_charged_as_delta_set_charges_it(monkeypatch):
+    """On the delta-set path each word charges a budget of its own, stage
+    for stage as ``delta_set`` charges the same word and candidates."""
+    charges = []
+    charge = budget.Budget.charge
+
+    def recording(self, stage, count, nbytes):
+        charges.append((id(self), stage, count, nbytes))
+        charge(self, stage, count, nbytes)
+
+    monkeypatch.setattr(budget.Budget, "charge", recording)
+    surf = sphere_surface(FIB, "tau", 8)
+    classify_punctured_sphere(FIB, surf, ["s1", "s3s4"])
+    per_budget = {}
+    for owner, *rest in charges:
+        per_budget.setdefault(owner, []).append(tuple(rest))
+    words = [c for c in per_budget.values() if c[0][0] == "word matrix"]
+    charges.clear()
+    dim = enumerate_labelings(FIB, surf).dim
+    delta_set(FIB, surf, "s1", restrict_perms=[tuple(range(dim))])
+    first = [tuple(c[1:]) for c in charges]
+    charges.clear()
+    delta_set(FIB, surf, "s3s4", restrict_perms=[tuple(range(dim))])
+    second = [tuple(c[1:]) for c in charges]
+    assert words[0] == first[:2]  # s1 is evaluated, not solved
+    assert words[1] == second
+    assert [stage for stage, *_ in second[:3]] == ["word matrix", "search row", "unitarity check"]
 
 
 # ---------------------------------------------------------------------------

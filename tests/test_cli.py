@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -6,6 +9,7 @@ import tracemalloc
 
 import pytest
 
+from anyongates import cli
 from anyongates.cli import _parse_surface, main
 from anyongates.models import load_builtin, serialize_model
 from anyongates.solver import delta_set, intersect_delta
@@ -279,6 +283,77 @@ def test_bad_format_choice_exits_with_usage():
     with pytest.raises(SystemExit) as exc:
         main(["validate", "--model", "ising", "--format", "yaml"])
     assert exc.value.code == 2
+
+
+REQUIRED = {
+    "validate": ("--model", "ising"),
+    "classify": ("--model", "ising", "--surface", "torus"),
+    "delta": ("--model", "ising", "--surface", "torus", "--words", "s"),
+    "lattice": ("--qudit", "2", "--size", "2"),
+}
+PARSER_GRID = [
+    (), ("-h",), ("--help",), ("bogus",), ("bogus", "--model", "ising"),
+    ("--tol", "1e-9", "validate", "--model", "ising"),
+    ("--format", "json", "lattice", "--qudit", "2", "--size", "2"),
+] + [
+    argv
+    for command, required in REQUIRED.items()
+    for argv in [
+        (command,), (command, "-h"), (command, "--help"), (command, *required),
+        (command, *required, "--tol", "nan"), (command, *required, "--format", "xml"),
+        (command, *required, "--bogus"), (command, *required, "--bogus", "x"),
+        (command, *required, "stray"),
+    ]
+]
+
+
+def _outcome(call):
+    """Exit code, stdout and stderr of one call, an argparse exit included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = call()
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", PARSER_GRID, ids=" ".join)
+def test_the_named_command_parser_answers_as_the_full_one(argv):
+    """Help, usage errors and runs come out byte for byte as the parser of
+    all four commands gives them; argparse reports an option it does not
+    know after a command with the top-level usage line."""
+    named = _outcome(lambda: main(list(argv)))
+    full = _outcome(lambda: cli._run(cli.build_parser(cli.COMMANDS), list(argv)))
+    assert named == full
+
+
+def test_main_builds_the_named_command_alone(monkeypatch):
+    """A command line that names a command gets a parser of that command
+    alone; help and an unknown command get all four."""
+    built = []
+    build = cli.build_parser
+
+    def spy(commands):
+        built.append(commands)
+        return build(commands)
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    for argv in (["lattice", "--qudit", "2", "--size", "2"], ["--help"], ["bogus"]):
+        _outcome(lambda: main(argv))
+    assert built == [("lattice",), cli.COMMANDS, cli.COMMANDS]
+    code, _, err = _outcome(lambda: build(("lattice",)).parse_args(["validate"]))
+    assert code == 2
+    assert "invalid choice: 'validate' (choose from 'lattice')" in err
+
+
+def test_importing_the_cli_builds_no_parser():
+    code = "import anyongates.cli as c; print(c.build_parser.cache_info().currsize)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "0"
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf", "-1e-300"])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,10 +10,17 @@ from anyongates import (
     torus_generators,
     torus_surface,
 )
-from anyongates.mcg import _generator_matrix, braid_block, evaluate_on_basis, parse_word
+from anyongates.mcg import (
+    _generator_matrix,
+    braid_block,
+    braid_matrix,
+    evaluate_on_basis,
+    local_braid_block,
+    parse_word,
+)
 from anyongates.surfaces import enumerate_labelings
 
-from oracles import projective_distance
+from oracles import braid_matrix_per_call, projective_distance
 
 FIB = load_builtin("fibonacci")
 ISING = load_builtin("ising")
@@ -149,6 +158,62 @@ def test_sphere_word_evaluation_composes():
     g2 = evaluate_word(ISING, sphere_surface(ISING, "sigma", 6), "s2").matrix
     got = evaluate_word(ISING, surf, "s1 s2'").matrix
     assert np.abs(got - g1 @ g2.conj().T).max() < 1e-12
+
+
+BLOCK_CASES = (
+    [("fibonacci", "tau", m) for m in range(4, 14)]
+    + [("ising", "sigma", m) for m in range(4, 15)]
+    + [("ising", "psi", m) for m in range(4, 9)]
+)
+
+
+@pytest.mark.parametrize("name, label, m", BLOCK_CASES)
+def test_braid_matrices_equal_the_per_call_blocks_bit_for_bit(name, label, m):
+    """Every generator's matrix, built from the blocks kept on the model,
+    has the bytes of the loop that builds its blocks afresh in each call;
+    one model serves every M and k in turn, so the blocks are reused."""
+    model = load_builtin(name) if name == "fibonacci" else ISING
+    surf = sphere_surface(model, label, m)
+    basis = enumerate_labelings(model, surf)
+    z = surf.boundary_labels[0]
+    for k in range(1, m):
+        got = braid_matrix(model, z, m, k, basis.labelings)
+        want = braid_matrix_per_call(model, z, m, k, basis.labelings)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_a_replaced_model_gets_its_own_braid_blocks():
+    """``dataclasses.replace`` with other R-symbols is a new model: its
+    blocks are its own, built from its R-symbols, and the first model's
+    blocks stay as they were."""
+    model = load_builtin("fibonacci")
+    surf = sphere_surface(model, "tau", 6)
+    before = evaluate_word(model, surf, "s1s2s5").matrix
+    other = dataclasses.replace(
+        model, rsymbols={key: np.conj(r) for key, r in model.rsymbols.items()}
+    )
+    assert other.braid_blocks == {}
+    basis = enumerate_labelings(other, surf)
+    for k in (1, 2, 5):
+        got = braid_matrix(other, 1, 6, k, basis.labelings)
+        assert got.tobytes() == braid_matrix_per_call(other, 1, 6, k, basis.labelings).tobytes()
+    assert np.abs(evaluate_word(other, surf, "s1s2s5").matrix - before).max() > 0.1
+    assert evaluate_word(model, surf, "s1s2s5").matrix.tobytes() == before.tobytes()
+    assert set(other.braid_blocks) == set(model.braid_blocks)
+
+
+def test_braid_blocks_are_kept_read_only_per_context():
+    """One entry per (z, a, b, end): the end generators share the interior
+    blocks' contexts but keep blocks of their own, and no caller can write
+    into a kept block."""
+    model = load_builtin("fibonacci")
+    first = local_braid_block(model, 1, 6, 1, 1, 1)
+    assert local_braid_block(model, 1, 8, 1, 1, 1) is first
+    assert local_braid_block(model, 1, 6, 5, 1, 1) is not first
+    assert local_braid_block(model, 1, 6, 3, 1, 1) is local_braid_block(model, 1, 9, 4, 1, 1)
+    assert sorted(model.braid_blocks) == [(1, 1, 1, -1), (1, 1, 1, 0), (1, 1, 1, 1)]
+    with pytest.raises(ValueError):
+        first[1][0, 0] = 0
 
 
 # ---------------------------------------------------------------------------

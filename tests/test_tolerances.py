@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -18,10 +19,12 @@ from anyongates import (
     validate,
 )
 from anyongates.abelian import lattice_commutation_check, torus_word_families
+from anyongates.classify import _vetoless
 from anyongates.tolerances import (
     CYCLE_TOL,
     DEFAULT_TOL,
     MEMBERSHIP_TOL,
+    VETOLESS_UNIT_TOL,
     ZERO_THRESHOLD,
     check_tol,
     unit_modulus_tol,
@@ -128,3 +131,38 @@ def test_membership_is_decided_at_the_membership_tol(method, factor):
     else:
         held = bool(ds.contains_each([perm], [phases])[0])
     assert held == (factor < 1)
+
+
+def _edge_monomial(n: int, unit: float, zero: float) -> np.ndarray:
+    """A permuted diagonal whose entries are off modulus 1 by +-unit in
+    turn, with every other entry of modulus ``zero`` and a varied phase."""
+    rng = np.random.default_rng(n)
+    v = zero * np.exp(2j * np.pi * rng.random((n, n)))
+    sigma = rng.permutation(n)
+    moduli = 1 + unit * (-1.0) ** np.arange(n)
+    v[sigma, np.arange(n)] = moduli * np.exp(2j * np.pi * rng.random(n))
+    return v
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-12, DEFAULT_TOL, 1e-6, 1e-3])
+def test_a_vetoless_matrix_at_its_bounds_keeps_every_candidate_free(tol):
+    """Entries off modulus 1 by 0.99 VETOLESS_UNIT_TOL either way and all
+    others at 0.99 ZERO_THRESHOLD: the matrix is vetoless, and the solver
+    accepts all 720 candidates of n = 6, each with six free phases."""
+    v = _edge_monomial(6, 0.99 * VETOLESS_UNIT_TOL, 0.99 * ZERO_THRESHOLD)
+    assert _vetoless(v)
+    cands = list(itertools.permutations(range(6)))
+    ds = solve_intertwiner(v, cands, tol=tol)
+    assert ds.perms.tolist() == [list(c) for c in cands]
+    assert ds.components == tuple(range(6))
+
+
+@pytest.mark.parametrize("unit, zero", [(1.01, 0.5), (0.5, 1.01)])
+def test_the_vetoless_test_decides_at_its_bounds(unit, zero):
+    """Past either bound, or with a NaN entry, a matrix is not vetoless."""
+    v = _edge_monomial(6, unit * VETOLESS_UNIT_TOL, zero * ZERO_THRESHOLD)
+    assert not _vetoless(v)
+    v = _edge_monomial(6, 0.5 * VETOLESS_UNIT_TOL, 0.0)
+    assert _vetoless(v)
+    v[v == 0] = np.nan  # no NaN exceeds the zero bound
+    assert not _vetoless(v)
